@@ -107,14 +107,24 @@ class TwistedAction:
         U = {S.index_of(lab): frozenset(pts) for lab, pts in data["U"].items()}
         theta = {S.index_of(lab): PartialBijection(m)
                  for lab, m in data["theta"].items()}
+        index = {lab: i for i, lab in enumerate(S.labels)}
         omega = {}
         for key, vals in data["omega"].items():
-            s_lab, t_lab = key.split(",")
-            s, t = S.index_of(s_lab), S.index_of(t_lab)
+            s, t = _split_pair_key(key, index)
             st = S.mul(s, t)
             carrier = U[S.mul(st, S.inv[st])]
             omega[(s, t)] = CFunction(carrier, {x: Angle(Fraction(v)) for x, v in vals.items()})
         return cls(S, X, U, theta, omega)
+
+
+def _split_pair_key(key: str, index) -> tuple[int, int]:
+    """Split an omega key "s,t" at the one comma with a label on each side;
+    labels may contain commas themselves, as those of I_k do."""
+    splits = [(index[key[:i]], index[key[i + 1:]]) for i, ch in enumerate(key)
+              if ch == "," and key[:i] in index and key[i + 1:] in index]
+    if len(splits) != 1:
+        raise ValueError(f"omega key {key!r} does not split into two labels in exactly one way")
+    return splits[0]
 
 
 def untwisted_omega(S: InverseSemigroup, U) -> dict:

@@ -36,22 +36,13 @@ class StarAlgebra:
         self.star_coeff = [complex(c) for c in star_coeff]
 
     def left_regular(self):
-        """Left multiplication matrices L_i acting on coefficient vectors."""
-        mats = []
+        """Left multiplication matrices L[i] acting on coefficient vectors;
+        the element with coefficients a acts as np.tensordot(a, L, 1)."""
+        L = np.zeros((self.n, self.n, self.n), dtype=complex)
         for i in range(self.n):
-            L = np.zeros((self.n, self.n), dtype=complex)
             for j in range(self.n):
                 for k, c in self.mul.get((i, j), []):
-                    L[k, j] += c
-            mats.append(L)
-        return mats
-
-    def left_mul_matrix(self, coeffs):
-        L = np.zeros((self.n, self.n), dtype=complex)
-        mats = self.left_regular()
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                L += c * mats[i]
+                    L[i, k, j] += c
         return L
 
     def star_vector(self, coeffs):
@@ -69,7 +60,7 @@ class StarAlgebra:
             for j in range(self.n):
                 ij = L[i] @ basis[j]
                 for k in range(self.n):
-                    lhs = self.left_mul_matrix(ij) @ basis[k]
+                    lhs = np.tensordot(ij, L, 1) @ basis[k]
                     rhs = L[i] @ (L[j] @ basis[k])
                     if np.linalg.norm(lhs - rhs) > tol:
                         bad.append(("associativity", (i, j, k)))
@@ -80,7 +71,7 @@ class StarAlgebra:
         for i in range(self.n):
             for j in range(self.n):
                 lhs = self.star_vector(L[i] @ basis[j])
-                rhs = self.left_mul_matrix(self.star_vector(basis[j])) @ self.star_vector(basis[i])
+                rhs = np.tensordot(self.star_vector(basis[j]), L, 1) @ self.star_vector(basis[i])
                 if np.linalg.norm(lhs - rhs) > tol:
                     bad.append(("anti-multiplicative", (i, j)))
         return not bad, bad
@@ -147,7 +138,7 @@ def _gns_rep(alg: StarAlgebra):
     basis = np.eye(n, dtype=complex)
     gram = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        li_star = alg.left_mul_matrix(alg.star_vector(basis[i]))
+        li_star = np.tensordot(alg.star_vector(basis[i]), L, 1)
         for j in range(n):
             gram[i, j] = np.trace(li_star @ L[j])
     gram = (gram + gram.conj().T) / 2

@@ -1,14 +1,21 @@
 """Semi-abelian Fell bundles over finite inverse semigroups.
 
-Two realizations share one interface: ActionBundle (fibers are functions
-on the carriers of a twisted action) and SectionBundle (fibers are
-functions on bisections of a twisted groupoid).  Fiber elements are
-CFunctions on the fiber's carrier set.
+Every bundle modelled here is monomial: in the point-mass bases of the
+fibers, the product of two basis elements, the adjoint of one and its
+inclusion into a larger fiber are each a single scaled basis element.  One
+type, Bundle, holds those three structure tables and extends them
+(conjugate-)linearly to CFunctions.  Three builders fill the tables:
+
+- build_bundle(A): the bundle of a twisted action, whose fiber over s is
+  the functions on U(ss*) and whose product is twisted by omega;
+- SectionBundle(G, tau, S, bisections, carriers): the sections of a
+  twisted groupoid over its bisections, with optionally shrunken carriers;
+- refine.RefinedBundle(base): the saturated refinement of a bundle.
 """
 
 from __future__ import annotations
 
-from fellsem.angles import Angle, as_angle, as_complex, scalar_conj, scalar_mul
+from fellsem.angles import ONE, Angle, as_angle, as_complex, scalar_conj
 from fellsem.isg import InverseSemigroup
 from fellsem.partial_maps import CFunction
 from fellsem.action import TwistedAction
@@ -32,143 +39,131 @@ class BadMultiplierFamily(BundleError):
 
 def _smul(*factors):
     """Product of scalars, exact while every factor is an Angle; zero wins."""
-    acc = Angle(0)
+    acc = ONE
     for f in factors:
         if f == 0:
             return 0
         if isinstance(acc, Angle) and isinstance(f, Angle):
-            acc = acc * f
+            if f.frac:  # a factor one, or an accumulator one, costs no Fraction work
+                acc = acc * f if acc.frac else f
         else:
             acc = as_complex(acc) * as_complex(f)
     return acc
 
 
-class ActionBundle:
-    """The bundle of a twisted action: fiber over s is functions on U(ss*).
+class Bundle:
+    """A monomial Fell bundle over S, given by its structure tables.
+
+    carriers[s]        the point set of the fiber over s;
+    products[(s, t)]   rows (x, y, z, c): delta_x in fiber s times delta_y
+                       in fiber t is c delta_z in fiber st.  Every z occurs
+                       in at most one row, so products never add terms;
+    stars[s]           x -> (z, c): the adjoint of delta_x in fiber s is
+                       c delta_z in fiber s*;
+    inclusions[(s, t)] for s <= t, x -> c: delta_x in fiber s is c delta_x
+                       in fiber t.
+
+    Scalars are Angles, or complex numbers where a numeric value entered;
+    products of Angles stay exact.  `realization` names the builder and the
+    keyword arguments keep the data the tables were built from as
+    attributes (A; G and tau; base and phi).
+    """
+
+    def __init__(self, S: InverseSemigroup, carriers, products, stars, inclusions,
+                 realization: str, **origin):
+        self.S = S
+        self.carriers = carriers
+        self.products = products
+        self.stars = stars
+        self.inclusions = inclusions
+        self.realization = realization
+        vars(self).update(origin)
+
+    def carrier(self, s: int) -> frozenset:
+        return self.carriers[s]
+
+    def mul(self, s: int, t: int, f: CFunction, g: CFunction) -> CFunction:
+        vals = {}
+        for x, y, z, c in self.products[(s, t)]:
+            v = _smul(f(x), g(y), c)
+            if v != 0:
+                vals[z] = v
+        return CFunction(self.carriers[self.S.mul(s, t)], vals)
+
+    def star(self, s: int, f: CFunction) -> CFunction:
+        vals = {}
+        for x, (z, c) in self.stars[s].items():
+            v = _smul(scalar_conj(f(x)), c)
+            if v != 0:
+                vals[z] = v
+        return CFunction(self.carriers[self.S.inv[s]], vals)
+
+    def include(self, t: int, s: int, f: CFunction) -> CFunction:
+        scalars = self.inclusions.get((s, t))
+        if scalars is None:
+            raise BundleError(f"{self.S.label(s)} is not below {self.S.label(t)}")
+        vals = {}
+        for x, c in scalars.items():
+            v = _smul(f(x), c)
+            if v != 0:
+                vals[x] = v
+        return CFunction(self.carriers[t], vals)
+
+
+def build_bundle(A: TwistedAction) -> Bundle:
+    """The bundle of a twisted action: the fiber over s is functions on U(ss*).
 
     Product:    (f.g)(y) = f(y) g(theta_s^{-1} y) omega(s,t)(y)
     Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
     Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
     """
-
-    realization = "action"
-
-    def __init__(self, A: TwistedAction):
-        self.A = A
-        self.S = A.S
-
-    def carrier(self, s: int) -> frozenset:
-        return self.A.carrier(s)
-
-    def mul(self, s: int, t: int, f: CFunction, g: CFunction) -> CFunction:
-        A = self.A
-        st = self.S.mul(s, t)
+    S = A.S
+    carriers = {s: A.carrier(s) for s in S.elements()}
+    products, stars, inclusions = {}, {}, {}
+    for s in S.elements():
+        ss = S.inv[s]
         inv_s = A.theta[s].invert()
-        vals = {}
-        for y in self.carrier(st):
-            v = _smul(f(y), g(inv_s(y)), A.omega[(s, t)](y))
-            if v != 0:
-                vals[y] = v
-        return CFunction(self.carrier(st), vals)
-
-    def star(self, s: int, f: CFunction) -> CFunction:
-        A = self.A
-        ss = self.S.inv[s]
+        for t in S.elements():
+            w = A.omega[(s, t)]
+            products[(s, t)] = [(y, inv_s(y), y, w(y)) for y in carriers[S.mul(s, t)]]
+            if S.leq(s, t):
+                w = A.omega[(t, S.mul(ss, s))]
+                inclusions[(s, t)] = {y: scalar_conj(w(y)) for y in carriers[s]}
         w = A.omega[(ss, s)]
-        vals = {}
-        for x in self.carrier(ss):
-            v = _smul(scalar_conj(f(A.theta[s](x))), scalar_conj(w(x)))
-            if v != 0:
-                vals[x] = v
-        return CFunction(self.carrier(ss), vals)
-
-    def include(self, t: int, s: int, f: CFunction) -> CFunction:
-        S = self.S
-        if not S.leq(s, t):
-            raise BundleError(f"{S.label(s)} is not below {S.label(t)}")
-        w = self.A.omega[(t, S.mul(S.inv[s], s))]
-        vals = {}
-        for y in self.carrier(s):
-            v = _smul(f(y), scalar_conj(w(y)))
-            if v != 0:
-                vals[y] = v
-        return CFunction(self.carrier(t), vals)
+        stars[s] = {A.theta[s](x): (x, scalar_conj(w(x))) for x in carriers[ss]}
+    return Bundle(S, carriers, products, stars, inclusions, "action", A=A)
 
 
-class SectionBundle:
+def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bundle:
     """The bundle of compactly supported sections over a twisted groupoid.
 
-    The fiber over a bisection s is functions on its arrow set (optionally
-    shrunk by a carrier override, which models non-saturated bundles).
-    Operations are twisted convolution; inclusions are zero-extensions.
+    The fiber over a bisection s is functions on its arrow set, optionally
+    shrunk by a carrier override, which models non-saturated bundles.
+    Products and adjoints are twisted convolution; inclusions are
+    zero-extensions.  (Named like a class: callers construct it as one.)
     """
-
-    realization = "section"
-
-    def __init__(self, G, tau, S: InverseSemigroup, bisections, carriers=None):
-        self.G = G
-        self.tau = tau
-        self.S = S
-        self.bisections = list(bisections)
-        self._carriers = {}
-        for s in S.elements():
-            full = frozenset(self.bisections[s])
-            c = frozenset(carriers[s]) if carriers and s in carriers else full
-            if not c <= full:
-                raise BundleError("carrier override exceeds bisection")
-            self._carriers[s] = c
-
-    def carrier(self, s: int) -> frozenset:
-        return self._carriers[s]
-
-    def mul(self, s: int, t: int, f: CFunction, g: CFunction) -> CFunction:
-        G = self.G
-        st = self.S.mul(s, t)
-        target = self.carrier(st)
-        vals = {}
-        for a in self.carrier(s):
-            for b in self.carrier(t):
-                if not G.composable(a, b):
-                    continue
-                c = G.mul(a, b)
-                v = _smul(f(a), g(b), self.tau(a, b))
-                if v == 0 or c not in target:
-                    continue
-                vals[c] = _sadd(vals.get(c, 0), v)
-        return CFunction(target, {k: v for k, v in vals.items() if v != 0})
-
-    def star(self, s: int, f: CFunction) -> CFunction:
-        G = self.G
-        ss = self.S.inv[s]
-        vals = {}
-        for c in self.carrier(ss):
-            ci = G.inv[c]
-            v = _smul(scalar_conj(f(ci)), scalar_conj(self.tau(ci, c)))
-            if v != 0:
-                vals[c] = v
-        return CFunction(self.carrier(ss), vals)
-
-    def include(self, t: int, s: int, f: CFunction) -> CFunction:
-        if not self.S.leq(s, t):
-            raise BundleError(f"{self.S.label(s)} is not below {self.S.label(t)}")
-        return f.restrict(self.carrier(s)).extend(self.carrier(t))
-
-
-def _sadd(a, b):
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    if isinstance(a, Angle) and isinstance(b, Angle) and a.frac == b.frac:
-        return as_complex(a) + as_complex(b)
-    return as_complex(a) + as_complex(b)
+    fibers = {}
+    for s in S.elements():
+        full = frozenset(bisections[s])
+        c = frozenset(carriers[s]) if carriers and s in carriers else full
+        if not c <= full:
+            raise BundleError("carrier override exceeds bisection")
+        fibers[s] = c
+    products, stars, inclusions = {}, {}, {}
+    for s in S.elements():
+        for t in S.elements():
+            target = fibers[S.mul(s, t)]
+            products[(s, t)] = [(a, b, G.mul(a, b), tau(a, b))
+                                for a in fibers[s] for b in fibers[t]
+                                if G.composable(a, b) and G.mul(a, b) in target]
+            if S.leq(s, t):
+                inclusions[(s, t)] = {a: ONE for a in fibers[s]}
+        stars[s] = {G.inv[c]: (c, scalar_conj(tau(G.inv[c], c)))
+                    for c in fibers[S.inv[s]] if G.inv[c] in fibers[s]}
+    return Bundle(S, fibers, products, stars, inclusions, "section", G=G, tau=tau)
 
 
 # ---------------------------------------------------------------------------
-
-def build_bundle(A: TwistedAction) -> ActionBundle:
-    return ActionBundle(A)
-
 
 def random_element(B, s: int, rng) -> CFunction:
     c = B.carrier(s)
@@ -344,45 +339,30 @@ def classify_bundle(B, tol: float = 1e-9):
     returned when every fiber is regular.
     """
     S = B.S
-    saturated = True
-    unsat = []
-    for s in S.elements():
-        for t in S.elements():
-            st = S.mul(s, t)
-            covered = set()
-            for x in B.carrier(s):
-                f = CFunction.point_mass(B.carrier(s), x)
-                for y in B.carrier(t):
-                    covered |= B.mul(s, t, f, CFunction.point_mass(B.carrier(t), y)).support()
-            if covered != B.carrier(st):
-                saturated = False
-                unsat.append((S.label(s), S.label(t)))
+
+    def targets(s, t):
+        return {z for _, _, z, _ in B.products[(s, t)]}
+
+    unsat = [(S.label(s), S.label(t)) for s in S.elements() for t in S.elements()
+             if targets(s, t) != B.carrier(S.mul(s, t))]
 
     semi_abelian = True
     for e in S.idem:
-        for x in B.carrier(e):
-            for y in B.carrier(e):
-                f = CFunction.point_mass(B.carrier(e), x)
-                g = CFunction.point_mass(B.carrier(e), y)
-                fg, gf = B.mul(e, e, f, g), B.mul(e, e, g, f)
-                if any(abs(fg.at(z) - gf.at(z)) > tol for z in fg.carrier):
-                    semi_abelian = False
+        table = {(x, y): (z, c) for x, y, z, c in B.products[(e, e)]}
+        for (x, y), (z, c) in table.items():
+            z2, c2 = table.get((y, x), (None, 0))
+            if z2 != z or abs(as_complex(c) - as_complex(c2)) > tol:
+                semi_abelian = False
 
+    # the constant-one multiplier times a point mass is that point mass's
+    # row, so it generates fiber s from either side iff the rows cover it
+    regular = {S.label(s): targets(s, S.mul(S.inv[s], s)) == B.carrier(s)
+               == targets(S.mul(s, S.inv[s]), s)
+               for s in S.elements()}
     witness = canonical_multipliers(B)
-    regular = {}
-    for s in S.elements():
-        ss_, s_s = S.mul(s, S.inv[s]), S.mul(S.inv[s], s)
-        u = witness[s]
-        left = set()
-        for x in B.carrier(s_s):
-            left |= B.mul(s, s_s, u, CFunction.point_mass(B.carrier(s_s), x)).support()
-        right = set()
-        for x in B.carrier(ss_):
-            right |= B.mul(ss_, s, CFunction.point_mass(B.carrier(ss_), x), u).support()
-        regular[S.label(s)] = (left == B.carrier(s) and right == B.carrier(s))
 
     return {
-        "saturated": saturated,
+        "saturated": not unsat,
         "unsaturated_pairs": unsat,
         "semi_abelian": semi_abelian,
         "regular": regular,

@@ -79,13 +79,11 @@ class InverseSemigroup:
         return verify_inverse_semigroup(data["table"], labels=labels)
 
 
-def verify_inverse_semigroup(table, labels=None, exhaustive_inverses=False) -> InverseSemigroup:
+def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     """Validate a Cayley table and return the inverse semigroup.
 
     Raises NonAssociative, NoInverse or IdempotentsDontCommute naming the
-    first violated law.  With exhaustive_inverses=True, uniqueness of
-    inverses is rechecked by brute force instead of relying on idempotent
-    commutativity.
+    first violated law.
     """
     n = len(table)
     for a, row in enumerate(table):
@@ -115,13 +113,6 @@ def verify_inverse_semigroup(table, labels=None, exhaustive_inverses=False) -> I
     for e, f in combinations(idem, 2):
         if table[e][f] != table[f][e]:
             raise IdempotentsDontCommute(e, f)
-
-    if exhaustive_inverses:
-        for a in range(n):
-            candidates = [b for b in range(n)
-                          if table[table[a][b]][a] == a and table[table[b][a]][b] == b]
-            if len(candidates) != 1:
-                raise NoInverse(a)
 
     return InverseSemigroup(table, inv, idem, labels)
 

@@ -10,10 +10,10 @@ by construction.
 
 from __future__ import annotations
 
-from fellsem.angles import as_complex, scalar_conj, scalar_mul
+from fellsem.angles import as_complex
 from fellsem.isg import InverseSemigroup, IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
 from fellsem.partial_maps import CFunction
-from fellsem.bundle import (NotSaturated, canonical_multipliers, classify_bundle,
+from fellsem.bundle import (Bundle, NotSaturated, canonical_multipliers, classify_bundle,
                             extract_action)
 
 
@@ -26,98 +26,73 @@ def _pm(carrier, x):
 
 
 def _prod_carrier(A, s, t, V, W) -> frozenset:
-    supp = set()
-    for x in V:
-        f = _pm(A.carrier(s), x)
-        for y in W:
-            supp |= A.mul(s, t, f, _pm(A.carrier(t), y)).support()
-    return frozenset(supp)
+    return frozenset(z for x, y, z, _ in A.products[(s, t)] if x in V and y in W)
 
 
 def _star_carrier(A, s, V) -> frozenset:
-    supp = set()
-    for x in V:
-        supp |= A.star(s, _pm(A.carrier(s), x)).support()
-    return frozenset(supp)
+    return frozenset(z for x, (z, _) in A.stars[s].items() if x in V)
 
 
-class RefinedBundle:
-    """The saturated refinement of a base bundle, over the pair semigroup."""
+def RefinedBundle(base) -> Bundle:
+    """The saturated refinement of a base bundle, over the pair semigroup.
 
-    realization = "refined"
-
-    def __init__(self, base):
-        self.base = base
-        baseS = base.S
-        pairs = {(s, base.carrier(s)) for s in baseS.elements()}
-        frontier = list(pairs)
-        while frontier:
-            nxt = []
-            for (s, V) in frontier:
-                p = (baseS.inv[s], _star_carrier(base, s, V))
+    Its tables are the base's rows restricted to the pair carriers.  (Named
+    like a class: callers construct it as one.)
+    """
+    baseS = base.S
+    pairs = {(s, base.carrier(s)) for s in baseS.elements()}
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for (s, V) in frontier:
+            p = (baseS.inv[s], _star_carrier(base, s, V))
+            if p not in pairs:
+                pairs.add(p)
+                nxt.append(p)
+        for (s, V) in list(pairs):
+            for (t, W) in list(pairs):
+                p = (baseS.mul(s, t), _prod_carrier(base, s, t, V, W))
                 if p not in pairs:
                     pairs.add(p)
                     nxt.append(p)
-            for (s, V) in list(pairs):
-                for (t, W) in list(pairs):
-                    p = (baseS.mul(s, t), _prod_carrier(base, s, t, V, W))
-                    if p not in pairs:
-                        pairs.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        self.pairs = sorted(pairs, key=lambda p: (p[0], sorted(p[1], key=str)))
-        pos = {p: i for i, p in enumerate(self.pairs)}
-        table = []
-        for (s, V) in self.pairs:
-            row = []
-            for (t, W) in self.pairs:
-                row.append(pos[(baseS.mul(s, t), _prod_carrier(base, s, t, V, W))])
-            table.append(row)
-        labels = [f"({baseS.label(s)}|{','.join(sorted(map(str, V)))})" for (s, V) in self.pairs]
-        self.S = verify_inverse_semigroup(table, labels=labels)
-        self.phi = [s for (s, _) in self.pairs]
+        frontier = nxt
+    pairs = sorted(pairs, key=lambda p: (p[0], sorted(p[1], key=str)))
+    pos = {p: i for i, p in enumerate(pairs)}
+    table = [[pos[(baseS.mul(s, t), _prod_carrier(base, s, t, V, W))] for (t, W) in pairs]
+             for (s, V) in pairs]
+    labels = [f"({baseS.label(s)}|{','.join(sorted(map(str, V)))})" for (s, V) in pairs]
+    S = verify_inverse_semigroup(table, labels=labels)
+    phi = [s for (s, _) in pairs]
+    fibers = {i: V for i, (_, V) in enumerate(pairs)}
 
-    def carrier(self, i: int) -> frozenset:
-        return self.pairs[i][1]
-
-    def _lift(self, i: int, f: CFunction) -> CFunction:
-        s = self.phi[i]
-        return f.extend(self.base.carrier(s))
-
-    def mul(self, i: int, j: int, f: CFunction, g: CFunction) -> CFunction:
-        k = self.S.mul(i, j)
-        out = self.base.mul(self.phi[i], self.phi[j], self._lift(i, f), self._lift(j, g))
-        return out.restrict(self.carrier(k))
-
-    def star(self, i: int, f: CFunction) -> CFunction:
-        out = self.base.star(self.phi[i], self._lift(i, f))
-        return out.restrict(self.carrier(self.S.inv[i]))
-
-    def include(self, j: int, i: int, f: CFunction) -> CFunction:
-        out = self.base.include(self.phi[j], self.phi[i], self._lift(i, f))
-        return out.restrict(self.carrier(i)).extend(self.carrier(j))
+    products, stars, inclusions = {}, {}, {}
+    for i in S.elements():
+        for j in S.elements():
+            V, W, target = fibers[i], fibers[j], fibers[S.mul(i, j)]
+            products[(i, j)] = [row for row in base.products[(phi[i], phi[j])]
+                                if row[0] in V and row[1] in W and row[2] in target]
+            if S.leq(i, j):
+                inclusions[(i, j)] = {x: c for x, c in base.inclusions[(phi[i], phi[j])].items()
+                                      if x in V}
+        target = fibers[S.inv[i]]
+        stars[i] = {x: (z, c) for x, (z, c) in base.stars[phi[i]].items()
+                    if x in fibers[i] and z in target}
+    return Bundle(S, fibers, products, stars, inclusions, "refined", base=base, phi=phi)
 
 
 class BundleMorphism:
-    """phi on the index semigroups plus fiberwise carrier injections,
-    optionally twisted by unit-modulus weight functions."""
+    """phi on the index semigroups plus fiberwise carrier injections."""
 
-    def __init__(self, B, A, phi: IsgHomomorphism, weights=None):
+    def __init__(self, B, A, phi: IsgHomomorphism):
         self.B = B
         self.A = A
         self.phi = phi
-        self.weights = weights or {}
 
     def psi(self, i: int, f: CFunction) -> CFunction:
-        s = self.phi(i)
-        w = self.weights.get(i)
-        if w is not None:
-            vals = {x: scalar_mul(f(x), w(x)) for x in f.values}
-            f = CFunction(f.carrier, vals)
-        return f.extend(self.A.carrier(s))
+        return f.extend(self.A.carrier(self.phi(i)))
 
 
-def refinement_morphism(B: RefinedBundle) -> BundleMorphism:
+def refinement_morphism(B: Bundle) -> BundleMorphism:
     phi = IsgHomomorphism(B.S, B.base.S, B.phi)
     return BundleMorphism(B, B.base, phi)
 

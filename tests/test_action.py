@@ -134,3 +134,19 @@ def test_json_round_trip(busby):
     again = TwistedAction.from_json(loaded.to_json())
     assert again.equals(loaded)
     assert loaded.to_json() == busby.to_json()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_json_round_trip_with_comma_labels(k):
+    # the labels of I_k, such as {0>0,1>1}, contain the key separator
+    data = full_monoid_action(k).to_json()
+    loaded = TwistedAction.from_json(data)
+    assert loaded.to_json() == data
+    assert verify_twisted_action(loaded)[0]
+
+
+def test_json_omega_key_must_split_once(busby):
+    data = busby.to_json()
+    data["omega"]["1,g,1"] = data["omega"].pop("1,g")
+    with pytest.raises(ValueError, match="exactly one way"):
+        TwistedAction.from_json(data)

@@ -1,5 +1,8 @@
 """Bundles built from actions and from twisted groupoids."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from fellsem.angles import Angle
@@ -9,7 +12,7 @@ from fellsem.bundle import (BadMultiplierFamily, NotSaturated, SectionBundle,
                             verify_fell_bundle)
 from fellsem.action import gauge_transform, verify_twisted_action
 from fellsem.generators import (busby_smith_z2, cocycle_action, five_element_action,
-                                random_gauge, random_valid_action)
+                                mutation_corpus, random_gauge, random_valid_action)
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group,
                               pair_groupoid, z2_nontrivial_cocycle)
 from fellsem.partial_maps import CFunction
@@ -107,3 +110,49 @@ def test_pair_groupoid_section_bundle(rng):
     assert ok, bad
     info = classify_bundle(B)
     assert info["saturated"] and info["semi_abelian"]
+
+
+def _corrupt_one_entry(B, rng):
+    """Multiply one product, star or inclusion scalar by a non-trivial root
+    of unity, or move one star target, in place; return the undo."""
+    S = B.S
+    slots = {
+        "product": [(rows, k) for rows in B.products.values() for k in range(len(rows))],
+        "star": [(entries, x) for entries in B.stars.values() for x in entries],
+        "star-target": [(B.stars[s], x, B.carrier(S.inv[s])) for s in S.elements()
+                        for x in B.stars[s] if len(B.carrier(S.inv[s])) > 1],
+        "inclusion": [(entries, x) for entries in B.inclusions.values() for x in entries],
+    }
+    kind = rng.choice(sorted(k for k, v in slots.items() if v))
+    table, key, *targets = rng.choice(slots[kind])
+    old = table[key]
+    denom = rng.choice([2, 3, 4])
+    phase = Angle(Fraction(rng.randrange(1, denom), denom))
+    if kind == "product":
+        x, y, z, c = old
+        table[key] = (x, y, z, phase * c)
+    elif kind == "star":
+        z, c = old
+        table[key] = (z, phase * c)
+    elif kind == "star-target":
+        z, c = old
+        table[key] = (rng.choice(sorted(targets[0] - {z}, key=str)), c)
+    else:
+        table[key] = phase * old
+
+    def undo():
+        table[key] = old
+    return undo
+
+
+def test_table_corruptions_are_detected():
+    bundles = [build_bundle(A) for A in mutation_corpus(random.Random(2))]
+    rng = random.Random(5)
+    detected, total = 0, 500
+    for i in range(total):
+        B = bundles[i % len(bundles)]
+        undo = _corrupt_one_entry(B, rng)
+        if not verify_fell_bundle(B, rng=random.Random(i))[0]:
+            detected += 1
+        undo()
+    assert detected >= 0.99 * total, f"detected {detected}/{total}"

@@ -7,7 +7,7 @@ import pytest
 
 from fellsem.cli import main
 from fellsem.generators import busby_smith_z2, five_element_action
-from fellsem.groupoid import pair_groupoid, z2_nontrivial_cocycle
+from fellsem.groupoid import cyclic_group, pair_groupoid, z2_nontrivial_cocycle
 from fellsem.tro import column_tro
 
 
@@ -29,6 +29,9 @@ def files(tmp_path_factory):
     twisted["tau"] = {f"{G.labels[a]},{G.labels[b]}": str(tau(a, b).frac)
                       for (a, b) in G.composable_pairs() if not tau(a, b).is_one}
     dump("z2tw.json", twisted)
+    z2 = cyclic_group(2).to_json()
+    dump("z2cut.json", {**z2, "carriers": {"g1": []}})
+    dump("z2bad.json", {**z2, "carriers": {"g1": ["g0"]}})
     dump("isg.json", {"table": [[0, 1], [1, 0]], "elements": ["1", "g"]})
     dump("badisg.json", {"table": [[0, 0], [1, 1]]})
     col = column_tro(2)
@@ -146,6 +149,21 @@ def test_reports_are_deterministic(files, capsys):
 
 
 def test_tolerance_and_threads_flags_accepted(files, capsys):
-    code, report = run(capsys, "--tolerance", "1e-7", "--threads", "4",
+    code, report = run(capsys, "--tolerance", "1e-7",
                        "bundle", "verify", files["busby.json"])
     assert code == 0
+
+
+def test_unsaturated_bundle_is_a_failed_check(files, capsys):
+    for op in ["germ-check", "algebra-check"]:
+        code, report = run(capsys, "refine", op, files["z2cut.json"])
+        assert code == 1 and report["status"] == "fail", (op, report)
+        assert report["violations"][0].startswith("NotSaturated")
+    code, report = run(capsys, "refine", "verify", files["z2cut.json"])
+    assert code == 0
+
+
+def test_oversized_carrier_override_is_an_input_error(files, capsys):
+    code, report = run(capsys, "refine", "verify", files["z2bad.json"])
+    assert code == 2 and report["status"] == "input-error"
+    assert "exceeds bisection" in report["error"]

@@ -110,21 +110,32 @@ class TwistedAction:
         index = {lab: i for i, lab in enumerate(S.labels)}
         omega = {}
         for key, vals in data["omega"].items():
-            s, t = _split_pair_key(key, index)
+            s, t = split_labels(key, index, 2)
             st = S.mul(s, t)
             carrier = U[S.mul(st, S.inv[st])]
             omega[(s, t)] = CFunction(carrier, {x: Angle(Fraction(v)) for x, v in vals.items()})
         return cls(S, X, U, theta, omega)
 
 
-def _split_pair_key(key: str, index) -> tuple[int, int]:
-    """Split an omega key "s,t" at the one comma with a label on each side;
-    labels may contain commas themselves, as those of I_k do."""
-    splits = [(index[key[:i]], index[key[i + 1:]]) for i, ch in enumerate(key)
-              if ch == "," and key[:i] in index and key[i + 1:] in index]
-    if len(splits) != 1:
-        raise ValueError(f"omega key {key!r} does not split into two labels in exactly one way")
-    return splits[0]
+def split_labels(key: str, index, parts: int | None = None) -> tuple:
+    """The indices of the labels a comma-joined key lists: the one cut of the
+    key at commas into labels of `index` (`parts` of them, when given).
+    Labels may contain commas, as those of I_k do; "" lists no labels."""
+    def cuts(rest, left):  # at most two cuts of rest into `left` labels
+        found = [(index[rest],)] if rest in index and left in (None, 1) else []
+        i = rest.find(",") if left != 1 else -1
+        while i >= 0 and len(found) < 2:
+            if rest[:i] in index:
+                found += [(index[rest[:i]],) + tail
+                          for tail in cuts(rest[i + 1:], left and left - 1)]
+            i = rest.find(",", i + 1)
+        return found[:2]
+
+    found = cuts(key, parts) if key or parts else [()]
+    if len(found) != 1:
+        what = "labels" if parts is None else f"{parts} labels"
+        raise ValueError(f"key {key!r} does not split into {what} in exactly one way")
+    return found[0]
 
 
 def untwisted_omega(S: InverseSemigroup, U) -> dict:

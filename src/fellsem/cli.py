@@ -48,6 +48,7 @@ def _action_from(data):
 
 
 def _groupoid_from(data):
+    from fellsem.action import split_labels
     from fellsem.groupoid import FiniteGroupoid, TwoCocycle
     from fellsem.angles import Angle
     from fractions import Fraction
@@ -55,10 +56,10 @@ def _groupoid_from(data):
     idx = {lab: i for i, lab in enumerate(G.labels)}
     tau = {pair: Angle(0) for pair in G.composable_pairs()}
     for key, val in data.get("tau", {}).items():
-        a, b = key.split(",")
-        if (idx[a], idx[b]) not in tau:
+        pair = split_labels(key, idx, 2)
+        if pair not in tau:
             raise InputError(f"tau given on non-composable pair {key}")
-        tau[(idx[a], idx[b])] = Angle(Fraction(val))
+        tau[pair] = Angle(Fraction(val))
     tau = TwoCocycle(G, tau)
     return G, tau
 
@@ -69,6 +70,7 @@ def _bundle_from(data):
     if "semigroup" in data:
         from fellsem.bundle import build_bundle
         return build_bundle(_action_from(data))
+    from fellsem.action import split_labels
     from fellsem.bundle import SectionBundle
     from fellsem.groupoid import bisection_semigroup
     G, tau = _groupoid_from(data)
@@ -79,7 +81,7 @@ def _bundle_from(data):
         bis_key = {frozenset(b): i for i, b in enumerate(biss)}
         carriers = {}
         for key, arrows in data["carriers"].items():
-            want = frozenset(idx[a] for a in key.split(",") if a)
+            want = frozenset(split_labels(key, idx))
             carriers[bis_key[want]] = frozenset(idx[a] for a in arrows)
     return SectionBundle(G, tau, S, biss, carriers)
 

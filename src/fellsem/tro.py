@@ -1,8 +1,10 @@
 """Ternary rings of operators as spans of complex matrices.
 
 A TRO is a subspace M of n-by-n matrices closed under (x, y, z) -> x y* z.
-Association of a matrix u to M, regularity, ideals and local regularity
-are decided by rank computations at a relative tolerance.
+Spans are kept as orthonormal bases from an SVD rank cut, and membership in
+a span is one batched projection residual; closure is decided as
+span(MM*)·M ⊆ M.  Association of a matrix u to M, regularity, ideals and
+local regularity use the same rank and residual tests at a relative tolerance.
 """
 
 from __future__ import annotations
@@ -30,48 +32,50 @@ class NotSubspace(TroError):
     pass
 
 
-def _stack(mats):
-    return np.array([m.reshape(-1) for m in mats])
+def _rank(s, tol: float) -> int:
+    """The number of singular values s (in decreasing order) above tol * s[0]."""
+    return int(np.sum(s > tol * s[0])) if s.size else 0
+
+
+def _products(A, B, n: int):
+    """The n-by-n products a b, for a in A and b in B, as one array."""
+    A = np.asarray(A, dtype=complex).reshape(-1, n, n)
+    B = np.asarray(B, dtype=complex).reshape(-1, n, n)
+    return (A[:, None] @ B[None]).reshape(-1, n, n)
 
 
 def span_basis(mats, tol: float = EPS):
     """An orthonormal basis (as matrices) for the span of the given matrices."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    mats = [m for m in mats if np.linalg.norm(m) > 0]
-    if not mats:
+    if len(mats) == 0:
         return []
-    n = mats[0].shape[0]
-    a = _stack(mats)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return [vh[i].reshape(n, n) for i in range(rank)]
+    a = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return list(vh[:_rank(s, tol)].reshape(-1, *np.shape(mats[0])))
 
 
 def span_dim(mats, tol: float = EPS) -> int:
     return len(span_basis(mats, tol))
 
 
-def in_span(m, basis, tol: float = EPS) -> bool:
-    if not basis:
-        return np.linalg.norm(m) <= tol
-    a = _stack(basis).T
-    v = np.asarray(m, dtype=complex).reshape(-1)
-    coeff, *_ = np.linalg.lstsq(a, v, rcond=None)
-    resid = np.linalg.norm(a @ coeff - v)
-    return resid <= tol * max(1.0, np.linalg.norm(v))
+def _inside(basis, mats, tol: float = EPS) -> bool:
+    """Every matrix v in mats lies in the span of the orthonormal basis Q:
+    the residual |v - v Q*Q| is at most tol * max(1, |v|)."""
+    if len(mats) == 0:
+        return True
+    v = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+    q = np.asarray(basis, dtype=complex).reshape(len(basis), v.shape[1])
+    resid = np.linalg.norm(v - (v @ q.conj().T) @ q, axis=1)
+    return bool(np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=1))))
 
 
 def spans_equal(A, B, tol: float = EPS) -> bool:
     ba, bb = span_basis(A, tol), span_basis(B, tol)
-    if len(ba) != len(bb):
-        return False
-    return all(in_span(m, bb, tol) for m in ba)
+    return len(ba) == len(bb) and _inside(bb, ba, tol)
 
 
 def span_contains(A, B, tol: float = EPS) -> bool:
     """Every element of B lies in span(A)."""
-    ba = span_basis(A, tol)
-    return all(in_span(m, ba, tol) for m in B)
+    return _inside(span_basis(A, tol), B, tol)
 
 
 @dataclass
@@ -88,13 +92,10 @@ class MatrixTRO:
             raise TroError("basis is linearly dependent")
 
     def is_tro(self, tol: float = EPS) -> bool:
+        """span{x y* z} = span(MM*)·M, so closure is decided on the products
+        a z of orthonormal bases of MM* and M."""
         sp = span_basis(self.basis, tol)
-        for x in self.basis:
-            for y in self.basis:
-                for z in self.basis:
-                    if not in_span(x @ y.conj().T @ z, sp, tol):
-                        return False
-        return True
+        return _inside(sp, _products(left_algebra(self, tol), sp, self.dim), tol)
 
     @classmethod
     def from_matrices(cls, mats) -> "MatrixTRO":
@@ -102,34 +103,14 @@ class MatrixTRO:
         return cls(mats[0].shape[0], span_basis(mats))
 
 
-def tro_span_product(A, B, mode: str, tol: float = EPS):
-    """Span of pairwise products: mode AB, AB* or A*B."""
-    A = [np.asarray(m, dtype=complex) for m in A]
-    B = [np.asarray(m, dtype=complex) for m in B]
-    if A and B and A[0].shape != B[0].shape:
-        raise DimensionMismatch("ambient dimensions differ")
-    prods = []
-    for a in A:
-        for b in B:
-            if mode == "AB":
-                prods.append(a @ b)
-            elif mode == "AB*":
-                prods.append(a @ b.conj().T)
-            elif mode == "A*B":
-                prods.append(a.conj().T @ b)
-            else:
-                raise TroError(f"unknown mode {mode}")
-    return span_basis(prods, tol)
-
-
 def right_algebra(M: MatrixTRO, tol: float = EPS):
     """Span of M*M."""
-    return tro_span_product(M.basis, M.basis, "A*B", tol)
+    return span_basis(_products([x.conj().T for x in M.basis], M.basis, M.dim), tol)
 
 
 def left_algebra(M: MatrixTRO, tol: float = EPS):
     """Span of MM*."""
-    return tro_span_product(M.basis, M.basis, "AB*", tol)
+    return span_basis(_products(M.basis, [y.conj().T for y in M.basis], M.dim), tol)
 
 
 def support_projection(alg, n: int, tol: float = EPS):
@@ -139,8 +120,7 @@ def support_projection(alg, n: int, tol: float = EPS):
         return np.zeros((n, n), dtype=complex)
     cols = np.hstack([np.asarray(m, dtype=complex) for m in alg])
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    q = u[:, :rank]
+    q = u[:, :_rank(s, tol)]
     return q @ q.conj().T
 
 
@@ -185,7 +165,7 @@ def polar_isometry(m, tol: float = EPS):
     """The partial-isometry factor of the polar decomposition of m."""
     m = np.asarray(m, dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = _rank(s, tol)
     return u[:, :rank] @ vh[:rank, :]
 
 
@@ -231,9 +211,9 @@ def is_ideal(N: MatrixTRO, M: MatrixTRO, tol: float = EPS) -> bool:
         raise DimensionMismatch("ambient dimensions differ")
     if not span_contains(M.basis, N.basis, tol):
         raise NotSubspace("N is not contained in M")
-    nmm = [n @ a for n in N.basis for a in right_algebra(M, tol)]
-    mmn = [a @ n for n in N.basis for a in left_algebra(M, tol)]
-    return span_contains(N.basis, nmm, tol) and span_contains(N.basis, mmn, tol)
+    mstar_m, mm = right_algebra(M, tol), left_algebra(M, tol)
+    return span_contains(N.basis, [n @ a for n in N.basis for a in mstar_m]
+                         + [a @ n for n in N.basis for a in mm], tol)
 
 
 def principal_ideal(m, M: MatrixTRO, tol: float = EPS):

@@ -156,3 +156,16 @@ def test_table_corruptions_are_detected():
             detected += 1
         undo()
     assert detected >= 0.99 * total, f"detected {detected}/{total}"
+
+
+def test_product_row_outside_its_fiber_is_reported(five, rng):
+    B = build_bundle(five)
+    S = B.S
+    points = frozenset().union(*B.carriers.values())
+    s, t = next(key for key, rows in B.products.items()
+                if rows and points - B.carrier(S.mul(*key)))
+    x, y, _, c = B.products[(s, t)][0]
+    B.products[(s, t)][0] = (x, y, min(points - B.carrier(S.mul(s, t)), key=str), c)
+    ok, bad = verify_fell_bundle(B, rng=rng)
+    assert not ok
+    assert bad == [("product-fiber", (S.label(s), S.label(t)))]

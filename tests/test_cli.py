@@ -32,6 +32,11 @@ def files(tmp_path_factory):
     z2 = cyclic_group(2).to_json()
     dump("z2cut.json", {**z2, "carriers": {"g1": []}})
     dump("z2bad.json", {**z2, "carriers": {"g1": ["g0"]}})
+    commas = _relabel(z2, {"g0": "e,0", "g1": "g,1"})
+    dump("z2comma.json", {**commas, "tau": {"g,1,g,1": "1/2"}})
+    dump("z2commacut.json", {**commas, "carriers": {"g,1": []}})
+    ambiguous = _relabel(z2, {"g0": "a", "g1": "a,a"})
+    dump("z2ambiguous.json", {**ambiguous, "tau": {"a,a,a": "1/2"}})
     dump("isg.json", {"table": [[0, 1], [1, 0]], "elements": ["1", "g"]})
     dump("badisg.json", {"table": [[0, 0], [1, 1]]})
     col = column_tro(2)
@@ -41,6 +46,12 @@ def files(tmp_path_factory):
     (d / "broken.json").write_text("{not json")
     paths["broken.json"] = str(d / "broken.json")
     return paths
+
+
+def _relabel(groupoid_json, names):
+    return {**groupoid_json,
+            "arrows": [{**arr, "id": names[arr["id"]]} for arr in groupoid_json["arrows"]],
+            "comp": [[names[a] for a in triple] for triple in groupoid_json["comp"]]}
 
 
 def run(capsys, *argv):
@@ -167,3 +178,17 @@ def test_oversized_carrier_override_is_an_input_error(files, capsys):
     code, report = run(capsys, "refine", "verify", files["z2bad.json"])
     assert code == 2 and report["status"] == "input-error"
     assert "exceeds bisection" in report["error"]
+
+
+def test_arrow_ids_may_contain_commas(files, capsys):
+    code, report = run(capsys, "groupoid", "cocycle", files["z2comma.json"])
+    assert code == 0 and report["status"] == "pass", report
+    code, report = run(capsys, "refine", "germ-check", files["z2commacut.json"])
+    assert code == 1 and report["violations"][0].startswith("NotSaturated"), report
+
+
+def test_ambiguous_tau_key_is_an_input_error(files, capsys):
+    # "a,a,a" is both ("a", "a,a") and ("a,a", "a")
+    code, report = run(capsys, "groupoid", "cocycle", files["z2ambiguous.json"])
+    assert code == 2 and report["status"] == "input-error"
+    assert "exactly one way" in report["error"]

@@ -5,7 +5,8 @@ import pytest
 
 from fellsem.tro import (MatrixTRO, NotSubspace, check_association, column_tro,
                          is_ideal, is_locally_regular, is_regular, polar_isometry,
-                         principal_ideal, span_dim, spans_equal, strict_correction)
+                         principal_ideal, span_basis, span_dim, spans_equal,
+                         strict_correction)
 
 
 def corner_tro(n, rows, cols):
@@ -114,3 +115,74 @@ def test_span_utilities():
     assert span_dim([e11, e22, e11 + e22]) == 2
     assert spans_equal([e11, e22], [e11 + e22, e11 - e22])
     assert not spans_equal([e11], [e22])
+
+
+# Reference oracle for the projection path: membership by one least-squares
+# solve per matrix, and closure checked on all k^3 triples x y* z.
+
+def in_span_ref(m, basis, tol=1e-9):
+    if not basis:
+        return np.linalg.norm(m) <= tol
+    a = np.array([b.reshape(-1) for b in basis]).T
+    v = np.asarray(m, dtype=complex).reshape(-1)
+    coeff, *_ = np.linalg.lstsq(a, v, rcond=None)
+    return np.linalg.norm(a @ coeff - v) <= tol * max(1.0, np.linalg.norm(v))
+
+
+def is_tro_ref(M, tol=1e-9):
+    sp = span_basis(M.basis, tol)
+    return all(in_span_ref(x @ y.conj().T @ z, sp, tol)
+               for x in M.basis for y in M.basis for z in M.basis)
+
+
+def spans_equal_ref(A, B, tol=1e-9):
+    ba, bb = span_basis(A, tol), span_basis(B, tol)
+    return len(ba) == len(bb) and all(in_span_ref(m, bb, tol) for m in ba)
+
+
+def _unitary(npr, n):
+    q, _ = np.linalg.qr(npr.standard_normal((n, n)) + 1j * npr.standard_normal((n, n)))
+    return q
+
+
+def _parity_spans(npr):
+    """80 spans of each kind, 2 <= n <= 4: unitarily rotated corner TROs, the same
+    with one basis element perturbed by 1e-2 .. 1e-7, and random spans."""
+    for i in range(240):
+        n = int(npr.integers(2, 5))
+        kind = i % 3
+        if kind == 2:
+            k = int(npr.integers(1, n * n + 1))
+            yield kind, [npr.standard_normal((n, n)) + 1j * npr.standard_normal((n, n))
+                         for _ in range(k)]
+            continue
+        rows = npr.choice(n, size=int(npr.integers(1, n + 1)), replace=False)
+        cols = npr.choice(n, size=int(npr.integers(1, n + 1)), replace=False)
+        u, v = _unitary(npr, n), _unitary(npr, n)
+        mats = [u @ np.eye(n)[:, [r]] @ np.eye(n)[[c], :] @ v for r in rows for c in cols]
+        if kind == 1:
+            j = int(npr.integers(len(mats)))
+            mats[j] = mats[j] + 10.0 ** -int(npr.integers(2, 8)) * npr.standard_normal((n, n))
+        yield kind, mats
+
+
+def test_projection_closure_matches_least_squares_oracle():
+    npr = np.random.default_rng(11)
+    verdicts = {0: set(), 1: set(), 2: set()}
+    previous = None
+    for kind, mats in _parity_spans(npr):
+        M = MatrixTRO.from_matrices(mats)
+        ok = M.is_tro()
+        assert ok == is_tro_ref(M), (kind, M.dim, len(M.basis))
+        verdicts[kind].add(ok)
+        # spans_equal against the same span recombined, and against its
+        # predecessor of equal ambient dimension
+        g = npr.standard_normal((len(mats), len(mats)))
+        mixed = [sum(c * m for c, m in zip(row, mats)) for row in g]
+        assert spans_equal(mats, mixed) == spans_equal_ref(mats, mixed)
+        if previous is not None and previous[0].shape == mats[0].shape:
+            assert spans_equal(mats, previous) == spans_equal_ref(mats, previous)
+        previous = mats
+    assert verdicts[0] == {True}
+    assert verdicts[1] == {True, False}  # perturbations of full algebras stay closed
+    assert verdicts[2] == {True, False}  # k = n^2 spans are all of M_n

@@ -18,7 +18,7 @@ from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
 from fellsem.bundle import (build_bundle, canonical_multipliers, classify_bundle,
                             extract_action, roundtrip_check, verify_fell_bundle)
 from fellsem.tro import MatrixTRO, check_association, is_locally_regular, is_regular
-from fellsem.algebra import StarAlgebra, block_decompose, convolution_algebra, germ_algebra
+from fellsem.algebra import block_decompose, convolution_algebra, germ_algebra
 from fellsem.reps import regular_covariant_rep, verify_covariant
 from fellsem.refine import saturated_refinement, verify_refinement
 
@@ -33,7 +33,7 @@ __all__ = [
     "build_bundle", "canonical_multipliers", "classify_bundle", "extract_action",
     "roundtrip_check", "verify_fell_bundle",
     "MatrixTRO", "check_association", "is_locally_regular", "is_regular",
-    "StarAlgebra", "block_decompose", "convolution_algebra", "germ_algebra",
+    "block_decompose", "convolution_algebra", "germ_algebra",
     "regular_covariant_rep", "verify_covariant",
     "saturated_refinement", "verify_refinement",
 ]

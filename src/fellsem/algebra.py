@@ -1,16 +1,25 @@
-"""Finite-dimensional *-algebras from structure constants.
+"""Finite-dimensional *-algebras as one-fiber structure tables.
 
-Covers twisted convolution algebras of finite groupoids, the algebra of a
-twisted action in germ coordinates, and a numerical block decomposition
-probe based on the spectrum of a random self-adjoint central element.
+An algebra is a bundle.Bundle over the one-element inverse semigroup POINT:
+its one fiber is the basis range(n), its product rows are the structure
+constants and its star entries the basis-permuting involution, so
+Bundle.verify checks its *-algebra axioms.  Covers twisted convolution
+algebras of finite groupoids, the algebra of a twisted action in germ
+coordinates, and a numerical block decomposition probe based on the
+spectrum of a random self-adjoint central element.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fellsem.angles import as_complex, scalar_conj
+from fellsem.angles import ONE, as_complex, scalar_conj
 from fellsem.action import TwistedAction, GermGroupoid
+from fellsem.bundle import Bundle, SectionBundle
+from fellsem.isg import verify_inverse_semigroup
+
+
+POINT = verify_inverse_semigroup([[0]], labels=["1"])
 
 
 class AlgebraError(ValueError):
@@ -21,77 +30,31 @@ class NotSemisimpleDetected(AlgebraError):
     pass
 
 
-class StarAlgebra:
-    """Basis labels, structure constants and a basis-permuting involution.
-
-    mul[(i, j)] is a list of (k, coefficient); the involution sends basis
-    element i to star_coeff[i] times basis element star_index[i].
-    """
-
-    def __init__(self, labels, mul, star_index, star_coeff):
-        self.n = len(labels)
-        self.labels = list(labels)
-        self.mul = {key: [(k, complex(c)) for k, c in terms] for key, terms in mul.items()}
-        self.star_index = list(star_index)
-        self.star_coeff = [complex(c) for c in star_coeff]
-
-    def left_regular(self):
-        """Left multiplication matrices L[i] acting on coefficient vectors;
-        the element with coefficients a acts as np.tensordot(a, L, 1)."""
-        L = np.zeros((self.n, self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                for k, c in self.mul.get((i, j), []):
-                    L[i, k, j] += c
-        return L
-
-    def star_vector(self, coeffs):
-        out = np.zeros(self.n, dtype=complex)
-        for i, c in enumerate(coeffs):
-            out[self.star_index[i]] += np.conj(c) * self.star_coeff[i]
-        return out
-
-    def verify(self, tol: float = 1e-9):
-        """Associativity, involutivity and anti-multiplicativity of star."""
-        bad = []
-        L = self.left_regular()
-        basis = np.eye(self.n, dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                ij = L[i] @ basis[j]
-                for k in range(self.n):
-                    lhs = np.tensordot(ij, L, 1) @ basis[k]
-                    rhs = L[i] @ (L[j] @ basis[k])
-                    if np.linalg.norm(lhs - rhs) > tol:
-                        bad.append(("associativity", (i, j, k)))
-        for i in range(self.n):
-            twice = self.star_vector(self.star_vector(basis[i]))
-            if np.linalg.norm(twice - basis[i]) > tol:
-                bad.append(("involutive", i))
-        for i in range(self.n):
-            for j in range(self.n):
-                lhs = self.star_vector(L[i] @ basis[j])
-                rhs = np.tensordot(self.star_vector(basis[j]), L, 1) @ self.star_vector(basis[i])
-                if np.linalg.norm(lhs - rhs) > tol:
-                    bad.append(("anti-multiplicative", (i, j)))
-        return not bad, bad
+def left_regular(alg: Bundle):
+    """Left multiplication matrices L[i] acting on coefficient vectors;
+    the element with coefficients a acts as np.tensordot(a, L, 1)."""
+    n = len(alg.carrier(0))
+    L = np.zeros((n, n, n), dtype=complex)
+    for i, j, k, c in alg.products[(0, 0)]:
+        L[i, k, j] += as_complex(c)
+    return L
 
 
-def convolution_algebra(G, tau) -> StarAlgebra:
-    """Twisted convolution: d_a d_b = tau(a,b) d_ab, d_c* = conj(tau(c^-1,c)) d_{c^-1}."""
-    mul = {}
-    for a in G.arrows():
-        for b in G.arrows():
-            if G.composable(a, b):
-                mul[(a, b)] = [(G.mul(a, b), as_complex(tau(a, b)))]
-            else:
-                mul[(a, b)] = []
-    star_index = [G.inv[c] for c in G.arrows()]
-    star_coeff = [as_complex(scalar_conj(tau(G.inv[c], c))) for c in G.arrows()]
-    return StarAlgebra(G.labels, mul, star_index, star_coeff)
+def star_vector(alg: Bundle, coeffs):
+    out = np.zeros(len(alg.carrier(0)), dtype=complex)
+    for i, (k, c) in alg.stars[0].items():
+        out[k] += np.conj(coeffs[i]) * as_complex(c)
+    return out
 
 
-def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> StarAlgebra:
+def convolution_algebra(G, tau) -> Bundle:
+    """Twisted convolution, d_a d_b = tau(a,b) d_ab and d_a* =
+    conj(tau(a,a^-1)) d_{a^-1}: the section bundle of the one bisection
+    holding every arrow."""
+    return SectionBundle(G, tau, POINT, [frozenset(G.arrows())])
+
+
+def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     """The algebra spanned by germ point masses in canonical coordinates.
 
     Basis element g is the point mass at the range of the germ's canonical
@@ -101,44 +64,34 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> StarAlg
     G = germs or GermGroupoid(A)
     S = A.S
     n = G.arrow_count
-    mul = {}
+    rows, stars = [], {}
     for g in range(n):
-        sg, _ = G.rep(g)
+        sg, x = G.rep(g)
         for h in range(n):
-            th, xh = G.rep(h)
             if G.rng(h) != G.src(g):
-                mul[(g, h)] = []
                 continue
+            th, xh = G.rep(h)
             st = S.mul(sg, th)
             k = G.germ(st, xh)
-            k0, _ = G.rep(k)
             y = A.theta[st](xh)
-            coeff = A.omega_at(sg, th, y) * G.transition(st, k0, xh)
-            mul[(g, h)] = [(k, as_complex(coeff))]
-    star_index = []
-    star_coeff = []
-    for g in range(n):
-        s0, x = G.rep(g)
-        y = A.theta[s0](x)
-        s0s = S.inv[s0]
-        gs = G.germ(s0s, y)
-        t1, _ = G.rep(gs)
-        coeff = scalar_conj(A.omega_at(s0s, s0, x)) * G.transition(s0s, t1, y)
-        star_index.append(gs)
-        star_coeff.append(as_complex(coeff))
-    labels = [f"[{S.label(G.rep(g)[0])},{G.rep(g)[1]}]" for g in range(n)]
-    return StarAlgebra(labels, mul, star_index, star_coeff)
+            rows.append((g, h, k, A.omega_at(sg, th, y) * G.transition(st, G.rep(k)[0], xh)))
+        y = A.theta[sg](x)
+        sgs = S.inv[sg]
+        gs = G.germ(sgs, y)
+        stars[g] = (gs, scalar_conj(A.omega_at(sgs, sg, x)) * G.transition(sgs, G.rep(gs)[0], y))
+    basis = frozenset(range(n))
+    return Bundle(POINT, {0: basis}, {(0, 0): rows}, {0: stars},
+                  {(0, 0): dict.fromkeys(basis, ONE)}, "germ", A=A, germs=G)
 
 
-def _gns_rep(alg: StarAlgebra):
+def _gns_rep(alg: Bundle, L):
     """Left regular matrices in coordinates where the trace form is the
     standard inner product, making them a *-representation."""
-    L = alg.left_regular()
-    n = alg.n
+    n = len(L)
     basis = np.eye(n, dtype=complex)
     gram = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        li_star = np.tensordot(alg.star_vector(basis[i]), L, 1)
+        li_star = np.tensordot(star_vector(alg, basis[i]), L, 1)
         for j in range(n):
             gram[i, j] = np.trace(li_star @ L[j])
     gram = (gram + gram.conj().T) / 2
@@ -148,12 +101,11 @@ def _gns_rep(alg: StarAlgebra):
         raise NotSemisimpleDetected("trace form is not positive definite") from None
     R = low.conj().T
     Rinv = np.linalg.inv(R)
-    return [R @ Li @ Rinv for Li in L], R, Rinv
+    return [R @ Li @ Rinv for Li in L]
 
 
-def _center_basis(alg: StarAlgebra, tol: float = 1e-9):
-    L = alg.left_regular()
-    n = alg.n
+def _center_basis(L, tol: float = 1e-9):
+    n = len(L)
     rows = []
     for Li in L:
         block = np.zeros((n * n, n), dtype=complex)
@@ -166,7 +118,7 @@ def _center_basis(alg: StarAlgebra, tol: float = 1e-9):
     return null
 
 
-def block_decompose(alg: StarAlgebra, tol: float = 1e-6, rng=None, attempts: int = 8):
+def block_decompose(alg: Bundle, tol: float = 1e-6, rng=None, attempts: int = 8):
     """Block dimensions of the algebra as a sorted list.
 
     A random self-adjoint central element is diagonalized in the left
@@ -175,16 +127,18 @@ def block_decompose(alg: StarAlgebra, tol: float = 1e-6, rng=None, attempts: int
     """
     import random as _random
     rng = rng or _random.Random(0)
-    pis, _, _ = _gns_rep(alg)
-    center = _center_basis(alg)
+    L = left_regular(alg)
+    n = len(L)
+    pis = _gns_rep(alg, L)
+    center = _center_basis(L)
     if not center:
         raise NotSemisimpleDetected("algebra has trivial center and nonzero dimension")
     for _ in range(attempts):
-        coeffs = np.zeros(alg.n, dtype=complex)
+        coeffs = np.zeros(n, dtype=complex)
         for c in center:
             coeffs += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * c
-        coeffs = coeffs + alg.star_vector(coeffs)
-        Z = sum(coeffs[i] * pis[i] for i in range(alg.n))
+        coeffs = coeffs + star_vector(alg, coeffs)
+        Z = sum(coeffs[i] * pis[i] for i in range(n))
         Z = (Z + Z.conj().T) / 2
         eig = np.linalg.eigvalsh(Z)
         scale = max(1.0, float(np.max(np.abs(eig))))

@@ -36,6 +36,8 @@ def _load(path: str):
 
 def _matrices(data):
     import numpy as np
+    if not data:
+        raise InputError("expected a non-empty list of matrices")
     mats = []
     for m in data:
         mats.append(np.array([[complex(re, im) for re, im in row] for row in m]))
@@ -199,13 +201,13 @@ def cmd_algebra(op, data, ctx):
         A = _action_from(data)
         a = alg.germ_algebra(A)
         ok, bad = a.verify(ctx["tolerance"])
-        return ok, {"violations": [repr(v) for v in bad], "dim": a.n,
+        return ok, {"violations": [repr(v) for v in bad], "dim": len(a.carrier(0)),
                     "blocks": alg.block_decompose(a, rng=rng)}
     G, tau = _groupoid_from(data)
     a = alg.convolution_algebra(G, tau)
     if op == "build":
         ok, bad = a.verify(ctx["tolerance"])
-        return ok, {"violations": [repr(v) for v in bad], "dim": a.n}
+        return ok, {"violations": [repr(v) for v in bad], "dim": len(a.carrier(0))}
     if op == "blocks":
         ok, bad = a.verify(ctx["tolerance"])
         return ok, {"violations": [repr(v) for v in bad],

@@ -241,11 +241,12 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
         return {"ok": False, "reason": ("germ", mapping)}
     algB = germ_algebra(GB.A, GB)
     algA = germ_algebra(GA.A, GA)
+    dimB, dimA = len(algB.carrier(0)), len(algA.carrier(0))
     report = {"ok": True,
-              "dim_refined": algB.n, "dim_base": algA.n,
+              "dim_refined": dimB, "dim_base": dimA,
               "blocks_refined": block_decompose(algB),
               "blocks_base": block_decompose(algA)}
-    if algB.n != algA.n or report["blocks_refined"] != report["blocks_base"]:
+    if dimB != dimA or report["blocks_refined"] != report["blocks_base"]:
         report["ok"] = False
         return report
 
@@ -257,25 +258,20 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
         tA0, _ = GA.rep(mapping[g])
         d[g] = as_complex(GA.transition(m.phi(tB0), tA0, x))
 
+    rowsA = {(x, y): (z, c) for x, y, z, c in algA.products[(0, 0)]}
     mismatches = []
-    for g in range(GB.arrow_count):
-        for h in range(GB.arrow_count):
-            termsB = algB.mul[(g, h)]
-            termsA = algA.mul[(mapping[g], mapping[h])]
-            if not termsB and not termsA:
-                continue
-            (k, cB), = termsB
-            (K, cA), = termsA
-            if K != mapping[k] or abs(d[g] * d[h] * cA - cB * d[k]) > tol:
-                mismatches.append(("product", (g, h)))
-    for g in range(GB.arrow_count):
-        gs = algB.star_index[g]
-        if mapping[gs] != algA.star_index[mapping[g]]:
+    for g, h, k, cB in algB.products[(0, 0)]:
+        K, cA = rowsA.get((mapping[g], mapping[h]), (None, 0))
+        if K != mapping[k] or abs(d[g] * d[h] * as_complex(cA) - as_complex(cB) * d[k]) > tol:
+            mismatches.append(("product", (g, h)))
+    starsA = algA.stars[0]
+    for g, (gs, cB) in algB.stars[0].items():
+        K, cA = starsA[mapping[g]]
+        if mapping[gs] != K:
             mismatches.append(("star-index", g))
             continue
-        lhs = complex(d[g]).conjugate() * algA.star_coeff[mapping[g]]
-        rhs = algB.star_coeff[g] * d[gs]
-        if abs(lhs - rhs) > tol:
+        lhs = complex(d[g]).conjugate() * as_complex(cA)
+        if abs(lhs - as_complex(cB) * d[gs]) > tol:
             mismatches.append(("star-coeff", g))
     if mismatches:
         report["ok"] = False

@@ -200,8 +200,10 @@ def is_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EPS):
         d1 = span_dim([m @ a for a in mstar_m], tol)
         d2 = span_dim([a @ m for a in mm], tol)
         if d1 == k and d2 == k:
-            u = strict_correction(polar_isometry(m, tol), M, tol)
-            return True, u
+            # strict_correction, with the algebras built above
+            p_left = support_projection(mm, M.dim, tol)
+            p_right = support_projection(mstar_m, M.dim, tol)
+            return True, p_left @ polar_isometry(m, tol) @ p_right
         log.append({"trial": trial, "dim_mMM": d1, "dim_MMm": d2, "dim_M": k})
     return False, log
 

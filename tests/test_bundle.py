@@ -169,3 +169,14 @@ def test_product_row_outside_its_fiber_is_reported(five, rng):
     ok, bad = verify_fell_bundle(B, rng=rng)
     assert not ok
     assert bad == [("product-fiber", (S.label(s), S.label(t)))]
+
+
+def test_two_rows_for_one_pair_are_reported(five, rng):
+    B = build_bundle(five)
+    S = B.S
+    s, t = next(key for key, rows in B.products.items() if rows)
+    x, y, z, c = B.products[(s, t)][0]
+    B.products[(s, t)].append((x, y, z, c))
+    ok, bad = verify_fell_bundle(B, rng=rng)
+    assert not ok
+    assert bad == [("product-duplicate", (S.label(s), S.label(t), x, y))]

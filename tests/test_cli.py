@@ -43,6 +43,7 @@ def files(tmp_path_factory):
     dump("col.json", [[[ [v.real, v.imag] for v in row] for row in m] for m in col.basis])
     diag = [np.diag([1.0, 0]), np.diag([0, 1.0])]
     dump("diag.json", [[[ [v.real, v.imag] for v in row] for row in m] for m in diag])
+    dump("empty.json", [])
     (d / "broken.json").write_text("{not json")
     paths["broken.json"] = str(d / "broken.json")
     return paths
@@ -192,3 +193,10 @@ def test_ambiguous_tau_key_is_an_input_error(files, capsys):
     code, report = run(capsys, "groupoid", "cocycle", files["z2ambiguous.json"])
     assert code == 2 and report["status"] == "input-error"
     assert "exactly one way" in report["error"]
+
+
+def test_empty_matrix_list_is_an_input_error(files, capsys):
+    for op in ["closed", "regular", "local"]:
+        code, report = run(capsys, "tro", op, files["empty.json"])
+        assert code == 2 and report["status"] == "input-error", (op, report)
+        assert "non-empty list of matrices" in report["error"]

@@ -35,8 +35,8 @@ def left_regular(alg: Bundle):
     the element with coefficients a acts as np.tensordot(a, L, 1)."""
     n = len(alg.carrier(0))
     L = np.zeros((n, n, n), dtype=complex)
-    for i, j, k, c in alg.products[(0, 0)]:
-        L[i, k, j] += as_complex(c)
+    for (i, j), (k, c) in alg.products[(0, 0)].items():
+        L[i, k, j] = as_complex(c)
     return L
 
 
@@ -64,7 +64,7 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     G = germs or GermGroupoid(A)
     S = A.S
     n = G.arrow_count
-    rows, stars = [], {}
+    rows, stars = {}, {}
     for g in range(n):
         sg, x = G.rep(g)
         for h in range(n):
@@ -74,7 +74,7 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
             st = S.mul(sg, th)
             k = G.germ(st, xh)
             y = A.theta[st](xh)
-            rows.append((g, h, k, A.omega_at(sg, th, y) * G.transition(st, G.rep(k)[0], xh)))
+            rows[(g, h)] = (k, A.omega_at(sg, th, y) * G.transition(st, G.rep(k)[0], xh))
         y = A.theta[sg](x)
         sgs = S.inv[sg]
         gs = G.germ(sgs, y)

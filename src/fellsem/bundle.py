@@ -3,7 +3,9 @@
 Every bundle modelled here is monomial: in the point-mass bases of the
 fibers, the product of two basis elements, the adjoint of one and its
 inclusion into a larger fiber are each a single scaled basis element.  One
-type, Bundle, holds those three structure tables and extends them
+type, Bundle, holds those three structure tables, with the product rows
+keyed by the pair of points they multiply.  It multiplies, stars and
+includes scaled point masses by lookup, and extends products and stars
 (conjugate-)linearly to CFunctions.  Three builders fill the tables:
 
 - build_bundle(A): the bundle of a twisted action, whose fiber over s is
@@ -14,7 +16,10 @@ type, Bundle, holds those three structure tables and extends them
 
 An algebra is the same table with one fiber: a Bundle over the one-element
 inverse semigroup whose fiber is the basis range(n) (see fellsem.algebra).
-Bundle.verify checks the exact point-mass axioms by table lookups.
+Every point-mass check reads the tables: Bundle.verify (the exact bundle
+axioms, inclusions included), refine.verify_morphism and
+reps.verify_representation.  verify_fell_bundle adds the families that
+need random dense elements.
 """
 
 from __future__ import annotations
@@ -59,18 +64,21 @@ class Bundle:
     """A monomial Fell bundle over S, given by its structure tables.
 
     carriers[s]        the point set of the fiber over s;
-    products[(s, t)]   rows (x, y, z, c): delta_x in fiber s times delta_y
+    products[(s, t)]   (x, y) -> (z, c): delta_x in fiber s times delta_y
                        in fiber t is c delta_z in fiber st.  Every z occurs
-                       in at most one row, so products never add terms;
+                       for at most one pair, so products never add terms;
     stars[s]           x -> (z, c): the adjoint of delta_x in fiber s is
                        c delta_z in fiber s*;
     inclusions[(s, t)] for s <= t, x -> c: delta_x in fiber s is c delta_x
                        in fiber t.
 
     Scalars are Angles, or complex numbers where a numeric value entered;
-    products of Angles stay exact.  `realization` names the builder and the
-    keyword arguments keep the data the tables were built from as
-    attributes (A; G and tau; base and phi).
+    products of Angles stay exact.  A scaled point mass is a pair (z, c)
+    with c non-zero, or None for zero; mul_point, star_point and
+    include_point act on those by lookup, and mul and star extend the
+    tables (conjugate-)linearly to CFunctions.  `realization` names the
+    builder and the keyword arguments keep the data the tables were built
+    from as attributes (A; G and tau; base and phi).
     """
 
     def __init__(self, S: InverseSemigroup, carriers, products, stars, inclusions,
@@ -86,9 +94,22 @@ class Bundle:
     def carrier(self, s: int) -> frozenset:
         return self.carriers[s]
 
+    def mul_point(self, s: int, t: int, p, q):
+        hit = p and q and self.products[(s, t)].get((p[0], q[0]))
+        return hit and _scaled(hit[0], p[1], q[1], hit[1])
+
+    def star_point(self, s: int, p):
+        hit = p and self.stars[s].get(p[0])
+        return hit and _scaled(hit[0], scalar_conj(p[1]), hit[1])
+
+    def include_point(self, t: int, s: int, p):
+        """j(t, s) of a scaled point mass in fiber s, for s <= t."""
+        scalars = self.inclusions[(s, t)]
+        return _scaled(p[0], p[1], scalars[p[0]]) if p and p[0] in scalars else None
+
     def mul(self, s: int, t: int, f: CFunction, g: CFunction) -> CFunction:
         vals = {}
-        for x, y, z, c in self.products[(s, t)]:
+        for (x, y), (z, c) in self.products[(s, t)].items():
             v = _smul(f(x), g(y), c)
             if v != 0:
                 vals[z] = v
@@ -102,79 +123,97 @@ class Bundle:
                 vals[z] = v
         return CFunction(self.carriers[self.S.inv[s]], vals)
 
-    def include(self, t: int, s: int, f: CFunction) -> CFunction:
-        scalars = self.inclusions.get((s, t))
-        if scalars is None:
-            raise BundleError(f"{self.S.label(s)} is not below {self.S.label(t)}")
-        vals = {}
-        for x, c in scalars.items():
-            v = _smul(f(x), c)
-            if v != 0:
-                vals[x] = v
-        return CFunction(self.carriers[t], vals)
-
     def verify(self, tol: float = 1e-9):
         """The exact axioms on point masses, by table lookups.
 
         First every product row must join points of the fibers s and t to a
-        point of the fiber st, with at most one row per pair of points; the
-        later families read through the rows, so they are skipped if not.
-        Then associativity, involutivity and anti-multiplicativity of the
-        star.  Returns (ok, violations); each is a (tag, where) pair whose
-        where names the semigroup labels and the points.
+        point of the fiber st, and every inclusion entry of j(t, s) must be
+        a point of both fibers; the later families read through the tables,
+        so they are skipped if not.  Then associativity, involutivity and
+        anti-multiplicativity of the star, and the inclusion families:
+        identity, isometric, functorial, and compatible with the star and
+        with products on either side.  Returns (ok, violations); each is a
+        (tag, where) pair whose where names the semigroup labels and the
+        points.
         """
         S, lab = self.S, self.S.label
-        bad, rows = [], {}
-        for s in S.elements():
-            for t in S.elements():
-                cs, ct, cst = self.carriers[s], self.carriers[t], self.carriers[S.mul(s, t)]
-                row = rows[(s, t)] = {}
-                for x, y, z, c in self.products[(s, t)]:
-                    if (x, y) in row:
-                        bad.append(("product-duplicate", (lab(s), lab(t), x, y)))
-                    row[(x, y)] = (z, c)
+        els, inv, cars = S.elements(), S.inv, self.carriers
+        bad = []
+        for s in els:
+            for t in els:
+                cs, ct, cst = cars[s], cars[t], cars[S.mul(s, t)]
                 if any(x not in cs or y not in ct or z not in cst
-                       for x, y, z, _ in self.products[(s, t)]):
+                       for (x, y), (z, _) in self.products[(s, t)].items()):
                     bad.append(("product-fiber", (lab(s), lab(t))))
+        for (s, t), entries in self.inclusions.items():
+            if not entries.keys() <= cars[s] & cars[t]:
+                bad.append(("inclusion-fiber", (lab(s), lab(t))))
         if bad:
             return False, bad
 
-        # a scaled point mass is (z, c), and zero is None
-        def mul(s, t, p, q):
-            hit = p and q and rows[(s, t)].get((p[0], q[0]))
-            return hit and (hit[0], _smul(p[1], q[1], hit[1]))
+        mul, star, include = self.mul_point, self.star_point, self.include_point
 
-        def star(s, p):
-            hit = p and self.stars[s].get(p[0])
-            return hit and (hit[0], _smul(scalar_conj(p[1]), hit[1]))
+        def check(tag, where, lhs, rhs):
+            if _far(lhs, rhs, tol):
+                bad.append((tag, where))
 
-        for r in S.elements():
-            cr = self.carriers[r]
-            for s in S.elements():
+        for r in els:
+            for s in els:
                 rs = S.mul(r, s)
-                for t in S.elements():
-                    st, ct = S.mul(s, t), self.carriers[t]
+                for t in els:
+                    st = S.mul(s, t)
                     lhs = {(x, y, z): mul(rs, t, p, (z, ONE))
-                           for (x, y), p in rows[(r, s)].items() for z in ct}
+                           for (x, y), p in self.products[(r, s)].items() for z in cars[t]}
                     rhs = {(x, y, z): mul(r, st, (x, ONE), p)
-                           for (y, z), p in rows[(s, t)].items() for x in cr}
+                           for (y, z), p in self.products[(s, t)].items() for x in cars[r]}
                     for key in lhs.keys() | rhs.keys():
-                        if _far(lhs.get(key), rhs.get(key), tol):
-                            bad.append(("associativity", (lab(r), lab(s), lab(t), *key)))
-        for s in S.elements():
-            for x in self.carriers[s]:
-                if _far(star(S.inv[s], star(s, (x, ONE))), (x, ONE), tol):
-                    bad.append(("involutive", (lab(s), x)))
-        for s in S.elements():
-            for t in S.elements():
+                        check("associativity", (lab(r), lab(s), lab(t), *key),
+                              lhs.get(key), rhs.get(key))
+        for s in els:
+            for x in cars[s]:
+                check("involutive", (lab(s), x), star(inv[s], star(s, (x, ONE))), (x, ONE))
+        for s in els:
+            for t in els:
                 st = S.mul(s, t)
-                for x in self.carriers[s]:
-                    for y in self.carriers[t]:
-                        lhs = star(st, mul(s, t, (x, ONE), (y, ONE)))
-                        rhs = mul(S.inv[t], S.inv[s], star(t, (y, ONE)), star(s, (x, ONE)))
-                        if _far(lhs, rhs, tol):
-                            bad.append(("anti-multiplicative", (lab(s), lab(t), x, y)))
+                for x in cars[s]:
+                    for y in cars[t]:
+                        check("anti-multiplicative", (lab(s), lab(t), x, y),
+                              star(st, mul(s, t, (x, ONE), (y, ONE))),
+                              mul(inv[t], inv[s], star(t, (y, ONE)), star(s, (x, ONE))))
+
+        for s in els:
+            for t in els:
+                if not S.leq(s, t):
+                    continue
+                middle = [r for r in els if S.leq(s, r) and S.leq(r, t)]
+                for x in cars[s]:
+                    p = (x, ONE)
+                    jp = include(t, s, p)
+                    if abs((abs(as_complex(jp[1])) if jp else 0.0) - 1) > tol:
+                        bad.append(("inclusion-isometric", (lab(s), lab(t), x)))
+                    if s == t:
+                        check("inclusion-identity", (lab(s), x), jp, p)
+                    for r in middle:
+                        check("inclusion-functorial", (lab(s), lab(r), lab(t), x),
+                              include(t, r, include(r, s, p)), jp)
+                    check("inclusion-star", (lab(s), lab(t), x),
+                          star(t, jp), include(inv[t], inv[s], star(s, p)))
+                    for u in els:
+                        tu, su, ut, us = S.mul(t, u), S.mul(s, u), S.mul(u, t), S.mul(u, s)
+                        for y in cars[u]:
+                            q = (y, ONE)
+                            where = (lab(s), lab(t), lab(u), x, y)
+                            check("inclusion-product-left", where, mul(t, u, jp, q),
+                                  include(tu, su, mul(s, u, p, q)))
+                            check("inclusion-product-right", where, mul(u, t, q, jp),
+                                  include(ut, us, mul(u, s, q, p)))
         return not bad, bad
+
+
+def _scaled(z, *factors):
+    """The point mass at z scaled by the product of factors; None if zero."""
+    c = _smul(*factors)
+    return (z, c) if c != 0 else None
 
 
 def _far(p, q, tol: float) -> bool:
@@ -200,7 +239,7 @@ def build_bundle(A: TwistedAction) -> Bundle:
         inv_s = A.theta[s].invert()
         for t in S.elements():
             w = A.omega[(s, t)]
-            products[(s, t)] = [(y, inv_s(y), y, w(y)) for y in carriers[S.mul(s, t)]]
+            products[(s, t)] = {(y, inv_s(y)): (y, w(y)) for y in carriers[S.mul(s, t)]}
             if S.leq(s, t):
                 w = A.omega[(t, S.mul(ss, s))]
                 inclusions[(s, t)] = {y: scalar_conj(w(y)) for y in carriers[s]}
@@ -228,9 +267,9 @@ def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bun
     for s in S.elements():
         for t in S.elements():
             target = fibers[S.mul(s, t)]
-            products[(s, t)] = [(a, b, G.mul(a, b), tau(a, b))
+            products[(s, t)] = {(a, b): (G.mul(a, b), tau(a, b))
                                 for a in fibers[s] for b in fibers[t]
-                                if G.composable(a, b) and G.mul(a, b) in target]
+                                if G.composable(a, b) and G.mul(a, b) in target}
             if S.leq(s, t):
                 inclusions[(s, t)] = {a: ONE for a in fibers[s]}
         stars[s] = {G.inv[c]: (c, scalar_conj(tau(G.inv[c], c)))
@@ -246,29 +285,28 @@ def random_element(B, s: int, rng) -> CFunction:
 
 
 def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
-    """Check the bundle axioms on point masses plus random dense elements;
-    the exact point-mass families are B.verify's.
+    """Check the bundle axioms: the exact point-mass families are
+    B.verify's, and the rest run on random dense elements.
 
     All operations are bilinear or conjugate-linear, so point-mass
-    equality extends to the whole fiber; random elements additionally
-    exercise linearity itself.  Returns (ok, violations).
+    equality extends to the whole fiber; the random families exercise
+    linearity itself: left- and right-linearity, submultiplicativity,
+    star-isometric, conjugate-linear, the C*-identity and positivity.
+    Returns (ok, violations).
     """
     import random as _random
     rng = rng or _random.Random(0)
     S = B.S
-
-    def pms(s):
-        return [CFunction.point_mass(B.carrier(s), x) for x in B.carrier(s)]
 
     def close(f: CFunction, g: CFunction) -> bool:
         if f.carrier != g.carrier:
             return False
         return all(abs(f.at(x) - g.at(x)) <= tol for x in f.carrier)
 
-    # the exact families on point masses, by row and star lookups; the rest
-    # multiply through the rows, so stop here if a row leaves its fibers
+    # the exact families on point masses, by table lookups; the rest
+    # multiply through the rows, so stop here if a table leaves its fibers
     _, bad = B.verify(tol)
-    if any(tag in ("product-fiber", "product-duplicate") for tag, _ in bad):
+    if any(tag in ("product-fiber", "inclusion-fiber") for tag, _ in bad):
         return False, bad
 
     # bilinearity on random elements
@@ -323,55 +361,6 @@ def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
                 if abs(v.imag) > tol or v.real < -tol:
                     bad.append(("positivity", (S.label(s), x)))
 
-    # inclusions: identity at s=s, isometric, injective, functorial
-    for s in S.elements():
-        for t in S.elements():
-            if not S.leq(s, t):
-                continue
-            for f in pms(s):
-                jf = B.include(t, s, f)
-                if abs(jf.sup_norm() - f.sup_norm()) > tol:
-                    bad.append(("inclusion-isometric", (S.label(s), S.label(t))))
-            if s == t:
-                g = random_element(B, s, rng)
-                if not close(B.include(s, s, g), g):
-                    bad.append(("inclusion-identity", S.label(s)))
-            for r in S.elements():
-                if not S.leq(r, s):
-                    continue
-                for f in pms(r):
-                    lhs = B.include(t, s, B.include(s, r, f))
-                    rhs = B.include(t, r, f)
-                    if not close(lhs, rhs):
-                        bad.append(("inclusion-functorial",
-                                    (S.label(r), S.label(s), S.label(t))))
-
-    # inclusions against involution and product (both reduced forms)
-    for s in S.elements():
-        for t in S.elements():
-            if not S.leq(s, t):
-                continue
-            for f in pms(s):
-                lhs = B.star(t, B.include(t, s, f))
-                rhs = B.include(S.inv[t], S.inv[s], B.star(s, f))
-                if not close(lhs, rhs):
-                    bad.append(("inclusion-star", (S.label(s), S.label(t))))
-            for u in S.elements():
-                su, tu = S.mul(s, u), S.mul(t, u)
-                us, ut = S.mul(u, s), S.mul(u, t)
-                for f in pms(s):
-                    for g in pms(u):
-                        lhs = B.mul(t, u, B.include(t, s, f), g)
-                        rhs = B.include(tu, su, B.mul(s, u, f, g))
-                        if not close(lhs, rhs):
-                            bad.append(("inclusion-product-left",
-                                        (S.label(s), S.label(t), S.label(u))))
-                        lhs = B.mul(u, t, g, B.include(t, s, f))
-                        rhs = B.include(ut, us, B.mul(u, s, g, f))
-                        if not close(lhs, rhs):
-                            bad.append(("inclusion-product-right",
-                                        (S.label(s), S.label(t), S.label(u))))
-
     return not bad, bad
 
 
@@ -385,14 +374,14 @@ def classify_bundle(B, tol: float = 1e-9):
     S = B.S
 
     def targets(s, t):
-        return {z for _, _, z, _ in B.products[(s, t)]}
+        return {z for z, _ in B.products[(s, t)].values()}
 
     unsat = [(S.label(s), S.label(t)) for s in S.elements() for t in S.elements()
              if targets(s, t) != B.carrier(S.mul(s, t))]
 
     semi_abelian = True
     for e in S.idem:
-        table = {(x, y): (z, c) for x, y, z, c in B.products[(e, e)]}
+        table = B.products[(e, e)]
         for (x, y), (z, c) in table.items():
             z2, c2 = table.get((y, x), (None, 0))
             if z2 != z or abs(as_complex(c) - as_complex(c2)) > tol:
@@ -456,7 +445,7 @@ def extract_action(B, u) -> TwistedAction:
         dom = B.carrier(S.mul(ss, s))
         mapping = {}
         for x in dom:
-            a = B.mul(s, S.mul(ss, s), u[s], CFunction.point_mass(dom, x))
+            a = B.mul(s, S.mul(ss, s), u[s], CFunction(dom, {x: ONE}))
             b = B.mul(s, ss, a, B.star(s, u[s]))
             supp = b.support()
             if len(supp) != 1:

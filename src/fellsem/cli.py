@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -295,6 +296,10 @@ def main(argv=None) -> int:
     ctx = {"tolerance": args.tolerance, "seed": args.seed, "trials": args.trials}
     start = time.perf_counter()
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise InputError(f"tolerance must be finite and non-negative, got {args.tolerance}")
+        if args.trials < 1:
+            raise InputError(f"trials must be at least 1, got {args.trials}")
         data, digest = _load(args.file)
         try:
             ok, payload = HANDLERS[args.command](args.operation, data, ctx)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.angles import as_complex
+from fellsem.angles import ONE, as_complex
 from fellsem.action import TwistedAction
 from fellsem.partial_maps import CFunction
 
@@ -149,9 +149,13 @@ def to_covariant(pi: BundleRep, B, A: TwistedAction) -> CovariantRep:
 
 def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
     """Multiplicativity, *-compatibility and inclusion-compatibility on
-    point masses."""
+    point masses, through B's table lookups; pi of a scaled point mass
+    (z, c) in fiber s is c pi.mats[(s, z)]."""
     S = B.S
     bad = []
+
+    def image(s, p):
+        return as_complex(p[1]) * pi.mats[(s, p[0])] if p else np.zeros((pi.d, pi.d), complex)
 
     def close(a, b):
         return np.linalg.norm(a - b) <= tol * max(1.0, np.linalg.norm(b))
@@ -160,18 +164,15 @@ def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
         for t in S.elements():
             st = S.mul(s, t)
             for x in B.carrier(s):
-                f = CFunction.point_mass(B.carrier(s), x)
                 for y in B.carrier(t):
-                    g = CFunction.point_mass(B.carrier(t), y)
-                    lhs = pi.pi(s, f) @ pi.pi(t, g)
-                    rhs = pi.pi(st, B.mul(s, t, f, g))
+                    lhs = pi.mats[(s, x)] @ pi.mats[(t, y)]
+                    rhs = image(st, B.mul_point(s, t, (x, ONE), (y, ONE)))
                     if not close(lhs, rhs):
                         bad.append(("multiplicative", (S.label(s), S.label(t), x, y)))
     for s in S.elements():
         for x in B.carrier(s):
-            f = CFunction.point_mass(B.carrier(s), x)
-            lhs = pi.pi(s, f).conj().T
-            rhs = pi.pi(S.inv[s], B.star(s, f))
+            lhs = pi.mats[(s, x)].conj().T
+            rhs = image(S.inv[s], B.star_point(s, (x, ONE)))
             if not close(lhs, rhs):
                 bad.append(("star", (S.label(s), x)))
     for s in S.elements():
@@ -179,10 +180,8 @@ def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
             if not S.leq(s, t):
                 continue
             for x in B.carrier(s):
-                f = CFunction.point_mass(B.carrier(s), x)
-                lhs = pi.pi(t, B.include(t, s, f))
-                rhs = pi.pi(s, f)
-                if not close(lhs, rhs):
+                lhs = image(t, B.include_point(t, s, (x, ONE)))
+                if not close(lhs, pi.mats[(s, x)]):
                     bad.append(("inclusion", (S.label(s), S.label(t), x)))
     return not bad, bad
 

@@ -83,9 +83,8 @@ def test_broken_structure_constants_fail_verify():
     # flip the sign of one product coefficient: g1 g2 = -e while g2 g1 = e
     alg = _z3_algebra()
     rows = alg.products[(0, 0)]
-    i = next(i for i, (x, y, _, _) in enumerate(rows) if (x, y) == (1, 2))
-    x, y, z, c = rows[i]
-    rows[i] = (x, y, z, Angle("1/2") * c)
+    z, c = rows[(1, 2)]
+    rows[(1, 2)] = (z, Angle("1/2") * c)
     ok, bad = alg.verify()
     assert not ok
     assert any(tag in ("associativity", "anti-multiplicative") for tag, _ in bad)
@@ -254,7 +253,7 @@ def parity_cases():
 
 
 def _same_tables(alg, ref):
-    rows = {(i, j): [(k, as_complex(c))] for i, j, k, c in alg.products[(0, 0)]}
+    rows = {key: [(k, as_complex(c))] for key, (k, c) in alg.products[(0, 0)].items()}
     stars = [alg.stars[0][i] for i in range(ref.n)]
     v = np.arange(ref.n) * (1 + 2j)
     return (len(alg.carrier(0)) == ref.n
@@ -272,10 +271,10 @@ def _corrupt(alg, ref, kind, rng):
     phase = Angle(Fraction(rng.randrange(1, denom), denom))
     if kind == "product":
         rows = alg.products[(0, 0)]
-        idx = rng.randrange(len(rows))
-        i, j, k, c = rows[idx]
-        rows[idx] = (i, j, k, phase * c)
-        ref.mul[(i, j)] = [(k, as_complex(phase * c))]
+        key = rng.choice(list(rows))
+        k, c = rows[key]
+        rows[key] = (k, phase * c)
+        ref.mul[key] = [(k, as_complex(phase * c))]
         return
     i = rng.randrange(ref.n)
     k, c = alg.stars[0][i]

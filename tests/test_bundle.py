@@ -117,7 +117,7 @@ def _corrupt_one_entry(B, rng):
     of unity, or move one star target, in place; return the undo."""
     S = B.S
     slots = {
-        "product": [(rows, k) for rows in B.products.values() for k in range(len(rows))],
+        "product": [(rows, xy) for rows in B.products.values() for xy in rows],
         "star": [(entries, x) for entries in B.stars.values() for x in entries],
         "star-target": [(B.stars[s], x, B.carrier(S.inv[s])) for s in S.elements()
                         for x in B.stars[s] if len(B.carrier(S.inv[s])) > 1],
@@ -128,10 +128,7 @@ def _corrupt_one_entry(B, rng):
     old = table[key]
     denom = rng.choice([2, 3, 4])
     phase = Angle(Fraction(rng.randrange(1, denom), denom))
-    if kind == "product":
-        x, y, z, c = old
-        table[key] = (x, y, z, phase * c)
-    elif kind == "star":
+    if kind in ("product", "star"):
         z, c = old
         table[key] = (z, phase * c)
     elif kind == "star-target":
@@ -164,19 +161,20 @@ def test_product_row_outside_its_fiber_is_reported(five, rng):
     points = frozenset().union(*B.carriers.values())
     s, t = next(key for key, rows in B.products.items()
                 if rows and points - B.carrier(S.mul(*key)))
-    x, y, _, c = B.products[(s, t)][0]
-    B.products[(s, t)][0] = (x, y, min(points - B.carrier(S.mul(s, t)), key=str), c)
+    xy = next(iter(B.products[(s, t)]))
+    _, c = B.products[(s, t)][xy]
+    B.products[(s, t)][xy] = (min(points - B.carrier(S.mul(s, t)), key=str), c)
     ok, bad = verify_fell_bundle(B, rng=rng)
     assert not ok
     assert bad == [("product-fiber", (S.label(s), S.label(t)))]
 
 
-def test_two_rows_for_one_pair_are_reported(five, rng):
+def test_inclusion_entry_outside_its_fiber_is_reported(five, rng):
     B = build_bundle(five)
     S = B.S
-    s, t = next(key for key, rows in B.products.items() if rows)
-    x, y, z, c = B.products[(s, t)][0]
-    B.products[(s, t)].append((x, y, z, c))
+    points = frozenset().union(*B.carriers.values())
+    s, t = next(key for key in B.inclusions if points - B.carrier(key[0]))
+    B.inclusions[(s, t)][min(points - B.carrier(s), key=str)] = Angle(0)
     ok, bad = verify_fell_bundle(B, rng=rng)
     assert not ok
-    assert bad == [("product-duplicate", (S.label(s), S.label(t), x, y))]
+    assert bad == [("inclusion-fiber", (S.label(s), S.label(t)))]

@@ -37,12 +37,14 @@ def files(tmp_path_factory):
     dump("z2commacut.json", {**commas, "carriers": {"g,1": []}})
     ambiguous = _relabel(z2, {"g0": "a", "g1": "a,a"})
     dump("z2ambiguous.json", {**ambiguous, "tau": {"a,a,a": "1/2"}})
+    dump("z3notcocycle.json", {**cyclic_group(3).to_json(), "tau": {"g1,g1": "1/2"}})
     dump("isg.json", {"table": [[0, 1], [1, 0]], "elements": ["1", "g"]})
     dump("badisg.json", {"table": [[0, 0], [1, 1]]})
     col = column_tro(2)
     dump("col.json", [[[ [v.real, v.imag] for v in row] for row in m] for m in col.basis])
     diag = [np.diag([1.0, 0]), np.diag([0, 1.0])]
     dump("diag.json", [[[ [v.real, v.imag] for v in row] for row in m] for m in diag])
+    dump("e11.json", [[[ [v.real, v.imag] for v in row] for row in diag[0]]])
     dump("empty.json", [])
     (d / "broken.json").write_text("{not json")
     paths["broken.json"] = str(d / "broken.json")
@@ -200,3 +202,33 @@ def test_empty_matrix_list_is_an_input_error(files, capsys):
         code, report = run(capsys, "tro", op, files["empty.json"])
         assert code == 2 and report["status"] == "input-error", (op, report)
         assert "non-empty list of matrices" in report["error"]
+
+
+def test_non_cocycle_twist_fails(files, capsys):
+    for command in (["groupoid", "cocycle"], ["algebra", "build"]):
+        code, report = run(capsys, *command, files["z3notcocycle.json"])
+        assert code == 1 and report["status"] == "fail", (command, report)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
+def test_non_finite_or_negative_tolerance_is_an_input_error(files, capsys, tolerance):
+    code, report = run(capsys, f"--tolerance={tolerance}", "algebra", "build",
+                       files["z3notcocycle.json"])
+    assert code == 2 and report["status"] == "input-error", report
+    assert "tolerance" in report["error"]
+
+
+def test_tolerance_from_the_environment_is_checked(files, capsys, monkeypatch):
+    monkeypatch.setenv("FELLSEM_TOLERANCE", "nan")
+    code, report = run(capsys, "algebra", "build", files["z3notcocycle.json"])
+    assert code == 2 and report["status"] == "input-error", report
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_are_an_input_error(files, capsys, trials):
+    for op in ["regular", "local"]:
+        code, report = run(capsys, f"--trials={trials}", "tro", op, files["e11.json"])
+        assert code == 2 and report["status"] == "input-error", (op, report)
+        assert "trials" in report["error"]
+        code, report = run(capsys, "tro", op, files["e11.json"])
+        assert code == 0 and report["status"] == "pass", (op, report)

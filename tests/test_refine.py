@@ -2,6 +2,7 @@
 
 import pytest
 
+from fellsem.angles import Angle
 from fellsem.algebra import block_decompose, germ_algebra
 from fellsem.action import germ_groupoid
 from fellsem.bundle import (NotSaturated, SectionBundle, build_bundle,
@@ -109,3 +110,31 @@ def test_refinement_morphism_is_surjective_with_weights(five):
     R, m = saturated_refinement(B)
     assert m.phi.is_surjective
     assert set(m.phi(i) for i in R.S.elements()) == set(five.S.elements())
+
+
+@pytest.mark.parametrize("table, tag", [("products", "multiplicative"), ("stars", "star"),
+                                        ("inclusions", "inclusion")])
+def test_corrupted_refined_entry_is_flagged(five, table, tag):
+    R, m = saturated_refinement(build_bundle(five))
+    phase = Angle("1/4")
+    entries = next(e for e in getattr(R, table).values() if e)
+    key = next(iter(entries))
+    if table == "inclusions":
+        entries[key] = phase * entries[key]
+    else:
+        z, c = entries[key]
+        entries[key] = (z, phase * c)
+    ok, bad = verify_refinement(m)
+    assert not ok
+    assert tag in {t for t, _ in bad}
+
+
+def test_refined_fiber_gaining_a_point_is_reported(five):
+    R, m = saturated_refinement(build_bundle(five))
+    points = frozenset().union(*m.A.carriers.values())
+    i = next(i for i in R.S.elements() if points - m.A.carrier(m.phi(i)))
+    x = min(points - m.A.carrier(m.phi(i)), key=str)
+    R.carriers[i] = R.carrier(i) | {x}
+    ok, bad = verify_refinement(m)
+    assert not ok
+    assert bad == [("fiber-not-injective", (R.S.label(i), x))]

@@ -81,3 +81,15 @@ def test_broken_rep_is_flagged():
     R.v[g] = -R.v[g] * 1j + 0.1 * np.eye(R.d)
     ok, bad = verify_covariant(R, A)
     assert not ok
+
+
+def test_phase_scaled_pi_matrix_is_flagged():
+    G, tau = z2_nontrivial_cocycle()
+    S, biss, A, R, B = regular_setup(G, tau)
+    pi = to_bundle_rep(R, B)
+    g = next(i for i in S.elements() if biss[i] and not S.is_idempotent(i))
+    x = next(iter(B.carrier(g)))
+    pi.mats[(g, x)] = 1j * pi.mats[(g, x)]
+    ok, bad = verify_representation(pi, B)
+    assert not ok
+    assert {"multiplicative", "star"} <= {tag for tag, _ in bad}

@@ -1,0 +1,268 @@
+"""The point-mass checks read the structure tables.
+
+The inclusion families of Bundle.verify, refine.verify_morphism and
+reps.verify_representation look point masses up in the Bundle tables.  The
+former implementations, which pushed CFunction point masses through the
+linear operations, are kept here as references; the two must agree on
+clean inputs and on inputs with one table entry or one matrix corrupted.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from fellsem.angles import Angle, as_complex
+from fellsem.bundle import BundleError, SectionBundle, _smul, build_bundle
+from fellsem.generators import mutation_corpus, standard_groupoids
+from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
+from fellsem.partial_maps import CFunction
+from fellsem.refine import saturated_refinement, verify_morphism
+from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
+
+from test_bundle import _corrupt_one_entry
+
+
+# ---------------------------------------------------------------------------
+# the former CFunction implementations
+
+def ref_include(B, t, s, f):
+    """j(t, s), extended linearly, of a CFunction on fiber s."""
+    scalars = B.inclusions.get((s, t))
+    if scalars is None:
+        raise BundleError(f"{B.S.label(s)} is not below {B.S.label(t)}")
+    vals = {}
+    for x, c in scalars.items():
+        v = _smul(f(x), c)
+        if v != 0:
+            vals[x] = v
+    return CFunction(B.carriers[t], vals)
+
+
+def _close(f, g, tol):
+    if f.carrier != g.carrier:
+        return False
+    return all(abs(f.at(x) - g.at(x)) <= tol for x in f.carrier)
+
+
+def ref_inclusion_families(B, tol=1e-9, rng=None):
+    """The six inclusion families of the former verify_fell_bundle."""
+    rng = rng or random.Random(0)
+    S, bad = B.S, []
+
+    def pms(s):
+        return [CFunction.point_mass(B.carrier(s), x) for x in B.carrier(s)]
+
+    def close(f, g):
+        return _close(f, g, tol)
+
+    for s in S.elements():
+        for t in S.elements():
+            if not S.leq(s, t):
+                continue
+            for f in pms(s):
+                jf = ref_include(B, t, s, f)
+                if abs(jf.sup_norm() - f.sup_norm()) > tol:
+                    bad.append(("inclusion-isometric", (S.label(s), S.label(t))))
+            if s == t:
+                c = B.carrier(s)
+                g = CFunction(c, {x: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for x in c})
+                if not close(ref_include(B, s, s, g), g):
+                    bad.append(("inclusion-identity", S.label(s)))
+            for r in S.elements():
+                if not S.leq(r, s):
+                    continue
+                for f in pms(r):
+                    lhs = ref_include(B, t, s, ref_include(B, s, r, f))
+                    if not close(lhs, ref_include(B, t, r, f)):
+                        bad.append(("inclusion-functorial",
+                                    (S.label(r), S.label(s), S.label(t))))
+    for s in S.elements():
+        for t in S.elements():
+            if not S.leq(s, t):
+                continue
+            for f in pms(s):
+                lhs = B.star(t, ref_include(B, t, s, f))
+                rhs = ref_include(B, S.inv[t], S.inv[s], B.star(s, f))
+                if not close(lhs, rhs):
+                    bad.append(("inclusion-star", (S.label(s), S.label(t))))
+            for u in S.elements():
+                su, tu = S.mul(s, u), S.mul(t, u)
+                us, ut = S.mul(u, s), S.mul(u, t)
+                for f in pms(s):
+                    for g in pms(u):
+                        lhs = B.mul(t, u, ref_include(B, t, s, f), g)
+                        rhs = ref_include(B, tu, su, B.mul(s, u, f, g))
+                        if not close(lhs, rhs):
+                            bad.append(("inclusion-product-left",
+                                        (S.label(s), S.label(t), S.label(u))))
+                        lhs = B.mul(u, t, g, ref_include(B, t, s, f))
+                        rhs = ref_include(B, ut, us, B.mul(u, s, g, f))
+                        if not close(lhs, rhs):
+                            bad.append(("inclusion-product-right",
+                                        (S.label(s), S.label(t), S.label(u))))
+    return bad
+
+
+def ref_verify_morphism(m, tol=1e-9):
+    B, A = m.B, m.A
+    T = B.S
+    bad = []
+
+    def psi(i, f):
+        return f.extend(A.carrier(m.phi(i)))
+
+    def pm(i, x):
+        return CFunction.point_mass(B.carrier(i), x)
+
+    for i in T.elements():
+        for j in T.elements():
+            k = T.mul(i, j)
+            for x in B.carrier(i):
+                for y in B.carrier(j):
+                    f, g = pm(i, x), pm(j, y)
+                    lhs = psi(k, B.mul(i, j, f, g))
+                    rhs = A.mul(m.phi(i), m.phi(j), psi(i, f), psi(j, g))
+                    if not _close(lhs, rhs, tol):
+                        bad.append(("multiplicative", (T.label(i), T.label(j), x, y)))
+    for i in T.elements():
+        for x in B.carrier(i):
+            f = pm(i, x)
+            if not _close(psi(T.inv[i], B.star(i, f)), A.star(m.phi(i), psi(i, f)), tol):
+                bad.append(("star", (T.label(i), x)))
+    for i in T.elements():
+        for j in T.elements():
+            if not T.leq(i, j):
+                continue
+            for x in B.carrier(i):
+                f = pm(i, x)
+                lhs = psi(j, ref_include(B, j, i, f))
+                rhs = ref_include(A, m.phi(j), m.phi(i), psi(i, f))
+                if not _close(lhs, rhs, tol):
+                    bad.append(("inclusion", (T.label(i), T.label(j), x)))
+    return not bad, bad
+
+
+def ref_verify_representation(pi, B, tol=1e-9):
+    S = B.S
+    bad = []
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= tol * max(1.0, np.linalg.norm(b))
+
+    def pm(s, x):
+        return CFunction.point_mass(B.carrier(s), x)
+
+    for s in S.elements():
+        for t in S.elements():
+            st = S.mul(s, t)
+            for x in B.carrier(s):
+                for y in B.carrier(t):
+                    f, g = pm(s, x), pm(t, y)
+                    if not close(pi.pi(s, f) @ pi.pi(t, g), pi.pi(st, B.mul(s, t, f, g))):
+                        bad.append(("multiplicative", (S.label(s), S.label(t), x, y)))
+    for s in S.elements():
+        for x in B.carrier(s):
+            f = pm(s, x)
+            if not close(pi.pi(s, f).conj().T, pi.pi(S.inv[s], B.star(s, f))):
+                bad.append(("star", (S.label(s), x)))
+    for s in S.elements():
+        for t in S.elements():
+            if not S.leq(s, t):
+                continue
+            for x in B.carrier(s):
+                f = pm(s, x)
+                if not close(pi.pi(t, ref_include(B, t, s, f)), pi.pi(s, f)):
+                    bad.append(("inclusion", (S.label(s), S.label(t), x)))
+    return not bad, bad
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+def _action_bundles():
+    return [build_bundle(A) for A in mutation_corpus(random.Random(2))]
+
+
+def _regular_reps():
+    """Section bundles and regular representations of the test_reps
+    groupoids (pair3 left out for size) and of the twisted order-two group."""
+    cases = [(G, TwoCocycle.trivial(G)) for name, G in standard_groupoids().items()
+             if name != "pair3"]
+    cases.append(z2_nontrivial_cocycle())
+    for G, tau in cases:
+        S, biss, _ = bisection_semigroup(G)
+        B = SectionBundle(G, tau, S, biss)
+        yield B, to_bundle_rep(regular_covariant_rep(G, tau, S, biss), B)
+
+
+def _inclusion_tags(B):
+    return {tag for tag, _ in B.verify()[1] if tag.startswith("inclusion-")}
+
+
+def _ref_tags(bad):
+    return {tag for tag, _ in bad}
+
+
+def _corrupt_matrix(pi, rng):
+    """Multiply one representation matrix by a non-trivial fourth root of
+    unity, in place; return the undo."""
+    key = rng.choice(sorted(pi.mats, key=str))
+    old = pi.mats[key]
+    pi.mats[key] = as_complex(Angle(Fraction(rng.randrange(1, 4), 4))) * old
+
+    def undo():
+        pi.mats[key] = old
+    return undo
+
+
+def test_inclusion_families_match_the_reference():
+    rng = random.Random(11)
+    bundles = _action_bundles()
+    bundles += [saturated_refinement(B)[0] for B in bundles]
+    bundles += [B for B, _ in _regular_reps()]
+    mismatches, verdicts = [], set()
+    for n, B in enumerate(bundles):
+        for trial in range(4):
+            undo = trial and _corrupt_one_entry(B, rng)
+            tags = _inclusion_tags(B)
+            verdicts.add(not tags)
+            if tags != _ref_tags(ref_inclusion_families(B)):
+                mismatches.append((n, trial, tags))
+            if undo:
+                undo()
+    assert not mismatches, mismatches
+    assert verdicts == {True, False}
+
+
+def test_morphism_check_matches_the_reference():
+    rng = random.Random(12)
+    mismatches, verdicts = [], set()
+    for B in _action_bundles() + [B for B, _ in _regular_reps()]:
+        R, m = saturated_refinement(B)
+        for trial in range(4):
+            undo = trial and _corrupt_one_entry(rng.choice([R, B]), rng)
+            got = verify_morphism(m)
+            verdicts.add(got[0])
+            if got != ref_verify_morphism(m):
+                mismatches.append((R.S.n, trial))
+            if undo:
+                undo()
+    assert not mismatches, mismatches
+    assert verdicts == {True, False}
+
+
+def test_representation_check_matches_the_reference():
+    rng = random.Random(13)
+    mismatches, verdicts = [], set()
+    for B, pi in _regular_reps():
+        for trial in range(7):
+            undo = trial and (_corrupt_one_entry(B, rng) if trial % 2 else _corrupt_matrix(pi, rng))
+            got = verify_representation(pi, B)
+            verdicts.add(got[0])
+            if got != ref_verify_representation(pi, B):
+                mismatches.append((B.S.n, trial))
+            if undo:
+                undo()
+    assert not mismatches, mismatches
+    assert verdicts == {True, False}

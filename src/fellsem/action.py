@@ -4,13 +4,18 @@ An action consists of carrier subsets U(s) of the point set X (the ideals),
 partial bijections theta_s moving points (the isomorphisms between ideals,
 acting on functions by pullback along the inverse), and unit-modulus
 cocycle functions omega(s, t) carried by U(st).
+
+The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
+inclusion order: [s, x] = [t, x] for s <= t.  Its coordinates come from the
+inclusion scalars of the action's bundle, conj(omega(t, s*s)), which turn
+s-coordinates into t-coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fellsem.angles import Angle, as_angle
+from fellsem.angles import ONE, Angle, as_angle, scalar_conj
 from fellsem.isg import InverseSemigroup
 from fellsem.partial_maps import CFunction, PartialBijection
 
@@ -43,6 +48,12 @@ class TwistedAction:
     def carrier(self, s: int) -> frozenset:
         """Carrier of the fiber over s: U(ss*)."""
         return self.U[self.S.mul(s, self.S.inv[s])]
+
+    def inclusion_scalars(self, s: int, t: int) -> dict:
+        """The inclusion j(t, s), s <= t, on point masses of the fiber over
+        s: delta_y goes to conj(omega(t, s*s)(y)) delta_y."""
+        w = self.omega[(t, self.S.mul(self.S.inv[s], s))]
+        return {y: scalar_conj(w(y)) for y in self.carrier(s)}
 
     def structural_violations(self):
         S = self.S
@@ -356,15 +367,20 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
     return TwistedAction(S, A.X, A.U, A.theta, omega)
 
 
-def conjugate_gauge(chi) -> dict:
-    return {s: f.conjugate() for s, f in chi.items()}
-
-
 # ---------------------------------------------------------------------------
 # germ groupoid
 
 class GermGroupoid:
-    """Germs [t, x] of a twisted action, with transition scalars.
+    """Germs [t, x] of a twisted action: the pairs (t, x) with x in U(t*t)
+    modulo the natural order, [s, x] = [t, x] for s <= t.
+
+    In the bundle, j(t, s) turns s-coordinates at x into t-coordinates by
+    the inclusion scalar at theta_s(x) (TwistedAction.inclusion_scalars).
+    A weighted union-find over these edges yields the classes and, for
+    every pair, coord(t, x): the scalar turning t-coordinates at x into
+    those of the class's canonical representative (idempotents first, then
+    the smallest index).  An edge that closes a cycle with a different
+    scalar is recorded as a "transition" violation.
 
     Arrows are indices into `germs`; each germ records its canonical
     representative (t, x), source x, range theta_t(x), and all
@@ -375,37 +391,45 @@ class GermGroupoid:
     def __init__(self, A: TwistedAction):
         self.A = A
         S = A.S
-        pairs = [(t, x) for t in S.elements() for x in A.U[S.mul(S.inv[t], t)]]
-        parent = {p: p for p in pairs}
+        dom = {t: A.U[S.mul(S.inv[t], t)] for t in S.elements()}
+        pairs = [(t, x) for t in S.elements() for x in dom[t]]
+        # p -> (q, c): c turns p-coordinates into q-coordinates
+        parent = {p: (p, ONE) for p in pairs}
 
         def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
+            path = []
+            while parent[p][0] != p:
+                path.append(p)
+                p = parent[p][0]
+            c = ONE
+            for q in reversed(path):
+                c = parent[q][1] * c
+                parent[q] = (p, c)
+            return p, c
 
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-
-        for (t, x) in pairs:
-            for t2 in S.elements():
-                if t2 <= t:
+        self.conflicts = []
+        for s in S.elements():
+            for t in S.elements():
+                if s == t or not S.leq(s, t):
                     continue
-                if x not in A.U[S.mul(S.inv[t2], t2)]:
-                    continue
-                if any(x in A.U[e] and S.mul(t, e) == S.mul(t2, e) for e in S.idem):
-                    union((t, x), (t2, x))
+                scalars = A.inclusion_scalars(s, t)
+                for x in dom[s] & dom[t]:
+                    c = scalars[A.theta[s](x)]
+                    (rp, a), (rq, b) = find((s, x)), find((t, x))
+                    if rp != rq:
+                        parent[rp] = (rq, scalar_conj(a) * c * b)
+                    elif a != c * b:
+                        self.conflicts.append(("transition", (s, t, x)))
 
         classes = {}
         for p in pairs:
-            classes.setdefault(find(p), []).append(p)
-        # canonical representative: idempotents first, then smallest index
+            classes.setdefault(find(p)[0], []).append(p)
         self.germs = []
         self.of_pair = {}
+        self.coords = {}
         for members in classes.values():
             rep = min(members, key=lambda p: (not S.is_idempotent(p[0]), p[0]))
+            back = scalar_conj(find(rep)[1])
             gid = len(self.germs)
             self.germs.append({
                 "rep": rep,
@@ -415,6 +439,7 @@ class GermGroupoid:
             })
             for p in members:
                 self.of_pair[p] = gid
+                self.coords[p] = find(p)[1] * back
 
     @property
     def arrow_count(self) -> int:
@@ -422,6 +447,11 @@ class GermGroupoid:
 
     def germ(self, t: int, x) -> int:
         return self.of_pair[(t, x)]
+
+    def coord(self, t: int, x):
+        """The scalar turning t-coordinates at x into those of the canonical
+        representative of the germ [t, x]."""
+        return self.coords[(t, x)]
 
     def src(self, g: int):
         return self.germs[g]["src"]
@@ -447,34 +477,8 @@ class GermGroupoid:
         t, x = self.germs[g]["rep"]
         return self.of_pair[(self.A.S.inv[t], self.A.theta[t](x))]
 
-    def admissible_idempotents(self, t: int, t2: int, x):
-        S = self.A.S
-        return [e for e in S.idem
-                if x in self.A.U[e] and S.mul(t, e) == S.mul(t2, e)]
-
-    def transition(self, t: int, t2: int, x) -> Angle:
-        """Scalar converting t-coordinates to t2-coordinates at the germ of
-        (t, x): omega(t,e)(y) conj(omega(t2,e)(y)) for admissible e."""
-        if t == t2:
-            return Angle(0)
-        es = self.admissible_idempotents(t, t2, x)
-        if not es:
-            raise ActionError("representatives are not germ-equivalent")
-        e = es[0]
-        y = self.A.theta[t](x)
-        return (as_angle(self.A.omega_at(t, e, y))
-                * as_angle(self.A.omega_at(t2, e, y)).conj())
-
-    def transition_consistent(self, t: int, t2: int, x) -> bool:
-        """All admissible idempotents give the same transition scalar."""
-        y = self.A.theta[t](x)
-        scalars = {(as_angle(self.A.omega_at(t, e, y))
-                    * as_angle(self.A.omega_at(t2, e, y)).conj()).frac
-                   for e in self.admissible_idempotents(t, t2, x)}
-        return len(scalars) <= 1
-
     def verify(self):
-        """Groupoid laws plus transition-scalar consistency."""
+        """Groupoid laws plus the cycle conflicts of the coordinates."""
         bad = []
         for g in range(self.arrow_count):
             gi = self.inverse(g)
@@ -490,16 +494,36 @@ class GermGroupoid:
                 gh = self.compose(g, h)
                 if self.src(gh) != self.src(h) or self.rng(gh) != self.rng(g):
                     bad.append(("composition-endpoints", (g, h)))
-        for info in self.germs:
-            t0, x = info["rep"]
-            for (t, _) in info["members"]:
-                if not self.transition_consistent(t, t0, x):
-                    bad.append(("transition", (t, t0, x)))
+        bad += self.conflicts
         return not bad, bad
 
 
 def germ_groupoid(A: TwistedAction) -> GermGroupoid:
     return GermGroupoid(A)
+
+
+def germ_map_check(G: GermGroupoid, image, count: int, src, rng, compose):
+    """Whether the map sending each representative (t, x) of a germ of G to
+    image(t, x), an arrow of a groupoid with `count` arrows, endpoints
+    src/rng and product compose, is well defined on germs, bijective, and
+    preserves endpoints and composition.  Returns (True, mapping from
+    germs to arrows) or (False, counterexample)."""
+    mapping = {}
+    for g, info in enumerate(G.germs):
+        images = {image(t, x) for (t, x) in info["members"]}
+        if len(images) != 1:
+            return False, ("not-well-defined", g, sorted(images))
+        mapping[g] = images.pop()
+    if len(set(mapping.values())) != G.arrow_count or G.arrow_count != count:
+        return False, ("arrow-count", G.arrow_count, count)
+    for g in range(G.arrow_count):
+        a = mapping[g]
+        if src(a) != G.src(g) or rng(a) != G.rng(g):
+            return False, ("endpoints", g)
+        for h in range(G.arrow_count):
+            if G.rng(h) == G.src(g) and mapping[G.compose(g, h)] != compose(a, mapping[h]):
+                return False, ("composition", (g, h))
+    return True, mapping
 
 
 def siebenize(A: TwistedAction):
@@ -510,46 +534,6 @@ def siebenize(A: TwistedAction):
     S = A.S
     chi = {}
     for s in S.elements():
-        carrier = A.carrier(s)
-        vals = {}
-        for x in A.U[S.mul(S.inv[s], s)]:
-            t0, _ = G.germs[G.germ(s, x)]["rep"]
-            vals[A.theta[s](x)] = G.transition(s, t0, x).conj()
-        chi[s] = CFunction(carrier, vals)
+        vals = {A.theta[s](x): scalar_conj(G.coord(s, x)) for x in A.U[S.mul(S.inv[s], s)]}
+        chi[s] = CFunction(A.carrier(s), vals)
     return chi, gauge_transform(A, chi)
-
-
-# ---------------------------------------------------------------------------
-# independence probe for the idempotent-splitting axiom
-
-def idempotent_splitting_search(A: TwistedAction, trials: int, rng):
-    """Look for cocycle data satisfying the first three axioms but failing
-    the fourth, by random unit-modulus resampling of omega away from the
-    slots the third axiom pins to one.  Returns the list of hits."""
-    S = A.S
-    pinned = set()
-    for e in S.idem:
-        for f in S.idem:
-            pinned.add((e, f))
-    for r in S.elements():
-        pinned.add((r, S.mul(S.inv[r], r)))
-        pinned.add((S.mul(r, S.inv[r]), r))
-    hits = []
-    denoms = (2, 3, 4, 6)
-    for _ in range(trials):
-        omega = {}
-        for (s, t), w in A.omega.items():
-            if (s, t) in pinned:
-                omega[(s, t)] = CFunction.one(w.carrier)
-            else:
-                q = denoms[rng.randrange(len(denoms))]
-                vals = {x: Angle(Fraction(rng.randrange(q), q)) for x in w.carrier}
-                omega[(s, t)] = CFunction(w.carrier, vals)
-        cand = TwistedAction(S, A.X, A.U, A.theta, omega)
-        ok, violations = verify_twisted_action(cand)
-        if ok:
-            continue
-        tags = {tag for tag, _ in violations}
-        if tags == {"idempotent-splitting"}:
-            hits.append(cand)
-    return hits

@@ -58,8 +58,9 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     """The algebra spanned by germ point masses in canonical coordinates.
 
     Basis element g is the point mass at the range of the germ's canonical
-    representative (t0, x), living in the fiber over t0; products re-enter
-    canonical coordinates through the transition scalars.
+    representative (t0, x), living in the fiber over t0; products and
+    adjoints re-enter canonical coordinates through the germ groupoid's
+    coordinates.
     """
     G = germs or GermGroupoid(A)
     S = A.S
@@ -74,11 +75,11 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
             st = S.mul(sg, th)
             k = G.germ(st, xh)
             y = A.theta[st](xh)
-            rows[(g, h)] = (k, A.omega_at(sg, th, y) * G.transition(st, G.rep(k)[0], xh))
+            rows[(g, h)] = (k, A.omega_at(sg, th, y) * G.coord(st, xh))
         y = A.theta[sg](x)
         sgs = S.inv[sg]
         gs = G.germ(sgs, y)
-        stars[g] = (gs, scalar_conj(A.omega_at(sgs, sg, x)) * G.transition(sgs, G.rep(gs)[0], y))
+        stars[g] = (gs, scalar_conj(A.omega_at(sgs, sg, x)) * G.coord(sgs, y))
     basis = frozenset(range(n))
     return Bundle(POINT, {0: basis}, {(0, 0): rows}, {0: stars},
                   {(0, 0): dict.fromkeys(basis, ONE)}, "germ", A=A, germs=G)

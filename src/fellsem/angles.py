@@ -26,7 +26,10 @@ class Angle:
 
     def __mul__(self, other):
         if isinstance(other, Angle):
-            return Angle(self.frac + other.frac)
+            # a factor one costs no Fraction work
+            if not other.frac:
+                return self
+            return Angle(self.frac + other.frac) if self.frac else other
         return self.value * other
 
     __rmul__ = __mul__
@@ -40,7 +43,7 @@ class Angle:
         return Angle(self.frac * n)
 
     def conj(self):
-        return Angle(-self.frac)
+        return Angle(-self.frac) if self.frac else self
 
     conjugate = conj
 

@@ -53,8 +53,7 @@ def _smul(*factors):
         if f == 0:
             return 0
         if isinstance(acc, Angle) and isinstance(f, Angle):
-            if f.frac:  # a factor one, or an accumulator one, costs no Fraction work
-                acc = acc * f if acc.frac else f
+            acc = acc * f
         else:
             acc = as_complex(acc) * as_complex(f)
     return acc
@@ -127,8 +126,9 @@ class Bundle:
         """The exact axioms on point masses, by table lookups.
 
         First every product row must join points of the fibers s and t to a
-        point of the fiber st, and every inclusion entry of j(t, s) must be
-        a point of both fibers; the later families read through the tables,
+        point of the fiber st, every star entry a point of the fiber s to
+        one of the fiber s*, and every inclusion entry of j(t, s) must be a
+        point of both fibers; the later families read through the tables,
         so they are skipped if not.  Then associativity, involutivity and
         anti-multiplicativity of the star, and the inclusion families:
         identity, isometric, functorial, and compatible with the star and
@@ -145,6 +145,9 @@ class Bundle:
                 if any(x not in cs or y not in ct or z not in cst
                        for (x, y), (z, _) in self.products[(s, t)].items()):
                     bad.append(("product-fiber", (lab(s), lab(t))))
+            if any(x not in cars[s] or z not in cars[inv[s]]
+                   for x, (z, _) in self.stars[s].items()):
+                bad.append(("star-fiber", lab(s)))
         for (s, t), entries in self.inclusions.items():
             if not entries.keys() <= cars[s] & cars[t]:
                 bad.append(("inclusion-fiber", (lab(s), lab(t))))
@@ -241,8 +244,7 @@ def build_bundle(A: TwistedAction) -> Bundle:
             w = A.omega[(s, t)]
             products[(s, t)] = {(y, inv_s(y)): (y, w(y)) for y in carriers[S.mul(s, t)]}
             if S.leq(s, t):
-                w = A.omega[(t, S.mul(ss, s))]
-                inclusions[(s, t)] = {y: scalar_conj(w(y)) for y in carriers[s]}
+                inclusions[(s, t)] = A.inclusion_scalars(s, t)
         w = A.omega[(ss, s)]
         stars[s] = {A.theta[s](x): (x, scalar_conj(w(x))) for x in carriers[ss]}
     return Bundle(S, carriers, products, stars, inclusions, "action", A=A)
@@ -306,7 +308,7 @@ def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
     # the exact families on point masses, by table lookups; the rest
     # multiply through the rows, so stop here if a table leaves its fibers
     _, bad = B.verify(tol)
-    if any(tag in ("product-fiber", "inclusion-fiber") for tag, _ in bad):
+    if any(tag in ("product-fiber", "star-fiber", "inclusion-fiber") for tag, _ in bad):
         return False, bad
 
     # bilinearity on random elements

@@ -277,8 +277,7 @@ HANDLERS = {
 
 def build_parser():
     p = argparse.ArgumentParser(prog="fellsem")
-    p.add_argument("--tolerance", type=float,
-                   default=float(os.environ.get("FELLSEM_TOLERANCE", "1e-9")))
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=16)
     fmt = p.add_mutually_exclusive_group()
@@ -293,11 +292,18 @@ def build_parser():
 def main(argv=None) -> int:
     from fellsem.bundle import NotSaturated, NotSemiAbelian
     args = build_parser().parse_args(argv)
-    ctx = {"tolerance": args.tolerance, "seed": args.seed, "trials": args.trials}
     start = time.perf_counter()
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise InputError(f"tolerance must be finite and non-negative, got {args.tolerance}")
+        tol = args.tolerance
+        if tol is None:
+            env = os.environ.get("FELLSEM_TOLERANCE", "1e-9")
+            try:
+                tol = float(env)
+            except ValueError:
+                raise InputError(f"FELLSEM_TOLERANCE is not a number: {env!r}") from None
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InputError(f"tolerance must be finite and non-negative, got {tol}")
+        ctx = {"tolerance": tol, "seed": args.seed, "trials": args.trials}
         if args.trials < 1:
             raise InputError(f"trials must be at least 1, got {args.trials}")
         data, digest = _load(args.file)

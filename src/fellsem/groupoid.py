@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from fellsem.angles import Angle, as_angle, scalar_conj, scalar_mul
+from fellsem.angles import Angle, as_angle
 from fellsem.isg import verify_inverse_semigroup
 
 
@@ -311,23 +311,6 @@ def verify_cocycle(G: FiniteGroupoid, tau: TwoCocycle):
     return not violations, violations
 
 
-def twist_ops(G: FiniteGroupoid, tau: TwoCocycle):
-    """Multiplication and inversion on pairs (scalar, arrow)."""
-
-    def mul(p, q):
-        lam, a = p
-        mu, b = q
-        if not G.composable(a, b):
-            raise NotComposable(f"arrows {a} and {b} are not composable")
-        return (lam * (mu * tau(a, b)), G.mul(a, b))
-
-    def inv(p):
-        lam, a = p
-        return (scalar_conj(scalar_mul(lam, tau(G.inv[a], a))), G.inv[a])
-
-    return mul, inv
-
-
 def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4, max_slots: int = 12):
     """All normalized cocycles with values in the given roots of unity.
 
@@ -418,30 +401,9 @@ def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wi
     The canonical map sends the germ of (s, x) to the unique arrow of the
     bisection s with source x.  Returns (ok, mapping or counterexample).
     """
-    from fellsem.action import germ_groupoid
+    from fellsem.action import germ_groupoid, germ_map_check
 
     A = action_from_cocycle(G, tau, S, bisections, wide)
-    GG = germ_groupoid(A)
-
-    mapping = {}
-    for g in range(GG.arrow_count):
-        images = set()
-        for (t, x) in GG.germs[g]["members"]:
-            arrows = [a for a in bisections[t] if G.src[a] == x]
-            images.add(arrows[0])
-        if len(images) != 1:
-            return False, ("not-separating", g, sorted(images))
-        mapping[g] = images.pop()
-
-    if len(set(mapping.values())) != GG.arrow_count or GG.arrow_count != G.m:
-        return False, ("arrow-count", GG.arrow_count, G.m)
-    for g in range(GG.arrow_count):
-        a = mapping[g]
-        if G.src[a] != GG.src(g) or G.rng[a] != GG.rng(g):
-            return False, ("endpoints", g)
-        for h in range(GG.arrow_count):
-            if GG.rng(h) != GG.src(g):
-                continue
-            if mapping[GG.compose(g, h)] != G.mul(mapping[g], mapping[h]):
-                return False, ("composition", (g, h))
-    return True, mapping
+    return germ_map_check(germ_groupoid(A),
+                          lambda t, x: [a for a in bisections[t] if G.src[a] == x][0],
+                          G.m, lambda a: G.src[a], lambda a: G.rng[a], G.mul)

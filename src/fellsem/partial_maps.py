@@ -138,10 +138,6 @@ class CFunction:
         vals = {x: self.values[theta(x)] for x in carrier if theta(x) in self.values}
         return CFunction(carrier, vals)
 
-    def pushforward(self, theta: PartialBijection) -> "CFunction":
-        """The function y -> self(theta^{-1}(y)); realizes moving along theta."""
-        return self.pullback(theta.invert())
-
     def scale(self, scalar) -> "CFunction":
         return CFunction(self.carrier, {x: scalar_mul(scalar, v) for x, v in self.values.items()})
 

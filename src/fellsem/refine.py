@@ -10,6 +10,7 @@ by construction.
 
 from __future__ import annotations
 
+from fellsem.action import germ_groupoid, germ_map_check
 from fellsem.angles import ONE, as_complex
 from fellsem.isg import IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
 from fellsem.bundle import (Bundle, NotSaturated, _far, canonical_multipliers,
@@ -170,10 +171,8 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 # preservation of germ data and algebras
 
-def _germ_data(bundle):
-    from fellsem.action import germ_groupoid
-    act = extract_action(bundle, canonical_multipliers(bundle))
-    return act, germ_groupoid(act)
+def _germ_groupoid(bundle):
+    return germ_groupoid(extract_action(bundle, canonical_multipliers(bundle)))
 
 
 def germ_preservation_check(m: BundleMorphism):
@@ -184,27 +183,10 @@ def germ_preservation_check(m: BundleMorphism):
     for bundle, name in ((B, "refined"), (A, "base")):
         if not classify_bundle(bundle)["saturated"]:
             raise NotSaturated(f"{name} bundle is not saturated")
-    actB, GB = _germ_data(B)
-    actA, GA = _germ_data(A)
-
-    mapping = {}
-    for g in range(GB.arrow_count):
-        images = {GA.germ(m.phi(t), x) for (t, x) in GB.germs[g]["members"]}
-        if len(images) != 1:
-            return False, ("not-well-defined", g), (GB, GA)
-        mapping[g] = images.pop()
-
-    if len(set(mapping.values())) != GB.arrow_count or GB.arrow_count != GA.arrow_count:
-        return False, ("arrow-count", GB.arrow_count, GA.arrow_count), (GB, GA)
-    for g in range(GB.arrow_count):
-        if GB.src(g) != GA.src(mapping[g]) or GB.rng(g) != GA.rng(mapping[g]):
-            return False, ("endpoints", g), (GB, GA)
-        for h in range(GB.arrow_count):
-            if GB.rng(h) != GB.src(g):
-                continue
-            if mapping[GB.compose(g, h)] != GA.compose(mapping[g], mapping[h]):
-                return False, ("composition", (g, h)), (GB, GA)
-    return True, mapping, (GB, GA)
+    GB, GA = _germ_groupoid(B), _germ_groupoid(A)
+    ok, mapping = germ_map_check(GB, lambda t, x: GA.germ(m.phi(t), x), GA.arrow_count,
+                                 GA.src, GA.rng, GA.compose)
+    return ok, mapping, (GB, GA)
 
 
 def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
@@ -227,12 +209,11 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
         return report
 
     # transport: the refined basis element g corresponds to d_g times the
-    # base basis element, d_g the base-side coordinate change at the germ
+    # base basis element, d_g the base-side coordinate at the germ
     d = {}
     for g in range(GB.arrow_count):
         tB0, x = GB.rep(g)
-        tA0, _ = GA.rep(mapping[g])
-        d[g] = as_complex(GA.transition(m.phi(tB0), tA0, x))
+        d[g] = as_complex(GA.coord(m.phi(tB0), x))
 
     rowsA = algA.products[(0, 0)]
     mismatches = []

@@ -9,11 +9,14 @@ import pytest
 from fellsem.algebra import (NotSemisimpleDetected, block_decompose, convolution_algebra,
                              germ_algebra, left_regular, star_vector)
 from fellsem.angles import Angle, as_complex, scalar_conj
-from fellsem.action import GermGroupoid, germ_groupoid
-from fellsem.generators import cocycle_action, corpus, full_monoid_action
-from fellsem.groupoid import (TwoCocycle, coboundary_cocycles, cyclic_group,
-                              enumerate_cocycles, pair_groupoid, transitive_z2_groupoid,
-                              z2_nontrivial_cocycle)
+from fellsem.action import gauge_transform, germ_groupoid, siebenize
+from fellsem.bundle import SectionBundle, canonical_multipliers, extract_action
+from fellsem.generators import cocycle_action, corpus, full_monoid_action, random_gauge
+from fellsem.groupoid import (TwoCocycle, bisection_semigroup, coboundary_cocycles,
+                              cyclic_group, enumerate_cocycles, pair_groupoid,
+                              transitive_z2_groupoid, z2_nontrivial_cocycle)
+from fellsem.partial_maps import CFunction
+from fellsem.refine import saturated_refinement
 
 
 def test_z2_group_algebra_blocks():
@@ -209,29 +212,127 @@ def reference_convolution(G, tau):
                                 [as_complex(scalar_conj(tau(G.inv[c], c))) for c in G.arrows()])
 
 
-def reference_germ(A, G):
-    S, n = A.S, G.arrow_count
-    mul = {}
+class ReferenceGermGroupoid:
+    """The former germ groupoid: (t, x) ~ (t2, x) when t e = t2 e for some
+    idempotent e with x in U(e), found by a scan over every pair, later
+    element and idempotent; coordinates change by the transition scalar
+    omega(t, e)(y) conj(omega(t2, e)(y)) at y = theta_t(x) for the first
+    such e."""
+
+    def __init__(self, A):
+        self.A = A
+        S = A.S
+        pairs = [(t, x) for t in S.elements() for x in A.U[S.mul(S.inv[t], t)]]
+        parent = {p: p for p in pairs}
+
+        def find(p):
+            while parent[p] != p:
+                parent[p] = parent[parent[p]]
+                p = parent[p]
+            return p
+
+        for (t, x) in pairs:
+            for t2 in S.elements():
+                if t2 > t and x in A.U[S.mul(S.inv[t2], t2)] and self.admissible(t, t2, x):
+                    rp, rq = find((t, x)), find((t2, x))
+                    if rp != rq:
+                        parent[rp] = rq
+        classes = {}
+        for p in pairs:
+            classes.setdefault(find(p), []).append(p)
+        self.germs, self.of_pair = [], {}
+        for members in classes.values():
+            rep = min(members, key=lambda p: (not S.is_idempotent(p[0]), p[0]))
+            self.germs.append({"rep": rep, "src": rep[1], "rng": A.theta[rep[0]](rep[1]),
+                               "members": sorted(members)})
+            for p in members:
+                self.of_pair[p] = len(self.germs) - 1
+
+    def admissible(self, t, t2, x):
+        S = self.A.S
+        return [e for e in S.idem if x in self.A.U[e] and S.mul(t, e) == S.mul(t2, e)]
+
+    def germ(self, t, x):
+        return self.of_pair[(t, x)]
+
+    def rep(self, g):
+        return self.germs[g]["rep"]
+
+    def src(self, g):
+        return self.germs[g]["src"]
+
+    def rng(self, g):
+        return self.germs[g]["rng"]
+
+    def transition(self, t, t2, x):
+        if t == t2:
+            return Angle(0)
+        e = self.admissible(t, t2, x)[0]
+        y = self.A.theta[t](x)
+        return self.A.omega_at(t, e, y) * self.A.omega_at(t2, e, y).conj()
+
+    def coord(self, t, x):
+        return self.transition(t, self.rep(self.germ(t, x))[0], x)
+
+
+def reference_germ_tables(A, R):
+    """The germ algebra's rows and stars from a ReferenceGermGroupoid."""
+    S, n = A.S, len(R.germs)
+    rows, stars = {}, {}
     for g in range(n):
-        sg, _ = G.rep(g)
+        sg, x = R.rep(g)
         for h in range(n):
-            th, xh = G.rep(h)
-            mul[(g, h)] = []
-            if G.rng(h) == G.src(g):
+            th, xh = R.rep(h)
+            if R.rng(h) == R.src(g):
                 st = S.mul(sg, th)
-                k = G.germ(st, xh)
-                coeff = A.omega_at(sg, th, A.theta[st](xh)) * G.transition(st, G.rep(k)[0], xh)
-                mul[(g, h)] = [(k, as_complex(coeff))]
-    star_index, star_coeff = [], []
-    for g in range(n):
-        s0, x = G.rep(g)
-        y = A.theta[s0](x)
-        gs = G.germ(S.inv[s0], y)
-        coeff = (scalar_conj(A.omega_at(S.inv[s0], s0, x))
-                 * G.transition(S.inv[s0], G.rep(gs)[0], y))
-        star_index.append(gs)
-        star_coeff.append(as_complex(coeff))
-    return ReferenceStarAlgebra(n, mul, star_index, star_coeff)
+                rows[(g, h)] = (R.germ(st, xh),
+                                A.omega_at(sg, th, A.theta[st](xh)) * R.coord(st, xh))
+        y = A.theta[sg](x)
+        sgs = S.inv[sg]
+        stars[g] = (R.germ(sgs, y), scalar_conj(A.omega_at(sgs, sg, x)) * R.coord(sgs, y))
+    return rows, stars
+
+
+def reference_germ(A, R):
+    rows, stars = reference_germ_tables(A, R)
+    n = len(R.germs)
+    mul = {(g, h): [] for g in range(n) for h in range(n)}
+    mul.update({key: [(k, as_complex(c))] for key, (k, c) in rows.items()})
+    return ReferenceStarAlgebra(n, mul, [stars[g][0] for g in range(n)],
+                                [as_complex(stars[g][1]) for g in range(n)])
+
+
+def germ_parity_actions():
+    """corpus(Random(0), 40), a gauged I_3 and the actions extracted from
+    the saturated refinements of the acceptance suite's test_08."""
+    from test_acceptance import _non_saturated_examples
+    I3 = full_monoid_action(3)
+    actions = corpus(random.Random(0), 40) + [gauge_transform(I3, random_gauge(I3, random.Random(3)))]
+    G = pair_groupoid([0, 1])
+    S, biss, _ = bisection_semigroup(G)
+    for B in [B for B, _, _ in _non_saturated_examples()] + [SectionBundle(
+            G, TwoCocycle.trivial(G), S, biss)]:
+        R, _ = saturated_refinement(B)
+        actions.append(extract_action(R, canonical_multipliers(R)))
+    return actions
+
+
+def test_germ_quotient_matches_the_reference_germs():
+    for A in germ_parity_actions():
+        G, R = germ_groupoid(A), ReferenceGermGroupoid(A)
+        assert G.germs == R.germs
+        assert G.of_pair == R.of_pair
+        for (t, x) in G.of_pair:
+            assert G.coord(t, x) == R.coord(t, x), (t, x)
+        alg = germ_algebra(A, G)
+        assert (alg.products[(0, 0)], alg.stars[0]) == reference_germ_tables(A, R)
+        chi, fixed = siebenize(A)
+        S = A.S
+        for s in S.elements():
+            ref = CFunction(A.carrier(s), {A.theta[s](x): R.coord(s, x).conj()
+                                          for x in A.U[S.mul(S.inv[s], s)]})
+            assert chi[s].equals(ref)
+        assert fixed.equals(gauge_transform(A, chi))
 
 
 def parity_cases():
@@ -247,8 +348,7 @@ def parity_cases():
     cases = [lambda G=G, tau=tau: (convolution_algebra(G, tau), reference_convolution(G, tau))
              for G, tau in taus]
     for A in corpus(random.Random(0), 40):
-        G = GermGroupoid(A)
-        cases.append(lambda A=A, G=G: (germ_algebra(A, G), reference_germ(A, G)))
+        cases.append(lambda A=A: (germ_algebra(A), reference_germ(A, ReferenceGermGroupoid(A))))
     return cases
 
 

@@ -178,3 +178,15 @@ def test_inclusion_entry_outside_its_fiber_is_reported(five, rng):
     ok, bad = verify_fell_bundle(B, rng=rng)
     assert not ok
     assert bad == [("inclusion-fiber", (S.label(s), S.label(t)))]
+
+
+def test_star_target_outside_its_fiber_is_reported(five, rng):
+    B = build_bundle(five)
+    S = B.S
+    s = next(s for s in S.elements() if B.stars[s])
+    x = next(iter(B.stars[s]))
+    _, c = B.stars[s][x]
+    B.stars[s][x] = ("nowhere", c)
+    ok, bad = verify_fell_bundle(B, rng=rng)
+    assert not ok
+    assert bad == [("star-fiber", S.label(s))]

@@ -224,6 +224,17 @@ def test_tolerance_from_the_environment_is_checked(files, capsys, monkeypatch):
     assert code == 2 and report["status"] == "input-error", report
 
 
+def test_unparsable_tolerance_in_the_environment_is_an_input_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("FELLSEM_TOLERANCE", "abc")
+    code, report = run(capsys, "algebra", "build", files["z3notcocycle.json"])
+    assert code == 2 and report["status"] == "input-error", report
+    assert "FELLSEM_TOLERANCE" in report["error"]
+    # an explicit flag takes precedence, so the variable is not read
+    code, report = run(capsys, "--tolerance=1e-9", "algebra", "build",
+                       files["z3notcocycle.json"])
+    assert code == 1 and report["status"] == "fail", report
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_trials_below_one_are_an_input_error(files, capsys, trials):
     for op in ["regular", "local"]:

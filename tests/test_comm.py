@@ -83,7 +83,7 @@ def test_cfunction_pullback_moves_carrier():
     back = f.pullback(theta)
     assert back.carrier == frozenset({0, 1})
     assert back(0) == 1 and back(1) == 0
-    assert f.equals(back.pushforward(theta))
+    assert f.equals(back.pullback(theta.invert()))
 
 
 angles = st.builds(lambda p, q: Angle(Fraction(p, q)),

@@ -6,7 +6,8 @@ from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
                               cyclic_group, enumerate_cocycles, germ_recovers_groupoid,
                               pair_groupoid, transitive_z2_groupoid, verify_cocycle,
                               verify_groupoid, z2_nontrivial_cocycle)
-from fellsem.action import verify_consequences, verify_twisted_action
+from fellsem.action import (germ_groupoid, germ_map_check, verify_consequences,
+                            verify_twisted_action)
 
 
 def test_standard_groupoid_shapes():
@@ -94,20 +95,17 @@ def test_germ_recovery_on_groups_and_pairs():
         assert len(set(mapping.values())) == G.m
 
 
-def test_twist_ops_realize_the_extension():
-    from fellsem.angles import Angle
-    from fellsem.groupoid import twist_ops
-    G, tau = z2_nontrivial_cocycle()
-    mul, inv = twist_ops(G, tau)
-    e, g = 0, 1
-    one = Angle(0)
-    # (1, g)^2 = (tau(g,g), e) = (-1, e)
-    lam, a = mul((one, g), (one, g))
-    assert a == e and lam == Angle("1/2")
-    # inverse composes to a unit with scalar one
-    lam_inv, ai = inv((one, g))
-    lam2, a2 = mul((lam_inv, ai), (one, g))
-    assert a2 == e and lam2 == one
+def test_germ_map_check_rejects_a_map_joining_two_germs():
+    G = pair_groupoid([0, 1])
+    S, biss, wide = bisection_semigroup(G)
+    GG = germ_groupoid(action_from_cocycle(G, TwoCocycle.trivial(G), S, biss, wide))
+    ok, mapping = germ_recovers_groupoid(G, TwoCocycle.trivial(G), S, biss, wide)
+    assert ok
+    # send the germs 0 and 1 to the arrow of germ 0
+    arrow = {**mapping, 1: mapping[0]}
+    ok, detail = germ_map_check(GG, lambda t, x: arrow[GG.germ(t, x)], G.m,
+                                lambda a: G.src[a], lambda a: G.rng[a], G.mul)
+    assert ok is False and detail == ("arrow-count", GG.arrow_count, G.m)
 
 
 def test_groupoid_json_round_trip():

@@ -5,6 +5,15 @@ partial bijections theta_s moving points (the isomorphisms between ideals,
 acting on functions by pullback along the inverse), and unit-modulus
 cocycle functions omega(s, t) carried by U(st).
 
+Every omega value is an angle k/N, with N the lcm of the denominators, so
+the axioms, their consequences, the Sieben condition and gauges are
+identities between integer exponents mod N.  An action is compiled once,
+on its first check, into integer arrays (a Kernel): the Cayley table, the
+carriers as a mask, theta as an index array and the omega exponents.  The
+checks are gathers and comparisons on these arrays, with zero tolerance.
+Exponents are int64 while every sum of four of them fits, and Python
+integers beyond that, in the same code.
+
 The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
 inclusion order: [s, x] = [t, x] for s <= t.  Its coordinates come from the
 inclusion scalars of the action's bundle, conj(omega(t, s*s)), which turn
@@ -14,10 +23,21 @@ s-coordinates into t-coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+
+import numpy as np
 
 from fellsem.angles import ONE, Angle, as_angle, scalar_conj
-from fellsem.isg import InverseSemigroup
+from fellsem.isg import InverseSemigroup, first_true
 from fellsem.partial_maps import CFunction, PartialBijection
+
+# array entries a chunked family gathers at once
+CHUNK = 1 << 18
+# int64 holds every sum of four exponents mod N while N <= 2**61
+INT64_MODULUS = 2 ** 61
+# exponent codes: outside the carrier of omega(s, t), or no Angle there
+OUTSIDE, NOT_ANGLE = -1, -2
 
 
 class ActionError(ValueError):
@@ -28,22 +48,170 @@ class GaugeNotUnitAtIdempotent(ActionError):
     pass
 
 
+class Frame:
+    """The semigroup, points, carriers and theta of an action as arrays;
+    an action and its gauge transforms share one.
+
+    Points are indexed X first, then any other point the data names.
+    U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
+    th and thi index arrays of theta_s and its inverse, -1 where undefined.
+    """
+
+    def __init__(self, A, more_points=()):
+        S = A.S
+        n = self.n = S.n
+        self.T = S.cayley
+        self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
+        self.idem = np.array(S.idem, dtype=np.intp).reshape(-1)
+        points = list(dict.fromkeys(A.X))
+        named = set(more_points).union(*A.U.values(), *(A.theta[s].domain | A.theta[s].range
+                                                         for s in S.elements()))
+        points += sorted(named.difference(points), key=repr)
+        self.points = points
+        self.index = index = {x: i for i, x in enumerate(points)}
+        m = self.m = len(points)
+        self.in_X = np.zeros(m, dtype=bool)
+        self.in_X[[index[x] for x in set(A.X)]] = True
+        self.U = np.zeros((n, m), dtype=bool)
+        self.th = np.full((n, m), -1, dtype=np.intp)
+        for s in S.elements():
+            self.U[s, [index[x] for x in A.U[s]]] = True
+            pairs = A.theta[s].map
+            self.th[s, [index[x] for x in pairs]] = [index[y] for y in pairs.values()]
+        self.fib = self.U[self.T[np.arange(n), self.inv]]
+
+    @cached_property
+    def thi(self) -> np.ndarray:
+        thi = np.full((self.n, self.m + 1), -1, dtype=np.intp)
+        rows = np.arange(self.n)[:, None]
+        thi[rows, self.th] = np.arange(self.m)  # undefined points land in the last column
+        return thi[:, :self.m]
+
+    @cached_property
+    def fib_of_product(self) -> np.ndarray:
+        """[s, t, x]: x in the fiber carrier over st."""
+        return self.fib[self.T]
+
+    @cached_property
+    def leq(self) -> np.ndarray:
+        """[a, b]: a <= b in the natural order, a = b a* a."""
+        ar = np.arange(self.n)
+        return self.T[self.T[ar[None, :], self.inv[:, None]], ar[:, None]] == ar[:, None]
+
+
+class Kernel:
+    """The omega of an action as exponents mod N: W[s, t, x] = k for the
+    value exp(2 pi i k/N) at point x, OUTSIDE where x is not in the carrier
+    of omega(s, t), NOT_ANGLE where the value there is not an Angle."""
+
+    def __init__(self, frame: Frame, N: int, W: np.ndarray):
+        self.frame, self.N, self.W = frame, N, W
+        self._angles = {}
+
+    @classmethod
+    def compile(cls, A) -> "Kernel":
+        n = A.S.n
+        keys, points, fracs = [], [], []
+        for s in range(n):
+            for t in range(n):
+                w = A.omega[(s, t)]
+                get = w.values.get
+                for x in w.carrier:
+                    v = get(x)
+                    keys.append(s * n + t)
+                    points.append(x)
+                    fracs.append(v.frac if isinstance(v, Angle) else None)
+        frame = Frame(A, points)
+        N = lcm(1, *{f.denominator for f in fracs if f is not None})
+        W = np.full(n * n * frame.m, OUTSIDE, dtype=_exponent_dtype(N))
+        index = frame.index
+        W[np.array(keys, dtype=np.intp) * frame.m + [index[x] for x in points]] = \
+            [NOT_ANGLE if f is None else f.numerator * (N // f.denominator) for f in fracs]
+        return cls(frame, N, W.reshape(n, n, frame.m))
+
+    def angle(self, k) -> Angle:
+        """The one Angle of exponent k."""
+        a = self._angles.get(k)
+        if a is None:
+            a = self._angles[k] = Angle(Fraction(int(k), self.N))
+        return a
+
+    @cached_property
+    def rows(self) -> list:
+        """W as nested lists, for reading single values."""
+        return self.W.tolist()
+
+    def omega(self) -> dict:
+        """omega as a dict of CFunctions, one Angle object per residue."""
+        points, out = self.frame.points, {}
+        for s, row in enumerate(self.rows):
+            for t, ks in enumerate(row):
+                vals = {points[i]: self.angle(k) for i, k in enumerate(ks) if k >= 0}
+                out[(s, t)] = CFunction(vals, vals)
+        return out
+
+
+def _exponent_dtype(N: int):
+    return np.int64 if N <= INT64_MODULUS else object
+
+
+def _rescale(E: np.ndarray, N: int, M: int) -> np.ndarray:
+    """Exponents mod N as exponents mod M, a multiple of N; codes stay."""
+    E = E.astype(_exponent_dtype(M), copy=False)
+    return np.where(E >= 0, E * (M // N), E) if M != N else E
+
+
 class TwistedAction:
-    """(S, X, U, theta, omega) with omega values stored as exact Angles."""
+    """(S, X, U, theta, omega) with omega values stored as exact Angles.
+
+    omega is a dict of CFunctions.  An action made by a gauge holds only
+    its exponent arrays and builds the dict when the dict is first read.
+    Once checked, an action's data must not be changed in place.
+    """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, omega):
         self.S = S
         self.X = list(X)
         self.U = {s: frozenset(U[s]) for s in S.elements()}
         self.theta = dict(theta)
-        self.omega = dict(omega)
+        self._omega = dict(omega)
+        self._kernel = None
+
+    @classmethod
+    def _with_kernel(cls, A: "TwistedAction", kernel: Kernel) -> "TwistedAction":
+        """A's semigroup, points, carriers and theta with kernel's omega."""
+        B = cls.__new__(cls)
+        B.S, B.X, B.U, B.theta = A.S, A.X, A.U, A.theta
+        B._omega, B._kernel = None, kernel
+        return B
+
+    @property
+    def omega(self) -> dict:
+        if self._omega is None:
+            self._omega = self._kernel.omega()
+        return self._omega
+
+    @property
+    def kernel(self) -> Kernel:
+        if self._kernel is None:
+            self._kernel = Kernel.compile(self)
+        return self._kernel
+
+    def _undefined(self, s, t, y) -> ActionError:
+        return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) undefined at {y}")
 
     def omega_at(self, s: int, t: int, y) -> Angle:
-        v = self.omega[(s, t)](y)
-        if v == 0:
-            raise ActionError(
-                f"omega({self.S.label(s)},{self.S.label(t)}) undefined at {y}")
-        return v
+        if self._omega is not None:  # a single value costs no compile
+            v = self._omega[(s, t)](y)
+            if v == 0:
+                raise self._undefined(s, t, y)
+            return v
+        K = self._kernel  # only gauges make kernels without a dict: all Angles
+        i = K.frame.index.get(y)
+        k = OUTSIDE if i is None else K.rows[s][t][i]
+        if k < 0:
+            raise self._undefined(s, t, y)
+        return K.angle(k)
 
     def carrier(self, s: int) -> frozenset:
         """Carrier of the fiber over s: U(ss*)."""
@@ -52,36 +220,44 @@ class TwistedAction:
     def inclusion_scalars(self, s: int, t: int) -> dict:
         """The inclusion j(t, s), s <= t, on point masses of the fiber over
         s: delta_y goes to conj(omega(t, s*s)(y)) delta_y."""
-        w = self.omega[(t, self.S.mul(self.S.inv[s], s))]
-        return {y: scalar_conj(w(y)) for y in self.carrier(s)}
+        e = self.S.mul(self.S.inv[s], s)
+        if self._omega is not None:
+            w = self._omega[(t, e)]
+            return {y: scalar_conj(w(y)) for y in self.carrier(s)}
+        K = self._kernel
+        row, index = K.rows[t][e], K.frame.index
+        return {y: K.angle(-k % K.N) if (k := row[index[y]]) >= 0 else 0j
+                for y in self.carrier(s)}
 
     def structural_violations(self):
-        S = self.S
+        S, K = self.S, self.kernel
+        F, W = K.frame, K.W
         out = []
-        covered = set()
-        for e in S.idem:
-            covered |= self.U[e]
-        if covered != set(self.X):
-            out.append(("carrier-cover", sorted(set(self.X) - covered)))
-        for s in S.elements():
-            ss = S.mul(s, S.inv[s])
-            if self.U[s] != self.U[ss]:
+        covered = F.U[F.idem].any(axis=0)
+        if (covered != F.in_X).any():
+            out.append(("carrier-cover", sorted(set(self.X).difference(
+                F.points[i] for i in np.flatnonzero(covered)))))
+        mismatch = (F.U != F.fib).any(axis=1)
+        dom = F.th >= 0
+        rng = np.zeros((F.n, F.m + 1), dtype=bool)
+        rng[np.arange(F.n)[:, None], F.th] = True
+        endpoints = ((dom != F.U[F.T[F.inv, np.arange(F.n)]]) | (rng[:, :F.m] != F.fib)).any(axis=1)
+        for s in np.flatnonzero(mismatch | endpoints):
+            if mismatch[s]:
                 out.append(("carrier-mismatch", S.label(s)))
-            th = self.theta[s]
-            if th.domain != self.U[S.mul(S.inv[s], s)] or th.range != self.U[ss]:
+            if endpoints[s]:
                 out.append(("theta-endpoints", S.label(s)))
-        for e in S.idem:
-            if self.theta[e] != PartialBijection.identity(self.U[e]):
-                out.append(("theta-not-identity", S.label(e)))
-        for s in S.elements():
-            for t in S.elements():
-                w = self.omega[(s, t)]
-                st = S.mul(s, t)
-                if w.carrier != self.carrier(st):
-                    out.append(("omega-carrier", (S.label(s), S.label(t))))
-                for x in w.carrier:
-                    if not isinstance(w(x), Angle):
-                        out.append(("omega-not-unit", (S.label(s), S.label(t), x)))
+        identity = np.where(F.U[F.idem], np.arange(F.m), -1)
+        for i in np.flatnonzero((F.th[F.idem] != identity).any(axis=1)):
+            out.append(("theta-not-identity", S.label(F.idem[i])))
+        carrier = (W != OUTSIDE) != F.fib_of_product
+        not_unit = W == NOT_ANGLE
+        wrong = carrier.any(axis=2)
+        for s, t in zip(*np.nonzero(wrong | not_unit.any(axis=2))):
+            if wrong[s, t]:
+                out.append(("omega-carrier", (S.label(s), S.label(t))))
+            out += [("omega-not-unit", (S.label(s), S.label(t), F.points[x]))
+                    for x in np.flatnonzero(not_unit[s, t])]
         return out
 
     def equals(self, other: "TwistedAction") -> bool:
@@ -91,10 +267,16 @@ class TwistedAction:
         for s in self.S.elements():
             if self.U[s] != other.U[s] or self.theta[s] != other.theta[s]:
                 return False
-        for key, w in self.omega.items():
-            if not w.equals(other.omega[key]):
+        K, L = self.kernel, other.kernel
+        if K.frame.points != L.frame.points or ((K.W == OUTSIDE) != (L.W == OUTSIDE)).any():
+            return False
+        odd = ((K.W == NOT_ANGLE) | (L.W == NOT_ANGLE)).any(axis=2)
+        for s, t in zip(*np.nonzero(odd)):
+            if not self.omega[(s, t)].equals(other.omega[(s, t)]):
                 return False
-        return True
+        M = lcm(K.N, L.N)
+        a, b = _rescale(K.W, K.N, M), _rescale(L.W, L.N, M)
+        return not ((a >= 0) & (b >= 0) & (a != b)).any()
 
     def to_json(self):
         S = self.S
@@ -162,64 +344,98 @@ def untwisted_omega(S: InverseSemigroup, U) -> dict:
 # ---------------------------------------------------------------------------
 # axiom verification
 
+def _missing(need, vals, *where):
+    """At the first needed position where vals is negative, the indices
+    read from the broadcastable arrays `where`; None if there is none."""
+    lost = need & (vals < 0)
+    if lost.any():
+        i = first_true(lost)
+        return tuple(int(np.broadcast_to(a, lost.shape)[i]) for a in where)
+    return None
+
+
+def _require(A: TwistedAction, need, *factors):
+    """Raise as omega_at would at the first needed point where a factor,
+    (values, s, t, x) of broadcastable arrays, holds no angle."""
+    for vals, *where in factors:
+        if at := _missing(need, vals, *where):
+            s, t, x = at
+            raise A._undefined(s, t, A.kernel.frame.points[x])
+
+
+def _require_theta(F: Frame, need, image, x):
+    """Raise KeyError, as a partial bijection does, at the first needed
+    point x whose image index is undefined."""
+    if at := _missing(need, image, x):
+        raise KeyError(F.points[at[0]])
+
+
 def verify_twisted_action(A: TwistedAction):
-    """Check the four defining axioms pointwise and exactly.
+    """Check the four defining axioms pointwise and exactly, as identities
+    between exponents mod N.
 
     Returns (ok, violations).  Axiom tags: "structure", "composition",
     "cocycle", "unit", "idempotent-splitting".
     """
-    S = A.S
     violations = [("structure", v) for v in A.structural_violations()]
     if violations:
         return False, violations
+    S, K = A.S, A.kernel
+    F, W, N = K.frame, K.W, K.N
+    T, n, ar = F.T, F.n, np.arange(F.n)
+    label, points = S.label, F.points
 
-    # (i) theta_r . theta_s = theta_rs, with equal (maximal) domains
-    for r in S.elements():
-        for s in S.elements():
-            if A.theta[r].compose(A.theta[s]) != A.theta[S.mul(r, s)]:
-                violations.append(("composition", (S.label(r), S.label(s))))
+    # (i) theta_r . theta_s = theta_rs, with equal (maximal) domains; an
+    # undefined index -1 reads the padding column, which is undefined too
+    th = np.concatenate([F.th, np.full((n, 1), -1, dtype=np.intp)], axis=1)
+    composed = th[ar[:, None, None], th[None, :, :]]
+    for r, s in zip(*np.nonzero((composed != th[T]).any(axis=2))):
+        violations.append(("composition", (label(r), label(s))))
+    composes = not violations
 
     # (ii) omega(s,t)(x) omega(r,st)(y) = omega(r,s)(y) omega(rs,t)(y)
     # where x runs over U(r*r) & U(st) and y = theta_r(x): the first factor
     # is evaluated before the r-action moves the point, the rest after.
-    for r in S.elements():
-        dom_r = A.U[S.mul(S.inv[r], r)]
-        for s in S.elements():
-            for t in S.elements():
-                st = S.mul(s, t)
-                for x in dom_r & A.carrier(st):
-                    y = A.theta[r](x)
-                    lhs = A.omega_at(s, t, x) * A.omega_at(r, st, y)
-                    rhs = A.omega_at(r, s, y) * A.omega_at(S.mul(r, s), t, y)
-                    if lhs != rhs:
-                        violations.append(
-                            ("cocycle", (S.label(r), S.label(s), S.label(t), x)))
+    # Chunked over the pairs (r, x), x in U(r*r), each with its (s, t) plane.
+    # With the structure checked, omega(s, t) is carried by U(st); when the
+    # maps compose, every other factor is defined where it is needed.
+    R, X = np.nonzero(F.U[T[F.inv, ar]])
+    Y = F.th[R, X]
+    s, t, st = ar[None, :, None], ar[None, None, :], T[None]
+    step = max(1, CHUNK // (n * n))
+    found = [np.empty((4, 0), dtype=np.intp)]
+    for c in range(0, len(R), step):
+        r, x, y = (a[c:c + step, None, None] for a in (R, X, Y))
+        first, rs = W[s, t, x], T[r, s]
+        need = first >= 0
+        after, left, right = W[r, st, y], W[r, s, y], W[rs, t, y]
+        if not composes:
+            _require(A, need, (after, r, st, y), (left, r, s, y), (right, rs, t, y))
+        bad = need & ((first + after - left - right) % N != 0)
+        if bad.any():
+            p, i, j = np.nonzero(bad)
+            found.append(np.stack([R[c + p], i, j, X[c + p]]))
+    found = np.concatenate(found, axis=1)
+    for r, s, t, x in found[:, np.lexsort(found[::-1])].T:
+        violations.append(("cocycle", (label(r), label(s), label(t), points[x])))
 
     # (iii) omega(e,f) = 1 and omega(r, r*r) = omega(rr*, r) = 1
-    for e in S.idem:
-        for f in S.idem:
-            w = A.omega[(e, f)]
-            for x in w.carrier:
-                if not as_angle(w(x)).is_one:
-                    violations.append(("unit", (S.label(e), S.label(f), x)))
-    for r in S.elements():
-        for s, t in ((r, S.mul(S.inv[r], r)), (S.mul(r, S.inv[r]), r)):
-            w = A.omega[(s, t)]
-            for x in w.carrier:
-                if not as_angle(w(x)).is_one:
-                    violations.append(("unit", (S.label(s), S.label(t), x)))
+    E = F.idem
+    for e, f, x in zip(*np.nonzero(W[E[:, None], E[None, :]] > 0)):
+        violations.append(("unit", (label(E[e]), label(E[f]), points[x])))
+    first = np.stack([ar, T[ar, F.inv]], axis=1).ravel()
+    second = np.stack([T[F.inv, ar], ar], axis=1).ravel()
+    for i, x in zip(*np.nonzero(W[first, second] > 0)):
+        violations.append(("unit", (label(first[i]), label(second[i]), points[x])))
 
-    # (iv) omega(s*,e)(x) omega(s*e s... ) splitting identity
-    for s in S.elements():
-        ss = S.inv[s]
-        for e in S.idem:
-            se = S.mul(ss, e)
-            ses = S.mul(se, s)
-            for x in A.carrier(ses):
-                lhs = A.omega_at(ss, e, x) * A.omega_at(se, s, x)
-                if lhs != A.omega_at(ss, s, x):
-                    violations.append(
-                        ("idempotent-splitting", (S.label(s), S.label(e), x)))
+    # (iv) omega(s*,e)(x) omega(s*e,s)(x) = omega(s*,s)(x) on U(s*es)
+    s, ss, e, x = ar[:, None, None], F.inv[:, None, None], E[None, :, None], np.arange(F.m)
+    se = T[ss, e]
+    need = F.fib[T[se, s], x]
+    a, b, c = W[ss, e, x], W[se, s, x], W[ss, s, x]
+    _require(A, need, (a, ss, e, x), (b, se, s, x), (c, ss, s, x))
+    for s, e, x in zip(*np.nonzero(need & ((a + b - c) % N != 0))):
+        violations.append(("idempotent-splitting", (label(s), label(E[e]), points[x])))
 
     return not violations, violations
 
@@ -230,85 +446,77 @@ def verify_consequences(A: TwistedAction):
     A violation here, on data passing verify_twisted_action, indicates an
     implementation bug rather than bad input.  Returns (ok, violations).
     """
-    S = A.S
+    S, K = A.S, A.kernel
+    F, W, N = K.frame, K.W, K.N
+    T, ar, y_all = F.T, np.arange(F.n), np.arange(F.m)
+    label, points = S.label, F.points
     out = []
 
     # theta_{s*} is the inverse partial bijection
-    for s in S.elements():
-        if A.theta[S.inv[s]] != A.theta[s].invert():
-            out.append(("inverse-map", S.label(s)))
+    for s in np.flatnonzero((F.th[F.inv] != F.thi).any(axis=1)):
+        out.append(("inverse-map", label(s)))
 
     # image identity: theta_r(U(r*r) & U(s)) = U(rs)
-    for r in S.elements():
-        dom = A.U[S.mul(S.inv[r], r)]
-        for s in S.elements():
-            image = frozenset(A.theta[r](x) for x in dom & A.U[s])
-            if image != A.carrier(S.mul(r, s)):
-                out.append(("image", (S.label(r), S.label(s))))
+    dom = F.U[T[F.inv, ar]]
+    moved = dom[:, None, :] & F.U[None, :, :]
+    _require_theta(F, moved, F.th[:, None, :], y_all)
+    back = F.thi[:, None, :]
+    image = (back >= 0) & moved[ar[:, None, None], ar[None, :, None], np.maximum(back, 0)]
+    for r, s in zip(*np.nonzero((image != F.fib_of_product).any(axis=2))):
+        out.append(("image", (label(r), label(s))))
 
     # carrier monotonicity and intersection
-    for r in S.elements():
-        for s in S.elements():
-            if S.leq(r, s) and not A.U[r] <= A.U[s]:
-                out.append(("monotone", (S.label(r), S.label(s))))
-            meet = S.mul(S.mul(r, S.inv[r]), S.mul(s, S.inv[s]))
-            if A.U[r] & A.U[s] != A.U[meet]:
-                out.append(("intersection", (S.label(r), S.label(s))))
+    monotone = F.leq & (F.U[:, None, :] & ~F.U[None, :, :]).any(axis=2)
+    P = T[ar, F.inv]
+    meet = (F.U[:, None, :] & F.U[None, :, :]) != F.U[T[P[:, None], P[None, :]]]
+    intersection = meet.any(axis=2)
+    for r, s in zip(*np.nonzero(monotone | intersection)):
+        if monotone[r, s]:
+            out.append(("monotone", (label(r), label(s))))
+        if intersection[r, s]:
+            out.append(("intersection", (label(r), label(s))))
 
     # restriction: theta_t agrees with theta_s on U(s*s) when s <= t
-    for s in S.elements():
-        for t in S.elements():
-            if S.leq(s, t):
-                dom = A.U[S.mul(S.inv[s], s)]
-                if A.theta[t].restrict(dom) != A.theta[s]:
-                    out.append(("restriction", (S.label(s), S.label(t))))
+    lo, hi = np.nonzero(F.leq)
+    kept = np.where(dom[lo], F.th[hi], -1)
+    for i in np.flatnonzero((kept != F.th[lo]).any(axis=1)):
+        out.append(("restriction", (label(lo[i]), label(hi[i]))))
 
     # omega(s*,s) pulled through theta_s equals omega(s,s*)
-    for s in S.elements():
-        ss = S.inv[s]
-        for y in A.carrier(S.mul(s, ss)):
-            x = A.theta[s].invert()(y)
-            if A.omega_at(ss, s, x) != A.omega_at(s, ss, y):
-                out.append(("flip", (S.label(s), y)))
+    s, ss, y = ar[:, None], F.inv[:, None], y_all[None, :]
+    need = F.fib[T[ar, F.inv]]
+    _require_theta(F, need, F.thi, y)
+    x = np.maximum(F.thi, 0)
+    a, b = W[ss, s, x], W[s, ss, y]
+    _require(A, need, (a, ss, s, x), (b, s, ss, y))
+    for s, y in zip(*np.nonzero(need & ((a - b) % N != 0))):
+        out.append(("flip", (label(s), points[y])))
 
     # omega(r,e) = 1 whenever e >= r*r
-    for r in S.elements():
-        rr = S.mul(S.inv[r], r)
-        for e in S.idem:
-            if S.leq(rr, e):
-                w = A.omega[(r, e)]
-                for x in w.carrier:
-                    if not as_angle(w(x)).is_one:
-                        out.append(("dominating-unit", (S.label(r), S.label(e), x)))
+    E = F.idem
+    r, e = np.nonzero(F.leq[T[F.inv, ar]][:, E])
+    vals = W[r, E[e]]
+    for i, x in zip(*np.nonzero((vals > 0) | (vals == NOT_ANGLE))):
+        out.append(("dominating-unit", (label(r[i]), label(E[e[i]]), points[x])))
 
     # omega(t*,s) = omega(t*,ss*) omega(s*,s) pointwise, for s <= t
-    for s in S.elements():
-        for t in S.elements():
-            if not S.leq(s, t):
-                continue
-            ts = S.inv[t]
-            e = S.mul(s, S.inv[s])
-            for x in A.carrier(S.mul(ts, s)):
-                lhs = A.omega_at(ts, s, x)
-                rhs = A.omega_at(ts, e, x) * A.omega_at(S.inv[s], s, x)
-                if lhs != rhs:
-                    out.append(("star-restriction", (S.label(s), S.label(t), x)))
+    s, t, y = lo[:, None], hi[:, None], y_all[None, :]
+    ts, e, si = F.inv[t], T[s, F.inv[s]], F.inv[s]
+    need = F.fib[T[ts, s], y]
+    a, b, c = W[ts, s, y], W[ts, e, y], W[si, s, y]
+    _require(A, need, (a, ts, s, y), (b, ts, e, y), (c, si, s, y))
+    for i, x in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
+        out.append(("star-restriction", (label(lo[i]), label(hi[i]), points[x])))
 
     # transition chain: omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
-    for r in S.elements():
-        for s in S.elements():
-            if not S.leq(r, s):
-                continue
-            for t in S.elements():
-                if not S.leq(s, t):
-                    continue
-                rr = S.mul(S.inv[r], r)
-                ssn = S.mul(S.inv[s], s)
-                for y in A.carrier(S.mul(t, rr)):
-                    lhs = A.omega_at(t, rr, y)
-                    rhs = A.omega_at(t, ssn, y) * A.omega_at(s, rr, y)
-                    if lhs != rhs:
-                        out.append(("chain", (S.label(r), S.label(s), S.label(t), y)))
+    i, t = np.nonzero(F.leq[hi])
+    r, s, t = lo[i][:, None], hi[i][:, None], t[:, None]
+    rr, sn = T[F.inv[r], r], T[F.inv[s], s]
+    need = F.fib[T[t, rr], y]
+    a, b, c = W[t, rr, y], W[t, sn, y], W[s, rr, y]
+    _require(A, need, (a, t, rr, y), (b, t, sn, y), (c, s, rr, y))
+    for i, y in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
+        out.append(("chain", (label(r[i, 0]), label(s[i, 0]), label(t[i, 0]), points[y])))
 
     return not out, out
 
@@ -317,37 +525,49 @@ def verify_consequences(A: TwistedAction):
 # Sieben condition and gauges
 
 def check_sieben(A: TwistedAction):
-    """True iff omega(s, e) and omega(e, s) are constant one for idempotent e."""
-    S = A.S
+    """True iff omega(s, e) and omega(e, s) are constant one for idempotent
+    e; a value that is not an Angle is not one."""
+    S, K = A.S, A.kernel
+    F, W, E = K.frame, K.W, K.frame.idem
+    sides = np.stack([W[:, E], W[E].transpose(1, 0, 2)], axis=2)  # [s, e, side, x]
     bad = []
-    for s in S.elements():
-        for e in S.idem:
-            for u, v in ((s, e), (e, s)):
-                w = A.omega[(u, v)]
-                for x in w.carrier:
-                    if not as_angle(w(x)).is_one:
-                        bad.append((S.label(u), S.label(v), x))
+    for s, e, side, x in zip(*np.nonzero((sides > 0) | (sides == NOT_ANGLE))):
+        u, v = (s, E[e]) if side == 0 else (E[e], s)
+        bad.append((S.label(u), S.label(v), F.points[x]))
     return not bad, bad
 
 
+def _gauge_exponents(A: TwistedAction, chi):
+    """chi as an n x m array of exponents mod its own N: zero (the value
+    one) for elements chi has no entry for, -1 where an entry has no value."""
+    F = A.kernel.frame
+    given, rows, cols, fracs = [], [], [], []
+    for s in A.S.elements():
+        f = chi.get(s)
+        if f is None:
+            continue
+        given.append(s)
+        for x, v in f.values.items():
+            if x in F.index and not v == 0:
+                rows.append(s)
+                cols.append(F.index[x])
+                fracs.append(as_angle(v).frac)
+    N = lcm(1, *{f.denominator for f in fracs})
+    C = np.zeros((F.n, F.m), dtype=_exponent_dtype(N))
+    C[given] = -1
+    C[rows, cols] = [f.numerator * (N // f.denominator) for f in fracs]
+    return C, N
+
+
 def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
-    """Rescale the implicit unitary family by chi.
+    """Rescale the implicit unitary family by chi:
+    omega'(s, t)(y) = chi_s(y) chi_t(theta_s^{-1} y) conj(chi_st(y)) omega(s, t)(y).
 
     chi maps elements to unit-modulus Angle-valued functions on the fiber
     carriers U(ss*); missing entries default to the constant one.  chi must
-    be constant one on idempotents.
+    be constant one on idempotents.  The result holds exponent arrays.
     """
     S = A.S
-
-    def chi_at(s, y):
-        f = chi.get(s)
-        if f is None:
-            return Angle(0)
-        v = f(y)
-        if v == 0:
-            raise ActionError(f"gauge for {S.label(s)} undefined at {y}")
-        return as_angle(v)
-
     for e in S.idem:
         f = chi.get(e)
         if f is not None:
@@ -355,16 +575,27 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
                 if not as_angle(f(x)).is_one:
                     raise GaugeNotUnitAtIdempotent(S.label(e))
 
-    omega = {}
-    for (s, t), w in A.omega.items():
-        st = S.mul(s, t)
-        inv_s = A.theta[s].invert()
-        vals = {}
-        for y in w.carrier:
-            vals[y] = (chi_at(s, y) * chi_at(t, inv_s(y))
-                       * chi_at(st, y).conj() * as_angle(w(y)))
-        omega[(s, t)] = CFunction(w.carrier, vals)
-    return TwistedAction(S, A.X, A.U, A.theta, omega)
+    K = A.kernel
+    F = K.frame
+    odd = K.W == NOT_ANGLE
+    if odd.any():
+        s, t, x = first_true(odd)
+        raise ActionError(f"omega({S.label(s)},{S.label(t)}) is not an angle at {F.points[x]}")
+    C, Nc = _gauge_exponents(A, chi)
+    N = lcm(K.N, Nc)
+    W, C = _rescale(K.W, K.N, N), _rescale(C, Nc, N)
+    inside = W >= 0
+    ar = np.arange(F.n)
+    s, t, y, st = ar[:, None, None], ar[None, :, None], np.arange(F.m), F.T[:, :, None]
+    back = F.thi[s, y]
+    _require_theta(F, inside, back, y)
+    back = np.maximum(back, 0)
+    cs, ct, cst = C[s, y], C[t, back], C[st, y]
+    for vals, u, x in ((cs, s, y), (ct, t, back), (cst, st, y)):
+        if at := _missing(inside, vals, u, x):
+            raise ActionError(f"gauge for {S.label(at[0])} undefined at {F.points[at[1]]}")
+    W = np.where(inside, (cs + ct - cst + W) % N, W)
+    return TwistedAction._with_kernel(A, Kernel(F, N, W))
 
 
 # ---------------------------------------------------------------------------

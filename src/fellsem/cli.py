@@ -125,9 +125,11 @@ def cmd_tro(op, data, ctx):
 def cmd_action(op, data, ctx):
     from fellsem import action as act
     A = _action_from(data)
-    if op == "verify":
+    if op in ("verify", "siebenize", "germs"):
+        # siebenize and the germ groupoid mean nothing for a non-action
         ok, bad = act.verify_twisted_action(A)
-        return ok, {"violations": [repr(v) for v in bad]}
+        if op == "verify" or not ok:
+            return ok, {"violations": [repr(v) for v in bad]}
     if op == "consequences":
         ok, bad = act.verify_consequences(A)
         return ok, {"violations": [repr(v) for v in bad]}

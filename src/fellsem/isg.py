@@ -1,8 +1,19 @@
-"""Finite inverse semigroups as verified Cayley tables."""
+"""Finite inverse semigroups as verified Cayley tables.
+
+The laws are checked on the table as an integer array: associativity
+compares T[T[a]] with T[a][T] one block of rows a at a time, and the
+inverses and the commuting of idempotents are array comparisons.  Each
+failure names its first witness in row-major order.
+"""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+import numpy as np
+
+# entries compared at once by the row-blocked associativity check
+ASSOC_BLOCK = 1 << 16
 
 
 class IsgError(ValueError):
@@ -44,6 +55,14 @@ class InverseSemigroup:
         self.inv = inv
         self.idem = idem
         self.labels = labels if labels is not None else [str(i) for i in range(self.n)]
+        self._cayley = None
+
+    @property
+    def cayley(self) -> np.ndarray:
+        """The table as an n x n integer array, built once."""
+        if self._cayley is None:
+            self._cayley = np.asarray(self.table, dtype=np.intp).reshape(self.n, self.n)
+        return self._cayley
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -83,38 +102,61 @@ def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     """Validate a Cayley table and return the inverse semigroup.
 
     Raises NonAssociative, NoInverse or IdempotentsDontCommute naming the
-    first violated law.
+    first violated law and its first witness in row-major order.
     """
     n = len(table)
     for a, row in enumerate(table):
         if len(row) != n:
             raise IsgError(f"row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if not (0 <= v < n):
-                raise IsgError(f"entry table[{a}][{b}] = {v} out of range")
+    if n == 0:
+        return InverseSemigroup(table, [], [], labels)
+    T = np.array(table).reshape(n, n)
+    if T.dtype.kind not in "biu":
+        for a, row in enumerate(table):
+            for b, v in enumerate(row):
+                if not (0 <= v < n):
+                    raise IsgError(f"entry table[{a}][{b}] = {v} out of range")
+                if not isinstance(v, (int, np.integer)):
+                    raise TypeError(f"entry table[{a}][{b}] = {v!r} is not an integer")
+    out = (T < 0) | (T >= n)
+    if out.any():
+        a, b = first_true(out)
+        raise IsgError(f"entry table[{a}][{b}] = {table[a][b]} out of range")
+    T = T.astype(np.intp)
 
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise NonAssociative(a, b, c)
+    rows = max(1, ASSOC_BLOCK // (n * n))
+    narrow = T.astype(np.int16) if n < 2 ** 15 else T  # values only; gathers move less
+    for a0 in range(0, n, rows):
+        # [a, b, c]: (ab)c against a(bc)
+        bad = narrow[T[a0:a0 + rows]] != narrow[a0:a0 + rows][:, T]
+        if bad.any():
+            a, b, c = first_true(bad)
+            raise NonAssociative(a0 + a, b, c)
 
-    inv = [-1] * n
-    for a in range(n):
-        for b in range(n):
-            if table[table[a][b]][a] == a and table[table[b][a]][b] == b:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise NoInverse(a)
+    # b is an inverse of a when aba = a and bab = b
+    ar = np.arange(n)
+    regular = T[T, ar[:, None]] == ar[:, None]
+    both = regular & regular.T
+    has = both.any(axis=1)
+    if not has.all():
+        raise NoInverse(int(np.argmin(has)))
+    inv = both.argmax(axis=1)
 
-    idem = [e for e in range(n) if table[e][e] == e]
-    for e, f in combinations(idem, 2):
-        if table[e][f] != table[f][e]:
-            raise IdempotentsDontCommute(e, f)
+    idem = np.flatnonzero(T[ar, ar] == ar)
+    sub = T[np.ix_(idem, idem)]
+    clash = np.triu(sub != sub.T, 1)
+    if clash.any():
+        i, j = first_true(clash)
+        raise IdempotentsDontCommute(int(idem[i]), int(idem[j]))
 
-    return InverseSemigroup(table, inv, idem, labels)
+    S = InverseSemigroup(table, inv.tolist(), idem.tolist(), labels)
+    S._cayley = T
+    return S
+
+
+def first_true(mask: np.ndarray) -> tuple:
+    """The row-major first index of a True entry of a mask with one."""
+    return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
 class IsgHomomorphism:

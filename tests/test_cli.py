@@ -1,12 +1,14 @@
 """Command line interface: exit codes, JSON reports, determinism."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+from fellsem.action import verify_twisted_action
 from fellsem.cli import main
-from fellsem.generators import busby_smith_z2, five_element_action
+from fellsem.generators import busby_smith_z2, five_element_action, mutate_omega, mutation_corpus
 from fellsem.groupoid import cyclic_group, pair_groupoid, z2_nontrivial_cocycle
 from fellsem.tro import column_tro
 
@@ -88,6 +90,19 @@ def test_action_commands(files, capsys):
         assert report["violations"] == []
     code, report = run(capsys, "action", "germs", files["five.json"])
     assert report["arrows"] == 4
+
+
+def test_germs_and_siebenize_fail_on_a_non_action(tmp_path, capsys):
+    # the first of test_03's mutants: one omega value moved at one point
+    rng = random.Random(2)
+    bases = mutation_corpus(rng)
+    M = mutate_omega(bases[0], rng)
+    assert not verify_twisted_action(M)[0]
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(M.to_json()))
+    for op in ["verify", "germs", "siebenize"]:
+        code, report = run(capsys, "action", op, str(path))
+        assert code == 1 and report["status"] == "fail" and report["violations"], (op, report)
 
 
 def test_bundle_commands(files, capsys):

@@ -143,8 +143,7 @@ def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     inv = both.argmax(axis=1)
 
     idem = np.flatnonzero(T[ar, ar] == ar)
-    sub = T[np.ix_(idem, idem)]
-    clash = np.triu(sub != sub.T, 1)
+    clash = (T != T.T)[idem[:, None], idem] & (idem[:, None] < idem)  # pairs e < f
     if clash.any():
         i, j = first_true(clash)
         raise IdempotentsDontCommute(int(idem[i]), int(idem[j]))

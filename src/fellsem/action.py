@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,7 +126,8 @@ class Kernel:
         N = lcm(1, *{f.denominator for f in fracs if f is not None})
         W = np.full(n * n * frame.m, OUTSIDE, dtype=_exponent_dtype(N))
         index = frame.index
-        W[np.array(keys, dtype=np.intp) * frame.m + [index[x] for x in points]] = \
+        at = np.array([index[x] for x in points], dtype=np.intp)
+        W[np.array(keys, dtype=np.intp) * frame.m + at] = \
             [NOT_ANGLE if f is None else f.numerator * (N // f.denominator) for f in fracs]
         return cls(frame, N, W.reshape(n, n, frame.m))
 
@@ -155,18 +157,13 @@ def _exponent_dtype(N: int):
     return np.int64 if N <= INT64_MODULUS else object
 
 
-def _rescale(E: np.ndarray, N: int, M: int) -> np.ndarray:
-    """Exponents mod N as exponents mod M, a multiple of N; codes stay."""
-    E = E.astype(_exponent_dtype(M), copy=False)
-    return np.where(E >= 0, E * (M // N), E) if M != N else E
-
-
 class TwistedAction:
     """(S, X, U, theta, omega) with omega values stored as exact Angles.
 
-    omega is a dict of CFunctions.  An action made by a gauge holds only
-    its exponent arrays and builds the dict when the dict is first read.
-    Once checked, an action's data must not be changed in place.
+    omega is a read-only mapping of CFunctions.  An action made by a gauge
+    holds only its exponent arrays and builds the mapping when it is first
+    read.  The checks compile the data once and cache the result, so X, U
+    and theta must not be changed in place afterwards.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, omega):
@@ -181,15 +178,15 @@ class TwistedAction:
     def _with_kernel(cls, A: "TwistedAction", kernel: Kernel) -> "TwistedAction":
         """A's semigroup, points, carriers and theta with kernel's omega."""
         B = cls.__new__(cls)
-        B.S, B.X, B.U, B.theta = A.S, A.X, A.U, A.theta
+        B.S, B.X, B.U, B.theta = A.S, list(A.X), dict(A.U), dict(A.theta)
         B._omega, B._kernel = None, kernel
         return B
 
     @property
-    def omega(self) -> dict:
+    def omega(self) -> MappingProxyType:
         if self._omega is None:
             self._omega = self._kernel.omega()
-        return self._omega
+        return MappingProxyType(self._omega)
 
     @property
     def kernel(self) -> Kernel:
@@ -201,17 +198,10 @@ class TwistedAction:
         return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) undefined at {y}")
 
     def omega_at(self, s: int, t: int, y) -> Angle:
-        if self._omega is not None:  # a single value costs no compile
-            v = self._omega[(s, t)](y)
-            if v == 0:
-                raise self._undefined(s, t, y)
-            return v
-        K = self._kernel  # only gauges make kernels without a dict: all Angles
-        i = K.frame.index.get(y)
-        k = OUTSIDE if i is None else K.rows[s][t][i]
-        if k < 0:
+        v = self.omega[(s, t)](y)
+        if v == 0:
             raise self._undefined(s, t, y)
-        return K.angle(k)
+        return v
 
     def carrier(self, s: int) -> frozenset:
         """Carrier of the fiber over s: U(ss*)."""
@@ -267,16 +257,10 @@ class TwistedAction:
         for s in self.S.elements():
             if self.U[s] != other.U[s] or self.theta[s] != other.theta[s]:
                 return False
-        K, L = self.kernel, other.kernel
-        if K.frame.points != L.frame.points or ((K.W == OUTSIDE) != (L.W == OUTSIDE)).any():
-            return False
-        odd = ((K.W == NOT_ANGLE) | (L.W == NOT_ANGLE)).any(axis=2)
-        for s, t in zip(*np.nonzero(odd)):
-            if not self.omega[(s, t)].equals(other.omega[(s, t)]):
+        for key, w in self.omega.items():
+            if not w.equals(other.omega[key]):
                 return False
-        M = lcm(K.N, L.N)
-        a, b = _rescale(K.W, K.N, M), _rescale(L.W, L.N, M)
-        return not ((a >= 0) & (b >= 0) & (a != b)).any()
+        return True
 
     def to_json(self):
         S = self.S
@@ -583,7 +567,10 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
         raise ActionError(f"omega({S.label(s)},{S.label(t)}) is not an angle at {F.points[x]}")
     C, Nc = _gauge_exponents(A, chi)
     N = lcm(K.N, Nc)
-    W, C = _rescale(K.W, K.N, N), _rescale(C, Nc, N)
+    dtype = _exponent_dtype(N)
+    # exponents mod K.N and mod Nc as exponents mod N; the codes stay
+    W = np.where(K.W >= 0, K.W.astype(dtype) * (N // K.N), K.W)
+    C = np.where(C >= 0, C.astype(dtype) * (N // Nc), C)
     inside = W >= 0
     ar = np.arange(F.n)
     s, t, y, st = ar[:, None, None], ar[None, :, None], np.arange(F.m), F.T[:, :, None]

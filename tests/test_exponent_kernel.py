@@ -18,7 +18,7 @@ import pytest
 
 from fellsem.action import (ActionError, GaugeNotUnitAtIdempotent, GermGroupoid, TwistedAction,
                             check_sieben, gauge_transform, siebenize, verify_consequences,
-                            verify_twisted_action)
+                            untwisted_omega, verify_twisted_action)
 from fellsem.angles import Angle, as_angle, scalar_conj
 from fellsem.bundle import SectionBundle, build_bundle, canonical_multipliers, extract_action
 from fellsem.generators import (corpus, five_element_semigroup, full_monoid_action,
@@ -340,10 +340,19 @@ def test_structural_defects_match_the_reference(five):
         TwistedAction(S, five.X, five.U, five.theta,
                       {**five.omega, (e, s): CFunction(five.carrier(s), {x: 0.5j})}),
     ]
+    # no point in any carrier: over no points the action is valid, over
+    # five.X nothing covers X
+    empty = {a: frozenset() for a in S.elements()}
+    nowhere = {a: PartialBijection({}) for a in S.elements()}
+    cases.append(TwistedAction(S, five.X, empty, nowhere, untwisted_omega(S, empty)))
     for A in cases:
         ok, bad = verify_twisted_action(A)
         ref_ok, ref_bad = ref_verify_twisted_action(A)
         assert not ok and not ref_ok and Counter(map(repr, bad)) == Counter(map(repr, ref_bad)), bad
+    A = TwistedAction(S, [], empty, nowhere, untwisted_omega(S, empty))
+    _same_verdicts(A)
+    assert verify_twisted_action(A) == (True, [])
+    _same_gauges(A, random.Random(0))
 
 
 def _outcome(check, A):

@@ -61,7 +61,7 @@ class Frame:
     def __init__(self, A, more_points=()):
         S = A.S
         n = self.n = S.n
-        self.T = S.cayley
+        self.T, self.leq = S.cayley, S.order
         self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
         self.idem = np.array(S.idem, dtype=np.intp).reshape(-1)
         points = list(dict.fromkeys(A.X))
@@ -92,12 +92,6 @@ class Frame:
     def fib_of_product(self) -> np.ndarray:
         """[s, t, x]: x in the fiber carrier over st."""
         return self.fib[self.T]
-
-    @cached_property
-    def leq(self) -> np.ndarray:
-        """[a, b]: a <= b in the natural order, a = b a* a."""
-        ar = np.arange(self.n)
-        return self.T[self.T[ar[None, :], self.inv[:, None]], ar[:, None]] == ar[:, None]
 
 
 class Kernel:
@@ -696,7 +690,13 @@ class GermGroupoid:
         return self.of_pair[(self.A.S.inv[t], self.A.theta[t](x))]
 
     def verify(self):
-        """Groupoid laws plus the cycle conflicts of the coordinates."""
+        """The laws of the quotient groupoid (inverses and composition of
+        endpoints) plus the cycle conflicts of the coordinates.
+
+        It does not check the action: it assumes one that passes
+        verify_twisted_action, and a non-action, such as an action with one
+        omega value changed, can pass it.  Run verify_twisted_action first,
+        as the CLI's action germs does."""
         bad = []
         for g in range(self.arrow_count):
             gi = self.inverse(g)

@@ -56,6 +56,7 @@ class InverseSemigroup:
         self.idem = idem
         self.labels = labels if labels is not None else [str(i) for i in range(self.n)]
         self._cayley = None
+        self._order = None
 
     @property
     def cayley(self) -> np.ndarray:
@@ -63,6 +64,15 @@ class InverseSemigroup:
         if self._cayley is None:
             self._cayley = np.asarray(self.table, dtype=np.intp).reshape(self.n, self.n)
         return self._cayley
+
+    @property
+    def order(self) -> np.ndarray:
+        """[a, b]: a <= b in the natural order, a = b a* a; built once."""
+        if self._order is None:
+            T, ar = self.cayley, np.arange(self.n)
+            inv = np.array(self.inv, dtype=np.intp).reshape(self.n)
+            self._order = T[T[ar[None, :], inv[:, None]], ar[:, None]] == ar[:, None]
+        return self._order
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

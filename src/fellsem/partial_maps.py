@@ -7,7 +7,7 @@ ideals (a function is moved by pulling back along the inverse map).
 
 from __future__ import annotations
 
-from fellsem.angles import Angle, as_complex, scalar_conj, scalar_mul
+from fellsem.angles import ONE, Angle, as_complex, scalar_conj
 
 
 class CarrierMismatch(ValueError):
@@ -39,16 +39,8 @@ class PartialBijection:
     def __contains__(self, x):
         return x in self.map
 
-    def compose(self, other: "PartialBijection") -> "PartialBijection":
-        """self after other, on the maximal domain."""
-        return PartialBijection({x: self.map[y] for x, y in other.map.items()
-                                 if y in self.map})
-
     def invert(self) -> "PartialBijection":
         return PartialBijection({y: x for x, y in self.map.items()})
-
-    def restrict(self, subset) -> "PartialBijection":
-        return PartialBijection({x: y for x, y in self.map.items() if x in subset})
 
     def union_compatible(self, other: "PartialBijection") -> bool:
         """True iff the union of the two graphs is again a partial bijection."""
@@ -101,13 +93,7 @@ class CFunction:
 
     @classmethod
     def one(cls, carrier) -> "CFunction":
-        return cls(carrier, {x: Angle(0) for x in carrier})
-
-    @classmethod
-    def point_mass(cls, carrier, x, value=None) -> "CFunction":
-        if x not in frozenset(carrier):
-            raise CarrierMismatch(f"point {x} outside carrier")
-        return cls(carrier, {x: Angle(0) if value is None else value})
+        return cls(carrier, dict.fromkeys(carrier, ONE))
 
     def __call__(self, x):
         if x in self.values:
@@ -117,39 +103,8 @@ class CFunction:
     def at(self, x) -> complex:
         return as_complex(self(x))
 
-    def restrict(self, carrier) -> "CFunction":
-        c = frozenset(carrier)
-        return CFunction(c, {x: v for x, v in self.values.items() if x in c})
-
-    def multiply(self, other: "CFunction") -> "CFunction":
-        carrier = self.carrier & other.carrier
-        vals = {}
-        for x in carrier:
-            if x in self.values and x in other.values:
-                vals[x] = scalar_mul(self.values[x], other.values[x])
-        return CFunction(carrier, vals)
-
     def conjugate(self) -> "CFunction":
         return CFunction(self.carrier, {x: scalar_conj(v) for x, v in self.values.items()})
-
-    def pullback(self, theta: PartialBijection) -> "CFunction":
-        """The function x -> self(theta(x)) on theta^{-1}(carrier)."""
-        carrier = {x for x, y in theta.map.items() if y in self.carrier}
-        vals = {x: self.values[theta(x)] for x in carrier if theta(x) in self.values}
-        return CFunction(carrier, vals)
-
-    def scale(self, scalar) -> "CFunction":
-        return CFunction(self.carrier, {x: scalar_mul(scalar, v) for x, v in self.values.items()})
-
-    def add(self, other: "CFunction") -> "CFunction":
-        if self.carrier != other.carrier:
-            raise CarrierMismatch("add requires equal carriers")
-        vals = {}
-        for x in self.carrier:
-            v = self.at(x) + other.at(x)
-            if v != 0:
-                vals[x] = v
-        return CFunction(self.carrier, vals)
 
     def extend(self, carrier) -> "CFunction":
         """Zero-extend to a larger carrier."""
@@ -160,9 +115,6 @@ class CFunction:
 
     def support(self):
         return frozenset(x for x, v in self.values.items() if as_complex(v) != 0)
-
-    def sup_norm(self) -> float:
-        return max((abs(self.at(x)) for x in self.values), default=0.0)
 
     def is_unit_modulus(self, tol=0.0) -> bool:
         for x in self.carrier:

@@ -1,0 +1,306 @@
+"""The bundle arrays against the loop implementations they replaced.
+
+ref_bundle_verify is the former Bundle.verify, which looked every point
+mass up in the dict tables one at a time, and ref_verify_fell_bundle the
+former verify_fell_bundle, which multiplied random CFunctions one sample
+at a time.  The array path must give the same verdicts and the same
+violation lists, draw the same random numbers and leave the generator in
+the same state.  The former loop visited a triple's associativity keys in
+set order; the arrays list them by point, so those runs are compared as
+multisets.
+"""
+
+import cmath
+import random
+from itertools import groupby
+
+from fellsem.angles import ONE, as_complex
+from fellsem.bundle import SectionBundle, _far, build_bundle, verify_fell_bundle
+from fellsem.generators import (corpus, full_monoid_action, mutate_omega, mutation_corpus,
+                                random_gauge, standard_groupoids)
+from fellsem.action import gauge_transform
+from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
+from fellsem.refine import saturated_refinement
+
+from dense import add, random_element, scale, sup_norm
+from test_algebra import parity_cases
+from test_bundle import _corrupt_one_entry
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+def ref_bundle_verify(B, tol=1e-9):
+    S, lab = B.S, B.S.label
+    els, inv, cars = S.elements(), S.inv, B.carriers
+    bad = []
+    for s in els:
+        for t in els:
+            cs, ct, cst = cars[s], cars[t], cars[S.mul(s, t)]
+            if any(x not in cs or y not in ct or z not in cst
+                   for (x, y), (z, _) in B.products[(s, t)].items()):
+                bad.append(("product-fiber", (lab(s), lab(t))))
+        if any(x not in cars[s] or z not in cars[inv[s]]
+               for x, (z, _) in B.stars[s].items()):
+            bad.append(("star-fiber", lab(s)))
+    for (s, t), entries in B.inclusions.items():
+        if not entries.keys() <= cars[s] & cars[t]:
+            bad.append(("inclusion-fiber", (lab(s), lab(t))))
+    if bad:
+        return False, bad
+
+    mul, star, include = B.mul_point, B.star_point, B.include_point
+
+    def check(tag, where, lhs, rhs):
+        if _far(lhs, rhs, tol):
+            bad.append((tag, where))
+
+    for r in els:
+        for s in els:
+            rs = S.mul(r, s)
+            for t in els:
+                st = S.mul(s, t)
+                lhs = {(x, y, z): mul(rs, t, p, (z, ONE))
+                       for (x, y), p in B.products[(r, s)].items() for z in cars[t]}
+                rhs = {(x, y, z): mul(r, st, (x, ONE), p)
+                       for (y, z), p in B.products[(s, t)].items() for x in cars[r]}
+                for key in lhs.keys() | rhs.keys():
+                    check("associativity", (lab(r), lab(s), lab(t), *key),
+                          lhs.get(key), rhs.get(key))
+    for s in els:
+        for x in cars[s]:
+            check("involutive", (lab(s), x), star(inv[s], star(s, (x, ONE))), (x, ONE))
+    for s in els:
+        for t in els:
+            st = S.mul(s, t)
+            for x in cars[s]:
+                for y in cars[t]:
+                    check("anti-multiplicative", (lab(s), lab(t), x, y),
+                          star(st, mul(s, t, (x, ONE), (y, ONE))),
+                          mul(inv[t], inv[s], star(t, (y, ONE)), star(s, (x, ONE))))
+
+    for s in els:
+        for t in els:
+            if not S.leq(s, t):
+                continue
+            middle = [r for r in els if S.leq(s, r) and S.leq(r, t)]
+            for x in cars[s]:
+                p = (x, ONE)
+                jp = include(t, s, p)
+                if abs((abs(as_complex(jp[1])) if jp else 0.0) - 1) > tol:
+                    bad.append(("inclusion-isometric", (lab(s), lab(t), x)))
+                if s == t:
+                    check("inclusion-identity", (lab(s), x), jp, p)
+                for r in middle:
+                    check("inclusion-functorial", (lab(s), lab(r), lab(t), x),
+                          include(t, r, include(r, s, p)), jp)
+                check("inclusion-star", (lab(s), lab(t), x),
+                      star(t, jp), include(inv[t], inv[s], star(s, p)))
+                for u in els:
+                    tu, su, ut, us = S.mul(t, u), S.mul(s, u), S.mul(u, t), S.mul(u, s)
+                    for y in cars[u]:
+                        q = (y, ONE)
+                        where = (lab(s), lab(t), lab(u), x, y)
+                        check("inclusion-product-left", where, mul(t, u, jp, q),
+                              include(tu, su, mul(s, u, p, q)))
+                        check("inclusion-product-right", where, mul(u, t, q, jp),
+                              include(ut, us, mul(u, s, q, p)))
+    return not bad, bad
+
+
+def ref_verify_fell_bundle(B, tol=1e-9, samples=3, rng=None):
+    rng = rng or random.Random(0)
+    S = B.S
+
+    def close(f, g):
+        if f.carrier != g.carrier:
+            return False
+        return all(abs(f.at(x) - g.at(x)) <= tol for x in f.carrier)
+
+    _, bad = ref_bundle_verify(B, tol)
+    if any(tag in ("product-fiber", "star-fiber", "inclusion-fiber") for tag, _ in bad):
+        return False, bad
+
+    for s in S.elements():
+        for t in S.elements():
+            for _ in range(samples):
+                f1, f2 = random_element(B, s, rng), random_element(B, s, rng)
+                g = random_element(B, t, rng)
+                lam = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                lhs = B.mul(s, t, add(scale(f1, lam), f2), g)
+                rhs = add(scale(B.mul(s, t, f1, g), lam), B.mul(s, t, f2, g))
+                if not close(lhs, rhs):
+                    bad.append(("left-linearity", (S.label(s), S.label(t))))
+                h1, h2 = random_element(B, t, rng), random_element(B, t, rng)
+                e = random_element(B, s, rng)
+                lhs = B.mul(s, t, e, add(scale(h1, lam), h2))
+                rhs = add(scale(B.mul(s, t, e, h1), lam), B.mul(s, t, e, h2))
+                if not close(lhs, rhs):
+                    bad.append(("right-linearity", (S.label(s), S.label(t))))
+
+    for s in S.elements():
+        for t in S.elements():
+            for _ in range(samples):
+                f, g = random_element(B, s, rng), random_element(B, t, rng)
+                if sup_norm(B.mul(s, t, f, g)) > sup_norm(f) * sup_norm(g) + tol:
+                    bad.append(("submultiplicative", (S.label(s), S.label(t))))
+
+    for s in S.elements():
+        for _ in range(samples):
+            f = random_element(B, s, rng)
+            if abs(sup_norm(B.star(s, f)) - sup_norm(f)) > tol:
+                bad.append(("star-isometric", S.label(s)))
+            g = random_element(B, s, rng)
+            lam = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            lhs = B.star(s, add(scale(f, lam), g))
+            rhs = add(scale(B.star(s, f), lam.conjugate()), B.star(s, g))
+            if not close(lhs, rhs):
+                bad.append(("conjugate-linear", S.label(s)))
+
+    for s in S.elements():
+        ss = S.inv[s]
+        for _ in range(samples):
+            f = random_element(B, s, rng)
+            p = B.mul(ss, s, B.star(s, f), f)
+            if abs(sup_norm(p) - sup_norm(f) ** 2) > tol * max(1.0, sup_norm(f) ** 2):
+                bad.append(("cstar-identity", S.label(s)))
+            for x in p.carrier:
+                v = p.at(x)
+                if abs(v.imag) > tol or v.real < -tol:
+                    bad.append(("positivity", (S.label(s), x)))
+
+    return not bad, bad
+
+
+# ---------------------------------------------------------------------------
+# parity
+
+def _canonical(bad):
+    """bad with each triple's run of associativity violations sorted."""
+    def run(v):
+        return v[1][:3] if v[0] == "associativity" else v
+    return [v for _, vs in groupby(bad, key=run) for v in sorted(vs, key=repr)]
+
+
+RANDOM_TAGS = {"left-linearity", "right-linearity", "submultiplicative", "star-isometric",
+               "conjugate-linear", "cstar-identity", "positivity"}
+
+
+def _same_fell(B, seed, tol=1e-9):
+    """The same verdict, violations and generator state from both paths,
+    starting from Random(seed); and B.verify's violations are the exact
+    families' among them."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    ok, bad = verify_fell_bundle(B, tol=tol, rng=rng)
+    ref_ok, ref_bad = ref_verify_fell_bundle(B, tol=tol, rng=ref_rng)
+    assert ok == ref_ok and _canonical(bad) == _canonical(ref_bad), (bad, ref_bad)
+    assert rng.getstate() == ref_rng.getstate()
+    exact = [v for v in ref_bad if v[0] not in RANDOM_TAGS]
+    assert _canonical(B.verify(tol)[1]) == _canonical(exact)
+    return ok
+
+
+def _section_bundles():
+    for G in standard_groupoids().values():
+        S, biss, _ = bisection_semigroup(G)
+        yield SectionBundle(G, TwoCocycle.trivial(G), S, biss)
+    G, tau = z2_nontrivial_cocycle()
+    S, biss, _ = bisection_semigroup(G)
+    yield SectionBundle(G, tau, S, biss)
+
+
+def test_arrays_match_the_reference_on_the_corpus_and_the_mutants():
+    actions = corpus(random.Random(0), 200)
+    rng = random.Random(2)
+    bases = mutation_corpus(rng)
+    actions += [mutate_omega(bases[i % len(bases)], rng) for i in range(1000)]
+    verdicts = {_same_fell(build_bundle(A), i) for i, A in enumerate(actions)}
+    assert verdicts == {True, False}
+
+
+def test_arrays_match_the_reference_on_corrupted_tables():
+    # test_table_corruptions_are_detected's bundles and corruptions
+    bundles = [build_bundle(A) for A in mutation_corpus(random.Random(2))]
+    rng = random.Random(5)
+    detected = 0
+    for i in range(500):
+        B = bundles[i % len(bundles)]
+        undo = _corrupt_one_entry(B, rng)
+        detected += not _same_fell(B, i)
+        undo()
+    assert detected >= 495, detected
+
+
+def test_arrays_match_the_reference_on_section_bundles():
+    rng = random.Random(6)
+    verdicts = set()
+    for i, B in enumerate(_section_bundles()):
+        verdicts.add(_same_fell(B, i))
+        undo = _corrupt_one_entry(B, rng)
+        verdicts.add(_same_fell(B, 100 + i))
+        undo()
+    assert verdicts == {True, False}
+
+
+def test_arrays_match_the_reference_on_refinements():
+    for i, A in enumerate(corpus(random.Random(0), 40)):
+        R, _ = saturated_refinement(build_bundle(A))
+        assert _same_fell(R, i)
+
+
+def test_arrays_match_the_reference_on_one_fiber_algebras():
+    # the convolution algebras and the germ algebras of test_algebra; their
+    # product rows share targets, where Bundle.mul keeps the last non-zero
+    # term instead of summing, and both paths must do so alike
+    algebras = [make()[0] for make in parity_cases()]
+    rng = random.Random(8)
+    verdicts = set()
+    for i, alg in enumerate(algebras):
+        verdicts.add(_same_fell(alg, i))
+        undo = _corrupt_one_entry(alg, rng)
+        verdicts.add(_same_fell(alg, 1000 + i))
+        undo()
+    assert verdicts == {True, False}
+
+
+def test_complex_scalars_match_the_reference(five):
+    B = build_bundle(five)
+    S = B.S
+    s = next(a for a in S.elements() if not S.is_idempotent(a) and B.stars[a])
+    x = next(iter(B.stars[s]))
+    z, c = B.stars[s][x]
+    # the same unit scalar as a complex number: still a Fell bundle
+    B.stars[s][x] = (z, as_complex(c))
+    assert _same_fell(B, 0)
+    # a complex phase that no Angle cancels
+    B.stars[s][x] = (z, cmath.exp(0.3j) * as_complex(c))
+    assert not _same_fell(B, 1)
+    # a complex zero, which acts as a missing entry
+    B.stars[s][x] = (z, 0j)
+    assert not _same_fell(B, 2)
+
+
+def test_complex_tables_match_the_reference():
+    # every scalar a complex number, so that every comparison is numeric
+    rng = random.Random(9)
+    verdicts = set()
+    for i, A in enumerate(corpus(random.Random(0), 20)):
+        B = build_bundle(A)
+        for rows in [*B.products.values(), *B.stars.values()]:
+            rows.update({key: (z, as_complex(c)) for key, (z, c) in rows.items()})
+        for entries in B.inclusions.values():
+            entries.update({x: as_complex(c) for x, c in entries.items()})
+        verdicts.add(_same_fell(B, i))
+        undo = _corrupt_one_entry(B, rng)
+        verdicts.add(_same_fell(B, 100 + i))
+        undo()
+    assert verdicts == {True, False}
+
+
+def test_gauged_i3_matches_the_reference():
+    A = full_monoid_action(3)
+    B = build_bundle(gauge_transform(A, random_gauge(A, random.Random(3))))
+    assert _same_fell(B, 0)
+    undo = _corrupt_one_entry(B, random.Random(4))
+    assert not _same_fell(B, 1)
+    undo()

@@ -29,6 +29,8 @@ from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError, NoI
 from fellsem.partial_maps import CFunction, PartialBijection
 from fellsem.refine import saturated_refinement
 
+from dense import compose, restrict
+
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -76,7 +78,7 @@ def ref_verify_twisted_action(A):
         return False, violations
     for r in S.elements():
         for s in S.elements():
-            if A.theta[r].compose(A.theta[s]) != A.theta[S.mul(r, s)]:
+            if compose(A.theta[r], A.theta[s]) != A.theta[S.mul(r, s)]:
                 violations.append(("composition", (S.label(r), S.label(s))))
     for r in S.elements():
         dom_r = A.U[S.mul(S.inv[r], r)]
@@ -136,7 +138,7 @@ def ref_verify_consequences(A):
         for t in S.elements():
             if S.leq(s, t):
                 dom = A.U[S.mul(S.inv[s], s)]
-                if A.theta[t].restrict(dom) != A.theta[s]:
+                if restrict(A.theta[t], dom) != A.theta[s]:
                     out.append(("restriction", (S.label(s), S.label(t))))
     for s in S.elements():
         ss = S.inv[s]

@@ -1,8 +1,8 @@
 """The point-mass checks read the structure tables.
 
-The inclusion families of Bundle.verify, refine.verify_morphism and
-reps.verify_representation look point masses up in the Bundle tables.  The
-former implementations, which pushed CFunction point masses through the
+The inclusion families of Bundle.verify (on the tables compiled to
+arrays), refine.verify_morphism and reps.verify_representation look point
+masses up in the Bundle tables.  The former implementations, which pushed CFunction point masses through the
 linear operations, are kept here as references; the two must agree on
 clean inputs and on inputs with one table entry or one matrix corrupted.
 """
@@ -20,6 +20,7 @@ from fellsem.partial_maps import CFunction
 from fellsem.refine import saturated_refinement, verify_morphism
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
+from dense import point_mass, sup_norm
 from test_bundle import _corrupt_one_entry
 
 
@@ -51,7 +52,7 @@ def ref_inclusion_families(B, tol=1e-9, rng=None):
     S, bad = B.S, []
 
     def pms(s):
-        return [CFunction.point_mass(B.carrier(s), x) for x in B.carrier(s)]
+        return [point_mass(B.carrier(s), x) for x in B.carrier(s)]
 
     def close(f, g):
         return _close(f, g, tol)
@@ -62,7 +63,7 @@ def ref_inclusion_families(B, tol=1e-9, rng=None):
                 continue
             for f in pms(s):
                 jf = ref_include(B, t, s, f)
-                if abs(jf.sup_norm() - f.sup_norm()) > tol:
+                if abs(sup_norm(jf) - sup_norm(f)) > tol:
                     bad.append(("inclusion-isometric", (S.label(s), S.label(t))))
             if s == t:
                 c = B.carrier(s)
@@ -113,7 +114,7 @@ def ref_verify_morphism(m, tol=1e-9):
         return f.extend(A.carrier(m.phi(i)))
 
     def pm(i, x):
-        return CFunction.point_mass(B.carrier(i), x)
+        return point_mass(B.carrier(i), x)
 
     for i in T.elements():
         for j in T.elements():
@@ -151,7 +152,7 @@ def ref_verify_representation(pi, B, tol=1e-9):
         return np.linalg.norm(a - b) <= tol * max(1.0, np.linalg.norm(b))
 
     def pm(s, x):
-        return CFunction.point_mass(B.carrier(s), x)
+        return point_mass(B.carrier(s), x)
 
     for s in S.elements():
         for t in S.elements():

@@ -117,12 +117,10 @@ class Kernel:
                     points.append(x)
                     fracs.append(v.frac if isinstance(v, Angle) else None)
         frame = Frame(A, points)
-        N = lcm(1, *{f.denominator for f in fracs if f is not None})
-        W = np.full(n * n * frame.m, OUTSIDE, dtype=_exponent_dtype(N))
-        index = frame.index
-        at = np.array([index[x] for x in points], dtype=np.intp)
-        W[np.array(keys, dtype=np.intp) * frame.m + at] = \
-            [NOT_ANGLE if f is None else f.numerator * (N // f.denominator) for f in fracs]
+        N, K = exponents(fracs)
+        W = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype)
+        at = np.array([frame.index[x] for x in points], dtype=np.intp)
+        W[np.array(keys, dtype=np.intp) * frame.m + at] = K
         return cls(frame, N, W.reshape(n, n, frame.m))
 
     def angle(self, k) -> Angle:
@@ -149,6 +147,19 @@ class Kernel:
 
 def _exponent_dtype(N: int):
     return np.int64 if N <= INT64_MODULUS else object
+
+
+def exponents(fracs):
+    """N, the lcm of the denominators, and each fraction p/q in [0, 1) as
+    the exponent p (N/q) mod N; NOT_ANGLE for None."""
+    N = lcm(1, *{f.denominator for f in fracs if f is not None})
+    return N, np.array([NOT_ANGLE if f is None else f.numerator * (N // f.denominator)
+                        for f in fracs], dtype=_exponent_dtype(N))
+
+
+def widen(K, N: int, to: int):
+    """Exponents mod N as exponents mod to, a multiple of N; the codes stay."""
+    return np.where(K >= 0, K.astype(_exponent_dtype(to)) * (to // N), K)
 
 
 class TwistedAction:
@@ -530,10 +541,10 @@ def _gauge_exponents(A: TwistedAction, chi):
                 rows.append(s)
                 cols.append(F.index[x])
                 fracs.append(as_angle(v).frac)
-    N = lcm(1, *{f.denominator for f in fracs})
-    C = np.zeros((F.n, F.m), dtype=_exponent_dtype(N))
+    N, K = exponents(fracs)
+    C = np.zeros((F.n, F.m), dtype=K.dtype)
     C[given] = -1
-    C[rows, cols] = [f.numerator * (N // f.denominator) for f in fracs]
+    C[rows, cols] = K
     return C, N
 
 
@@ -561,10 +572,7 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
         raise ActionError(f"omega({S.label(s)},{S.label(t)}) is not an angle at {F.points[x]}")
     C, Nc = _gauge_exponents(A, chi)
     N = lcm(K.N, Nc)
-    dtype = _exponent_dtype(N)
-    # exponents mod K.N and mod Nc as exponents mod N; the codes stay
-    W = np.where(K.W >= 0, K.W.astype(dtype) * (N // K.N), K.W)
-    C = np.where(C >= 0, C.astype(dtype) * (N // Nc), C)
+    W, C = widen(K.W, K.N, N), widen(C, Nc, N)
     inside = W >= 0
     ar = np.arange(F.n)
     s, t, y, st = ar[:, None, None], ar[None, :, None], np.arange(F.m), F.T[:, :, None]

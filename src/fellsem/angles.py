@@ -104,13 +104,6 @@ def as_complex(x) -> complex:
     return x.value if isinstance(x, Angle) else complex(x)
 
 
-def scalar_mul(a, b):
-    """Product of two circle scalars, exact when both are Angles."""
-    if isinstance(a, Angle) and isinstance(b, Angle):
-        return a * b
-    return as_complex(a) * as_complex(b)
-
-
 def scalar_conj(a):
     if isinstance(a, Angle):
         return a.conj()

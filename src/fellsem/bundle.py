@@ -4,9 +4,9 @@ Every bundle modelled here is monomial: in the point-mass bases of the
 fibers, the product of two basis elements, the adjoint of one and its
 inclusion into a larger fiber are each a single scaled basis element.  One
 type, Bundle, holds those three structure tables, with the product rows
-keyed by the pair of points they multiply.  It multiplies, stars and
-includes scaled point masses by lookup, and extends products and stars
-(conjugate-)linearly to CFunctions.  Three builders fill the tables:
+keyed by the pair of points they multiply.  It extends products and stars
+(conjugate-)linearly to CFunctions, summing the terms that meet at one
+point.  Three builders fill the tables:
 
 - build_bundle(A): the bundle of a twisted action, whose fiber over s is
   the functions on U(ss*) and whose product is twisted by omega;
@@ -17,27 +17,25 @@ includes scaled point masses by lookup, and extends products and stars
 An algebra is the same table with one fiber: a Bundle over the one-element
 inverse semigroup whose fiber is the basis range(n) (see fellsem.algebra).
 
-Bundle.verify and verify_fell_bundle compile the tables into arrays once
-per call (BundleArrays), not cached, so the tables may change in place
-between checks: each fiber's points numbered in list(carrier) order, the
-product, star and inclusion rows as index arrays, and every scalar as an
-exponent mod N, N the lcm of the Angles' denominators (as in
-fellsem.action), beside its complex value.  Bundle.verify checks the exact
-axioms on point masses as gathers through these arrays, comparing Angles
-as exponents with zero tolerance; verify_fell_bundle adds the families on
-random dense elements, batched over every pair and sample at once.
-refine.verify_morphism and reps.verify_representation read the dict
-tables point mass by point mass.
+Every check on point masses compiles the tables into arrays once per call
+(BundleArrays), not cached, so the tables may change in place between
+checks: each fiber's points numbered in list(carrier) order, the product,
+star and inclusion rows as index arrays, and every scalar as an exponent
+mod N, N the lcm of the Angles' denominators (as in fellsem.action),
+beside its complex value.  Bundle.verify checks the exact axioms on point
+masses as gathers through these arrays, comparing Angles as exponents
+with zero tolerance; verify_fell_bundle adds the families on random dense
+elements, batched over every pair and sample at once.  So do
+refine.verify_morphism, through both bundles, and reps.verify_representation.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
-from fellsem.action import CHUNK, NOT_ANGLE, TwistedAction, _exponent_dtype
+from fellsem.action import CHUNK, NOT_ANGLE, TwistedAction, exponents, widen
 from fellsem.angles import ONE, Angle, as_complex, scalar_conj
 from fellsem.isg import InverseSemigroup
 from fellsem.partial_maps import CFunction
@@ -81,18 +79,18 @@ class Bundle:
 
     carriers[s]        the point set of the fiber over s;
     products[(s, t)]   (x, y) -> (z, c): delta_x in fiber s times delta_y
-                       in fiber t is c delta_z in fiber st.  Every z occurs
-                       for at most one pair, so products never add terms;
+                       in fiber t is c delta_z in fiber st (in a one-fiber
+                       algebra, several pairs may meet at z);
     stars[s]           x -> (z, c): the adjoint of delta_x in fiber s is
                        c delta_z in fiber s*;
     inclusions[(s, t)] for s <= t, x -> c: delta_x in fiber s is c delta_x
                        in fiber t.
 
     Scalars are Angles, or complex numbers where a numeric value entered;
-    products of Angles stay exact.  A scaled point mass is a pair (z, c)
-    with c non-zero, or None for zero; mul_point, star_point and
-    include_point act on those by lookup, and mul and star extend the
-    tables (conjugate-)linearly to CFunctions.  `realization` names the
+    products of Angles stay exact.  mul and star extend the tables
+    (conjugate-)linearly to CFunctions, exactly while a point receives one
+    term and numerically where terms add.  The checks on point masses read
+    the tables compiled to arrays (BundleArrays).  `realization` names the
     builder and the keyword arguments keep the data the tables were built
     from as attributes (A; G and tau; base and phi).
     """
@@ -110,25 +108,12 @@ class Bundle:
     def carrier(self, s: int) -> frozenset:
         return self.carriers[s]
 
-    def mul_point(self, s: int, t: int, p, q):
-        hit = p and q and self.products[(s, t)].get((p[0], q[0]))
-        return hit and _scaled(hit[0], p[1], q[1], hit[1])
-
-    def star_point(self, s: int, p):
-        hit = p and self.stars[s].get(p[0])
-        return hit and _scaled(hit[0], scalar_conj(p[1]), hit[1])
-
-    def include_point(self, t: int, s: int, p):
-        """j(t, s) of a scaled point mass in fiber s, for s <= t."""
-        scalars = self.inclusions[(s, t)]
-        return _scaled(p[0], p[1], scalars[p[0]]) if p and p[0] in scalars else None
-
     def mul(self, s: int, t: int, f: CFunction, g: CFunction) -> CFunction:
         vals = {}
         for (x, y), (z, c) in self.products[(s, t)].items():
             v = _smul(f(x), g(y), c)
-            if v != 0:
-                vals[z] = v
+            if v != 0:  # the first term at z as it is, a sum as complex
+                vals[z] = as_complex(vals[z]) + as_complex(v) if z in vals else v
         return CFunction(self.carriers[self.S.mul(s, t)], vals)
 
     def star(self, s: int, f: CFunction) -> CFunction:
@@ -136,7 +121,7 @@ class Bundle:
         for x, (z, c) in self.stars[s].items():
             v = _smul(scalar_conj(f(x)), c)
             if v != 0:
-                vals[z] = v
+                vals[z] = as_complex(vals[z]) + as_complex(v) if z in vals else v
         return CFunction(self.carriers[self.S.inv[s]], vals)
 
     def verify(self, tol: float = 1e-9):
@@ -156,20 +141,6 @@ class Bundle:
         arrays = BundleArrays(self)
         bad = arrays.fiber_violations() or arrays.exact_violations(tol)
         return not bad, bad
-
-
-def _scaled(z, *factors):
-    """The point mass at z scaled by the product of factors; None if zero."""
-    c = _smul(*factors)
-    return (z, c) if c != 0 else None
-
-
-def _far(p, q, tol: float) -> bool:
-    """Whether two scaled point masses, (z, c) or None for zero, differ by
-    more than tol at some point."""
-    if p and q and p[0] == q[0]:
-        return p[1] != q[1] and abs(as_complex(p[1]) - as_complex(q[1])) > tol
-    return any(m is not None and abs(as_complex(m[1])) > tol for m in (p, q))
 
 
 def build_bundle(A: TwistedAction) -> Bundle:
@@ -238,21 +209,11 @@ def _circle(scalars):
     """N, the exponents mod N and the complex values of a list of scalars;
     N is the lcm of the Angles' denominators, and a scalar that is not an
     Angle has the exponent NOT_ANGLE."""
-    fracs = [c.frac if isinstance(c, Angle) else None for c in scalars]
-    N = lcm(1, *{f.denominator for f in fracs if f is not None})
-    values, K, V = {}, [], []
-    for c, f in zip(scalars, fracs):
-        if f is None:
-            K.append(NOT_ANGLE)
-            V.append(complex(c))
-            continue
-        k = f.numerator * (N // f.denominator)
-        v = values.get(k)
-        if v is None:
-            v = values[k] = c.value
-        K.append(k)
-        V.append(v)
-    return N, np.array(K, dtype=_exponent_dtype(N)), np.array(V, dtype=complex)
+    N, K = exponents([c.frac if isinstance(c, Angle) else None for c in scalars])
+    ks = K.tolist()
+    vals = {k: c.value for k, c in dict(zip(ks, scalars)).items() if k != NOT_ANGLE}
+    V = [complex(c) if k == NOT_ANGLE else vals[k] for c, k in zip(scalars, ks)]
+    return N, K, np.array(V, dtype=complex)
 
 
 class BundleArrays:
@@ -266,13 +227,15 @@ class BundleArrays:
     Each table is kept as its rows in dict order, each row its key's pair
     (or fiber), its points' numbers (-1 outside their fibers) and its
     scalar; the random families multiply dense elements through the rows.
-    Once the rows lie in their fibers, each table is also a lookup from its
-    keys to scaled point masses, with one last entry for zero: products by
-    (s, t, x, y) at poff[s, t] + x c_t + y, stars by slot, and j(t, s) by
-    ioff[s, t] + x.  A scaled point mass is a triple (z, K, V) of arrays, z
-    the point's number in its fiber or NOWHERE for zero; V is None when
-    every scalar is an Angle.  The exact families gather through the
-    lookups and compare Angles as exponents, with zero tolerance.
+    Once the rows lie in their fibers, lookups() makes each table a lookup
+    from its keys to scaled point masses, with one last entry for zero:
+    products by (s, t, x, y) at poff[s, t] + x c_t + y, stars by slot, and
+    j(t, s) by ioff[s, t] + x.  A scaled point mass is a triple (z, K, V)
+    of arrays, z the point's number in its fiber or NOWHERE for zero; V is
+    None while `angles`, which starts true when every scalar is an Angle (a
+    check that needs the complex values sets it false before lookups()).
+    The checks gather through the lookups over the grids `pairs` and
+    `below`, and compare Angles as exponents, with zero tolerance.
     """
 
     def __init__(self, B):
@@ -281,7 +244,7 @@ class BundleArrays:
         self.T, self.leq = S.cayley, S.order
         self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
         pts = self.points = [list(B.carrier(s)) for s in range(n)]
-        loc = [{x: i for i, x in enumerate(p)} for p in pts]
+        loc = self.index = [{x: i for i, x in enumerate(p)} for p in pts]
         cs = self.cs = np.array([len(p) for p in pts], dtype=np.intp).reshape(n)
         self.off, self.M = _starts(cs), int(cs.sum())
         self.W = max(1, int(cs.max(initial=0)))
@@ -353,7 +316,19 @@ class BundleArrays:
 
     # -- the exact families, on point masses
 
-    def _lookups(self):
+    def widen(self, N: int) -> None:
+        """Keep the exponents mod N, a multiple of self.N, from here on;
+        before lookups()."""
+        self.products, self.stars, self.inclusions = (
+            (*rows[:-2], widen(rows[-2], self.N, N), rows[-1])
+            for rows in (self.products, self.stars, self.inclusions))
+        self.N = N
+
+    def lookups(self) -> None:
+        """The tables as lookups; they must lie in their fibers, and every
+        s <= t whose fiber s has points needs its inclusion table."""
+        if self.missing:
+            raise KeyError(self.missing[0])
         n, cs, M = self.n, self.cs, self.M
         sizes = np.outer(cs, cs).ravel()
         self.poff, self.M2 = _starts(sizes).reshape(n, n), int(sizes.sum())
@@ -367,7 +342,7 @@ class BundleArrays:
 
     def _lookup(self, size, at, z, K, V):
         """The table as arrays over its keys and one last entry for zero;
-        without V where every scalar is an Angle."""
+        without V while `angles`."""
         Z = np.full(size + 1, NOWHERE, dtype=np.intp)
         Z[at] = np.where(V != 0, z, NOWHERE)
         KK = np.full(size + 1, NOT_ANGLE, dtype=K.dtype)
@@ -421,7 +396,9 @@ class BundleArrays:
 
     def far(self, p, q, tol):
         """Whether two scaled point masses differ by more than tol at some
-        point, as _far; two Angles differ unless their exponents agree."""
+        point: at one point unless their scalars agree within tol, two
+        Angles unless their exponents agree; at two points unless neither
+        scalar exceeds tol."""
         (zp, Kp, Vp), (zq, Kq, Vq) = p, q
         at_p, at_q, one = zp != NOWHERE, zq != NOWHERE, 1.0 > tol
         if self.angles:
@@ -433,13 +410,30 @@ class BundleArrays:
                               np.abs(Vp - Vq) > tol)
         return np.where(zp == zq, at_p & differ, big_p | big_q)
 
+    @cached_property
+    def pairs(self):
+        """Every pair of points x of fiber s and y of fiber t, as flat
+        arrays s, t, x, y in that order; pair k is product lookup k."""
+        n, cs = self.n, self.cs
+        sizes = np.outer(cs, cs).ravel()
+        key = np.repeat(np.arange(n * n), sizes)
+        k = np.arange(len(key)) - _starts(sizes)[key]
+        s, t = key // n, key % n
+        return s, t, k // cs[t], k % cs[t]
+
+    @cached_property
+    def below(self):
+        """Every s <= t with a point x of fiber s, as flat arrays s, t, x
+        in that order."""
+        lo, hi = np.nonzero(self.leq)
+        e = np.repeat(np.arange(len(lo)), self.cs[lo])
+        return lo[e], hi[e], np.arange(len(e)) - _starts(self.cs[lo])[e]
+
     def exact_violations(self, tol) -> list:
         """Associativity, then involutivity and anti-multiplicativity of the
         star, then the inclusion families; the tables must lie in their
         fibers."""
-        if self.missing:
-            raise KeyError(self.missing[0])
-        self._lookups()
+        self.lookups()
         return self._associativity(tol) + self._star_laws(tol) + self._inclusion_laws(tol)
 
     def _associativity(self, tol) -> list:
@@ -477,16 +471,15 @@ class BundleArrays:
         bad = self.far(self.scaled(back[0], self.conj(*sx[1:]), back[1:]), self.unit(px), tol)
         out = [("involutive", (lab(s), pts[s][x])) for s, x in zip(ps[bad], px[bad])]
 
-        s, x, t, y = ps[:, None], px[:, None], ps[None, :], px[None, :]
+        s, t, x, y = self.pairs
         xy = self.product(s, t, x, y)
         lhs = self.star(T[s, t], xy[0])
         sy, sx = self.star(t, y), self.star(s, x)
         rhs = self.product(inv[t], inv[s], sy[0], sx[0])
-        i, j = np.nonzero(self.far(self.scaled(lhs[0], self.conj(*xy[1:]), lhs[1:]),
-                                   self.scaled(rhs[0], sy[1:], sx[1:], rhs[1:]), tol))
-        order = np.lexsort((px[j], px[i], ps[j], ps[i]))
+        bad = self.far(self.scaled(lhs[0], self.conj(*xy[1:]), lhs[1:]),
+                       self.scaled(rhs[0], sy[1:], sx[1:], rhs[1:]), tol)
         out += [("anti-multiplicative", (lab(s), lab(t), pts[s][x], pts[t][y]))
-                for s, t, x, y in zip(ps[i[order]], ps[j[order]], px[i[order]], px[j[order]])]
+                for s, t, x, y in zip(s[bad], t[bad], x[bad], y[bad])]
         return out
 
     def _inclusion_laws(self, tol) -> list:
@@ -495,10 +488,7 @@ class BundleArrays:
         the r between, star, then products with every point y of every
         fiber u on the left and on the right."""
         T, inv, ps, px, leq = self.T, self.inv, self.slot_s, self.slot_x, self.leq
-        lo, hi = np.nonzero(leq)
-        e = np.repeat(np.arange(len(lo)), self.cs[lo])
-        s, t = lo[e], hi[e]
-        x = np.arange(len(e)) - _starts(self.cs[lo])[e]
+        s, t, x = self.below
         jp = self.include(s, t, x)
         lab, pts = self.S.label, self.points
 
@@ -530,7 +520,7 @@ class BundleArrays:
 
         u, y = ps[None, :], px[None, :]
         step = max(1, CHUNK // max(1, self.M))
-        for a in range(0, len(e), step):
+        for a in range(0, len(s), step):
             s_, t_, x_ = (v[a:a + step, None] for v in (s, t, x))
             j_ = tuple(v if v is None else v[a:a + step, None] for v in jp)
             for side, tag in enumerate(("inclusion-product-left", "inclusion-product-right")):
@@ -631,39 +621,20 @@ class BundleArrays:
         of fiber t, (s, t) = pair[b], through the product rows."""
         b, r = _expand(self.prod_start, self.prod_count, pair)
         _, x, y, z, _, V = self.products
-        return self._scatter(L[:, b, x[r]] * R[:, b, y[r]] * V[r], b, z[r], len(pair),
-                             self.repeats[0])
+        return self._scatter(L[:, b, x[r]] * R[:, b, y[r]] * V[r], b, z[r], len(pair))
 
     def _star(self, fiber, L):
         """Bundle.star of the dense elements L[k, b] of fiber[b]."""
         b, r = _expand(self.star_start, self.star_count, fiber)
         _, x, z, _, V = self.stars
-        return self._scatter(np.conj(L[:, b, x[r]]) * V[r], b, z[r], len(fiber),
-                             self.repeats[1])
+        return self._scatter(np.conj(L[:, b, x[r]]) * V[r], b, z[r], len(fiber))
 
-    @cached_property
-    def repeats(self) -> tuple:
-        """Whether two product rows of one pair, and whether two star
-        entries of one fiber, share their target."""
-        return tuple(len(np.unique(rows[0] * self.W + rows[-3])) < len(rows[0])
-                     for rows in (self.products, self.stars))
-
-    def _scatter(self, v, b, z, size, repeats: bool):
-        """The terms v[k, i] placed at (k, b[i], z[i]).  As in Bundle.mul
-        and Bundle.star, where several terms meet (a table that repeats a
-        target), the last non-zero one in row order wins."""
-        k, W = len(v), self.W
-        out = np.zeros((k, size * W), dtype=complex)
-        at = b * W + z
-        if not repeats:
-            out[:, at] = v
-        else:
-            at = (np.arange(k)[:, None] * (size * W) + at).ravel()
-            v = v.ravel()
-            at, v = at[v != 0], v[v != 0]
-            last = len(at) - 1 - np.unique(at[::-1], return_index=True)[1]
-            out.ravel()[at[last]] = v[last]
-        return out.reshape(k, size, W)
+    def _scatter(self, v, b, z, size):
+        """The terms v[k, i] summed at (k, b[i], z[i]) in row order, as
+        Bundle.mul and Bundle.star sum the terms that meet at one point."""
+        out = np.zeros((len(v), size, self.W), dtype=complex)
+        np.add.at(out, (slice(None), b, z), v)
+        return out
 
 
 def _sup(f):
@@ -692,8 +663,11 @@ def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
     equality extends to the whole fiber; the random families exercise
     linearity itself: left- and right-linearity, submultiplicativity,
     star-isometric, conjugate-linear, the C*-identity and positivity.
-    The tables are compiled to arrays once (BundleArrays) and every family
-    runs on them.  Returns (ok, violations).
+    Their norms are the sup norm of functions on the points, the C*-norm
+    of a commutative fiber; a one-fiber algebra whose products add terms
+    is no such fiber, and alg.verify() checks it.  The tables are compiled
+    to arrays once (BundleArrays) and every family runs on them.  Returns
+    (ok, violations).
     """
     import random as _random
     rng = rng or _random.Random(0)

@@ -7,7 +7,7 @@ ideals (a function is moved by pulling back along the inverse map).
 
 from __future__ import annotations
 
-from fellsem.angles import ONE, Angle, as_complex, scalar_conj
+from fellsem.angles import ONE, Angle, as_complex
 
 
 class CarrierMismatch(ValueError):
@@ -102,16 +102,6 @@ class CFunction:
 
     def at(self, x) -> complex:
         return as_complex(self(x))
-
-    def conjugate(self) -> "CFunction":
-        return CFunction(self.carrier, {x: scalar_conj(v) for x, v in self.values.items()})
-
-    def extend(self, carrier) -> "CFunction":
-        """Zero-extend to a larger carrier."""
-        c = frozenset(carrier)
-        if not self.carrier <= c:
-            raise CarrierMismatch("extend target does not contain carrier")
-        return CFunction(c, dict(self.values))
 
     def support(self):
         return frozenset(x for x, v in self.values.items() if as_complex(v) != 0)

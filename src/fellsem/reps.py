@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.angles import ONE, as_complex
+from fellsem.angles import as_complex
 from fellsem.action import TwistedAction
+from fellsem.bundle import BundleArrays
 from fellsem.partial_maps import CFunction
+
+# matrix entries the pair family of verify_representation holds at once
+ENTRIES = 1 << 15
 
 
 class RepError(ValueError):
@@ -149,40 +153,44 @@ def to_covariant(pi: BundleRep, B, A: TwistedAction) -> CovariantRep:
 
 def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
     """Multiplicativity, *-compatibility and inclusion-compatibility on
-    point masses, through B's table lookups; pi of a scaled point mass
-    (z, c) in fiber s is c pi.mats[(s, z)]."""
-    S = B.S
-    bad = []
+    point masses, gathered through B's tables compiled to arrays; pi of a
+    scaled point mass (z, c) in fiber s is c pi.mats[(s, z)].  The pairs
+    of points run in chunks of ENTRIES matrix entries.  A table that leaves
+    its fibers is reported as Bundle.verify reports it, instead."""
+    arrays = BundleArrays(B)
+    bad = arrays.fiber_violations()
+    if bad:
+        return False, bad
+    arrays.angles = False  # the images need every scalar's complex value
+    arrays.lookups()
+    lab, pts, off, d = B.S.label, arrays.points, arrays.off, pi.d
+    mats = np.stack([pi.mats[(s, x)] for s, p in enumerate(pts) for x in p]
+                    + [np.zeros((d, d), dtype=complex)])
 
     def image(s, p):
-        return as_complex(p[1]) * pi.mats[(s, p[0])] if p else np.zeros((pi.d, pi.d), complex)
+        z, _, V = p
+        return V[:, None, None] * mats.take(off[s] + z, axis=0, mode="clip")
 
-    def close(a, b):
-        return np.linalg.norm(a - b) <= tol * max(1.0, np.linalg.norm(b))
+    def far(a, b):
+        norm = np.linalg.norm(b, axis=(1, 2))
+        return ~(np.linalg.norm(a - b, axis=(1, 2)) <= tol * np.maximum(1.0, norm))
 
-    for s in S.elements():
-        for t in S.elements():
-            st = S.mul(s, t)
-            for x in B.carrier(s):
-                for y in B.carrier(t):
-                    lhs = pi.mats[(s, x)] @ pi.mats[(t, y)]
-                    rhs = image(st, B.mul_point(s, t, (x, ONE), (y, ONE)))
-                    if not close(lhs, rhs):
-                        bad.append(("multiplicative", (S.label(s), S.label(t), x, y)))
-    for s in S.elements():
-        for x in B.carrier(s):
-            lhs = pi.mats[(s, x)].conj().T
-            rhs = image(S.inv[s], B.star_point(s, (x, ONE)))
-            if not close(lhs, rhs):
-                bad.append(("star", (S.label(s), x)))
-    for s in S.elements():
-        for t in S.elements():
-            if not S.leq(s, t):
-                continue
-            for x in B.carrier(s):
-                lhs = image(t, B.include_point(t, s, (x, ONE)))
-                if not close(lhs, pi.mats[(s, x)]):
-                    bad.append(("inclusion", (S.label(s), S.label(t), x)))
+    s, t, x, y = arrays.pairs
+    step = max(1, ENTRIES // max(1, d * d))
+    hit = [np.empty(0, dtype=np.intp)]
+    for a in range(0, len(s), step):
+        i, j, u, v = (w[a:a + step] for w in (s, t, x, y))
+        rhs = image(arrays.T[i, j], arrays.product(i, j, u, v))
+        hit.append(a + np.flatnonzero(far(mats[off[i] + u] @ mats[off[j] + v], rhs)))
+    k = np.concatenate(hit)
+    bad = [("multiplicative", (lab(s), lab(t), pts[s][x], pts[t][y]))
+           for s, t, x, y in zip(s[k], t[k], x[k], y[k])]
+    s, x = arrays.slot_s, arrays.slot_x
+    k = far(mats[:-1].conj().transpose(0, 2, 1), image(arrays.inv[s], arrays.star(s, x)))
+    bad += [("star", (lab(s), pts[s][x])) for s, x in zip(s[k], x[k])]
+    s, t, x = arrays.below
+    k = far(image(t, arrays.include(s, t, x)), mats[off[s] + x])
+    bad += [("inclusion", (lab(s), lab(t), pts[s][x])) for s, t, x in zip(s[k], t[k], x[k])]
     return not bad, bad
 
 

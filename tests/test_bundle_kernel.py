@@ -14,15 +14,18 @@ import cmath
 import random
 from itertools import groupby
 
+import numpy as np
+
 from fellsem.angles import ONE, as_complex
-from fellsem.bundle import SectionBundle, _far, build_bundle, verify_fell_bundle
+from fellsem.algebra import convolution_algebra
+from fellsem.bundle import BundleArrays, SectionBundle, build_bundle, verify_fell_bundle
 from fellsem.generators import (corpus, full_monoid_action, mutate_omega, mutation_corpus,
                                 random_gauge, standard_groupoids)
 from fellsem.action import gauge_transform
-from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
+from fellsem.groupoid import TwoCocycle, bisection_semigroup, cyclic_group, z2_nontrivial_cocycle
 from fellsem.refine import saturated_refinement
 
-from dense import add, random_element, scale, sup_norm
+from dense import add, far, include_point, mul_point, random_element, scale, star_point, sup_norm
 from test_algebra import parity_cases
 from test_bundle import _corrupt_one_entry
 
@@ -49,10 +52,17 @@ def ref_bundle_verify(B, tol=1e-9):
     if bad:
         return False, bad
 
-    mul, star, include = B.mul_point, B.star_point, B.include_point
+    def mul(s, t, p, q):
+        return mul_point(B, s, t, p, q)
+
+    def star(s, p):
+        return star_point(B, s, p)
+
+    def include(t, s, p):
+        return include_point(B, t, s, p)
 
     def check(tag, where, lhs, rhs):
-        if _far(lhs, rhs, tol):
+        if far(lhs, rhs, tol):
             bad.append((tag, where))
 
     for r in els:
@@ -250,8 +260,8 @@ def test_arrays_match_the_reference_on_refinements():
 
 def test_arrays_match_the_reference_on_one_fiber_algebras():
     # the convolution algebras and the germ algebras of test_algebra; their
-    # product rows share targets, where Bundle.mul keeps the last non-zero
-    # term instead of summing, and both paths must do so alike
+    # product rows share targets, where Bundle.mul sums the terms, and both
+    # paths must do so alike
     algebras = [make()[0] for make in parity_cases()]
     rng = random.Random(8)
     verdicts = set()
@@ -261,6 +271,27 @@ def test_arrays_match_the_reference_on_one_fiber_algebras():
         verdicts.add(_same_fell(alg, 1000 + i))
         undo()
     assert verdicts == {True, False}
+
+
+def test_products_sum_the_terms_that_meet_at_one_point():
+    # C[Z/3]: every arrow c is the product ab of three pairs
+    G = cyclic_group(3)
+    tau = TwoCocycle.trivial(G)
+    alg = convolution_algebra(G, tau)
+    rng = random.Random(10)
+    f, g = (random_element(alg, 0, rng) for _ in range(2))
+    want = {c: 0j for c in G.arrows()}
+    for a in G.arrows():
+        for b in G.arrows():
+            if G.composable(a, b):
+                want[G.mul(a, b)] += f.at(a) * g.at(b) * as_complex(tau(a, b))
+    fg = alg.mul(0, 0, f, g)
+    assert all(abs(fg.at(c) - v) < 1e-12 for c, v in want.items())
+    arrays = BundleArrays(alg)
+    pts = arrays.points[0]
+    dense = arrays._mul(np.zeros(1, dtype=np.intp), np.array([[[f.at(x) for x in pts]]]),
+                        np.array([[[g.at(x) for x in pts]]]))
+    assert np.abs(dense[0, 0] - [fg.at(x) for x in pts]).max() < 1e-12
 
 
 def test_complex_scalars_match_the_reference(five):

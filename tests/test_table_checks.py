@@ -1,10 +1,12 @@
 """The point-mass checks read the structure tables.
 
-The inclusion families of Bundle.verify (on the tables compiled to
-arrays), refine.verify_morphism and reps.verify_representation look point
-masses up in the Bundle tables.  The former implementations, which pushed CFunction point masses through the
-linear operations, are kept here as references; the two must agree on
-clean inputs and on inputs with one table entry or one matrix corrupted.
+The inclusion families of Bundle.verify, refine.verify_morphism and
+reps.verify_representation gather point masses through the Bundle tables
+compiled to arrays.  The former implementations, which pushed CFunction
+point masses through the linear operations, are kept here as references;
+the two must agree on clean inputs and on inputs with one table entry or
+one matrix corrupted.  Where a table leaves its fibers, the morphism and
+representation checks report the fiber scan of Bundle.verify instead.
 """
 
 import random
@@ -12,15 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from fellsem.angles import Angle, as_complex
+from fellsem.angles import ONE, Angle, as_complex
 from fellsem.bundle import BundleError, SectionBundle, _smul, build_bundle
 from fellsem.generators import mutation_corpus, standard_groupoids
 from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
 from fellsem.partial_maps import CFunction
-from fellsem.refine import saturated_refinement, verify_morphism
+from fellsem.refine import saturated_refinement, verify_morphism, verify_refinement
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
-from dense import point_mass, sup_norm
+from dense import extend, point_mass, sup_norm
 from test_bundle import _corrupt_one_entry
 
 
@@ -111,7 +113,7 @@ def ref_verify_morphism(m, tol=1e-9):
     bad = []
 
     def psi(i, f):
-        return f.extend(A.carrier(m.phi(i)))
+        return extend(f, A.carrier(m.phi(i)))
 
     def pm(i, x):
         return point_mass(B.carrier(i), x)
@@ -267,3 +269,69 @@ def test_representation_check_matches_the_reference():
                 undo()
     assert not mismatches, mismatches
     assert verdicts == {True, False}
+
+
+def _section_rep(G, tau):
+    S, biss, _ = bisection_semigroup(G)
+    B = SectionBundle(G, tau, S, biss)
+    return B, to_bundle_rep(regular_covariant_rep(G, tau, S, biss), B)
+
+
+def test_clean_pair3_representation_matches_the_reference():
+    G = standard_groupoids()["pair3"]
+    B, pi = _section_rep(G, TwoCocycle.trivial(G))
+    assert verify_representation(pi, B) == ref_verify_representation(pi, B) == (True, [])
+
+
+def test_morphism_check_reads_zero_outside_the_image_fiber(five):
+    # a point x of a refined fiber outside its image fiber of the base has
+    # no entries in the base tables: every product, star and inclusion of
+    # the base there is zero
+    R, m = saturated_refinement(build_bundle(five))
+    T, A = R.S, m.A
+    points = frozenset().union(*A.carriers.values())
+    i = next(i for i in T.elements() if points - A.carrier(m.phi(i)))
+    x = min(points - A.carrier(m.phi(i)), key=str)
+    R.carriers[i] = R.carrier(i) | {x}
+    assert verify_morphism(m) == (True, [])
+
+    # a product from x
+    j = next(j for j in T.elements() if R.carrier(j) and R.carrier(T.mul(i, j)))
+    y = min(R.carrier(j), key=str)
+    R.products[(i, j)][(x, y)] = (min(R.carrier(T.mul(i, j)), key=str), ONE)
+    assert verify_morphism(m) == (False, [("multiplicative", (T.label(i), T.label(j), x, y))])
+    del R.products[(i, j)][(x, y)]
+
+    # a product onto x, of two points whose product in the base is zero
+    k, l, u, v = next((k, l, u, v) for k in T.elements() for l in T.elements()
+                      if T.mul(k, l) == i
+                      for u in R.carrier(k) - {x} for v in R.carrier(l) - {x}
+                      if (u, v) not in A.products[(m.phi(k), m.phi(l))])
+    R.products[(k, l)][(u, v)] = (x, ONE)
+    assert verify_morphism(m) == (False, [("multiplicative", (T.label(k), T.label(l), u, v))])
+
+
+def test_morphism_check_reports_a_table_leaving_its_fibers(five):
+    R, m = saturated_refinement(build_bundle(five))
+    T = R.S
+    points = frozenset().union(*R.carriers.values())
+    i, j = next(key for key, rows in R.products.items()
+                if rows and points - R.carrier(T.mul(*key)))
+    xy = next(iter(R.products[(i, j)]))
+    _, c = R.products[(i, j)][xy]
+    R.products[(i, j)][xy] = (min(points - R.carrier(T.mul(i, j)), key=str), c)
+    scan = [("product-fiber", (T.label(i), T.label(j)))]
+    assert R.verify() == (False, scan)
+    assert verify_morphism(m) == (False, scan)
+    assert verify_refinement(m) == (False, scan)
+
+
+def test_representation_check_reports_a_table_leaving_its_fibers():
+    B, pi = _section_rep(*z2_nontrivial_cocycle())
+    S = B.S
+    s = next(s for s in S.elements() if B.stars[s])
+    x = next(iter(B.stars[s]))
+    B.stars[s][x] = ("nowhere", B.stars[s][x][1])
+    scan = [("star-fiber", S.label(s))]
+    assert B.verify() == (False, scan)
+    assert verify_representation(pi, B) == (False, scan)

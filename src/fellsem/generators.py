@@ -9,11 +9,14 @@ and gauge transforms of either.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from fellsem.angles import Angle
 from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
 from fellsem.partial_maps import CFunction, PartialBijection
-from fellsem.action import TwistedAction, gauge_transform, untwisted_omega
+from fellsem.action import Kernel, TwistedAction, gauge_transform, untwisted_omega, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
                               z2_nontrivial_cocycle)
@@ -145,7 +148,11 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
     """Multiply one omega value at one point by a nontrivial angle.
 
     Returns None when the action has no nonempty omega carrier to mutate.
+    An action that holds only exponent arrays is mutated in its arrays,
+    picking the slot that its omega dict would list at the same place.
     """
+    if A._omega is None:
+        return _mutate_exponents(A, rng)
     slots = [(key, x) for key, w in A.omega.items() for x in w.carrier]
     if not slots:
         return None
@@ -158,6 +165,30 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
     omega = dict(A.omega)
     omega[(s, t)] = CFunction(w.carrier, vals)
     return TwistedAction(A.S, A.X, A.U, A.theta, omega)
+
+
+def _mutate_exponents(A: TwistedAction, rng) -> TwistedAction | None:
+    """mutate_omega on the exponent arrays, with the same draws from rng."""
+    K = A.kernel
+    F, inside = K.frame, K.W >= 0
+    ends = np.cumsum(inside.sum(axis=2).ravel())
+    if not ends.size or not ends[-1]:
+        return None
+    r = rng.randrange(int(ends[-1]))
+    key = int(np.searchsorted(ends, r, side="right"))
+    s, t = divmod(key, F.n)
+    r -= int(ends[key - 1]) if key else 0
+    # the dict lists the carrier of omega(s, t) in the order of a frozenset
+    # made from the point dict Kernel.omega fills in point order; make the same
+    at = np.flatnonzero(inside[s, t])
+    x = list(frozenset(dict.fromkeys(F.points[i] for i in at)))[r]
+    denom = rng.choice([2, 3, 4])
+    shift = rng.randrange(1, denom)
+    N = lcm(K.N, denom)
+    W = widen(K.W, K.N, N)
+    i = F.index[x]
+    W[s, t, i] = (W[s, t, i] + shift * (N // denom)) % N
+    return TwistedAction._with_kernel(A, Kernel(F, N, W))
 
 
 def mutation_corpus(rng) -> list:

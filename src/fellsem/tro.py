@@ -5,11 +5,17 @@ Spans are kept as orthonormal bases from an SVD rank cut, and membership in
 a span is one batched projection residual; closure is decided as
 span(MM*)·M ⊆ M.  Association of a matrix u to M, regularity, ideals and
 local regularity use the same rank and residual tests at a relative tolerance.
+
+A MatrixTRO is frozen and holds its basis as a tuple of read-only copies, so
+what is derived from the basis cannot go stale: the orthonormal bases of M,
+MM* and M*M and the support projections of MM* and M*M are built once per
+tolerance, on first use, and every later query reads them.  A rank alone is
+taken from the singular values, without the singular vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +50,35 @@ def _products(A, B, n: int):
     return (A[:, None] @ B[None]).reshape(-1, n, n)
 
 
+def _adjoints(mats):
+    """The adjoint of each matrix of a stack."""
+    return np.swapaxes(mats, -1, -2).conj()
+
+
+def _orthonormal(mats, tol: float):
+    """An orthonormal basis for the span of a stack of matrices, as a stack."""
+    if len(mats) == 0:
+        return mats[:0].copy()
+    a = mats.reshape(len(mats), -1)
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")  # the same row space and singular values
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh[:_rank(s, tol)].reshape(-1, *mats.shape[1:])
+
+
 def span_basis(mats, tol: float = EPS):
     """An orthonormal basis (as matrices) for the span of the given matrices."""
     if len(mats) == 0:
         return []
-    a = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    return list(vh[:_rank(s, tol)].reshape(-1, *np.shape(mats[0])))
+    return list(_orthonormal(np.asarray(mats, dtype=complex), tol))
 
 
 def span_dim(mats, tol: float = EPS) -> int:
-    return len(span_basis(mats, tol))
+    """The dimension of the span, from the singular values alone."""
+    if len(mats) == 0:
+        return 0
+    a = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+    return _rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def _inside(basis, mats, tol: float = EPS) -> bool:
@@ -68,6 +92,12 @@ def _inside(basis, mats, tol: float = EPS) -> bool:
     return bool(np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=1))))
 
 
+def _spans_onto(mats, Q, tol: float) -> bool:
+    """span(mats) = span(Q), for a stack mats and an orthonormal basis Q."""
+    ba = _orthonormal(mats, tol)
+    return len(ba) == len(Q) and _inside(Q, ba, tol)
+
+
 def spans_equal(A, B, tol: float = EPS) -> bool:
     ba, bb = span_basis(A, tol), span_basis(B, tol)
     return len(ba) == len(bb) and _inside(bb, ba, tol)
@@ -78,24 +108,56 @@ def span_contains(A, B, tol: float = EPS) -> bool:
     return _inside(span_basis(A, tol), B, tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixTRO:
+    """The span of `basis`, linearly independent n-by-n matrices, n = dim.
+
+    The basis is kept as a tuple of read-only copies, so the spans and
+    projections derived from it are built once per tolerance and kept.
+    """
+
     dim: int
-    basis: list = field(default_factory=list)
+    basis: tuple = ()
 
     def __post_init__(self):
-        self.basis = [np.asarray(m, dtype=complex) for m in self.basis]
-        for m in self.basis:
-            if m.shape != (self.dim, self.dim):
+        n = self.dim
+        mats = [np.asarray(m, dtype=complex) for m in self.basis]
+        for m in mats:
+            if m.shape != (n, n):
                 raise DimensionMismatch(f"basis matrix has shape {m.shape}")
-        if span_dim(self.basis) != len(self.basis):
+        stack = np.array(mats, dtype=complex).reshape(len(mats), n, n)
+        stack.flags.writeable = False
+        object.__setattr__(self, "basis", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_memo", {})
+        if span_dim(stack) != len(mats):
             raise TroError("basis is linearly dependent")
+
+    def _get(self, what: str, tol: float):
+        """A read-only stack, built on first use at each tol: the orthonormal
+        basis of M ("basis"), of MM* ("left") or of M*M ("right"), or the
+        support projection of MM* ("p_left") or of M*M ("p_right")."""
+        key = (what, tol)
+        value = self._memo.get(key)
+        if value is None:
+            B, n = self._stack, self.dim
+            if what == "basis":
+                value = _orthonormal(B, tol)
+            elif what == "left":
+                value = _orthonormal(_products(B, _adjoints(B), n), tol)
+            elif what == "right":
+                value = _orthonormal(_products(_adjoints(B), B, n), tol)
+            else:
+                value = support_projection(self._get(what[2:], tol), n, tol)
+            value.flags.writeable = False
+            self._memo[key] = value
+        return value
 
     def is_tro(self, tol: float = EPS) -> bool:
         """span{x y* z} = span(MM*)·M, so closure is decided on the products
         a z of orthonormal bases of MM* and M."""
-        sp = span_basis(self.basis, tol)
-        return _inside(sp, _products(left_algebra(self, tol), sp, self.dim), tol)
+        sp = self._get("basis", tol)
+        return _inside(sp, _products(self._get("left", tol), sp, self.dim), tol)
 
     @classmethod
     def from_matrices(cls, mats) -> "MatrixTRO":
@@ -105,18 +167,18 @@ class MatrixTRO:
 
 def right_algebra(M: MatrixTRO, tol: float = EPS):
     """Span of M*M."""
-    return span_basis(_products([x.conj().T for x in M.basis], M.basis, M.dim), tol)
+    return list(M._get("right", tol))
 
 
 def left_algebra(M: MatrixTRO, tol: float = EPS):
     """Span of MM*."""
-    return span_basis(_products(M.basis, [y.conj().T for y in M.basis], M.dim), tol)
+    return list(M._get("left", tol))
 
 
 def support_projection(alg, n: int, tol: float = EPS):
     """The unit projection of a *-closed matrix algebra span: the orthogonal
     projection onto the joint column space of its elements."""
-    if not alg:
+    if len(alg) == 0:
         return np.zeros((n, n), dtype=complex)
     cols = np.hstack([np.asarray(m, dtype=complex) for m in alg])
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -147,17 +209,16 @@ def check_association(u, M: MatrixTRO, tol: float = EPS) -> AssociationReport:
     u = np.asarray(u, dtype=complex)
     if u.shape != (M.dim, M.dim):
         raise DimensionMismatch("u has wrong shape")
-    mm = left_algebra(M, tol)
-    mstar_m = right_algebra(M, tol)
-    a = spans_equal([m.conj().T @ u for m in M.basis], mstar_m, tol)
-    b = spans_equal([u @ m.conj().T for m in M.basis], mm, tol)
-    c = spans_equal([u @ u.conj().T @ m for m in M.basis], M.basis, tol)
-    d = spans_equal([m @ u.conj().T @ u for m in M.basis], M.basis, tol)
-    p_right = support_projection(mstar_m, M.dim, tol)
-    p_left = support_projection(mm, M.dim, tol)
-    strict_right = bool(np.linalg.norm(u.conj().T @ u - p_right) <= tol * max(1.0, np.linalg.norm(p_right)))
-    strict_left = bool(np.linalg.norm(u @ u.conj().T - p_left) <= tol * max(1.0, np.linalg.norm(p_left)))
-    pi = bool(np.linalg.norm(u @ u.conj().T @ u - u) <= tol * max(1.0, np.linalg.norm(u)))
+    B, sp = M._stack, M._get("basis", tol)
+    Bh, uh = _adjoints(B), u.conj().T
+    a = _spans_onto(Bh @ u, M._get("right", tol), tol)
+    b = _spans_onto(u @ Bh, M._get("left", tol), tol)
+    c = _spans_onto(u @ uh @ B, sp, tol)
+    d = _spans_onto(B @ uh @ u, sp, tol)
+    p_right, p_left = M._get("p_right", tol), M._get("p_left", tol)
+    strict_right = bool(np.linalg.norm(uh @ u - p_right) <= tol * max(1.0, np.linalg.norm(p_right)))
+    strict_left = bool(np.linalg.norm(u @ uh - p_left) <= tol * max(1.0, np.linalg.norm(p_left)))
+    pi = bool(np.linalg.norm(u @ uh @ u - u) <= tol * max(1.0, np.linalg.norm(u)))
     return AssociationReport(a, b, c, d, strict_left, strict_right, pi)
 
 
@@ -171,9 +232,7 @@ def polar_isometry(m, tol: float = EPS):
 
 def strict_correction(u, M: MatrixTRO, tol: float = EPS):
     """Cut u down by the support projections of MM* and M*M."""
-    p_left = support_projection(left_algebra(M, tol), M.dim, tol)
-    p_right = support_projection(right_algebra(M, tol), M.dim, tol)
-    return p_left @ np.asarray(u, dtype=complex) @ p_right
+    return M._get("p_left", tol) @ np.asarray(u, dtype=complex) @ M._get("p_right", tol)
 
 
 def is_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EPS):
@@ -191,19 +250,15 @@ def is_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EPS):
     k = len(M.basis)
     if k == 0:
         return True, np.zeros((M.dim, M.dim), dtype=complex)
-    mstar_m = right_algebra(M, tol)
-    mm = left_algebra(M, tol)
+    mstar_m, mm = M._get("right", tol), M._get("left", tol)
     log = []
     for trial in range(trials):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
         m = sum(c * b for c, b in zip(coeffs, M.basis))
-        d1 = span_dim([m @ a for a in mstar_m], tol)
-        d2 = span_dim([a @ m for a in mm], tol)
+        d1 = span_dim(m @ mstar_m, tol)
+        d2 = span_dim(mm @ m, tol)
         if d1 == k and d2 == k:
-            # strict_correction, with the algebras built above
-            p_left = support_projection(mm, M.dim, tol)
-            p_right = support_projection(mstar_m, M.dim, tol)
-            return True, p_left @ polar_isometry(m, tol) @ p_right
+            return True, strict_correction(polar_isometry(m, tol), M, tol)
         log.append({"trial": trial, "dim_mMM": d1, "dim_MMm": d2, "dim_M": k})
     return False, log
 
@@ -211,25 +266,25 @@ def is_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EPS):
 def is_ideal(N: MatrixTRO, M: MatrixTRO, tol: float = EPS) -> bool:
     if N.dim != M.dim:
         raise DimensionMismatch("ambient dimensions differ")
-    if not span_contains(M.basis, N.basis, tol):
+    if not _inside(M._get("basis", tol), N._stack, tol):
         raise NotSubspace("N is not contained in M")
-    mstar_m, mm = right_algebra(M, tol), left_algebra(M, tol)
-    return span_contains(N.basis, [n @ a for n in N.basis for a in mstar_m]
-                         + [a @ n for n in N.basis for a in mm], tol)
+    n = M.dim
+    grown = np.concatenate([_products(N._stack, M._get("right", tol), n),
+                            _products(M._get("left", tol), N._stack, n)])
+    return _inside(N._get("basis", tol), grown, tol)
 
 
 def principal_ideal(m, M: MatrixTRO, tol: float = EPS):
     """The smallest TRO ideal of M containing m."""
-    mm = left_algebra(M, tol)
-    mstar_m = right_algebra(M, tol)
-    current = span_basis([np.asarray(m, dtype=complex)], tol)
+    n = M.dim
+    mm, mstar_m = M._get("left", tol), M._get("right", tol)
+    current = _orthonormal(np.asarray(m, dtype=complex).reshape(1, n, n), tol)
     while True:
-        grown = list(current)
-        grown += [a @ x for a in mm for x in current]
-        grown += [x @ a for x in current for a in mstar_m]
-        nxt = span_basis(grown, tol)
+        grown = np.concatenate([current, _products(mm, current, n),
+                                _products(current, mstar_m, n)])
+        nxt = _orthonormal(grown, tol)
         if len(nxt) == len(current):
-            return nxt
+            return list(nxt)
         current = nxt
 
 
@@ -246,7 +301,9 @@ def is_locally_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EP
         ok, _ = is_regular(sub, trials, rng, tol)
         if ok:
             regular_parts.extend(ideal)
-    return spans_equal(regular_parts, M.basis, tol) if regular_parts else len(M.basis) == 0
+    if not regular_parts:
+        return len(M.basis) == 0
+    return _spans_onto(np.array(regular_parts), M._get("basis", tol), tol)
 
 
 def column_tro(n: int = 2) -> MatrixTRO:

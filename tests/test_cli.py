@@ -157,6 +157,7 @@ def test_shipped_examples_pass_their_verify_commands(capsys):
     root = pathlib.Path(__file__).resolve().parent.parent / "data"
     commands = {
         "busby_smith_z2.json": ("action", "verify"),
+        "corner_tro.json": ("tro", "regular"),
         "five_element_s.json": ("action", "verify"),
         "pair_groupoid.json": ("groupoid", "verify"),
         "z2_twisted.json": ("groupoid", "cocycle"),

@@ -2,10 +2,10 @@
 
 The reference functions below are the former pointwise implementations of
 the action axioms, their consequences, the Sieben condition, gauges,
-siebenize and the inverse-semigroup laws, reading omega as a dict of
-CFunctions and the Cayley table as nested lists.  The kernel must give the
-same verdicts and the same violation multisets, and exactly equal gauged
-and siebenized actions.
+siebenize, single-point omega mutation and the inverse-semigroup laws,
+reading omega as a dict of CFunctions and the Cayley table as nested lists.
+The kernel must give the same verdicts and the same violation multisets,
+and exactly equal gauged, siebenized and mutated actions.
 """
 
 import cmath
@@ -235,6 +235,21 @@ def ref_siebenize(A):
     return chi, ref_gauge_transform(A, chi)
 
 
+def ref_mutate_omega(A, rng):
+    slots = [(key, x) for key, w in A.omega.items() for x in w.carrier]
+    if not slots:
+        return None
+    (s, t), x = slots[rng.randrange(len(slots))]
+    denom = rng.choice([2, 3, 4])
+    shift = Angle(Fraction(rng.randrange(1, denom), denom))
+    w = A.omega[(s, t)]
+    vals = dict(w.values)
+    vals[x] = shift * vals[x]
+    omega = dict(A.omega)
+    omega[(s, t)] = CFunction(w.carrier, vals)
+    return TwistedAction(A.S, A.X, A.U, A.theta, omega)
+
+
 def ref_verify_inverse_semigroup(table, labels=None):
     n = len(table)
     for a, row in enumerate(table):
@@ -324,6 +339,20 @@ def test_kernel_matches_the_reference_on_the_mutation_sweep():
         if not (verify_twisted_action(M)[0] and verify_consequences(M)[0]):
             detected += 1
     assert detected >= 990, detected
+
+
+def test_array_mutants_equal_the_dict_mutants():
+    I3 = full_monoid_action(3)
+    bases = [gauge_transform(I3, random_gauge(I3, random.Random(3))), full_monoid_action(4)]
+    bases += mutation_corpus(random.Random(2))
+    for A in bases:
+        for seed in range(3 if A.S.n > 100 else 25):
+            arrays = TwistedAction._with_kernel(A, A.kernel)  # no omega dict
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            M, ref = mutate_omega(arrays, rng), ref_mutate_omega(A, ref_rng)
+            assert arrays._omega is None and M._omega is None
+            assert M.equals(ref) and _same_omega(M, ref)
+            assert rng.random() == ref_rng.random()
 
 
 def test_structural_defects_match_the_reference(five):

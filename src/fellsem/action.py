@@ -97,11 +97,13 @@ class Frame:
 class Kernel:
     """The omega of an action as exponents mod N: W[s, t, x] = k for the
     value exp(2 pi i k/N) at point x, OUTSIDE where x is not in the carrier
-    of omega(s, t), NOT_ANGLE where the value there is not an Angle."""
+    of omega(s, t), NOT_ANGLE where the value there is not an Angle.
+    `bundle` is the action's Fell bundle once bundle.build_bundle built it."""
 
     def __init__(self, frame: Frame, N: int, W: np.ndarray):
         self.frame, self.N, self.W = frame, N, W
         self._angles = {}
+        self.bundle = None
 
     @classmethod
     def compile(cls, A) -> "Kernel":

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.angles import ONE, as_complex, scalar_conj
-from fellsem.action import TwistedAction, GermGroupoid
+from fellsem.angles import Angle, scalar_conj
+from fellsem.action import GermGroupoid, TwistedAction, exponents
 from fellsem.bundle import Bundle, SectionBundle
 from fellsem.isg import verify_inverse_semigroup
 
@@ -34,16 +34,16 @@ def left_regular(alg: Bundle):
     """Left multiplication matrices L[i] acting on coefficient vectors;
     the element with coefficients a acts as np.tensordot(a, L, 1)."""
     n = len(alg.carrier(0))
+    _, i, j, k = alg.products[:4]
     L = np.zeros((n, n, n), dtype=complex)
-    for (i, j), (k, c) in alg.products[(0, 0)].items():
-        L[i, k, j] = as_complex(c)
+    L[i, k, j] = alg.values[0]
     return L
 
 
 def star_vector(alg: Bundle, coeffs):
+    _, i, k = alg.stars[:3]
     out = np.zeros(len(alg.carrier(0)), dtype=complex)
-    for i, (k, c) in alg.stars[0].items():
-        out[k] += np.conj(coeffs[i]) * as_complex(c)
+    np.add.at(out, k, np.conj(np.asarray(coeffs)[i]) * alg.values[1])
     return out
 
 
@@ -60,29 +60,34 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     Basis element g is the point mass at the range of the germ's canonical
     representative (t0, x), living in the fiber over t0; products and
     adjoints re-enter canonical coordinates through the germ groupoid's
-    coordinates.
+    coordinates.  The omega values are read from the action's exponent
+    kernel.
     """
-    G = germs or GermGroupoid(A)
-    S = A.S
-    n = G.arrow_count
-    rows, stars = {}, {}
+    G, S, K = germs or GermGroupoid(A), A.S, A.kernel
+    n, index = G.arrow_count, K.frame.index
+
+    def omega(s, t, y):  # an Angle from the kernel; A.omega_at where it holds none
+        return K.angle(k) if (k := K.rows[s][t][index[y]]) >= 0 else A.omega_at(s, t, y)
+
+    rows, stars = [], []
     for g in range(n):
         sg, x = G.rep(g)
         for h in range(n):
-            if G.rng(h) != G.src(g):
-                continue
-            th, xh = G.rep(h)
-            st = S.mul(sg, th)
-            k = G.germ(st, xh)
-            y = A.theta[st](xh)
-            rows[(g, h)] = (k, A.omega_at(sg, th, y) * G.coord(st, xh))
-        y = A.theta[sg](x)
-        sgs = S.inv[sg]
-        gs = G.germ(sgs, y)
-        stars[g] = (gs, scalar_conj(A.omega_at(sgs, sg, x)) * G.coord(sgs, y))
-    basis = frozenset(range(n))
-    return Bundle(POINT, {0: basis}, {(0, 0): rows}, {0: stars},
-                  {(0, 0): dict.fromkeys(basis, ONE)}, "germ", A=A, germs=G)
+            if G.rng(h) == G.src(g):
+                th, xh = G.rep(h)
+                st = S.mul(sg, th)
+                rows.append((g, h, G.germ(st, xh), omega(sg, th, A.theta[st](xh)) * G.coord(st, xh)))
+        y, sgs = A.theta[sg](x), S.inv[sg]
+        stars.append((g, G.germ(sgs, y), scalar_conj(omega(sgs, sg, x)) * G.coord(sgs, y)))
+    c = [r[-1] for r in rows + stars]
+    N, E = exponents([a.frac if isinstance(a, Angle) else None for a in c])
+    V = np.array([complex(a) for a in c], dtype=complex)
+    g, h, k = np.array([r[:3] for r in rows], dtype=np.intp).reshape(-1, 3).T
+    gs, ks = np.array([r[:2] for r in stars], dtype=np.intp).reshape(-1, 2).T
+    zero, m = np.zeros(n, dtype=np.intp), len(rows)
+    return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], V[:m]),
+                  (zero[gs], gs, ks, E[m:], V[m:]), (zero, np.arange(n), np.arange(n), zero, None),
+                  "germ", A=A, germs=G)
 
 
 def _gns_rep(alg: Bundle, L):

@@ -2,43 +2,34 @@
 
 Every bundle modelled here is monomial: in the point-mass bases of the
 fibers, the product of two basis elements, the adjoint of one and its
-inclusion into a larger fiber are each a single scaled basis element.  One
-type, Bundle, holds those three structure tables, with the product rows
-keyed by the pair of points they multiply.  It extends products and stars
-(conjugate-)linearly to CFunctions, summing the terms that meet at one
-point.  Three builders fill the tables:
+inclusion into a larger fiber are each a single scaled basis element.  A
+Bundle is these structure tables as rows of integer arrays, built once and
+read-only: point numbers, and each scalar an exponent mod N (as in
+fellsem.action) with a complex value only where it is not an Angle.  The
+builders emit the rows directly: build_bundle(A) from an action's exponent
+kernel, SectionBundle from a twisted groupoid's bisections, and
+refine.RefinedBundle from a base bundle's rows.  An algebra is a Bundle
+with one fiber (see fellsem.algebra).
 
-- build_bundle(A): the bundle of a twisted action, whose fiber over s is
-  the functions on U(ss*) and whose product is twisted by omega;
-- SectionBundle(G, tau, S, bisections, carriers): the sections of a
-  twisted groupoid over its bisections, with optionally shrunken carriers;
-- refine.RefinedBundle(base): the saturated refinement of a bundle.
-
-An algebra is the same table with one fiber: a Bundle over the one-element
-inverse semigroup whose fiber is the basis range(n) (see fellsem.algebra).
-
-Every check on point masses compiles the tables into arrays once per call
-(BundleArrays), not cached, so the tables may change in place between
-checks: each fiber's points numbered in list(carrier) order, the product,
-star and inclusion rows as index arrays, and every scalar as an exponent
-mod N, N the lcm of the Angles' denominators (as in fellsem.action),
-beside its complex value.  Bundle.verify checks the exact axioms on point
-masses as gathers through these arrays, comparing Angles as exponents
-with zero tolerance; verify_fell_bundle adds the families on random dense
-elements, batched over every pair and sample at once.  So do
-refine.verify_morphism, through both bundles, and reps.verify_representation.
+Every check reads the rows.  Bundle.verify gathers the exact axioms on
+point masses through lookups made from them, comparing Angles as exponents;
+verify_fell_bundle adds families on random dense elements, batched.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
-from fellsem.action import CHUNK, NOT_ANGLE, TwistedAction, exponents, widen
-from fellsem.angles import ONE, Angle, as_complex, scalar_conj
+from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, Kernel, TwistedAction,
+                            _exponent_dtype, exponents, widen)
+from fellsem.angles import Angle
 from fellsem.isg import InverseSemigroup
-from fellsem.partial_maps import CFunction
+from fellsem.partial_maps import CFunction, PartialBijection
 
 # the point of a zero point mass: past the end of every table, so that a
 # lookup made from it reads the table's zero entry
@@ -61,143 +52,6 @@ class BadMultiplierFamily(BundleError):
     pass
 
 
-def _smul(*factors):
-    """Product of scalars, exact while every factor is an Angle; zero wins."""
-    acc = ONE
-    for f in factors:
-        if f == 0:
-            return 0
-        if isinstance(acc, Angle) and isinstance(f, Angle):
-            acc = acc * f
-        else:
-            acc = as_complex(acc) * as_complex(f)
-    return acc
-
-
-class Bundle:
-    """A monomial Fell bundle over S, given by its structure tables.
-
-    carriers[s]        the point set of the fiber over s;
-    products[(s, t)]   (x, y) -> (z, c): delta_x in fiber s times delta_y
-                       in fiber t is c delta_z in fiber st (in a one-fiber
-                       algebra, several pairs may meet at z);
-    stars[s]           x -> (z, c): the adjoint of delta_x in fiber s is
-                       c delta_z in fiber s*;
-    inclusions[(s, t)] for s <= t, x -> c: delta_x in fiber s is c delta_x
-                       in fiber t.
-
-    Scalars are Angles, or complex numbers where a numeric value entered;
-    products of Angles stay exact.  mul and star extend the tables
-    (conjugate-)linearly to CFunctions, exactly while a point receives one
-    term and numerically where terms add.  The checks on point masses read
-    the tables compiled to arrays (BundleArrays).  `realization` names the
-    builder and the keyword arguments keep the data the tables were built
-    from as attributes (A; G and tau; base and phi).
-    """
-
-    def __init__(self, S: InverseSemigroup, carriers, products, stars, inclusions,
-                 realization: str, **origin):
-        self.S = S
-        self.carriers = carriers
-        self.products = products
-        self.stars = stars
-        self.inclusions = inclusions
-        self.realization = realization
-        vars(self).update(origin)
-
-    def carrier(self, s: int) -> frozenset:
-        return self.carriers[s]
-
-    def mul(self, s: int, t: int, f: CFunction, g: CFunction) -> CFunction:
-        vals = {}
-        for (x, y), (z, c) in self.products[(s, t)].items():
-            v = _smul(f(x), g(y), c)
-            if v != 0:  # the first term at z as it is, a sum as complex
-                vals[z] = as_complex(vals[z]) + as_complex(v) if z in vals else v
-        return CFunction(self.carriers[self.S.mul(s, t)], vals)
-
-    def star(self, s: int, f: CFunction) -> CFunction:
-        vals = {}
-        for x, (z, c) in self.stars[s].items():
-            v = _smul(scalar_conj(f(x)), c)
-            if v != 0:
-                vals[z] = as_complex(vals[z]) + as_complex(v) if z in vals else v
-        return CFunction(self.carriers[self.S.inv[s]], vals)
-
-    def verify(self, tol: float = 1e-9):
-        """The exact axioms on point masses, on the tables compiled to arrays.
-
-        First every product row must join points of the fibers s and t to a
-        point of the fiber st, every star entry a point of the fiber s to
-        one of the fiber s*, and every inclusion entry of j(t, s) must be a
-        point of both fibers; the later families read through the tables,
-        so they are skipped if not.  Then associativity, involutivity and
-        anti-multiplicativity of the star, and the inclusion families:
-        identity, isometric, functorial, and compatible with the star and
-        with products on either side.  Returns (ok, violations); each is a
-        (tag, where) pair whose where names the semigroup labels and the
-        points.
-        """
-        arrays = BundleArrays(self)
-        bad = arrays.fiber_violations() or arrays.exact_violations(tol)
-        return not bad, bad
-
-
-def build_bundle(A: TwistedAction) -> Bundle:
-    """The bundle of a twisted action: the fiber over s is functions on U(ss*).
-
-    Product:    (f.g)(y) = f(y) g(theta_s^{-1} y) omega(s,t)(y)
-    Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
-    Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
-    """
-    S = A.S
-    carriers = {s: A.carrier(s) for s in S.elements()}
-    products, stars, inclusions = {}, {}, {}
-    for s in S.elements():
-        ss = S.inv[s]
-        inv_s = A.theta[s].invert()
-        for t in S.elements():
-            w = A.omega[(s, t)]
-            products[(s, t)] = {(y, inv_s(y)): (y, w(y)) for y in carriers[S.mul(s, t)]}
-            if S.leq(s, t):
-                inclusions[(s, t)] = A.inclusion_scalars(s, t)
-        w = A.omega[(ss, s)]
-        stars[s] = {A.theta[s](x): (x, scalar_conj(w(x))) for x in carriers[ss]}
-    return Bundle(S, carriers, products, stars, inclusions, "action", A=A)
-
-
-def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bundle:
-    """The bundle of compactly supported sections over a twisted groupoid.
-
-    The fiber over a bisection s is functions on its arrow set, optionally
-    shrunk by a carrier override, which models non-saturated bundles.
-    Products and adjoints are twisted convolution; inclusions are
-    zero-extensions.  (Named like a class: callers construct it as one.)
-    """
-    fibers = {}
-    for s in S.elements():
-        full = frozenset(bisections[s])
-        c = frozenset(carriers[s]) if carriers and s in carriers else full
-        if not c <= full:
-            raise BundleError("carrier override exceeds bisection")
-        fibers[s] = c
-    products, stars, inclusions = {}, {}, {}
-    for s in S.elements():
-        for t in S.elements():
-            target = fibers[S.mul(s, t)]
-            products[(s, t)] = {(a, b): (G.mul(a, b), tau(a, b))
-                                for a in fibers[s] for b in fibers[t]
-                                if G.composable(a, b) and G.mul(a, b) in target}
-            if S.leq(s, t):
-                inclusions[(s, t)] = {a: ONE for a in fibers[s]}
-        stars[s] = {G.inv[c]: (c, scalar_conj(tau(G.inv[c], c)))
-                    for c in fibers[S.inv[s]] if G.inv[c] in fibers[s]}
-    return Bundle(S, fibers, products, stars, inclusions, "section", G=G, tau=tau)
-
-
-# ---------------------------------------------------------------------------
-# the tables as arrays
-
 def _starts(counts) -> np.ndarray:
     """Where each of consecutive blocks of the given lengths begins."""
     out = np.zeros(len(counts), dtype=np.intp)
@@ -205,149 +59,287 @@ def _starts(counts) -> np.ndarray:
     return out
 
 
-def _circle(scalars):
-    """N, the exponents mod N and the complex values of a list of scalars;
-    N is the lcm of the Angles' denominators, and a scalar that is not an
-    Angle has the exponent NOT_ANGLE."""
-    N, K = exponents([c.frac if isinstance(c, Angle) else None for c in scalars])
-    ks = K.tolist()
-    vals = {k: c.value for k, c in dict(zip(ks, scalars)).items() if k != NOT_ANGLE}
-    V = [complex(c) if k == NOT_ANGLE else vals[k] for c, k in zip(scalars, ks)]
-    return N, K, np.array(V, dtype=complex)
+def _values(K, N: int) -> np.ndarray:
+    """The complex values of exponents mod N as Angle.value gives them, 0j for codes."""
+    ks, at = np.unique(np.asarray(K), return_inverse=True)
+    vals = [Angle(Fraction(int(k), N)).value if k >= 0 else 0j for k in ks]
+    return np.array(vals, dtype=complex).reshape(-1)[at.reshape(-1)]
 
 
-class BundleArrays:
-    """A Bundle's structure tables as arrays, compiled afresh for each check.
+class Bundle:
+    """A monomial Fell bundle over S, given by its rows.
 
-    The points of fiber s are numbered 0 .. c_s - 1 in list(B.carrier(s))
-    order, and slot off[s] + x is point x of fiber s.  Every scalar is an
-    exponent K mod N, N the lcm of the Angles' denominators, or NOT_ANGLE
-    where it is not an Angle, together with its complex value V.
+    points[s]    the points of fiber s; point x of fiber s is numbered by its
+                 place in this list, and slot off[s] + x numbers it among
+                 the points of every fiber;
+    products     rows (pair, x, y, z, K, V), pair = s n + t: delta_x in
+                 fiber s times delta_y in fiber t is e(K) delta_z in fiber
+                 st (in a one-fiber algebra, several rows may meet at z);
+    stars        rows (s, x, z, K, V): the adjoint of delta_x in fiber s is
+                 e(K) delta_z in fiber s*;
+    inclusions   rows (pair, x, z, K, V), pair = s n + t with s <= t:
+                 j(t, s) sends delta_x in fiber s to e(K) delta_z in fiber
+                 t, z the same point numbered in fiber t.
 
-    Each table is kept as its rows in dict order, each row its key's pair
-    (or fiber), its points' numbers (-1 outside their fibers) and its
-    scalar; the random families multiply dense elements through the rows.
-    Once the rows lie in their fibers, lookups() makes each table a lookup
-    from its keys to scaled point masses, with one last entry for zero:
-    products by (s, t, x, y) at poff[s, t] + x c_t + y, stars by slot, and
-    j(t, s) by ioff[s, t] + x.  A scaled point mass is a triple (z, K, V)
-    of arrays, z the point's number in its fiber or NOWHERE for zero; V is
-    None while `angles`, which starts true when every scalar is an Angle (a
-    check that needs the complex values sets it false before lookups()).
-    The checks gather through the lookups over the grids `pairs` and
-    `below`, and compare Angles as exponents, with zero tolerance.
+    e(K) is exp(2 pi i K/N).  Where a scalar is not an Angle, K is
+    NOT_ANGLE and V holds its value (V is None in a table with none).
+    Tables are sorted by their first column; a point number outside its
+    fiber (-1) is reported by the fiber scans.  The arrays are read-only.
+    `realization` names the builder and the keyword arguments keep what the
+    rows were built from (A; G and tau; base and phi; A and germs).
     """
 
-    def __init__(self, B):
-        S = self.S = B.S
-        n = self.n = S.n
+    def __init__(self, S: InverseSemigroup, points, N: int, products, stars, inclusions,
+                 realization: str, **origin):
+        self.S, self.N, self.realization = S, N, realization
+        self.points = tuple(tuple(p) for p in points)
+        n = S.n
+        self.products, self.prod_start, self.prod_count = _table(products, N, n * n)
+        self.stars, self.star_start, self.star_count = _table(stars, N, n)
+        self.inclusions, self.inc_start, self.inc_count = _table(inclusions, N, n * n)
+        self.angles = all(t[-1] is None for t in (self.products, self.stars, self.inclusions))
         self.T, self.leq = S.cayley, S.order
         self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
-        pts = self.points = [list(B.carrier(s)) for s in range(n)]
-        loc = self.index = [{x: i for i, x in enumerate(p)} for p in pts]
-        cs = self.cs = np.array([len(p) for p in pts], dtype=np.intp).reshape(n)
+        cs = self.cs = np.array([len(p) for p in self.points], dtype=np.intp).reshape(n)
         self.off, self.M = _starts(cs), int(cs.sum())
         self.W = max(1, int(cs.max(initial=0)))
         self.slot_s = np.repeat(np.arange(n), cs)
         self.slot_x = np.arange(self.M) - self.off[self.slot_s]
+        self._lookups = {}
+        vars(self).update(origin)
 
-        scalars, prod, prod_count, star, star_count, inc = [], [], [], [], [], []
-        for s, row in enumerate(S.table):
-            ls = loc[s]
-            for t, st in enumerate(row):
-                lt, lst = loc[t], loc[st]
-                entries = B.products[(s, t)]
-                prod_count.append(len(entries))
-                for (x, y), (z, c) in entries.items():
-                    prod.append((ls.get(x, -1), lt.get(y, -1), lst.get(z, -1)))
-                    scalars.append(c)
-        for s, si in enumerate(S.inv):
-            ls, li = loc[s], loc[si]
-            entries = B.stars[s]
-            star_count.append(len(entries))
-            for x, (z, c) in entries.items():
-                star.append((ls.get(x, -1), li.get(z, -1)))
-                scalars.append(c)
-        self.inclusion_keys = list(B.inclusions)
-        for k, ((s, t), entries) in enumerate(B.inclusions.items()):
-            ls, lt = loc[s], loc[t]
-            for x, c in entries.items():
-                inc.append((k, s * n + t, ls.get(x, -1), lt.get(x, -1)))
-                scalars.append(c)
-        self.N, K, V = _circle(scalars)
-        self.angles = not (K == NOT_ANGLE).any()
-        a, b = len(prod), len(prod) + len(star)
+    def carrier(self, s: int) -> frozenset:
+        return frozenset(self.points[s])
 
-        def columns(rows, width):
-            return tuple(np.array(rows, dtype=np.intp).reshape(-1, width).T)
+    @cached_property
+    def values(self) -> tuple:
+        """The complex value of every product, star and inclusion row."""
+        return tuple(_values(rows[-2], self.N) if rows[-1] is None
+                     else np.where(rows[-2] == NOT_ANGLE, rows[-1], _values(rows[-2], self.N))
+                     for rows in (self.products, self.stars, self.inclusions))
 
-        self.prod_count = np.array(prod_count, dtype=np.intp).reshape(n * n)
-        self.prod_start = _starts(self.prod_count)
-        self.products = (np.repeat(np.arange(n * n), self.prod_count),
-                         *columns(prod, 3), K[:a], V[:a])
-        self.star_count = np.array(star_count, dtype=np.intp).reshape(n)
-        self.star_start = _starts(self.star_count)
-        self.stars = (np.repeat(np.arange(n), self.star_count), *columns(star, 2), K[a:b], V[a:b])
-        self.inclusions = (*columns(inc, 4), K[b:], V[b:])
-        self.missing = [(int(s), int(t)) for s, t in zip(*np.nonzero(self.leq & (cs > 0)[:, None]))
-                        if (s, t) not in B.inclusions]
+    @cached_property
+    def pairs(self):
+        """Every pair of points x of fiber s and y of fiber t, as flat
+        arrays s, t, x, y in that order; pair k is product lookup k."""
+        n, cs = self.S.n, self.cs
+        sizes = np.outer(cs, cs).ravel()
+        key = np.repeat(np.arange(n * n), sizes)
+        k = np.arange(len(key)) - _starts(sizes)[key]
+        s, t = key // n, key % n
+        return s, t, k // cs[t], k % cs[t]
+
+    @cached_property
+    def below(self):
+        """Every s <= t with a point x of fiber s, as flat arrays s, t, x
+        in that order."""
+        lo, hi = np.nonzero(self.leq)
+        e = np.repeat(np.arange(len(lo)), self.cs[lo])
+        return lo[e], hi[e], np.arange(len(e)) - _starts(self.cs[lo])[e]
+
+    def lookup(self, N: int | None = None, exact: bool | None = None) -> "Lookup":
+        """The rows as lookups with exponents mod N (a multiple of self.N,
+        the default), without complex values if `exact` (default: angles)."""
+        key = (N or self.N, self.angles if exact is None else exact)
+        if key not in self._lookups:
+            self._lookups[key] = Lookup(self, *key)
+        return self._lookups[key]
+
+    def verify(self, tol: float = 1e-9):
+        """The exact axioms on point masses, gathered through the rows.
+
+        First the rows must lie in their fibers (the fiber scans); then
+        associativity, involutivity and anti-multiplicativity of the star,
+        and the inclusion families: identity, isometric, functorial, and
+        compatible with the star and with products on either side.  Returns
+        (ok, violations), each a (tag, where) pair whose where names the
+        semigroup labels and the points.
+        """
+        bad = self.fiber_violations() or self.lookup().exact_violations(tol)
+        return not bad, bad
 
     # -- the fiber scans
 
     def fiber_violations(self) -> list:
-        """Tables whose entries leave their fibers: product rows of (s, t)
-        and star entries of s, row by row of the semigroup, then inclusion
-        tables in dict order."""
-        n, lab = self.n, self.S.label
-        pair, x, y, z, _, _ = self.products
-        grid = np.zeros((n, n + 1), dtype=bool)
-        outside = np.zeros(n * n, dtype=bool)
-        outside[pair[(x < 0) | (y < 0) | (z < 0)]] = True
-        grid[:, :n] = outside.reshape(n, n)
-        fiber, x, z, _, _ = self.stars
-        grid[fiber[(x < 0) | (z < 0)], n] = True
-        bad = [("star-fiber", lab(s)) if t == n else ("product-fiber", (lab(s), lab(t)))
-               for s, t in zip(*np.nonzero(grid))]
-        key, _, x, z, _, _ = self.inclusions
-        for k in np.unique(key[(x < 0) | (z < 0)]):
-            s, t = self.inclusion_keys[k]
-            bad.append(("inclusion-fiber", (lab(s), lab(t))))
-        return bad
+        """Rows that leave their fibers: product rows of (s, t) and star
+        rows of s, row by row of the semigroup, then inclusion rows."""
+        n, lab, cs, T = self.S.n, self.S.label, self.cs, self.T.ravel()
 
-    # -- the exact families, on point masses
+        def outside(x, fiber):
+            return (x < 0) | (x >= cs[fiber])
 
-    def widen(self, N: int) -> None:
-        """Keep the exponents mod N, a multiple of self.N, from here on;
-        before lookups()."""
-        self.products, self.stars, self.inclusions = (
-            (*rows[:-2], widen(rows[-2], self.N, N), rows[-1])
-            for rows in (self.products, self.stars, self.inclusions))
-        self.N = N
+        pair, x, y, z = self.products[:4]
+        grid = np.zeros(n * (n + 1), dtype=bool)  # (s, t) at s (n + 1) + t, then s's stars
+        grid[(pair + pair // n)[outside(x, pair // n) | outside(y, pair % n) | outside(z, T[pair])]] = True
+        fiber, x, z = self.stars[:3]
+        grid[(fiber * (n + 1) + n)[outside(x, fiber) | outside(z, self.inv[fiber])]] = True
+        out = [("star-fiber", lab(s)) if t == n else ("product-fiber", (lab(s), lab(t)))
+               for s, t in (divmod(k, n + 1) for k in np.flatnonzero(grid))]
+        pair, x, z = self.inclusions[:3]
+        for p in np.unique(pair[outside(x, pair // n) | outside(z, pair % n)]):
+            out.append(("inclusion-fiber", (lab(p // n), lab(p % n))))
+        return out
 
-    def lookups(self) -> None:
-        """The tables as lookups; they must lie in their fibers, and every
-        s <= t whose fiber s has points needs its inclusion table."""
-        if self.missing:
-            raise KeyError(self.missing[0])
-        n, cs, M = self.n, self.cs, self.M
+    # -- the random families, on dense elements
+
+    def random_violations(self, tol, samples: int, rng) -> list:
+        """The families on random dense elements, batched in chunks.  The
+        draws, two per complex number, are per (s, t, sample) f1, f2 in s, g,
+        lambda, h1, h2 in t and e in s; then f in s and g in t; per (s,
+        sample) f, g in s and lambda; then f in s."""
+        n, cs, lab = self.S.n, self.cs, self.S.label
+        pair = np.repeat(np.arange(n * n), samples)
+        s, t = pair // n, pair % n
+        fiber = np.repeat(np.arange(n), samples)
+        c_s, c_t, c_f = cs[s], cs[t], cs[fiber]
+        lengths = np.concatenate([3 * c_s + 3 * c_t + 1, c_s + c_t, 2 * c_f + 1, c_f])
+        total = int(lengths.sum())
+        o1, o2, o3, o4 = np.split(_starts(lengths), np.cumsum([len(pair)] * 2 + [len(fiber)]))
+        gauss = rng.gauss
+        Z = np.zeros(total + 1, dtype=complex)
+        Z[:total] = np.fromiter((gauss(0, 1) for _ in range(2 * total)), dtype=float,
+                                count=2 * total).view(complex)
+        step = max(1, CHUNK // (8 * self.W))
+        linear, submultiplicative = map(np.concatenate, zip(*(
+            self._product_laws(Z, tol, pair[a:a + step], o1[a:a + step], o2[a:a + step])
+            for a in range(0, max(1, len(pair)), step))))
+        involution, cstar = map(np.concatenate, zip(*(
+            self._involution(Z, tol, fiber[a:a + step], o3[a:a + step], o4[a:a + step])
+            for a in range(0, max(1, len(fiber)), step))))
+
+        out = [(("left-linearity", "right-linearity")[k], (lab(s[i]), lab(t[i])))
+               for i, k in zip(*np.nonzero(linear))]
+        out += [("submultiplicative", (lab(s[i]), lab(t[i])))
+                for i in np.flatnonzero(submultiplicative)]
+        out += [(("star-isometric", "conjugate-linear")[k], lab(fiber[i]))
+                for i, k in zip(*np.nonzero(involution))]
+        for i, k in zip(*np.nonzero(cstar)):
+            u = fiber[i]
+            out.append(("positivity", (lab(u), self.points[self.T[self.inv[u], u]][k - 1]))
+                       if k else ("cstar-identity", lab(u)))
+        return out
+
+    def _elements(self, Z, starts, fibers):
+        """The dense elements of the given fibers drawn from Z at the given
+        starts, padded with zeros to the widest fiber."""
+        col = np.arange(self.W)
+        starts, sizes = np.stack(starts)[..., None], self.cs[np.stack(fibers)][..., None]
+        return Z[np.where(col < sizes, starts + col, len(Z) - 1)]
+
+    def _product_laws(self, Z, tol, pair, o1, o2):
+        """Left- and right-linearity, then submultiplicativity, for the
+        batch (s, t) = pair[b], its draws starting at o1[b] and o2[b]."""
+        s, t = pair // self.S.n, pair % self.S.n
+        c_s, c_t = self.cs[s], self.cs[t]
+        o = o1 + 2 * c_s + c_t  # lambda, then h1, h2 and e
+        lam = Z[o][:, None]
+        f1, f2, g, h1, h2, e, f, g2 = self._elements(
+            Z, [o1, o1 + c_s, o1 + 2 * c_s, o + 1, o + 1 + c_t, o + 1 + 2 * c_t, o2, o2 + c_s],
+            [s, s, t, t, t, s, s, t])
+        m = self._mul(pair, np.stack([lam * f1 + f2, f1, f2, e, e, e, f]),
+                      np.stack([g, g, g, lam * h1 + h2, h1, h2, g2]))
+        linear = np.stack([~_close(m[0], lam * m[1] + m[2], tol),
+                           ~_close(m[3], lam * m[4] + m[5], tol)], axis=1)
+        return linear, _sup(m[6]) > _sup(f) * _sup(g2) + tol
+
+    def _involution(self, Z, tol, fiber, o3, o4):
+        """Star-isometric and conjugate-linear, then the C*-identity and
+        positivity at every point of the fiber over s*s, for the batch
+        s = fiber[b], its draws starting at o3[b] and o4[b]."""
+        f, g, f4 = self._elements(Z, [o3, o3 + self.cs[fiber], o4], [fiber] * 3)
+        lam = Z[o3 + 2 * self.cs[fiber]][:, None]
+        star = self._star(fiber, np.stack([f, lam * f + g, g, f4]))
+        involution = np.stack([np.abs(_sup(star[0]) - _sup(f)) > tol,
+                               ~_close(star[1], np.conj(lam) * star[0] + star[2], tol)], axis=1)
+        p = self._mul(self.inv[fiber] * self.S.n + fiber, star[3:], f4[None])[0]
+        norm = _sup(f4) ** 2
+        return involution, np.concatenate(
+            [(np.abs(_sup(p) - norm) > tol * np.maximum(1.0, norm))[:, None],
+             (np.abs(p.imag) > tol) | (p.real < -tol)], axis=1)
+
+    def _mul(self, pair, L, R):
+        """The products of the dense elements L[k, b] of fiber s and R[k, b]
+        of fiber t, (s, t) = pair[b], through the product rows, summing the
+        terms that meet at one point in row order."""
+        b, r = _expand(self.prod_start, self.prod_count, pair)
+        _, x, y, z = self.products[:4]
+        return self._scatter(L[:, b, x[r]] * R[:, b, y[r]] * self.values[0][r], b, z[r], len(pair))
+
+    def _star(self, fiber, L):
+        """The adjoints of the dense elements L[k, b] of fiber[b]."""
+        b, r = _expand(self.star_start, self.star_count, fiber)
+        _, x, z = self.stars[:3]
+        return self._scatter(np.conj(L[:, b, x[r]]) * self.values[1][r], b, z[r], len(fiber))
+
+    def _scatter(self, v, b, z, size):
+        """The terms v[k, i] summed at (k, b[i], z[i]) in row order."""
+        out = np.zeros((len(v), size, self.W), dtype=complex)
+        np.add.at(out, (slice(None), b, z), v)
+        return out
+
+
+def _table(rows, N: int, keys: int):
+    """A table's rows sorted by their first column, read-only, with each
+    key's first row and count of rows."""
+    *cols, K, V = rows
+    cols = [np.asarray(c, dtype=np.intp) for c in cols]
+    K = np.asarray(K, dtype=_exponent_dtype(N))
+    V = None if V is None or not (K == NOT_ANGLE).any() else np.asarray(V, dtype=complex)
+    if (cols[0][1:] < cols[0][:-1]).any():
+        order = np.argsort(cols[0], kind="stable")
+        cols, K, V = [c[order] for c in cols], K[order], None if V is None else V[order]
+    for a in (*cols, K) if V is None else (*cols, K, V):
+        a.flags.writeable = False
+    count = np.bincount(cols[0], minlength=keys)
+    return (*cols, K, V), _starts(count), count
+
+
+def _sup(f):
+    """The sup norms of dense elements along the last axis."""
+    return np.abs(f).max(axis=-1)
+
+
+def _close(f, g, tol):
+    """Whether dense elements agree within tol at every point."""
+    return (np.abs(f - g) <= tol).all(axis=-1)
+
+
+def _expand(start, count, keys):
+    """For each key in turn, the rows start[key] .. start[key] + count[key]:
+    the position of the key and the row, one pair per row."""
+    n = count[keys]
+    b = np.repeat(np.arange(len(keys)), n)
+    return b, np.repeat(start[keys] - _starts(n), n) + np.arange(len(b))
+
+
+class Lookup:
+    """A bundle's rows as lookups from keys to scaled point masses (z, K, V),
+    exponents mod N, with one last entry for zero: products by (s, t, x, y)
+    at poff[s, t] + x c_t + y, stars by slot, and j(t, s) by ioff[s, t] + x.
+    z is a point's number in its fiber or NOWHERE for zero; V is None if
+    `exact`.  The exact families gather through the lookups over B.pairs and
+    B.below; the rows must lie in their fibers.
+    """
+
+    def __init__(self, B: Bundle, N: int, exact: bool):
+        self.B, self.N, self.exact = B, N, exact
+        n, cs, M = B.S.n, B.cs, B.M
         sizes = np.outer(cs, cs).ravel()
-        self.poff, self.M2 = _starts(sizes).reshape(n, n), int(sizes.sum())
+        self.poff = _starts(sizes).reshape(n, n)
         self.ioff = _starts(np.repeat(cs, n)).reshape(n, n)
-        pair, x, y, z, K, V = self.products
-        self.P = self._lookup(self.M2, self.poff.ravel()[pair] + x * cs[pair % n] + y, z, K, V)
-        fiber, x, z, K, V = self.stars
-        self.St = self._lookup(M, self.off[fiber] + x, z, K, V)
-        _, pair, x, z, K, V = self.inclusions
-        self.J = self._lookup(n * M, self.ioff.ravel()[pair] + x, z, K, V)
+        (pair, x, y, z, K, _), (fiber, sx, sz, sK, _) = B.products, B.stars
+        (ipair, ix, iz, iK, _), (V, sV, iV) = B.inclusions, B.values
+        self.P = self._lookup(int(sizes.sum()), self.poff.ravel()[pair] + x * cs[pair % n] + y,
+                              z, K, V)
+        self.St = self._lookup(M, B.off[fiber] + sx, sz, sK, sV)
+        self.J = self._lookup(n * M, self.ioff.ravel()[ipair] + ix, iz, iK, iV)
 
     def _lookup(self, size, at, z, K, V):
-        """The table as arrays over its keys and one last entry for zero;
-        without V while `angles`."""
         Z = np.full(size + 1, NOWHERE, dtype=np.intp)
         Z[at] = np.where(V != 0, z, NOWHERE)
-        KK = np.full(size + 1, NOT_ANGLE, dtype=K.dtype)
-        KK[at] = K
-        if self.angles:
+        KK = np.full(size + 1, NOT_ANGLE, dtype=_exponent_dtype(self.N))
+        KK[at] = widen(K, self.B.N, self.N)
+        if self.exact:
             return Z, KK, None
         VV = np.zeros(size + 1, dtype=complex)
         VV[at] = V
@@ -361,11 +353,11 @@ class BundleArrays:
 
     def product(self, s, t, x, y):
         """delta_x in fiber s times delta_y in fiber t."""
-        return self._take(self.P, self.poff[s, t] + x * self.cs[t] + y)
+        return self._take(self.P, self.poff[s, t] + x * self.B.cs[t] + y)
 
     def star(self, s, x):
         """The adjoint of delta_x in fiber s."""
-        return self._take(self.St, self.off[s] + x)
+        return self._take(self.St, self.B.off[s] + x)
 
     def include(self, s, t, x):
         """j(t, s) of delta_x in fiber s."""
@@ -373,7 +365,7 @@ class BundleArrays:
 
     def unit(self, x):
         """The point masses delta_x, unscaled."""
-        return x, 0, None if self.angles else 1.0
+        return x, 0, None if self.exact else 1.0
 
     def scaled(self, z, *factors):
         """The point masses at z scaled by the product of the factors, each
@@ -401,7 +393,7 @@ class BundleArrays:
         scalar exceeds tol."""
         (zp, Kp, Vp), (zq, Kq, Vq) = p, q
         at_p, at_q, one = zp != NOWHERE, zq != NOWHERE, 1.0 > tol
-        if self.angles:
+        if self.exact:
             differ, big_p, big_q = (Kp - Kq) % self.N != 0, at_p & one, at_q & one
         else:
             big_p = at_p & np.where(Kp >= 0, one, np.abs(Vp) > tol)
@@ -410,36 +402,49 @@ class BundleArrays:
                               np.abs(Vp - Vq) > tol)
         return np.where(zp == zq, at_p & differ, big_p | big_q)
 
-    @cached_property
-    def pairs(self):
-        """Every pair of points x of fiber s and y of fiber t, as flat
-        arrays s, t, x, y in that order; pair k is product lookup k."""
-        n, cs = self.n, self.cs
-        sizes = np.outer(cs, cs).ravel()
-        key = np.repeat(np.arange(n * n), sizes)
-        k = np.arange(len(key)) - _starts(sizes)[key]
-        s, t = key // n, key % n
-        return s, t, k // cs[t], k % cs[t]
+    # -- dense elements, as sums of scaled point masses
 
-    @cached_property
-    def below(self):
-        """Every s <= t with a point x of fiber s, as flat arrays s, t, x
-        in that order."""
-        lo, hi = np.nonzero(self.leq)
-        e = np.repeat(np.arange(len(lo)), self.cs[lo])
-        return lo[e], hi[e], np.arange(len(e)) - _starts(self.cs[lo])[e]
+    def mul(self, pair, f, g):
+        """The products of the elements f[b] of fiber s and g[b] of fiber t,
+        (s, t) = divmod(pair[b], n); an element is a pair (K, V) of (batch, W)
+        arrays, K OUTSIDE for zero, and the lookups keep complex values."""
+        B, b, y = self.B, np.arange(len(pair))[:, None, None], np.arange(self.B.W)
+        s, t, x = pair[:, None, None] // B.S.n, pair[:, None, None] % B.S.n, y[:, None]
+        p = self.product(s, t, np.where(x < B.cs[s], x, NOWHERE), np.where(y < B.cs[t], y, NOWHERE))
+        return self._sum(*self.scaled(p[0], (f[0][b, x], f[1][b, x]), (g[0][b, y], g[1][b, y]),
+                                      p[1:]))
+
+    def star_of(self, fiber, f):
+        """The adjoints of the elements f[b] of fiber[b], as mul."""
+        x = np.arange(self.B.W)
+        p = self.star(fiber[:, None], np.where(x < self.B.cs[fiber][:, None], x, NOWHERE))
+        return self._sum(*self.scaled(p[0], self.conj(*f), p[1:]))
+
+    def _sum(self, z, K, V):
+        """The scaled point masses summed at their points, per batch entry:
+        one term as it is, several as a complex sum."""
+        size, W = len(z), self.B.W
+        live = (z != NOWHERE) & ((K >= 0) | (V != 0))
+        at = (np.arange(size).reshape(-1, *[1] * (z.ndim - 1)) * W + z)[live]
+        count = np.bincount(at, minlength=size * W)
+        value = np.bincount(at, V[live].real, size * W) + 1j * np.bincount(at, V[live].imag, size * W)
+        one = np.full(size * W, OUTSIDE, dtype=K.dtype)
+        one[at] = np.where(K[live] >= 0, K[live] % self.N, NOT_ANGLE)
+        K = np.where(count == 1, one, np.where(count == 0, OUTSIDE, NOT_ANGLE))
+        return K.reshape(size, W), value.reshape(size, W)
+
+    # -- the exact families, on point masses
 
     def exact_violations(self, tol) -> list:
         """Associativity, then involutivity and anti-multiplicativity of the
-        star, then the inclusion families; the tables must lie in their
-        fibers."""
-        self.lookups()
+        star, then the inclusion families."""
         return self._associativity(tol) + self._star_laws(tol) + self._inclusion_laws(tol)
 
     def _associativity(self, tol) -> list:
         """(delta_x delta_y) delta_z = delta_x (delta_y delta_z) for every
         x, y, z in fibers r, s, t, chunked over the points x."""
-        M, T, ps, px = self.M, self.T, self.slot_s, self.slot_x
+        B = self.B
+        M, T, ps, px = B.M, B.T, B.slot_s, B.slot_x
         s, y = ps[:, None], px[:, None]
         t, z = ps[None, :], px[None, :]
         st = T[s, t]
@@ -457,21 +462,22 @@ class BundleArrays:
             found.append(np.stack([a + i, j, k]))
         q = np.concatenate(found, axis=1)
         q = q[:, np.lexsort((px[q[2]], px[q[1]], px[q[0]], ps[q[2]], ps[q[1]], ps[q[0]]))]
-        lab, pts = self.S.label, self.points
+        lab, pts = B.S.label, B.points
         return [("associativity", (lab(r), lab(s), lab(t), pts[r][x], pts[s][y], pts[t][z]))
                 for r, s, t, x, y, z in zip(*ps[q], *px[q])]
 
     def _star_laws(self, tol) -> list:
         """x** = x on every slot, then (xy)* = y* x* on every pair of slots
         in the order (s, t, x, y)."""
-        T, inv, ps, px = self.T, self.inv, self.slot_s, self.slot_x
-        lab, pts = self.S.label, self.points
+        B = self.B
+        T, inv, ps, px = B.T, B.inv, B.slot_s, B.slot_x
+        lab, pts = B.S.label, B.points
         sx = self.star(ps, px)
         back = self.star(inv[ps], sx[0])
         bad = self.far(self.scaled(back[0], self.conj(*sx[1:]), back[1:]), self.unit(px), tol)
         out = [("involutive", (lab(s), pts[s][x])) for s, x in zip(ps[bad], px[bad])]
 
-        s, t, x, y = self.pairs
+        s, t, x, y = B.pairs
         xy = self.product(s, t, x, y)
         lhs = self.star(T[s, t], xy[0])
         sy, sx = self.star(t, y), self.star(s, x)
@@ -483,21 +489,22 @@ class BundleArrays:
         return out
 
     def _inclusion_laws(self, tol) -> list:
-        """The six inclusion families on every point x of fiber s, s <= t,
-        in the former loop's order: isometric, identity, functorial over
-        the r between, star, then products with every point y of every
-        fiber u on the left and on the right."""
-        T, inv, ps, px, leq = self.T, self.inv, self.slot_s, self.slot_x, self.leq
-        s, t, x = self.below
+        """The six inclusion families on every point x of fiber s, s <= t:
+        isometric, identity, functorial over the r between, star, then
+        products with every point y of every fiber u on the left and on the
+        right."""
+        B = self.B
+        T, inv, ps, px, leq = B.T, B.inv, B.slot_s, B.slot_x, B.leq
+        s, t, x = B.below
         jp = self.include(s, t, x)
-        lab, pts = self.S.label, self.points
+        lab, pts = B.S.label, B.points
 
         def at(i):
             return lab(s[i]), lab(t[i]), pts[s[i]][x[i]]
 
         found = []  # (sort key, violation)
         iso = (jp[0] == NOWHERE) & (1.0 > tol)
-        if not self.angles:
+        if not self.exact:
             iso |= (jp[1] < 0) & (np.abs(np.abs(jp[2]) - 1) > tol)
         found += [((i, 0), ("inclusion-isometric", at(i))) for i in np.flatnonzero(iso)]
         ident = (s == t) & self.far(jp, self.unit(x), tol)
@@ -519,7 +526,7 @@ class BundleArrays:
         found += [((i, 3), ("inclusion-star", at(i))) for i in np.flatnonzero(bad)]
 
         u, y = ps[None, :], px[None, :]
-        step = max(1, CHUNK // max(1, self.M))
+        step = max(1, CHUNK // max(1, B.M))
         for a in range(0, len(s), step):
             s_, t_, x_ = (v[a:a + step, None] for v in (s, t, x))
             j_ = tuple(v if v is None else v[a:a + step, None] for v in jp)
@@ -537,123 +544,94 @@ class BundleArrays:
                           for i, q in zip(*np.nonzero(bad))]
         return [v for _, v in sorted(found, key=lambda f: f[0])]
 
-    # -- the random families, on dense elements
 
-    def random_violations(self, tol, samples: int, rng) -> list:
-        """The families on random dense elements, batched over every
-        (s, t, sample) or (s, sample) in chunks.  The draws are the former
-        loops' draws in their order, two per complex number: per
-        (s, t, sample) f1, f2 in s, g in t, lambda, h1, h2 in t and e in s;
-        per (s, t, sample) f in s and g in t; per (s, sample) f, g in s and
-        lambda; per (s, sample) f in s."""
-        n, cs, lab = self.n, self.cs, self.S.label
-        pair = np.repeat(np.arange(n * n), samples)
-        s, t = pair // n, pair % n
-        fiber = np.repeat(np.arange(n), samples)
-        c_s, c_t, c_f = cs[s], cs[t], cs[fiber]
-        lengths = np.concatenate([3 * c_s + 3 * c_t + 1, c_s + c_t, 2 * c_f + 1, c_f])
-        total = int(lengths.sum())
-        o1, o2, o3, o4 = np.split(_starts(lengths), np.cumsum([len(pair)] * 2 + [len(fiber)]))
-        gauss = rng.gauss
-        Z = np.zeros(total + 1, dtype=complex)
-        Z[:total] = np.fromiter((gauss(0, 1) for _ in range(2 * total)), dtype=float,
-                                count=2 * total).view(complex)
-        step = max(1, CHUNK // (8 * self.W))
-        linear, submultiplicative = map(np.concatenate, zip(*(
-            self._products(Z, tol, pair[a:a + step], o1[a:a + step], o2[a:a + step])
-            for a in range(0, max(1, len(pair)), step))))
-        involution, cstar = map(np.concatenate, zip(*(
-            self._involution(Z, tol, fiber[a:a + step], o3[a:a + step], o4[a:a + step])
-            for a in range(0, max(1, len(fiber)), step))))
+# ---------------------------------------------------------------------------
+# the builders
 
-        out = [(("left-linearity", "right-linearity")[k], (lab(s[i]), lab(t[i])))
-               for i, k in zip(*np.nonzero(linear))]
-        out += [("submultiplicative", (lab(s[i]), lab(t[i])))
-                for i in np.flatnonzero(submultiplicative)]
-        out += [(("star-isometric", "conjugate-linear")[k], lab(fiber[i]))
-                for i, k in zip(*np.nonzero(involution))]
-        for i, k in zip(*np.nonzero(cstar)):
-            u = fiber[i]
-            out.append(("positivity", (lab(u), self.points[self.T[self.inv[u], u]][k - 1]))
-                       if k else ("cstar-identity", lab(u)))
-        return out
+def build_bundle(A: TwistedAction) -> Bundle:
+    """The bundle of a twisted action: the fiber over s is functions on U(ss*).
 
-    def _elements(self, Z, starts, fibers):
-        """The dense elements of the given fibers drawn from Z at the given
-        starts, padded with zeros to the widest fiber."""
-        col = np.arange(self.W)
-        starts, sizes = np.stack(starts)[..., None], self.cs[np.stack(fibers)][..., None]
-        return Z[np.where(col < sizes, starts + col, len(Z) - 1)]
+    Product:    (f.g)(y) = f(y) g(theta_s^{-1} y) omega(s,t)(y)
+    Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
+    Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
 
-    def _products(self, Z, tol, pair, o1, o2):
-        """Left- and right-linearity, then submultiplicativity, for the
-        batch (s, t) = pair[b], its draws starting at o1[b] and o2[b]."""
-        s, t = pair // self.n, pair % self.n
-        c_s, c_t = self.cs[s], self.cs[t]
-        o = o1 + 2 * c_s + c_t  # lambda, then h1, h2 and e
-        lam = Z[o][:, None]
-        f1, f2, g, h1, h2, e, f, g2 = self._elements(
-            Z, [o1, o1 + c_s, o1 + 2 * c_s, o + 1, o + 1 + c_t, o + 1 + 2 * c_t, o2, o2 + c_s],
-            [s, s, t, t, t, s, s, t])
-        m = self._mul(pair, np.stack([lam * f1 + f2, f1, f2, e, e, e, f]),
-                      np.stack([g, g, g, lam * h1 + h2, h1, h2, g2]))
-        linear = np.stack([~_close(m[0], lam * m[1] + m[2], tol),
-                           ~_close(m[3], lam * m[4] + m[5], tol)], axis=1)
-        return linear, _sup(m[6]) > _sup(f) * _sup(g2) + tol
+    The rows come from the action's exponent kernel.  A Bundle is read-only,
+    so the kernel keeps the one it was built into.
+    """
+    K = A.kernel
+    if K.bundle is not None:
+        return K.bundle
+    F, W, N = K.frame, K.W, K.N
+    n, T, inv, fib = F.n, F.T, F.inv, F.fib
+    num = np.where(fib, np.cumsum(fib, axis=1) - 1, -1)  # [s, i]: point i in fiber s
+    points = [[F.points[i] for i in np.flatnonzero(row)] for row in fib]
 
-    def _involution(self, Z, tol, fiber, o3, o4):
-        """Star-isometric and conjugate-linear, then the C*-identity and
-        positivity at every point of the fiber over s*s, for the batch
-        s = fiber[b], its draws starting at o3[b] and o4[b]."""
-        f, g, f4 = self._elements(Z, [o3, o3 + self.cs[fiber], o4], [fiber] * 3)
-        lam = Z[o3 + 2 * self.cs[fiber]][:, None]
-        star = self._star(fiber, np.stack([f, lam * f + g, g, f4]))
-        involution = np.stack([np.abs(_sup(star[0]) - _sup(f)) > tol,
-                               ~_close(star[1], np.conj(lam) * star[0] + star[2], tol)], axis=1)
-        p = self._mul(self.inv[fiber] * self.n + fiber, star[3:], f4[None])[0]
-        norm = _sup(f4) ** 2
-        return involution, np.concatenate(
-            [(np.abs(_sup(p) - norm) > tol * np.maximum(1.0, norm))[:, None],
-             (np.abs(p.imag) > tol) | (p.real < -tol)], axis=1)
+    def through(theta, s, x):
+        image = theta[s, x]
+        if (image < 0).any():  # as a partial bijection raises
+            raise KeyError(F.points[x[np.argmax(image < 0)]])
+        return image
 
-    def _mul(self, pair, L, R):
-        """Bundle.mul of the dense elements L[k, b] of fiber s and R[k, b]
-        of fiber t, (s, t) = pair[b], through the product rows."""
-        b, r = _expand(self.prod_start, self.prod_count, pair)
-        _, x, y, z, _, V = self.products
-        return self._scatter(L[:, b, x[r]] * R[:, b, y[r]] * V[r], b, z[r], len(pair))
+    def scalars(s, t, y, conj):
+        """omega(s, t)(y), conjugated if `conj`; a value that is no Angle
+        (zero outside the carrier) as the dict holds it."""
+        k, V = W[s, t, y], np.zeros(len(s), dtype=complex)
+        for i in np.flatnonzero(W[s, t, y] < 0):
+            V[i] = complex(A.omega[(s[i], t[i])](F.points[y[i]]))
+        return np.where(k >= 0, (-k if conj else k) % N, NOT_ANGLE), np.conj(V) if conj else V
 
-    def _star(self, fiber, L):
-        """Bundle.star of the dense elements L[k, b] of fiber[b]."""
-        b, r = _expand(self.star_start, self.star_count, fiber)
-        _, x, z, _, V = self.stars
-        return self._scatter(np.conj(L[:, b, x[r]]) * V[r], b, z[r], len(fiber))
-
-    def _scatter(self, v, b, z, size):
-        """The terms v[k, i] summed at (k, b[i], z[i]) in row order, as
-        Bundle.mul and Bundle.star sum the terms that meet at one point."""
-        out = np.zeros((len(v), size, self.W), dtype=complex)
-        np.add.at(out, (slice(None), b, z), v)
-        return out
+    s, t, y = np.nonzero(F.fib_of_product)
+    x = through(F.thi, s, y)
+    products = (s * n + t, num[s, y], num[t, x], num[T[s, t], y], *scalars(s, t, y, False))
+    s, x = np.nonzero(fib[inv])
+    stars = (s, num[s, through(F.th, s, x)], num[inv[s], x], *scalars(inv[s], s, x, True))
+    lo, hi = np.nonzero(F.leq)
+    i, y = np.nonzero(fib[lo])
+    s, t = lo[i], hi[i]
+    inclusions = (s * n + t, num[s, y], num[t, y], *scalars(t, T[inv[s], s], y, True))
+    K.bundle = Bundle(A.S, points, N, products, stars, inclusions, "action", A=A)
+    return K.bundle
 
 
-def _sup(f):
-    """The sup norms of dense elements along the last axis."""
-    return np.abs(f).max(axis=-1)
+def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bundle:
+    """The bundle of compactly supported sections over a twisted groupoid.
+
+    The fiber over a bisection s is functions on its arrow set, optionally
+    shrunk by a carrier override, which models non-saturated bundles.
+    Products and adjoints are twisted convolution; inclusions are
+    zero-extensions.  (Named like a class: callers construct it as one.)
+    """
+    n, points = S.n, []
+    for s in S.elements():
+        full = frozenset(bisections[s])
+        c = frozenset(carriers[s]) if carriers and s in carriers else full
+        if not c <= full:
+            raise BundleError("carrier override exceeds bisection")
+        points.append(sorted(c))
+    num = [{a: i for i, a in enumerate(p)} for p in points]  # each fiber's arrow -> number
+    rows, fracs = ([], [], []), ([], [])
+    for s in S.elements():
+        for t in S.elements():
+            target = num[S.mul(s, t)]
+            for a in points[s]:
+                for b in points[t]:
+                    if (ab := G.comp.get((a, b))) in target:  # composable, into fiber st
+                        rows[0].append((s * n + t, num[s][a], num[t][b], target[ab]))
+                        fracs[0].append(tau(a, b).frac)
+            if S.leq(s, t):
+                rows[2].extend((s * n + t, num[s][a], num[t].get(a, -1)) for a in points[s])
+        for c in points[S.inv[s]]:
+            if G.inv[c] in num[s]:
+                rows[1].append((s, num[s][G.inv[c]], num[S.inv[s]][c]))
+                fracs[1].append(tau(G.inv[c], c).conj().frac)
+    N, K = exponents(fracs[0] + fracs[1])
+    P, St, I = (np.array(r, dtype=np.intp).reshape(-1, w).T for r, w in zip(rows, (4, 3, 3)))
+    return Bundle(S, points, N, (*P, K[:len(rows[0])], None), (*St, K[len(rows[0]):], None),
+                  (*I, np.zeros(len(rows[2]), dtype=np.intp), None), "section", G=G, tau=tau)
 
 
-def _close(f, g, tol):
-    """Whether dense elements agree within tol at every point."""
-    return (np.abs(f - g) <= tol).all(axis=-1)
-
-
-def _expand(start, count, keys):
-    """For each key in turn, the rows start[key] .. start[key] + count[key]:
-    the position of the key and the row, one pair per row."""
-    n = count[keys]
-    b = np.repeat(np.arange(len(keys)), n)
-    return b, np.repeat(start[keys] - _starts(n), n) + np.arange(len(b))
-
+# ---------------------------------------------------------------------------
+# the readers
 
 def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
     """Check the bundle axioms: the exact point-mass families are
@@ -665,17 +643,13 @@ def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
     star-isometric, conjugate-linear, the C*-identity and positivity.
     Their norms are the sup norm of functions on the points, the C*-norm
     of a commutative fiber; a one-fiber algebra whose products add terms
-    is no such fiber, and alg.verify() checks it.  The tables are compiled
-    to arrays once (BundleArrays) and every family runs on them.  Returns
-    (ok, violations).
+    is no such fiber, and alg.verify() checks it.  Returns (ok, violations).
     """
-    import random as _random
-    rng = rng or _random.Random(0)
-    arrays = BundleArrays(B)
-    bad = arrays.fiber_violations()
+    rng = rng or random.Random(0)
+    bad = B.fiber_violations()
     if bad:
         return False, bad
-    bad = arrays.exact_violations(tol) + arrays.random_violations(tol, samples, rng)
+    bad = B.lookup().exact_violations(tol) + B.random_violations(tol, samples, rng)
     return not bad, bad
 
 
@@ -686,36 +660,34 @@ def classify_bundle(B, tol: float = 1e-9):
     function is a two-sided generating multiplier; the witness family is
     returned when every fiber is regular.
     """
-    S = B.S
+    S, n, T = B.S, B.S.n, B.T.ravel()
+    # whether the product rows of (s, t) reach exactly the points of fiber st
+    pair, _, _, z = B.products[:4]
+    inside = (z >= 0) & (z < B.cs[T[pair]])
+    hit = np.zeros((n * n, B.W), dtype=bool)
+    hit[pair[inside], z[inside]] = True
+    reached = (hit.sum(axis=1) == B.cs[T]) & (np.bincount(pair[~inside], minlength=n * n) == 0)
+    unsat = [(S.label(p // n), S.label(p % n)) for p in np.flatnonzero(~reached)]
 
-    def targets(s, t):
-        return {z for z, _ in B.products[(s, t)].values()}
+    # in the fiber of an idempotent, delta_y delta_x must be delta_x delta_y
+    pair, x, y, z, K, V = B.products
+    r = _expand(B.prod_start, B.prod_count, np.array(S.idem, dtype=np.intp) * (n + 1))[1]
+    row = {key: i for i, key in zip(r.tolist(), zip(pair[r].tolist(), x[r].tolist(), y[r].tolist()))}
 
-    unsat = [(S.label(s), S.label(t)) for s in S.elements() for t in S.elements()
-             if targets(s, t) != B.carrier(S.mul(s, t))]
-
-    semi_abelian = True
-    for e in S.idem:
-        table = B.products[(e, e)]
-        for (x, y), (z, c) in table.items():
-            z2, c2 = table.get((y, x), (None, 0))
-            if z2 != z or abs(as_complex(c) - as_complex(c2)) > tol:
-                semi_abelian = False
+    def value(i):
+        return Angle(Fraction(int(K[i]), B.N)).value if K[i] >= 0 else complex(V[i])
+    semi_abelian = all(
+        j is not None and z[i] == z[j] and (K[i] == K[j] >= 0 or abs(value(i) - value(j)) <= tol)
+        for (p, a, c), i in row.items() for j in [row.get((p, c, a))])
 
     # the constant-one multiplier times a point mass is that point mass's
     # row, so it generates fiber s from either side iff the rows cover it
-    regular = {S.label(s): targets(s, S.mul(S.inv[s], s)) == B.carrier(s)
-               == targets(S.mul(s, S.inv[s]), s)
-               for s in S.elements()}
-    witness = canonical_multipliers(B)
-
-    return {
-        "saturated": not unsat,
-        "unsaturated_pairs": unsat,
-        "semi_abelian": semi_abelian,
-        "regular": regular,
-        "witness": witness if all(regular.values()) else None,
-    }
+    ar = np.arange(n)
+    regular = reached[ar * n + B.T[B.inv, ar]] & reached[B.T[ar, B.inv] * n + ar]
+    regular = {S.label(s): bool(regular[s]) for s in S.elements()}
+    return {"saturated": not unsat, "unsaturated_pairs": unsat, "semi_abelian": semi_abelian,
+            "regular": regular,
+            "witness": canonical_multipliers(B) if all(regular.values()) else None}
 
 
 def canonical_multipliers(B) -> dict:
@@ -739,63 +711,84 @@ def extract_action(B, u) -> TwistedAction:
     """Read the twisted action back off a saturated semi-abelian bundle.
 
     theta_s comes from the support bijection of conjugation by u_s;
-    omega(s, t) is the coordinate function of u_s u_t u_{st}*.
+    omega(s, t) is the coordinate function of u_s u_t u_{st}*, exact while
+    every factor is an Angle.  The result holds exponent arrays, or an
+    omega dict where a value is not an Angle.
     """
-    from fellsem.partial_maps import PartialBijection
-
-    S = B.S
+    S, n, W = B.S, B.S.n, B.W
     info = classify_bundle(B)
     if not info["saturated"]:
         raise NotSaturated(str(info["unsaturated_pairs"]))
     if not info["semi_abelian"]:
         raise NotSemiAbelian("an idempotent fiber is noncommutative")
     check_multiplier_family(B, u)
+    vals = [u[s](x) for s, p in enumerate(B.points) for x in p]
+    Nu, uK = exponents([v.frac if isinstance(v, Angle) else None for v in vals])
+    N, ar, T, inv, pts = lcm(B.N, Nu), np.arange(n), B.T, B.inv, B.points
+    us = (np.full((n, W), OUTSIDE, dtype=_exponent_dtype(N)), np.zeros((n, W), dtype=complex))
+    us[0][B.slot_s, B.slot_x], us[1][B.slot_s, B.slot_x] = widen(uK, Nu, N), [complex(v) for v in vals]
+    L = B.lookup(N, exact=False)
+    ustar = L.star_of(ar, us)
 
+    def conjugated(pair, left, g, star):
+        """(u_left g) u_star* for elements g, over the pairs (left, fiber of g)."""
+        m = L.mul(pair, (us[0][left], us[1][left]), g)
+        return L.mul(star * n + inv[star], m, (ustar[0][star], ustar[1][star]))
+
+    # theta_s(x), x in fiber s*s, is the one point of (u_s delta_x) u_s*
+    s = np.repeat(ar, B.cs[T[inv, ar]])
+    x = np.arange(len(s)) - _starts(B.cs[T[inv, ar]])[s]
+    delta = np.arange(W) == x[:, None]
+    support = conjugated(s * n + T[inv[s], s], s, (np.where(delta, 0, OUTSIDE), delta + 0j), s)[1] != 0
+    if (support.sum(axis=1) != 1).any():
+        raise BundleError("conjugation by the multiplier is not point-to-point")
+    theta = {t: {} for t in S.elements()}
+    for t, y, z in zip(s.tolist(), x.tolist(), support.argmax(axis=1).tolist()):
+        theta[t][pts[S.mul(S.inv[t], t)][y]] = pts[S.mul(t, S.inv[t])][z]
+    theta = {t: PartialBijection(m) for t, m in theta.items()}
+
+    # omega(s, t) is u_s u_t u_st* on the fiber of st (st)*
+    pair, st = np.arange(n * n), T.ravel()
+    K, V = conjugated(pair, pair // n, (us[0][pair % n], us[1][pair % n]), st)
+    e = T[st, inv[st]]
+    live = np.arange(W) < B.cs[e][:, None]
+    if (live & (V == 0)).any():
+        raise BundleError("multiplier coordinate vanishes")
     X = sorted(set().union(*(B.carrier(e) for e in S.idem)), key=str)
     U = {s: B.carrier(S.mul(s, S.inv[s])) for s in S.elements()}
-
-    theta = {}
-    for s in S.elements():
-        ss = S.inv[s]
-        dom = B.carrier(S.mul(ss, s))
-        mapping = {}
-        for x in dom:
-            a = B.mul(s, S.mul(ss, s), u[s], CFunction(dom, {x: ONE}))
-            b = B.mul(s, ss, a, B.star(s, u[s]))
-            supp = b.support()
-            if len(supp) != 1:
-                raise BundleError("conjugation by the multiplier is not point-to-point")
-            mapping[x] = next(iter(supp))
-        theta[s] = PartialBijection(mapping)
-
-    omega = {}
-    for s in S.elements():
-        for t in S.elements():
-            st = S.mul(s, t)
-            m = B.mul(s, t, u[s], u[t])
-            w = B.mul(st, S.inv[st], m, B.star(st, u[st]))
-            vals = {}
-            for y in w.carrier:
-                v = w(y)
-                if v == 0:
-                    raise BundleError("multiplier coordinate vanishes")
-                vals[y] = v
-            omega[(s, t)] = CFunction(w.carrier, vals)
-    return TwistedAction(S, X, U, theta, omega)
+    if (live & (K == NOT_ANGLE)).any():
+        omega = {divmod(p, n): CFunction(pts[e[p]], {
+            y: Angle(Fraction(k, N)) if k >= 0 else v
+            for y, k, v in zip(pts[e[p]], K[p].tolist(), V[p].tolist())}) for p in range(n * n)}
+        return TwistedAction(S, X, U, theta, omega)
+    A = TwistedAction(S, X, U, theta, {})
+    F = Frame(A)
+    where = np.array([F.index.get(y, -1) for p in pts for y in p], dtype=np.intp)
+    p, c = np.nonzero(live)
+    Wk = np.full((n * n, F.m), OUTSIDE, dtype=K.dtype)
+    Wk[p, where[B.off[e[p]] + c]] = K[p, c]
+    return TwistedAction._with_kernel(A, Kernel(F, N, Wk.reshape(n, n, F.m)))
 
 
 def roundtrip_check(A: TwistedAction):
-    """Build the bundle, extract with the canonical family, compare exactly."""
+    """Build the bundle, extract with the canonical family, compare exactly:
+    theta as maps, omega as exponents over the points of both kernels (and
+    through the omega dicts where a value is not an Angle)."""
     B = build_bundle(A)
     A2 = extract_action(B, canonical_multipliers(B))
-    ok = A.equals(A2)
-    diff = None
-    if not ok:
-        diff = []
-        for s in A.S.elements():
-            if A.theta[s] != A2.theta[s]:
-                diff.append(("theta", A.S.label(s)))
-        for key, w in A.omega.items():
-            if not w.equals(A2.omega[key]):
-                diff.append(("omega", (A.S.label(key[0]), A.S.label(key[1]))))
-    return ok, diff
+    S, K1, K2 = A.S, A.kernel, A2.kernel
+    N = lcm(K1.N, K2.N)
+    points = K1.frame.points + [x for x in K2.frame.points if x not in K1.frame.index]
+
+    def on_points(K):
+        at = np.array([K.frame.index.get(x, -1) for x in points], dtype=np.intp)
+        return np.where(at >= 0, widen(K.W, K.N, N)[:, :, np.maximum(at, 0)], OUTSIDE)
+
+    W1, W2 = on_points(K1), on_points(K2)
+    differ = (W1 != W2).any(axis=2)
+    for s, t in zip(*np.nonzero(((W1 == NOT_ANGLE) | (W2 == NOT_ANGLE)).any(axis=2))):
+        differ[s, t] = not A.omega[(s, t)].equals(A2.omega[(s, t)])
+    diff = [("theta", S.label(s)) for s in S.elements() if A.theta[s] != A2.theta[s]]
+    diff += [("omega", (S.label(s), S.label(t))) for s, t in zip(*np.nonzero(differ))]
+    ok = not diff and A.X == A2.X and A.U == A2.U
+    return ok, None if ok else diff

@@ -1,23 +1,22 @@
 """Morphisms and refinements of semi-abelian bundles.
 
 The saturated refinement of a bundle A over S lives over the inverse
-semigroup of pairs (s, V) where V is a carrier subset reachable from the
-full carriers by products and involutions; the fiber over (s, V) is the
-functions supported on V inside the fiber of A over s.  Products in the
-refined bundle land exactly on their carriers, so the result is saturated
-by construction.
+semigroup of pairs (s, V), V a carrier subset (a bit mask over the points of
+fiber s) reachable from the full carriers by products and involutions; its
+rows are A's rows inside the masks, so products land exactly on their
+carriers and the result is saturated by construction.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from fellsem.action import germ_groupoid, germ_map_check
-from fellsem.angles import as_complex
 from fellsem.isg import IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
-from fellsem.bundle import (NOWHERE, Bundle, BundleArrays, NotSaturated, canonical_multipliers,
+from fellsem.bundle import (NOWHERE, Bundle, NotSaturated, _expand, canonical_multipliers,
                             classify_bundle, extract_action)
 
 # the number of a point of B outside its image fiber of A: past every table
@@ -26,73 +25,89 @@ from fellsem.bundle import (NOWHERE, Bundle, BundleArrays, NotSaturated, canonic
 ELSEWHERE = NOWHERE + 1
 
 
-class RefineError(ValueError):
-    pass
-
-
-def _prod_carrier(A, s, t, V, W) -> frozenset:
-    return frozenset(z for (x, y), (z, _) in A.products[(s, t)].items() if x in V and y in W)
-
-
-def _star_carrier(A, s, V) -> frozenset:
-    return frozenset(z for x, (z, _) in A.stars[s].items() if x in V)
-
-
 def RefinedBundle(base) -> Bundle:
     """The saturated refinement of a base bundle, over the pair semigroup.
+    (Named like a class: callers construct it as one.)"""
+    baseS, n, off = base.S, base.S.n, base.off
+    prod, star = [[] for _ in range(n * n)], [[] for _ in range(n)]
+    for key, x, y, z in zip(*(c.tolist() for c in base.products[:4])):
+        prod[key].append((1 << x, 1 << y, 1 << z))
+    for s, x, z in zip(*(c.tolist() for c in base.stars[:3])):
+        star[s].append((1 << x, 1 << z))
 
-    Its tables are the base's rows restricted to the pair carriers.  (Named
-    like a class: callers construct it as one.)
-    """
-    baseS = base.S
-    pairs = {(s, base.carrier(s)) for s in baseS.elements()}
-    frontier = list(pairs)
-    while frontier:
-        nxt = []
-        for (s, V) in frontier:
-            p = (baseS.inv[s], _star_carrier(base, s, V))
-            if p not in pairs:
-                pairs.add(p)
-                nxt.append(p)
-        for (s, V) in list(pairs):
-            for (t, W) in list(pairs):
-                p = (baseS.mul(s, t), _prod_carrier(base, s, t, V, W))
-                if p not in pairs:
-                    pairs.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    pairs = sorted(pairs, key=lambda p: (p[0], sorted(p[1], key=str)))
-    pos = {p: i for i, p in enumerate(pairs)}
-    table = [[pos[(baseS.mul(s, t), _prod_carrier(base, s, t, V, W))] for (t, W) in pairs]
-             for (s, V) in pairs]
-    labels = [f"({baseS.label(s)}|{','.join(sorted(map(str, V)))})" for (s, V) in pairs]
-    S = verify_inverse_semigroup(table, labels=labels)
-    phi = [s for (s, _) in pairs]
-    fibers = {i: V for i, (_, V) in enumerate(pairs)}
+    def product(p, q):
+        (s, V), (t, W) = p, q
+        return baseS.mul(s, t), sum({z for x, y, z in prod[s * n + t] if V & x and W & y})
 
-    products, stars, inclusions = {}, {}, {}
-    for i in S.elements():
-        for j in S.elements():
-            V, W, target = fibers[i], fibers[j], fibers[S.mul(i, j)]
-            products[(i, j)] = {(x, y): (z, c)
-                                for (x, y), (z, c) in base.products[(phi[i], phi[j])].items()
-                                if x in V and y in W and z in target}
-            if S.leq(i, j):
-                inclusions[(i, j)] = {x: c for x, c in base.inclusions[(phi[i], phi[j])].items()
-                                      if x in V}
-        target = fibers[S.inv[i]]
-        stars[i] = {x: (z, c) for x, (z, c) in base.stars[phi[i]].items()
-                    if x in fibers[i] and z in target}
-    return Bundle(S, fibers, products, stars, inclusions, "refined", base=base, phi=phi)
+    def adjoint(p):
+        return baseS.inv[p[0]], sum({z for x, z in star[p[0]] if p[1] & x})
+
+    # close the full carriers, as bit masks, under adjoints and products,
+    # forming each product once; the list grows while it is walked
+    pairs, pos, table = [], {}, {}
+
+    def add(p):
+        if p not in pos:
+            pos[p] = len(pairs)
+            pairs.append(p)
+        return pos[p]
+
+    for s in baseS.elements():
+        add((s, (1 << len(base.points[s])) - 1))
+    for i, p in enumerate(pairs):
+        add(adjoint(p))
+        for j in range(i + 1):
+            table[i, j], table[j, i] = add(product(p, pairs[j])), add(product(pairs[j], p))
+
+    def members(k):
+        s, V = pairs[k]
+        return [x for x in range(base.cs[s]) if V >> x & 1]
+
+    def sort_key(k):  # the element, then its carrier's points ordered by str
+        return pairs[k][0], sorted((base.points[pairs[k][0]][x] for x in members(k)), key=str)
+
+    order = sorted(range(len(pairs)), key=sort_key)
+    rank = {k: i for i, k in enumerate(order)}
+    S = verify_inverse_semigroup(
+        [[rank[table[a, b]] for b in order] for a in order],
+        labels=[f"({baseS.label(s)}|{','.join(sorted(map(str, V)))})"
+                for s, V in map(sort_key, order)])
+    P, phi = S.n, np.array([pairs[k][0] for k in order], dtype=np.intp).reshape(-1)
+    num = np.full((P, base.M + 1), -1, dtype=np.intp)  # [i, base slot]: its number in fiber i
+    for i, k in enumerate(order):
+        num[i, off[phi[i]] + np.array(members(k), dtype=np.intp)] = np.arange(len(members(k)))
+    points = [[base.points[phi[i]][x] for x in members(k)] for i, k in enumerate(order)]
+
+    def restrict(table, start, count, key, base_key, fibers, need):
+        """The base rows of base_key[k], renumbered in the refined fibers
+        (one per point column), kept where the first `need` points lie in
+        theirs; key[k] is the refined key."""
+        b, r = _expand(start, count, base_key)
+        cols = [num[f[b], np.where(c[r] >= 0, off[phi[f[b]]] + c[r], base.M)]
+                for c, f in zip(table[1:-2], fibers)]
+        keep = np.all([c >= 0 for c in cols[:need]], axis=0)
+        V = table[-1]
+        return key[b][keep], *(c[keep] for c in cols), table[-2][r][keep], \
+            None if V is None else V[r][keep]
+
+    i, j = np.divmod(np.arange(P * P), P)
+    products = restrict(base.products, base.prod_start, base.prod_count, i * P + j,
+                        phi[i] * n + phi[j], (i, j, S.cayley[i, j]), 3)
+    i = np.arange(P)
+    stars = restrict(base.stars, base.star_start, base.star_count, i, phi,
+                     (i, np.array(S.inv, dtype=np.intp)), 2)
+    i, j = np.nonzero(S.order)
+    inclusions = restrict(base.inclusions, base.inc_start, base.inc_count, i * P + j,
+                          phi[i] * n + phi[j], (i, j), 1)
+    return Bundle(S, points, base.N, products, stars, inclusions, "refined",
+                  base=base, phi=phi.tolist())
 
 
-class BundleMorphism:
+class BundleMorphism(NamedTuple):
     """phi on the index semigroups plus fiberwise carrier injections."""
-
-    def __init__(self, B, A, phi: IsgHomomorphism):
-        self.B = B
-        self.A = A
-        self.phi = phi
+    B: Bundle
+    A: Bundle
+    phi: IsgHomomorphism
 
 
 def refinement_morphism(B: Bundle) -> BundleMorphism:
@@ -107,49 +122,44 @@ def saturated_refinement(A):
 
 
 def _morphism(m: BundleMorphism, tol):
-    """The morphism violations, and A's tables as arrays (None where a table
-    leaves its fibers, whose fiber scan is then the violations).  Each
-    table entry of B is compared with A's at the same points, with
-    exponents mod one N, over every pair of points, every point, and every
-    s <= t with a point of fiber s."""
-    Ba, Aa = BundleArrays(m.B), BundleArrays(m.A)
-    bad = Ba.fiber_violations() + Aa.fiber_violations()
+    """The morphism violations, and A's lookups (None where a table leaves
+    its fibers, whose fiber scan is then the violations): B's point masses
+    against A's, exponents mod one N, over B.pairs, every point and B.below."""
+    B, A = m.B, m.A
+    bad = B.fiber_violations() + A.fiber_violations()
     if bad:
         return bad, None
-    N, angles = lcm(Ba.N, Aa.N), Ba.angles and Aa.angles
-    for arrays in (Ba, Aa):
-        arrays.widen(N)
-        arrays.angles = angles
-        arrays.lookups()
-    phi = np.array(m.phi.map, dtype=np.intp).reshape(Ba.n)
-    lab, pts, off = m.B.S.label, Ba.points, Ba.off
-    to_a = np.full(Ba.M + 1, NOWHERE, dtype=np.intp)
-    to_a[:Ba.M] = [Aa.index[phi[s]].get(x, ELSEWHERE) for s, p in enumerate(pts) for x in p]
+    N, exact = lcm(B.N, A.N), B.angles and A.angles
+    Bl, Al = B.lookup(N, exact), A.lookup(N, exact)
+    phi = np.array(m.phi.map, dtype=np.intp).reshape(B.S.n)
+    lab, pts, off = B.S.label, B.points, B.off
+    to_a = np.full(B.M + 1, NOWHERE, dtype=np.intp)
+    index = [{x: i for i, x in enumerate(p)} for p in A.points]
+    to_a[:B.M] = [index[phi[s]].get(x, ELSEWHERE) for s, p in enumerate(pts) for x in p]
 
     def differ(p, s, q):
         """Whether B's scaled point masses p, in fiber s, differ from A's q."""
-        return Ba.far((to_a.take(off[s] + p[0], mode="clip"), *p[1:]), q, tol)
+        return Bl.far((to_a.take(off[s] + p[0], mode="clip"), *p[1:]), q, tol)
 
-    i, j, x, y = Ba.pairs
-    hit = differ(Ba.product(i, j, x, y), Ba.T[i, j],
-                 Aa.product(phi[i], phi[j], to_a[off[i] + x], to_a[off[j] + y]))
+    i, j, x, y = B.pairs
+    hit = differ(Bl.product(i, j, x, y), B.T[i, j],
+                 Al.product(phi[i], phi[j], to_a[off[i] + x], to_a[off[j] + y]))
     bad = [("multiplicative", (lab(i), lab(j), pts[i][x], pts[j][y]))
            for i, j, x, y in zip(i[hit], j[hit], x[hit], y[hit])]
-    i, x = Ba.slot_s, Ba.slot_x
-    hit = differ(Ba.star(i, x), Ba.inv[i], Aa.star(phi[i], to_a[:-1]))
+    i, x = B.slot_s, B.slot_x
+    hit = differ(Bl.star(i, x), B.inv[i], Al.star(phi[i], to_a[:-1]))
     bad += [("star", (lab(i), pts[i][x])) for i, x in zip(i[hit], x[hit])]
-    i, j, x = Ba.below
-    hit = differ(Ba.include(i, j, x), j, Aa.include(phi[i], phi[j], to_a[off[i] + x]))
+    i, j, x = B.below
+    hit = differ(Bl.include(i, j, x), j, Al.include(phi[i], phi[j], to_a[off[i] + x]))
     bad += [("inclusion", (lab(i), lab(j), pts[i][x])) for i, j, x in zip(i[hit], j[hit], x[hit])]
-    return bad, Aa
+    return bad, Al
 
 
 def verify_morphism(m: BundleMorphism, tol: float = 1e-9):
     """Multiplicativity, *-preservation and the inclusion square, on point
     masses of every fiber of B.  The carrier maps are the identity on
-    points, so each condition compares B's table entry with A's: a point
-    of B outside its image fiber reads A's zero.  Both are gathers through
-    the tables compiled to arrays, and compare Angles exactly; a table that
+    points, so each condition compares B's row with A's (a point of B
+    outside its image fiber reads A's zero), Angles exactly; a table that
     leaves its fibers is reported as Bundle.verify reports it, instead."""
     bad, _ = _morphism(m, tol)
     return not bad, bad
@@ -160,7 +170,7 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
     injectivity (each fiber of B a subset of its image fiber of A), the
     span condition, and the idempotent-ideal consistency check, which is
     left out where a table leaves its fibers."""
-    bad, Aa = _morphism(m, tol)
+    bad, Al = _morphism(m, tol)
     B, A, phi = m.B, m.A, m.phi
     T, S = B.S, A.S
     if not phi.is_surjective:
@@ -177,14 +187,14 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
 
     # images of idempotent fibers are ideals of the target idempotent fiber:
     # delta_x delta_y, for x in fiber e and y in the image, is zero or in it
-    for i in T.idem if Aa is not None else ():
+    for i in T.idem if Al is not None else ():
         e, im = phi(i), list(image[i])
-        y = np.array([Aa.index[e][y] for y in im], dtype=np.intp)
-        z = Aa.product(e, e, np.arange(Aa.cs[e])[:, None], y)[0]
-        inside = np.zeros(Aa.cs[e] + 1, dtype=bool)  # the last entry for zero
+        y = np.array([A.points[e].index(y) for y in im], dtype=np.intp)
+        z = Al.product(e, e, np.arange(A.cs[e])[:, None], y)[0]
+        inside = np.zeros(A.cs[e] + 1, dtype=bool)  # the last entry for zero
         inside[y] = True
         for x, k in zip(*np.nonzero((z != NOWHERE) & ~inside.take(z, mode="clip"))):
-            bad.append(("not-an-ideal", (T.label(i), Aa.points[e][x], im[k])))
+            bad.append(("not-an-ideal", (T.label(i), A.points[e][x], im[k])))
     return not bad, bad
 
 
@@ -230,26 +240,17 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
 
     # transport: the refined basis element g corresponds to d_g times the
     # base basis element, d_g the base-side coordinate at the germ
-    d = {}
-    for g in range(GB.arrow_count):
-        tB0, x = GB.rep(g)
-        d[g] = as_complex(GA.coord(m.phi(tB0), x))
-
-    rowsA = algA.products[(0, 0)]
-    mismatches = []
-    for (g, h), (k, cB) in algB.products[(0, 0)].items():
-        K, cA = rowsA.get((mapping[g], mapping[h]), (None, 0))
-        if K != mapping[k] or abs(d[g] * d[h] * as_complex(cA) - as_complex(cB) * d[k]) > tol:
-            mismatches.append(("product", (g, h)))
-    starsA = algA.stars[0]
-    for g, (gs, cB) in algB.stars[0].items():
-        K, cA = starsA[mapping[g]]
-        if mapping[gs] != K:
-            mismatches.append(("star-index", g))
-            continue
-        lhs = complex(d[g]).conjugate() * as_complex(cA)
-        if abs(lhs - as_complex(cB) * d[gs]) > tol:
-            mismatches.append(("star-coeff", g))
+    d = np.array([complex(GA.coord(m.phi(t), x)) for t, x in map(GB.rep, range(GB.arrow_count))])
+    to_a = np.array([mapping[g] for g in range(GB.arrow_count)], dtype=np.intp).reshape(-1)
+    LA = algA.lookup(exact=False)
+    (_, g, h, k, _, _), (_, x, z, _, _) = algB.products, algB.stars
+    zA, _, cA = LA.product(0, 0, to_a[g], to_a[h])
+    bad = (zA != to_a[k]) | (np.abs(d[g] * d[h] * cA - algB.values[0] * d[k]) > tol)
+    mismatches = [("product", (int(a), int(b))) for a, b in zip(g[bad], h[bad])]
+    zA, _, cA = LA.star(0, to_a[x])
+    off = np.abs(np.conj(d[x]) * cA - algB.values[1] * d[z]) > tol
+    mismatches += [("star-index" if zA[i] != to_a[z[i]] else "star-coeff", int(x[i]))
+                   for i in np.flatnonzero((zA != to_a[z]) | off)]
     if mismatches:
         report["ok"] = False
         report["mismatches"] = mismatches

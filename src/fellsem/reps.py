@@ -11,7 +11,6 @@ import numpy as np
 
 from fellsem.angles import as_complex
 from fellsem.action import TwistedAction
-from fellsem.bundle import BundleArrays
 from fellsem.partial_maps import CFunction
 
 # matrix entries the pair family of verify_representation holds at once
@@ -153,17 +152,15 @@ def to_covariant(pi: BundleRep, B, A: TwistedAction) -> CovariantRep:
 
 def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
     """Multiplicativity, *-compatibility and inclusion-compatibility on
-    point masses, gathered through B's tables compiled to arrays; pi of a
-    scaled point mass (z, c) in fiber s is c pi.mats[(s, z)].  The pairs
-    of points run in chunks of ENTRIES matrix entries.  A table that leaves
-    its fibers is reported as Bundle.verify reports it, instead."""
-    arrays = BundleArrays(B)
-    bad = arrays.fiber_violations()
+    point masses, gathered through B's lookups; pi of a scaled point mass
+    (z, c) in fiber s is c pi.mats[(s, z)], in chunks of ENTRIES matrix
+    entries.  A table that leaves its fibers is reported as Bundle.verify
+    reports it, instead."""
+    bad = B.fiber_violations()
     if bad:
         return False, bad
-    arrays.angles = False  # the images need every scalar's complex value
-    arrays.lookups()
-    lab, pts, off, d = B.S.label, arrays.points, arrays.off, pi.d
+    L = B.lookup(exact=False)  # the images need every scalar's complex value
+    lab, pts, off, d = B.S.label, B.points, B.off, pi.d
     mats = np.stack([pi.mats[(s, x)] for s, p in enumerate(pts) for x in p]
                     + [np.zeros((d, d), dtype=complex)])
 
@@ -175,21 +172,21 @@ def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
         norm = np.linalg.norm(b, axis=(1, 2))
         return ~(np.linalg.norm(a - b, axis=(1, 2)) <= tol * np.maximum(1.0, norm))
 
-    s, t, x, y = arrays.pairs
+    s, t, x, y = B.pairs
     step = max(1, ENTRIES // max(1, d * d))
     hit = [np.empty(0, dtype=np.intp)]
     for a in range(0, len(s), step):
         i, j, u, v = (w[a:a + step] for w in (s, t, x, y))
-        rhs = image(arrays.T[i, j], arrays.product(i, j, u, v))
+        rhs = image(B.T[i, j], L.product(i, j, u, v))
         hit.append(a + np.flatnonzero(far(mats[off[i] + u] @ mats[off[j] + v], rhs)))
     k = np.concatenate(hit)
     bad = [("multiplicative", (lab(s), lab(t), pts[s][x], pts[t][y]))
            for s, t, x, y in zip(s[k], t[k], x[k], y[k])]
-    s, x = arrays.slot_s, arrays.slot_x
-    k = far(mats[:-1].conj().transpose(0, 2, 1), image(arrays.inv[s], arrays.star(s, x)))
+    s, x = B.slot_s, B.slot_x
+    k = far(mats[:-1].conj().transpose(0, 2, 1), image(B.inv[s], L.star(s, x)))
     bad += [("star", (lab(s), pts[s][x])) for s, x in zip(s[k], x[k])]
-    s, t, x = arrays.below
-    k = far(image(t, arrays.include(s, t, x)), mats[off[s] + x])
+    s, t, x = B.below
+    k = far(image(t, L.include(s, t, x)), mats[off[s] + x])
     bad += [("inclusion", (lab(s), lab(t), pts[s][x])) for s, t, x in zip(s[k], t[k], x[k])]
     return not bad, bad
 

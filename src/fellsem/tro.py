@@ -103,11 +103,6 @@ def spans_equal(A, B, tol: float = EPS) -> bool:
     return len(ba) == len(bb) and _inside(bb, ba, tol)
 
 
-def span_contains(A, B, tol: float = EPS) -> bool:
-    """Every element of B lies in span(A)."""
-    return _inside(span_basis(A, tol), B, tol)
-
-
 @dataclass(frozen=True)
 class MatrixTRO:
     """The span of `basis`, linearly independent n-by-n matrices, n = dim.
@@ -161,18 +156,12 @@ class MatrixTRO:
 
     @classmethod
     def from_matrices(cls, mats) -> "MatrixTRO":
+        """The span of mats, kept as the orthonormal basis span_basis gives,
+        which is also its orthonormal basis at the default tolerance."""
         mats = [np.asarray(m, dtype=complex) for m in mats]
-        return cls(mats[0].shape[0], span_basis(mats))
-
-
-def right_algebra(M: MatrixTRO, tol: float = EPS):
-    """Span of M*M."""
-    return list(M._get("right", tol))
-
-
-def left_algebra(M: MatrixTRO, tol: float = EPS):
-    """Span of MM*."""
-    return list(M._get("left", tol))
+        M = cls(mats[0].shape[0], span_basis(mats))
+        M._memo[("basis", EPS)] = M._stack
+        return M
 
 
 def support_projection(alg, n: int, tol: float = EPS):

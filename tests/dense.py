@@ -2,13 +2,22 @@
 
 The checker compares scaled point masses and batched arrays; these
 pointwise operations serve the reference implementations and the unit
-tests of the scalar and function types.  The point-mass operations at the
-end read a Bundle's dict tables one scaled point mass at a time, as the
-former Bundle.verify did.
+tests of the scalar and function types.  Tables is a bundle's structure
+tables as dicts of Angle or complex scalars, the shape the builders filled
+before a Bundle became its rows: tables(B) reads a Bundle's rows into it,
+Tables.bundle() turns it back into rows, and its mul and star extend the
+tables linearly to CFunctions.  The point-mass operations at the end read
+the dict tables one scaled point mass at a time, as the former
+Bundle.verify did.
 """
 
+from fractions import Fraction
+
+import numpy as np
+
+from fellsem.action import NOT_ANGLE, exponents
 from fellsem.angles import ONE, Angle, as_complex, scalar_conj
-from fellsem.bundle import _smul
+from fellsem.bundle import Bundle
 from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
 
 
@@ -81,9 +90,136 @@ def sup_norm(f: CFunction) -> float:
     return max((abs(f.at(x)) for x in f.values), default=0.0)
 
 
+def ordered(B, s: int) -> list:
+    """The points of fiber s in the order B numbers them."""
+    points = getattr(B, "points", None)
+    if isinstance(points, dict):  # a Tables' order, which may leave fibers out
+        return list(points[s]) if s in points else list(B.carrier(s))
+    return list(points[s])
+
+
 def random_element(B, s: int, rng) -> CFunction:
-    c = B.carrier(s)
-    return CFunction(c, {x: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for x in c})
+    return CFunction(B.carrier(s), {x: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                    for x in ordered(B, s)})
+
+
+# ---------------------------------------------------------------------------
+# dict tables
+
+def _smul(*factors):
+    """Product of scalars, exact while every factor is an Angle; zero wins."""
+    acc = ONE
+    for f in factors:
+        if f == 0:
+            return 0
+        if isinstance(acc, Angle) and isinstance(f, Angle):
+            acc = acc * f
+        else:
+            acc = as_complex(acc) * as_complex(f)
+    return acc
+
+
+class Tables:
+    """carriers[s]        the point set of the fiber over s;
+    products[(s, t)]   (x, y) -> (z, c): delta_x in fiber s times delta_y in
+                       fiber t is c delta_z in fiber st;
+    stars[s]           x -> (z, c): the adjoint of delta_x in fiber s is
+                       c delta_z in fiber s*;
+    inclusions[(s, t)] for s <= t, x -> c: delta_x in fiber s is c delta_x
+                       in fiber t.
+    `points` orders each fiber's points for bundle(); the keyword
+    arguments are the Bundle's origin attributes."""
+
+    def __init__(self, S, carriers, products, stars, inclusions, realization,
+                 points=None, **origin):
+        self.S, self.carriers, self.products = S, carriers, products
+        self.stars, self.inclusions, self.realization = stars, inclusions, realization
+        self.points, self.origin = points or {}, origin
+        vars(self).update(origin)
+
+    def carrier(self, s):
+        return self.carriers[s]
+
+    def mul(self, s, t, f, g):
+        vals = {}
+        for (x, y), (z, c) in self.products[(s, t)].items():
+            v = _smul(f(x), g(y), c)
+            if v != 0:  # the first term at z as it is, a sum as complex
+                vals[z] = as_complex(vals[z]) + as_complex(v) if z in vals else v
+        return CFunction(self.carriers[self.S.mul(s, t)], vals)
+
+    def star(self, s, f):
+        vals = {}
+        for x, (z, c) in self.stars[s].items():
+            v = _smul(scalar_conj(f(x)), c)
+            if v != 0:
+                vals[z] = as_complex(vals[z]) + as_complex(v) if z in vals else v
+        return CFunction(self.carriers[self.S.inv[s]], vals)
+
+    def bundle(self) -> Bundle:
+        """The Bundle of these tables: each fiber's points in the order of
+        `points` where it lists them, new points after them by repr; an
+        entry naming a point outside its fiber gets the number -1."""
+        S, n = self.S, self.S.n
+        pts = []
+        for s in S.elements():
+            known = [x for x in self.points.get(s, ()) if x in self.carriers[s]]
+            pts.append(known + sorted(self.carriers[s] - set(known), key=repr))
+        loc = [{x: i for i, x in enumerate(p)} for p in pts]
+        rows, scalars = ([], [], []), []
+        for (s, t), entries in self.products.items():
+            for (x, y), (z, c) in entries.items():
+                rows[0].append((s * n + t, loc[s].get(x, -1), loc[t].get(y, -1),
+                                loc[S.mul(s, t)].get(z, -1)))
+                scalars.append(c)
+        for s, entries in self.stars.items():
+            for x, (z, c) in entries.items():
+                rows[1].append((s, loc[s].get(x, -1), loc[S.inv[s]].get(z, -1)))
+                scalars.append(c)
+        for (s, t), entries in self.inclusions.items():
+            for x, c in entries.items():
+                rows[2].append((s * n + t, loc[s].get(x, -1), loc[t].get(x, -1)))
+                scalars.append(c)
+        N, K = exponents([c.frac if isinstance(c, Angle) else None for c in scalars])
+        V = np.array([complex(c) for c in scalars], dtype=complex)
+        tables, at = [], 0
+        for width, r in zip((4, 3, 3), rows):
+            cols = np.array(r, dtype=np.intp).reshape(-1, width).T
+            tables.append((*cols, K[at:at + len(r)], V[at:at + len(r)]))
+            at += len(r)
+        return Bundle(S, pts, N, *tables, self.realization, **self.origin)
+
+
+def tables(B) -> Tables:
+    """B's rows as dict tables, with Angle scalars where B has exponents."""
+    if B.fiber_violations():
+        raise ValueError("a row outside its fiber names no point")
+    S, n, pts, N = B.S, B.S.n, B.points, B.N
+
+    def scalar(K, V, i):
+        return Angle(Fraction(int(K[i]), N)) if K[i] != NOT_ANGLE else complex(V[i])
+
+    products = {(s, t): {} for s in S.elements() for t in S.elements()}
+    pair, x, y, z, K, V = B.products
+    for i, (p, a, b, c) in enumerate(zip(pair.tolist(), x.tolist(), y.tolist(), z.tolist())):
+        s, t = divmod(p, n)
+        products[(s, t)][(pts[s][a], pts[t][b])] = (pts[S.mul(s, t)][c], scalar(K, V, i))
+    stars = {s: {} for s in S.elements()}
+    fiber, x, z, K, V = B.stars
+    for i, (s, a, c) in enumerate(zip(fiber.tolist(), x.tolist(), z.tolist())):
+        stars[s][pts[s][a]] = (pts[S.inv[s]][c], scalar(K, V, i))
+    inclusions = {(s, t): {} for s in S.elements() for t in S.elements() if S.leq(s, t)}
+    pair, x, _, K, V = B.inclusions
+    for i, (p, a) in enumerate(zip(pair.tolist(), x.tolist())):
+        s, t = divmod(p, n)
+        inclusions[(s, t)][pts[s][a]] = scalar(K, V, i)
+    return Tables(S, {s: B.carrier(s) for s in S.elements()}, products, stars, inclusions,
+                  B.realization, points=dict(enumerate(pts)), **origin(B))
+
+
+def origin(B) -> dict:
+    """The data a Bundle's rows were built from, as its builder passed them."""
+    return {k: v for k, v in vars(B).items() if k in ("A", "G", "tau", "base", "phi", "germs")}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from fellsem.groupoid import (TwoCocycle, bisection_semigroup, coboundary_cocycl
 from fellsem.partial_maps import CFunction
 from fellsem.refine import saturated_refinement
 
+from dense import tables
+
 
 def test_z2_group_algebra_blocks():
     G = cyclic_group(2)
@@ -84,31 +86,31 @@ def _z3_algebra():
 
 def test_broken_structure_constants_fail_verify():
     # flip the sign of one product coefficient: g1 g2 = -e while g2 g1 = e
-    alg = _z3_algebra()
-    rows = alg.products[(0, 0)]
+    T = tables(_z3_algebra())
+    rows = T.products[(0, 0)]
     z, c = rows[(1, 2)]
     rows[(1, 2)] = (z, Angle("1/2") * c)
-    ok, bad = alg.verify()
+    ok, bad = T.bundle().verify()
     assert not ok
     assert any(tag in ("associativity", "anti-multiplicative") for tag, _ in bad)
 
 
 def test_broken_star_scalar_fails_verify():
     # g1* = -g2 while g2* = g1, so g1** = -g1
-    alg = _z3_algebra()
-    z, c = alg.stars[0][1]
-    alg.stars[0][1] = (z, Angle("1/2") * c)
-    ok, bad = alg.verify()
+    T = tables(_z3_algebra())
+    z, c = T.stars[0][1]
+    T.stars[0][1] = (z, Angle("1/2") * c)
+    ok, bad = T.bundle().verify()
     assert not ok
     assert ("involutive", ("1", 1)) in bad
 
 
 def test_broken_star_target_fails_verify():
     # g1* = g1, so (g1 g1)* = g2* = g1 while g1* g1* = g1 g1 = g2
-    alg = _z3_algebra()
-    _, c = alg.stars[0][1]
-    alg.stars[0][1] = (1, c)
-    ok, bad = alg.verify()
+    T = tables(_z3_algebra())
+    _, c = T.stars[0][1]
+    T.stars[0][1] = (1, c)
+    ok, bad = T.bundle().verify()
     assert not ok
     assert ("anti-multiplicative", ("1", "1", 1, 1)) in bad
 
@@ -325,7 +327,8 @@ def test_germ_quotient_matches_the_reference_germs():
         for (t, x) in G.of_pair:
             assert G.coord(t, x) == R.coord(t, x), (t, x)
         alg = germ_algebra(A, G)
-        assert (alg.products[(0, 0)], alg.stars[0]) == reference_germ_tables(A, R)
+        T = tables(alg)
+        assert (T.products[(0, 0)], T.stars[0]) == reference_germ_tables(A, R)
         chi, fixed = siebenize(A)
         S = A.S
         for s in S.elements():
@@ -353,8 +356,9 @@ def parity_cases():
 
 
 def _same_tables(alg, ref):
-    rows = {key: [(k, as_complex(c))] for key, (k, c) in alg.products[(0, 0)].items()}
-    stars = [alg.stars[0][i] for i in range(ref.n)]
+    T = tables(alg)
+    rows = {key: [(k, as_complex(c))] for key, (k, c) in T.products[(0, 0)].items()}
+    stars = [T.stars[0][i] for i in range(ref.n)]
     v = np.arange(ref.n) * (1 + 2j)
     return (len(alg.carrier(0)) == ref.n
             and rows == {key: terms for key, terms in ref.mul.items() if terms}
@@ -366,25 +370,28 @@ def _same_tables(alg, ref):
 
 def _corrupt(alg, ref, kind, rng):
     """Apply the same corruption to both: one product scalar or star scalar
-    times a non-trivial root of unity, or one star target moved."""
+    times a non-trivial root of unity, or one star target moved; return the
+    corrupted algebra."""
+    T = tables(alg)
     denom = rng.choice([2, 3, 4])
     phase = Angle(Fraction(rng.randrange(1, denom), denom))
     if kind == "product":
-        rows = alg.products[(0, 0)]
+        rows = T.products[(0, 0)]
         key = rng.choice(list(rows))
         k, c = rows[key]
         rows[key] = (k, phase * c)
         ref.mul[key] = [(k, as_complex(phase * c))]
-        return
+        return T.bundle()
     i = rng.randrange(ref.n)
-    k, c = alg.stars[0][i]
+    k, c = T.stars[0][i]
     if kind == "star":
         c = phase * c
         ref.star_coeff[i] = as_complex(c)
     else:
         k = rng.choice([m for m in range(ref.n) if m != k])
         ref.star_index[i] = k
-    alg.stars[0][i] = (k, c)
+    T.stars[0][i] = (k, c)
+    return T.bundle()
 
 
 def _blocks(decompose):
@@ -404,7 +411,7 @@ def test_algebras_match_the_reference_star_algebra():
         for kind in (None, "product", "star", "star-target"):
             alg, ref = make()
             if kind:
-                _corrupt(alg, ref, kind, rng)
+                alg = _corrupt(alg, ref, kind, rng)
             ok = alg.verify()[0]
             verdicts.add((kind, ok))
             if ok != ref.verify()[0]:

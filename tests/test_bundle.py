@@ -1,12 +1,14 @@
 """Bundles built from actions and from twisted groupoids."""
 
 import random
-from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
+from fellsem.action import NOT_ANGLE, widen
 from fellsem.angles import Angle
-from fellsem.bundle import (BadMultiplierFamily, NotSaturated, SectionBundle,
+from fellsem.bundle import (BadMultiplierFamily, Bundle, NotSaturated, SectionBundle,
                             build_bundle, canonical_multipliers, check_multiplier_family,
                             classify_bundle, extract_action, roundtrip_check,
                             verify_fell_bundle)
@@ -17,7 +19,7 @@ from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group,
                               pair_groupoid, z2_nontrivial_cocycle)
 from fellsem.partial_maps import CFunction
 
-from dense import multiply, point_mass
+from dense import multiply, origin, point_mass, tables
 
 
 def test_busby_bundle_axioms(busby, rng):
@@ -39,7 +41,7 @@ def test_action_bundles_are_saturated_regular_semi_abelian(full_i2):
 
 
 def test_busby_product_carries_the_twist(busby):
-    B = build_bundle(busby)
+    B = tables(build_bundle(busby))
     g = 1  # the order-two element
     f = point_mass(B.carrier(g), 0)
     prod = B.mul(g, g, f, f)
@@ -115,33 +117,34 @@ def test_pair_groupoid_section_bundle(rng):
 
 
 def _corrupt_one_entry(B, rng):
-    """Multiply one product, star or inclusion scalar by a non-trivial root
-    of unity, or move one star target, in place; return the undo."""
-    S = B.S
-    slots = {
-        "product": [(rows, xy) for rows in B.products.values() for xy in rows],
-        "star": [(entries, x) for entries in B.stars.values() for x in entries],
-        "star-target": [(B.stars[s], x, B.carrier(S.inv[s])) for s in S.elements()
-                        for x in B.stars[s] if len(B.carrier(S.inv[s])) > 1],
-        "inclusion": [(entries, x) for entries in B.inclusions.values() for x in entries],
-    }
+    """A copy of B, made through its rows, with one product, star or
+    inclusion scalar times a non-trivial root of unity, or one star target
+    moved to another point of its fiber."""
+    fiber, _, z = B.stars[:3]
+    movable = np.flatnonzero(B.cs[B.inv[fiber]] > 1)
+    slots = {"product": len(B.products[0]), "star": len(fiber),
+             "star-target": len(movable), "inclusion": len(B.inclusions[0])}
     kind = rng.choice(sorted(k for k, v in slots.items() if v))
-    table, key, *targets = rng.choice(slots[kind])
-    old = table[key]
+    i = rng.randrange(slots[kind])
     denom = rng.choice([2, 3, 4])
-    phase = Angle(Fraction(rng.randrange(1, denom), denom))
-    if kind in ("product", "star"):
-        z, c = old
-        table[key] = (z, phase * c)
-    elif kind == "star-target":
-        z, c = old
-        table[key] = (rng.choice(sorted(targets[0] - {z}, key=str)), c)
+    k = rng.randrange(1, denom)
+    N = lcm(B.N, denom)
+    rows = [[*cols[:-2], widen(cols[-2], B.N, N), cols[-1]]
+            for cols in (B.products, B.stars, B.inclusions)]
+    if kind == "star-target":
+        i = movable[i]
+        cols = rows[1]
+        cols[2] = cols[2].copy()
+        cols[2][i] = rng.choice([w for w in range(B.cs[B.inv[fiber[i]]]) if w != z[i]])
     else:
-        table[key] = phase * old
-
-    def undo():
-        table[key] = old
-    return undo
+        cols = rows[("product", "star", "inclusion").index(kind)]
+        K = cols[-2] = cols[-2].copy()
+        if K[i] == NOT_ANGLE:
+            cols[-1] = cols[-1].copy()
+            cols[-1][i] *= Angle(f"{k}/{denom}").value
+        else:
+            K[i] = (K[i] + k * (N // denom)) % N
+    return Bundle(B.S, B.points, N, *rows, B.realization, **origin(B))
 
 
 def test_table_corruptions_are_detected():
@@ -149,46 +152,44 @@ def test_table_corruptions_are_detected():
     rng = random.Random(5)
     detected, total = 0, 500
     for i in range(total):
-        B = bundles[i % len(bundles)]
-        undo = _corrupt_one_entry(B, rng)
+        B = _corrupt_one_entry(bundles[i % len(bundles)], rng)
         if not verify_fell_bundle(B, rng=random.Random(i))[0]:
             detected += 1
-        undo()
     assert detected >= 0.99 * total, f"detected {detected}/{total}"
 
 
 def test_product_row_outside_its_fiber_is_reported(five, rng):
-    B = build_bundle(five)
-    S = B.S
-    points = frozenset().union(*B.carriers.values())
-    s, t = next(key for key, rows in B.products.items()
-                if rows and points - B.carrier(S.mul(*key)))
-    xy = next(iter(B.products[(s, t)]))
-    _, c = B.products[(s, t)][xy]
-    B.products[(s, t)][xy] = (min(points - B.carrier(S.mul(s, t)), key=str), c)
-    ok, bad = verify_fell_bundle(B, rng=rng)
+    T = tables(build_bundle(five))
+    S = T.S
+    points = frozenset().union(*T.carriers.values())
+    s, t = next(key for key, rows in T.products.items()
+                if rows and points - T.carrier(S.mul(*key)))
+    xy = next(iter(T.products[(s, t)]))
+    _, c = T.products[(s, t)][xy]
+    T.products[(s, t)][xy] = (min(points - T.carrier(S.mul(s, t)), key=str), c)
+    ok, bad = verify_fell_bundle(T.bundle(), rng=rng)
     assert not ok
     assert bad == [("product-fiber", (S.label(s), S.label(t)))]
 
 
 def test_inclusion_entry_outside_its_fiber_is_reported(five, rng):
-    B = build_bundle(five)
-    S = B.S
-    points = frozenset().union(*B.carriers.values())
-    s, t = next(key for key in B.inclusions if points - B.carrier(key[0]))
-    B.inclusions[(s, t)][min(points - B.carrier(s), key=str)] = Angle(0)
-    ok, bad = verify_fell_bundle(B, rng=rng)
+    T = tables(build_bundle(five))
+    S = T.S
+    points = frozenset().union(*T.carriers.values())
+    s, t = next(key for key in T.inclusions if points - T.carrier(key[0]))
+    T.inclusions[(s, t)][min(points - T.carrier(s), key=str)] = Angle(0)
+    ok, bad = verify_fell_bundle(T.bundle(), rng=rng)
     assert not ok
     assert bad == [("inclusion-fiber", (S.label(s), S.label(t)))]
 
 
 def test_star_target_outside_its_fiber_is_reported(five, rng):
-    B = build_bundle(five)
-    S = B.S
-    s = next(s for s in S.elements() if B.stars[s])
-    x = next(iter(B.stars[s]))
-    _, c = B.stars[s][x]
-    B.stars[s][x] = ("nowhere", c)
-    ok, bad = verify_fell_bundle(B, rng=rng)
+    T = tables(build_bundle(five))
+    S = T.S
+    s = next(s for s in S.elements() if T.stars[s])
+    x = next(iter(T.stars[s]))
+    _, c = T.stars[s][x]
+    T.stars[s][x] = ("nowhere", c)
+    ok, bad = verify_fell_bundle(T.bundle(), rng=rng)
     assert not ok
     assert bad == [("star-fiber", S.label(s))]

@@ -3,11 +3,12 @@
 ref_bundle_verify is the former Bundle.verify, which looked every point
 mass up in the dict tables one at a time, and ref_verify_fell_bundle the
 former verify_fell_bundle, which multiplied random CFunctions one sample
-at a time.  The array path must give the same verdicts and the same
-violation lists, draw the same random numbers and leave the generator in
-the same state.  The former loop visited a triple's associativity keys in
-set order; the arrays list them by point, so those runs are compared as
-multisets.
+at a time; both read a Bundle's rows as dict tables (tables(B)), visiting
+each fiber's points in the Bundle's order.  The array path must give the
+same verdicts and the same violation lists, draw the same random numbers
+and leave the generator in the same state.  The former loop visited a
+triple's associativity keys in set order; the arrays list them by point,
+so those runs are compared as multisets.
 """
 
 import cmath
@@ -18,14 +19,15 @@ import numpy as np
 
 from fellsem.angles import ONE, as_complex
 from fellsem.algebra import convolution_algebra
-from fellsem.bundle import BundleArrays, SectionBundle, build_bundle, verify_fell_bundle
+from fellsem.bundle import SectionBundle, build_bundle, verify_fell_bundle
 from fellsem.generators import (corpus, full_monoid_action, mutate_omega, mutation_corpus,
                                 random_gauge, standard_groupoids)
 from fellsem.action import gauge_transform
 from fellsem.groupoid import TwoCocycle, bisection_semigroup, cyclic_group, z2_nontrivial_cocycle
 from fellsem.refine import saturated_refinement
 
-from dense import add, far, include_point, mul_point, random_element, scale, star_point, sup_norm
+from dense import (add, far, include_point, mul_point, ordered, random_element, scale, star_point,
+                   sup_norm, tables)
 from test_algebra import parity_cases
 from test_bundle import _corrupt_one_entry
 
@@ -35,7 +37,8 @@ from test_bundle import _corrupt_one_entry
 
 def ref_bundle_verify(B, tol=1e-9):
     S, lab = B.S, B.S.label
-    els, inv, cars = S.elements(), S.inv, B.carriers
+    els, inv = S.elements(), S.inv
+    cars = {s: ordered(B, s) for s in els}
     bad = []
     for s in els:
         for t in els:
@@ -47,7 +50,7 @@ def ref_bundle_verify(B, tol=1e-9):
                for x, (z, _) in B.stars[s].items()):
             bad.append(("star-fiber", lab(s)))
     for (s, t), entries in B.inclusions.items():
-        if not entries.keys() <= cars[s] & cars[t]:
+        if not entries.keys() <= set(cars[s]) & set(cars[t]):
             bad.append(("inclusion-fiber", (lab(s), lab(t))))
     if bad:
         return False, bad
@@ -174,7 +177,7 @@ def ref_verify_fell_bundle(B, tol=1e-9, samples=3, rng=None):
             p = B.mul(ss, s, B.star(s, f), f)
             if abs(sup_norm(p) - sup_norm(f) ** 2) > tol * max(1.0, sup_norm(f) ** 2):
                 bad.append(("cstar-identity", S.label(s)))
-            for x in p.carrier:
+            for x in ordered(B, S.mul(ss, s)):
                 v = p.at(x)
                 if abs(v.imag) > tol or v.real < -tol:
                     bad.append(("positivity", (S.label(s), x)))
@@ -200,9 +203,10 @@ def _same_fell(B, seed, tol=1e-9):
     """The same verdict, violations and generator state from both paths,
     starting from Random(seed); and B.verify's violations are the exact
     families' among them."""
+    T = tables(B)
     rng, ref_rng = random.Random(seed), random.Random(seed)
     ok, bad = verify_fell_bundle(B, tol=tol, rng=rng)
-    ref_ok, ref_bad = ref_verify_fell_bundle(B, tol=tol, rng=ref_rng)
+    ref_ok, ref_bad = ref_verify_fell_bundle(T, tol=tol, rng=ref_rng)
     assert ok == ref_ok and _canonical(bad) == _canonical(ref_bad), (bad, ref_bad)
     assert rng.getstate() == ref_rng.getstate()
     exact = [v for v in ref_bad if v[0] not in RANDOM_TAGS]
@@ -234,10 +238,7 @@ def test_arrays_match_the_reference_on_corrupted_tables():
     rng = random.Random(5)
     detected = 0
     for i in range(500):
-        B = bundles[i % len(bundles)]
-        undo = _corrupt_one_entry(B, rng)
-        detected += not _same_fell(B, i)
-        undo()
+        detected += not _same_fell(_corrupt_one_entry(bundles[i % len(bundles)], rng), i)
     assert detected >= 495, detected
 
 
@@ -246,9 +247,7 @@ def test_arrays_match_the_reference_on_section_bundles():
     verdicts = set()
     for i, B in enumerate(_section_bundles()):
         verdicts.add(_same_fell(B, i))
-        undo = _corrupt_one_entry(B, rng)
-        verdicts.add(_same_fell(B, 100 + i))
-        undo()
+        verdicts.add(_same_fell(_corrupt_one_entry(B, rng), 100 + i))
     assert verdicts == {True, False}
 
 
@@ -267,9 +266,7 @@ def test_arrays_match_the_reference_on_one_fiber_algebras():
     verdicts = set()
     for i, alg in enumerate(algebras):
         verdicts.add(_same_fell(alg, i))
-        undo = _corrupt_one_entry(alg, rng)
-        verdicts.add(_same_fell(alg, 1000 + i))
-        undo()
+        verdicts.add(_same_fell(_corrupt_one_entry(alg, rng), 1000 + i))
     assert verdicts == {True, False}
 
 
@@ -285,30 +282,29 @@ def test_products_sum_the_terms_that_meet_at_one_point():
         for b in G.arrows():
             if G.composable(a, b):
                 want[G.mul(a, b)] += f.at(a) * g.at(b) * as_complex(tau(a, b))
-    fg = alg.mul(0, 0, f, g)
+    fg = tables(alg).mul(0, 0, f, g)
     assert all(abs(fg.at(c) - v) < 1e-12 for c, v in want.items())
-    arrays = BundleArrays(alg)
-    pts = arrays.points[0]
-    dense = arrays._mul(np.zeros(1, dtype=np.intp), np.array([[[f.at(x) for x in pts]]]),
-                        np.array([[[g.at(x) for x in pts]]]))
+    pts = alg.points[0]
+    dense = alg._mul(np.zeros(1, dtype=np.intp), np.array([[[f.at(x) for x in pts]]]),
+                     np.array([[[g.at(x) for x in pts]]]))
     assert np.abs(dense[0, 0] - [fg.at(x) for x in pts]).max() < 1e-12
 
 
 def test_complex_scalars_match_the_reference(five):
-    B = build_bundle(five)
-    S = B.S
-    s = next(a for a in S.elements() if not S.is_idempotent(a) and B.stars[a])
-    x = next(iter(B.stars[s]))
-    z, c = B.stars[s][x]
+    T = tables(build_bundle(five))
+    S = T.S
+    s = next(a for a in S.elements() if not S.is_idempotent(a) and T.stars[a])
+    x = next(iter(T.stars[s]))
+    z, c = T.stars[s][x]
     # the same unit scalar as a complex number: still a Fell bundle
-    B.stars[s][x] = (z, as_complex(c))
-    assert _same_fell(B, 0)
+    T.stars[s][x] = (z, as_complex(c))
+    assert _same_fell(T.bundle(), 0)
     # a complex phase that no Angle cancels
-    B.stars[s][x] = (z, cmath.exp(0.3j) * as_complex(c))
-    assert not _same_fell(B, 1)
+    T.stars[s][x] = (z, cmath.exp(0.3j) * as_complex(c))
+    assert not _same_fell(T.bundle(), 1)
     # a complex zero, which acts as a missing entry
-    B.stars[s][x] = (z, 0j)
-    assert not _same_fell(B, 2)
+    T.stars[s][x] = (z, 0j)
+    assert not _same_fell(T.bundle(), 2)
 
 
 def test_complex_tables_match_the_reference():
@@ -316,15 +312,14 @@ def test_complex_tables_match_the_reference():
     rng = random.Random(9)
     verdicts = set()
     for i, A in enumerate(corpus(random.Random(0), 20)):
-        B = build_bundle(A)
-        for rows in [*B.products.values(), *B.stars.values()]:
+        T = tables(build_bundle(A))
+        for rows in [*T.products.values(), *T.stars.values()]:
             rows.update({key: (z, as_complex(c)) for key, (z, c) in rows.items()})
-        for entries in B.inclusions.values():
+        for entries in T.inclusions.values():
             entries.update({x: as_complex(c) for x, c in entries.items()})
+        B = T.bundle()
         verdicts.add(_same_fell(B, i))
-        undo = _corrupt_one_entry(B, rng)
-        verdicts.add(_same_fell(B, 100 + i))
-        undo()
+        verdicts.add(_same_fell(_corrupt_one_entry(B, rng), 100 + i))
     assert verdicts == {True, False}
 
 
@@ -332,6 +327,4 @@ def test_gauged_i3_matches_the_reference():
     A = full_monoid_action(3)
     B = build_bundle(gauge_transform(A, random_gauge(A, random.Random(3))))
     assert _same_fell(B, 0)
-    undo = _corrupt_one_entry(B, random.Random(4))
-    assert not _same_fell(B, 1)
-    undo()
+    assert not _same_fell(_corrupt_one_entry(B, random.Random(4)), 1)

@@ -11,9 +11,11 @@ from fellsem.bundle import (NotSaturated, SectionBundle, build_bundle,
 from fellsem.generators import busby_smith_z2, five_element_action
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group,
                               pair_groupoid, z2_nontrivial_cocycle)
-from fellsem.refine import (algebra_preservation_check, germ_preservation_check,
-                            refinement_morphism, saturated_refinement,
-                            verify_refinement)
+from fellsem.refine import (BundleMorphism, algebra_preservation_check,
+                            germ_preservation_check, refinement_morphism,
+                            saturated_refinement, verify_refinement)
+
+from dense import tables
 
 
 def cut_z2_bundle():
@@ -116,25 +118,27 @@ def test_refinement_morphism_is_surjective_with_weights(five):
                                         ("inclusions", "inclusion")])
 def test_corrupted_refined_entry_is_flagged(five, table, tag):
     R, m = saturated_refinement(build_bundle(five))
+    T = tables(R)
     phase = Angle("1/4")
-    entries = next(e for e in getattr(R, table).values() if e)
+    entries = next(e for e in getattr(T, table).values() if e)
     key = next(iter(entries))
     if table == "inclusions":
         entries[key] = phase * entries[key]
     else:
         z, c = entries[key]
         entries[key] = (z, phase * c)
-    ok, bad = verify_refinement(m)
+    ok, bad = verify_refinement(BundleMorphism(T.bundle(), m.A, m.phi))
     assert not ok
     assert tag in {t for t, _ in bad}
 
 
 def test_refined_fiber_gaining_a_point_is_reported(five):
     R, m = saturated_refinement(build_bundle(five))
-    points = frozenset().union(*m.A.carriers.values())
+    points = frozenset().union(*tables(m.A).carriers.values())
     i = next(i for i in R.S.elements() if points - m.A.carrier(m.phi(i)))
     x = min(points - m.A.carrier(m.phi(i)), key=str)
-    R.carriers[i] = R.carrier(i) | {x}
-    ok, bad = verify_refinement(m)
+    T = tables(R)
+    T.carriers[i] = R.carrier(i) | {x}
+    ok, bad = verify_refinement(BundleMorphism(T.bundle(), m.A, m.phi))
     assert not ok
     assert bad == [("fiber-not-injective", (R.S.label(i), x))]

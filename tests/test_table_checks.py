@@ -1,12 +1,13 @@
 """The point-mass checks read the structure tables.
 
 The inclusion families of Bundle.verify, refine.verify_morphism and
-reps.verify_representation gather point masses through the Bundle tables
-compiled to arrays.  The former implementations, which pushed CFunction
-point masses through the linear operations, are kept here as references;
-the two must agree on clean inputs and on inputs with one table entry or
-one matrix corrupted.  Where a table leaves its fibers, the morphism and
-representation checks report the fiber scan of Bundle.verify instead.
+reps.verify_representation gather point masses through the Bundle rows.
+The former implementations, which pushed CFunction point masses through
+the linear operations of the dict tables (tables(B)), are kept here as
+references; the two must agree on clean inputs and on inputs with one
+table entry or one matrix corrupted.  Where a table leaves its fibers, the
+morphism and representation checks report the fiber scan of Bundle.verify
+instead.
 """
 
 import random
@@ -15,14 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from fellsem.angles import ONE, Angle, as_complex
-from fellsem.bundle import BundleError, SectionBundle, _smul, build_bundle
+from fellsem.bundle import BundleError, SectionBundle, build_bundle
 from fellsem.generators import mutation_corpus, standard_groupoids
 from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
 from fellsem.partial_maps import CFunction
-from fellsem.refine import saturated_refinement, verify_morphism, verify_refinement
+from fellsem.refine import BundleMorphism, saturated_refinement, verify_morphism, verify_refinement
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
-from dense import extend, point_mass, sup_norm
+from dense import _smul, extend, ordered, point_mass, sup_norm, tables
 from test_bundle import _corrupt_one_entry
 
 
@@ -108,7 +109,7 @@ def ref_inclusion_families(B, tol=1e-9, rng=None):
 
 
 def ref_verify_morphism(m, tol=1e-9):
-    B, A = m.B, m.A
+    B, A = tables(m.B), tables(m.A)
     T = B.S
     bad = []
 
@@ -121,15 +122,15 @@ def ref_verify_morphism(m, tol=1e-9):
     for i in T.elements():
         for j in T.elements():
             k = T.mul(i, j)
-            for x in B.carrier(i):
-                for y in B.carrier(j):
+            for x in ordered(B, i):
+                for y in ordered(B, j):
                     f, g = pm(i, x), pm(j, y)
                     lhs = psi(k, B.mul(i, j, f, g))
                     rhs = A.mul(m.phi(i), m.phi(j), psi(i, f), psi(j, g))
                     if not _close(lhs, rhs, tol):
                         bad.append(("multiplicative", (T.label(i), T.label(j), x, y)))
     for i in T.elements():
-        for x in B.carrier(i):
+        for x in ordered(B, i):
             f = pm(i, x)
             if not _close(psi(T.inv[i], B.star(i, f)), A.star(m.phi(i), psi(i, f)), tol):
                 bad.append(("star", (T.label(i), x)))
@@ -137,7 +138,7 @@ def ref_verify_morphism(m, tol=1e-9):
         for j in T.elements():
             if not T.leq(i, j):
                 continue
-            for x in B.carrier(i):
+            for x in ordered(B, i):
                 f = pm(i, x)
                 lhs = psi(j, ref_include(B, j, i, f))
                 rhs = ref_include(A, m.phi(j), m.phi(i), psi(i, f))
@@ -147,6 +148,7 @@ def ref_verify_morphism(m, tol=1e-9):
 
 
 def ref_verify_representation(pi, B, tol=1e-9):
+    B = tables(B)
     S = B.S
     bad = []
 
@@ -159,13 +161,13 @@ def ref_verify_representation(pi, B, tol=1e-9):
     for s in S.elements():
         for t in S.elements():
             st = S.mul(s, t)
-            for x in B.carrier(s):
-                for y in B.carrier(t):
+            for x in ordered(B, s):
+                for y in ordered(B, t):
                     f, g = pm(s, x), pm(t, y)
                     if not close(pi.pi(s, f) @ pi.pi(t, g), pi.pi(st, B.mul(s, t, f, g))):
                         bad.append(("multiplicative", (S.label(s), S.label(t), x, y)))
     for s in S.elements():
-        for x in B.carrier(s):
+        for x in ordered(B, s):
             f = pm(s, x)
             if not close(pi.pi(s, f).conj().T, pi.pi(S.inv[s], B.star(s, f))):
                 bad.append(("star", (S.label(s), x)))
@@ -173,7 +175,7 @@ def ref_verify_representation(pi, B, tol=1e-9):
         for t in S.elements():
             if not S.leq(s, t):
                 continue
-            for x in B.carrier(s):
+            for x in ordered(B, s):
                 f = pm(s, x)
                 if not close(pi.pi(t, ref_include(B, t, s, f)), pi.pi(s, f)):
                     bad.append(("inclusion", (S.label(s), S.label(t), x)))
@@ -227,13 +229,11 @@ def test_inclusion_families_match_the_reference():
     mismatches, verdicts = [], set()
     for n, B in enumerate(bundles):
         for trial in range(4):
-            undo = trial and _corrupt_one_entry(B, rng)
-            tags = _inclusion_tags(B)
+            C = _corrupt_one_entry(B, rng) if trial else B
+            tags = _inclusion_tags(C)
             verdicts.add(not tags)
-            if tags != _ref_tags(ref_inclusion_families(B)):
+            if tags != _ref_tags(ref_inclusion_families(tables(C))):
                 mismatches.append((n, trial, tags))
-            if undo:
-                undo()
     assert not mismatches, mismatches
     assert verdicts == {True, False}
 
@@ -244,13 +244,15 @@ def test_morphism_check_matches_the_reference():
     for B in _action_bundles() + [B for B, _ in _regular_reps()]:
         R, m = saturated_refinement(B)
         for trial in range(4):
-            undo = trial and _corrupt_one_entry(rng.choice([R, B]), rng)
+            if trial:
+                side = rng.choice([0, 1])
+                pair = [R, B]
+                pair[side] = _corrupt_one_entry(pair[side], rng)
+                m = BundleMorphism(*pair, m.phi)
             got = verify_morphism(m)
             verdicts.add(got[0])
             if got != ref_verify_morphism(m):
                 mismatches.append((R.S.n, trial))
-            if undo:
-                undo()
     assert not mismatches, mismatches
     assert verdicts == {True, False}
 
@@ -260,11 +262,15 @@ def test_representation_check_matches_the_reference():
     mismatches, verdicts = [], set()
     for B, pi in _regular_reps():
         for trial in range(7):
-            undo = trial and (_corrupt_one_entry(B, rng) if trial % 2 else _corrupt_matrix(pi, rng))
-            got = verify_representation(pi, B)
+            C, undo = B, None
+            if trial % 2:
+                C = _corrupt_one_entry(B, rng)
+            elif trial:
+                undo = _corrupt_matrix(pi, rng)
+            got = verify_representation(pi, C)
             verdicts.add(got[0])
-            if got != ref_verify_representation(pi, B):
-                mismatches.append((B.S.n, trial))
+            if got != ref_verify_representation(pi, C):
+                mismatches.append((C.S.n, trial))
             if undo:
                 undo()
     assert not mismatches, mismatches
@@ -288,38 +294,46 @@ def test_morphism_check_reads_zero_outside_the_image_fiber(five):
     # no entries in the base tables: every product, star and inclusion of
     # the base there is zero
     R, m = saturated_refinement(build_bundle(five))
-    T, A = R.S, m.A
+    T, A = R.S, tables(m.A)
     points = frozenset().union(*A.carriers.values())
     i = next(i for i in T.elements() if points - A.carrier(m.phi(i)))
     x = min(points - A.carrier(m.phi(i)), key=str)
-    R.carriers[i] = R.carrier(i) | {x}
-    assert verify_morphism(m) == (True, [])
+    RT = tables(R)
+    RT.carriers[i] = RT.carrier(i) | {x}
+
+    def check():
+        return verify_morphism(BundleMorphism(RT.bundle(), m.A, m.phi))
+
+    assert check() == (True, [])
 
     # a product from x
-    j = next(j for j in T.elements() if R.carrier(j) and R.carrier(T.mul(i, j)))
-    y = min(R.carrier(j), key=str)
-    R.products[(i, j)][(x, y)] = (min(R.carrier(T.mul(i, j)), key=str), ONE)
-    assert verify_morphism(m) == (False, [("multiplicative", (T.label(i), T.label(j), x, y))])
-    del R.products[(i, j)][(x, y)]
+    j = next(j for j in T.elements() if RT.carrier(j) and RT.carrier(T.mul(i, j)))
+    y = min(RT.carrier(j), key=str)
+    RT.products[(i, j)][(x, y)] = (min(RT.carrier(T.mul(i, j)), key=str), ONE)
+    assert check() == (False, [("multiplicative", (T.label(i), T.label(j), x, y))])
+    del RT.products[(i, j)][(x, y)]
 
     # a product onto x, of two points whose product in the base is zero
     k, l, u, v = next((k, l, u, v) for k in T.elements() for l in T.elements()
                       if T.mul(k, l) == i
-                      for u in R.carrier(k) - {x} for v in R.carrier(l) - {x}
+                      for u in RT.carrier(k) - {x} for v in RT.carrier(l) - {x}
                       if (u, v) not in A.products[(m.phi(k), m.phi(l))])
-    R.products[(k, l)][(u, v)] = (x, ONE)
-    assert verify_morphism(m) == (False, [("multiplicative", (T.label(k), T.label(l), u, v))])
+    RT.products[(k, l)][(u, v)] = (x, ONE)
+    assert check() == (False, [("multiplicative", (T.label(k), T.label(l), u, v))])
 
 
 def test_morphism_check_reports_a_table_leaving_its_fibers(five):
     R, m = saturated_refinement(build_bundle(five))
+    RT = tables(R)
     T = R.S
-    points = frozenset().union(*R.carriers.values())
-    i, j = next(key for key, rows in R.products.items()
-                if rows and points - R.carrier(T.mul(*key)))
-    xy = next(iter(R.products[(i, j)]))
-    _, c = R.products[(i, j)][xy]
-    R.products[(i, j)][xy] = (min(points - R.carrier(T.mul(i, j)), key=str), c)
+    points = frozenset().union(*RT.carriers.values())
+    i, j = next(key for key, rows in RT.products.items()
+                if rows and points - RT.carrier(T.mul(*key)))
+    xy = next(iter(RT.products[(i, j)]))
+    _, c = RT.products[(i, j)][xy]
+    RT.products[(i, j)][xy] = (min(points - RT.carrier(T.mul(i, j)), key=str), c)
+    R = RT.bundle()
+    m = BundleMorphism(R, m.A, m.phi)
     scan = [("product-fiber", (T.label(i), T.label(j)))]
     assert R.verify() == (False, scan)
     assert verify_morphism(m) == (False, scan)
@@ -328,10 +342,12 @@ def test_morphism_check_reports_a_table_leaving_its_fibers(five):
 
 def test_representation_check_reports_a_table_leaving_its_fibers():
     B, pi = _section_rep(*z2_nontrivial_cocycle())
+    T = tables(B)
     S = B.S
-    s = next(s for s in S.elements() if B.stars[s])
-    x = next(iter(B.stars[s]))
-    B.stars[s][x] = ("nowhere", B.stars[s][x][1])
+    s = next(s for s in S.elements() if T.stars[s])
+    x = next(iter(T.stars[s]))
+    T.stars[s][x] = ("nowhere", T.stars[s][x][1])
+    B = T.bundle()
     scan = [("star-fiber", S.label(s))]
     assert B.verify() == (False, scan)
     assert verify_representation(pi, B) == (False, scan)

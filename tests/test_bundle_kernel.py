@@ -37,20 +37,20 @@ from test_bundle import _corrupt_one_entry
 
 def ref_bundle_verify(B, tol=1e-9):
     S, lab = B.S, B.S.label
-    els, inv = S.elements(), S.inv
-    cars = {s: ordered(B, s) for s in els}
+    els, inv, sets = S.elements(), S.inv, B.carriers
+    cars = {s: ordered(B, s) for s in els}  # the points in the bundle's order
     bad = []
     for s in els:
         for t in els:
-            cs, ct, cst = cars[s], cars[t], cars[S.mul(s, t)]
+            cs, ct, cst = sets[s], sets[t], sets[S.mul(s, t)]
             if any(x not in cs or y not in ct or z not in cst
                    for (x, y), (z, _) in B.products[(s, t)].items()):
                 bad.append(("product-fiber", (lab(s), lab(t))))
-        if any(x not in cars[s] or z not in cars[inv[s]]
+        if any(x not in sets[s] or z not in sets[inv[s]]
                for x, (z, _) in B.stars[s].items()):
             bad.append(("star-fiber", lab(s)))
     for (s, t), entries in B.inclusions.items():
-        if not entries.keys() <= set(cars[s]) & set(cars[t]):
+        if not entries.keys() <= sets[s] & sets[t]:
             bad.append(("inclusion-fiber", (lab(s), lab(t))))
     if bad:
         return False, bad

@@ -75,10 +75,12 @@ class Frame:
         self.in_X[[index[x] for x in set(A.X)]] = True
         self.U = np.zeros((n, m), dtype=bool)
         self.th = np.full((n, m), -1, dtype=np.intp)
-        for s in S.elements():
-            self.U[s, [index[x] for x in A.U[s]]] = True
-            pairs = A.theta[s].map
-            self.th[s, [index[x] for x in pairs]] = [index[y] for y in pairs.values()]
+        self.U[[s for s in S.elements() for _ in A.U[s]],
+               [index[x] for s in S.elements() for x in A.U[s]]] = True
+        maps = [(s, index[x], index[y]) for s in S.elements() for x, y in A.theta[s].map.items()]
+        if maps:
+            s, x, y = zip(*maps)
+            self.th[s, x] = y
         self.fib = self.U[self.T[np.arange(n), self.inv]]
 
     @cached_property
@@ -97,13 +99,11 @@ class Frame:
 class Kernel:
     """The omega of an action as exponents mod N: W[s, t, x] = k for the
     value exp(2 pi i k/N) at point x, OUTSIDE where x is not in the carrier
-    of omega(s, t), NOT_ANGLE where the value there is not an Angle.
-    `bundle` is the action's Fell bundle once bundle.build_bundle built it."""
+    of omega(s, t), NOT_ANGLE where the value there is not an Angle."""
 
     def __init__(self, frame: Frame, N: int, W: np.ndarray):
         self.frame, self.N, self.W = frame, N, W
         self._angles = {}
-        self.bundle = None
 
     @classmethod
     def compile(cls, A) -> "Kernel":

@@ -11,6 +11,14 @@ import cmath
 from fractions import Fraction
 
 
+def turn(k: int, N: int) -> complex:
+    """exp(2 pi i k/N) for 0 <= k < N, exact at the quarter turns; k/N is
+    the float of the fraction, so the value depends on k/N alone."""
+    if 4 * k % N == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * k // N]
+    return cmath.exp(2j * cmath.pi * (k / N))
+
+
 class Angle:
     """A unit-modulus scalar exp(2*pi*i * frac) with frac a rational mod 1."""
 
@@ -52,15 +60,7 @@ class Angle:
 
     @property
     def value(self) -> complex:
-        if self.frac == 0:
-            return 1 + 0j
-        if 2 * self.frac == 1:
-            return -1 + 0j
-        if 4 * self.frac == 1:
-            return 1j
-        if 4 * self.frac == 3:
-            return -1j
-        return cmath.exp(2j * cmath.pi * float(self.frac))
+        return turn(self.frac.numerator, self.frac.denominator)
 
     def __complex__(self):
         return self.value

@@ -27,7 +27,7 @@ import numpy as np
 
 from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, Kernel, TwistedAction,
                             _exponent_dtype, exponents, widen)
-from fellsem.angles import Angle
+from fellsem.angles import Angle, turn
 from fellsem.isg import InverseSemigroup
 from fellsem.partial_maps import CFunction, PartialBijection
 
@@ -54,16 +54,18 @@ class BadMultiplierFamily(BundleError):
 
 def _starts(counts) -> np.ndarray:
     """Where each of consecutive blocks of the given lengths begins."""
-    out = np.zeros(len(counts), dtype=np.intp)
-    np.cumsum(counts[:-1], out=out[1:])
-    return out
+    return np.cumsum(counts) - counts
 
 
 def _values(K, N: int) -> np.ndarray:
-    """The complex values of exponents mod N as Angle.value gives them, 0j for codes."""
-    ks, at = np.unique(np.asarray(K), return_inverse=True)
-    vals = [Angle(Fraction(int(k), N)).value if k >= 0 else 0j for k in ks]
-    return np.array(vals, dtype=complex).reshape(-1)[at.reshape(-1)]
+    """The complex values of exponents mod N as Angle.value gives them, 0j
+    for codes: from a table of all N turns, or one per distinct exponent."""
+    K = np.asarray(K).reshape(-1)
+    if N <= len(K):
+        return np.array([turn(k, N) for k in range(N)] + [0j])[np.where(K >= 0, K, N)]
+    memo = {}
+    return np.array([memo[k] if k in memo else memo.setdefault(k, turn(k, N) if k >= 0 else 0j)
+                     for k in K.tolist()], dtype=complex).reshape(-1)
 
 
 class Bundle:
@@ -93,23 +95,37 @@ class Bundle:
                  realization: str, **origin):
         self.S, self.N, self.realization = S, N, realization
         self.points = tuple(tuple(p) for p in points)
-        n = S.n
-        self.products, self.prod_start, self.prod_count = _table(products, N, n * n)
-        self.stars, self.star_start, self.star_count = _table(stars, N, n)
-        self.inclusions, self.inc_start, self.inc_count = _table(inclusions, N, n * n)
+        self.products, self.stars, self.inclusions = (
+            _table(rows, N) for rows in (products, stars, inclusions))
         self.angles = all(t[-1] is None for t in (self.products, self.stars, self.inclusions))
         self.T, self.leq = S.cayley, S.order
-        self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
-        cs = self.cs = np.array([len(p) for p in self.points], dtype=np.intp).reshape(n)
-        self.off, self.M = _starts(cs), int(cs.sum())
-        self.W = max(1, int(cs.max(initial=0)))
-        self.slot_s = np.repeat(np.arange(n), cs)
-        self.slot_x = np.arange(self.M) - self.off[self.slot_s]
         self._lookups = {}
         vars(self).update(origin)
 
     def carrier(self, s: int) -> frozenset:
         return frozenset(self.points[s])
+
+    # -- the geometry, computed on first use
+
+    @cached_property
+    def cs(self) -> np.ndarray:
+        """The number of points of each fiber."""
+        return np.array([len(p) for p in self.points], dtype=np.intp).reshape(self.S.n)
+
+    off = cached_property(lambda self: _starts(self.cs))
+    M = cached_property(lambda self: sum(map(len, self.points)))
+    W = cached_property(lambda self: max([1, *map(len, self.points)]))  # the widest fiber
+    slot_s = cached_property(lambda self: np.repeat(np.arange(self.S.n), self.cs))
+    slot_x = cached_property(lambda self: np.arange(self.M) - self.off[self.slot_s])
+    inv = cached_property(lambda self: np.array(self.S.inv, dtype=np.intp).reshape(self.S.n))
+
+    @cached_property
+    def spans(self) -> tuple:
+        """Per table, each key's first row and count of rows."""
+        n = self.S.n
+        return tuple((_starts(c), c) for c in (
+            np.bincount(rows[0], minlength=k) for rows, k in
+            zip((self.products, self.stars, self.inclusions), (n * n, n, n * n))))
 
     @cached_property
     def values(self) -> tuple:
@@ -261,13 +277,13 @@ class Bundle:
         """The products of the dense elements L[k, b] of fiber s and R[k, b]
         of fiber t, (s, t) = pair[b], through the product rows, summing the
         terms that meet at one point in row order."""
-        b, r = _expand(self.prod_start, self.prod_count, pair)
+        b, r = _expand(*self.spans[0], pair)
         _, x, y, z = self.products[:4]
         return self._scatter(L[:, b, x[r]] * R[:, b, y[r]] * self.values[0][r], b, z[r], len(pair))
 
     def _star(self, fiber, L):
         """The adjoints of the dense elements L[k, b] of fiber[b]."""
-        b, r = _expand(self.star_start, self.star_count, fiber)
+        b, r = _expand(*self.spans[1], fiber)
         _, x, z = self.stars[:3]
         return self._scatter(np.conj(L[:, b, x[r]]) * self.values[1][r], b, z[r], len(fiber))
 
@@ -278,9 +294,8 @@ class Bundle:
         return out
 
 
-def _table(rows, N: int, keys: int):
-    """A table's rows sorted by their first column, read-only, with each
-    key's first row and count of rows."""
+def _table(rows, N: int):
+    """A table's rows sorted by their first column, read-only."""
     *cols, K, V = rows
     cols = [np.asarray(c, dtype=np.intp) for c in cols]
     K = np.asarray(K, dtype=_exponent_dtype(N))
@@ -290,8 +305,7 @@ def _table(rows, N: int, keys: int):
         cols, K, V = [c[order] for c in cols], K[order], None if V is None else V[order]
     for a in (*cols, K) if V is None else (*cols, K, V):
         a.flags.writeable = False
-    count = np.bincount(cols[0], minlength=keys)
-    return (*cols, K, V), _starts(count), count
+    return (*cols, K, V)
 
 
 def _sup(f):
@@ -401,37 +415,6 @@ class Lookup:
             differ = np.where((Kp >= 0) & (Kq >= 0), (Kp - Kq) % self.N != 0,
                               np.abs(Vp - Vq) > tol)
         return np.where(zp == zq, at_p & differ, big_p | big_q)
-
-    # -- dense elements, as sums of scaled point masses
-
-    def mul(self, pair, f, g):
-        """The products of the elements f[b] of fiber s and g[b] of fiber t,
-        (s, t) = divmod(pair[b], n); an element is a pair (K, V) of (batch, W)
-        arrays, K OUTSIDE for zero, and the lookups keep complex values."""
-        B, b, y = self.B, np.arange(len(pair))[:, None, None], np.arange(self.B.W)
-        s, t, x = pair[:, None, None] // B.S.n, pair[:, None, None] % B.S.n, y[:, None]
-        p = self.product(s, t, np.where(x < B.cs[s], x, NOWHERE), np.where(y < B.cs[t], y, NOWHERE))
-        return self._sum(*self.scaled(p[0], (f[0][b, x], f[1][b, x]), (g[0][b, y], g[1][b, y]),
-                                      p[1:]))
-
-    def star_of(self, fiber, f):
-        """The adjoints of the elements f[b] of fiber[b], as mul."""
-        x = np.arange(self.B.W)
-        p = self.star(fiber[:, None], np.where(x < self.B.cs[fiber][:, None], x, NOWHERE))
-        return self._sum(*self.scaled(p[0], self.conj(*f), p[1:]))
-
-    def _sum(self, z, K, V):
-        """The scaled point masses summed at their points, per batch entry:
-        one term as it is, several as a complex sum."""
-        size, W = len(z), self.B.W
-        live = (z != NOWHERE) & ((K >= 0) | (V != 0))
-        at = (np.arange(size).reshape(-1, *[1] * (z.ndim - 1)) * W + z)[live]
-        count = np.bincount(at, minlength=size * W)
-        value = np.bincount(at, V[live].real, size * W) + 1j * np.bincount(at, V[live].imag, size * W)
-        one = np.full(size * W, OUTSIDE, dtype=K.dtype)
-        one[at] = np.where(K[live] >= 0, K[live] % self.N, NOT_ANGLE)
-        K = np.where(count == 1, one, np.where(count == 0, OUTSIDE, NOT_ANGLE))
-        return K.reshape(size, W), value.reshape(size, W)
 
     # -- the exact families, on point masses
 
@@ -555,16 +538,13 @@ def build_bundle(A: TwistedAction) -> Bundle:
     Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
     Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
 
-    The rows come from the action's exponent kernel.  A Bundle is read-only,
-    so the kernel keeps the one it was built into.
+    The rows come from the action's exponent kernel.
     """
     K = A.kernel
-    if K.bundle is not None:
-        return K.bundle
     F, W, N = K.frame, K.W, K.N
     n, T, inv, fib = F.n, F.T, F.inv, F.fib
     num = np.where(fib, np.cumsum(fib, axis=1) - 1, -1)  # [s, i]: point i in fiber s
-    points = [[F.points[i] for i in np.flatnonzero(row)] for row in fib]
+    points = [[x for x, inside in zip(F.points, row) if inside] for row in fib.tolist()]
 
     def through(theta, s, x):
         image = theta[s, x]
@@ -575,8 +555,12 @@ def build_bundle(A: TwistedAction) -> Bundle:
     def scalars(s, t, y, conj):
         """omega(s, t)(y), conjugated if `conj`; a value that is no Angle
         (zero outside the carrier) as the dict holds it."""
-        k, V = W[s, t, y], np.zeros(len(s), dtype=complex)
-        for i in np.flatnonzero(W[s, t, y] < 0):
+        k = W[s, t, y]
+        odd = np.flatnonzero(k < 0)
+        if not len(odd):
+            return -k % N if conj else k, None
+        V = np.zeros(len(s), dtype=complex)
+        for i in odd:
             V[i] = complex(A.omega[(s[i], t[i])](F.points[y[i]]))
         return np.where(k >= 0, (-k if conj else k) % N, NOT_ANGLE), np.conj(V) if conj else V
 
@@ -589,8 +573,7 @@ def build_bundle(A: TwistedAction) -> Bundle:
     i, y = np.nonzero(fib[lo])
     s, t = lo[i], hi[i]
     inclusions = (s * n + t, num[s, y], num[t, y], *scalars(t, T[inv[s], s], y, True))
-    K.bundle = Bundle(A.S, points, N, products, stars, inclusions, "action", A=A)
-    return K.bundle
+    return Bundle(A.S, points, N, products, stars, inclusions, "action", A=A)
 
 
 def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bundle:
@@ -671,11 +654,13 @@ def classify_bundle(B, tol: float = 1e-9):
 
     # in the fiber of an idempotent, delta_y delta_x must be delta_x delta_y
     pair, x, y, z, K, V = B.products
-    r = _expand(B.prod_start, B.prod_count, np.array(S.idem, dtype=np.intp) * (n + 1))[1]
+    idem = np.zeros(n * n, dtype=bool)
+    idem[np.array(S.idem, dtype=np.intp) * (n + 1)] = True
+    r = np.flatnonzero(idem[pair])
     row = {key: i for i, key in zip(r.tolist(), zip(pair[r].tolist(), x[r].tolist(), y[r].tolist()))}
 
     def value(i):
-        return Angle(Fraction(int(K[i]), B.N)).value if K[i] >= 0 else complex(V[i])
+        return turn(int(K[i]), B.N) if K[i] >= 0 else complex(V[i])
     semi_abelian = all(
         j is not None and z[i] == z[j] and (K[i] == K[j] >= 0 or abs(value(i) - value(j)) <= tol)
         for (p, a, c), i in row.items() for j in [row.get((p, c, a))])
@@ -727,29 +712,53 @@ def extract_action(B, u) -> TwistedAction:
     N, ar, T, inv, pts = lcm(B.N, Nu), np.arange(n), B.T, B.inv, B.points
     us = (np.full((n, W), OUTSIDE, dtype=_exponent_dtype(N)), np.zeros((n, W), dtype=complex))
     us[0][B.slot_s, B.slot_x], us[1][B.slot_s, B.slot_x] = widen(uK, Nu, N), [complex(v) for v in vals]
-    L = B.lookup(N, exact=False)
-    ustar = L.star_of(ar, us)
+    (_, px, py, pz, pK, _), (_, sx, sz, sK, _) = B.products, B.stars
+    pK, sK, (pV, sV, _) = widen(pK, B.N, N), widen(sK, B.N, N), B.values
 
-    def conjugated(pair, left, g, star):
-        """(u_left g) u_star* for elements g, over the pairs (left, fiber of g)."""
-        m = L.mul(pair, (us[0][left], us[1][left]), g)
-        return L.mul(star * n + inv[star], m, (ustar[0][star], ustar[1][star]))
+    def total(b, z, size, K, V):
+        """The terms (K, V) summed at (b[i], z[i]): a lone Angle term keeps
+        its exponent, several make a complex sum, none is OUTSIDE."""
+        live = V != 0
+        at = (b * W + z)[live]
+        count = np.bincount(at, minlength=size * W)
+        value = np.bincount(at, V[live].real, size * W) + 1j * np.bincount(at, V[live].imag, size * W)
+        one = np.full(size * W, OUTSIDE, dtype=K.dtype)
+        one[at] = K[live]
+        K = np.where(count == 1, one, np.where(count == 0, OUTSIDE, NOT_ANGLE))
+        return K.reshape(size, W), value.reshape(size, W)
 
-    # theta_s(x), x in fiber s*s, is the one point of (u_s delta_x) u_s*
+    def mul(pair, f, g):
+        """f[b] in fiber s times g[b] in fiber t, (s, t) = divmod(pair[b], n),
+        elements as pairs (K, V) of (batch, W) arrays, through the rows."""
+        b, r = _expand(*B.spans[0], pair)
+        k = (f[0][b, px[r]], g[0][b, py[r]], pK[r])
+        K = np.where((k[0] >= 0) & (k[1] >= 0) & (k[2] >= 0), (k[0] + k[1] + k[2]) % N, NOT_ANGLE)
+        return total(b, pz[r], len(pair), K, f[1][b, px[r]] * g[1][b, py[r]] * pV[r])
+
+    b, r = _expand(*B.spans[1], ar)  # u_s* for every s, through the star rows
+    k = us[0][b, sx[r]]
+    ustar = total(b, sz[r], n, np.where((k >= 0) & (sK[r] >= 0), (sK[r] - k) % N, NOT_ANGLE),
+                  np.conj(us[1][b, sx[r]]) * sV[r])
+
+    # theta_s(x), x in fiber s*s, is the one point of (u_s delta_x) u_s*,
+    # and omega(s, t) is u_s u_t u_st* on the fiber of st (st)*: one batch
+    # of (u_left g) u_star*, theta's entries first
     s = np.repeat(ar, B.cs[T[inv, ar]])
     x = np.arange(len(s)) - _starts(B.cs[T[inv, ar]])[s]
     delta = np.arange(W) == x[:, None]
-    support = conjugated(s * n + T[inv[s], s], s, (np.where(delta, 0, OUTSIDE), delta + 0j), s)[1] != 0
+    pair, st = np.arange(n * n), T.ravel()
+    left, star = np.concatenate([s, pair // n]), np.concatenate([s, st])
+    g = (np.concatenate([np.where(delta, 0, OUTSIDE), us[0][pair % n]]),
+         np.concatenate([delta + 0j, us[1][pair % n]]))
+    m = mul(np.concatenate([s * n + T[inv[s], s], pair]), (us[0][left], us[1][left]), g)
+    K, V = mul(star * n + inv[star], m, (ustar[0][star], ustar[1][star]))
+    support, K, V = V[:len(s)] != 0, K[len(s):], V[len(s):]
     if (support.sum(axis=1) != 1).any():
         raise BundleError("conjugation by the multiplier is not point-to-point")
     theta = {t: {} for t in S.elements()}
     for t, y, z in zip(s.tolist(), x.tolist(), support.argmax(axis=1).tolist()):
         theta[t][pts[S.mul(S.inv[t], t)][y]] = pts[S.mul(t, S.inv[t])][z]
     theta = {t: PartialBijection(m) for t, m in theta.items()}
-
-    # omega(s, t) is u_s u_t u_st* on the fiber of st (st)*
-    pair, st = np.arange(n * n), T.ravel()
-    K, V = conjugated(pair, pair // n, (us[0][pair % n], us[1][pair % n]), st)
     e = T[st, inv[st]]
     live = np.arange(W) < B.cs[e][:, None]
     if (live & (V == 0)).any():

@@ -78,11 +78,11 @@ def RefinedBundle(base) -> Bundle:
         num[i, off[phi[i]] + np.array(members(k), dtype=np.intp)] = np.arange(len(members(k)))
     points = [[base.points[phi[i]][x] for x in members(k)] for i, k in enumerate(order)]
 
-    def restrict(table, start, count, key, base_key, fibers, need):
+    def restrict(table, span, key, base_key, fibers, need):
         """The base rows of base_key[k], renumbered in the refined fibers
         (one per point column), kept where the first `need` points lie in
         theirs; key[k] is the refined key."""
-        b, r = _expand(start, count, base_key)
+        b, r = _expand(*span, base_key)
         cols = [num[f[b], np.where(c[r] >= 0, off[phi[f[b]]] + c[r], base.M)]
                 for c, f in zip(table[1:-2], fibers)]
         keep = np.all([c >= 0 for c in cols[:need]], axis=0)
@@ -91,13 +91,13 @@ def RefinedBundle(base) -> Bundle:
             None if V is None else V[r][keep]
 
     i, j = np.divmod(np.arange(P * P), P)
-    products = restrict(base.products, base.prod_start, base.prod_count, i * P + j,
+    products = restrict(base.products, base.spans[0], i * P + j,
                         phi[i] * n + phi[j], (i, j, S.cayley[i, j]), 3)
     i = np.arange(P)
-    stars = restrict(base.stars, base.star_start, base.star_count, i, phi,
+    stars = restrict(base.stars, base.spans[1], i, phi,
                      (i, np.array(S.inv, dtype=np.intp)), 2)
     i, j = np.nonzero(S.order)
-    inclusions = restrict(base.inclusions, base.inc_start, base.inc_count, i * P + j,
+    inclusions = restrict(base.inclusions, base.spans[2], i * P + j,
                           phi[i] * n + phi[j], (i, j), 1)
     return Bundle(S, points, base.N, products, stars, inclusions, "refined",
                   base=base, phi=phi.tolist())

@@ -7,29 +7,30 @@ cocycle functions omega(s, t) carried by U(st).
 
 Every omega value is an angle k/N, with N the lcm of the denominators, so
 the axioms, their consequences, the Sieben condition and gauges are
-identities between integer exponents mod N.  An action is compiled once,
-on its first check, into integer arrays (a Kernel): the Cayley table, the
-carriers as a mask, theta as an index array and the omega exponents.  The
-checks are gathers and comparisons on these arrays, with zero tolerance.
-Exponents are int64 while every sum of four of them fits, and Python
-integers beyond that, in the same code.
+identities between integer exponents mod N.  A TwistedAction is its arrays,
+built once when it is made: a Frame (the Cayley table, the carriers as a
+mask, theta as index arrays) and the omega exponents W[s, t, x], with a
+complex array V only where a value is not an Angle, as a Bundle's rows
+hold scalars.  The checks are gathers and comparisons on these arrays, with
+zero tolerance; exponents are int64 while every sum of four of them fits,
+and Python integers beyond.  The omega mapping is a read-only view.
 
 The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
-inclusion order: [s, x] = [t, x] for s <= t.  Its coordinates come from the
-inclusion scalars of the action's bundle, conj(omega(t, s*s)), which turn
-s-coordinates into t-coordinates.
+inclusion order: [s, x] = [t, x] for s <= t.  Its coordinates are exponents
+mod N of the inclusion scalars of the action's bundle, conj(omega(t, s*s)),
+which turn s-coordinates into t-coordinates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from types import MappingProxyType
 
 import numpy as np
 
-from fellsem.angles import ONE, Angle, as_angle, scalar_conj
+from fellsem.angles import Angle, as_angle, turn
 from fellsem.isg import InverseSemigroup, first_true
 from fellsem.partial_maps import CFunction, PartialBijection
 
@@ -50,34 +51,35 @@ class GaugeNotUnitAtIdempotent(ActionError):
 
 
 class Frame:
-    """The semigroup, points, carriers and theta of an action as arrays;
-    an action and its gauge transforms share one.
+    """The semigroup, points, carriers and theta of an action as given (S, X,
+    sets, maps) and as arrays; an action and its gauge transforms share one.
 
     Points are indexed X first, then any other point the data names.
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
     """
 
-    def __init__(self, A, more_points=()):
-        S = A.S
+    def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
+        self.S, self.X = S, list(X)
+        U = self.sets = {s: frozenset(U[s]) for s in S.elements()}
+        theta = self.maps = {s: theta[s] for s in S.elements()}
         n = self.n = S.n
         self.T, self.leq = S.cayley, S.order
         self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
         self.idem = np.array(S.idem, dtype=np.intp).reshape(-1)
-        points = list(dict.fromkeys(A.X))
-        named = set(more_points).union(*A.U.values(), *(A.theta[s].domain | A.theta[s].range
-                                                         for s in S.elements()))
+        points = list(dict.fromkeys(self.X))
+        named = set(more_points).union(*U.values(), *(m.domain | m.range for m in theta.values()))
         points += sorted(named.difference(points), key=repr)
         self.points = points
         self.index = index = {x: i for i, x in enumerate(points)}
         m = self.m = len(points)
         self.in_X = np.zeros(m, dtype=bool)
-        self.in_X[[index[x] for x in set(A.X)]] = True
+        self.in_X[[index[x] for x in set(self.X)]] = True
         self.U = np.zeros((n, m), dtype=bool)
         self.th = np.full((n, m), -1, dtype=np.intp)
-        self.U[[s for s in S.elements() for _ in A.U[s]],
-               [index[x] for s in S.elements() for x in A.U[s]]] = True
-        maps = [(s, index[x], index[y]) for s in S.elements() for x, y in A.theta[s].map.items()]
+        self.U[[s for s in S.elements() for _ in U[s]],
+               [index[x] for s in S.elements() for x in U[s]]] = True
+        maps = [(s, index[x], index[y]) for s in S.elements() for x, y in theta[s].map.items()]
         if maps:
             s, x, y = zip(*maps)
             self.th[s, x] = y
@@ -94,57 +96,6 @@ class Frame:
     def fib_of_product(self) -> np.ndarray:
         """[s, t, x]: x in the fiber carrier over st."""
         return self.fib[self.T]
-
-
-class Kernel:
-    """The omega of an action as exponents mod N: W[s, t, x] = k for the
-    value exp(2 pi i k/N) at point x, OUTSIDE where x is not in the carrier
-    of omega(s, t), NOT_ANGLE where the value there is not an Angle."""
-
-    def __init__(self, frame: Frame, N: int, W: np.ndarray):
-        self.frame, self.N, self.W = frame, N, W
-        self._angles = {}
-
-    @classmethod
-    def compile(cls, A) -> "Kernel":
-        n = A.S.n
-        keys, points, fracs = [], [], []
-        for s in range(n):
-            for t in range(n):
-                w = A.omega[(s, t)]
-                get = w.values.get
-                for x in w.carrier:
-                    v = get(x)
-                    keys.append(s * n + t)
-                    points.append(x)
-                    fracs.append(v.frac if isinstance(v, Angle) else None)
-        frame = Frame(A, points)
-        N, K = exponents(fracs)
-        W = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype)
-        at = np.array([frame.index[x] for x in points], dtype=np.intp)
-        W[np.array(keys, dtype=np.intp) * frame.m + at] = K
-        return cls(frame, N, W.reshape(n, n, frame.m))
-
-    def angle(self, k) -> Angle:
-        """The one Angle of exponent k."""
-        a = self._angles.get(k)
-        if a is None:
-            a = self._angles[k] = Angle(Fraction(int(k), self.N))
-        return a
-
-    @cached_property
-    def rows(self) -> list:
-        """W as nested lists, for reading single values."""
-        return self.W.tolist()
-
-    def omega(self) -> dict:
-        """omega as a dict of CFunctions, one Angle object per residue."""
-        points, out = self.frame.points, {}
-        for s, row in enumerate(self.rows):
-            for t, ks in enumerate(row):
-                vals = {points[i]: self.angle(k) for i, k in enumerate(ks) if k >= 0}
-                out[(s, t)] = CFunction(vals, vals)
-        return out
 
 
 def _exponent_dtype(N: int):
@@ -164,71 +115,110 @@ def widen(K, N: int, to: int):
     return np.where(K >= 0, K.astype(_exponent_dtype(to)) * (to // N), K)
 
 
-class TwistedAction:
-    """(S, X, U, theta, omega) with omega values stored as exact Angles.
+def turns(K, N: int) -> np.ndarray:
+    """The complex values of exponents mod N as Angle.value gives them, 0j
+    for codes, flat: from a table of all N turns, or one per distinct
+    exponent."""
+    K = np.asarray(K).reshape(-1)
+    if N <= len(K):
+        return np.array([turn(k, N) for k in range(N)] + [0j])[np.where(K >= 0, K, N)]
+    memo = {}
+    return np.array([memo[k] if k in memo else memo.setdefault(k, turn(k, N) if k >= 0 else 0j)
+                     for k in K.tolist()], dtype=complex).reshape(-1)
 
-    omega is a read-only mapping of CFunctions.  An action made by a gauge
-    holds only its exponent arrays and builds the mapping when it is first
-    read.  The checks compile the data once and cache the result, so X, U
-    and theta must not be changed in place afterwards.
+
+def _encode(S: InverseSemigroup, X, U, theta, omega):
+    """The Frame, N, W and V of an omega mapping (s, t) -> CFunction: a
+    carrier point whose value is not an Angle (or is missing, as zero) is
+    NOT_ANGLE in W with its value in V."""
+    n = S.n
+    keys, points, vals = [], [], []
+    for s in range(n):
+        for t in range(n):
+            w = omega[(s, t)]
+            for x in w.carrier:
+                keys.append(s * n + t)
+                points.append(x)
+                vals.append(w(x))
+    frame = Frame(S, X, U, theta, points)
+    N, K = exponents([v.frac if isinstance(v, Angle) else None for v in vals])
+    at = np.array(keys, dtype=np.intp) * frame.m + np.array([frame.index[x] for x in points],
+                                                            dtype=np.intp)
+    W, V = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype), None
+    W[at] = K
+    if (K == NOT_ANGLE).any():
+        V = np.zeros(len(W), dtype=complex)
+        V[at[K == NOT_ANGLE]] = [complex(v) for v in vals if not isinstance(v, Angle)]
+        V = V.reshape(n, n, frame.m)
+    return frame, N, W.reshape(n, n, frame.m), V
+
+
+class OmegaView(Mapping):
+    """omega(s, t) for every pair of elements, as a CFunction of Angles (a
+    complex value where W holds no Angle), built when it is read."""
+
+    def __init__(self, A: "TwistedAction"):
+        self.n, self.points, self.N, self.W, self.V = A.S.n, A.frame.points, A.N, A.W, A.V
+        self.angles = {}  # one Angle per exponent
+
+    def __getitem__(self, key) -> CFunction:
+        s, t = key
+        if not (0 <= s < self.n and 0 <= t < self.n):
+            raise KeyError(key)
+        points, angles = self.points, self.angles
+        vals = {points[i]: angles.get(k) or angles.setdefault(k, Angle(Fraction(k, self.N)))
+                if k >= 0 else complex(self.V[s, t, i])
+                for i, k in enumerate(self.W[s, t].tolist()) if k != OUTSIDE}
+        return CFunction(vals, vals)
+
+    def __iter__(self):
+        return ((s, t) for s in range(self.n) for t in range(self.n))
+
+    def __len__(self) -> int:
+        return self.n ** 2
+
+
+class TwistedAction:
+    """(S, X, U, theta, omega) with omega held as exact exponents.
+
+    The constructor encodes an omega mapping of CFunctions once, into the
+    arrays every check reads: frame (a Frame), N, W (n x n x m exponents
+    mod N, OUTSIDE off the carriers, NOT_ANGLE where a value is not an
+    Angle) and V (those values, or None if there are none).  Builders that
+    have exponents make an action from them with from_exponents.  The
+    arrays are read-only, and X, U and theta must not be changed in place.
+    `omega` is a read-only view of the arrays.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, omega):
-        self.S = S
-        self.X = list(X)
-        self.U = {s: frozenset(U[s]) for s in S.elements()}
-        self.theta = dict(theta)
-        self._omega = dict(omega)
-        self._kernel = None
+        self._hold(*_encode(S, X, U, theta, omega))
 
     @classmethod
-    def _with_kernel(cls, A: "TwistedAction", kernel: Kernel) -> "TwistedAction":
-        """A's semigroup, points, carriers and theta with kernel's omega."""
-        B = cls.__new__(cls)
-        B.S, B.X, B.U, B.theta = A.S, list(A.X), dict(A.U), dict(A.theta)
-        B._omega, B._kernel = None, kernel
-        return B
+    def from_exponents(cls, frame: Frame, N: int, W, V=None) -> "TwistedAction":
+        """The action of frame's S, X, U and theta with the omega of W and V."""
+        A = cls.__new__(cls)
+        A._hold(frame, N, W, V)
+        return A
 
-    @property
-    def omega(self) -> MappingProxyType:
-        if self._omega is None:
-            self._omega = self._kernel.omega()
-        return MappingProxyType(self._omega)
+    def _hold(self, frame, N, W, V):
+        self.S, self.X, self.U, self.theta = frame.S, list(frame.X), dict(frame.sets), dict(frame.maps)
+        self.frame, self.N, self.W, self.V = frame, N, W, V
+        for a in (W,) if V is None else (W, V):
+            a.flags.writeable = False
 
-    @property
-    def kernel(self) -> Kernel:
-        if self._kernel is None:
-            self._kernel = Kernel.compile(self)
-        return self._kernel
+    @cached_property
+    def omega(self) -> OmegaView:
+        return OmegaView(self)
 
-    def _undefined(self, s, t, y) -> ActionError:
-        return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) undefined at {y}")
-
-    def omega_at(self, s: int, t: int, y) -> Angle:
-        v = self.omega[(s, t)](y)
-        if v == 0:
-            raise self._undefined(s, t, y)
-        return v
+    def _bad_value(self, s, t, y, what="undefined") -> ActionError:
+        return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) {what} at {y}")
 
     def carrier(self, s: int) -> frozenset:
         """Carrier of the fiber over s: U(ss*)."""
         return self.U[self.S.mul(s, self.S.inv[s])]
 
-    def inclusion_scalars(self, s: int, t: int) -> dict:
-        """The inclusion j(t, s), s <= t, on point masses of the fiber over
-        s: delta_y goes to conj(omega(t, s*s)(y)) delta_y."""
-        e = self.S.mul(self.S.inv[s], s)
-        if self._omega is not None:
-            w = self._omega[(t, e)]
-            return {y: scalar_conj(w(y)) for y in self.carrier(s)}
-        K = self._kernel
-        row, index = K.rows[t][e], K.frame.index
-        return {y: K.angle(-k % K.N) if (k := row[index[y]]) >= 0 else 0j
-                for y in self.carrier(s)}
-
     def structural_violations(self):
-        S, K = self.S, self.kernel
-        F, W = K.frame, K.W
+        S, F, W = self.S, self.frame, self.W
         out = []
         covered = F.U[F.idem].any(axis=0)
         if (covered != F.in_X).any():
@@ -264,13 +254,20 @@ class TwistedAction:
         for s in self.S.elements():
             if self.U[s] != other.U[s] or self.theta[s] != other.theta[s]:
                 return False
-        for key, w in self.omega.items():
-            if not w.equals(other.omega[key]):
-                return False
-        return True
+        # with X, U and theta equal, only omega's carriers add points
+        return self.frame.points == other.frame.points and not omega_differs(
+            (self.N, self.W, self.V), (other.N, other.W, other.V)).any()
 
     def to_json(self):
-        S = self.S
+        S, F, W, text = self.S, self.frame, self.W.tolist(), {}
+        names = [str(x) for x in F.points]
+        order = sorted(range(F.m), key=names.__getitem__)  # the points by str
+
+        def frac(s, t, i):  # as_angle raises on a value that is no Angle
+            if (k := W[s][t][i]) < 0:
+                return str(as_angle(complex(self.V[s, t, i])).frac)
+            return text.get(k) or text.setdefault(k, str(Fraction(k, self.N)))
+
         return {
             "semigroup": S.to_json(),
             "points": [str(x) for x in self.X],
@@ -278,8 +275,8 @@ class TwistedAction:
             "theta": {S.label(s): {str(x): str(y) for x, y in sorted(self.theta[s].map.items())}
                       for s in S.elements()},
             "omega": {f"{S.label(s)},{S.label(t)}":
-                      {str(x): str(as_angle(w(x)).frac) for x in sorted(w.carrier, key=str)}
-                      for (s, t), w in self.omega.items()},
+                      {names[i]: frac(s, t, i) for i in order if W[s][t][i] != OUTSIDE}
+                      for s in S.elements() for t in S.elements()},
         }
 
     @classmethod
@@ -322,14 +319,19 @@ def split_labels(key: str, index, parts: int | None = None) -> tuple:
     return found[0]
 
 
-def untwisted_omega(S: InverseSemigroup, U) -> dict:
-    """The constant-one cocycle on the carriers U."""
-    omega = {}
-    for s in S.elements():
-        for t in S.elements():
-            st = S.mul(s, t)
-            omega[(s, t)] = CFunction.one(U[S.mul(st, S.inv[st])])
-    return omega
+def omega_differs(one, two) -> np.ndarray:
+    """[s, t]: whether omega(s, t) differs between two encodings (N, W, V)
+    over one semigroup and one list of points: in its carrier, in an
+    exponent, or, where either holds no Angle, in value."""
+    (N1, W1, V1), (N2, W2, V2) = one, two
+    N = lcm(N1, N2)
+    K1, K2 = widen(W1, N1, N), widen(W2, N2, N)
+    differ = K1 != K2
+    odd = ((K1 == NOT_ANGLE) | (K2 == NOT_ANGLE)) & (K1 != OUTSIDE) & (K2 != OUTSIDE)
+    for i in zip(*np.nonzero(odd)):
+        a, b = (V[i] if K[i] == NOT_ANGLE else turn(int(K[i]), N) for K, V in ((K1, V1), (K2, V2)))
+        differ[i] = a != b
+    return differ.any(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,7 @@ def _require(A: TwistedAction, need, *factors):
     for vals, *where in factors:
         if at := _missing(need, vals, *where):
             s, t, x = at
-            raise A._undefined(s, t, A.kernel.frame.points[x])
+            raise A._bad_value(s, t, A.frame.points[x])
 
 
 def _require_theta(F: Frame, need, image, x):
@@ -371,8 +373,7 @@ def verify_twisted_action(A: TwistedAction):
     violations = [("structure", v) for v in A.structural_violations()]
     if violations:
         return False, violations
-    S, K = A.S, A.kernel
-    F, W, N = K.frame, K.W, K.N
+    S, F, W, N = A.S, A.frame, A.W, A.N
     T, n, ar = F.T, F.n, np.arange(F.n)
     label, points = S.label, F.points
 
@@ -437,8 +438,7 @@ def verify_consequences(A: TwistedAction):
     A violation here, on data passing verify_twisted_action, indicates an
     implementation bug rather than bad input.  Returns (ok, violations).
     """
-    S, K = A.S, A.kernel
-    F, W, N = K.frame, K.W, K.N
+    S, F, W, N = A.S, A.frame, A.W, A.N
     T, ar, y_all = F.T, np.arange(F.n), np.arange(F.m)
     label, points = S.label, F.points
     out = []
@@ -518,8 +518,7 @@ def verify_consequences(A: TwistedAction):
 def check_sieben(A: TwistedAction):
     """True iff omega(s, e) and omega(e, s) are constant one for idempotent
     e; a value that is not an Angle is not one."""
-    S, K = A.S, A.kernel
-    F, W, E = K.frame, K.W, K.frame.idem
+    S, F, W, E = A.S, A.frame, A.W, A.frame.idem
     sides = np.stack([W[:, E], W[E].transpose(1, 0, 2)], axis=2)  # [s, e, side, x]
     bad = []
     for s, e, side, x in zip(*np.nonzero((sides > 0) | (sides == NOT_ANGLE))):
@@ -531,7 +530,7 @@ def check_sieben(A: TwistedAction):
 def _gauge_exponents(A: TwistedAction, chi):
     """chi as an n x m array of exponents mod its own N: zero (the value
     one) for elements chi has no entry for, -1 where an entry has no value."""
-    F = A.kernel.frame
+    F = A.frame
     given, rows, cols, fracs = [], [], [], []
     for s in A.S.elements():
         f = chi.get(s)
@@ -566,15 +565,14 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
                 if not as_angle(f(x)).is_one:
                     raise GaugeNotUnitAtIdempotent(S.label(e))
 
-    K = A.kernel
-    F = K.frame
-    odd = K.W == NOT_ANGLE
+    F = A.frame
+    odd = A.W == NOT_ANGLE
     if odd.any():
         s, t, x = first_true(odd)
-        raise ActionError(f"omega({S.label(s)},{S.label(t)}) is not an angle at {F.points[x]}")
+        raise A._bad_value(s, t, F.points[x], "is not an angle")
     C, Nc = _gauge_exponents(A, chi)
-    N = lcm(K.N, Nc)
-    W, C = widen(K.W, K.N, N), widen(C, Nc, N)
+    N = lcm(A.N, Nc)
+    W, C = widen(A.W, A.N, N), widen(C, Nc, N)
     inside = W >= 0
     ar = np.arange(F.n)
     s, t, y, st = ar[:, None, None], ar[None, :, None], np.arange(F.m), F.T[:, :, None]
@@ -586,7 +584,7 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
         if at := _missing(inside, vals, u, x):
             raise ActionError(f"gauge for {S.label(at[0])} undefined at {F.points[at[1]]}")
     W = np.where(inside, (cs + ct - cst + W) % N, W)
-    return TwistedAction._with_kernel(A, Kernel(F, N, W))
+    return TwistedAction.from_exponents(F, N, W)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +595,14 @@ class GermGroupoid:
     modulo the natural order, [s, x] = [t, x] for s <= t.
 
     In the bundle, j(t, s) turns s-coordinates at x into t-coordinates by
-    the inclusion scalar at theta_s(x) (TwistedAction.inclusion_scalars).
-    A weighted union-find over these edges yields the classes and, for
-    every pair, coord(t, x): the scalar turning t-coordinates at x into
-    those of the class's canonical representative (idempotents first, then
-    the smallest index).  An edge that closes a cycle with a different
-    scalar is recorded as a "transition" violation.
+    the inclusion scalar conj(omega(t, s*s)) at theta_s(x), an exponent mod
+    A.N; a needed scalar that is not an Angle raises ActionError.  A
+    weighted union-find over these edges yields the classes and, for every
+    pair, coords[(t, x)]: the exponent of the scalar turning t-coordinates
+    at x into those of the class's canonical representative (idempotents
+    first, then the smallest index), which coord(t, x) reads as an Angle.
+    An edge that closes a cycle with a different scalar is recorded as a
+    "transition" violation.
 
     Arrows are indices into `germs`; each germ records its canonical
     representative (t, x), source x, range theta_t(x), and all
@@ -611,37 +611,43 @@ class GermGroupoid:
     """
 
     def __init__(self, A: TwistedAction):
-        self.A = A
-        S = A.S
+        self.A, self.N = A, A.N
+        S, F, N = A.S, A.frame, A.N
         dom = {t: A.U[S.mul(S.inv[t], t)] for t in S.elements()}
         pairs = [(t, x) for t in S.elements() for x in dom[t]]
-        # p -> (q, c): c turns p-coordinates into q-coordinates
-        parent = {p: (p, ONE) for p in pairs}
+        # p -> (q, c): exponent c turns p-coordinates into q-coordinates
+        parent = {p: (p, 0) for p in pairs}
 
         def find(p):
             path = []
             while parent[p][0] != p:
                 path.append(p)
                 p = parent[p][0]
-            c = ONE
+            c = 0
             for q in reversed(path):
-                c = parent[q][1] * c
+                c = (parent[q][1] + c) % N
                 parent[q] = (p, c)
             return p, c
 
+        lo, hi = np.nonzero(F.leq)
+        edges = [(s, t, x) for s, t in zip(lo.tolist(), hi.tolist()) if s != t
+                 for x in dom[s] & dom[t]]
+        s, t, y = (np.array(c, dtype=np.intp).reshape(-1) for c in (
+            [s for s, _, _ in edges], [t for _, t, _ in edges],
+            [F.index[A.theta[s](x)] for s, _, x in edges]))
+        e = F.T[F.inv[s], s]
+        k = A.W[t, e, y]
+        if (k < 0).any():
+            i = first_true(k < 0)[0]
+            raise A._bad_value(t[i], e[i], F.points[y[i]], "is not an angle")
+
         self.conflicts = []
-        for s in S.elements():
-            for t in S.elements():
-                if s == t or not S.leq(s, t):
-                    continue
-                scalars = A.inclusion_scalars(s, t)
-                for x in dom[s] & dom[t]:
-                    c = scalars[A.theta[s](x)]
-                    (rp, a), (rq, b) = find((s, x)), find((t, x))
-                    if rp != rq:
-                        parent[rp] = (rq, scalar_conj(a) * c * b)
-                    elif a != c * b:
-                        self.conflicts.append(("transition", (s, t, x)))
+        for (s, t, x), c in zip(edges, (-k % N).tolist()):
+            (rp, a), (rq, b) = find((s, x)), find((t, x))
+            if rp != rq:
+                parent[rp] = (rq, (c + b - a) % N)
+            elif a != (c + b) % N:
+                self.conflicts.append(("transition", (s, t, x)))
 
         classes = {}
         for p in pairs:
@@ -651,7 +657,7 @@ class GermGroupoid:
         self.coords = {}
         for members in classes.values():
             rep = min(members, key=lambda p: (not S.is_idempotent(p[0]), p[0]))
-            back = scalar_conj(find(rep)[1])
+            back = find(rep)[1]
             gid = len(self.germs)
             self.germs.append({
                 "rep": rep,
@@ -661,7 +667,7 @@ class GermGroupoid:
             })
             for p in members:
                 self.of_pair[p] = gid
-                self.coords[p] = find(p)[1] * back
+                self.coords[p] = (find(p)[1] - back) % N
 
     @property
     def arrow_count(self) -> int:
@@ -670,10 +676,10 @@ class GermGroupoid:
     def germ(self, t: int, x) -> int:
         return self.of_pair[(t, x)]
 
-    def coord(self, t: int, x):
+    def coord(self, t: int, x) -> Angle:
         """The scalar turning t-coordinates at x into those of the canonical
         representative of the germ [t, x]."""
-        return self.coords[(t, x)]
+        return Angle(Fraction(self.coords[(t, x)], self.N))
 
     def src(self, g: int):
         return self.germs[g]["src"]
@@ -759,9 +765,10 @@ def siebenize(A: TwistedAction):
     Sieben condition: per germ, adopt the canonical representative's
     coordinate and convert every other representative to it."""
     G = GermGroupoid(A)
-    S = A.S
+    S, N = A.S, G.N
     chi = {}
     for s in S.elements():
-        vals = {A.theta[s](x): scalar_conj(G.coord(s, x)) for x in A.U[S.mul(S.inv[s], s)]}
+        vals = {A.theta[s](x): Angle(Fraction(-G.coords[(s, x)] % N, N))
+                for x in A.U[S.mul(S.inv[s], s)]}
         chi[s] = CFunction(A.carrier(s), vals)
     return chi, gauge_transform(A, chi)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.angles import Angle, scalar_conj
-from fellsem.action import GermGroupoid, TwistedAction, exponents
+from fellsem.action import GermGroupoid, TwistedAction, _exponent_dtype
 from fellsem.bundle import Bundle, SectionBundle
-from fellsem.isg import verify_inverse_semigroup
+from fellsem.isg import first_true, verify_inverse_semigroup
 
 
 POINT = verify_inverse_semigroup([[0]], labels=["1"])
@@ -60,34 +59,37 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     Basis element g is the point mass at the range of the germ's canonical
     representative (t0, x), living in the fiber over t0; products and
     adjoints re-enter canonical coordinates through the germ groupoid's
-    coordinates.  The omega values are read from the action's exponent
-    kernel.
+    coordinates.  The scalars are sums of the action's omega exponents and
+    the coordinates' exponents, both mod A.N; a needed omega value that is
+    not an Angle raises ActionError.
     """
-    G, S, K = germs or GermGroupoid(A), A.S, A.kernel
-    n, index = G.arrow_count, K.frame.index
-
-    def omega(s, t, y):  # an Angle from the kernel; A.omega_at where it holds none
-        return K.angle(k) if (k := K.rows[s][t][index[y]]) >= 0 else A.omega_at(s, t, y)
-
-    rows, stars = [], []
+    G, S, F = germs or GermGroupoid(A), A.S, A.frame
+    n, index = G.arrow_count, F.index
+    rows, stars, at, star_at = [], [], [], []  # where each scalar's omega is read, and its coordinate
     for g in range(n):
         sg, x = G.rep(g)
         for h in range(n):
             if G.rng(h) == G.src(g):
                 th, xh = G.rep(h)
                 st = S.mul(sg, th)
-                rows.append((g, h, G.germ(st, xh), omega(sg, th, A.theta[st](xh)) * G.coord(st, xh)))
+                rows.append((g, h, G.germ(st, xh)))
+                at.append((sg, th, index[A.theta[st](xh)], G.coords[(st, xh)]))
         y, sgs = A.theta[sg](x), S.inv[sg]
-        stars.append((g, G.germ(sgs, y), scalar_conj(omega(sgs, sg, x)) * G.coord(sgs, y)))
-    c = [r[-1] for r in rows + stars]
-    N, E = exponents([a.frac if isinstance(a, Angle) else None for a in c])
-    V = np.array([complex(a) for a in c], dtype=complex)
-    g, h, k = np.array([r[:3] for r in rows], dtype=np.intp).reshape(-1, 3).T
-    gs, ks = np.array([r[:2] for r in stars], dtype=np.intp).reshape(-1, 2).T
-    zero, m = np.zeros(n, dtype=np.intp), len(rows)
-    return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], V[:m]),
-                  (zero[gs], gs, ks, E[m:], V[m:]), (zero, np.arange(n), np.arange(n), zero, None),
-                  "germ", A=A, germs=G)
+        stars.append((g, G.germ(sgs, y)))
+        star_at.append((sgs, sg, index[x], G.coords[(sgs, y)]))  # conjugated below
+    m, N, at = len(rows), A.N, at + star_at
+    s, t, y = (np.array([a[i] for a in at], dtype=np.intp) for i in range(3))
+    c = np.array([a[3] for a in at], dtype=_exponent_dtype(N))
+    w = A.W[s, t, y]
+    if (w < 0).any():
+        i = first_true(w < 0)[0]
+        raise A._bad_value(s[i], t[i], F.points[y[i]], "is not an angle")
+    E = (np.where(np.arange(len(at)) < m, w, -w) + c) % N
+    g, h, k = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    gs, ks = np.array(stars, dtype=np.intp).reshape(-1, 2).T
+    zero = np.zeros(n, dtype=np.intp)
+    return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], None), (zero[gs], gs, ks, E[m:], None),
+                  (zero, np.arange(n), np.arange(n), zero, None), "germ", A=A, germs=G)
 
 
 def _gns_rep(alg: Bundle, L):

@@ -25,8 +25,8 @@ class Angle:
     __slots__ = ("frac",)
 
     def __init__(self, frac=0):
-        f = Fraction(frac)
-        self.frac = f - (f // 1)
+        f = frac if type(frac) is Fraction else Fraction(frac)
+        self.frac = f if 0 <= f.numerator < f.denominator else f - (f // 1)
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
@@ -54,9 +54,6 @@ class Angle:
         return Angle(-self.frac) if self.frac else self
 
     conjugate = conj
-
-    def inverse(self):
-        return Angle(-self.frac)
 
     @property
     def value(self) -> complex:
@@ -102,9 +99,3 @@ def as_angle(x) -> Angle:
 
 def as_complex(x) -> complex:
     return x.value if isinstance(x, Angle) else complex(x)
-
-
-def scalar_conj(a):
-    if isinstance(a, Angle):
-        return a.conj()
-    return complex(a).conjugate()

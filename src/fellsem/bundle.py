@@ -19,14 +19,13 @@ verify_fell_bundle adds families on random dense elements, batched.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 import numpy as np
 
-from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, Kernel, TwistedAction,
-                            _exponent_dtype, exponents, widen)
+from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype,
+                            exponents, omega_differs, turns, widen)
 from fellsem.angles import Angle, turn
 from fellsem.isg import InverseSemigroup
 from fellsem.partial_maps import CFunction, PartialBijection
@@ -55,17 +54,6 @@ class BadMultiplierFamily(BundleError):
 def _starts(counts) -> np.ndarray:
     """Where each of consecutive blocks of the given lengths begins."""
     return np.cumsum(counts) - counts
-
-
-def _values(K, N: int) -> np.ndarray:
-    """The complex values of exponents mod N as Angle.value gives them, 0j
-    for codes: from a table of all N turns, or one per distinct exponent."""
-    K = np.asarray(K).reshape(-1)
-    if N <= len(K):
-        return np.array([turn(k, N) for k in range(N)] + [0j])[np.where(K >= 0, K, N)]
-    memo = {}
-    return np.array([memo[k] if k in memo else memo.setdefault(k, turn(k, N) if k >= 0 else 0j)
-                     for k in K.tolist()], dtype=complex).reshape(-1)
 
 
 class Bundle:
@@ -130,8 +118,8 @@ class Bundle:
     @cached_property
     def values(self) -> tuple:
         """The complex value of every product, star and inclusion row."""
-        return tuple(_values(rows[-2], self.N) if rows[-1] is None
-                     else np.where(rows[-2] == NOT_ANGLE, rows[-1], _values(rows[-2], self.N))
+        return tuple(turns(rows[-2], self.N) if rows[-1] is None
+                     else np.where(rows[-2] == NOT_ANGLE, rows[-1], turns(rows[-2], self.N))
                      for rows in (self.products, self.stars, self.inclusions))
 
     @cached_property
@@ -538,10 +526,9 @@ def build_bundle(A: TwistedAction) -> Bundle:
     Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
     Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
 
-    The rows come from the action's exponent kernel.
+    The rows come from the action's exponent arrays.
     """
-    K = A.kernel
-    F, W, N = K.frame, K.W, K.N
+    F, W, N = A.frame, A.W, A.N
     n, T, inv, fib = F.n, F.T, F.inv, F.fib
     num = np.where(fib, np.cumsum(fib, axis=1) - 1, -1)  # [s, i]: point i in fiber s
     points = [[x for x, inside in zip(F.points, row) if inside] for row in fib.tolist()]
@@ -554,14 +541,11 @@ def build_bundle(A: TwistedAction) -> Bundle:
 
     def scalars(s, t, y, conj):
         """omega(s, t)(y), conjugated if `conj`; a value that is no Angle
-        (zero outside the carrier) as the dict holds it."""
+        from A.V, zero outside the carrier."""
         k = W[s, t, y]
-        odd = np.flatnonzero(k < 0)
-        if not len(odd):
+        if not (k < 0).any():
             return -k % N if conj else k, None
-        V = np.zeros(len(s), dtype=complex)
-        for i in odd:
-            V[i] = complex(A.omega[(s[i], t[i])](F.points[y[i]]))
+        V = np.zeros(len(s), dtype=complex) if A.V is None else np.where(k == NOT_ANGLE, A.V[s, t, y], 0)
         return np.where(k >= 0, (-k if conj else k) % N, NOT_ANGLE), np.conj(V) if conj else V
 
     s, t, y = np.nonzero(F.fib_of_product)
@@ -697,9 +681,18 @@ def extract_action(B, u) -> TwistedAction:
 
     theta_s comes from the support bijection of conjugation by u_s;
     omega(s, t) is the coordinate function of u_s u_t u_{st}*, exact while
-    every factor is an Angle.  The result holds exponent arrays, or an
-    omega dict where a value is not an Angle.
+    every factor is an Angle, and held as exponent arrays.
     """
+    X, U, theta, N, e, K, V = _extract(B, u)
+    F = Frame(B.S, X, U, theta)
+    where = np.array([F.index.get(y, -1) for p in B.points for y in p], dtype=np.intp)
+    return TwistedAction.from_exponents(F, N, *_placed(B, e, K, V, where, F.m))
+
+
+def _extract(B, u):
+    """X, U, theta and omega of the action of B and u: omega(s, t) as
+    exponents mod N, K[s n + t, c], and values V, over the points c of
+    fiber e[s n + t] = st (st)*."""
     S, n, W = B.S, B.S.n, B.W
     info = classify_bundle(B)
     if not info["saturated"]:
@@ -765,39 +758,35 @@ def extract_action(B, u) -> TwistedAction:
         raise BundleError("multiplier coordinate vanishes")
     X = sorted(set().union(*(B.carrier(e) for e in S.idem)), key=str)
     U = {s: B.carrier(S.mul(s, S.inv[s])) for s in S.elements()}
-    if (live & (K == NOT_ANGLE)).any():
-        omega = {divmod(p, n): CFunction(pts[e[p]], {
-            y: Angle(Fraction(k, N)) if k >= 0 else v
-            for y, k, v in zip(pts[e[p]], K[p].tolist(), V[p].tolist())}) for p in range(n * n)}
-        return TwistedAction(S, X, U, theta, omega)
-    A = TwistedAction(S, X, U, theta, {})
-    F = Frame(A)
-    where = np.array([F.index.get(y, -1) for p in pts for y in p], dtype=np.intp)
-    p, c = np.nonzero(live)
-    Wk = np.full((n * n, F.m), OUTSIDE, dtype=K.dtype)
-    Wk[p, where[B.off[e[p]] + c]] = K[p, c]
-    return TwistedAction._with_kernel(A, Kernel(F, N, Wk.reshape(n, n, F.m)))
+    return X, U, theta, N, e, K, V
+
+
+def _placed(B, e, K, V, where, m: int):
+    """Extracted omega exponents and values as n x n x m arrays W and V (V
+    None if every value is an Angle), with slot k of B at column where[k]."""
+    n = B.S.n
+    p, c = np.nonzero(np.arange(B.W) < B.cs[e][:, None])
+    at, K = (p, where[B.off[e[p]] + c]), K[p, c]
+    W = np.full((n * n, m), OUTSIDE, dtype=K.dtype)
+    W[at] = K
+    if not (K == NOT_ANGLE).any():
+        return W.reshape(n, n, m), None
+    odd = np.zeros((n * n, m), dtype=complex)
+    odd[at] = V[p, c]
+    return W.reshape(n, n, m), odd.reshape(n, n, m)
 
 
 def roundtrip_check(A: TwistedAction):
     """Build the bundle, extract with the canonical family, compare exactly:
-    theta as maps, omega as exponents over the points of both kernels (and
-    through the omega dicts where a value is not an Angle)."""
+    theta as maps, omega with omega_differs.  The bundle's slots are A's
+    fiber points in A's point order, so the extracted exponents land on A's
+    points without a second Frame."""
     B = build_bundle(A)
-    A2 = extract_action(B, canonical_multipliers(B))
-    S, K1, K2 = A.S, A.kernel, A2.kernel
-    N = lcm(K1.N, K2.N)
-    points = K1.frame.points + [x for x in K2.frame.points if x not in K1.frame.index]
-
-    def on_points(K):
-        at = np.array([K.frame.index.get(x, -1) for x in points], dtype=np.intp)
-        return np.where(at >= 0, widen(K.W, K.N, N)[:, :, np.maximum(at, 0)], OUTSIDE)
-
-    W1, W2 = on_points(K1), on_points(K2)
-    differ = (W1 != W2).any(axis=2)
-    for s, t in zip(*np.nonzero(((W1 == NOT_ANGLE) | (W2 == NOT_ANGLE)).any(axis=2))):
-        differ[s, t] = not A.omega[(s, t)].equals(A2.omega[(s, t)])
-    diff = [("theta", S.label(s)) for s in S.elements() if A.theta[s] != A2.theta[s]]
+    X, U, theta, N, e, K, V = _extract(B, canonical_multipliers(B))
+    S, F = A.S, A.frame
+    W, V = _placed(B, e, K, V, np.nonzero(F.fib)[1], F.m)
+    diff = [("theta", S.label(s)) for s in S.elements() if A.theta[s] != theta[s]]
+    differ = omega_differs((A.N, A.W, A.V), (N, W, V))
     diff += [("omega", (S.label(s), S.label(t))) for s, t in zip(*np.nonzero(differ))]
-    ok = not diff and A.X == A2.X and A.U == A2.U
+    ok = not diff and A.X == X and A.U == U
     return ok, None if ok else diff

@@ -13,10 +13,10 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.angles import Angle
+from fellsem.angles import Angle, turn
 from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
 from fellsem.partial_maps import CFunction, PartialBijection
-from fellsem.action import Kernel, TwistedAction, gauge_transform, untwisted_omega, widen
+from fellsem.action import OUTSIDE, Frame, TwistedAction, gauge_transform, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
                               z2_nontrivial_cocycle)
@@ -26,13 +26,14 @@ def untwisted_action(S: InverseSemigroup, maps) -> TwistedAction:
     """The untwisted action of a semigroup of partial injections.
 
     maps[s] is the partial injection realizing element s; the point set is
-    the union of the idempotent domains.
+    the union of the idempotent domains.  omega is exponent zero (the value
+    one) on every carrier.
     """
     theta = {s: PartialBijection(maps[s]) for s in S.elements()}
     U = {s: theta[s].range for s in S.elements()}
     X = sorted(set().union(*(U[e] for e in S.idem)) | set().union(*(U[s] for s in S.elements())))
-    omega = untwisted_omega(S, U)
-    return TwistedAction(S, X, U, theta, omega)
+    F = Frame(S, X, U, theta)
+    return TwistedAction.from_exponents(F, 1, np.where(F.fib_of_product, 0, OUTSIDE))
 
 
 def full_monoid_action(k: int) -> TwistedAction:
@@ -77,8 +78,8 @@ def busby_smith_z2() -> TwistedAction:
     X = [0]
     U = {0: frozenset(X), 1: frozenset(X)}
     theta = {0: PartialBijection.identity(X), 1: PartialBijection.identity(X)}
-    omega = untwisted_omega(S, U)
-    omega[(1, 1)] = CFunction(U[0], {0: Angle("1/2")})
+    omega = {(s, t): CFunction.one(X) for s in S.elements() for t in S.elements()}
+    omega[(1, 1)] = CFunction(X, {0: Angle("1/2")})
     return TwistedAction(S, X, U, theta, omega)
 
 
@@ -148,29 +149,11 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
     """Multiply one omega value at one point by a nontrivial angle.
 
     Returns None when the action has no nonempty omega carrier to mutate.
-    An action that holds only exponent arrays is mutated in its arrays,
-    picking the slot that its omega dict would list at the same place.
+    The slots are listed key by key, (s, t) in order, and within the
+    carrier of omega(s, t) in the order of the frozenset of its points
+    made in point order.
     """
-    if A._omega is None:
-        return _mutate_exponents(A, rng)
-    slots = [(key, x) for key, w in A.omega.items() for x in w.carrier]
-    if not slots:
-        return None
-    (s, t), x = slots[rng.randrange(len(slots))]
-    denom = rng.choice([2, 3, 4])
-    shift = Angle(Fraction(rng.randrange(1, denom), denom))
-    w = A.omega[(s, t)]
-    vals = dict(w.values)
-    vals[x] = shift * vals[x]
-    omega = dict(A.omega)
-    omega[(s, t)] = CFunction(w.carrier, vals)
-    return TwistedAction(A.S, A.X, A.U, A.theta, omega)
-
-
-def _mutate_exponents(A: TwistedAction, rng) -> TwistedAction | None:
-    """mutate_omega on the exponent arrays, with the same draws from rng."""
-    K = A.kernel
-    F, inside = K.frame, K.W >= 0
+    F, inside = A.frame, A.W != OUTSIDE
     ends = np.cumsum(inside.sum(axis=2).ravel())
     if not ends.size or not ends[-1]:
         return None
@@ -178,17 +161,17 @@ def _mutate_exponents(A: TwistedAction, rng) -> TwistedAction | None:
     key = int(np.searchsorted(ends, r, side="right"))
     s, t = divmod(key, F.n)
     r -= int(ends[key - 1]) if key else 0
-    # the dict lists the carrier of omega(s, t) in the order of a frozenset
-    # made from the point dict Kernel.omega fills in point order; make the same
-    at = np.flatnonzero(inside[s, t])
-    x = list(frozenset(dict.fromkeys(F.points[i] for i in at)))[r]
+    x = list(frozenset(F.points[i] for i in np.flatnonzero(inside[s, t])))[r]
     denom = rng.choice([2, 3, 4])
     shift = rng.randrange(1, denom)
-    N = lcm(K.N, denom)
-    W = widen(K.W, K.N, N)
-    i = F.index[x]
-    W[s, t, i] = (W[s, t, i] + shift * (N // denom)) % N
-    return TwistedAction._with_kernel(A, Kernel(F, N, W))
+    N, i, V = lcm(A.N, denom), F.index[x], A.V
+    W = widen(A.W, A.N, N)
+    if W[s, t, i] >= 0:
+        W[s, t, i] = (W[s, t, i] + shift * (N // denom)) % N
+    else:
+        V = V.copy()
+        V[s, t, i] *= turn(shift, denom)
+    return TwistedAction.from_exponents(F, N, W, V)
 
 
 def mutation_corpus(rng) -> list:

@@ -368,31 +368,34 @@ def action_from_cocycle(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=
 
     Points are the objects of G; the bisection s acts by src -> rng along
     its arrows; omega(s, t) at the range of a product arrow ab (a in s,
-    b in t) is tau(a, b).  Requires a wide bisection family.
+    b in t) is tau(a, b), built as exponents of tau's values.  The ranges of
+    the products ab are U(st) when S and the bisections come from
+    bisection_semigroup.  Requires a wide bisection family.
     """
-    from fellsem.action import TwistedAction
-    from fellsem.partial_maps import CFunction, PartialBijection
+    import numpy as np
+
+    from fellsem.action import CHUNK, OUTSIDE, Frame, TwistedAction, exponents
+    from fellsem.partial_maps import PartialBijection
 
     if not wide:
         raise NotWide("bisection family does not cover the groupoid")
-    X = list(G.objects)
-    U = {}
-    theta = {}
-    for s in S.elements():
-        b = bisections[s]
-        U[s] = frozenset(G.rng[a] for a in b)
-        theta[s] = PartialBijection({G.src[a]: G.rng[a] for a in b})
-    omega = {}
-    for s in S.elements():
-        for t in S.elements():
-            st = S.mul(s, t)
-            vals = {}
-            for a in bisections[s]:
-                for b in bisections[t]:
-                    if G.composable(a, b):
-                        vals[G.rng[a]] = tau(a, b)
-            omega[(s, t)] = CFunction(U[st], vals)
-    return TwistedAction(S, X, U, theta, omega)
+    U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
+    theta = {s: PartialBijection({G.src[a]: G.rng[a] for a in bisections[s]}) for s in S.elements()}
+    F = Frame(S, list(G.objects), U, theta)
+    pairs = G.composable_pairs()
+    N, K = exponents([tau(a, b).frac for a, b in pairs])
+    # every (s, t) holding a composable pair p = (a, b), a in s and b in t,
+    # chunked over the pairs
+    member = np.array([[a in bisections[s] for a in G.arrows()] for s in S.elements()],
+                      dtype=bool).reshape(S.n, G.m)
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    step = max(1, CHUNK // S.n ** 2)
+    s, t, p = np.concatenate([np.zeros((3, 0), dtype=np.intp)] + [
+        np.stack(np.nonzero(member[:, None, a[c:c + step]] & member[None, :, b[c:c + step]])) + [[0], [0], [c]]
+        for c in range(0, len(pairs), step)], axis=1)
+    W = np.full((S.n, S.n, F.m), OUTSIDE, dtype=K.dtype)
+    W[s, t, np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[a[p]]] = K[p]
+    return TwistedAction.from_exponents(F, N, W)
 
 
 def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=True):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fellsem.action import germ_groupoid, germ_map_check
+from fellsem.action import germ_groupoid, germ_map_check, turns
 from fellsem.isg import IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
 from fellsem.bundle import (NOWHERE, Bundle, NotSaturated, _expand, canonical_multipliers,
                             classify_bundle, extract_action)
@@ -240,7 +240,7 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
 
     # transport: the refined basis element g corresponds to d_g times the
     # base basis element, d_g the base-side coordinate at the germ
-    d = np.array([complex(GA.coord(m.phi(t), x)) for t, x in map(GB.rep, range(GB.arrow_count))])
+    d = turns([GA.coords[(m.phi(t), x)] for t, x in map(GB.rep, range(GB.arrow_count))], GA.N)
     to_a = np.array([mapping[g] for g in range(GB.arrow_count)], dtype=np.intp).reshape(-1)
     LA = algA.lookup(exact=False)
     (_, g, h, k, _, _), (_, x, z, _, _) = algB.products, algB.stars

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from fellsem.angles import as_complex
-from fellsem.action import TwistedAction
+from fellsem.action import NOT_ANGLE, TwistedAction, turns
 from fellsem.partial_maps import CFunction
 
 # matrix entries the pair family of verify_representation holds at once
@@ -102,10 +102,14 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
             rhs = vs @ R.rho[x] @ vs.conj().T
             if not close(rhs, lhs):
                 bad.append(("conjugation", (S.label(s), x)))
+    # omega's values from the action's arrays, zero off the carriers
+    omega = np.where(A.W == NOT_ANGLE, 0 if A.V is None else A.V, turns(A.W, A.N).reshape(A.W.shape))
     for s in S.elements():
         for t in S.elements():
             st = S.mul(s, t)
-            lhs = R.rho_of(A.omega[(s, t)])
+            lhs = np.zeros((R.d, R.d), dtype=complex)
+            for i in np.flatnonzero(omega[s, t]):
+                lhs += omega[s, t, i] * R.rho[A.frame.points[i]]
             rhs = R.v[s] @ R.v[t] @ R.v[st].conj().T
             if not close(rhs, lhs):
                 bad.append(("cocycle", (S.label(s), S.label(t))))

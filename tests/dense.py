@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from fellsem.action import NOT_ANGLE, exponents
-from fellsem.angles import ONE, Angle, as_complex, scalar_conj
+from fellsem.action import NOT_ANGLE, ActionError, exponents
+from fellsem.angles import ONE, Angle, as_complex
 from fellsem.bundle import Bundle
 from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
 
@@ -26,6 +26,22 @@ def scalar_mul(a, b):
     if isinstance(a, Angle) and isinstance(b, Angle):
         return a * b
     return as_complex(a) * as_complex(b)
+
+
+def scalar_conj(a):
+    """The conjugate of a circle scalar, exact for an Angle."""
+    if isinstance(a, Angle):
+        return a.conj()
+    return complex(a).conjugate()
+
+
+def ref_omega_at(A, s: int, t: int, y):
+    """omega(s, t)(y) read through the omega view, as the former
+    TwistedAction.omega_at did: an ActionError where it is zero."""
+    v = A.omega[(s, t)](y)
+    if v == 0:
+        raise ActionError(f"omega({A.S.label(s)},{A.S.label(t)}) undefined at {y}")
+    return v
 
 
 def compose(f: PartialBijection, g: PartialBijection) -> PartialBijection:

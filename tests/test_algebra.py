@@ -8,7 +8,7 @@ import pytest
 
 from fellsem.algebra import (NotSemisimpleDetected, block_decompose, convolution_algebra,
                              germ_algebra, left_regular, star_vector)
-from fellsem.angles import Angle, as_complex, scalar_conj
+from fellsem.angles import Angle, as_complex
 from fellsem.action import gauge_transform, germ_groupoid, siebenize
 from fellsem.bundle import SectionBundle, canonical_multipliers, extract_action
 from fellsem.generators import cocycle_action, corpus, full_monoid_action, random_gauge
@@ -18,7 +18,7 @@ from fellsem.groupoid import (TwoCocycle, bisection_semigroup, coboundary_cocycl
 from fellsem.partial_maps import CFunction
 from fellsem.refine import saturated_refinement
 
-from dense import tables
+from dense import ref_omega_at, scalar_conj, tables
 
 
 def test_z2_group_algebra_blocks():
@@ -271,7 +271,7 @@ class ReferenceGermGroupoid:
             return Angle(0)
         e = self.admissible(t, t2, x)[0]
         y = self.A.theta[t](x)
-        return self.A.omega_at(t, e, y) * self.A.omega_at(t2, e, y).conj()
+        return ref_omega_at(self.A, t, e, y) * ref_omega_at(self.A, t2, e, y).conj()
 
     def coord(self, t, x):
         return self.transition(t, self.rep(self.germ(t, x))[0], x)
@@ -288,10 +288,10 @@ def reference_germ_tables(A, R):
             if R.rng(h) == R.src(g):
                 st = S.mul(sg, th)
                 rows[(g, h)] = (R.germ(st, xh),
-                                A.omega_at(sg, th, A.theta[st](xh)) * R.coord(st, xh))
+                                ref_omega_at(A, sg, th, A.theta[st](xh)) * R.coord(st, xh))
         y = A.theta[sg](x)
         sgs = S.inv[sg]
-        stars[g] = (R.germ(sgs, y), scalar_conj(A.omega_at(sgs, sg, x)) * R.coord(sgs, y))
+        stars[g] = (R.germ(sgs, y), scalar_conj(ref_omega_at(A, sgs, sg, x)) * R.coord(sgs, y))
     return rows, stars
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fellsem.action import TwistedAction, verify_twisted_action
-from fellsem.angles import ONE, as_complex, scalar_conj
+from fellsem.angles import ONE, as_complex
 from fellsem.bundle import (BundleError, NotSaturated, NotSemiAbelian, SectionBundle,
                             build_bundle, canonical_multipliers, check_multiplier_family,
                             classify_bundle, extract_action, roundtrip_check, verify_fell_bundle)
@@ -31,7 +31,7 @@ from fellsem.refine import (BundleMorphism, RefinedBundle, refinement_morphism, 
                             verify_refinement)
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
-from dense import Tables, tables
+from dense import Tables, scalar_conj, tables
 from test_acceptance import _non_saturated_examples
 
 
@@ -48,8 +48,9 @@ def ref_build_bundle(A) -> Tables:
         for t in S.elements():
             w = A.omega[(s, t)]
             products[(s, t)] = {(y, inv_s(y)): (y, w(y)) for y in carriers[S.mul(s, t)]}
-            if S.leq(s, t):
-                inclusions[(s, t)] = A.inclusion_scalars(s, t)
+            if S.leq(s, t):  # conj(omega(t, s*s)) on the fiber over s
+                w = A.omega[(t, S.mul(ss, s))]
+                inclusions[(s, t)] = {y: scalar_conj(w(y)) for y in carriers[s]}
         w = A.omega[(ss, s)]
         stars[s] = {A.theta[s](x): (x, scalar_conj(w(x))) for x in carriers[ss]}
     return Tables(S, carriers, products, stars, inclusions, "action", A=A)

@@ -259,3 +259,33 @@ def test_trials_below_one_are_an_input_error(files, capsys, trials):
         assert "trials" in report["error"]
         code, report = run(capsys, "tro", op, files["e11.json"])
         assert code == 0 and report["status"] == "pass", (op, report)
+
+
+def _edited_five(tmp_path, edit):
+    """data/five_element_s.json with its omega edited by edit(omega)."""
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parent.parent / "data" / "five_element_s.json"
+    data = json.loads(path.read_text())
+    edit(data["omega"])
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda w: w["{0>0},{0>0}"].update({"1": "0"}), "CarrierMismatch"),
+    (lambda w: w["{0>0},{0>0}"].update({"7": "0"}), "CarrierMismatch"),
+    (lambda w: w["{0>0},{0>0}"].update({"0": "half"}), "ValueError"),
+    (lambda w: w.pop("{0>1},{1>0}"), "KeyError"),
+], ids=["outside-its-carrier", "unknown-point", "not-a-fraction", "key-deleted"])
+def test_malformed_omega_values_are_input_errors(tmp_path, capsys, edit, error):
+    code, report = run(capsys, "action", "verify", _edited_five(tmp_path, edit))
+    assert code == 2 and report["status"] == "input-error", report
+    assert report["error"].startswith(error), report
+
+
+def test_empty_omega_over_a_carrier_is_not_unit(tmp_path, capsys):
+    code, report = run(capsys, "action", "verify",
+                       _edited_five(tmp_path, lambda w: w.update({"{0>1},{1>0}": {}})))
+    assert code == 1 and report["status"] == "fail", report
+    assert report["violations"] == ["('structure', ('omega-not-unit', ('{0>1}', '{1>0}', '1')))"]

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fellsem.angles import Angle, as_angle, as_complex, scalar_conj
+from fellsem.angles import Angle, as_angle, as_complex
 from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
 
 from dense import (add, compose, conjugate, extend, multiply, point_mass, pullback, restrict,
-                   scalar_mul, scale, sup_norm)
+                   scalar_conj, scalar_mul, scale, sup_norm)
 
 
 def test_angle_arithmetic_is_exact():

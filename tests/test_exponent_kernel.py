@@ -18,8 +18,8 @@ import pytest
 
 from fellsem.action import (ActionError, GaugeNotUnitAtIdempotent, GermGroupoid, TwistedAction,
                             check_sieben, gauge_transform, siebenize, verify_consequences,
-                            untwisted_omega, verify_twisted_action)
-from fellsem.angles import Angle, as_angle, scalar_conj
+                            verify_twisted_action)
+from fellsem.angles import Angle, as_angle
 from fellsem.bundle import SectionBundle, build_bundle, canonical_multipliers, extract_action
 from fellsem.generators import (corpus, five_element_semigroup, full_monoid_action,
                                 mutate_omega, mutation_corpus, random_gauge, sub_monoid_action)
@@ -29,17 +29,20 @@ from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError, NoI
 from fellsem.partial_maps import CFunction, PartialBijection
 from fellsem.refine import saturated_refinement
 
-from dense import compose, restrict
+from dense import compose, ref_omega_at, restrict, scalar_conj
 
 
 # ---------------------------------------------------------------------------
 # reference implementations
 
-def ref_omega_at(A, s, t, y):
-    v = A.omega[(s, t)](y)
-    if v == 0:
-        raise ActionError(f"omega({A.S.label(s)},{A.S.label(t)}) undefined at {y}")
-    return v
+def untwisted_omega(S, U) -> dict:
+    """The constant-one cocycle on the carriers U."""
+    omega = {}
+    for s in S.elements():
+        for t in S.elements():
+            st = S.mul(s, t)
+            omega[(s, t)] = CFunction.one(U[S.mul(st, S.inv[st])])
+    return omega
 
 
 def ref_structural_violations(A):
@@ -342,15 +345,15 @@ def test_kernel_matches_the_reference_on_the_mutation_sweep():
 
 
 def test_array_mutants_equal_the_dict_mutants():
+    # the dict mutant reads the omega view, listing each carrier in the
+    # order mutate_omega uses
     I3 = full_monoid_action(3)
     bases = [gauge_transform(I3, random_gauge(I3, random.Random(3))), full_monoid_action(4)]
     bases += mutation_corpus(random.Random(2))
     for A in bases:
         for seed in range(3 if A.S.n > 100 else 25):
-            arrays = TwistedAction._with_kernel(A, A.kernel)  # no omega dict
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            M, ref = mutate_omega(arrays, rng), ref_mutate_omega(A, ref_rng)
-            assert arrays._omega is None and M._omega is None
+            M, ref = mutate_omega(A, rng), ref_mutate_omega(A, ref_rng)
             assert M.equals(ref) and _same_omega(M, ref)
             assert rng.random() == ref_rng.random()
 
@@ -470,9 +473,14 @@ def _wide_gauge(A):
 def test_wide_denominators_stay_exact(k):
     A = full_monoid_action(k)
     wide = gauge_transform(A, _wide_gauge(A))
-    assert wide.kernel.N > 2 ** 62 and wide.kernel.W.dtype == object
+    assert wide.N > 2 ** 62 and wide.W.dtype == object
     ref = ref_gauge_transform(A, _wide_gauge(A))
     assert wide.equals(ref) and _same_omega(wide, ref)
+    # the JSON fixpoint: points become strings, so compare to_json, not equals
+    data = wide.to_json()
+    back = TwistedAction.from_json(data)
+    assert back.N > 2 ** 62 and back.W.dtype == object
+    assert back.to_json() == data and verify_twisted_action(back)[0]
     _same_verdicts(wide)
     _same_verdicts(ref)
     assert verify_twisted_action(wide)[0] and not check_sieben(wide)[0]
@@ -493,6 +501,24 @@ def test_complex_omega_value_is_a_structural_violation(five):
     assert not ok and bad and {v[0] for _, v in bad} == {"omega-not-unit"}
     assert Counter(bad) == Counter(ref_verify_twisted_action(A)[1])
     assert not check_sieben(A)[0]
+
+
+def test_a_value_that_is_not_an_angle_stops_the_germ_groupoid(full_i2):
+    # omega({0>0,1>1}, {0>0}) at 0 is the inclusion scalar of {0>0} <=
+    # {0>0,1>1}; as 1j it has no exponent, so the germ groupoid raises, as
+    # gauge_transform does, while the omega view still reads the value
+    S = full_i2.S
+    t, e = S.index_of("{0>0,1>1}"), S.index_of("{0>0}")
+    omega = dict(full_i2.omega)
+    omega[(t, e)] = CFunction(omega[(t, e)].carrier, {0: 1j})
+    A = TwistedAction(S, full_i2.X, full_i2.U, full_i2.theta, omega)
+    assert A.omega[(t, e)](0) == 1j and A.omega[(t, e)].carrier == {0}
+    assert verify_twisted_action(A) == (
+        False, [("structure", ("omega-not-unit", ("{0>0,1>1}", "{0>0}", 0)))])
+    with pytest.raises(ActionError, match="not an angle"):
+        GermGroupoid(A)
+    with pytest.raises(ActionError, match="not an angle"):
+        gauge_transform(A, {})
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.angles import Angle, as_angle, turn
+from fellsem.angles import Angle, as_angle, as_frac, turn
 from fellsem.isg import InverseSemigroup, first_true
-from fellsem.partial_maps import CFunction, PartialBijection
+from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
 
 # array entries a chunked family gathers at once
 CHUNK = 1 << 18
@@ -127,28 +127,21 @@ def turns(K, N: int) -> np.ndarray:
                      for k in K.tolist()], dtype=complex).reshape(-1)
 
 
-def _encode(S: InverseSemigroup, X, U, theta, omega):
-    """The Frame, N, W and V of an omega mapping (s, t) -> CFunction: a
-    carrier point whose value is not an Angle (or is missing, as zero) is
-    NOT_ANGLE in W with its value in V."""
+def _encode(S: InverseSemigroup, X, U, theta, entries):
+    """The Frame, N, W and V of omega given as entries (s n + t, x, f, v):
+    omega(s, t) at its carrier point x is the angle f, a fraction in
+    [0, 1), or, where f is None, the value v, NOT_ANGLE in W with v in V."""
     n = S.n
-    keys, points, vals = [], [], []
-    for s in range(n):
-        for t in range(n):
-            w = omega[(s, t)]
-            for x in w.carrier:
-                keys.append(s * n + t)
-                points.append(x)
-                vals.append(w(x))
+    keys, points, fracs, vals = zip(*entries) if entries else ((),) * 4
     frame = Frame(S, X, U, theta, points)
-    N, K = exponents([v.frac if isinstance(v, Angle) else None for v in vals])
+    N, K = exponents(fracs)
     at = np.array(keys, dtype=np.intp) * frame.m + np.array([frame.index[x] for x in points],
                                                             dtype=np.intp)
     W, V = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype), None
     W[at] = K
     if (K == NOT_ANGLE).any():
         V = np.zeros(len(W), dtype=complex)
-        V[at[K == NOT_ANGLE]] = [complex(v) for v in vals if not isinstance(v, Angle)]
+        V[at[K == NOT_ANGLE]] = [complex(v) for f, v in zip(fracs, vals) if f is None]
         V = V.reshape(n, n, frame.m)
     return frame, N, W.reshape(n, n, frame.m), V
 
@@ -191,7 +184,14 @@ class TwistedAction:
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, omega):
-        self._hold(*_encode(S, X, U, theta, omega))
+        n, entries = S.n, []
+        for s in range(n):
+            for t in range(n):
+                w = omega[(s, t)]
+                for x in w.carrier:  # a missing value is zero, not an Angle
+                    v = w(x)
+                    entries.append((s * n + t, x, v.frac if isinstance(v, Angle) else None, v))
+        self._hold(*_encode(S, X, U, theta, entries))
 
     @classmethod
     def from_exponents(cls, frame: Frame, N: int, W, V=None) -> "TwistedAction":
@@ -289,13 +289,25 @@ class TwistedAction:
         theta = {S.index_of(lab): PartialBijection(m)
                  for lab, m in data["theta"].items()}
         index = {lab: i for i, lab in enumerate(S.labels)}
-        omega = {}
+        omega, parsed = {}, {}  # the fractions go to the encoder; each text is parsed once
         for key, vals in data["omega"].items():
             s, t = split_labels(key, index, 2)
+            fracs = {x: parsed[v] if v in parsed else parsed.setdefault(v, as_frac(v))
+                     for x, v in vals.items()}
             st = S.mul(s, t)
             carrier = U[S.mul(st, S.inv[st])]
-            omega[(s, t)] = CFunction(carrier, {x: Angle(Fraction(v)) for x, v in vals.items()})
-        return cls(S, X, U, theta, omega)
+            for x in fracs:
+                if x not in carrier:
+                    raise CarrierMismatch(f"value at {x} outside carrier")
+            omega[(s, t)] = carrier, fracs
+        n, entries = S.n, []
+        for s in range(n):
+            for t in range(n):
+                carrier, fracs = omega[(s, t)]
+                entries += [(s * n + t, x, fracs.get(x), 0) for x in carrier]
+        A = cls.__new__(cls)
+        A._hold(*_encode(S, X, U, theta, entries))
+        return A
 
 
 def split_labels(key: str, index, parts: int | None = None) -> tuple:

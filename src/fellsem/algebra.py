@@ -113,15 +113,12 @@ def _gns_rep(alg: Bundle, L):
 
 
 def _center_basis(L, tol: float = 1e-9):
+    """The null vectors of the commutator map a -> [L_i, a], stacked over i
+    with one batched matmul."""
     n = len(L)
-    rows = []
-    for Li in L:
-        block = np.zeros((n * n, n), dtype=complex)
-        for j in range(n):
-            block[:, j] = (Li @ L[j] - L[j] @ Li).reshape(-1)
-        rows.append(block)
-    K = np.vstack(rows)
-    _, s, vh = np.linalg.svd(K)
+    P = np.matmul(L[:, None], L[None])  # [i, j]: L_i L_j
+    K = (P - P.transpose(1, 0, 2, 3)).transpose(0, 2, 3, 1).reshape(n ** 3, n)
+    _, s, vh = np.linalg.svd(K, full_matrices=False)
     null = [vh[i].conj() for i in range(len(vh)) if i >= len(s) or s[i] <= tol * max(1.0, s[0])]
     return null
 

@@ -19,14 +19,22 @@ def turn(k: int, N: int) -> complex:
     return cmath.exp(2j * cmath.pi * (k / N))
 
 
+def as_frac(x) -> Fraction:
+    """x as a fraction in [0, 1), the turns of an Angle; x may be an Angle,
+    a Fraction/int, or 'p/q' text."""
+    if isinstance(x, Angle):
+        return x.frac
+    f = x if type(x) is Fraction else Fraction(x)
+    return f if 0 <= f.numerator < f.denominator else f - (f // 1)
+
+
 class Angle:
     """A unit-modulus scalar exp(2*pi*i * frac) with frac a rational mod 1."""
 
     __slots__ = ("frac",)
 
     def __init__(self, frac=0):
-        f = frac if type(frac) is Fraction else Fraction(frac)
-        self.frac = f if 0 <= f.numerator < f.denominator else f - (f // 1)
+        self.frac = as_frac(frac)
 
     @classmethod
     def parse(cls, text: str) -> "Angle":

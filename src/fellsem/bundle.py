@@ -27,6 +27,7 @@ import numpy as np
 from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype,
                             exponents, omega_differs, turns, widen)
 from fellsem.angles import Angle, turn
+from fellsem.groupoid import held_pairs, membership
 from fellsem.isg import InverseSemigroup
 from fellsem.partial_maps import CFunction, PartialBijection
 
@@ -565,8 +566,9 @@ def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bun
 
     The fiber over a bisection s is functions on its arrow set, optionally
     shrunk by a carrier override, which models non-saturated bundles.
-    Products and adjoints are twisted convolution; inclusions are
-    zero-extensions.  (Named like a class: callers construct it as one.)
+    Products and adjoints are twisted convolution, their scalars tau's
+    exponents K and -K mod N; inclusions are zero-extensions.  (Named like
+    a class: callers construct it as one.)
     """
     n, points = S.n, []
     for s in S.elements():
@@ -575,26 +577,24 @@ def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bun
         if not c <= full:
             raise BundleError("carrier override exceeds bisection")
         points.append(sorted(c))
-    num = [{a: i for i, a in enumerate(p)} for p in points]  # each fiber's arrow -> number
-    rows, fracs = ([], [], []), ([], [])
-    for s in S.elements():
-        for t in S.elements():
-            target = num[S.mul(s, t)]
-            for a in points[s]:
-                for b in points[t]:
-                    if (ab := G.comp.get((a, b))) in target:  # composable, into fiber st
-                        rows[0].append((s * n + t, num[s][a], num[t][b], target[ab]))
-                        fracs[0].append(tau(a, b).frac)
-            if S.leq(s, t):
-                rows[2].extend((s * n + t, num[s][a], num[t].get(a, -1)) for a in points[s])
-        for c in points[S.inv[s]]:
-            if G.inv[c] in num[s]:
-                rows[1].append((s, num[s][G.inv[c]], num[S.inv[s]][c]))
-                fracs[1].append(tau(G.inv[c], c).conj().frac)
-    N, K = exponents(fracs[0] + fracs[1])
-    P, St, I = (np.array(r, dtype=np.intp).reshape(-1, w).T for r, w in zip(rows, (4, 3, 3)))
-    return Bundle(S, points, N, (*P, K[:len(rows[0])], None), (*St, K[len(rows[0]):], None),
-                  (*I, np.zeros(len(rows[2]), dtype=np.intp), None), "section", G=G, tau=tau)
+    fiber = membership(G, points)
+    u, c = np.nonzero(fiber)  # the points, fiber by fiber
+    num = np.full((n, G.m + 1), -1, dtype=np.intp)  # [s, arrow]: its number in fiber s; -1 reads -1
+    num[u, c] = np.arange(len(u)) - _starts(fiber.sum(axis=1))[u]
+    s, t, p = held_pairs(G, fiber)
+    z = num[S.cayley[s, t], G.pair_ab[p]]
+    s, t, p, z = (v[z >= 0] for v in (s, t, p, z))  # into fiber st
+    # the adjoint of the point c^-1 of fiber s = u* is c in fiber u
+    star, inv_c = np.asarray(S.inv, dtype=np.intp)[u], np.asarray(G.inv, dtype=np.intp)[c]
+    x = num[star, inv_c]
+    star, inv_c, u, c, x = (v[x >= 0] for v in (star, inv_c, u, c, x))
+    lo, hi = np.nonzero(S.order)
+    i, a = np.nonzero(fiber[lo])
+    N, K = tau.exponents(np.concatenate([p, G.pair_index[inv_c, c]]))
+    return Bundle(S, points, N, (s * n + t, num[s, G.pair_a[p]], num[t, G.pair_b[p]], z, K[:len(p)], None),
+                  (star, x, num[u, c], -K[len(p):] % N, None),
+                  (lo[i] * n + hi[i], num[lo[i], a], num[hi[i], a], np.zeros(len(i), dtype=np.intp), None),
+                  "section", G=G, tau=tau)
 
 
 # ---------------------------------------------------------------------------

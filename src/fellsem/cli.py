@@ -51,20 +51,21 @@ def _action_from(data):
 
 
 def _groupoid_from(data):
+    """G and tau from a groupoid payload: tau's fractions go to the
+    cocycle's encoder, 0 on every composable pair the payload leaves out."""
+    from fractions import Fraction
+
     from fellsem.action import split_labels
     from fellsem.groupoid import FiniteGroupoid, TwoCocycle
-    from fellsem.angles import Angle
-    from fractions import Fraction
     G = FiniteGroupoid.from_json(data)
     idx = {lab: i for i, lab in enumerate(G.labels)}
-    tau = {pair: Angle(0) for pair in G.composable_pairs()}
+    tau = dict.fromkeys(G.composable_pairs(), 0)
     for key, val in data.get("tau", {}).items():
         pair = split_labels(key, idx, 2)
         if pair not in tau:
             raise InputError(f"tau given on non-composable pair {key}")
-        tau[pair] = Angle(Fraction(val))
-    tau = TwoCocycle(G, tau)
-    return G, tau
+        tau[pair] = Fraction(val)
+    return G, TwoCocycle(G, tau)
 
 
 def _bundle_from(data):

@@ -2,14 +2,30 @@
 
 Arrows compose right to left: comp(a, b) is "a after b" and is defined
 exactly when src(a) = rng(b).
+
+A FiniteGroupoid holds its composition as index arrays, built when it is
+made: the composable pairs with their products and their numbering, and the
+pairs each composable triple reads.  A TwoCocycle is its exponents mod N
+over the composable pairs, the encoding actions and bundles use for their
+scalars (see fellsem.action): the cocycle identity is a gather and compare
+over the triples, enumeration checks its candidates as rows of one exponent
+matrix, and the readers (action_from_cocycle, bundle.SectionBundle,
+reps.regular_covariant_rep) gather the exponents.  Bisection products are
+index arithmetic on bisections held as the arrow at each source.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from fractions import Fraction
+from math import gcd
 
-from fellsem.angles import Angle, as_angle
-from fellsem.isg import verify_inverse_semigroup
+import numpy as np
+
+from fellsem.action import (CHUNK, OUTSIDE, Frame, TwistedAction, _exponent_dtype, exponents,
+                            germ_groupoid, germ_map_check)
+from fellsem.angles import Angle, as_frac
+from fellsem.isg import first_true, verify_inverse_semigroup
+from fellsem.partial_maps import PartialBijection
 
 
 class GroupoidError(ValueError):
@@ -33,7 +49,22 @@ class NotWide(GroupoidError):
 
 
 class FiniteGroupoid:
-    """Arrows 0..m-1 over a finite object set, with partial composition."""
+    """Arrows 0..m-1 over a finite object set, with partial composition.
+
+    The index arrays, built when it is made, with -1 for an undefined
+    arrow or pair (mul and pair_index have one more row and column, of -1,
+    which an index -1 reads):
+    src_i, rng_i   the endpoints of each arrow, numbered objects first;
+    mul            [a, b]: the arrow ab;
+    pair_a, pair_b, pair_ab
+                   the composable pairs (a, b) in row-major order, and ab;
+    pair_index     [a, b]: the number of the pair (a, b);
+    triples        four arrays, whose k-th entries are the pairs ab, (ab)c, bc
+                   and a(bc) of the k-th composable triple (a, b, c), in
+                   row-major order;
+    normal         the pairs (a, unit at src a), (unit at rng a, a) of each
+                   arrow a in turn.
+    """
 
     def __init__(self, objects, src, rng, comp, labels=None):
         self.objects = list(objects)
@@ -59,6 +90,28 @@ class FiniteGroupoid:
                         and self.comp.get((b, a)) == self.unit.get(self.src[a])):
                     self.inv[a] = b
                     break
+        m, ar = self.m, np.arange(self.m)
+        ends = dict.fromkeys([*self.objects, *self.src, *self.rng])
+        ends = self.object_index = {x: i for i, x in enumerate(ends)}
+        self.src_i = np.array([ends[x] for x in self.src], dtype=np.intp).reshape(m)
+        self.rng_i = np.array([ends[x] for x in self.rng], dtype=np.intp).reshape(m)
+        mul = self.mul_table = np.full((m + 1, m + 1), -1, dtype=np.intp)
+        if self.comp:
+            a, b = np.array(list(self.comp), dtype=np.intp).reshape(-1, 2).T
+            mul[a, b] = list(self.comp.values())
+        follows = self.src_i[:, None] == self.rng_i[None, :]  # [a, b]: a after b is defined
+        a, b = np.nonzero(follows)
+        self.pair_a, self.pair_b, self.pair_ab = a, b, mul[a, b]
+        index = self.pair_index = np.full((m + 1, m + 1), -1, dtype=np.intp)
+        index[a, b] = np.arange(len(a))
+        p, c = np.nonzero(follows[b])
+        a, b = a[p], b[p]
+        self.triples = (p, index[mul[a, b], c], index[b, c], index[a, mul[b, c]])
+        unit = np.array([self.unit.get(x, -1) for x in ends], dtype=np.intp)
+        self.normal = np.empty(2 * m, dtype=np.intp)
+        self.normal[0::2], self.normal[1::2] = index[ar, unit[self.src_i]], index[unit[self.rng_i], ar]
+        self.units = np.zeros(m, dtype=bool)
+        self.units[list(self.unit.values())] = True
 
     def composable(self, a: int, b: int) -> bool:
         return self.src[a] == self.rng[b]
@@ -70,11 +123,7 @@ class FiniteGroupoid:
             raise NotComposable(f"arrows {a} and {b} are not composable") from None
 
     def composable_pairs(self):
-        return [(a, b) for a in range(self.m) for b in range(self.m) if self.composable(a, b)]
-
-    def composable_triples(self):
-        return [(a, b, c) for a, b in self.composable_pairs()
-                for c in range(self.m) if self.src[b] == self.rng[c]]
+        return list(zip(self.pair_a.tolist(), self.pair_b.tolist()))
 
     def arrows(self):
         return range(self.m)
@@ -109,12 +158,15 @@ def verify_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
             raise NotComposable(f"comp defined on non-composable ({a}, {b})")
         if G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
             raise GroupoidError(f"comp({a},{b})={c} has wrong endpoints")
-    for a, b in G.composable_pairs():
-        if (a, b) not in G.comp:
-            raise GroupoidError(f"comp missing on composable pair ({a}, {b})")
-    for a, b, c in G.composable_triples():
-        if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
-            raise GroupoidError(f"composition not associative at ({a}, {b}, {c})")
+    if (G.pair_ab < 0).any():
+        p = first_true(G.pair_ab < 0)[0]
+        raise GroupoidError(f"comp missing on composable pair ({G.pair_a[p]}, {G.pair_b[p]})")
+    ab, abc, bc, a_bc = G.triples
+    wrong = G.pair_ab[abc] != G.pair_ab[a_bc]
+    if wrong.any():
+        k = first_true(wrong)[0]
+        a, b, c = G.pair_a[ab[k]], G.pair_b[ab[k]], G.pair_b[bc[k]]
+        raise GroupoidError(f"composition not associative at ({a}, {b}, {c})")
     for x in G.objects:
         if x not in G.unit:
             raise GroupoidError(f"object {x} has no unit arrow")
@@ -177,14 +229,6 @@ def is_bisection(G: FiniteGroupoid, arrows) -> bool:
     return len(set(srcs)) == len(arrows) and len(set(rngs)) == len(arrows)
 
 
-def bisection_product(G: FiniteGroupoid, s, t) -> frozenset:
-    return frozenset(G.mul(a, b) for a in s for b in t if G.composable(a, b))
-
-
-def bisection_inverse(G: FiniteGroupoid, s) -> frozenset:
-    return frozenset(G.inv[a] for a in s)
-
-
 def all_bisections(G: FiniteGroupoid):
     if G.m > 12:
         raise TooManyArrows(f"{G.m} arrows; full bisection enumeration capped at 12")
@@ -210,17 +254,62 @@ def all_bisections(G: FiniteGroupoid):
     return out
 
 
+def _by_source(G: FiniteGroupoid, biss) -> np.ndarray:
+    """Bisections as rows over the numbered objects: the arrow with each
+    source, or -1."""
+    rows = np.full((len(biss), len(G.object_index)), -1, dtype=np.intp)
+    arrows = [sorted(b) for b in biss]
+    i = np.repeat(np.arange(len(biss)), [len(b) for b in arrows])
+    a = np.array([x for b in arrows for x in b], dtype=np.intp)
+    rows[i, G.src_i[a]] = a
+    return rows
+
+
+def _masks(G: FiniteGroupoid, rows) -> np.ndarray:
+    """Each row's bisection as the bit mask of its arrows (Python integers
+    past 62 arrows)."""
+    bits = [1 << a for a in range(G.m)] + [0]  # an undefined arrow -1 adds 0
+    return np.array(bits, dtype=np.int64 if G.m < 63 else object)[rows].sum(axis=-1)
+
+
+def _products(G: FiniteGroupoid, rows) -> np.ndarray:
+    """[i, j]: the row of the product of bisections i and j, which holds ab
+    at the source of b for each b in j and the a in i with src a = rng b."""
+    held = np.concatenate([rows, np.full((len(rows), 1), -1, dtype=np.intp)], axis=1)
+    at = np.append(G.rng_i, held.shape[1] - 1)  # the range of no arrow is the column of -1
+    return G.mul_table[held[:, at[rows]], rows[None]]
+
+
+def _closure(G: FiniteGroupoid, rows) -> np.ndarray:
+    """The rows closed under product, inverse and intersection."""
+    k = rows.shape[1]
+    rows = rows[np.unique(_masks(G, rows), return_index=True)[1]]
+    while True:
+        i, x = np.nonzero(rows >= 0)
+        a = rows[i, x]
+        inverse = np.full_like(rows, -1)
+        inverse[i, G.rng_i[a]] = np.asarray(G.inv, dtype=np.intp)[a]
+        meet = np.where(rows[:, None] == rows[None], rows[:, None], -1)
+        grown = np.concatenate([rows, inverse, _products(G, rows).reshape(-1, k), meet.reshape(-1, k)])
+        keep = np.unique(_masks(G, grown), return_index=True)[1]
+        if len(keep) == len(rows):
+            return rows
+        rows = grown[keep]
+
+
 def bisection_semigroup(G: FiniteGroupoid, generators=None):
     """The inverse semigroup generated by bisections of G.
 
     Closes the generators under product, involution and intersection, and
-    always includes the empty bisection.  Returns (InverseSemigroup,
+    always includes the empty bisection; all bisections together are
+    closed already.  Products are index arithmetic on the bisections held
+    by source, looked up by their bit masks.  Returns (InverseSemigroup,
     bisection list indexed by element, wide flag).  Wide means the
     bisections cover every arrow and the family is intersection-closed
     (the latter holds by construction).
     """
     if generators is None:
-        gens = all_bisections(G)
+        rows = _by_source(G, all_bisections(G))
     else:
         gens = []
         for g in generators:
@@ -228,136 +317,188 @@ def bisection_semigroup(G: FiniteGroupoid, generators=None):
             if not is_bisection(G, b):
                 raise NotABisection(f"{sorted(b)} is not a bisection")
             gens.append(b)
-    closed = set(gens)
-    closed.add(frozenset())
-    changed = True
-    while changed:
-        changed = False
-        current = list(closed)
-        for s in current:
-            t = bisection_inverse(G, s)
-            if t not in closed:
-                closed.add(t)
-                changed = True
-        current = list(closed)
-        for s in current:
-            for t in current:
-                for r in (bisection_product(G, s, t), s & t):
-                    if r not in closed:
-                        closed.add(r)
-                        changed = True
-    biss = sorted(closed, key=lambda b: (len(b), sorted(b)))
-    pos = {b: i for i, b in enumerate(biss)}
-    table = [[pos[bisection_product(G, s, t)] for t in biss] for s in biss]
-    labels = ["{" + ",".join(G.labels[a] for a in sorted(b)) + "}" for b in biss]
+        rows = _closure(G, _by_source(G, gens + [frozenset()]))
+    arrows = [sorted(r[r >= 0].tolist()) for r in rows]
+    order = sorted(range(len(rows)), key=lambda i: (len(arrows[i]), arrows[i]))
+    rows, n = rows[order], len(rows)
+    biss = [frozenset(arrows[i]) for i in order]
+    masks = _masks(G, rows)
+    by_mask = np.argsort(masks)
+    want = _masks(G, _products(G, rows)).reshape(-1)
+    at = np.minimum(np.searchsorted(masks[by_mask], want), n - 1)
+    table = np.where(masks[by_mask][at] == want, by_mask[at], -1).reshape(n, n).tolist()
+    labels = ["{" + ",".join(G.labels[a] for a in arrows[i]) + "}" for i in order]
     S = verify_inverse_semigroup(table, labels=labels)
-    covered = set().union(*biss) if biss else set()
-    wide = covered == set(G.arrows())
-    return S, biss, wide
+    return S, biss, set(rows[rows >= 0].tolist()) == set(G.arrows())
+
+
+def membership(G: FiniteGroupoid, sets) -> np.ndarray:
+    """[s, a]: arrow a in the s-th set of arrows."""
+    held = np.zeros((len(sets), G.m), dtype=bool)
+    held[np.repeat(np.arange(len(sets)), [len(b) for b in sets]),
+         [a for b in sets for a in b]] = True
+    return held
+
+
+def held_pairs(G: FiniteGroupoid, held):
+    """s, t, p for every composable pair p = (a, b) with a in row s and b
+    in row t of the mask held, ordered by s, a, t and b: the pairs of
+    held entries, in chunks of CHUNK of them."""
+    s, a = np.nonzero(held)
+    step = max(1, CHUNK // max(1, len(a)))
+    i, j, p = [], [], []
+    for c in range(0, max(1, len(a)), step):
+        pairs = G.pair_index[a[c:c + step, None], a[None, :]]
+        x, y = np.nonzero(pairs >= 0)
+        i.append(x + c)
+        j.append(y)
+        p.append(pairs[x, y])
+    return s[np.concatenate(i)], s[np.concatenate(j)], np.concatenate(p)
 
 
 # ---------------------------------------------------------------------------
 # 2-cocycles
 
 class TwoCocycle:
-    """A normalized circle 2-cocycle: Angle values on composable pairs."""
+    """A normalized circle 2-cocycle: exponents K mod N over G's composable
+    pairs, numbered as G.pair_index numbers them.
+
+    The constructor encodes a mapping (a, b) -> Angle, fraction or 'p/q'
+    text; a composable pair it leaves out is OUTSIDE in K, and a pair that
+    is not composable is kept in `extra` (as a fraction) for verify_cocycle
+    to report.  N is a common denominator of the values, not always the
+    least; exponents() reads them over the least.  K is read-only.
+    """
 
     def __init__(self, G: FiniteGroupoid, tau):
-        self.G = G
-        self.tau = {pair: as_angle(v) for pair, v in tau.items()}
+        at, extra = {}, {}
+        for (a, b), v in tau.items():
+            p = G.pair_index[a, b] if 0 <= a < G.m and 0 <= b < G.m else -1
+            if p >= 0:
+                at[p] = as_frac(v)
+            else:
+                extra[(a, b)] = as_frac(v)
+        N, E = exponents(list(at.values()))
+        K = np.full(len(G.pair_a), OUTSIDE, dtype=E.dtype)
+        K[list(at)] = E
+        self._hold(G, N, K, extra)
+
+    @classmethod
+    def from_exponents(cls, G: FiniteGroupoid, N: int, K) -> "TwoCocycle":
+        tau = cls.__new__(cls)
+        tau._hold(G, N, np.asarray(K, dtype=_exponent_dtype(N)), {})
+        return tau
+
+    def _hold(self, G, N, K, extra):
+        self.G, self.N, self.K, self.extra = G, N, K, extra
+        K.flags.writeable = False
 
     def __call__(self, a: int, b: int) -> Angle:
-        try:
-            return self.tau[(a, b)]
-        except KeyError:
-            raise GroupoidError(f"cocycle missing on pair ({a}, {b})") from None
+        G = self.G
+        p = G.pair_index[a, b] if 0 <= a < G.m and 0 <= b < G.m else -1
+        if p >= 0 and self.K[p] >= 0:
+            return Angle(Fraction(int(self.K[p]), self.N))
+        if (a, b) in self.extra:
+            return Angle(self.extra[(a, b)])
+        raise GroupoidError(f"cocycle missing on pair ({a}, {b})")
+
+    def exponents(self, pairs=slice(None)):
+        """N and the exponents at the given pair numbers (all by default),
+        over the least modulus of those; GroupoidError at the first that
+        is missing."""
+        K = self.K[pairs]
+        if (K < 0).any():
+            p = np.arange(len(self.K))[pairs][first_true(K < 0)[0]]
+            raise GroupoidError(f"cocycle missing on pair ({self.G.pair_a[p]}, {self.G.pair_b[p]})")
+        d = gcd(self.N, *K.tolist())
+        return self.N // d, K // d if d > 1 else K
 
     @classmethod
     def trivial(cls, G: FiniteGroupoid) -> "TwoCocycle":
-        return cls(G, {pair: Angle(0) for pair in G.composable_pairs()})
+        return cls.from_exponents(G, 1, np.zeros(len(G.pair_a), dtype=np.int64))
 
     @classmethod
     def coboundary(cls, G: FiniteGroupoid, c) -> "TwoCocycle":
         """tau(a,b) = c(a) c(b) conj(c(ab)) for unit-modulus c with c(unit)=1."""
-        cc = {a: as_angle(c.get(a, 0)) for a in G.arrows()}
-        tau = {(a, b): cc[a] * cc[b] * cc[G.mul(a, b)].conj()
-               for a, b in G.composable_pairs()}
-        return cls(G, tau)
+        N, E = exponents([as_frac(c.get(a, 0)) for a in G.arrows()])
+        return cls.from_exponents(G, N, (E[G.pair_a] + E[G.pair_b] - E[G.pair_ab]) % N)
 
 
 def verify_cocycle(G: FiniteGroupoid, tau: TwoCocycle):
-    """Exact check of normalization and the cocycle identity.
+    """Exact check of normalization and the cocycle identity, as one
+    gather and compare of exponents over G's normalization pairs and
+    composable triples.
 
     Returns (ok, violations); each violation is a tagged tuple.
     """
-    violations = []
-    pairs = set(G.composable_pairs())
-    for pair in pairs:
-        if pair not in tau.tau:
-            violations.append(("missing", pair))
-    for pair in tau.tau:
-        if pair not in pairs:
-            violations.append(("extraneous", pair))
-    if violations:
-        return False, violations
-    for a in G.arrows():
-        if not tau(a, G.unit[G.src[a]]).is_one:
-            violations.append(("normalization", (a, G.unit[G.src[a]])))
-        if not tau(G.unit[G.rng[a]], a).is_one:
-            violations.append(("normalization", (G.unit[G.rng[a]], a)))
-    for a, b, c in G.composable_triples():
-        if tau(a, b) * tau(G.mul(a, b), c) != tau(b, c) * tau(a, G.mul(b, c)):
-            violations.append(("cocycle", (a, b, c)))
+    K, N = tau.K, tau.N
+    if (K < 0).any() or tau.extra:
+        missing = set(np.flatnonzero(K < 0).tolist())  # listed in the order of a set of the pairs
+        violations = [("missing", pair) for pair in set(G.composable_pairs())
+                      if G.pair_index[pair] in missing]
+        return False, violations + [("extraneous", pair) for pair in tau.extra]
+    p = G.normal[K[G.normal] != 0]
+    violations = [("normalization", pair) for pair in zip(G.pair_a[p].tolist(), G.pair_b[p].tolist())]
+    ab, abc, bc, a_bc = G.triples
+    k = np.flatnonzero((K[ab] + K[abc] - K[bc] - K[a_bc]) % N != 0)
+    violations += [("cocycle", t) for t in zip(G.pair_a[ab[k]].tolist(), G.pair_b[ab[k]].tolist(),
+                                                G.pair_b[bc[k]].tolist())]
     return not violations, violations
+
+
+def _digits(roots: int, width: int, step: int):
+    """Every row of `width` digits mod roots, in itertools.product order,
+    `step` rows at a time."""
+    place = roots ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    total = roots ** width
+    for lo in range(0, total, step):
+        yield np.arange(lo, min(lo + step, total), dtype=np.int64)[:, None] // place % roots
 
 
 def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4, max_slots: int = 12):
     """All normalized cocycles with values in the given roots of unity.
 
-    Brute force over the composable pairs not forced by normalization,
-    filtered by verify_cocycle.  Guarded by max_slots.
+    Brute force over the composable pairs not forced by normalization:
+    the candidates, in itertools.product order, are rows of exponents mod
+    roots, checked against the cocycle identity in chunks of CHUNK
+    entries.  Guarded by max_slots.
     """
-    pairs = G.composable_pairs()
-    forced = {}
-    free = []
-    for a, b in pairs:
-        if G.is_unit(a) or G.is_unit(b):
-            forced[(a, b)] = Angle(0)
-        else:
-            free.append((a, b))
-    if len(free) > max_slots:
-        raise TooManyArrows(f"{len(free)} free cocycle slots exceed cap {max_slots}")
-    values = [Angle(f"{k}/{roots}") if k else Angle(0) for k in range(roots)]
+    free = ~(G.units[G.pair_a] | G.units[G.pair_b])
+    width = int(free.sum())
+    if width > max_slots:
+        raise TooManyArrows(f"{width} free cocycle slots exceed cap {max_slots}")
+    ab, abc, bc, a_bc = G.triples
     out = []
-    for combo in iproduct(values, repeat=len(free)):
-        tau = TwoCocycle(G, {**forced, **dict(zip(free, combo))})
-        ok, _ = verify_cocycle(G, tau)
-        if ok:
-            out.append(tau)
+    for D in _digits(roots, width, max(1, CHUNK // max(1, len(ab)))):
+        K = np.zeros((len(D), len(free)), dtype=np.int64)
+        K[:, free] = D
+        ok = ((K[:, ab] + K[:, abc] - K[:, bc] - K[:, a_bc]) % roots == 0).all(axis=1)
+        out += [TwoCocycle.from_exponents(G, roots, k) for k in K[ok]]
     return out
 
 
 def coboundary_cocycles(G: FiniteGroupoid, roots: int = 4):
-    """All coboundary cocycles from unit-modulus c with root-of-unity values."""
-    non_units = [a for a in G.arrows() if not G.is_unit(a)]
-    values = [Angle(f"{k}/{roots}") if k else Angle(0) for k in range(roots)]
-    seen = set()
-    out = []
-    for combo in iproduct(values, repeat=len(non_units)):
-        tau = TwoCocycle.coboundary(G, dict(zip(non_units, combo)))
-        key = tuple(sorted((pair, v.frac) for pair, v in tau.tau.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(tau)
+    """All coboundary cocycles from unit-modulus c with root-of-unity
+    values, in the order the values of c first give them."""
+    seen, out = set(), []
+    for D in _digits(roots, G.m - int(G.units.sum()), max(1, CHUNK // max(1, len(G.pair_a)))):
+        c = np.zeros((len(D), G.m), dtype=np.int64)
+        c[:, ~G.units] = D
+        K = (c[:, G.pair_a] + c[:, G.pair_b] - c[:, G.pair_ab]) % roots
+        _, first = np.unique(K, axis=0, return_index=True)
+        for k in K[np.sort(first)]:
+            if (key := k.tobytes()) not in seen:
+                seen.add(key)
+                out.append(TwoCocycle.from_exponents(G, roots, k))
     return out
 
 
 def z2_nontrivial_cocycle() -> tuple[FiniteGroupoid, TwoCocycle]:
     """The order-two group with tau(g, g) = -1."""
     G = cyclic_group(2)
-    tau = {pair: Angle(0) for pair in G.composable_pairs()}
-    tau[(1, 1)] = Angle("1/2")
-    return G, TwoCocycle(G, tau)
+    K = np.zeros(len(G.pair_a), dtype=np.int64)
+    K[G.pair_index[1, 1]] = 1
+    return G, TwoCocycle.from_exponents(G, 2, K)
 
 
 # ---------------------------------------------------------------------------
@@ -368,33 +509,19 @@ def action_from_cocycle(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=
 
     Points are the objects of G; the bisection s acts by src -> rng along
     its arrows; omega(s, t) at the range of a product arrow ab (a in s,
-    b in t) is tau(a, b), built as exponents of tau's values.  The ranges of
-    the products ab are U(st) when S and the bisections come from
+    b in t) is tau(a, b), read from tau's exponents.  The ranges of the
+    products ab are U(st) when S and the bisections come from
     bisection_semigroup.  Requires a wide bisection family.
     """
-    import numpy as np
-
-    from fellsem.action import CHUNK, OUTSIDE, Frame, TwistedAction, exponents
-    from fellsem.partial_maps import PartialBijection
-
     if not wide:
         raise NotWide("bisection family does not cover the groupoid")
     U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
     theta = {s: PartialBijection({G.src[a]: G.rng[a] for a in bisections[s]}) for s in S.elements()}
     F = Frame(S, list(G.objects), U, theta)
-    pairs = G.composable_pairs()
-    N, K = exponents([tau(a, b).frac for a, b in pairs])
-    # every (s, t) holding a composable pair p = (a, b), a in s and b in t,
-    # chunked over the pairs
-    member = np.array([[a in bisections[s] for a in G.arrows()] for s in S.elements()],
-                      dtype=bool).reshape(S.n, G.m)
-    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    step = max(1, CHUNK // S.n ** 2)
-    s, t, p = np.concatenate([np.zeros((3, 0), dtype=np.intp)] + [
-        np.stack(np.nonzero(member[:, None, a[c:c + step]] & member[None, :, b[c:c + step]])) + [[0], [0], [c]]
-        for c in range(0, len(pairs), step)], axis=1)
+    N, K = tau.exponents()
+    s, t, p = held_pairs(G, membership(G, [bisections[s] for s in S.elements()]))
     W = np.full((S.n, S.n, F.m), OUTSIDE, dtype=K.dtype)
-    W[s, t, np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[a[p]]] = K[p]
+    W[s, t, np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[G.pair_a[p]]] = K[p]
     return TwistedAction.from_exponents(F, N, W)
 
 
@@ -404,8 +531,6 @@ def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wi
     The canonical map sends the germ of (s, x) to the unique arrow of the
     bisection s with source x.  Returns (ok, mapping or counterexample).
     """
-    from fellsem.action import germ_groupoid, germ_map_check
-
     A = action_from_cocycle(G, tau, S, bisections, wide)
     return germ_map_check(germ_groupoid(A),
                           lambda t, x: [a for a in bisections[t] if G.src[a] == x][0],

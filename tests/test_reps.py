@@ -20,8 +20,6 @@ def regular_setup(G, tau):
 
 def test_regular_rep_is_covariant_on_all_examples():
     for name, G in standard_groupoids().items():
-        if name == "pair3":
-            continue  # 34 bisections; covered by the smaller pair groupoid
         S, biss, A, R, B = regular_setup(G, TwoCocycle.trivial(G))
         ok, bad = verify_covariant(R, A)
         assert ok, (name, bad)
@@ -29,8 +27,6 @@ def test_regular_rep_is_covariant_on_all_examples():
 
 def test_conversion_round_trip_on_all_examples():
     for name, G in standard_groupoids().items():
-        if name == "pair3":
-            continue
         S, biss, A, R, B = regular_setup(G, TwoCocycle.trivial(G))
         pi = to_bundle_rep(R, B)
         ok, bad = verify_representation(pi, B)

@@ -16,9 +16,10 @@ zero tolerance; exponents are int64 while every sum of four of them fits,
 and Python integers beyond.  The omega mapping is a read-only view.
 
 The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
-inclusion order: [s, x] = [t, x] for s <= t.  Its coordinates are exponents
-mod N of the inclusion scalars of the action's bundle, conj(omega(t, s*s)),
-which turn s-coordinates into t-coordinates.
+inclusion order.  Its closed form is index arithmetic: with e_x the product
+of the idempotents whose carriers hold x, [s, x] = [t, x] exactly when
+s e_x = t e_x, and a coordinate is a difference of two inclusion scalars
+conj(omega(t, s*s)) of the action's bundle, gathered as exponents mod N.
 """
 
 from __future__ import annotations
@@ -603,184 +604,150 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
 # germ groupoid
 
 class GermGroupoid:
-    """Germs [t, x] of a twisted action: the pairs (t, x) with x in U(t*t)
-    modulo the natural order, [s, x] = [t, x] for s <= t.
+    """Germs [t, x] of a twisted action: the pairs (t, x), x in U(t*t),
+    modulo [s, x] = [t, x] for s <= t.  With e_x the product of the
+    idempotents whose carriers hold x, (s, x) and (t, x) are one germ
+    exactly when s e_x = t e_x, and m = t e_x is its least member.
 
-    In the bundle, j(t, s) turns s-coordinates at x into t-coordinates by
-    the inclusion scalar conj(omega(t, s*s)) at theta_s(x), an exponent mod
-    A.N; a needed scalar that is not an Angle raises ActionError.  A
-    weighted union-find over these edges yields the classes and, for every
-    pair, coords[(t, x)]: the exponent of the scalar turning t-coordinates
-    at x into those of the class's canonical representative (idempotents
-    first, then the smallest index), which coord(t, x) reads as an Angle.
-    An edge that closes a cycle with a different scalar is recorded as a
-    "transition" violation.
-
-    Arrows are indices into `germs`; each germ records its canonical
-    representative (t, x), source x, range theta_t(x), and all
-    representatives.  Composition follows the action: [s, y][t, x] =
-    [st, x] when y = theta_t(x).
+    The state is arrays over elements and point indices: of[t, x], the germ
+    of a pair (-1 off the pairs), numbered by first pair, t first, and
+    K[t, x], its coordinate; per germ, reps, src_i and rng_i: the canonical
+    representative (r, x), the first pair with r idempotent or else the
+    first pair, and theta_r(x).  As conj(omega(t, s*s)) at theta_s(x) turns
+    s- into t-coordinates, K[t, x] (t- into r-coordinates) is omega(t, m*m)
+    conj(omega(r, m*m)) at theta_m(x), an exponent mod A.N.  An edge s < t
+    whose scalar disagrees with K is a "transition" violation; a needed
+    scalar that is not an Angle raises ActionError.  [s, y][t, x] = [st, x]
+    when y = theta_t(x); `table` holds every product.
     """
 
     def __init__(self, A: TwistedAction):
-        self.A, self.N = A, A.N
-        S, F, N = A.S, A.frame, A.N
-        dom = {t: A.U[S.mul(S.inv[t], t)] for t in S.elements()}
-        pairs = [(t, x) for t in S.elements() for x in dom[t]]
-        # p -> (q, c): exponent c turns p-coordinates into q-coordinates
-        parent = {p: (p, 0) for p in pairs}
+        F, W, N = A.frame, A.W, A.N
+        T, ar = F.T, np.arange(F.n)
+        ex = np.full(F.m, -1, dtype=np.intp)
+        for e in F.idem.tolist():
+            ex = np.where(F.U[e], np.where(ex < 0, e, T[e, ex]), ex)
+        dom = F.U[T[F.inv, ar]]
+        t, x = np.nonzero(dom)
+        m = T[t, ex[x]]
+        _, first, cls = np.unique(m * F.m + x, return_index=True, return_inverse=True)
+        g = np.argsort(np.argsort(first))[cls.reshape(-1)]  # classes ranked by first pair
+        by_germ = np.lexsort((T[t, t] != t, g))  # idempotents first, then pair order
+        rep = by_germ[np.unique(g[by_germ], return_index=True)[1]]
+        self.A, self.N, self.reps, self.src_i = A, N, t[rep], x[rep]
+        self.rng_i = F.th[self.reps, self.src_i]
+        self.of = np.full((F.n, F.m), -1, dtype=np.intp)
+        self.of[t, x] = g
 
-        def find(p):
-            path = []
-            while parent[p][0] != p:
-                path.append(p)
-                p = parent[p][0]
-            c = 0
-            for q in reversed(path):
-                c = (parent[q][1] + c) % N
-                parent[q] = (p, c)
-            return p, c
-
-        lo, hi = np.nonzero(F.leq)
-        edges = [(s, t, x) for s, t in zip(lo.tolist(), hi.tolist()) if s != t
-                 for x in dom[s] & dom[t]]
-        s, t, y = (np.array(c, dtype=np.intp).reshape(-1) for c in (
-            [s for s, _, _ in edges], [t for _, t, _ in edges],
-            [F.index[A.theta[s](x)] for s, _, x in edges]))
-        e = F.T[F.inv[s], s]
-        k = A.W[t, e, y]
+        lo, hi = np.nonzero(F.leq & (ar[:, None] != ar))
+        i, xe = np.nonzero(dom[lo] & dom[hi])  # the edges lo[i] < hi[i] at xe
+        s, u = lo[i], hi[i]
+        e, y = T[F.inv[s], s], F.th[s, xe]
+        k = W[u, e, y]
         if (k < 0).any():
-            i = first_true(k < 0)[0]
-            raise A._bad_value(t[i], e[i], F.points[y[i]], "is not an angle")
-
-        self.conflicts = []
-        for (s, t, x), c in zip(edges, (-k % N).tolist()):
-            (rp, a), (rq, b) = find((s, x)), find((t, x))
-            if rp != rq:
-                parent[rp] = (rq, (c + b - a) % N)
-            elif a != (c + b) % N:
-                self.conflicts.append(("transition", (s, t, x)))
-
-        classes = {}
-        for p in pairs:
-            classes.setdefault(find(p)[0], []).append(p)
-        self.germs = []
-        self.of_pair = {}
-        self.coords = {}
-        for members in classes.values():
-            rep = min(members, key=lambda p: (not S.is_idempotent(p[0]), p[0]))
-            back = find(rep)[1]
-            gid = len(self.germs)
-            self.germs.append({
-                "rep": rep,
-                "src": rep[1],
-                "rng": A.theta[rep[0]](rep[1]),
-                "members": sorted(members),
-            })
-            for p in members:
-                self.of_pair[p] = gid
-                self.coords[p] = (find(p)[1] - back) % N
+            j = first_true(k < 0)[0]
+            raise A._bad_value(u[j], e[j], F.points[y[j]], "is not an angle")
+        mm, y, r = T[F.inv[m], m], F.th[m, x], self.reps[g]  # (m, m) is no edge: its factor is one
+        self.K = np.zeros((F.n, F.m), dtype=W.dtype)
+        self.K[t, x] = (np.where(t == m, 0, W[t, mm, y]) - np.where(r == m, 0, W[r, mm, y])) % N
+        bad = (self.K[s, xe] + k - self.K[u, xe]) % N != 0
+        self.conflicts = [("transition", (s, t, F.points[x])) for s, t, x in
+                          zip(s[bad].tolist(), u[bad].tolist(), xe[bad].tolist())]
 
     @property
     def arrow_count(self) -> int:
-        return len(self.germs)
+        return len(self.reps)
 
     def germ(self, t: int, x) -> int:
-        return self.of_pair[(t, x)]
+        """The germ of the pair (t, x); KeyError if it is no pair."""
+        if (g := int(self.of[t, self.A.frame.index[x]])) < 0:
+            raise KeyError((t, x))
+        return g
 
     def coord(self, t: int, x) -> Angle:
         """The scalar turning t-coordinates at x into those of the canonical
         representative of the germ [t, x]."""
-        return Angle(Fraction(self.coords[(t, x)], self.N))
+        self.germ(t, x)
+        return Angle(Fraction(int(self.K[t, self.A.frame.index[x]]), self.N))
 
     def src(self, g: int):
-        return self.germs[g]["src"]
+        return self.A.frame.points[self.src_i[g]]
 
     def rng(self, g: int):
-        return self.germs[g]["rng"]
+        return self.A.frame.points[self.rng_i[g]]
 
     def rep(self, g: int):
-        return self.germs[g]["rep"]
+        return int(self.reps[g]), self.src(g)
 
     def is_unit(self, g: int) -> bool:
-        t, x = self.germs[g]["rep"]
-        return self.A.S.is_idempotent(t)
+        return self.A.S.is_idempotent(int(self.reps[g]))
 
     def compose(self, g: int, h: int) -> int:
-        sg, y = self.germs[g]["rep"]
-        th, x = self.germs[h]["rep"]
-        if self.rng(h) != self.src(g):
+        if self.rng_i[h] != self.src_i[g]:
             raise ActionError("germs not composable")
-        return self.of_pair[(self.A.S.mul(sg, th), x)]
+        return int(self.table[g, h])
 
     def inverse(self, g: int) -> int:
-        t, x = self.germs[g]["rep"]
-        return self.of_pair[(self.A.S.inv[t], self.A.theta[t](x))]
+        return int(self.of[self.A.frame.inv[self.reps[g]], self.rng_i[g]])
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """[g, h]: the germ gh, -1 where rng(h) is not src(g)."""
+        r, F = self.reps, self.A.frame
+        return np.where(self.rng_i == self.src_i[:, None], self.of[F.T[r[:, None], r], self.src_i], -1)
 
     def verify(self):
         """The laws of the quotient groupoid (inverses and composition of
-        endpoints) plus the cycle conflicts of the coordinates.
-
-        It does not check the action: it assumes one that passes
-        verify_twisted_action, and a non-action, such as an action with one
-        omega value changed, can pass it.  Run verify_twisted_action first,
-        as the CLI's action germs does."""
-        bad = []
-        for g in range(self.arrow_count):
-            gi = self.inverse(g)
-            if self.src(gi) != self.rng(g) or self.rng(gi) != self.src(g):
-                bad.append(("inverse-endpoints", g))
-            unit = self.compose(g, self.inverse(g))
-            if not self.is_unit(unit) or self.src(unit) != self.rng(g):
-                bad.append(("inverse-law", g))
-        for g in range(self.arrow_count):
-            for h in range(self.arrow_count):
-                if self.rng(h) != self.src(g):
-                    continue
-                gh = self.compose(g, h)
-                if self.src(gh) != self.src(h) or self.rng(gh) != self.rng(g):
-                    bad.append(("composition-endpoints", (g, h)))
+        endpoints) plus the transition conflicts.  It assumes an action that
+        passes verify_twisted_action, as the CLI's action germs checks
+        first: a non-action, such as one with an omega value changed, can
+        pass it."""
+        F, r, src, rng = self.A.frame, self.reps, self.src_i, self.rng_i
+        inv = self.of[F.inv[r], rng]
+        unit = self.table[np.arange(len(r)), inv]
+        ends = (inv < 0) | (src[inv] != rng) | (rng[inv] != src)
+        law = (unit < 0) | (F.T[r[unit], r[unit]] != r[unit]) | (src[unit] != rng)
+        bad = [(tag, g) for g in np.flatnonzero(ends | law).tolist()
+               for tag, v in (("inverse-endpoints", ends), ("inverse-law", law)) if v[g]]
+        gh = self.table
+        wrong = (gh >= 0) & ((src[gh] != src) | (rng[gh] != rng[:, None]))
+        bad += [("composition-endpoints", p) for p in zip(*(a.tolist() for a in np.nonzero(wrong)))]
         bad += self.conflicts
         return not bad, bad
 
 
-def germ_groupoid(A: TwistedAction) -> GermGroupoid:
-    return GermGroupoid(A)
+germ_groupoid = GermGroupoid
 
 
-def germ_map_check(G: GermGroupoid, image, count: int, src, rng, compose):
-    """Whether the map sending each representative (t, x) of a germ of G to
-    image(t, x), an arrow of a groupoid with `count` arrows, endpoints
-    src/rng and product compose, is well defined on germs, bijective, and
-    preserves endpoints and composition.  Returns (True, mapping from
-    germs to arrows) or (False, counterexample)."""
-    mapping = {}
-    for g, info in enumerate(G.germs):
-        images = {image(t, x) for (t, x) in info["members"]}
-        if len(images) != 1:
-            return False, ("not-well-defined", g, sorted(images))
-        mapping[g] = images.pop()
-    if len(set(mapping.values())) != G.arrow_count or G.arrow_count != count:
-        return False, ("arrow-count", G.arrow_count, count)
-    for g in range(G.arrow_count):
-        a = mapping[g]
-        if src(a) != G.src(g) or rng(a) != G.rng(g):
-            return False, ("endpoints", g)
-        for h in range(G.arrow_count):
-            if G.rng(h) == G.src(g) and mapping[G.compose(g, h)] != compose(a, mapping[h]):
-                return False, ("composition", (g, h))
-    return True, mapping
+def germ_map_check(G: GermGroupoid, image, src, rng, mul):
+    """Whether the map sending each pair (t, x) of G to the arrow
+    image[t, x] is well defined on germs, bijective onto the arrows of a
+    groupoid, and preserves endpoints and composition.  The groupoid is
+    its arrays: src and rng, its arrows' endpoints as indices of G's
+    points, and mul, [a, b] the arrow ab or -1.  Returns (True, mapping
+    from germs to arrows) or (False, counterexample)."""
+    to = image[G.reps, G.src_i]  # each representative's image
+    t, x = np.nonzero(G.of >= 0)
+    if (split := image[t, x] != to[G.of[t, x]]).any():
+        g = int(G.of[t, x][split].min())
+        return False, ("not-well-defined", g, sorted(set(image[G.of == g].tolist())))
+    if len(np.unique(to)) != G.arrow_count or G.arrow_count != len(src):
+        return False, ("arrow-count", G.arrow_count, len(src))
+    if (ends := (src[to] != G.src_i) | (rng[to] != G.rng_i)).any():
+        return False, ("endpoints", first_true(ends)[0])
+    if (wrong := (G.table >= 0) & (to[G.table] != mul[to[:, None], to])).any():
+        return False, ("composition", first_true(wrong))
+    return True, dict(enumerate(to.tolist()))
 
 
 def siebenize(A: TwistedAction):
     """A gauge chi, trivial on idempotents, whose transform satisfies the
     Sieben condition: per germ, adopt the canonical representative's
     coordinate and convert every other representative to it."""
-    G = GermGroupoid(A)
-    S, N = A.S, G.N
-    chi = {}
-    for s in S.elements():
-        vals = {A.theta[s](x): Angle(Fraction(-G.coords[(s, x)] % N, N))
-                for x in A.U[S.mul(S.inv[s], s)]}
-        chi[s] = CFunction(A.carrier(s), vals)
+    G, F, N, angles = GermGroupoid(A), A.frame, A.N, {}
+    t, x = np.nonzero(G.of >= 0)
+    vals = [{} for _ in range(F.n)]  # chi_t at theta_t(x): the inverse coordinate
+    for t, y, k in zip(t.tolist(), F.th[t, x].tolist(), (-G.K[t, x] % N).tolist()):
+        vals[t][F.points[y]] = angles.get(k) or angles.setdefault(k, Angle(Fraction(k, N)))
+    chi = {s: CFunction(A.carrier(s), vals[s]) for s in A.S.elements()}
     return chi, gauge_transform(A, chi)

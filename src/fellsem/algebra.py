@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.action import GermGroupoid, TwistedAction, _exponent_dtype
+from fellsem.action import GermGroupoid, TwistedAction
 from fellsem.bundle import Bundle, SectionBundle
 from fellsem.isg import first_true, verify_inverse_semigroup
 
@@ -63,45 +63,33 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     the coordinates' exponents, both mod A.N; a needed omega value that is
     not an Angle raises ActionError.
     """
-    G, S, F = germs or GermGroupoid(A), A.S, A.frame
-    n, index = G.arrow_count, F.index
-    rows, stars, at, star_at = [], [], [], []  # where each scalar's omega is read, and its coordinate
-    for g in range(n):
-        sg, x = G.rep(g)
-        for h in range(n):
-            if G.rng(h) == G.src(g):
-                th, xh = G.rep(h)
-                st = S.mul(sg, th)
-                rows.append((g, h, G.germ(st, xh)))
-                at.append((sg, th, index[A.theta[st](xh)], G.coords[(st, xh)]))
-        y, sgs = A.theta[sg](x), S.inv[sg]
-        stars.append((g, G.germ(sgs, y)))
-        star_at.append((sgs, sg, index[x], G.coords[(sgs, y)]))  # conjugated below
-    m, N, at = len(rows), A.N, at + star_at
-    s, t, y = (np.array([a[i] for a in at], dtype=np.intp) for i in range(3))
-    c = np.array([a[3] for a in at], dtype=_exponent_dtype(N))
+    G, F, N = germs or GermGroupoid(A), A.frame, A.N
+    r, src, rng = G.reps, G.src_i, G.rng_i
+    g, h = np.nonzero(G.table >= 0)
+    k, st = G.table[g, h], F.T[r[g], r[h]]
+    ri = F.inv[r]
+    # each scalar's omega and coordinate: the rows', then the stars' (conjugated)
+    s, t = np.concatenate([r[g], ri]), np.concatenate([r[h], r])
+    y = np.concatenate([F.th[st, src[h]], src])
+    c = np.concatenate([G.K[st, src[h]], G.K[ri, rng]])
     w = A.W[s, t, y]
     if (w < 0).any():
         i = first_true(w < 0)[0]
         raise A._bad_value(s[i], t[i], F.points[y[i]], "is not an angle")
-    E = (np.where(np.arange(len(at)) < m, w, -w) + c) % N
-    g, h, k = np.array(rows, dtype=np.intp).reshape(-1, 3).T
-    gs, ks = np.array(stars, dtype=np.intp).reshape(-1, 2).T
-    zero = np.zeros(n, dtype=np.intp)
-    return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], None), (zero[gs], gs, ks, E[m:], None),
-                  (zero, np.arange(n), np.arange(n), zero, None), "germ", A=A, germs=G)
+    m, n = len(g), G.arrow_count
+    E = (np.where(np.arange(len(s)) < m, w, -w) + c) % N
+    zero, ar = np.zeros(n, dtype=np.intp), np.arange(n)
+    return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], None), (zero, ar, G.of[ri, rng], E[m:], None),
+                  (zero, ar, ar, zero, None), "germ", A=A, germs=G)
 
 
 def _gns_rep(alg: Bundle, L):
     """Left regular matrices in coordinates where the trace form is the
     standard inner product, making them a *-representation."""
-    n = len(L)
-    basis = np.eye(n, dtype=complex)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        li_star = np.tensordot(star_vector(alg, basis[i]), L, 1)
-        for j in range(n):
-            gram[i, j] = np.trace(li_star @ L[j])
+    n, (_, i, k) = len(L), alg.stars[:3]
+    star = np.zeros((n, n), dtype=complex)  # row i: the adjoint of the i-th basis element
+    np.add.at(star, (i, k), alg.values[1])
+    gram = np.einsum("iab,jba->ij", np.tensordot(star, L, 1), L)  # [i, j]: tr(L_i* L_j)
     gram = (gram + gram.conj().T) / 2
     try:
         low = np.linalg.cholesky(gram)
@@ -133,34 +121,21 @@ def block_decompose(alg: Bundle, tol: float = 1e-6, rng=None, attempts: int = 8)
     import random as _random
     rng = rng or _random.Random(0)
     L = left_regular(alg)
-    n = len(L)
     pis = _gns_rep(alg, L)
     center = _center_basis(L)
     if not center:
         raise NotSemisimpleDetected("algebra has trivial center and nonzero dimension")
     for _ in range(attempts):
-        coeffs = np.zeros(n, dtype=complex)
-        for c in center:
-            coeffs += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * c
+        coeffs = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * c for c in center)
         coeffs = coeffs + star_vector(alg, coeffs)
-        Z = sum(coeffs[i] * pis[i] for i in range(n))
+        Z = sum(c * pi for c, pi in zip(coeffs, pis))
         Z = (Z + Z.conj().T) / 2
         eig = np.linalg.eigvalsh(Z)
         scale = max(1.0, float(np.max(np.abs(eig))))
-        clusters = []
-        for v in eig:
-            if clusters and abs(v - clusters[-1][-1]) <= tol * scale:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-        dims = []
-        ok = True
-        for cl in clusters:
-            d = int(round(len(cl) ** 0.5))
-            if d * d != len(cl):
-                ok = False
-                break
-            dims.append(d)
-        if ok:
-            return sorted(dims)
+        # eigvalsh sorts: a cluster ends where the next eigenvalue is farther
+        cuts = np.flatnonzero(np.diff(eig) > tol * scale) + 1
+        sizes = np.diff(cuts, prepend=0, append=len(eig))
+        dims = np.rint(np.sqrt(sizes)).astype(int)
+        if (dims * dims == sizes).all():
+            return sorted(dims.tolist())
     raise NotSemisimpleDetected("eigenvalue multiplicities are not perfect squares")

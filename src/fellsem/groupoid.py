@@ -532,6 +532,6 @@ def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wi
     bisection s with source x.  Returns (ok, mapping or counterexample).
     """
     A = action_from_cocycle(G, tau, S, bisections, wide)
-    return germ_map_check(germ_groupoid(A),
-                          lambda t, x: [a for a in bisections[t] if G.src[a] == x][0],
-                          G.m, lambda a: G.src[a], lambda a: G.rng[a], G.mul)
+    # the action's points are G's objects, numbered as G numbers them
+    return germ_map_check(germ_groupoid(A), _by_source(G, [bisections[s] for s in S.elements()]),
+                          G.src_i, G.rng_i, G.mul_table)

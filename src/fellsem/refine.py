@@ -201,10 +201,6 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 # preservation of germ data and algebras
 
-def _germ_groupoid(bundle):
-    return germ_groupoid(extract_action(bundle, canonical_multipliers(bundle)))
-
-
 def germ_preservation_check(m: BundleMorphism):
     """The germ map [t, x] -> [phi(t), x] between the germ groupoids of the
     refined and base bundles: well-defined, bijective, structure-preserving.
@@ -213,9 +209,11 @@ def germ_preservation_check(m: BundleMorphism):
     for bundle, name in ((B, "refined"), (A, "base")):
         if not classify_bundle(bundle)["saturated"]:
             raise NotSaturated(f"{name} bundle is not saturated")
-    GB, GA = _germ_groupoid(B), _germ_groupoid(A)
-    ok, mapping = germ_map_check(GB, lambda t, x: GA.germ(m.phi(t), x), GA.arrow_count,
-                                 GA.src, GA.rng, GA.compose)
+    GB, GA = (germ_groupoid(extract_action(b, canonical_multipliers(b))) for b in (B, A))
+    # both actions have A's points, as every full fiber of A is one of B
+    if GB.A.frame.points != GA.A.frame.points:
+        raise ValueError("the refined and base actions have different points")
+    ok, mapping = germ_map_check(GB, GA.of[m.phi.map], GA.src_i, GA.rng_i, GA.table)
     return ok, mapping, (GB, GA)
 
 
@@ -240,7 +238,7 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
 
     # transport: the refined basis element g corresponds to d_g times the
     # base basis element, d_g the base-side coordinate at the germ
-    d = turns([GA.coords[(m.phi(t), x)] for t, x in map(GB.rep, range(GB.arrow_count))], GA.N)
+    d = turns(GA.K[np.asarray(m.phi.map)[GB.reps], GB.src_i], GA.N)
     to_a = np.array([mapping[g] for g in range(GB.arrow_count)], dtype=np.intp).reshape(-1)
     LA = algA.lookup(exact=False)
     (_, g, h, k, _, _), (_, x, z, _, _) = algB.products, algB.stars

@@ -65,13 +65,17 @@ def test_germ_groupoid_of_full_i2(full_i2):
 
 
 def test_germ_groupoid_identifies_restrictions(five):
-    # s and its restriction s|s*s have the same germ everywhere
+    # s and its restriction s|s*s have the same germ everywhere, and a
+    # point outside U(s*s) makes no pair
     G = germ_groupoid(five)
     S = five.S
     for s in S.elements():
         e = S.mul(S.inv[s], s)
         for x in five.U[e]:
             assert G.germ(s, x) == G.germ(S.mul(s, e), x)
+        for x in set(five.X) - five.U[e]:
+            with pytest.raises(KeyError):
+                G.coord(s, x)
 
 
 def test_gauge_can_break_coherence_and_siebenize_restores_it(full_i2):
@@ -114,8 +118,11 @@ def test_gauge_preserves_germ_classes(five, rng):
     gauged = gauge_transform(five, chi)
     G1, G2 = germ_groupoid(five), germ_groupoid(gauged)
     assert G1.arrow_count == G2.arrow_count
-    for g in range(G1.arrow_count):
-        assert G1.germs[g]["members"] == G2.germs[g]["members"]
+    S = five.S
+    for t in S.elements():
+        for x in five.U[S.mul(S.inv[t], t)]:
+            assert G1.germ(t, x) == G2.germ(t, x)
+            assert G1.rep(G1.germ(t, x)) == G2.rep(G2.germ(t, x))
 
 
 def test_corrupted_inclusion_scalar_is_a_transition_conflict():
@@ -133,6 +140,25 @@ def test_corrupted_inclusion_scalar_is_a_transition_conflict():
     ok, bad = germ_groupoid(bad_action).verify()
     assert not ok and {tag for tag, _ in bad} == {"transition"}, bad
     assert not verify_twisted_action(bad_action)[0]
+
+
+def test_a_unit_violation_is_no_transition_conflict():
+    # omega(s, s*s) is no inclusion scalar: an action that breaks only the
+    # unit axiom there keeps its germs and coordinates, and the germ
+    # groupoid's verify finds nothing
+    A = full_monoid_action(3)
+    S = A.S
+    s = next(a for a in S.elements() if not S.is_idempotent(a))
+    e = S.mul(S.inv[s], s)
+    w = A.omega[(s, e)]
+    omega = {**A.omega, (s, e): CFunction(w.carrier, {**w.values, min(w.carrier): Angle("1/3")})}
+    bad_action = TwistedAction(S, A.X, A.U, A.theta, omega)
+    assert not verify_twisted_action(bad_action)[0]
+    G, H = germ_groupoid(A), germ_groupoid(bad_action)
+    assert H.verify() == (True, [])
+    for t in S.elements():
+        for x in A.U[S.mul(S.inv[t], t)]:
+            assert (H.germ(t, x), H.coord(t, x)) == (G.germ(t, x), G.coord(t, x))
 
 
 def test_json_round_trip(busby):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ import pytest
 from fellsem.algebra import (NotSemisimpleDetected, block_decompose, convolution_algebra,
                              germ_algebra, left_regular, star_vector)
 from fellsem.angles import Angle, as_complex
-from fellsem.action import gauge_transform, germ_groupoid, siebenize
+from fellsem.action import (TwistedAction, gauge_transform, germ_groupoid, siebenize,
+                            verify_consequences, verify_twisted_action, widen)
 from fellsem.bundle import SectionBundle, canonical_multipliers, extract_action
-from fellsem.generators import cocycle_action, corpus, full_monoid_action, random_gauge
+from fellsem.generators import (cocycle_action, corpus, full_monoid_action, random_gauge,
+                               untwisted_action)
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, coboundary_cocycles,
                               cyclic_group, enumerate_cocycles, pair_groupoid,
                               transitive_z2_groupoid, z2_nontrivial_cocycle)
+from fellsem.isg import verify_inverse_semigroup
 from fellsem.partial_maps import CFunction
 from fellsem.refine import saturated_refinement
 
@@ -219,12 +223,14 @@ class ReferenceGermGroupoid:
     idempotent e with x in U(e), found by a scan over every pair, later
     element and idempotent; coordinates change by the transition scalar
     omega(t, e)(y) conj(omega(t2, e)(y)) at y = theta_t(x) for the first
-    such e."""
+    such e.  Germs are numbered by their first pair, t first and then the
+    point in the action's point order."""
 
     def __init__(self, A):
         self.A = A
         S = A.S
-        pairs = [(t, x) for t in S.elements() for x in A.U[S.mul(S.inv[t], t)]]
+        pairs = [(t, x) for t in S.elements()
+                 for x in sorted(A.U[S.mul(S.inv[t], t)], key=A.frame.index.get)]
         parent = {p: p for p in pairs}
 
         def find(p):
@@ -319,13 +325,22 @@ def germ_parity_actions():
     return actions
 
 
+def assert_same_germs(G, R):
+    """Every pair's germ number and coordinate, and every germ's
+    representative and endpoints, as the reference has them."""
+    assert G.arrow_count == len(R.germs)
+    assert [(G.rep(g), G.src(g), G.rng(g)) for g in range(G.arrow_count)] == \
+        [(R.rep(g), R.src(g), R.rng(g)) for g in range(len(R.germs))]
+    for (t, x) in R.of_pair:
+        assert G.germ(t, x) == R.germ(t, x), (t, x)
+        assert G.coord(t, x) == R.coord(t, x), (t, x)
+    assert int((G.of >= 0).sum()) == len(R.of_pair)
+
+
 def test_germ_quotient_matches_the_reference_germs():
     for A in germ_parity_actions():
         G, R = germ_groupoid(A), ReferenceGermGroupoid(A)
-        assert G.germs == R.germs
-        assert G.of_pair == R.of_pair
-        for (t, x) in G.of_pair:
-            assert G.coord(t, x) == R.coord(t, x), (t, x)
+        assert_same_germs(G, R)
         alg = germ_algebra(A, G)
         T = tables(alg)
         assert (T.products[(0, 0)], T.stars[0]) == reference_germ_tables(A, R)
@@ -336,6 +351,64 @@ def test_germ_quotient_matches_the_reference_germs():
                                           for x in A.U[S.mul(S.inv[s], s)]})
             assert chi[s].equals(ref)
         assert fixed.equals(gauge_transform(A, chi))
+
+
+def test_germs_of_a_non_faithful_action_match_the_reference():
+    # S = {z, 1}, z a zero, acting as the identity on two points: the two
+    # idempotents share one carrier, so e_x is their product z, while the
+    # idempotent with the smallest carrier could be either.  Z/2 with a zero
+    # acting trivially on one point has one germ, whose first pair (g, 0)
+    # is not idempotent: its representative is (1, 0)
+    cases = [(["z", "1"], [[0, 0], [0, 1]], {0: 0, 1: 1}, [1, 1]),
+             (["1", "z"], [[0, 1], [1, 1]], {0: 0, 1: 1}, [1, 1]),
+             (["g", "1", "z"], [[1, 0, 2], [0, 1, 2], [2, 2, 2]], {0: 0}, [1])]
+    for labels, table, identity, blocks in cases:
+        S = verify_inverse_semigroup(table, labels=labels)
+        A = untwisted_action(S, [identity] * S.n)
+        assert verify_twisted_action(A)[0] and verify_consequences(A)[0]
+        G, R = germ_groupoid(A), ReferenceGermGroupoid(A)
+        assert G.arrow_count == len(blocks)
+        assert_same_germs(G, R)
+        assert G.verify() == (True, [])
+        alg = germ_algebra(A, G)
+        assert block_decompose(alg) == blocks
+        T = tables(alg)
+        assert (T.products[(0, 0)], T.stars[0]) == reference_germ_tables(A, R)
+    assert G.rep(0) == (1, 0)
+
+
+def reference_transition_conflicts(A):
+    """The edges s < t at x, x in U(s*s), whose inclusion scalar
+    conj(omega(t, s*s)) at theta_s(x) is not the reference transition."""
+    S, R, out = A.S, ReferenceGermGroupoid(A), []
+    for s in S.elements():
+        e = S.mul(S.inv[s], s)
+        for t in S.elements():
+            if t != s and S.leq(s, t):
+                out += [(s, t, x) for x in A.U[e] if R.transition(s, t, x) != scalar_conj(
+                    ref_omega_at(A, t, e, A.theta[s](x)))]
+    return out
+
+
+def test_every_corrupted_inclusion_scalar_meets_the_reference_verdict():
+    # each inclusion slot W[t, s*s, theta_s(x)], s < t, of I_3 and of a gauge
+    # of it shifted by 1/3 in turn
+    I3 = full_monoid_action(3)
+    checked = 0
+    for A in (I3, gauge_transform(I3, random_gauge(I3, random.Random(3)))):
+        assert germ_groupoid(A).verify()[0] and not reference_transition_conflicts(A)
+        F, N = A.frame, lcm(A.N, 3)
+        for s, t in zip(*np.nonzero(F.leq & ~np.eye(F.n, dtype=bool))):
+            e = F.T[F.inv[s], s]
+            for x in np.flatnonzero(F.U[e]):
+                W = widen(A.W, A.N, N).copy()
+                W[t, e, F.th[s, x]] += N // 3
+                M = TwistedAction.from_exponents(F, N, W % N)
+                ok, bad = germ_groupoid(M).verify()
+                assert {tag for tag, _ in bad} <= {"transition"}
+                assert ok == (not reference_transition_conflicts(M)), (s, t, x)
+                checked += 1
+    assert checked == 180
 
 
 def parity_cases():

@@ -1,5 +1,7 @@
 """Finite groupoids, bisections and circle 2-cocycles."""
 
+import numpy as np
+
 from fellsem.angles import Angle
 from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
                               all_bisections, bisection_semigroup, coboundary_cocycles,
@@ -95,17 +97,57 @@ def test_germ_recovery_on_groups_and_pairs():
         assert len(set(mapping.values())) == G.m
 
 
-def test_germ_map_check_rejects_a_map_joining_two_germs():
+def _pair2_germ_map():
+    """The germ groupoid of the trivially twisted pair groupoid on two
+    points, the arrays of its recovering map and of the groupoid, and the
+    map's germ-to-arrow mapping."""
     G = pair_groupoid([0, 1])
     S, biss, wide = bisection_semigroup(G)
     GG = germ_groupoid(action_from_cocycle(G, TwoCocycle.trivial(G), S, biss, wide))
     ok, mapping = germ_recovers_groupoid(G, TwoCocycle.trivial(G), S, biss, wide)
     assert ok
+    image = np.array([*mapping.values(), -1])[GG.of]
+    return GG, image, G, mapping
+
+
+def test_germ_map_check_rejects_a_map_joining_two_germs():
+    GG, image, G, mapping = _pair2_germ_map()
     # send the germs 0 and 1 to the arrow of germ 0
-    arrow = {**mapping, 1: mapping[0]}
-    ok, detail = germ_map_check(GG, lambda t, x: arrow[GG.germ(t, x)], G.m,
-                                lambda a: G.src[a], lambda a: G.rng[a], G.mul)
+    joined = np.where(GG.of == 1, mapping[0], image)
+    ok, detail = germ_map_check(GG, joined, G.src_i, G.rng_i, G.mul_table)
     assert ok is False and detail == ("arrow-count", GG.arrow_count, G.m)
+
+
+def test_germ_map_check_rejects_a_map_splitting_a_germ():
+    GG, image, G, mapping = _pair2_germ_map()
+    # the two members of one germ sent to different arrows
+    g = int(np.argmax(np.bincount(GG.of[GG.of >= 0]) >= 2))
+    t, x = np.argwhere(GG.of == g)[0]
+    assert int((GG.of == g).sum()) >= 2
+    other = next(a for a in G.arrows() if a != mapping[g])
+    split = image.copy()
+    split[t, x] = other
+    ok, detail = germ_map_check(GG, split, G.src_i, G.rng_i, G.mul_table)
+    assert ok is False and detail == ("not-well-defined", g, sorted({mapping[g], other}))
+
+
+def test_germ_map_check_rejects_moved_endpoints():
+    GG, image, G, _ = _pair2_germ_map()
+    shifted = (G.src_i + 1) % len(G.objects)
+    ok, detail = germ_map_check(GG, image, shifted, G.rng_i, G.mul_table)
+    assert ok is False and detail == ("endpoints", 0)
+
+
+def test_germ_map_check_rejects_a_wrong_product():
+    GG, image, G, mapping = _pair2_germ_map()
+    # swap two non-unit arrows in every product that yields either
+    a, b = (a for a in G.arrows() if not G.is_unit(a))
+    mul = G.mul_table.copy()
+    mul[G.mul_table == a], mul[G.mul_table == b] = b, a
+    ok, detail = germ_map_check(GG, image, G.src_i, G.rng_i, mul)
+    g, h = next((g, h) for g in range(GG.arrow_count) for h in range(GG.arrow_count)
+                if GG.rng(h) == GG.src(g) and G.mul_table[mapping[g], mapping[h]] in (a, b))
+    assert ok is False and detail == ("composition", (g, h))
 
 
 def test_groupoid_json_round_trip():

@@ -13,7 +13,10 @@ mask, theta as index arrays) and the omega exponents W[s, t, x], with a
 complex array V only where a value is not an Angle, as a Bundle's rows
 hold scalars.  The checks are gathers and comparisons on these arrays, with
 zero tolerance; exponents are int64 while every sum of four of them fits,
-and Python integers beyond.  The omega mapping is a read-only view.
+and Python integers beyond.  The omega mapping is a read-only view.  A
+gauge chi is exponents too: (N, C), C[s, x] the exponent of chi_s at the
+frame's point x, OUTSIDE off the fiber carriers, as random_gauge and
+siebenize make it and gauge_transform reads it.
 
 The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
 inclusion order.  Its closed form is index arithmetic: with e_x the product
@@ -540,50 +543,22 @@ def check_sieben(A: TwistedAction):
     return not bad, bad
 
 
-def _gauge_exponents(A: TwistedAction, chi):
-    """chi as an n x m array of exponents mod its own N: zero (the value
-    one) for elements chi has no entry for, -1 where an entry has no value."""
-    F = A.frame
-    given, rows, cols, fracs = [], [], [], []
-    for s in A.S.elements():
-        f = chi.get(s)
-        if f is None:
-            continue
-        given.append(s)
-        for x, v in f.values.items():
-            if x in F.index and not v == 0:
-                rows.append(s)
-                cols.append(F.index[x])
-                fracs.append(as_angle(v).frac)
-    N, K = exponents(fracs)
-    C = np.zeros((F.n, F.m), dtype=K.dtype)
-    C[given] = -1
-    C[rows, cols] = K
-    return C, N
-
-
 def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
     """Rescale the implicit unitary family by chi:
     omega'(s, t)(y) = chi_s(y) chi_t(theta_s^{-1} y) conj(chi_st(y)) omega(s, t)(y).
 
-    chi maps elements to unit-modulus Angle-valued functions on the fiber
-    carriers U(ss*); missing entries default to the constant one.  chi must
-    be constant one on idempotents.  The result holds exponent arrays.
+    chi is (N, C), C[s, x] the exponent mod N of chi_s at the frame's point
+    x, OUTSIDE where it has no value; it must have one on U(ss*) and be one
+    on idempotents.  The result holds exponent arrays.
     """
-    S = A.S
-    for e in S.idem:
-        f = chi.get(e)
-        if f is not None:
-            for x in f.carrier:
-                if not as_angle(f(x)).is_one:
-                    raise GaugeNotUnitAtIdempotent(S.label(e))
-
-    F = A.frame
+    S, F = A.S, A.frame
+    Nc, C = chi
+    if (bad := (C[F.idem] > 0).any(axis=1)).any():
+        raise GaugeNotUnitAtIdempotent(S.label(F.idem[first_true(bad)[0]]))
     odd = A.W == NOT_ANGLE
     if odd.any():
         s, t, x = first_true(odd)
         raise A._bad_value(s, t, F.points[x], "is not an angle")
-    C, Nc = _gauge_exponents(A, chi)
     N = lcm(A.N, Nc)
     W, C = widen(A.W, A.N, N), widen(C, Nc, N)
     inside = W >= 0
@@ -743,11 +718,11 @@ def germ_map_check(G: GermGroupoid, image, src, rng, mul):
 def siebenize(A: TwistedAction):
     """A gauge chi, trivial on idempotents, whose transform satisfies the
     Sieben condition: per germ, adopt the canonical representative's
-    coordinate and convert every other representative to it."""
-    G, F, N, angles = GermGroupoid(A), A.frame, A.N, {}
+    coordinate and convert every other to it: C[t, theta_t(x)] is the
+    inverse of the germ coordinate G.K[t, x]."""
+    G, F = GermGroupoid(A), A.frame
     t, x = np.nonzero(G.of >= 0)
-    vals = [{} for _ in range(F.n)]  # chi_t at theta_t(x): the inverse coordinate
-    for t, y, k in zip(t.tolist(), F.th[t, x].tolist(), (-G.K[t, x] % N).tolist()):
-        vals[t][F.points[y]] = angles.get(k) or angles.setdefault(k, Angle(Fraction(k, N)))
-    chi = {s: CFunction(A.carrier(s), vals[s]) for s in A.S.elements()}
+    C = np.full((F.n, F.m), OUTSIDE, dtype=G.K.dtype)
+    C[t, F.th[t, x]] = -G.K[t, x] % A.N
+    chi = (A.N, C)
     return chi, gauge_transform(A, chi)

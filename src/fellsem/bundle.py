@@ -13,7 +13,9 @@ with one fiber (see fellsem.algebra).
 
 Every check reads the rows.  Bundle.verify gathers the exact axioms on
 point masses through lookups made from them, comparing Angles as exponents;
-verify_fell_bundle adds families on random dense elements, batched.
+verify_fell_bundle adds families on random dense elements, batched.  A
+unitary multiplier family, which extract_action reads the action back
+through, is held as the rows hold scalars: (N, K, V) over the slots, n x W.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from math import lcm
 import numpy as np
 
 from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype,
-                            exponents, omega_differs, turns, widen)
-from fellsem.angles import Angle, turn
+                            omega_differs, turns, widen)
+from fellsem.angles import turn
 from fellsem.groupoid import held_pairs, membership
-from fellsem.isg import InverseSemigroup
-from fellsem.partial_maps import CFunction, PartialBijection
+from fellsem.isg import InverseSemigroup, first_true
+from fellsem.partial_maps import PartialBijection
 
 # the point of a zero point mass: past the end of every table, so that a
 # lookup made from it reads the table's zero entry
@@ -659,29 +661,34 @@ def classify_bundle(B, tol: float = 1e-9):
             "witness": canonical_multipliers(B) if all(regular.values()) else None}
 
 
-def canonical_multipliers(B) -> dict:
-    """The constant-one unitary multiplier family."""
-    return {s: CFunction.one(B.carrier(s)) for s in B.S.elements()}
+def canonical_multipliers(B) -> tuple:
+    """The constant-one multiplier family: exponent zero on every slot."""
+    return 1, np.where(np.arange(B.W) < B.cs[:, None], 0, OUTSIDE), None
 
 
 def check_multiplier_family(B, u) -> None:
-    S = B.S
-    for s in S.elements():
-        f = u[s]
-        if f.carrier != B.carrier(s) or not f.is_unit_modulus():
-            raise BadMultiplierFamily(f"u[{S.label(s)}] is not unit modulus")
-    for e in S.idem:
-        for x in u[e].carrier:
-            if u[e](x) != 1:
-                raise BadMultiplierFamily(f"u at idempotent {S.label(e)} is not one")
+    """u is (N, K, V) over B's slots: K[s, x] the exponent mod N of u_s at
+    point x of fiber s, NOT_ANGLE where V holds a value that is not an Angle,
+    OUTSIDE past the fiber.  u_s must be unit modulus, and one at idempotents."""
+    S, (N, K, V) = B.S, u
+    live = np.arange(B.W) < B.cs[:, None]
+    # |V| by hypot, as abs() computes it: numpy's complex abs can differ in the last bit
+    unit = K >= 0 if V is None else (K >= 0) | (K == NOT_ANGLE) & (np.hypot(V.real, V.imag) == 1)
+    if (bad := np.where(live, ~unit, K != OUTSIDE).any(axis=1)).any():
+        raise BadMultiplierFamily(f"u[{S.label(first_true(bad)[0])}] is not unit modulus")
+    one = K == 0 if V is None else (K == 0) | (K == NOT_ANGLE) & (V == 1)
+    E = np.array(S.idem, dtype=np.intp)
+    if (bad := (live[E] & ~one[E]).any(axis=1)).any():
+        raise BadMultiplierFamily(f"u at idempotent {S.label(E[first_true(bad)[0]])} is not one")
 
 
 def extract_action(B, u) -> TwistedAction:
     """Read the twisted action back off a saturated semi-abelian bundle.
 
-    theta_s comes from the support bijection of conjugation by u_s;
-    omega(s, t) is the coordinate function of u_s u_t u_{st}*, exact while
-    every factor is an Angle, and held as exponent arrays.
+    u is a unitary multiplier family (N, K, V), as check_multiplier_family
+    describes it.  theta_s comes from the support bijection of conjugation
+    by u_s; omega(s, t) is the coordinate function of u_s u_t u_{st}*,
+    exact while every factor is an Angle, and held as exponent arrays.
     """
     X, U, theta, N, e, K, V = _extract(B, u)
     F = Frame(B.S, X, U, theta)
@@ -700,11 +707,10 @@ def _extract(B, u):
     if not info["semi_abelian"]:
         raise NotSemiAbelian("an idempotent fiber is noncommutative")
     check_multiplier_family(B, u)
-    vals = [u[s](x) for s, p in enumerate(B.points) for x in p]
-    Nu, uK = exponents([v.frac if isinstance(v, Angle) else None for v in vals])
+    Nu, uK, uV = u
     N, ar, T, inv, pts = lcm(B.N, Nu), np.arange(n), B.T, B.inv, B.points
-    us = (np.full((n, W), OUTSIDE, dtype=_exponent_dtype(N)), np.zeros((n, W), dtype=complex))
-    us[0][B.slot_s, B.slot_x], us[1][B.slot_s, B.slot_x] = widen(uK, Nu, N), [complex(v) for v in vals]
+    value = turns(uK, Nu).reshape(n, W)
+    us = widen(uK, Nu, N), value if uV is None else np.where(uK == NOT_ANGLE, uV, value)
     (_, px, py, pz, pK, _), (_, sx, sz, sK, _) = B.products, B.stars
     pK, sK, (pV, sV, _) = widen(pK, B.N, N), widen(sK, B.N, N), B.values
 

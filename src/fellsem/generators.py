@@ -13,9 +13,9 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.angles import Angle, turn
+from fellsem.angles import turn
 from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
-from fellsem.partial_maps import CFunction, PartialBijection
+from fellsem.partial_maps import PartialBijection
 from fellsem.action import OUTSIDE, Frame, TwistedAction, gauge_transform, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
@@ -78,9 +78,8 @@ def busby_smith_z2() -> TwistedAction:
     X = [0]
     U = {0: frozenset(X), 1: frozenset(X)}
     theta = {0: PartialBijection.identity(X), 1: PartialBijection.identity(X)}
-    omega = {(s, t): CFunction.one(X) for s in S.elements() for t in S.elements()}
-    omega[(1, 1)] = CFunction(X, {0: Angle("1/2")})
-    return TwistedAction(S, X, U, theta, omega)
+    W = np.array([[[0], [0]], [[0], [1]]])  # omega(g, g) = -1: exponent 1 mod 2
+    return TwistedAction.from_exponents(Frame(S, X, U, theta), 2, W)
 
 
 def cocycle_action(G, tau: TwoCocycle):
@@ -100,19 +99,25 @@ def standard_groupoids():
     }
 
 
-def random_gauge(A: TwistedAction, rng) -> dict:
-    """A random rational-angle gauge, trivial on idempotents."""
-    S = A.S
-    chi = {}
-    for s in S.elements():
-        carrier = A.carrier(s)
-        if S.is_idempotent(s):
-            chi[s] = CFunction.one(carrier)
+def random_gauge(A: TwistedAction, rng) -> tuple:
+    """A random rational-angle gauge (N, C), trivial on idempotents, drawn
+    over each fiber carrier in the frame's point order."""
+    F, N, vals = A.frame, 12, []  # 12: the lcm of the denominators
+    for s, count in enumerate(F.fib.sum(axis=1).tolist()):
+        if A.S.is_idempotent(s):
+            vals += [0] * count
         else:
             denom = rng.choice([2, 3, 4, 6])
-            chi[s] = CFunction(carrier, {x: Angle(Fraction(rng.randrange(denom), denom))
-                                         for x in carrier})
-    return chi
+            vals += [rng.randrange(denom) * (N // denom) for _ in range(count)]
+    C = np.full((F.n, F.m), OUTSIDE, dtype=np.int64)
+    C[F.fib] = vals
+    return N, C
+
+
+def random_coboundary(G, rng) -> TwoCocycle:
+    """The coboundary of random quarter turns on G's non-unit arrows."""
+    c = {a: Fraction(rng.randrange(4), 4) for a in G.arrows() if not G.is_unit(a)}
+    return TwoCocycle.coboundary(G, c)
 
 
 def random_valid_action(rng, max_size: int = 10) -> TwistedAction:
@@ -133,12 +138,7 @@ def random_valid_action(rng, max_size: int = 10) -> TwistedAction:
         return full_monoid_action(2)
     if kind == 1:
         G = rng.choice([cyclic_group(2), cyclic_group(3), pair_groupoid([0, 1])])
-        if rng.random() < 0.5:
-            tau = TwoCocycle.trivial(G)
-        else:
-            c = {a: Angle(Fraction(rng.randrange(4), 4))
-                 for a in G.arrows() if not G.is_unit(a)}
-            tau = TwoCocycle.coboundary(G, c)
+        tau = TwoCocycle.trivial(G) if rng.random() < 0.5 else random_coboundary(G, rng)
         A, _ = cocycle_action(G, tau)
         return A
     base = random_valid_action(rng, max_size)
@@ -150,8 +150,8 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
 
     Returns None when the action has no nonempty omega carrier to mutate.
     The slots are listed key by key, (s, t) in order, and within the
-    carrier of omega(s, t) in the order of the frozenset of its points
-    made in point order.
+    carrier of omega(s, t) in the frame's point order, so the draws do
+    not depend on the hash seed.
     """
     F, inside = A.frame, A.W != OUTSIDE
     ends = np.cumsum(inside.sum(axis=2).ravel())
@@ -161,10 +161,10 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
     key = int(np.searchsorted(ends, r, side="right"))
     s, t = divmod(key, F.n)
     r -= int(ends[key - 1]) if key else 0
-    x = list(frozenset(F.points[i] for i in np.flatnonzero(inside[s, t])))[r]
+    i = np.flatnonzero(inside[s, t])[r]
     denom = rng.choice([2, 3, 4])
     shift = rng.randrange(1, denom)
-    N, i, V = lcm(A.N, denom), F.index[x], A.V
+    N, V = lcm(A.N, denom), A.V
     W = widen(A.W, A.N, N)
     if W[s, t, i] >= 0:
         W[s, t, i] = (W[s, t, i] + shift * (N // denom)) % N
@@ -186,15 +186,10 @@ def mutation_corpus(rng) -> list:
     groupoid, and random gauge transforms of each (gauging conjugates the
     constraint set, so it preserves bound slots).
     """
-    def cob(G):
-        c = {a: Angle(Fraction(rng.randrange(4), 4))
-             for a in G.arrows() if not G.is_unit(a)}
-        return TwoCocycle.coboundary(G, c)
-
     bases = [full_monoid_action(2), five_element_action()]
     for G in [cyclic_group(3), pair_groupoid([0, 1])]:
         bases.append(cocycle_action(G, TwoCocycle.trivial(G))[0])
-        bases.append(cocycle_action(G, cob(G))[0])
+        bases.append(cocycle_action(G, random_coboundary(G, rng))[0])
     return bases + [gauge_transform(b, random_gauge(b, rng)) for b in bases]
 
 

@@ -106,15 +106,6 @@ class CFunction:
     def support(self):
         return frozenset(x for x, v in self.values.items() if as_complex(v) != 0)
 
-    def is_unit_modulus(self, tol=0.0) -> bool:
-        for x in self.carrier:
-            v = self(x)
-            if isinstance(v, Angle):
-                continue
-            if abs(abs(complex(v)) - 1.0) > tol:
-                return False
-        return len(self.values) == len(self.carrier)
-
     def equals(self, other: "CFunction", tol=0.0) -> bool:
         if self.carrier != other.carrier:
             return False

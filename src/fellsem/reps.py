@@ -14,7 +14,6 @@ import numpy as np
 
 from fellsem.action import NOT_ANGLE, TwistedAction, _require_theta, turns
 from fellsem.groupoid import membership
-from fellsem.partial_maps import CFunction
 
 # matrix entries a chunk of verify_covariant or of verify_representation's pair family holds
 ENTRIES = 1 << 15
@@ -40,14 +39,6 @@ class BundleRep:
     def __init__(self, d: int, mats: dict):
         self.d = d
         self.mats = {key: np.asarray(m, dtype=complex) for key, m in mats.items()}
-
-    def pi(self, s: int, f: CFunction):
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for x in f.carrier:
-            val = f.at(x)
-            if val != 0:
-                out += val * self.mats[(s, x)]
-        return out
 
 
 def regular_covariant_rep(G, tau, S, bisections) -> CovariantRep:
@@ -133,7 +124,8 @@ def to_covariant(pi: BundleRep, B, A: TwistedAction) -> CovariantRep:
                 break
         else:
             raise RepError(f"point {x} is not in any idempotent carrier")
-    v = {s: pi.pi(s, CFunction.one(B.carrier(s))) for s in S.elements()}
+    zero = np.zeros((pi.d, pi.d), dtype=complex)
+    v = {s: sum((pi.mats[(s, x)] for x in B.points[s]), zero) for s in S.elements()}
     return CovariantRep(pi.d, rho, v)
 
 

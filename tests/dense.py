@@ -2,20 +2,22 @@
 
 The checker compares scaled point masses and batched arrays; these
 pointwise operations serve the reference implementations and the unit
-tests of the scalar and function types.  Tables is a bundle's structure
-tables as dicts of Angle or complex scalars, the shape the builders filled
-before a Bundle became its rows: tables(B) reads a Bundle's rows into it,
-Tables.bundle() turns it back into rows, and its mul and star extend the
-tables linearly to CFunctions.  The point-mass operations at the end read
-the dict tables one scaled point mass at a time, as the former
-Bundle.verify did.
+tests of the scalar and function types; gauge_functions and
+multiplier_functions read a gauge or a multiplier family, held as exponent
+arrays, as the dict of CFunctions the references take.  Tables is a
+bundle's structure tables as dicts of Angle or complex scalars, the shape
+the builders filled before a Bundle became its rows: tables(B) reads a
+Bundle's rows into it, Tables.bundle() turns it back into rows, and its mul
+and star extend the tables linearly to CFunctions.  The point-mass
+operations at the end read the dict tables one scaled point mass at a
+time, as the former Bundle.verify did.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from fellsem.action import NOT_ANGLE, ActionError, exponents
+from fellsem.action import NOT_ANGLE, OUTSIDE, ActionError, exponents
 from fellsem.angles import ONE, Angle, as_complex
 from fellsem.bundle import Bundle
 from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
@@ -42,6 +44,29 @@ def ref_omega_at(A, s: int, t: int, y):
     if v == 0:
         raise ActionError(f"omega({A.S.label(s)},{A.S.label(t)}) undefined at {y}")
     return v
+
+
+def functions(family, points, carriers) -> dict:
+    """A family (N, K) or (N, K, V) of exponent arrays as a dict of
+    CFunctions: element s's function on carriers[s] holds, at points[s][i],
+    the Angle K[s, i]/N, or V[s, i] where K is NOT_ANGLE, and no value
+    where K is OUTSIDE."""
+    N, K, V = (*family, None)[:3]
+    return {s: CFunction(carriers[s], {points[s][i]: Angle(Fraction(k, N)) if k >= 0
+                                       else complex(V[s][i])
+                                       for i, k in enumerate(row) if k != OUTSIDE})
+            for s, row in enumerate(K.tolist())}
+
+
+def gauge_functions(A, chi) -> dict:
+    """A gauge (N, C) over A's frame as CFunctions on the fiber carriers."""
+    return functions(chi, [A.frame.points] * A.S.n, [A.carrier(s) for s in A.S.elements()])
+
+
+def multiplier_functions(B, u) -> dict:
+    """A multiplier family (N, K, V) over B's slots as CFunctions on the
+    fibers."""
+    return functions(u, B.points, [B.carrier(s) for s in B.S.elements()])
 
 
 def compose(f: PartialBijection, g: PartialBijection) -> PartialBijection:

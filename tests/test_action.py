@@ -1,9 +1,16 @@
 """Twisted actions: axioms, derived identities, gauges, germs, Sieben."""
 
+import os
+import re
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from fellsem.action import (GaugeNotUnitAtIdempotent, TwistedAction, check_sieben,
-                            gauge_transform, germ_groupoid, siebenize,
+import fellsem
+from fellsem.action import (OUTSIDE, ActionError, GaugeNotUnitAtIdempotent, TwistedAction,
+                            check_sieben, gauge_transform, germ_groupoid, siebenize,
                             verify_consequences, verify_twisted_action)
 from fellsem.angles import Angle
 from fellsem.generators import (busby_smith_z2, cocycle_action, five_element_action,
@@ -11,8 +18,6 @@ from fellsem.generators import (busby_smith_z2, cocycle_action, five_element_act
                                 random_valid_action)
 from fellsem.groupoid import TwoCocycle, cyclic_group
 from fellsem.partial_maps import CFunction
-
-from dense import conjugate
 
 
 def test_busby_smith_action_verifies(busby):
@@ -41,19 +46,28 @@ def test_corrupted_omega_is_flagged(full_i2, rng):
 
 
 def test_gauge_transform_round_trip(five, rng):
-    chi = random_gauge(five, rng)
-    gauged = gauge_transform(five, chi)
+    N, C = random_gauge(five, rng)
+    gauged = gauge_transform(five, (N, C))
     assert verify_twisted_action(gauged)[0]
-    back = gauge_transform(gauged, {s: conjugate(f) for s, f in chi.items()})
+    back = gauge_transform(gauged, (N, np.where(C >= 0, -C % N, C)))  # the conjugate gauge
     assert back.equals(five)
 
 
 def test_gauge_must_be_trivial_on_idempotents(busby):
-    S = busby.S
-    e = S.idem[0]
-    chi = {e: CFunction(busby.carrier(e), {0: Angle("1/2")})}
+    C = np.zeros((busby.S.n, busby.frame.m), dtype=np.int64)
+    C[busby.S.idem[0], 0] = 1  # chi_e(0) = -1
     with pytest.raises(GaugeNotUnitAtIdempotent):
-        gauge_transform(busby, chi)
+        gauge_transform(busby, (2, C))
+
+
+def test_gauge_undefined_at_a_needed_point(five, rng):
+    N, C = random_gauge(five, rng)
+    S, F = five.S, five.frame
+    s = next(a for a in S.elements() if not S.is_idempotent(a) and five.carrier(a))
+    x = int(np.flatnonzero(F.fib[s])[0])
+    C[s, x] = OUTSIDE
+    with pytest.raises(ActionError, match=re.escape(f"gauge for {S.label(s)} undefined at {F.points[x]}")):
+        gauge_transform(five, (N, C))
 
 
 def test_germ_groupoid_of_full_i2(full_i2):
@@ -84,9 +98,9 @@ def test_gauge_can_break_coherence_and_siebenize_restores_it(full_i2):
     S = full_i2.S
     s = next(a for a in S.elements() if not S.is_idempotent(a)
              and len(full_i2.carrier(a)) == 2)
-    chi = {s: CFunction(full_i2.carrier(s),
-                        {x: Angle("1/3") for x in full_i2.carrier(s)})}
-    gauged = gauge_transform(full_i2, chi)
+    C = np.zeros((S.n, full_i2.frame.m), dtype=np.int64)
+    C[s] = 1  # chi_s = 1/3 of a turn
+    gauged = gauge_transform(full_i2, (3, C))
     assert verify_twisted_action(gauged)[0]
     assert not check_sieben(gauged)[0]
     chi2, fixed = siebenize(gauged)
@@ -111,6 +125,33 @@ def test_cocycle_action_with_nontrivial_twist():
     A, _ = cocycle_action(G, tau)
     assert verify_twisted_action(A)[0]
     assert verify_consequences(A)[0]
+
+
+DRAWS = """
+import json, random
+import numpy as np
+from fellsem.action import TwistedAction, widen
+from fellsem.generators import full_monoid_action, mutate_omega, random_gauge
+A = TwistedAction.from_json(full_monoid_action(3).to_json())  # str points
+N, C = random_gauge(A, random.Random(0))
+rng, mutants = random.Random(1), []
+for _ in range(50):
+    M = mutate_omega(A, rng)
+    s, t, x = np.argwhere(M.W != widen(A.W, A.N, M.N))[0].tolist()
+    mutants.append([s, t, M.frame.points[x], int(M.W[s, t, x]), M.N])
+print(json.dumps([N, C.tolist(), mutants]))
+"""
+
+
+def test_draws_do_not_depend_on_the_hash_seed():
+    # random_gauge and mutate_omega draw over the frame's point order, not
+    # over the iteration order of a set of str points
+    src = os.path.dirname(os.path.dirname(fellsem.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = [subprocess.run([sys.executable, "-c", DRAWS], env={**env, "PYTHONHASHSEED": seed},
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+           for seed in ("1", "2")]
+    assert out[0] and out[0] == out[1]
 
 
 def test_gauge_preserves_germ_classes(five, rng):

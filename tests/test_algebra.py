@@ -22,7 +22,7 @@ from fellsem.isg import verify_inverse_semigroup
 from fellsem.partial_maps import CFunction
 from fellsem.refine import saturated_refinement
 
-from dense import ref_omega_at, scalar_conj, tables
+from dense import gauge_functions, ref_omega_at, scalar_conj, tables
 
 
 def test_z2_group_algebra_blocks():
@@ -345,11 +345,11 @@ def test_germ_quotient_matches_the_reference_germs():
         T = tables(alg)
         assert (T.products[(0, 0)], T.stars[0]) == reference_germ_tables(A, R)
         chi, fixed = siebenize(A)
-        S = A.S
+        S, functions = A.S, gauge_functions(A, chi)
         for s in S.elements():
             ref = CFunction(A.carrier(s), {A.theta[s](x): R.coord(s, x).conj()
                                           for x in A.U[S.mul(S.inv[s], s)]})
-            assert chi[s].equals(ref)
+            assert functions[s].equals(ref)
         assert fixed.equals(gauge_transform(A, chi))
 
 

@@ -6,7 +6,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from fellsem.action import NOT_ANGLE, widen
+from fellsem.action import NOT_ANGLE, OUTSIDE, widen
 from fellsem.angles import Angle
 from fellsem.bundle import (BadMultiplierFamily, Bundle, NotSaturated, SectionBundle,
                             build_bundle, canonical_multipliers, check_multiplier_family,
@@ -17,9 +17,8 @@ from fellsem.generators import (busby_smith_z2, cocycle_action, five_element_act
                                 mutation_corpus, random_gauge, random_valid_action)
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group,
                               pair_groupoid, z2_nontrivial_cocycle)
-from fellsem.partial_maps import CFunction
 
-from dense import multiply, origin, point_mass, tables
+from dense import origin, point_mass, tables
 
 
 def test_busby_bundle_axioms(busby, rng):
@@ -64,24 +63,37 @@ def test_roundtrip_exact_on_gauged_actions(rng):
 
 
 def test_extracting_with_gauged_family_gives_gauged_action(five, rng):
+    # the gauge read on the bundle's slots: u_s = chi_s on fiber s
     B = build_bundle(five)
-    chi = random_gauge(five, rng)
-    u = canonical_multipliers(B)
-    gauged_u = {s: multiply(u[s], chi[s]) for s in five.S.elements()}
-    check_multiplier_family(B, gauged_u)
-    A2 = extract_action(B, gauged_u)
-    assert A2.equals(gauge_transform(five, chi))
+    N, C = random_gauge(five, rng)
+    _, one, _ = canonical_multipliers(B)
+    cols = [five.frame.index[x] for p in B.points for x in p]
+    K = one.copy()
+    K[B.slot_s, B.slot_x] = C[B.slot_s, cols]
+    check_multiplier_family(B, (N, K, None))
+    A2 = extract_action(B, (N, K, None))
+    assert A2.equals(gauge_transform(five, (N, C)))
 
 
 def test_bad_multiplier_family_rejected(five):
+    # a value that is not unit modulus, a missing value, u_e = -1 at a point
     B = build_bundle(five)
-    u = canonical_multipliers(B)
-    s = next(a for a in five.S.elements() if five.carrier(a))
-    x = next(iter(five.carrier(s)))
-    vals = {y: (2 + 0j if y == x else Angle(0)) for y in five.carrier(s)}
-    u[s] = CFunction(five.carrier(s), vals)  # not unit modulus
-    with pytest.raises(BadMultiplierFamily):
-        check_multiplier_family(B, u)
+    S = five.S
+    check_multiplier_family(B, canonical_multipliers(B))
+    for case, message in [("modulus", r"u\[.*\] is not unit modulus"),
+                          ("missing", r"u\[.*\] is not unit modulus"),
+                          ("idempotent", "u at idempotent .* is not one")]:
+        N, K, _ = canonical_multipliers(B)
+        K, V = K.copy(), np.zeros(K.shape, dtype=complex)
+        s = next(a for a in S.elements() if B.cs[a] and S.is_idempotent(a) == (case == "idempotent"))
+        if case == "modulus":
+            K[s, 0], V[s, 0] = NOT_ANGLE, 2
+        elif case == "missing":
+            K[s, 0] = OUTSIDE
+        else:
+            N, K[s, 0] = 2, 1
+        with pytest.raises(BadMultiplierFamily, match=message):
+            check_multiplier_family(B, (N, K, V))
 
 
 def test_section_bundle_of_twisted_group(rng):

@@ -16,11 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from fellsem.action import TwistedAction, verify_twisted_action
-from fellsem.angles import ONE, as_complex
-from fellsem.bundle import (BundleError, NotSaturated, NotSemiAbelian, SectionBundle,
-                            build_bundle, canonical_multipliers, check_multiplier_family,
-                            classify_bundle, extract_action, roundtrip_check, verify_fell_bundle)
+from fellsem.action import NOT_ANGLE, TwistedAction, verify_twisted_action
+from fellsem.angles import ONE, Angle, as_complex
+from fellsem.bundle import (BadMultiplierFamily, BundleError, NotSaturated, NotSemiAbelian,
+                            SectionBundle, build_bundle, canonical_multipliers, classify_bundle,
+                            extract_action, roundtrip_check, verify_fell_bundle)
 from fellsem.generators import corpus, mutate_omega, mutation_corpus, standard_groupoids
 from fellsem.algebra import convolution_algebra
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group, pair_groupoid,
@@ -31,7 +31,7 @@ from fellsem.refine import (BundleMorphism, RefinedBundle, refinement_morphism, 
                             verify_refinement)
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
-from dense import Tables, scalar_conj, tables
+from dense import Tables, multiplier_functions, scalar_conj, tables
 from test_acceptance import _non_saturated_examples
 
 
@@ -149,6 +149,19 @@ def ref_classify_bundle(B, tol=1e-9):
             "semi_abelian": semi_abelian, "regular": regular}
 
 
+def ref_check_multiplier_family(B, u) -> None:
+    S = B.S
+    for s in S.elements():
+        f = u[s]
+        unit = all(isinstance(v, Angle) or abs(complex(v)) == 1 for v in f.values.values())
+        if f.carrier != B.carrier(s) or not unit or len(f.values) != len(f.carrier):
+            raise BadMultiplierFamily(f"u[{S.label(s)}] is not unit modulus")
+    for e in S.idem:
+        for x in u[e].carrier:
+            if u[e](x) != 1:
+                raise BadMultiplierFamily(f"u at idempotent {S.label(e)} is not one")
+
+
 def ref_extract_action(B, u) -> TwistedAction:
     S = B.S
     info = ref_classify_bundle(B)
@@ -156,7 +169,7 @@ def ref_extract_action(B, u) -> TwistedAction:
         raise NotSaturated(str(info["unsaturated_pairs"]))
     if not info["semi_abelian"]:
         raise NotSemiAbelian("an idempotent fiber is noncommutative")
-    check_multiplier_family(B, u)
+    ref_check_multiplier_family(B, u)
     X = sorted(set().union(*(B.carrier(e) for e in S.idem)), key=str)
     U = {s: B.carrier(S.mul(s, S.inv[s])) for s in S.elements()}
     theta = {}
@@ -190,7 +203,7 @@ def ref_extract_action(B, u) -> TwistedAction:
 
 def ref_roundtrip_check(A):
     B = ref_build_bundle(A)
-    A2 = ref_extract_action(B, canonical_multipliers(B))
+    A2 = ref_extract_action(B, {s: CFunction.one(B.carrier(s)) for s in A.S.elements()})
     ok = A.equals(A2)
     diff = None
     if not ok:
@@ -254,7 +267,7 @@ def _same_reads(B, ref: Tables, seed: int | None):
     assert info == ref_classify_bundle(ref)
     if info["saturated"] and info["semi_abelian"]:
         got = _outcome(extract_action, B, canonical_multipliers(B))
-        want = _outcome(ref_extract_action, ref, canonical_multipliers(B))
+        want = _outcome(ref_extract_action, ref, multiplier_functions(B, canonical_multipliers(B)))
         if isinstance(want, TwistedAction):
             assert _same_action(got, want)
         else:
@@ -363,12 +376,14 @@ def test_non_angle_scalars_survive_the_kernel_builder(five):
     # exponent kernel holds only as NOT_ANGLE; the rebuilt bundle must
     # carry them
     B = build_bundle(five)
-    u = canonical_multipliers(B)
+    N, K, _ = canonical_multipliers(B)
     S = five.S
     s = next(a for a in S.elements() if not S.is_idempotent(a) and five.carrier(a))
-    u[s] = CFunction(five.carrier(s), {x: cmath.exp(0.3j) for x in five.carrier(s)})
+    K, V = K.copy(), np.zeros(K.shape, dtype=complex)
+    K[s, :B.cs[s]], V[s] = NOT_ANGLE, cmath.exp(0.3j)
+    u = (N, K, V)
     A = extract_action(B, u)
-    assert _same_action(A, ref_extract_action(ref_build_bundle(five), u))
+    assert _same_action(A, ref_extract_action(ref_build_bundle(five), multiplier_functions(B, u)))
     odd = [(key, x) for key, w in A.omega.items() for x, v in w.values.items()
            if not hasattr(v, "frac")]
     assert len(odd) == 4
@@ -398,7 +413,9 @@ def test_checks_do_not_change_a_bundle():
     fresh = SectionBundle(G, tau, S, biss)
     assert B.verify() == fresh.verify() == (True, [])
     got, want = classify_bundle(B), classify_bundle(fresh)
-    assert got.pop("witness").keys() == want.pop("witness").keys() and got == want
+    (N, K, V), witness = got.pop("witness"), want.pop("witness")
+    assert N == witness[0] and np.array_equal(K, witness[1]) and V is witness[2] is None
+    assert got == want
     after = [a for a in B.products + B.stars + B.inclusions if a is not None]
     assert len(rows) == len(after) and all(np.array_equal(x, y) for x, y in zip(rows, after))
     with pytest.raises(ValueError):  # the rows are read-only

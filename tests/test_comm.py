@@ -66,9 +66,6 @@ def test_cfunction_basic_algebra():
     assert multiply(f, conjugate(f)).at(1) == pytest.approx(4)
     assert f.support() == {0, 1}
     assert sup_norm(f) == 2
-    one = CFunction.one(carrier)
-    assert one.is_unit_modulus()
-    assert not f.is_unit_modulus()
 
 
 def test_cfunction_add_requires_matching_carrier():

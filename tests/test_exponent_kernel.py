@@ -13,12 +13,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
+import numpy as np
 import pytest
 
-from fellsem.action import (ActionError, GaugeNotUnitAtIdempotent, GermGroupoid, TwistedAction,
-                            check_sieben, gauge_transform, siebenize, verify_consequences,
-                            verify_twisted_action)
+from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, GaugeNotUnitAtIdempotent, GermGroupoid,
+                            TwistedAction, check_sieben, gauge_transform, siebenize,
+                            verify_consequences, verify_twisted_action)
 from fellsem.angles import Angle, as_angle
 from fellsem.bundle import SectionBundle, build_bundle, canonical_multipliers, extract_action
 from fellsem.generators import (corpus, five_element_semigroup, full_monoid_action,
@@ -29,7 +31,7 @@ from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError, NoI
 from fellsem.partial_maps import CFunction, PartialBijection
 from fellsem.refine import saturated_refinement
 
-from dense import compose, ref_omega_at, restrict, scalar_conj
+from dense import compose, gauge_functions, ref_omega_at, restrict, scalar_conj
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def ref_siebenize(A):
 
 
 def ref_mutate_omega(A, rng):
-    slots = [(key, x) for key, w in A.omega.items() for x in w.carrier]
+    slots = [(key, x) for key, w in A.omega.items() for x in sorted(w.carrier, key=A.frame.index.get)]
     if not slots:
         return None
     (s, t), x = slots[rng.randrange(len(slots))]
@@ -300,10 +302,11 @@ def _same_omega(A, B):
 
 def _same_gauges(A, rng):
     chi = random_gauge(A, rng)
-    gauged, ref = gauge_transform(A, chi), ref_gauge_transform(A, chi)
+    gauged, ref = gauge_transform(A, chi), ref_gauge_transform(A, gauge_functions(A, chi))
     assert gauged.equals(ref) and ref.equals(gauged) and _same_omega(gauged, ref)
     chi, fixed = siebenize(A)
     ref_chi, ref_fixed = ref_siebenize(A)
+    chi = gauge_functions(A, chi)
     assert all(chi[s].equals(ref_chi[s]) for s in A.S.elements())
     assert fixed.equals(ref_fixed) and _same_omega(fixed, ref_fixed)
     return gauged
@@ -458,15 +461,14 @@ PRIMES = [1000003, 1000033, 1000037, 1000039, 1000081]
 def _wide_gauge(A):
     """A gauge whose values cycle through five primes near 10**6, so the
     lcm of its denominators is far above 2**62."""
-    S, chi, i = A.S, {}, 0
+    S, F, N, i = A.S, A.frame, prod(PRIMES), 0
+    C = np.where(F.fib, 0, OUTSIDE).astype(object)
     for s in S.elements():
         if not S.is_idempotent(s):
-            vals = {}
             for x in sorted(A.carrier(s)):
                 i += 1
-                vals[x] = Angle(Fraction(i, PRIMES[i % len(PRIMES)]))
-            chi[s] = CFunction(A.carrier(s), vals)
-    return chi
+                C[s, F.index[x]] = i * (N // PRIMES[i % len(PRIMES)])
+    return N, C
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -474,7 +476,7 @@ def test_wide_denominators_stay_exact(k):
     A = full_monoid_action(k)
     wide = gauge_transform(A, _wide_gauge(A))
     assert wide.N > 2 ** 62 and wide.W.dtype == object
-    ref = ref_gauge_transform(A, _wide_gauge(A))
+    ref = ref_gauge_transform(A, gauge_functions(A, _wide_gauge(A)))
     assert wide.equals(ref) and _same_omega(wide, ref)
     # the JSON fixpoint: points become strings, so compare to_json, not equals
     data = wide.to_json()
@@ -493,10 +495,11 @@ def test_wide_denominators_stay_exact(k):
 
 def test_complex_omega_value_is_a_structural_violation(five):
     B = build_bundle(five)
-    u = canonical_multipliers(B)
+    N, K, _ = canonical_multipliers(B)
     s = next(a for a in five.S.elements() if not five.S.is_idempotent(a) and five.carrier(a))
-    u[s] = CFunction(five.carrier(s), {x: cmath.exp(0.3j) for x in five.carrier(s)})
-    A = extract_action(B, u)
+    K, V = K.copy(), np.zeros(K.shape, dtype=complex)
+    K[s, :B.cs[s]], V[s] = NOT_ANGLE, cmath.exp(0.3j)
+    A = extract_action(B, (N, K, V))
     ok, bad = verify_twisted_action(A)
     assert not ok and bad and {v[0] for _, v in bad} == {"omega-not-unit"}
     assert Counter(bad) == Counter(ref_verify_twisted_action(A)[1])
@@ -518,7 +521,7 @@ def test_a_value_that_is_not_an_angle_stops_the_germ_groupoid(full_i2):
     with pytest.raises(ActionError, match="not an angle"):
         GermGroupoid(A)
     with pytest.raises(ActionError, match="not an angle"):
-        gauge_transform(A, {})
+        gauge_transform(A, (1, np.zeros((S.n, A.frame.m), dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------

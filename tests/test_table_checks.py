@@ -147,6 +147,16 @@ def ref_verify_morphism(m, tol=1e-9):
     return not bad, bad
 
 
+def ref_pi(pi, s, f):
+    """pi of a CFunction on fiber s, extended linearly from the point masses."""
+    out = np.zeros((pi.d, pi.d), dtype=complex)
+    for x in f.carrier:
+        val = f.at(x)
+        if val != 0:
+            out += val * pi.mats[(s, x)]
+    return out
+
+
 def ref_verify_representation(pi, B, tol=1e-9):
     B = tables(B)
     S = B.S
@@ -164,12 +174,12 @@ def ref_verify_representation(pi, B, tol=1e-9):
             for x in ordered(B, s):
                 for y in ordered(B, t):
                     f, g = pm(s, x), pm(t, y)
-                    if not close(pi.pi(s, f) @ pi.pi(t, g), pi.pi(st, B.mul(s, t, f, g))):
+                    if not close(ref_pi(pi, s, f) @ ref_pi(pi, t, g), ref_pi(pi, st, B.mul(s, t, f, g))):
                         bad.append(("multiplicative", (S.label(s), S.label(t), x, y)))
     for s in S.elements():
         for x in ordered(B, s):
             f = pm(s, x)
-            if not close(pi.pi(s, f).conj().T, pi.pi(S.inv[s], B.star(s, f))):
+            if not close(ref_pi(pi, s, f).conj().T, ref_pi(pi, S.inv[s], B.star(s, f))):
                 bad.append(("star", (S.label(s), x)))
     for s in S.elements():
         for t in S.elements():
@@ -177,7 +187,7 @@ def ref_verify_representation(pi, B, tol=1e-9):
                 continue
             for x in ordered(B, s):
                 f = pm(s, x)
-                if not close(pi.pi(t, ref_include(B, t, s, f)), pi.pi(s, f)):
+                if not close(ref_pi(pi, t, ref_include(B, t, s, f)), ref_pi(pi, s, f)):
                     bad.append(("inclusion", (S.label(s), S.label(t), x)))
     return not bad, bad
 

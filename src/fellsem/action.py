@@ -119,16 +119,19 @@ def widen(K, N: int, to: int):
     return np.where(K >= 0, K.astype(_exponent_dtype(to)) * (to // N), K)
 
 
-def turns(K, N: int) -> np.ndarray:
-    """The complex values of exponents mod N as Angle.value gives them, 0j
-    for codes, flat: from a table of all N turns, or one per distinct
-    exponent."""
+def turns(K, N: int, V=None) -> np.ndarray:
+    """The complex values of exponents mod N as Angle.value gives them,
+    flat: from a table of all N turns, or one per distinct exponent.  A
+    code reads 0j, except NOT_ANGLE where the values V (of K's shape) are
+    given, which reads V there."""
     K = np.asarray(K).reshape(-1)
     if N <= len(K):
-        return np.array([turn(k, N) for k in range(N)] + [0j])[np.where(K >= 0, K, N)]
-    memo = {}
-    return np.array([memo[k] if k in memo else memo.setdefault(k, turn(k, N) if k >= 0 else 0j)
-                     for k in K.tolist()], dtype=complex).reshape(-1)
+        values = np.array([turn(k, N) for k in range(N)] + [0j])[np.where(K >= 0, K, N)]
+    else:
+        memo = {}
+        values = np.array([memo[k] if k in memo else memo.setdefault(k, turn(k, N) if k >= 0 else 0j)
+                           for k in K.tolist()], dtype=complex).reshape(-1)
+    return values if V is None else np.where(K == NOT_ANGLE, np.asarray(V).reshape(-1), values)
 
 
 def _encode(S: InverseSemigroup, X, U, theta, entries):
@@ -385,6 +388,20 @@ def verify_twisted_action(A: TwistedAction):
 
     Returns (ok, violations).  Axiom tags: "structure", "composition",
     "cocycle", "unit", "idempotent-splitting".
+
+    The cocycle family is associativity of the bundle: once the structure
+    and composition families hold, in build_bundle(A) delta_y in fiber r
+    times delta_x in fiber s is omega(r, s)(y) delta_y in fiber rs when x =
+    theta_r^-1(y), y in U(rs), and zero otherwise.  So both sides of
+    associativity at (delta_y, delta_x, delta_z) in fibers r, s, t are
+    nonzero exactly when x is in U(r*r) & U(st), y = theta_r(x) and z =
+    theta_s^-1(x) (by U(rst) = theta_r(U(r*r) & U(st)) and theta_rs =
+    theta_r theta_s), and zero together otherwise; where nonzero they are
+    the two sides of the cocycle identity at (r, s, t, x), times
+    delta_y in fiber rst.  When the direct scan below is more than one
+    chunk, Light's test on the bundle (bundle.Lookup._associativity)
+    decides the family, and only a failure runs the direct scan, which
+    lists the violations.
     """
     violations = [("structure", v) for v in A.structural_violations()]
     if violations:
@@ -406,13 +423,19 @@ def verify_twisted_action(A: TwistedAction):
     # is evaluated before the r-action moves the point, the rest after.
     # Chunked over the pairs (r, x), x in U(r*r), each with its (s, t) plane.
     # With the structure checked, omega(s, t) is carried by U(st); when the
-    # maps compose, every other factor is defined where it is needed.
+    # maps compose, every other factor is defined where it is needed.  A
+    # scan of more than one chunk first runs Light's test on the bundle.
     R, X = np.nonzero(F.U[T[F.inv, ar]])
+    light = False
+    if composes and len(R) * n * n > CHUNK:
+        from fellsem.bundle import build_bundle
+        L = build_bundle(A).lookup()
+        light = not L.nonassociative(0, L.middle).size
     Y = F.th[R, X]
     s, t, st = ar[None, :, None], ar[None, None, :], T[None]
     step = max(1, CHUNK // (n * n))
     found = [np.empty((4, 0), dtype=np.intp)]
-    for c in range(0, len(R), step):
+    for c in range(0, 0 if light else len(R), step):
         r, x, y = (a[c:c + step, None, None] for a in (R, X, Y))
         first, rs = W[s, t, x], T[r, s]
         need = first >= 0
@@ -673,10 +696,10 @@ class GermGroupoid:
 
     def verify(self):
         """The laws of the quotient groupoid (inverses and composition of
-        endpoints) plus the transition conflicts.  It assumes an action that
-        passes verify_twisted_action, as the CLI's action germs checks
-        first: a non-action, such as one with an omega value changed, can
-        pass it."""
+        endpoints) plus the transition conflicts.  It does not check the
+        action's axioms: a non-action, such as one with an omega value
+        changed, can pass it.  Run verify_twisted_action first, as the
+        CLI's action germs does."""
         F, r, src, rng = self.A.frame, self.reps, self.src_i, self.rng_i
         inv = self.of[F.inv[r], rng]
         unit = self.table[np.arange(len(r)), inv]

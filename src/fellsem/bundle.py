@@ -12,7 +12,9 @@ refine.RefinedBundle from a base bundle's rows.  An algebra is a Bundle
 with one fiber (see fellsem.algebra).
 
 Every check reads the rows.  Bundle.verify gathers the exact axioms on
-point masses through lookups made from them, comparing Angles as exponents;
+point masses through lookups made from them, comparing Angles as exponents,
+and associativity by Light's test, with middle factors only the point
+masses of the fibers of S's generators and the slots their products miss;
 verify_fell_bundle adds families on random dense elements, batched.  A
 unitary multiplier family, which extract_action reads the action back
 through, is held as the rows hold scalars: (N, K, V) over the slots, n x W.
@@ -30,7 +32,7 @@ from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _ex
                             omega_differs, turns, widen)
 from fellsem.angles import turn
 from fellsem.groupoid import held_pairs, membership
-from fellsem.isg import InverseSemigroup, first_true
+from fellsem.isg import InverseSemigroup, first_true, generating_set
 from fellsem.partial_maps import PartialBijection
 
 # the point of a zero point mass: past the end of every table, so that a
@@ -121,8 +123,7 @@ class Bundle:
     @cached_property
     def values(self) -> tuple:
         """The complex value of every product, star and inclusion row."""
-        return tuple(turns(rows[-2], self.N) if rows[-1] is None
-                     else np.where(rows[-2] == NOT_ANGLE, rows[-1], turns(rows[-2], self.N))
+        return tuple(turns(rows[-2], self.N, rows[-1])
                      for rows in (self.products, self.stars, self.inclusions))
 
     @cached_property
@@ -414,17 +415,67 @@ class Lookup:
         star, then the inclusion families."""
         return self._associativity(tol) + self._star_laws(tol) + self._inclusion_laws(tol)
 
+    @cached_property
+    def middle(self) -> np.ndarray:
+        """The slots whose point masses are the middle factors of Light's
+        test (see _associativity): every slot when the full scan is one
+        chunk, or when a product scalar is not an Angle and so is compared
+        within tol; else generating_set over the slots, walking the slots
+        of the fibers of S's generators and then every slot, a product
+        reaching a slot only with an Angle scalar."""
+        B = self.B
+        Z, K, _ = self.P
+        if B.M ** 3 <= CHUNK or not self.exact and (K[Z != NOWHERE] < 0).any():
+            return np.arange(B.M)
+        T, ps, px, cs, off = B.T, B.slot_s, B.slot_x, B.cs, B.off
+
+        def product(a, g):
+            s, t = ps[a][:, None], ps[g][None, :]
+            at = self.poff[s, t] + px[a][:, None] * cs[t] + px[g][None, :]
+            return np.where((Z[at] != NOWHERE) & (K[at] >= 0), off[T[s, t]] + Z[at], -1)
+
+        order = np.concatenate([np.flatnonzero(np.isin(ps, B.S.generators)), np.arange(B.M)])
+        return generating_set(product, order, B.M)
+
     def _associativity(self, tol) -> list:
         """(delta_x delta_y) delta_z = delta_x (delta_y delta_z) for every
-        x, y, z in fibers r, s, t, chunked over the points x."""
+        x, y, z in fibers r, s, t, by Light's test on point masses.
+
+        The lookups extend to a bilinear product on the sum of the fibers.
+        A middle factor m passes when (a m) c = a (m c) for all point masses
+        a and c, and so for all elements; the m that pass are a subspace
+        closed under products, by the four steps in fellsem.isg.  Hence if
+        the point masses of self.middle pass, so does every point mass that
+        their products reach, and `middle` reaches every slot: a product
+        delta_x delta_y = e(K) delta_z with an Angle scalar gives delta_z =
+        e(-K) delta_x delta_y, and a slot that no such product reaches is a
+        middle factor itself.  This needs the rows in their fibers, and
+        comparisons that are exact: each product a point mass times a unit
+        e(K), compared by exponents, which holds when every product scalar
+        is an Angle (a tolerance is not transitive).  When the middle
+        factors fail, the full scan lists every failure."""
+        B = self.B
+        q = self.nonassociative(tol, self.middle)
+        if q.size and len(self.middle) < B.M:
+            q = self.nonassociative(tol, np.arange(B.M))
+        ps, px = B.slot_s, B.slot_x
+        q = q[:, np.lexsort((px[q[2]], px[q[1]], px[q[0]], ps[q[2]], ps[q[1]], ps[q[0]]))]
+        lab, pts = B.S.label, B.points
+        return [("associativity", (lab(r), lab(s), lab(t), pts[r][x], pts[s][y], pts[t][z]))
+                for r, s, t, x, y, z in zip(*ps[q], *px[q])]
+
+    def nonassociative(self, tol, middle) -> np.ndarray:
+        """The slots (a, b, c), b in `middle`, of the point masses x, y and
+        z for which (delta_x delta_y) delta_z and delta_x (delta_y delta_z)
+        differ, as a 3 x count array; chunked over the slots a."""
         B = self.B
         M, T, ps, px = B.M, B.T, B.slot_s, B.slot_x
-        s, y = ps[:, None], px[:, None]
+        s, y = ps[middle, None], px[middle, None]
         t, z = ps[None, :], px[None, :]
         st = T[s, t]
         yz = self.product(s, t, y, z)
         found = [np.empty((3, 0), dtype=np.intp)]
-        step = max(1, CHUNK // max(1, M * M))
+        step = max(1, CHUNK // max(1, len(middle) * M))
         for a in range(0, M, step):
             r, x = ps[a:a + step, None, None], px[a:a + step, None, None]
             xy = self.product(r, s, x, y)
@@ -433,12 +484,8 @@ class Lookup:
             bad = self.far(self.scaled(left[0], xy[1:], left[1:]),
                            self.scaled(right[0], yz[1:], right[1:]), tol)
             i, j, k = np.nonzero(bad)
-            found.append(np.stack([a + i, j, k]))
-        q = np.concatenate(found, axis=1)
-        q = q[:, np.lexsort((px[q[2]], px[q[1]], px[q[0]], ps[q[2]], ps[q[1]], ps[q[0]]))]
-        lab, pts = B.S.label, B.points
-        return [("associativity", (lab(r), lab(s), lab(t), pts[r][x], pts[s][y], pts[t][z]))
-                for r, s, t, x, y, z in zip(*ps[q], *px[q])]
+            found.append(np.stack([a + i, middle[j], k]))
+        return np.concatenate(found, axis=1)
 
     def _star_laws(self, tol) -> list:
         """x** = x on every slot, then (xy)* = y* x* on every pair of slots
@@ -709,8 +756,7 @@ def _extract(B, u):
     check_multiplier_family(B, u)
     Nu, uK, uV = u
     N, ar, T, inv, pts = lcm(B.N, Nu), np.arange(n), B.T, B.inv, B.points
-    value = turns(uK, Nu).reshape(n, W)
-    us = widen(uK, Nu, N), value if uV is None else np.where(uK == NOT_ANGLE, uV, value)
+    us = widen(uK, Nu, N), turns(uK, Nu, uV).reshape(n, W)
     (_, px, py, pz, pK, _), (_, sx, sz, sK, _) = B.products, B.stars
     pK, sK, (pV, sV, _) = widen(pK, B.N, N), widen(sK, B.N, N), B.values
 

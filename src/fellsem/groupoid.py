@@ -75,6 +75,7 @@ class FiniteGroupoid:
         self.labels = labels if labels is not None else [str(i) for i in range(self.m)]
         self.unit = {}
         self.inv = [-1] * self.m
+        self._frame = None  # see _bisection_frame
         self._derive()
 
     def _derive(self):
@@ -504,6 +505,23 @@ def z2_nontrivial_cocycle() -> tuple[FiniteGroupoid, TwoCocycle]:
 # ---------------------------------------------------------------------------
 # translation to twisted actions
 
+def _bisection_frame(G: FiniteGroupoid, S, bisections):
+    """The Frame of the bisections of S acting on G's objects, with s, t and
+    p of the held composable pairs (held_pairs) and the column of the range
+    of each ab, where tau(p) goes in W.  They depend on G, S and the
+    bisections only, so G keeps the last ones built, for the next cocycle
+    over the same S and bisection list."""
+    key = (S, tuple(frozenset(bisections[s]) for s in S.elements()))
+    if G._frame is None or G._frame[0] != key:
+        U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
+        theta = {s: PartialBijection({G.src[a]: G.rng[a] for a in bisections[s]}) for s in S.elements()}
+        F = Frame(S, list(G.objects), U, theta)
+        s, t, p = held_pairs(G, membership(G, [bisections[s] for s in S.elements()]))
+        column = np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[G.pair_a[p]]
+        G._frame = key, (F, s, t, p, column)
+    return G._frame[1]
+
+
 def action_from_cocycle(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=True):
     """The twisted action on the object space induced by a cocycle.
 
@@ -511,17 +529,15 @@ def action_from_cocycle(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=
     its arrows; omega(s, t) at the range of a product arrow ab (a in s,
     b in t) is tau(a, b), read from tau's exponents.  The ranges of the
     products ab are U(st) when S and the bisections come from
-    bisection_semigroup.  Requires a wide bisection family.
+    bisection_semigroup.  Requires a wide bisection family.  Every cocycle
+    over one S and bisection list shares one Frame.
     """
     if not wide:
         raise NotWide("bisection family does not cover the groupoid")
-    U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
-    theta = {s: PartialBijection({G.src[a]: G.rng[a] for a in bisections[s]}) for s in S.elements()}
-    F = Frame(S, list(G.objects), U, theta)
+    F, s, t, p, column = _bisection_frame(G, S, bisections)
     N, K = tau.exponents()
-    s, t, p = held_pairs(G, membership(G, [bisections[s] for s in S.elements()]))
     W = np.full((S.n, S.n, F.m), OUTSIDE, dtype=K.dtype)
-    W[s, t, np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[G.pair_a[p]]] = K[p]
+    W[s, t, column] = K[p]
     return TwistedAction.from_exponents(F, N, W)
 
 

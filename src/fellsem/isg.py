@@ -1,9 +1,22 @@
 """Finite inverse semigroups as verified Cayley tables.
 
-The laws are checked on the table as an integer array: associativity
-compares T[T[a]] with T[a][T] one block of rows a at a time, and the
-inverses and the commuting of idempotents are array comparisons.  Each
-failure names its first witness in row-major order.
+The laws are checked on the table as an integer array.  Associativity is
+Light's test (Clifford and Preston, The Algebraic Theory of Semigroups I,
+1.2): (a g) c = a (g c) is compared for every a and c but only for g in a
+generating set, a gather of T[T[:, g]] against T[:, T[g]] one block of
+rows at a time.  It suffices because the g that pass are closed under
+products: if g and h pass, then for every a and c
+
+    (a (gh)) c = ((a g) h) c = (a g) (h c) = a (g (h c)) = a ((g h) c),
+
+using g with (a, h), h with (ag, c), g with (a, hc) and h with (g, c).
+So every product of generators passes, and generating_set takes its
+generators so that their products reach every element.  A table small
+enough to scan in one block is scanned with every element as a
+generator, which is the full scan.  When the restricted scan finds a
+violation, the full scan names the row-major first one.  The inverses and
+the commuting of idempotents are array comparisons, and each failure
+names its first witness in row-major order.
 """
 
 from __future__ import annotations
@@ -12,7 +25,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-# entries compared at once by the row-blocked associativity check
+# entries compared at once by the row-blocked associativity check; a table
+# of at most this many triples is scanned whole
 ASSOC_BLOCK = 1 << 16
 
 
@@ -57,6 +71,7 @@ class InverseSemigroup:
         self.labels = labels if labels is not None else [str(i) for i in range(self.n)]
         self._cayley = None
         self._order = None
+        self._generators = None
 
     @property
     def cayley(self) -> np.ndarray:
@@ -73,6 +88,13 @@ class InverseSemigroup:
             inv = np.array(self.inv, dtype=np.intp).reshape(self.n)
             self._order = T[T[ar[None, :], inv[:, None]], ar[:, None]] == ar[:, None]
         return self._order
+
+    @property
+    def generators(self) -> np.ndarray:
+        """A generating set for Light's test (see table_generators), built once."""
+        if self._generators is None:
+            self._generators = table_generators(self.cayley)
+        return self._generators
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -134,14 +156,13 @@ def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
         raise IsgError(f"entry table[{a}][{b}] = {table[a][b]} out of range")
     T = T.astype(np.intp)
 
-    rows = max(1, ASSOC_BLOCK // (n * n))
     narrow = T.astype(np.int16) if n < 2 ** 15 else T  # values only; gathers move less
-    for a0 in range(0, n, rows):
-        # [a, b, c]: (ab)c against a(bc)
-        bad = narrow[T[a0:a0 + rows]] != narrow[a0:a0 + rows][:, T]
-        if bad.any():
-            a, b, c = first_true(bad)
-            raise NonAssociative(a0 + a, b, c)
+    middle = np.arange(n) if n ** 3 <= ASSOC_BLOCK else table_generators(T)
+    triple = _nonassociative(T, narrow, middle)
+    if triple and len(middle) < n:
+        triple = _nonassociative(T, narrow, np.arange(n))  # the row-major first witness
+    if triple:
+        raise NonAssociative(*triple)
 
     # b is an inverse of a when aba = a and bab = b
     ar = np.arange(n)
@@ -160,7 +181,66 @@ def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
 
     S = InverseSemigroup(table, inv.tolist(), idem.tolist(), labels)
     S._cayley = T
+    if len(middle) < n:
+        S._generators = middle
     return S
+
+
+def _nonassociative(T, narrow, middle):
+    """The row-major first (a, g, c), g in `middle`, with (a g) c != a (g c),
+    or None; narrow holds T's values in a narrower dtype."""
+    n = len(T)
+    rows = max(1, ASSOC_BLOCK // (n * len(middle)))
+    left, right = T[:, middle], T[middle]
+    for a0 in range(0, n, rows):
+        # [a, i, c]: (a g) c against a (g c), g = middle[i]
+        bad = narrow[left[a0:a0 + rows]] != narrow[a0:a0 + rows][:, right]
+        if bad.any():
+            a, i, c = first_true(bad)
+            return a0 + a, int(middle[i]), c
+    return None
+
+
+def generating_set(product, order, size: int) -> np.ndarray:
+    """Generators of the elements 0..size-1 for Light's test, taken greedily.
+
+    product(a, g) is the array of products of the elements a by the
+    generators g, shape (len(a), len(g)), with -1 for a product that does
+    not count.  Walking `order`, each element that the generators taken so
+    far do not reach becomes a generator, and the reached set grows to the
+    right-closure of the generators: the least set that holds them and is
+    closed under multiplying on the right by a generator.  Each element
+    reached is a product ((g1 g2) g3) ... of generators bracketed to the
+    left, so no associativity is assumed.  When `order` lists every
+    element, every element is reached at the end.
+    """
+    reached = np.zeros(size + 1, dtype=bool)
+    reached[-1] = True  # where a product that does not count lands
+    gens = []
+    for c in order.tolist():
+        if reached[c]:
+            continue
+        gens.append(c)
+        # what was reached, times the new generator; then the new elements
+        # times every generator, until nothing new is reached
+        new = np.append(product(np.flatnonzero(reached[:-1]), np.array([c])).ravel(), c)
+        while new.size:
+            new = np.unique(new[~reached[new]])
+            reached[new] = True
+            new = product(new, np.array(gens)).ravel()
+    return np.array(gens, dtype=np.intp)
+
+
+def table_generators(T: np.ndarray) -> np.ndarray:
+    """A generating set of the magma of a Cayley table, from the top of the
+    J-order down: the elements in decreasing order of |aS|, the number of
+    distinct entries of row a, idempotents last among equals (in I_k the
+    identity is a product of the other units)."""
+    n, ar = len(T), np.arange(len(T))
+    seen = np.zeros((n, n), dtype=bool)
+    seen[ar[:, None], T] = True
+    order = np.lexsort((T[ar, ar] == ar, -seen.sum(axis=1)))
+    return generating_set(lambda a, g: T[a[:, None], g], order, n)
 
 
 def first_true(mask: np.ndarray) -> tuple:
@@ -210,21 +290,26 @@ def partial_injections(k: int):
 
 
 def symmetric_inverse_monoid(k: int) -> InverseSemigroup:
-    """The monoid I_k of all partial injections on k points."""
-    if not 1 <= k <= 4:
-        raise TooLarge(f"k={k} outside supported range 1..4")
+    """The monoid I_k of all partial injections on k points, in the order
+    of partial_injections, for k up to 5.
+
+    Each element is a row of its k images, -1 where undefined.  The table
+    is one gather, f after g reading f's row at g's images through a
+    padding column of -1, and each product is found by its base-(k+1)
+    code with searchsorted."""
+    if not 1 <= k <= 5:
+        raise TooLarge(f"k={k} outside supported range 1..5")
     maps = partial_injections(k)
-    key = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
-
-    def compose(f, g):
-        # f after g, maximal domain
-        return {x: f[y] for x, y in g.items() if y in f}
-
     n = len(maps)
-    table = [[key[tuple(sorted(compose(maps[a], maps[b]).items()))] for b in range(n)]
-             for a in range(n)]
+    images = np.array([[m.get(x, -1) for x in range(k)] for m in maps], dtype=np.int8)
+    padded = np.concatenate([images, np.full((n, 1), -1, dtype=np.int8)], axis=1)
+    place = (k + 1) ** np.arange(k)
+    codes = (images + 1) @ place
+    by_code = np.argsort(codes)
+    composed = padded[:, images] + 1  # [a, b, x]: a(b(x)) + 1, 0 where undefined
+    table = by_code[np.searchsorted(codes[by_code], composed @ place)]
     labels = ["{" + ",".join(f"{x}>{y}" for x, y in sorted(m.items())) + "}" for m in maps]
-    return verify_inverse_semigroup(table, labels=labels)
+    return verify_inverse_semigroup(table.tolist(), labels=labels)
 
 
 def sub_semigroup(S: InverseSemigroup, generators) -> tuple[InverseSemigroup, list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.action import NOT_ANGLE, TwistedAction, _require_theta, turns
+from fellsem.action import TwistedAction, _require_theta, turns
 from fellsem.groupoid import membership
 
 # matrix entries a chunk of verify_covariant or of verify_representation's pair family holds
@@ -79,7 +79,7 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
     dom = F.U[F.T[F.inv, ar]]  # [s, x]: x in U(s*s)
     _require_theta(F, dom, F.th, np.arange(F.m)[None, :])  # KeyError where theta_s misses U(s*s)
     # omega's values from the action's arrays, zero off the carriers
-    omega = np.where(A.W == NOT_ANGLE, 0 if A.V is None else A.V, turns(A.W, A.N).reshape(A.W.shape))
+    omega = turns(A.W, A.N, A.V).reshape(A.W.shape)
     conj, cocycle = np.zeros((n, F.m), dtype=bool), np.zeros((n, n), dtype=bool)
     step = max(1, ENTRIES // (max(n, F.m) * d * d))
     for lo in range(0, n, step):

@@ -88,6 +88,20 @@ def test_cocycle_action_matches_cocycle_pointwise():
     assert verify_consequences(A)[0]
 
 
+def test_cocycles_over_one_bisection_family_share_a_frame():
+    G = pair_groupoid([0, 1, 2])
+    S, biss, wide = bisection_semigroup(G)
+    one, two = enumerate_cocycles(G, roots=2)[-2:]
+    A = action_from_cocycle(G, one, S, biss, wide)
+    assert action_from_cocycle(G, two, S, biss, wide).frame is A.frame
+    # a second bisection semigroup gets its own frame, and G keeps only that
+    S2, biss2, _ = bisection_semigroup(G)
+    B = action_from_cocycle(G, one, S2, biss2, wide)
+    assert B.frame is not A.frame and B.frame.S is S2
+    assert G._frame[0][0] is S2
+    assert (B.W == A.W).all() and B.N == A.N
+
+
 def test_germ_recovery_on_groups_and_pairs():
     for G in [cyclic_group(2), cyclic_group(3), pair_groupoid([0, 1])]:
         tau = TwoCocycle.trivial(G)

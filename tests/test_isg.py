@@ -3,9 +3,25 @@
 import pytest
 
 from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError,
-                         IsgHomomorphism, NonAssociative, is_essentially_injective,
+                         IsgHomomorphism, NonAssociative, TooLarge, is_essentially_injective,
                          partial_injections, sub_semigroup, symmetric_inverse_monoid,
                          verify_inverse_semigroup)
+
+
+def ref_symmetric_inverse_monoid(k: int) -> InverseSemigroup:
+    """The former builder of I_k, composing the partial injections as dicts."""
+    maps = partial_injections(k)
+    key = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
+
+    def compose(f, g):
+        # f after g, maximal domain
+        return {x: f[y] for x, y in g.items() if y in f}
+
+    n = len(maps)
+    table = [[key[tuple(sorted(compose(maps[a], maps[b]).items()))] for b in range(n)]
+             for a in range(n)]
+    labels = ["{" + ",".join(f"{x}>{y}" for x, y in sorted(m.items())) + "}" for m in maps]
+    return verify_inverse_semigroup(table, labels=labels)
 
 
 def test_z2_group_verifies():
@@ -39,6 +55,19 @@ def test_symmetric_inverse_monoid_counts():
     assert symmetric_inverse_monoid(2).n == 7
     assert symmetric_inverse_monoid(3).n == 34
     assert len(partial_injections(2)) == 7
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_integer_coded_monoid_matches_the_dict_builder(k):
+    S, R = symmetric_inverse_monoid(k), ref_symmetric_inverse_monoid(k)
+    assert S.table == R.table and S.labels == R.labels
+    assert S.inv == R.inv and S.idem == R.idem
+    assert all(type(v) is int for row in S.table for v in row)
+
+
+def test_monoid_size_is_capped():
+    with pytest.raises(TooLarge):
+        symmetric_inverse_monoid(6)
 
 
 def test_natural_order_in_i2():

@@ -15,14 +15,13 @@ Every check reads the rows.  Bundle.verify gathers the exact axioms on
 point masses through lookups made from them, comparing Angles as exponents,
 and associativity by Light's test, with middle factors only the point
 masses of the fibers of S's generators and the slots their products miss;
-verify_fell_bundle adds families on random dense elements, batched.  A
+verify_fell_bundle adds the norm axioms, by an exact lemma on the rows.  A
 unitary multiplier family, which extract_action reads the action back
 through, is held as the rows hold scalars: (N, K, V) over the slots, n x W.
 """
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from math import lcm
 
@@ -156,12 +155,12 @@ class Bundle:
     def verify(self, tol: float = 1e-9):
         """The exact axioms on point masses, gathered through the rows.
 
-        First the rows must lie in their fibers (the fiber scans); then
-        associativity, involutivity and anti-multiplicativity of the star,
-        and the inclusion families: identity, isometric, functorial, and
-        compatible with the star and with products on either side.  Returns
-        (ok, violations), each a (tag, where) pair whose where names the
-        semigroup labels and the points.
+        The fiber scans first: each row in its fibers, each key in one row.
+        Then associativity, involutivity and anti-multiplicativity of the
+        star, and the inclusion families: identity, isometric, functorial,
+        and compatible with the star and with products on either side.
+        Returns (ok, violations), each a (tag, where) pair whose where names
+        the semigroup labels and the points.
         """
         bad = self.fiber_violations() or self.lookup().exact_violations(tol)
         return not bad, bad
@@ -169,120 +168,28 @@ class Bundle:
     # -- the fiber scans
 
     def fiber_violations(self) -> list:
-        """Rows that leave their fibers: product rows of (s, t) and star
-        rows of s, row by row of the semigroup, then inclusion rows."""
-        n, lab, cs, T = self.S.n, self.S.label, self.cs, self.T.ravel()
+        """Rows that leave their fibers or repeat another row's key (s, t,
+        x, y), (s, x) or (s, t, x): product rows of (s, t) and star rows of
+        s, row by row of the semigroup, then inclusion rows."""
+        n, lab, cs, T, W = self.S.n, self.S.label, self.cs, self.T.ravel(), self.W
 
-        def outside(x, fiber):
-            return (x < 0) | (x >= cs[fiber])
+        def bad(first, rest, width, *points):
+            """First columns of rows with a point (x, fiber) outside or a repeated key."""
+            out = np.any([(x < 0) | (x >= cs[fiber]) for x, fiber in points], axis=0)
+            key = np.sort((first * width + rest)[~out])
+            return np.concatenate([first[out], key[1:][key[1:] == key[:-1]] // width])
 
         pair, x, y, z = self.products[:4]
+        p = bad(pair, x * W + y, W * W, (x, pair // n), (y, pair % n), (z, T[pair]))
         grid = np.zeros(n * (n + 1), dtype=bool)  # (s, t) at s (n + 1) + t, then s's stars
-        grid[(pair + pair // n)[outside(x, pair // n) | outside(y, pair % n) | outside(z, T[pair])]] = True
+        grid[p + p // n] = True
         fiber, x, z = self.stars[:3]
-        grid[(fiber * (n + 1) + n)[outside(x, fiber) | outside(z, self.inv[fiber])]] = True
+        grid[bad(fiber, x, W, (x, fiber), (z, self.inv[fiber])) * (n + 1) + n] = True
         out = [("star-fiber", lab(s)) if t == n else ("product-fiber", (lab(s), lab(t)))
                for s, t in (divmod(k, n + 1) for k in np.flatnonzero(grid))]
         pair, x, z = self.inclusions[:3]
-        for p in np.unique(pair[outside(x, pair // n) | outside(z, pair % n)]):
+        for p in np.unique(bad(pair, x, W, (x, pair // n), (z, pair % n))):
             out.append(("inclusion-fiber", (lab(p // n), lab(p % n))))
-        return out
-
-    # -- the random families, on dense elements
-
-    def random_violations(self, tol, samples: int, rng) -> list:
-        """The families on random dense elements, batched in chunks.  The
-        draws, two per complex number, are per (s, t, sample) f1, f2 in s, g,
-        lambda, h1, h2 in t and e in s; then f in s and g in t; per (s,
-        sample) f, g in s and lambda; then f in s."""
-        n, cs, lab = self.S.n, self.cs, self.S.label
-        pair = np.repeat(np.arange(n * n), samples)
-        s, t = pair // n, pair % n
-        fiber = np.repeat(np.arange(n), samples)
-        c_s, c_t, c_f = cs[s], cs[t], cs[fiber]
-        lengths = np.concatenate([3 * c_s + 3 * c_t + 1, c_s + c_t, 2 * c_f + 1, c_f])
-        total = int(lengths.sum())
-        o1, o2, o3, o4 = np.split(_starts(lengths), np.cumsum([len(pair)] * 2 + [len(fiber)]))
-        gauss = rng.gauss
-        Z = np.zeros(total + 1, dtype=complex)
-        Z[:total] = np.fromiter((gauss(0, 1) for _ in range(2 * total)), dtype=float,
-                                count=2 * total).view(complex)
-        step = max(1, CHUNK // (8 * self.W))
-        linear, submultiplicative = map(np.concatenate, zip(*(
-            self._product_laws(Z, tol, pair[a:a + step], o1[a:a + step], o2[a:a + step])
-            for a in range(0, max(1, len(pair)), step))))
-        involution, cstar = map(np.concatenate, zip(*(
-            self._involution(Z, tol, fiber[a:a + step], o3[a:a + step], o4[a:a + step])
-            for a in range(0, max(1, len(fiber)), step))))
-
-        out = [(("left-linearity", "right-linearity")[k], (lab(s[i]), lab(t[i])))
-               for i, k in zip(*np.nonzero(linear))]
-        out += [("submultiplicative", (lab(s[i]), lab(t[i])))
-                for i in np.flatnonzero(submultiplicative)]
-        out += [(("star-isometric", "conjugate-linear")[k], lab(fiber[i]))
-                for i, k in zip(*np.nonzero(involution))]
-        for i, k in zip(*np.nonzero(cstar)):
-            u = fiber[i]
-            out.append(("positivity", (lab(u), self.points[self.T[self.inv[u], u]][k - 1]))
-                       if k else ("cstar-identity", lab(u)))
-        return out
-
-    def _elements(self, Z, starts, fibers):
-        """The dense elements of the given fibers drawn from Z at the given
-        starts, padded with zeros to the widest fiber."""
-        col = np.arange(self.W)
-        starts, sizes = np.stack(starts)[..., None], self.cs[np.stack(fibers)][..., None]
-        return Z[np.where(col < sizes, starts + col, len(Z) - 1)]
-
-    def _product_laws(self, Z, tol, pair, o1, o2):
-        """Left- and right-linearity, then submultiplicativity, for the
-        batch (s, t) = pair[b], its draws starting at o1[b] and o2[b]."""
-        s, t = pair // self.S.n, pair % self.S.n
-        c_s, c_t = self.cs[s], self.cs[t]
-        o = o1 + 2 * c_s + c_t  # lambda, then h1, h2 and e
-        lam = Z[o][:, None]
-        f1, f2, g, h1, h2, e, f, g2 = self._elements(
-            Z, [o1, o1 + c_s, o1 + 2 * c_s, o + 1, o + 1 + c_t, o + 1 + 2 * c_t, o2, o2 + c_s],
-            [s, s, t, t, t, s, s, t])
-        m = self._mul(pair, np.stack([lam * f1 + f2, f1, f2, e, e, e, f]),
-                      np.stack([g, g, g, lam * h1 + h2, h1, h2, g2]))
-        linear = np.stack([~_close(m[0], lam * m[1] + m[2], tol),
-                           ~_close(m[3], lam * m[4] + m[5], tol)], axis=1)
-        return linear, _sup(m[6]) > _sup(f) * _sup(g2) + tol
-
-    def _involution(self, Z, tol, fiber, o3, o4):
-        """Star-isometric and conjugate-linear, then the C*-identity and
-        positivity at every point of the fiber over s*s, for the batch
-        s = fiber[b], its draws starting at o3[b] and o4[b]."""
-        f, g, f4 = self._elements(Z, [o3, o3 + self.cs[fiber], o4], [fiber] * 3)
-        lam = Z[o3 + 2 * self.cs[fiber]][:, None]
-        star = self._star(fiber, np.stack([f, lam * f + g, g, f4]))
-        involution = np.stack([np.abs(_sup(star[0]) - _sup(f)) > tol,
-                               ~_close(star[1], np.conj(lam) * star[0] + star[2], tol)], axis=1)
-        p = self._mul(self.inv[fiber] * self.S.n + fiber, star[3:], f4[None])[0]
-        norm = _sup(f4) ** 2
-        return involution, np.concatenate(
-            [(np.abs(_sup(p) - norm) > tol * np.maximum(1.0, norm))[:, None],
-             (np.abs(p.imag) > tol) | (p.real < -tol)], axis=1)
-
-    def _mul(self, pair, L, R):
-        """The products of the dense elements L[k, b] of fiber s and R[k, b]
-        of fiber t, (s, t) = pair[b], through the product rows, summing the
-        terms that meet at one point in row order."""
-        b, r = _expand(*self.spans[0], pair)
-        _, x, y, z = self.products[:4]
-        return self._scatter(L[:, b, x[r]] * R[:, b, y[r]] * self.values[0][r], b, z[r], len(pair))
-
-    def _star(self, fiber, L):
-        """The adjoints of the dense elements L[k, b] of fiber[b]."""
-        b, r = _expand(*self.spans[1], fiber)
-        _, x, z = self.stars[:3]
-        return self._scatter(np.conj(L[:, b, x[r]]) * self.values[1][r], b, z[r], len(fiber))
-
-    def _scatter(self, v, b, z, size):
-        """The terms v[k, i] summed at (k, b[i], z[i]) in row order."""
-        out = np.zeros((len(v), size, self.W), dtype=complex)
-        np.add.at(out, (slice(None), b, z), v)
         return out
 
 
@@ -298,16 +205,6 @@ def _table(rows, N: int):
     for a in (*cols, K) if V is None else (*cols, K, V):
         a.flags.writeable = False
     return (*cols, K, V)
-
-
-def _sup(f):
-    """The sup norms of dense elements along the last axis."""
-    return np.abs(f).max(axis=-1)
-
-
-def _close(f, g, tol):
-    """Whether dense elements agree within tol at every point."""
-    return (np.abs(f - g) <= tol).all(axis=-1)
 
 
 def _expand(start, count, keys):
@@ -565,6 +462,70 @@ class Lookup:
                           for i, q in zip(*np.nonzero(bad))]
         return [v for _, v in sorted(found, key=lambda f: f[0])]
 
+    # -- the norm axioms, read off the rows
+
+    def norm_violations(self, tol) -> list:
+        """The norm axioms in each fiber's sup norm, read off the rows:
+        submultiplicative (s, t) for a product scalar of modulus over one;
+        star-isometric s unless the star rows of s biject fiber s onto s*
+        with unit scalars; cstar-identity s for a delta_x* delta_x (x in
+        fiber s) zero or c delta_z with |c| != 1; positivity (s, z) for a
+        delta_x* delta_y = c delta_z (x, y in fiber s) with x != y or c not
+        >= 0.  tol bounds each comparison of a modulus or a value.
+
+        Lemma: on a pointwise table (for each (s, t), the live product rows
+        have distinct x and distinct z) whose keys do not repeat, these are
+        the failures of ||fg|| <= ||f|| ||g||, ||f*|| = ||f||, ||f*f|| =
+        ||f||^2 and f*f >= 0 over all f, g.  One row meets each z, so ||fg||
+        = max |f(x) g(y) c| <= ||f|| ||g|| max |c|, equal at point masses.
+        ||f*|| = ||f|| iff each x has a star row, to distinct targets, with
+        a unit scalar (else a point mass or a difference of two fails), and
+        injective for every s is bijective.  A zero delta_x* delta_x fails
+        at f = delta_x; else each one's row is the one live row at its first
+        point, so f*f = sum |f(x)|^2 c_x delta_z(x), the z(x) distinct.
+        (f*f)(z) sums conj(f(x)) f(y) c over the delta_x* delta_y = c
+        delta_z, >= 0 for all f iff each has x = y and c >= 0.  Linearity
+        holds by construction.  A table that is not pointwise is a one-fiber
+        algebra whose products add terms, whose C*-norm is not the sup norm:
+        only star-isometric, of the star rows alone, is read there, and
+        positivity at x = y where delta_z* delta_z = b delta_z, b > 0: then
+        p = delta_z / b = p*p is a projection, and c b p >= 0 forces c > 0.
+        """
+        B, N, exact = self.B, self.N, self.exact
+        n, inv, W, lab = B.S.n, B.inv, B.W, B.S.label
+
+        def unit(K, V):
+            return True if exact else (K >= 0) | (np.abs(np.abs(V) - 1) <= tol)
+
+        def positive(K, V):
+            return K % N == 0 if exact else np.where(
+                K >= 0, K % N == 0, (np.abs(V.imag) <= tol) & (V.real >= -tol))
+
+        pair, x, _, z, K, _ = B.products
+        live = B.values[0] != 0
+        pointwise = not any((np.diff(np.sort((pair * W + k)[live])) == 0).any() for k in (x, z))
+        big = pointwise & (K == NOT_ANGLE) & (np.abs(B.values[0]) > 1 + tol)
+        out = [("submultiplicative", (lab(p // n), lab(p % n))) for p in np.unique(pair[big])]
+        i, y = np.nonzero(np.arange(W) < B.cs[B.slot_s][:, None])  # each x, y of one fiber s
+        s, x, diag = B.slot_s[i], B.slot_x[i], B.slot_x[i] == y
+        u, *a = self.star(s, x)
+        hit = np.unique((s * W + u)[diag & (u != NOWHERE) & unit(*a)])
+        iso = (np.bincount(hit // W, minlength=n) == B.cs) & (B.cs == B.cs[inv])
+        out += [("star-isometric", lab(t)) for t in np.flatnonzero(~iso)]
+        m = self.product(inv[s], s, u, y)
+        z, *c = self.scaled(m[0], a, m[1:])
+        live, pos = z != NOWHERE, positive(*c)
+        if pointwise:
+            out += [("cstar-identity", lab(t)) for t in np.unique(s[diag & ~(live & unit(*c))])]
+            bad = live & ~(diag & pos)
+        else:
+            proj = np.zeros(B.M + 1, dtype=bool)  # delta_z* delta_z = b delta_z, b > 0
+            proj[i[diag]] = ((z == x) & pos)[diag]
+            bad = diag & live & ~pos & proj[np.where(live, B.off[B.T[inv[s], s]] + z, B.M)]
+        out += [("positivity", (lab(k // W), B.points[B.T[inv[k // W], k // W]][k % W]))
+                for k in np.unique((s * W + z)[bad])]
+        return out
+
 
 # ---------------------------------------------------------------------------
 # the builders
@@ -649,23 +610,13 @@ def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bun
 # ---------------------------------------------------------------------------
 # the readers
 
-def verify_fell_bundle(B, tol: float = 1e-9, samples: int = 3, rng=None):
-    """Check the bundle axioms: the exact point-mass families are
-    B.verify's, and the rest run on random dense elements.
-
-    All operations are bilinear or conjugate-linear, so point-mass
-    equality extends to the whole fiber; the random families exercise
-    linearity itself: left- and right-linearity, submultiplicativity,
-    star-isometric, conjugate-linear, the C*-identity and positivity.
-    Their norms are the sup norm of functions on the points, the C*-norm
-    of a commutative fiber; a one-fiber algebra whose products add terms
-    is no such fiber, and alg.verify() checks it.  Returns (ok, violations).
+def verify_fell_bundle(B, tol: float = 1e-9, rng=None):
+    """Check the bundle axioms: B.verify's exact point-mass families, then
+    the norm axioms by the lemma of Lookup.norm_violations.  No family draws
+    random numbers; `rng` is accepted and ignored.  Returns (ok, violations).
     """
-    rng = rng or random.Random(0)
-    bad = B.fiber_violations()
-    if bad:
-        return False, bad
-    bad = B.lookup().exact_violations(tol) + B.random_violations(tol, samples, rng)
+    bad = B.fiber_violations() or (
+        B.lookup().exact_violations(tol) + B.lookup().norm_violations(tol))
     return not bad, bad
 
 

@@ -153,9 +153,8 @@ def cmd_bundle(op, data, ctx):
     from fellsem.action import verify_twisted_action
     A = _action_from(data)
     B = bnd.build_bundle(A)
-    rng = random.Random(ctx["seed"])
     if op == "verify":
-        ok, bad = bnd.verify_fell_bundle(B, tol=ctx["tolerance"], rng=rng)
+        ok, bad = bnd.verify_fell_bundle(B, tol=ctx["tolerance"])
         return ok, {"violations": [repr(v) for v in bad]}
     if op == "classify":
         info = bnd.classify_bundle(B, tol=ctx["tolerance"])

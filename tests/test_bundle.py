@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fellsem.action import NOT_ANGLE, OUTSIDE, widen
-from fellsem.angles import Angle
+from fellsem.algebra import convolution_algebra, germ_algebra
+from fellsem.angles import Angle, as_complex
 from fellsem.bundle import (BadMultiplierFamily, Bundle, NotSaturated, SectionBundle,
                             build_bundle, canonical_multipliers, check_multiplier_family,
                             classify_bundle, extract_action, roundtrip_check,
@@ -205,3 +206,69 @@ def test_star_target_outside_its_fiber_is_reported(five, rng):
     ok, bad = verify_fell_bundle(T.bundle(), rng=rng)
     assert not ok
     assert bad == [("star-fiber", S.label(s))]
+
+
+def _with_row_repeated(B, table, i):
+    """A copy of B, made through its rows, whose products (table 0), stars
+    (1) or inclusions (2) hold row i twice, first with its scalar times -1."""
+    N = lcm(B.N, 2)
+    rows = [[*cols[:-2], widen(cols[-2], B.N, N), cols[-1]]
+            for cols in (B.products, B.stars, B.inclusions)]
+    *cols, K, V = rows[table]
+    assert V is None
+    rows[table] = [*(np.insert(c, i, c[i]) for c in cols), np.insert(K, i, (K[i] + N // 2) % N), None]
+    return Bundle(B.S, B.points, N, *rows, B.realization, **origin(B))
+
+
+def test_a_repeated_key_is_a_fiber_violation(five):
+    # a lookup keeps the last row of a key, so no later check sees the first
+    B = build_bundle(five)
+    n, lab = five.S.n, five.S.label
+    for table, tag in enumerate(("product-fiber", "star-fiber", "inclusion-fiber")):
+        first = (B.products, B.stars, B.inclusions)[table][0]
+        i = len(first) // 2
+        where = lab(first[i]) if table == 1 else (lab(first[i] // n), lab(first[i] % n))
+        R = _with_row_repeated(B, table, i)
+        assert R.verify() == (False, [(tag, where)])
+        assert verify_fell_bundle(R) == (False, [(tag, where)])
+
+
+def test_each_norm_family_fires_on_its_own_hypothesis(five):
+    S, lab = five.S, five.S.label
+
+    def norms(T):
+        return T.bundle().lookup().norm_violations(1e-9)
+
+    # a product scalar of modulus 2, away from the products delta_x* delta_y
+    T = tables(build_bundle(five))
+    s, t = next(key for key, rows in T.products.items() if rows and key[0] != S.inv[key[1]])
+    xy, (z, c) = next(iter(T.products[(s, t)].items()))
+    T.products[(s, t)][xy] = (z, 2 * as_complex(c))
+    assert norms(T) == [("submultiplicative", (lab(s), lab(t)))]
+    # a star scalar of modulus 1/2, which halves delta_x* delta_x too
+    T = tables(build_bundle(five))
+    s = next(a for a in S.elements() if T.stars[a])
+    x, (u, c) = next(iter(T.stars[s].items()))
+    T.stars[s][x] = (u, 0.5 * as_complex(c))
+    assert norms(T) == [("star-isometric", lab(s)), ("cstar-identity", lab(s))]
+    # delta_x* delta_x = e(1/3) delta_z: the product's exponent shifted
+    T = tables(build_bundle(five))
+    z, c = T.products[(S.inv[s], s)][(u, x)]
+    T.products[(S.inv[s], s)][(u, x)] = (z, c * Angle("1/3"))
+    assert norms(T) == [("positivity", (lab(s), z))]
+
+
+def test_one_fiber_algebras_read_positivity_at_projections(busby):
+    # C[Z/3]'s products add terms, so its C*-norm is not the sup norm
+    G = cyclic_group(3)
+    assert verify_fell_bundle(convolution_algebra(G, TwoCocycle.trivial(G))) == (True, [])
+    # Busby-Smith's germ algebra with the star exponent of delta_g shifted
+    # by 1/2: delta_g* delta_g = -delta_e, which no exact family sees
+    T = tables(germ_algebra(busby))
+    g = next(x for x in T.stars[0] if T.products[(0, 0)][(x, x)][0] != x)
+    u, c = T.stars[0][g]
+    T.stars[0][g] = (u, c * Angle("1/2"))
+    e = T.products[(0, 0)][(u, g)][0]
+    B = T.bundle()
+    assert B.verify() == (True, [])
+    assert verify_fell_bundle(B) == (False, [("positivity", ("1", e))])

@@ -248,19 +248,16 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _same_reads(B, ref: Tables, seed: int | None):
+def _same_reads(B, ref: Tables, seed: int):
     """The same verdicts and violation lists from B's rows as from the
-    reference tables, through the row checks and the dict readers; the
-    random families too, drawing from Random(seed), unless seed is None."""
+    reference tables, through the row checks and the dict readers;
+    verify_fell_bundle's too, each given Random(seed)."""
     R = _rows_of(ref, B)
-    verify = B.verify()
-    assert verify == R.verify()
-    fell = verify
-    if seed is not None:
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        fell = verify_fell_bundle(B, rng=rng)
-        assert fell == verify_fell_bundle(R, rng=ref_rng)
-        assert rng.getstate() == ref_rng.getstate()
+    assert B.verify() == R.verify()
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    fell = verify_fell_bundle(B, rng=rng)
+    assert fell == verify_fell_bundle(R, rng=ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
     info = classify_bundle(B)
     assert (info["witness"] is None) == (not all(info["regular"].values()))
     del info["witness"]
@@ -299,8 +296,7 @@ def test_rows_match_the_dict_builders_on_the_corpus():
 
 
 def test_rows_match_the_dict_builders_on_the_mutants():
-    # test_03's sweep: the same bases and the same 1000 mutants; the random
-    # families, whose draws dominate the run time, on every tenth
+    # test_03's sweep: the same bases and the same 1000 mutants
     rng = random.Random(2)
     bases = mutation_corpus(rng)
     verdicts = set()
@@ -308,7 +304,7 @@ def test_rows_match_the_dict_builders_on_the_mutants():
         M = mutate_omega(bases[i % len(bases)], rng)
         B, ref = build_bundle(M), ref_build_bundle(M)
         _same_tables(B, ref)
-        verdicts.add(_same_reads(B, ref, None if i % 10 else i))
+        verdicts.add(_same_reads(B, ref, i))
         assert roundtrip_check(M) == ref_roundtrip_check(M)
     assert verdicts == {False}  # each mutant's bundle fails
 

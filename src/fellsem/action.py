@@ -18,6 +18,16 @@ gauge chi is exponents too: (N, C), C[s, x] the exponent of chi_s at the
 frame's point x, OUTSIDE off the fiber carriers, as random_gauge and
 siebenize make it and gauge_transform reads it.
 
+A Frame builds one slot table, once: the flat positions of the live omega
+slots (s, t, y), y in U(st (st)*), in row-major order, and for each slot
+the flat positions in an n x m gauge of chi_s(y), chi_t(theta_s^-1 y) and
+chi_st(y).  gauge_transform, and so siebenize, is three takes from the
+gauge, a sum mod N and a scatter over these slots; build_bundle's product
+rows are these slots.  verify_consequences reads W as n^2 rows of m,
+checks monotonicity over the order pairs only, and compares carriers
+packed eight points to a byte.  A Frame's arrays and tables are read-only,
+so no cached table goes stale.
+
 The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
 inclusion order.  Its closed form is index arithmetic: with e_x the product
 of the idempotents whose carriers hold x, [s, x] = [t, x] exactly when
@@ -61,6 +71,8 @@ class Frame:
     Points are indexed X first, then any other point the data names.
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
+    The tables (thi, fib_of_product, slots) are built once, when first
+    read, and every array is read-only.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
@@ -88,18 +100,45 @@ class Frame:
             s, x, y = zip(*maps)
             self.th[s, x] = y
         self.fib = self.U[self.T[np.arange(n), self.inv]]
+        _freeze(self.U, self.th, self.fib, self.in_X, self.inv, self.idem)
 
     @cached_property
     def thi(self) -> np.ndarray:
         thi = np.full((self.n, self.m + 1), -1, dtype=np.intp)
         rows = np.arange(self.n)[:, None]
         thi[rows, self.th] = np.arange(self.m)  # undefined points land in the last column
-        return thi[:, :self.m]
+        return _freeze(np.ascontiguousarray(thi[:, :self.m]))
 
     @cached_property
     def fib_of_product(self) -> np.ndarray:
         """[s, t, x]: x in the fiber carrier over st."""
-        return self.fib[self.T]
+        return _freeze(self.fib.take(self.T, axis=0))
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The slot table of the live omega slots, (s, t, y) with y in
+        U(st (st)*), in row-major order (see slot_table)."""
+        return self.slot_table(np.flatnonzero(self.fib_of_product))
+
+    def slot_table(self, at) -> np.ndarray:
+        """Rows at, cs, ct, cst for the flat positions `at` of slots (s, t,
+        y) of an n x n x m grid: cs, ct and cst are the flat positions in an
+        n x m gauge of chi_s(y), chi_t(theta_s^-1 y) and chi_st(y), with ct
+        -1 where theta_s^-1 is undefined at y."""
+        n, m = self.n, self.m
+        st = at // m  # s n + t
+        s, y = st // n, at - st * m
+        cs = s * m + y
+        back = self.thi.take(cs)
+        ct = np.where(back >= 0, (st - s * n) * m + back, -1)
+        return _freeze(np.array([at, cs, ct, self.T.take(st) * m + y]))
+
+
+def _freeze(*arrays):
+    """Make the arrays read-only; the last one."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[-1]
 
 
 def _exponent_dtype(N: int):
@@ -115,7 +154,10 @@ def exponents(fracs):
 
 
 def widen(K, N: int, to: int):
-    """Exponents mod N as exponents mod to, a multiple of N; the codes stay."""
+    """Exponents mod N as exponents mod to, a multiple of N; the codes stay.
+    K itself when to is N: copy before writing into the result."""
+    if to == N:
+        return K
     return np.where(K >= 0, K.astype(_exponent_dtype(to)) * (to // N), K)
 
 
@@ -478,75 +520,83 @@ def verify_consequences(A: TwistedAction):
     implementation bug rather than bad input.  Returns (ok, violations).
     """
     S, F, W, N = A.S, A.frame, A.W, A.N
-    T, ar, y_all = F.T, np.arange(F.n), np.arange(F.m)
+    T, n, m, ar, y = F.T, F.n, F.m, np.arange(F.n), np.arange(F.m)[None, :]
+    W2 = W.reshape(n * n, m)  # row s n + t: omega(s, t)
     label, points = S.label, F.points
+    lo, hi = divmod(np.flatnonzero(F.leq), n)  # the order pairs lo <= hi
     out = []
 
     # theta_{s*} is the inverse partial bijection
     for s in np.flatnonzero((F.th[F.inv] != F.thi).any(axis=1)):
         out.append(("inverse-map", label(s)))
 
-    # image identity: theta_r(U(r*r) & U(s)) = U(rs)
+    # image identity: theta_r(U(r*r) & U(s)) = U(rs), read at y as U(s) at
+    # x = theta_r^-1(y) when x is in U(r*r), with the points as the outer
+    # axis; the padding row m stands for an undefined or excluded x
     dom = F.U[T[F.inv, ar]]
-    moved = dom[:, None, :] & F.U[None, :, :]
-    _require_theta(F, moved, F.th[:, None, :], y_all)
-    back = F.thi[:, None, :]
-    image = (back >= 0) & moved[ar[:, None, None], ar[None, :, None], np.maximum(back, 0)]
-    for r, s in zip(*np.nonzero((image != F.fib_of_product).any(axis=2))):
+    if (dom & (F.th < 0)).any():
+        _require_theta(F, dom[:, None, :] & F.U[None], F.th[:, None, :], y)
+    x = np.where(dom[ar[:, None], F.thi] & (F.thi >= 0), F.thi, m)
+    held = np.concatenate([F.U.T, np.zeros((1, n), dtype=bool)]).take(x.T, axis=0)  # [y, r, s]
+    image = (held != np.ascontiguousarray(F.fib.T).take(T, axis=1)).any(axis=0)
+    for r, s in zip(*divmod(np.flatnonzero(image), n)):
         out.append(("image", (label(r), label(s))))
 
-    # carrier monotonicity and intersection
-    monotone = F.leq & (F.U[:, None, :] & ~F.U[None, :, :]).any(axis=2)
+    # carrier monotonicity, over the order pairs, and intersection, with
+    # the carriers packed eight points to a byte, the bytes outermost
+    U8 = np.packbits(F.U, axis=1).T
+    monotone = np.zeros((n, n), dtype=bool)
+    monotone[lo, hi] = (U8[:, lo] & ~U8[:, hi]).any(axis=0)
     P = T[ar, F.inv]
-    meet = (F.U[:, None, :] & F.U[None, :, :]) != F.U[T[P[:, None], P[None, :]]]
-    intersection = meet.any(axis=2)
-    for r, s in zip(*np.nonzero(monotone | intersection)):
+    meet = U8.take(T.take(P, axis=0).take(P, axis=1), axis=1)
+    intersection = ((U8[:, :, None] & U8[:, None, :]) != meet).any(axis=0)
+    for r, s in zip(*divmod(np.flatnonzero(monotone | intersection), n)):
         if monotone[r, s]:
             out.append(("monotone", (label(r), label(s))))
         if intersection[r, s]:
             out.append(("intersection", (label(r), label(s))))
 
     # restriction: theta_t agrees with theta_s on U(s*s) when s <= t
-    lo, hi = np.nonzero(F.leq)
     kept = np.where(dom[lo], F.th[hi], -1)
     for i in np.flatnonzero((kept != F.th[lo]).any(axis=1)):
         out.append(("restriction", (label(lo[i]), label(hi[i]))))
 
     # omega(s*,s) pulled through theta_s equals omega(s,s*)
-    s, ss, y = ar[:, None], F.inv[:, None], y_all[None, :]
+    s, ss = ar[:, None], F.inv[:, None]
     need = F.fib[T[ar, F.inv]]
     _require_theta(F, need, F.thi, y)
     x = np.maximum(F.thi, 0)
-    a, b = W[ss, s, x], W[s, ss, y]
+    a, b = W[ss, s, x], W2[ar * n + F.inv]
     _require(A, need, (a, ss, s, x), (b, s, ss, y))
-    for s, y in zip(*np.nonzero(need & ((a - b) % N != 0))):
-        out.append(("flip", (label(s), points[y])))
+    for s, x in zip(*np.nonzero(need & ((a - b) % N != 0))):
+        out.append(("flip", (label(s), points[x])))
 
     # omega(r,e) = 1 whenever e >= r*r
     E = F.idem
     r, e = np.nonzero(F.leq[T[F.inv, ar]][:, E])
-    vals = W[r, E[e]]
+    vals = W2[r * n + E[e]]
     for i, x in zip(*np.nonzero((vals > 0) | (vals == NOT_ANGLE))):
         out.append(("dominating-unit", (label(r[i]), label(E[e[i]]), points[x])))
 
     # omega(t*,s) = omega(t*,ss*) omega(s*,s) pointwise, for s <= t
-    s, t, y = lo[:, None], hi[:, None], y_all[None, :]
-    ts, e, si = F.inv[t], T[s, F.inv[s]], F.inv[s]
-    need = F.fib[T[ts, s], y]
-    a, b, c = W[ts, s, y], W[ts, e, y], W[si, s, y]
+    ts, e, si = F.inv[hi], T[lo, F.inv[lo]], F.inv[lo]
+    need = F.fib[T[ts, lo]]
+    a, b, c = W2[ts * n + lo], W2[ts * n + e], W2[si * n + lo]
+    s, ts, e, si = (v[:, None] for v in (lo, ts, e, si))
     _require(A, need, (a, ts, s, y), (b, ts, e, y), (c, si, s, y))
     for i, x in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
         out.append(("star-restriction", (label(lo[i]), label(hi[i]), points[x])))
 
     # transition chain: omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
-    i, t = np.nonzero(F.leq[hi])
-    r, s, t = lo[i][:, None], hi[i][:, None], t[:, None]
+    i, t = divmod(np.flatnonzero(F.leq.take(hi, axis=0)), n)
+    r, s = lo[i], hi[i]
     rr, sn = T[F.inv[r], r], T[F.inv[s], s]
-    need = F.fib[T[t, rr], y]
-    a, b, c = W[t, rr, y], W[t, sn, y], W[s, rr, y]
+    need = F.fib[T[t, rr]]
+    a, b, c = W2[t * n + rr], W2[t * n + sn], W2[s * n + rr]
+    r, s, t, rr, sn = (v[:, None] for v in (r, s, t, rr, sn))
     _require(A, need, (a, t, rr, y), (b, t, sn, y), (c, s, rr, y))
-    for i, y in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
-        out.append(("chain", (label(r[i, 0]), label(s[i, 0]), label(t[i, 0]), points[y])))
+    for i, x in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
+        out.append(("chain", (label(r[i, 0]), label(s[i, 0]), label(t[i, 0]), points[x])))
 
     return not out, out
 
@@ -572,30 +622,34 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
 
     chi is (N, C), C[s, x] the exponent mod N of chi_s at the frame's point
     x, OUTSIDE where it has no value; it must have one on U(ss*) and be one
-    on idempotents.  The result holds exponent arrays.
+    on idempotents.  The result holds exponent arrays.  The slots read
+    are those of the frame's slot table when omega's carriers are the
+    frame's, as they are for every action that passes the structure
+    family; other carriers get a table of their own slots.
     """
-    S, F = A.S, A.frame
+    S, F, W = A.S, A.frame, A.W.reshape(-1)
     Nc, C = chi
     if (bad := (C[F.idem] > 0).any(axis=1)).any():
         raise GaugeNotUnitAtIdempotent(S.label(F.idem[first_true(bad)[0]]))
-    odd = A.W == NOT_ANGLE
-    if odd.any():
-        s, t, x = first_true(odd)
+    if (W == NOT_ANGLE).any():
+        s, t, x = first_true(A.W == NOT_ANGLE)
         raise A._bad_value(s, t, F.points[x], "is not an angle")
     N = lcm(A.N, Nc)
-    W, C = widen(A.W, A.N, N), widen(C, Nc, N)
+    C = widen(C, Nc, N).reshape(-1)
     inside = W >= 0
-    ar = np.arange(F.n)
-    s, t, y, st = ar[:, None, None], ar[None, :, None], np.arange(F.m), F.T[:, :, None]
-    back = F.thi[s, y]
-    _require_theta(F, inside, back, y)
-    back = np.maximum(back, 0)
-    cs, ct, cst = C[s, y], C[t, back], C[st, y]
-    for vals, u, x in ((cs, s, y), (ct, t, back), (cst, st, y)):
-        if at := _missing(inside, vals, u, x):
-            raise ActionError(f"gauge for {S.label(at[0])} undefined at {F.points[at[1]]}")
-    W = np.where(inside, (cs + ct - cst + W) % N, W)
-    return TwistedAction.from_exponents(F, N, W)
+    live = np.array_equal(inside, F.fib_of_product.reshape(-1))
+    at, *reads = F.slots if live else F.slot_table(np.flatnonzero(inside))
+    if (undefined := reads[1] < 0).any():  # theta_s^-1 undefined at y, as a partial bijection raises
+        raise KeyError(F.points[at[first_true(undefined)[0]] % F.m])
+    cs, ct, cst = gauge = [C.take(i) for i in reads]
+    for i, vals in zip(reads, gauge):
+        if (lost := vals < 0).any():
+            u, x = divmod(int(i[first_true(lost)[0]]), F.m)
+            raise ActionError(f"gauge for {S.label(u)} undefined at {F.points[x]}")
+    moved = (cs + ct - cst + widen(W.take(at), A.N, N)) % N
+    out = np.full(W.size, OUTSIDE, dtype=moved.dtype)
+    out[at] = moved
+    return TwistedAction.from_exponents(F, N, out.reshape(A.W.shape))
 
 
 # ---------------------------------------------------------------------------

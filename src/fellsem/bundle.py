@@ -537,10 +537,11 @@ def build_bundle(A: TwistedAction) -> Bundle:
     Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
     Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
 
-    The rows come from the action's exponent arrays.
+    The rows come from the action's exponent arrays; the products are the
+    frame's live omega slots, read through its slot table.
     """
-    F, W, N = A.frame, A.W, A.N
-    n, T, inv, fib = F.n, F.T, F.inv, F.fib
+    F, W, N = A.frame, A.W.reshape(-1), A.N
+    n, m, T, inv, fib = F.n, F.m, F.T, F.inv, F.fib
     num = np.where(fib, np.cumsum(fib, axis=1) - 1, -1)  # [s, i]: point i in fiber s
     points = [[x for x, inside in zip(F.points, row) if inside] for row in fib.tolist()]
 
@@ -550,24 +551,25 @@ def build_bundle(A: TwistedAction) -> Bundle:
             raise KeyError(F.points[x[np.argmax(image < 0)]])
         return image
 
-    def scalars(s, t, y, conj):
-        """omega(s, t)(y), conjugated if `conj`; a value that is no Angle
-        from A.V, zero outside the carrier."""
-        k = W[s, t, y]
+    def scalars(at, conj):
+        """omega at the flat slots `at` of W, conjugated if `conj`; a value
+        that is no Angle from A.V, zero outside the carrier."""
+        k = W.take(at)
         if not (k < 0).any():
             return -k % N if conj else k, None
-        V = np.zeros(len(s), dtype=complex) if A.V is None else np.where(k == NOT_ANGLE, A.V[s, t, y], 0)
+        V = np.zeros(len(at), dtype=complex) if A.V is None else np.where(k == NOT_ANGLE, A.V.take(at), 0)
         return np.where(k >= 0, (-k if conj else k) % N, NOT_ANGLE), np.conj(V) if conj else V
 
-    s, t, y = np.nonzero(F.fib_of_product)
-    x = through(F.thi, s, y)
-    products = (s * n + t, num[s, y], num[t, x], num[T[s, t], y], *scalars(s, t, y, False))
+    at, cs, ct, cst = F.slots
+    if (ct < 0).any():  # theta_s^-1 undefined at y, as a partial bijection raises
+        raise KeyError(F.points[at[np.argmax(ct < 0)] % m])
+    products = (at // m, num.take(cs), num.take(ct), num.take(cst), *scalars(at, False))
     s, x = np.nonzero(fib[inv])
-    stars = (s, num[s, through(F.th, s, x)], num[inv[s], x], *scalars(inv[s], s, x, True))
+    stars = (s, num[s, through(F.th, s, x)], num[inv[s], x], *scalars((inv[s] * n + s) * m + x, True))
     lo, hi = np.nonzero(F.leq)
     i, y = np.nonzero(fib[lo])
     s, t = lo[i], hi[i]
-    inclusions = (s * n + t, num[s, y], num[t, y], *scalars(t, T[inv[s], s], y, True))
+    inclusions = (s * n + t, num[s, y], num[t, y], *scalars((t * n + T[inv[s], s]) * m + y, True))
     return Bundle(A.S, points, N, products, stars, inclusions, "action", A=A)
 
 

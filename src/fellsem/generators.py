@@ -165,7 +165,7 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
     denom = rng.choice([2, 3, 4])
     shift = rng.randrange(1, denom)
     N, V = lcm(A.N, denom), A.V
-    W = widen(A.W, A.N, N)
+    W = widen(A.W, A.N, N).copy()  # widen may return A's read-only W
     if W[s, t, i] >= 0:
         W[s, t, i] = (W[s, t, i] + shift * (N // denom)) % N
     else:

@@ -60,6 +60,16 @@ def test_gauge_must_be_trivial_on_idempotents(busby):
         gauge_transform(busby, (2, C))
 
 
+@pytest.mark.parametrize("name", ["U", "th", "fib", "in_X", "inv", "idem",
+                                  "thi", "fib_of_product", "slots"])
+def test_frame_arrays_are_read_only(name):
+    # the cached tables are built from the others, so none may change
+    F = full_monoid_action(2).frame
+    a = getattr(F, name)
+    with pytest.raises(ValueError, match="read-only"):
+        a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
 def test_gauge_undefined_at_a_needed_point(five, rng):
     N, C = random_gauge(five, rng)
     S, F = five.S, five.frame

@@ -18,8 +18,8 @@ from math import prod
 import numpy as np
 import pytest
 
-from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, GaugeNotUnitAtIdempotent, GermGroupoid,
-                            TwistedAction, check_sieben, gauge_transform, siebenize,
+from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, Frame, GaugeNotUnitAtIdempotent,
+                            GermGroupoid, TwistedAction, check_sieben, gauge_transform, siebenize,
                             verify_consequences, verify_twisted_action)
 from fellsem.angles import Angle, as_angle
 from fellsem.bundle import SectionBundle, build_bundle, canonical_multipliers, extract_action
@@ -534,3 +534,139 @@ def test_gauged_i4_passes_and_a_mutant_is_flagged():
     assert verify_consequences(gauged)[0]
     M = mutate_omega(gauged, random.Random(2))
     assert not (verify_twisted_action(M)[0] and verify_consequences(M)[0])
+
+
+def _kernels(A, chi):
+    """The N and W of gauge_transform and siebenize, siebenize's gauge and
+    the consequences' verdict, or the error each raises."""
+    def run(f):
+        try:
+            return f()
+        except (ActionError, KeyError) as exc:
+            return type(exc), str(exc)
+    gauged, (sieben_chi, fixed) = run(lambda: gauge_transform(A, chi)), run(lambda: siebenize(A))
+    return [gauged.N, gauged.W, run(lambda: verify_consequences(A)), *sieben_chi, fixed.N, fixed.W]
+
+
+def _fresh(A):
+    """A over a Frame of its own, with none of its tables built yet."""
+    F = A.frame
+    return TwistedAction.from_exponents(Frame(F.S, F.X, F.sets, F.maps, F.points), A.N, A.W, A.V)
+
+
+def test_cold_and_warm_frames_give_the_same_results():
+    # the slot table is built by the first call that needs it: a new Frame
+    # and one whose table an earlier call built read the same slots
+    A = full_monoid_action(4)
+    gauged = gauge_transform(A, random_gauge(A, random.Random(1)))
+    rng, mutant = random.Random(2), gauged
+    for _ in range(200):  # 17 consequence violations in four families
+        mutant = mutate_omega(mutant, rng)
+    assert len(verify_consequences(mutant)[1]) > 10
+    chi = random_gauge(gauged, random.Random(3))
+    for B in (gauged, mutant):
+        cold = _fresh(B)
+        assert "slots" not in vars(cold.frame) and "slots" in vars(B.frame)
+        one, two = _kernels(cold, chi), _kernels(B, chi)
+        assert "slots" in vars(cold.frame)
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+# ---------------------------------------------------------------------------
+# the first failure: each raise path of gauge_transform and
+# verify_consequences on an input with more than one failing point, with
+# the error the former dense scans raised
+
+def _i2_with(theta=(), omega=()):
+    """The tautological action of I_2 with some maps and omega values
+    replaced, keyed by label."""
+    A = full_monoid_action(2)
+    S, th, om = A.S, dict(A.theta), dict(A.omega)
+    th.update((S.index_of(s), PartialBijection(m)) for s, m in dict(theta).items())
+    om.update(((S.index_of(s), S.index_of(t)), f) for (s, t), f in dict(omega).items())
+    return TwistedAction(S, A.X, A.U, th, om)
+
+
+def _gauge(A, holes=(), chi=None):
+    """A's random gauge (or chi) with no value at the (label, point) holes."""
+    N, C = chi or random_gauge(A, random.Random(0))
+    C = C.copy()
+    for s, x in holes:
+        C[A.S.index_of(s), A.frame.index[x]] = OUTSIDE
+    return N, C
+
+
+def _image_key_error():
+    # theta_{0,1} and the swap lose a point each: both are undefined where
+    # the image family reads them
+    return verify_consequences(_i2_with(theta={"{0>0,1>1}": {0: 0}, "{0>1,1>0}": {1: 0}}))
+
+
+def _flip_key_error():
+    # theta moves a point off every carrier, so theta^-1 is undefined at
+    # two points of the fiber carriers
+    return verify_consequences(_i2_with(theta={"{0>1}": {0: "z"}, "{0>1,1>0}": {0: 1, 1: "z"}}))
+
+
+def _missing_omega():
+    one = Angle(0)
+    A = _i2_with(omega={("{0>1,1>0}", "{0>1,1>0}"): CFunction({0, 1}, {1: one}),
+                        ("{1>0}", "{0>1}"): CFunction({1}, {})})
+    return verify_consequences(A)
+
+
+def _gauge_key_error():
+    A = _i2_with(theta={"{0>0,1>1}": {0: 0}, "{0>1,1>0}": {0: 1}})
+    return gauge_transform(A, _gauge(full_monoid_action(2)))
+
+
+def _gauge_s_undefined():
+    A = full_monoid_action(2)
+    return gauge_transform(A, _gauge(A, [("{0>1,1>0}", 0), ("{0>0,1>1}", 1)]))
+
+
+def _gauge_t_undefined():
+    # with the swap's map the identity, chi_t is read off the fiber of t
+    A = _i2_with(theta={"{0>1,1>0}": {0: 0, 1: 1}})
+    return gauge_transform(A, _gauge(A))
+
+
+def _gauge_st_undefined():
+    # omega(swap, e) given on both points for two idempotents e, and the
+    # gauge values that only chi_st reads there removed
+    both = CFunction({0, 1}, {0: Angle(0), 1: Angle(0)})
+    A = _i2_with(omega={("{0>1,1>0}", "{0>0}"): both, ("{0>1,1>0}", "{1>1}"): both})
+    zero = 1, np.zeros((A.S.n, A.frame.m), dtype=np.int64)
+    return gauge_transform(A, _gauge(A, [("{0>1}", 0), ("{1>0}", 1)], zero))
+
+
+def _not_an_angle():
+    A = _i2_with(omega={("{0>1,1>0}", "{0>1,1>0}"): CFunction({0, 1}, {0: Angle(0), 1: 0.5j}),
+                        ("{0>1}", "{1>0}"): CFunction({0}, {0: 1j})})
+    return gauge_transform(A, _gauge(full_monoid_action(2)))
+
+
+def _gauge_not_unit():
+    A = full_monoid_action(2)
+    N, C = random_gauge(A, random.Random(0))
+    C = C.copy()
+    C[A.frame.idem[1:], 0] = 1
+    return gauge_transform(A, (N * 2, C))
+
+
+@pytest.mark.parametrize("case, error, message", [
+    (_image_key_error, KeyError, 1),
+    (_flip_key_error, KeyError, 1),
+    (_missing_omega, ActionError, "omega({1>0},{0>1}) undefined at 0"),
+    (_gauge_key_error, KeyError, 1),
+    (_gauge_s_undefined, ActionError, "gauge for {0>0,1>1} undefined at 1"),
+    (_gauge_t_undefined, ActionError, "gauge for {0>0} undefined at 1"),
+    (_gauge_st_undefined, ActionError, "gauge for {0>1} undefined at 0"),
+    (_not_an_angle, ActionError, "omega({0>1},{1>0}) is not an angle at 0"),
+    (_gauge_not_unit, GaugeNotUnitAtIdempotent, "{0>0}"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_the_first_failure_is_the_former_one(case, error, message):
+    with pytest.raises(error) as caught:
+        case()
+    assert type(caught.value) is error and caught.value.args == (message,)

@@ -23,10 +23,18 @@ slots (s, t, y), y in U(st (st)*), in row-major order, and for each slot
 the flat positions in an n x m gauge of chi_s(y), chi_t(theta_s^-1 y) and
 chi_st(y).  gauge_transform, and so siebenize, is three takes from the
 gauge, a sum mod N and a scatter over these slots; build_bundle's product
-rows are these slots.  verify_consequences reads W as n^2 rows of m,
-checks monotonicity over the order pairs only, and compares carriers
-packed eight points to a byte.  A Frame's arrays and tables are read-only,
-so no cached table goes stale.
+rows are these slots.  A Frame also builds a cocycle table: for each live
+instance (r, s, t, x) of the cocycle identity, x in U(r*r) & U(st (st)*),
+the flat positions in W of its four factors.  verify_twisted_action's
+cocycle family is four takes from W, a sum and a reduction mod N over it.
+The table is kept only when the scan over the pairs (r, x) fits in one
+CHUNK, so a kept table is at most 4 CHUNK intp; a larger scan builds a
+table per chunk.  verify_consequences reads W as n^2 rows of m, checks
+monotonicity over the order pairs only, and compares carriers packed
+eight points to a byte.  A Frame's arrays and tables are read-only, so no
+cached table goes stale.  Every exponent identity reduces mod N with mod,
+a floor division and a product, which numpy runs faster than its
+remainder by a scalar.
 
 The germ groupoid is the quotient of the pairs (t, x), x in U(t*t), by the
 inclusion order.  Its closed form is index arithmetic: with e_x the product
@@ -45,7 +53,7 @@ from math import lcm
 import numpy as np
 
 from fellsem.angles import Angle, as_angle, as_frac, turn
-from fellsem.isg import InverseSemigroup, first_true
+from fellsem.isg import InverseSemigroup, first_true, index_pairs
 from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
 
 # array entries a chunked family gathers at once
@@ -71,8 +79,10 @@ class Frame:
     Points are indexed X first, then any other point the data names.
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
-    The tables (thi, fib_of_product, slots) are built once, when first
-    read, and every array is read-only.
+    The tables (thi, fib_of_product, slots, pairs, cocycle) are built once,
+    when first read, and every array is read-only.  cocycle is None when
+    its scan is more than CHUNK entries, so a kept cocycle table holds at
+    most 4 CHUNK intp.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
@@ -133,6 +143,56 @@ class Frame:
         ct = np.where(back >= 0, (st - s * n) * m + back, -1)
         return _freeze(np.array([at, cs, ct, self.T.take(st) * m + y]))
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The pairs (r, x), x in U(r*r), as flat positions r m + x of an n x
+        m grid, in row-major order."""
+        ar = np.arange(self.n)
+        return _freeze(np.flatnonzero(self.U[self.T[self.inv, ar]]))
+
+    @cached_property
+    def cocycle(self) -> np.ndarray | None:
+        """The cocycle table of all the pairs when the scan over them, n^2
+        entries a pair, is at most CHUNK entries; else None, and a caller
+        builds a table per chunk of pairs."""
+        if len(self.pairs) * self.n ** 2 > CHUNK:
+            return None
+        return self.cocycle_table(self.pairs)
+
+    def cocycle_table(self, pairs) -> np.ndarray:
+        """Rows a, b, c, d of flat positions in an n x n x m omega array for
+        the live instances (r, s, t, x) of the cocycle identity
+        omega(s,t)(x) omega(r,st)(y) = omega(r,s)(y) omega(rs,t)(y), y =
+        theta_r(x), of the given pairs r m + x: a is omega(s, t) at x, b
+        omega(r, st) at y, c omega(r, s) at y and d omega(rs, t) at y.  An
+        instance is live when x is in U(st (st)*), omega(s, t)'s carrier
+        once an action has passed the structure family; the instances come
+        pair by pair, in the order given, and then by s n + t."""
+        n, m, T = self.n, self.m, self.T
+        nn = n * n
+        # the live (s, t, x), point by point, and each row's part that does
+        # not depend on r: (s n + t) m + x, T[s, t] m, s and t m
+        q = np.flatnonzero(self.fib_of_product.reshape(nn, m).T)  # x n^2 + s n + t
+        point = q // nn
+        st = q - point * nn
+        s = st // n
+        parts = np.array([st * m + point, T.take(st) * m, s, (st - s * n) * m])
+        ends = np.searchsorted(point, np.arange(m + 1))  # point x's parts: ends[x]:ends[x + 1]
+        r = pairs // m
+        x = pairs - r * m
+        out = np.concatenate([parts[:, ends[i]:ends[i + 1]] for i in x.tolist()] or [parts[:, :0]], axis=1)
+        _, b, c, d = out
+        count = np.diff(ends).take(x)
+        rn = np.repeat(r * n, count)
+        c += rn  # r n + s
+        d += T.take(c) * (n * m)
+        y = np.repeat(self.th.reshape(-1).take(pairs), count)  # theta_r(x)
+        b += rn * m + y
+        c *= m
+        c += y
+        d += y
+        return _freeze(out)
+
 
 def _freeze(*arrays):
     """Make the arrays read-only; the last one."""
@@ -143,6 +203,18 @@ def _freeze(*arrays):
 
 def _exponent_dtype(N: int):
     return np.int64 if N <= INT64_MODULUS else object
+
+
+def mod(K, N: int):
+    """K mod N, in [0, N), as K - K // N N: numpy runs a floor division by a
+    scalar in a strength-reduced loop and its remainder in a far slower
+    one.  An array result is written over the quotient, so it allocates as
+    K % N does.  Exact for object arrays and Python integers."""
+    q = K // N
+    if not isinstance(q, np.ndarray):
+        return K - q * N
+    q *= N
+    return np.subtract(K, q, out=q)
 
 
 def exponents(fracs):
@@ -417,6 +489,16 @@ def _require(A: TwistedAction, need, *factors):
             raise A._bad_value(s, t, A.frame.points[x])
 
 
+def _require_at(A: TwistedAction, factors):
+    """Raise as omega_at would at the first point where a factor, (flat
+    positions in W, the values there), holds no angle, factor by factor."""
+    n, m = A.S.n, A.frame.m
+    for at, vals in factors:
+        if (lost := vals < 0).any():
+            u, x = divmod(int(at[first_true(lost)[0]]), m)
+            raise A._bad_value(*divmod(u, n), A.frame.points[x])
+
+
 def _require_theta(F: Frame, need, image, x):
     """Raise KeyError, as a partial bijection does, at the first needed
     point x whose image index is undefined."""
@@ -444,6 +526,13 @@ def verify_twisted_action(A: TwistedAction):
     chunk, Light's test on the bundle (bundle.Lookup._associativity)
     decides the family, and only a failure runs the direct scan, which
     lists the violations.
+
+    The direct scan reads the frame's cocycle table (Frame.cocycle_table):
+    the positions in W of the four factors of every live instance.  It is
+    four takes, a sum and mod N; violations are decoded from the positions.
+    A scan of at most CHUNK entries reads the table the frame keeps
+    (Frame.cocycle, at most 4 CHUNK intp); a longer one builds a table per
+    chunk of pairs (r, x), with the same first failure.
     """
     violations = [("structure", v) for v in A.structural_violations()]
     if violations:
@@ -463,33 +552,32 @@ def verify_twisted_action(A: TwistedAction):
     # (ii) omega(s,t)(x) omega(r,st)(y) = omega(r,s)(y) omega(rs,t)(y)
     # where x runs over U(r*r) & U(st) and y = theta_r(x): the first factor
     # is evaluated before the r-action moves the point, the rest after.
-    # Chunked over the pairs (r, x), x in U(r*r), each with its (s, t) plane.
-    # With the structure checked, omega(s, t) is carried by U(st); when the
-    # maps compose, every other factor is defined where it is needed.  A
-    # scan of more than one chunk first runs Light's test on the bundle.
-    R, X = np.nonzero(F.U[T[F.inv, ar]])
-    light = False
-    if composes and len(R) * n * n > CHUNK:
+    # With the structure checked, omega(s, t) is carried by U(st), so the
+    # live instances of the frame's cocycle table are those needed; when
+    # the maps compose, every other factor is defined where it is needed.
+    # The table is chunked over the pairs (r, x), x in U(r*r), n^2 entries
+    # a pair; a scan of more than one chunk first runs Light's test on the
+    # bundle.
+    tables = None if F.cocycle is None else (F.cocycle,)
+    if tables is None and composes:
         from fellsem.bundle import build_bundle
         L = build_bundle(A).lookup()
-        light = not L.nonassociative(0, L.middle).size
-    Y = F.th[R, X]
-    s, t, st = ar[None, :, None], ar[None, None, :], T[None]
-    step = max(1, CHUNK // (n * n))
-    found = [np.empty((4, 0), dtype=np.intp)]
-    for c in range(0, 0 if light else len(R), step):
-        r, x, y = (a[c:c + step, None, None] for a in (R, X, Y))
-        first, rs = W[s, t, x], T[r, s]
-        need = first >= 0
-        after, left, right = W[r, st, y], W[r, s, y], W[rs, t, y]
+        if not L.nonassociative(0, L.middle).size:
+            tables = ()
+    if tables is None:
+        pairs, step = F.pairs, max(1, CHUNK // (n * n))
+        tables = (F.cocycle_table(pairs[c:c + step]) for c in range(0, len(pairs), step))
+    Wf, found = W.reshape(-1), [np.empty((2, 0), dtype=np.intp)]
+    for table in tables:
+        first, *rest = (Wf.take(at) for at in table)
         if not composes:
-            _require(A, need, (after, r, st, y), (left, r, s, y), (right, rs, t, y))
-        bad = need & ((first + after - left - right) % N != 0)
-        if bad.any():
-            p, i, j = np.nonzero(bad)
-            found.append(np.stack([R[c + p], i, j, X[c + p]]))
-    found = np.concatenate(found, axis=1)
-    for r, s, t, x in found[:, np.lexsort(found[::-1])].T:
+            _require_at(A, zip(table[1:], rest))
+        bad = np.flatnonzero(mod(first + rest[0] - rest[1] - rest[2], N))
+        found.append(table[:2, bad])
+    st_x, r_st_y = np.concatenate(found, axis=1)
+    nm = n * F.m
+    for key in np.sort(r_st_y // nm * (n * nm) + st_x).tolist():  # (r, s, t, x) in order
+        r, (s, t), x = key // (n * nm), divmod(key // F.m % n ** 2, n), key % F.m
         violations.append(("cocycle", (label(r), label(s), label(t), points[x])))
 
     # (iii) omega(e,f) = 1 and omega(r, r*r) = omega(rr*, r) = 1
@@ -507,7 +595,7 @@ def verify_twisted_action(A: TwistedAction):
     need = F.fib[T[se, s], x]
     a, b, c = W[ss, e, x], W[se, s, x], W[ss, s, x]
     _require(A, need, (a, ss, e, x), (b, se, s, x), (c, ss, s, x))
-    for s, e, x in zip(*np.nonzero(need & ((a + b - c) % N != 0))):
+    for s, e, x in zip(*np.nonzero(need & (mod(a + b - c, N) != 0))):
         violations.append(("idempotent-splitting", (label(s), label(E[e]), points[x])))
 
     return not violations, violations
@@ -523,7 +611,7 @@ def verify_consequences(A: TwistedAction):
     T, n, m, ar, y = F.T, F.n, F.m, np.arange(F.n), np.arange(F.m)[None, :]
     W2 = W.reshape(n * n, m)  # row s n + t: omega(s, t)
     label, points = S.label, F.points
-    lo, hi = divmod(np.flatnonzero(F.leq), n)  # the order pairs lo <= hi
+    lo, hi = index_pairs(F.leq)  # the order pairs lo <= hi
     out = []
 
     # theta_{s*} is the inverse partial bijection
@@ -539,7 +627,7 @@ def verify_consequences(A: TwistedAction):
     x = np.where(dom[ar[:, None], F.thi] & (F.thi >= 0), F.thi, m)
     held = np.concatenate([F.U.T, np.zeros((1, n), dtype=bool)]).take(x.T, axis=0)  # [y, r, s]
     image = (held != np.ascontiguousarray(F.fib.T).take(T, axis=1)).any(axis=0)
-    for r, s in zip(*divmod(np.flatnonzero(image), n)):
+    for r, s in zip(*index_pairs(image)):
         out.append(("image", (label(r), label(s))))
 
     # carrier monotonicity, over the order pairs, and intersection, with
@@ -550,7 +638,7 @@ def verify_consequences(A: TwistedAction):
     P = T[ar, F.inv]
     meet = U8.take(T.take(P, axis=0).take(P, axis=1), axis=1)
     intersection = ((U8[:, :, None] & U8[:, None, :]) != meet).any(axis=0)
-    for r, s in zip(*divmod(np.flatnonzero(monotone | intersection), n)):
+    for r, s in zip(*index_pairs(monotone | intersection)):
         if monotone[r, s]:
             out.append(("monotone", (label(r), label(s))))
         if intersection[r, s]:
@@ -568,7 +656,7 @@ def verify_consequences(A: TwistedAction):
     x = np.maximum(F.thi, 0)
     a, b = W[ss, s, x], W2[ar * n + F.inv]
     _require(A, need, (a, ss, s, x), (b, s, ss, y))
-    for s, x in zip(*np.nonzero(need & ((a - b) % N != 0))):
+    for s, x in zip(*np.nonzero(need & (mod(a - b, N) != 0))):
         out.append(("flip", (label(s), points[x])))
 
     # omega(r,e) = 1 whenever e >= r*r
@@ -584,18 +672,18 @@ def verify_consequences(A: TwistedAction):
     a, b, c = W2[ts * n + lo], W2[ts * n + e], W2[si * n + lo]
     s, ts, e, si = (v[:, None] for v in (lo, ts, e, si))
     _require(A, need, (a, ts, s, y), (b, ts, e, y), (c, si, s, y))
-    for i, x in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
+    for i, x in zip(*np.nonzero(need & (mod(a - b - c, N) != 0))):
         out.append(("star-restriction", (label(lo[i]), label(hi[i]), points[x])))
 
     # transition chain: omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
-    i, t = divmod(np.flatnonzero(F.leq.take(hi, axis=0)), n)
+    i, t = index_pairs(F.leq.take(hi, axis=0))
     r, s = lo[i], hi[i]
     rr, sn = T[F.inv[r], r], T[F.inv[s], s]
     need = F.fib[T[t, rr]]
     a, b, c = W2[t * n + rr], W2[t * n + sn], W2[s * n + rr]
     r, s, t, rr, sn = (v[:, None] for v in (r, s, t, rr, sn))
     _require(A, need, (a, t, rr, y), (b, t, sn, y), (c, s, rr, y))
-    for i, x in zip(*np.nonzero(need & ((a - b - c) % N != 0))):
+    for i, x in zip(*np.nonzero(need & (mod(a - b - c, N) != 0))):
         out.append(("chain", (label(r[i, 0]), label(s[i, 0]), label(t[i, 0]), points[x])))
 
     return not out, out
@@ -646,7 +734,7 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
         if (lost := vals < 0).any():
             u, x = divmod(int(i[first_true(lost)[0]]), F.m)
             raise ActionError(f"gauge for {S.label(u)} undefined at {F.points[x]}")
-    moved = (cs + ct - cst + widen(W.take(at), A.N, N)) % N
+    moved = mod(cs + ct - cst + widen(W.take(at), A.N, N), N)
     out = np.full(W.size, OUTSIDE, dtype=moved.dtype)
     out[at] = moved
     return TwistedAction.from_exponents(F, N, out.reshape(A.W.shape))
@@ -680,7 +768,7 @@ class GermGroupoid:
         for e in F.idem.tolist():
             ex = np.where(F.U[e], np.where(ex < 0, e, T[e, ex]), ex)
         dom = F.U[T[F.inv, ar]]
-        t, x = np.nonzero(dom)
+        t, x = index_pairs(dom)
         m = T[t, ex[x]]
         _, first, cls = np.unique(m * F.m + x, return_index=True, return_inverse=True)
         g = np.argsort(np.argsort(first))[cls.reshape(-1)]  # classes ranked by first pair
@@ -691,8 +779,8 @@ class GermGroupoid:
         self.of = np.full((F.n, F.m), -1, dtype=np.intp)
         self.of[t, x] = g
 
-        lo, hi = np.nonzero(F.leq & (ar[:, None] != ar))
-        i, xe = np.nonzero(dom[lo] & dom[hi])  # the edges lo[i] < hi[i] at xe
+        lo, hi = index_pairs(F.leq & (ar[:, None] != ar))
+        i, xe = index_pairs(dom[lo] & dom[hi])  # the edges lo[i] < hi[i] at xe
         s, u = lo[i], hi[i]
         e, y = T[F.inv[s], s], F.th[s, xe]
         k = W[u, e, y]
@@ -701,8 +789,8 @@ class GermGroupoid:
             raise A._bad_value(u[j], e[j], F.points[y[j]], "is not an angle")
         mm, y, r = T[F.inv[m], m], F.th[m, x], self.reps[g]  # (m, m) is no edge: its factor is one
         self.K = np.zeros((F.n, F.m), dtype=W.dtype)
-        self.K[t, x] = (np.where(t == m, 0, W[t, mm, y]) - np.where(r == m, 0, W[r, mm, y])) % N
-        bad = (self.K[s, xe] + k - self.K[u, xe]) % N != 0
+        self.K[t, x] = mod(np.where(t == m, 0, W[t, mm, y]) - np.where(r == m, 0, W[r, mm, y]), N)
+        bad = mod(self.K[s, xe] + k - self.K[u, xe], N) != 0
         self.conflicts = [("transition", (s, t, F.points[x])) for s, t, x in
                           zip(s[bad].tolist(), u[bad].tolist(), xe[bad].tolist())]
 
@@ -798,8 +886,8 @@ def siebenize(A: TwistedAction):
     coordinate and convert every other to it: C[t, theta_t(x)] is the
     inverse of the germ coordinate G.K[t, x]."""
     G, F = GermGroupoid(A), A.frame
-    t, x = np.nonzero(G.of >= 0)
+    t, x = index_pairs(G.of >= 0)
     C = np.full((F.n, F.m), OUTSIDE, dtype=G.K.dtype)
-    C[t, F.th[t, x]] = -G.K[t, x] % A.N
+    C[t, F.th[t, x]] = mod(-G.K[t, x], A.N)
     chi = (A.N, C)
     return chi, gauge_transform(A, chi)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.action import GermGroupoid, TwistedAction
+from fellsem.action import GermGroupoid, TwistedAction, mod
 from fellsem.bundle import Bundle, SectionBundle
 from fellsem.isg import first_true, verify_inverse_semigroup
 
@@ -77,7 +77,7 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
         i = first_true(w < 0)[0]
         raise A._bad_value(s[i], t[i], F.points[y[i]], "is not an angle")
     m, n = len(g), G.arrow_count
-    E = (np.where(np.arange(len(s)) < m, w, -w) + c) % N
+    E = mod(np.where(np.arange(len(s)) < m, w, -w) + c, N)
     zero, ar = np.zeros(n, dtype=np.intp), np.arange(n)
     return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], None), (zero, ar, G.of[ri, rng], E[m:], None),
                   (zero, ar, ar, zero, None), "germ", A=A, germs=G)

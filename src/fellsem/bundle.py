@@ -27,11 +27,11 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype,
+from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype, mod,
                             omega_differs, turns, widen)
 from fellsem.angles import turn
 from fellsem.groupoid import held_pairs, membership
-from fellsem.isg import InverseSemigroup, first_true, generating_set
+from fellsem.isg import InverseSemigroup, first_true, generating_set, index_pairs
 from fellsem.partial_maps import PartialBijection
 
 # the point of a zero point mass: past the end of every table, so that a
@@ -287,7 +287,7 @@ class Lookup:
     def conj(self, K, V):
         if V is None:
             return -K, None
-        return np.where(K >= 0, -K % self.N, K), np.conj(V)
+        return np.where(K >= 0, mod(-K, self.N), K), np.conj(V)
 
     def far(self, p, q, tol):
         """Whether two scaled point masses differ by more than tol at some
@@ -297,11 +297,11 @@ class Lookup:
         (zp, Kp, Vp), (zq, Kq, Vq) = p, q
         at_p, at_q, one = zp != NOWHERE, zq != NOWHERE, 1.0 > tol
         if self.exact:
-            differ, big_p, big_q = (Kp - Kq) % self.N != 0, at_p & one, at_q & one
+            differ, big_p, big_q = mod(Kp - Kq, self.N) != 0, at_p & one, at_q & one
         else:
             big_p = at_p & np.where(Kp >= 0, one, np.abs(Vp) > tol)
             big_q = at_q & np.where(Kq >= 0, one, np.abs(Vq) > tol)
-            differ = np.where((Kp >= 0) & (Kq >= 0), (Kp - Kq) % self.N != 0,
+            differ = np.where((Kp >= 0) & (Kq >= 0), mod(Kp - Kq, self.N) != 0,
                               np.abs(Vp - Vq) > tol)
         return np.where(zp == zq, at_p & differ, big_p | big_q)
 
@@ -498,8 +498,8 @@ class Lookup:
             return True if exact else (K >= 0) | (np.abs(np.abs(V) - 1) <= tol)
 
         def positive(K, V):
-            return K % N == 0 if exact else np.where(
-                K >= 0, K % N == 0, (np.abs(V.imag) <= tol) & (V.real >= -tol))
+            return mod(K, N) == 0 if exact else np.where(
+                K >= 0, mod(K, N) == 0, (np.abs(V.imag) <= tol) & (V.real >= -tol))
 
         pair, x, _, z, K, _ = B.products
         live = B.values[0] != 0
@@ -556,18 +556,18 @@ def build_bundle(A: TwistedAction) -> Bundle:
         that is no Angle from A.V, zero outside the carrier."""
         k = W.take(at)
         if not (k < 0).any():
-            return -k % N if conj else k, None
+            return mod(-k, N) if conj else k, None
         V = np.zeros(len(at), dtype=complex) if A.V is None else np.where(k == NOT_ANGLE, A.V.take(at), 0)
-        return np.where(k >= 0, (-k if conj else k) % N, NOT_ANGLE), np.conj(V) if conj else V
+        return np.where(k >= 0, mod(-k if conj else k, N), NOT_ANGLE), np.conj(V) if conj else V
 
     at, cs, ct, cst = F.slots
     if (ct < 0).any():  # theta_s^-1 undefined at y, as a partial bijection raises
         raise KeyError(F.points[at[np.argmax(ct < 0)] % m])
     products = (at // m, num.take(cs), num.take(ct), num.take(cst), *scalars(at, False))
-    s, x = np.nonzero(fib[inv])
+    s, x = index_pairs(fib[inv])
     stars = (s, num[s, through(F.th, s, x)], num[inv[s], x], *scalars((inv[s] * n + s) * m + x, True))
-    lo, hi = np.nonzero(F.leq)
-    i, y = np.nonzero(fib[lo])
+    lo, hi = index_pairs(F.leq)
+    i, y = index_pairs(fib[lo])
     s, t = lo[i], hi[i]
     inclusions = (s * n + t, num[s, y], num[t, y], *scalars((t * n + T[inv[s], s]) * m + y, True))
     return Bundle(A.S, points, N, products, stars, inclusions, "action", A=A)
@@ -604,7 +604,7 @@ def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bun
     i, a = np.nonzero(fiber[lo])
     N, K = tau.exponents(np.concatenate([p, G.pair_index[inv_c, c]]))
     return Bundle(S, points, N, (s * n + t, num[s, G.pair_a[p]], num[t, G.pair_b[p]], z, K[:len(p)], None),
-                  (star, x, num[u, c], -K[len(p):] % N, None),
+                  (star, x, num[u, c], mod(-K[len(p):], N), None),
                   (lo[i] * n + hi[i], num[lo[i], a], num[hi[i], a], np.zeros(len(i), dtype=np.intp), None),
                   "section", G=G, tau=tau)
 
@@ -730,12 +730,12 @@ def _extract(B, u):
         elements as pairs (K, V) of (batch, W) arrays, through the rows."""
         b, r = _expand(*B.spans[0], pair)
         k = (f[0][b, px[r]], g[0][b, py[r]], pK[r])
-        K = np.where((k[0] >= 0) & (k[1] >= 0) & (k[2] >= 0), (k[0] + k[1] + k[2]) % N, NOT_ANGLE)
+        K = np.where((k[0] >= 0) & (k[1] >= 0) & (k[2] >= 0), mod(k[0] + k[1] + k[2], N), NOT_ANGLE)
         return total(b, pz[r], len(pair), K, f[1][b, px[r]] * g[1][b, py[r]] * pV[r])
 
     b, r = _expand(*B.spans[1], ar)  # u_s* for every s, through the star rows
     k = us[0][b, sx[r]]
-    ustar = total(b, sz[r], n, np.where((k >= 0) & (sK[r] >= 0), (sK[r] - k) % N, NOT_ANGLE),
+    ustar = total(b, sz[r], n, np.where((k >= 0) & (sK[r] >= 0), mod(sK[r] - k, N), NOT_ANGLE),
                   np.conj(us[1][b, sx[r]]) * sV[r])
 
     # theta_s(x), x in fiber s*s, is the one point of (u_s delta_x) u_s*,

@@ -16,7 +16,7 @@ import numpy as np
 from fellsem.angles import turn
 from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
 from fellsem.partial_maps import PartialBijection
-from fellsem.action import OUTSIDE, Frame, TwistedAction, gauge_transform, widen
+from fellsem.action import OUTSIDE, Frame, TwistedAction, gauge_transform, mod, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
                               z2_nontrivial_cocycle)
@@ -167,7 +167,7 @@ def mutate_omega(A: TwistedAction, rng) -> TwistedAction | None:
     N, V = lcm(A.N, denom), A.V
     W = widen(A.W, A.N, N).copy()  # widen may return A's read-only W
     if W[s, t, i] >= 0:
-        W[s, t, i] = (W[s, t, i] + shift * (N // denom)) % N
+        W[s, t, i] = mod(W[s, t, i] + shift * (N // denom), N)
     else:
         V = V.copy()
         V[s, t, i] *= turn(shift, denom)

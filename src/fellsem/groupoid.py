@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from fellsem.action import (CHUNK, OUTSIDE, Frame, TwistedAction, _exponent_dtype, exponents,
-                            germ_groupoid, germ_map_check)
+                            germ_groupoid, germ_map_check, mod)
 from fellsem.angles import Angle, as_frac
 from fellsem.isg import first_true, verify_inverse_semigroup
 from fellsem.partial_maps import PartialBijection
@@ -422,7 +422,7 @@ class TwoCocycle:
     def coboundary(cls, G: FiniteGroupoid, c) -> "TwoCocycle":
         """tau(a,b) = c(a) c(b) conj(c(ab)) for unit-modulus c with c(unit)=1."""
         N, E = exponents([as_frac(c.get(a, 0)) for a in G.arrows()])
-        return cls.from_exponents(G, N, (E[G.pair_a] + E[G.pair_b] - E[G.pair_ab]) % N)
+        return cls.from_exponents(G, N, mod(E[G.pair_a] + E[G.pair_b] - E[G.pair_ab], N))
 
 
 def verify_cocycle(G: FiniteGroupoid, tau: TwoCocycle):
@@ -441,7 +441,7 @@ def verify_cocycle(G: FiniteGroupoid, tau: TwoCocycle):
     p = G.normal[K[G.normal] != 0]
     violations = [("normalization", pair) for pair in zip(G.pair_a[p].tolist(), G.pair_b[p].tolist())]
     ab, abc, bc, a_bc = G.triples
-    k = np.flatnonzero((K[ab] + K[abc] - K[bc] - K[a_bc]) % N != 0)
+    k = np.flatnonzero(mod(K[ab] + K[abc] - K[bc] - K[a_bc], N))
     violations += [("cocycle", t) for t in zip(G.pair_a[ab[k]].tolist(), G.pair_b[ab[k]].tolist(),
                                                 G.pair_b[bc[k]].tolist())]
     return not violations, violations
@@ -453,7 +453,7 @@ def _digits(roots: int, width: int, step: int):
     place = roots ** np.arange(width - 1, -1, -1, dtype=np.int64)
     total = roots ** width
     for lo in range(0, total, step):
-        yield np.arange(lo, min(lo + step, total), dtype=np.int64)[:, None] // place % roots
+        yield mod(np.arange(lo, min(lo + step, total), dtype=np.int64)[:, None] // place, roots)
 
 
 def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4, max_slots: int = 12):
@@ -473,7 +473,7 @@ def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4, max_slots: int = 12):
     for D in _digits(roots, width, max(1, CHUNK // max(1, len(ab)))):
         K = np.zeros((len(D), len(free)), dtype=np.int64)
         K[:, free] = D
-        ok = ((K[:, ab] + K[:, abc] - K[:, bc] - K[:, a_bc]) % roots == 0).all(axis=1)
+        ok = (mod(K[:, ab] + K[:, abc] - K[:, bc] - K[:, a_bc], roots) == 0).all(axis=1)
         out += [TwoCocycle.from_exponents(G, roots, k) for k in K[ok]]
     return out
 
@@ -485,7 +485,7 @@ def coboundary_cocycles(G: FiniteGroupoid, roots: int = 4):
     for D in _digits(roots, G.m - int(G.units.sum()), max(1, CHUNK // max(1, len(G.pair_a)))):
         c = np.zeros((len(D), G.m), dtype=np.int64)
         c[:, ~G.units] = D
-        K = (c[:, G.pair_a] + c[:, G.pair_b] - c[:, G.pair_ab]) % roots
+        K = mod(c[:, G.pair_a] + c[:, G.pair_b] - c[:, G.pair_ab], roots)
         _, first = np.unique(K, axis=0, return_index=True)
         for k in K[np.sort(first)]:
             if (key := k.tobytes()) not in seen:

@@ -248,6 +248,14 @@ def first_true(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
+def index_pairs(mask: np.ndarray) -> tuple:
+    """The row and column indices of a 2-D mask's True entries, row-major,
+    as np.nonzero lists them: one flatnonzero and a divmod by the width."""
+    q = np.flatnonzero(mask)
+    i = q // max(mask.shape[1], 1)
+    return i, q - i * mask.shape[1]
+
+
 class IsgHomomorphism:
     """A semigroup homomorphism given by an element array."""
 

@@ -61,7 +61,7 @@ def test_gauge_must_be_trivial_on_idempotents(busby):
 
 
 @pytest.mark.parametrize("name", ["U", "th", "fib", "in_X", "inv", "idem",
-                                  "thi", "fib_of_product", "slots"])
+                                  "thi", "fib_of_product", "slots", "pairs", "cocycle"])
 def test_frame_arrays_are_read_only(name):
     # the cached tables are built from the others, so none may change
     F = full_monoid_action(2).frame

@@ -20,11 +20,12 @@ import pytest
 
 from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, Frame, GaugeNotUnitAtIdempotent,
                             GermGroupoid, TwistedAction, check_sieben, gauge_transform, siebenize,
-                            verify_consequences, verify_twisted_action)
+                            verify_consequences, verify_twisted_action, widen)
 from fellsem.angles import Angle, as_angle
 from fellsem.bundle import SectionBundle, build_bundle, canonical_multipliers, extract_action
 from fellsem.generators import (corpus, five_element_semigroup, full_monoid_action,
-                                mutate_omega, mutation_corpus, random_gauge, sub_monoid_action)
+                                mutate_omega, mutation_corpus, random_gauge, sub_monoid_action,
+                                untwisted_action)
 from fellsem.groupoid import TwoCocycle, bisection_semigroup, pair_groupoid
 from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError, NoInverse,
                          NonAssociative, symmetric_inverse_monoid, verify_inverse_semigroup)
@@ -493,6 +494,28 @@ def test_wide_denominators_stay_exact(k):
     assert check_sieben(fixed)[0] and fixed.equals(ref_siebenize(ref)[1])
 
 
+def _one_value_negated(A, s, t, x):
+    """A with omega(s, t) at x times -1: exponents mod 2N."""
+    W = widen(A.W, A.N, 2 * A.N).copy()
+    i = A.frame.index[x]
+    W[s, t, i] = (W[s, t, i] + A.N) % (2 * A.N)
+    return TwistedAction.from_exponents(A.frame, 2 * A.N, W)
+
+
+def test_wide_exponents_report_the_same_cocycle_violations():
+    # a gauge changes no axiom's verdict at any point, so one value
+    # negated gives the same violations at int64 and with Python integers
+    A = full_monoid_action(3)
+    wide = gauge_transform(A, _wide_gauge(A))
+    S = A.S
+    s, t = S.index_of("{0>1,1>2,2>0}"), S.index_of("{0>2,1>0,2>1}")
+    narrow, broad = _one_value_negated(A, s, t, 0), _one_value_negated(wide, s, t, 0)
+    assert narrow.W.dtype == np.int64 and broad.N > 2 ** 62 and broad.W.dtype == object
+    ok, bad = verify_twisted_action(narrow)
+    assert not ok and sum(tag == "cocycle" for tag, _ in bad) > 10
+    assert verify_twisted_action(broad) == (ok, bad)
+
+
 def test_complex_omega_value_is_a_structural_violation(five):
     B = build_bundle(five)
     N, K, _ = canonical_multipliers(B)
@@ -573,10 +596,32 @@ def test_cold_and_warm_frames_give_the_same_results():
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
+def test_cold_and_warm_frames_give_the_same_cocycle_violations():
+    # the frame keeps the cocycle table of a one-chunk scan (I_3) and builds
+    # one per chunk for a longer one (I_4, listed after Light's test fails)
+    I3, I4 = full_monoid_action(3), full_monoid_action(4)
+    gauged = gauge_transform(I3, random_gauge(I3, random.Random(3)))
+    rng, mutant = random.Random(2), gauged
+    for _ in range(200):
+        mutant = mutate_omega(mutant, rng)
+    big = mutate_omega(gauge_transform(I4, random_gauge(I4, random.Random(1))), random.Random(2))
+    for B, kept in ((gauged, True), (mutant, True), (big, False)):
+        cold = _fresh(B)
+        assert "cocycle" not in vars(cold.frame)
+        one = verify_twisted_action(cold)
+        assert (cold.frame.cocycle is not None) == kept
+        verify_twisted_action(B)
+        assert "cocycle" in vars(B.frame)
+        assert verify_twisted_action(B) == one
+    assert one[1] and all(tag == "cocycle" for tag, _ in one[1])
+    assert sum(tag == "cocycle" for tag, _ in verify_twisted_action(mutant)[1]) > 100
+
+
 # ---------------------------------------------------------------------------
-# the first failure: each raise path of gauge_transform and
-# verify_consequences on an input with more than one failing point, with
-# the error the former dense scans raised
+# the first failure: each raise path of gauge_transform,
+# verify_consequences and the cocycle family of maps that do not compose,
+# on an input with more than one failing point, with the error the former
+# dense scans raised
 
 def _i2_with(theta=(), omega=()):
     """The tautological action of I_2 with some maps and omega values
@@ -655,6 +700,42 @@ def _gauge_not_unit():
     return gauge_transform(A, (N * 2, C))
 
 
+def _untwisted(S, carriers, theta):
+    """untwisted_action of S with each idempotent the identity on its
+    carrier and the other elements acting by theta, keyed by label."""
+    maps = {S.index_of(e): {x: x for x in pts} for e, pts in carriers.items()}
+    return untwisted_action(S, maps | {S.index_of(s): m for s, m in theta.items()})
+
+
+def _cocycle_after_missing():
+    # maps that do not compose, so the family reads its factors one by
+    # one: omega(r, st) is undefined at theta_r(x)
+    S = full_monoid_action(2).S
+    return verify_twisted_action(_untwisted(S, {"{}": [0, 2], "{0>0}": [1], "{1>1}": [1], "{0>0,1>1}": []},
+                                            {"{0>1}": {1: 1}, "{1>0}": {1: 1}, "{0>1,1>0}": {}}))
+
+
+def _cocycle_left_missing():
+    # carriers that are not monotone, U(0) holding every point: omega(r,
+    # st) is defined wherever it is needed, omega(r, s) is not
+    S = full_monoid_action(2).S
+    return verify_twisted_action(_untwisted(S, {"{}": [0, 1, 2], "{0>0}": [], "{1>1}": [], "{0>0,1>1}": [0]},
+                                            {"{0>1}": {}, "{1>0}": {}, "{0>1,1>0}": {0: 0}}))
+
+
+def _cocycle_right_missing():
+    # over an associative table omega(rs, t) has the carrier of omega(r,
+    # st), so it is missing first only over a table that is not
+    # associative: I_2's with swap {1>0} = {1>0}, as InverseSemigroup,
+    # which trusts its arguments, takes it
+    I2 = full_monoid_action(2).S
+    table = [list(row) for row in I2.table]
+    table[I2.index_of("{0>1,1>0}")][I2.index_of("{1>0}")] = I2.index_of("{1>0}")
+    S = InverseSemigroup(table, I2.inv, I2.idem, I2.labels)
+    return verify_twisted_action(_untwisted(S, {"{}": [1], "{0>0}": [0], "{1>1}": [2], "{0>0,1>1}": []},
+                                            {"{0>1}": {0: 2}, "{1>0}": {2: 0}, "{0>1,1>0}": {}}))
+
+
 @pytest.mark.parametrize("case, error, message", [
     (_image_key_error, KeyError, 1),
     (_flip_key_error, KeyError, 1),
@@ -665,6 +746,9 @@ def _gauge_not_unit():
     (_gauge_st_undefined, ActionError, "gauge for {0>1} undefined at 0"),
     (_not_an_angle, ActionError, "omega({0>1},{1>0}) is not an angle at 0"),
     (_gauge_not_unit, GaugeNotUnitAtIdempotent, "{0>0}"),
+    (_cocycle_after_missing, ActionError, "omega({0>0},{0>1}) undefined at 1"),
+    (_cocycle_left_missing, ActionError, "omega({0>0,1>1},{0>0}) undefined at 0"),
+    (_cocycle_right_missing, ActionError, "omega({1>0},{1>0}) undefined at 0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_the_first_failure_is_the_former_one(case, error, message):
     with pytest.raises(error) as caught:

@@ -1,15 +1,15 @@
 """Finite models of twisted inverse semigroup actions and Fell bundles.
 
 Everything here is exact or desk-scale numerical: inverse semigroups are
-Cayley tables, commutative C*-algebras are functions on finite sets, circle
-scalars are rational rotation angles, and operator-space arguments run on
-small complex matrices.
+Cayley tables, commutative C*-algebras are functions on finite sets, an
+exact circle scalar is its turn, a Fraction in [0, 1) (held in arrays as
+exponents mod a common denominator), a complex number appears only where
+a value is not an angle, and operator-space arguments run on small
+complex matrices.
 """
 
-from fellsem.angles import Angle
 from fellsem.isg import (InverseSemigroup, IsgHomomorphism, is_essentially_injective,
                          symmetric_inverse_monoid, verify_inverse_semigroup)
-from fellsem.partial_maps import CFunction, PartialBijection
 from fellsem.action import (TwistedAction, check_sieben, gauge_transform, germ_groupoid,
                             siebenize, verify_consequences, verify_twisted_action)
 from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
@@ -23,7 +23,6 @@ from fellsem.reps import regular_covariant_rep, verify_covariant
 from fellsem.refine import saturated_refinement, verify_refinement
 
 __all__ = [
-    "Angle", "CFunction", "PartialBijection",
     "InverseSemigroup", "IsgHomomorphism", "is_essentially_injective",
     "symmetric_inverse_monoid", "verify_inverse_semigroup",
     "TwistedAction", "check_sieben", "gauge_transform", "germ_groupoid",

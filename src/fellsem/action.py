@@ -1,22 +1,25 @@
 """Twisted actions of finite inverse semigroups on functions over a finite set.
 
 An action consists of carrier subsets U(s) of the point set X (the ideals),
-partial bijections theta_s moving points (the isomorphisms between ideals,
-acting on functions by pullback along the inverse), and unit-modulus
-cocycle functions omega(s, t) carried by U(st).
+partial bijections theta_s moving points, given as dicts {x: theta_s(x)}
+(the isomorphisms between ideals, acting on functions by pullback along
+the inverse), and unit-modulus cocycle functions omega(s, t) carried by
+U(st), given as dicts {x: value}.
 
-Every omega value is an angle k/N, with N the lcm of the denominators, so
-the axioms, their consequences, the Sieben condition and gauges are
-identities between integer exponents mod N.  A TwistedAction is its arrays,
-built once when it is made: a Frame (the Cayley table, the carriers as a
-mask, theta as index arrays) and the omega exponents W[s, t, x], with a
-complex array V only where a value is not an Angle, as a Bundle's rows
-hold scalars.  The checks are gathers and comparisons on these arrays, with
-zero tolerance; exponents are int64 while every sum of four of them fits,
-and Python integers beyond.  The omega mapping is a read-only view.  A
-gauge chi is exponents too: (N, C), C[s, x] the exponent of chi_s at the
-frame's point x, OUTSIDE off the fiber carriers, as random_gauge and
-siebenize make it and gauge_transform reads it.
+A value is a turn, a Fraction in [0, 1) (an int or 'p/q' text is read as
+one), or a complex number where it is not an angle; 0j is zero.  Every
+turn is k/N, with N the lcm of the denominators, so the axioms, their
+consequences, the Sieben condition and gauges are identities between
+integer exponents mod N.  A TwistedAction is its arrays, built once when
+it is made: a Frame (the Cayley table, the carriers as a mask, theta as
+index arrays) and the omega exponents W[s, t, x], with a complex array V
+only where a value is not an angle, as a Bundle's rows hold scalars.  The
+checks are gathers and comparisons on these arrays, with zero tolerance;
+exponents are int64 while every sum of four of them fits, and Python
+integers beyond.  The omega mapping is a read-only view.  A gauge chi is
+exponents too: (N, C), C[s, x] the exponent of chi_s at the frame's
+point x, OUTSIDE off the fiber carriers, as random_gauge and siebenize
+make it and gauge_transform reads it.
 
 A Frame builds one slot table, once: the flat positions of the live omega
 slots (s, t, y), y in U(st (st)*), in row-major order, and for each slot
@@ -52,15 +55,14 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.angles import Angle, as_angle, as_frac, turn
+from fellsem.angles import as_frac, turn
 from fellsem.isg import InverseSemigroup, first_true, index_pairs
-from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
 
 # array entries a chunked family gathers at once
 CHUNK = 1 << 18
 # int64 holds every sum of four exponents mod N while N <= 2**61
 INT64_MODULUS = 2 ** 61
-# exponent codes: outside the carrier of omega(s, t), or no Angle there
+# exponent codes: outside the carrier of omega(s, t), or no angle there
 OUTSIDE, NOT_ANGLE = -1, -2
 
 
@@ -72,11 +74,16 @@ class GaugeNotUnitAtIdempotent(ActionError):
     pass
 
 
+class CarrierMismatch(ValueError):
+    pass
+
+
 class Frame:
     """The semigroup, points, carriers and theta of an action as given (S, X,
     sets, maps) and as arrays; an action and its gauge transforms share one.
 
     Points are indexed X first, then any other point the data names.
+    theta[s] is a dict {x: theta_s(x)}, which must be injective.
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
     The tables (thi, fib_of_product, slots, pairs, cocycle) are built once,
@@ -88,13 +95,13 @@ class Frame:
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
         self.S, self.X = S, list(X)
         U = self.sets = {s: frozenset(U[s]) for s in S.elements()}
-        theta = self.maps = {s: theta[s] for s in S.elements()}
+        theta = self.maps = {s: dict(theta[s]) for s in S.elements()}
         n = self.n = S.n
         self.T, self.leq = S.cayley, S.order
         self.inv = np.array(S.inv, dtype=np.intp).reshape(n)
         self.idem = np.array(S.idem, dtype=np.intp).reshape(-1)
         points = list(dict.fromkeys(self.X))
-        named = set(more_points).union(*U.values(), *(m.domain | m.range for m in theta.values()))
+        named = set(more_points).union(*U.values(), *theta.values(), *map(dict.values, theta.values()))
         points += sorted(named.difference(points), key=repr)
         self.points = points
         self.index = index = {x: i for i, x in enumerate(points)}
@@ -105,10 +112,13 @@ class Frame:
         self.th = np.full((n, m), -1, dtype=np.intp)
         self.U[[s for s in S.elements() for _ in U[s]],
                [index[x] for s in S.elements() for x in U[s]]] = True
-        maps = [(s, index[x], index[y]) for s in S.elements() for x, y in theta[s].map.items()]
+        maps = [(s, index[x], index[y]) for s in S.elements() for x, y in theta[s].items()]
         if maps:
             s, x, y = zip(*maps)
             self.th[s, x] = y
+        image = np.sort(self.th, axis=1)
+        if ((image[:, 1:] == image[:, :-1]) & (image[:, 1:] >= 0)).any():
+            raise ValueError("mapping is not injective")
         self.fib = self.U[self.T[np.arange(n), self.inv]]
         _freeze(self.U, self.th, self.fib, self.in_X, self.inv, self.idem)
 
@@ -234,10 +244,10 @@ def widen(K, N: int, to: int):
 
 
 def turns(K, N: int, V=None) -> np.ndarray:
-    """The complex values of exponents mod N as Angle.value gives them,
-    flat: from a table of all N turns, or one per distinct exponent.  A
-    code reads 0j, except NOT_ANGLE where the values V (of K's shape) are
-    given, which reads V there."""
+    """The complex values turn(k, N) of exponents k mod N, flat: from a
+    table of all N turns, or one per distinct exponent.  A code reads 0j,
+    except NOT_ANGLE where the values V (of K's shape) are given, which
+    reads V there."""
     K = np.asarray(K).reshape(-1)
     if N <= len(K):
         values = np.array([turn(k, N) for k in range(N)] + [0j])[np.where(K >= 0, K, N)]
@@ -248,42 +258,30 @@ def turns(K, N: int, V=None) -> np.ndarray:
     return values if V is None else np.where(K == NOT_ANGLE, np.asarray(V).reshape(-1), values)
 
 
-def _encode(S: InverseSemigroup, X, U, theta, entries):
-    """The Frame, N, W and V of omega given as entries (s n + t, x, f, v):
-    omega(s, t) at its carrier point x is the angle f, a fraction in
-    [0, 1), or, where f is None, the value v, NOT_ANGLE in W with v in V."""
-    n = S.n
-    keys, points, fracs, vals = zip(*entries) if entries else ((),) * 4
-    frame = Frame(S, X, U, theta, points)
-    N, K = exponents(fracs)
-    at = np.array(keys, dtype=np.intp) * frame.m + np.array([frame.index[x] for x in points],
-                                                            dtype=np.intp)
-    W, V = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype), None
-    W[at] = K
-    if (K == NOT_ANGLE).any():
-        V = np.zeros(len(W), dtype=complex)
-        V[at[K == NOT_ANGLE]] = [complex(v) for f, v in zip(fracs, vals) if f is None]
-        V = V.reshape(n, n, frame.m)
-    return frame, N, W.reshape(n, n, frame.m), V
+class Omega(dict):
+    """omega(s, t) as {point: turn, or a complex value where it is not an
+    angle}, callable at a point.  Each read of A.omega builds a new one, so
+    changing it changes nothing in the action."""
+
+    __call__ = dict.__getitem__
 
 
 class OmegaView(Mapping):
-    """omega(s, t) for every pair of elements, as a CFunction of Angles (a
-    complex value where W holds no Angle), built when it is read."""
+    """omega(s, t) for every pair of elements, as an Omega built when it
+    is read."""
 
     def __init__(self, A: "TwistedAction"):
         self.n, self.points, self.N, self.W, self.V = A.S.n, A.frame.points, A.N, A.W, A.V
-        self.angles = {}  # one Angle per exponent
+        self.memo = {}  # one Fraction per exponent
 
-    def __getitem__(self, key) -> CFunction:
+    def __getitem__(self, key) -> Omega:
         s, t = key
         if not (0 <= s < self.n and 0 <= t < self.n):
             raise KeyError(key)
-        points, angles = self.points, self.angles
-        vals = {points[i]: angles.get(k) or angles.setdefault(k, Angle(Fraction(k, self.N)))
-                if k >= 0 else complex(self.V[s, t, i])
-                for i, k in enumerate(self.W[s, t].tolist()) if k != OUTSIDE}
-        return CFunction(vals, vals)
+        points, memo = self.points, self.memo
+        return Omega((points[i], memo[k] if k in memo else memo.setdefault(k, Fraction(k, self.N))
+                      if k >= 0 else complex(self.V[s, t, i]))
+                     for i, k in enumerate(self.W[s, t].tolist()) if k != OUTSIDE)
 
     def __iter__(self):
         return ((s, t) for s in range(self.n) for t in range(self.n))
@@ -295,24 +293,33 @@ class OmegaView(Mapping):
 class TwistedAction:
     """(S, X, U, theta, omega) with omega held as exact exponents.
 
-    The constructor encodes an omega mapping of CFunctions once, into the
-    arrays every check reads: frame (a Frame), N, W (n x n x m exponents
-    mod N, OUTSIDE off the carriers, NOT_ANGLE where a value is not an
-    Angle) and V (those values, or None if there are none).  Builders that
-    have exponents make an action from them with from_exponents.  The
-    arrays are read-only, and X, U and theta must not be changed in place.
-    `omega` is a read-only view of the arrays.
+    The constructor takes theta as {s: {x: theta_s(x)}} and omega as
+    {(s, t): {x: value}}, a value a turn or a complex number (see the
+    module docstring), the keys of omega(s, t) its carrier.  It encodes
+    them once, into the arrays every check reads: frame (a Frame), N, W (n
+    x n x m exponents mod N, OUTSIDE off the carriers, NOT_ANGLE where a
+    value is not an angle) and V (those values, or None if there are
+    none).  Builders that have exponents make an action from them with
+    from_exponents.  The arrays are read-only, and X, U and theta must not
+    be changed in place.  `omega` is a read-only view of the arrays.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, omega):
-        n, entries = S.n, []
-        for s in range(n):
-            for t in range(n):
-                w = omega[(s, t)]
-                for x in w.carrier:  # a missing value is zero, not an Angle
-                    v = w(x)
-                    entries.append((s * n + t, x, v.frac if isinstance(v, Angle) else None, v))
-        self._hold(*_encode(S, X, U, theta, entries))
+        n = S.n
+        entries = [(s * n + t, x, v) for s in range(n) for t in range(n) for x, v in omega[(s, t)].items()]
+        keys, points, vals = zip(*entries) if entries else ((),) * 3
+        fracs = [None if isinstance(v, complex) else as_frac(v) for v in vals]
+        frame = Frame(S, X, U, theta, points)
+        N, K = exponents(fracs)
+        at = np.array(keys, dtype=np.intp) * frame.m + np.array([frame.index[x] for x in points],
+                                                                dtype=np.intp)
+        W, V = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype), None
+        W[at] = K
+        if (K == NOT_ANGLE).any():
+            V = np.zeros(len(W), dtype=complex)
+            V[at[K == NOT_ANGLE]] = [v for f, v in zip(fracs, vals) if f is None]
+            V = V.reshape(n, n, frame.m)
+        self._hold(frame, N, W.reshape(n, n, frame.m), V)
 
     @classmethod
     def from_exponents(cls, frame: Frame, N: int, W, V=None) -> "TwistedAction":
@@ -333,10 +340,6 @@ class TwistedAction:
 
     def _bad_value(self, s, t, y, what="undefined") -> ActionError:
         return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) {what} at {y}")
-
-    def carrier(self, s: int) -> frozenset:
-        """Carrier of the fiber over s: U(ss*)."""
-        return self.U[self.S.mul(s, self.S.inv[s])]
 
     def structural_violations(self):
         S, F, W = self.S, self.frame, self.W
@@ -370,11 +373,8 @@ class TwistedAction:
 
     def equals(self, other: "TwistedAction") -> bool:
         """Exact field-by-field comparison over a shared semigroup."""
-        if self.S.n != other.S.n or list(self.X) != list(other.X):
+        if (self.S.n, self.X, self.U, self.theta) != (other.S.n, other.X, other.U, other.theta):
             return False
-        for s in self.S.elements():
-            if self.U[s] != other.U[s] or self.theta[s] != other.theta[s]:
-                return False
         # with X, U and theta equal, only omega's carriers add points
         return self.frame.points == other.frame.points and not omega_differs(
             (self.N, self.W, self.V), (other.N, other.W, other.V)).any()
@@ -384,16 +384,16 @@ class TwistedAction:
         names = [str(x) for x in F.points]
         order = sorted(range(F.m), key=names.__getitem__)  # the points by str
 
-        def frac(s, t, i):  # as_angle raises on a value that is no Angle
+        def frac(s, t, i):  # as_frac raises on a value that is no angle
             if (k := W[s][t][i]) < 0:
-                return str(as_angle(complex(self.V[s, t, i])).frac)
+                return str(as_frac(complex(self.V[s, t, i])))
             return text.get(k) or text.setdefault(k, str(Fraction(k, self.N)))
 
         return {
             "semigroup": S.to_json(),
             "points": [str(x) for x in self.X],
             "U": {S.label(s): sorted(str(x) for x in self.U[s]) for s in S.elements()},
-            "theta": {S.label(s): {str(x): str(y) for x, y in sorted(self.theta[s].map.items())}
+            "theta": {S.label(s): {str(x): str(y) for x, y in sorted(self.theta[s].items())}
                       for s in S.elements()},
             "omega": {f"{S.label(s)},{S.label(t)}":
                       {names[i]: frac(s, t, i) for i in order if W[s][t][i] != OUTSIDE}
@@ -407,28 +407,20 @@ class TwistedAction:
         S = verify_inverse_semigroup(sg["table"], labels=sg.get("elements"))
         X = data["points"]
         U = {S.index_of(lab): frozenset(pts) for lab, pts in data["U"].items()}
-        theta = {S.index_of(lab): PartialBijection(m)
-                 for lab, m in data["theta"].items()}
+        theta = {S.index_of(lab): m for lab, m in data["theta"].items()}
         index = {lab: i for i, lab in enumerate(S.labels)}
-        omega, parsed = {}, {}  # the fractions go to the encoder; each text is parsed once
+        omega, parsed = {}, {}  # each text is parsed once
         for key, vals in data["omega"].items():
             s, t = split_labels(key, index, 2)
             fracs = {x: parsed[v] if v in parsed else parsed.setdefault(v, as_frac(v))
                      for x, v in vals.items()}
             st = S.mul(s, t)
             carrier = U[S.mul(st, S.inv[st])]
-            for x in fracs:
-                if x not in carrier:
-                    raise CarrierMismatch(f"value at {x} outside carrier")
-            omega[(s, t)] = carrier, fracs
-        n, entries = S.n, []
-        for s in range(n):
-            for t in range(n):
-                carrier, fracs = omega[(s, t)]
-                entries += [(s * n + t, x, fracs.get(x), 0) for x in carrier]
-        A = cls.__new__(cls)
-        A._hold(*_encode(S, X, U, theta, entries))
-        return A
+            if outside := [x for x in fracs if x not in carrier]:
+                raise CarrierMismatch(f"value at {outside[0]} outside carrier")
+            # omega(s, t) is carried by U(st (st)*); a point it leaves out is zero
+            omega[(s, t)] = {x: fracs.get(x, 0j) for x in carrier}
+        return cls(S, X, U, theta, omega)
 
 
 def split_labels(key: str, index, parts: int | None = None) -> tuple:
@@ -455,7 +447,7 @@ def split_labels(key: str, index, parts: int | None = None) -> tuple:
 def omega_differs(one, two) -> np.ndarray:
     """[s, t]: whether omega(s, t) differs between two encodings (N, W, V)
     over one semigroup and one list of points: in its carrier, in an
-    exponent, or, where either holds no Angle, in value."""
+    exponent, or, where either holds no angle, in value."""
     (N1, W1, V1), (N2, W2, V2) = one, two
     N = lcm(N1, N2)
     K1, K2 = widen(W1, N1, N), widen(W2, N2, N)
@@ -694,7 +686,7 @@ def verify_consequences(A: TwistedAction):
 
 def check_sieben(A: TwistedAction):
     """True iff omega(s, e) and omega(e, s) are constant one for idempotent
-    e; a value that is not an Angle is not one."""
+    e; a value that is not an angle is not one."""
     S, F, W, E = A.S, A.frame, A.W, A.frame.idem
     sides = np.stack([W[:, E], W[E].transpose(1, 0, 2)], axis=2)  # [s, e, side, x]
     bad = []
@@ -757,7 +749,7 @@ class GermGroupoid:
     s- into t-coordinates, K[t, x] (t- into r-coordinates) is omega(t, m*m)
     conj(omega(r, m*m)) at theta_m(x), an exponent mod A.N.  An edge s < t
     whose scalar disagrees with K is a "transition" violation; a needed
-    scalar that is not an Angle raises ActionError.  [s, y][t, x] = [st, x]
+    scalar that is not an angle raises ActionError.  [s, y][t, x] = [st, x]
     when y = theta_t(x); `table` holds every product.
     """
 
@@ -804,11 +796,11 @@ class GermGroupoid:
             raise KeyError((t, x))
         return g
 
-    def coord(self, t: int, x) -> Angle:
-        """The scalar turning t-coordinates at x into those of the canonical
-        representative of the germ [t, x]."""
+    def coord(self, t: int, x) -> Fraction:
+        """The turn of the scalar turning t-coordinates at x into those of
+        the canonical representative of the germ [t, x]."""
         self.germ(t, x)
-        return Angle(Fraction(int(self.K[t, self.A.frame.index[x]]), self.N))
+        return Fraction(int(self.K[t, self.A.frame.index[x]]), self.N)
 
     def src(self, g: int):
         return self.A.frame.points[self.src_i[g]]

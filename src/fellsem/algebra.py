@@ -61,7 +61,7 @@ def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
     adjoints re-enter canonical coordinates through the germ groupoid's
     coordinates.  The scalars are sums of the action's omega exponents and
     the coordinates' exponents, both mod A.N; a needed omega value that is
-    not an Angle raises ActionError.
+    not an angle raises ActionError.
     """
     G, F, N = germs or GermGroupoid(A), A.frame, A.N
     r, src, rng = G.reps, G.src_i, G.rng_i

@@ -5,14 +5,14 @@ fibers, the product of two basis elements, the adjoint of one and its
 inclusion into a larger fiber are each a single scaled basis element.  A
 Bundle is these structure tables as rows of integer arrays, built once and
 read-only: point numbers, and each scalar an exponent mod N (as in
-fellsem.action) with a complex value only where it is not an Angle.  The
+fellsem.action) with a complex value only where it is not an angle.  The
 builders emit the rows directly: build_bundle(A) from an action's exponent
 kernel, SectionBundle from a twisted groupoid's bisections, and
 refine.RefinedBundle from a base bundle's rows.  An algebra is a Bundle
 with one fiber (see fellsem.algebra).
 
 Every check reads the rows.  Bundle.verify gathers the exact axioms on
-point masses through lookups made from them, comparing Angles as exponents,
+point masses through lookups made from them, comparing angles as exponents,
 and associativity by Light's test, with middle factors only the point
 masses of the fibers of S's generators and the slots their products miss;
 verify_fell_bundle adds the norm axioms, by an exact lemma on the rows.  A
@@ -32,7 +32,6 @@ from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _ex
 from fellsem.angles import turn
 from fellsem.groupoid import held_pairs, membership
 from fellsem.isg import InverseSemigroup, first_true, generating_set, index_pairs
-from fellsem.partial_maps import PartialBijection
 
 # the point of a zero point mass: past the end of every table, so that a
 # lookup made from it reads the table's zero entry
@@ -75,7 +74,7 @@ class Bundle:
                  j(t, s) sends delta_x in fiber s to e(K) delta_z in fiber
                  t, z the same point numbered in fiber t.
 
-    e(K) is exp(2 pi i K/N).  Where a scalar is not an Angle, K is
+    e(K) is exp(2 pi i K/N).  Where a scalar is not an angle, K is
     NOT_ANGLE and V holds its value (V is None in a table with none).
     Tables are sorted by their first column; a point number outside its
     fiber (-1) is reported by the fiber scans.  The arrays are read-only.
@@ -292,7 +291,7 @@ class Lookup:
     def far(self, p, q, tol):
         """Whether two scaled point masses differ by more than tol at some
         point: at one point unless their scalars agree within tol, two
-        Angles unless their exponents agree; at two points unless neither
+        angles unless their exponents agree; at two points unless neither
         scalar exceeds tol."""
         (zp, Kp, Vp), (zq, Kq, Vq) = p, q
         at_p, at_q, one = zp != NOWHERE, zq != NOWHERE, 1.0 > tol
@@ -316,10 +315,10 @@ class Lookup:
     def middle(self) -> np.ndarray:
         """The slots whose point masses are the middle factors of Light's
         test (see _associativity): every slot when the full scan is one
-        chunk, or when a product scalar is not an Angle and so is compared
+        chunk, or when a product scalar is not an angle and so is compared
         within tol; else generating_set over the slots, walking the slots
         of the fibers of S's generators and then every slot, a product
-        reaching a slot only with an Angle scalar."""
+        reaching a slot only with an angle scalar."""
         B = self.B
         Z, K, _ = self.P
         if B.M ** 3 <= CHUNK or not self.exact and (K[Z != NOWHERE] < 0).any():
@@ -344,12 +343,12 @@ class Lookup:
         closed under products, by the four steps in fellsem.isg.  Hence if
         the point masses of self.middle pass, so does every point mass that
         their products reach, and `middle` reaches every slot: a product
-        delta_x delta_y = e(K) delta_z with an Angle scalar gives delta_z =
+        delta_x delta_y = e(K) delta_z with an angle scalar gives delta_z =
         e(-K) delta_x delta_y, and a slot that no such product reaches is a
         middle factor itself.  This needs the rows in their fibers, and
         comparisons that are exact: each product a point mass times a unit
         e(K), compared by exponents, which holds when every product scalar
-        is an Angle (a tolerance is not transitive).  When the middle
+        is an angle (a tolerance is not transitive).  When the middle
         factors fail, the full scan lists every failure."""
         B = self.B
         q = self.nonassociative(tol, self.middle)
@@ -553,7 +552,7 @@ def build_bundle(A: TwistedAction) -> Bundle:
 
     def scalars(at, conj):
         """omega at the flat slots `at` of W, conjugated if `conj`; a value
-        that is no Angle from A.V, zero outside the carrier."""
+        that is no angle from A.V, zero outside the carrier."""
         k = W.take(at)
         if not (k < 0).any():
             return mod(-k, N) if conj else k, None
@@ -668,7 +667,7 @@ def canonical_multipliers(B) -> tuple:
 
 def check_multiplier_family(B, u) -> None:
     """u is (N, K, V) over B's slots: K[s, x] the exponent mod N of u_s at
-    point x of fiber s, NOT_ANGLE where V holds a value that is not an Angle,
+    point x of fiber s, NOT_ANGLE where V holds a value that is not an angle,
     OUTSIDE past the fiber.  u_s must be unit modulus, and one at idempotents."""
     S, (N, K, V) = B.S, u
     live = np.arange(B.W) < B.cs[:, None]
@@ -688,7 +687,7 @@ def extract_action(B, u) -> TwistedAction:
     u is a unitary multiplier family (N, K, V), as check_multiplier_family
     describes it.  theta_s comes from the support bijection of conjugation
     by u_s; omega(s, t) is the coordinate function of u_s u_t u_{st}*,
-    exact while every factor is an Angle, and held as exponent arrays.
+    exact while every factor is an angle, and held as exponent arrays.
     """
     X, U, theta, N, e, K, V = _extract(B, u)
     F = Frame(B.S, X, U, theta)
@@ -714,7 +713,7 @@ def _extract(B, u):
     pK, sK, (pV, sV, _) = widen(pK, B.N, N), widen(sK, B.N, N), B.values
 
     def total(b, z, size, K, V):
-        """The terms (K, V) summed at (b[i], z[i]): a lone Angle term keeps
+        """The terms (K, V) summed at (b[i], z[i]): a lone angle term keeps
         its exponent, several make a complex sum, none is OUTSIDE."""
         live = V != 0
         at = (b * W + z)[live]
@@ -753,10 +752,12 @@ def _extract(B, u):
     support, K, V = V[:len(s)] != 0, K[len(s):], V[len(s):]
     if (support.sum(axis=1) != 1).any():
         raise BundleError("conjugation by the multiplier is not point-to-point")
+    z = support.argmax(axis=1)
+    if len(np.unique(s * W + z)) < len(s):  # two points of a fiber conjugate to one
+        raise ValueError("mapping is not injective")
     theta = {t: {} for t in S.elements()}
-    for t, y, z in zip(s.tolist(), x.tolist(), support.argmax(axis=1).tolist()):
+    for t, y, z in zip(s.tolist(), x.tolist(), z.tolist()):
         theta[t][pts[S.mul(S.inv[t], t)][y]] = pts[S.mul(t, S.inv[t])][z]
-    theta = {t: PartialBijection(m) for t, m in theta.items()}
     e = T[st, inv[st]]
     live = np.arange(W) < B.cs[e][:, None]
     if (live & (V == 0)).any():
@@ -768,7 +769,7 @@ def _extract(B, u):
 
 def _placed(B, e, K, V, where, m: int):
     """Extracted omega exponents and values as n x n x m arrays W and V (V
-    None if every value is an Angle), with slot k of B at column where[k]."""
+    None if every value is an angle), with slot k of B at column where[k]."""
     n = B.S.n
     p, c = np.nonzero(np.arange(B.W) < B.cs[e][:, None])
     at, K = (p, where[B.off[e[p]] + c]), K[p, c]

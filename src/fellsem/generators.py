@@ -15,7 +15,6 @@ import numpy as np
 
 from fellsem.angles import turn
 from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
-from fellsem.partial_maps import PartialBijection
 from fellsem.action import OUTSIDE, Frame, TwistedAction, gauge_transform, mod, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
@@ -29,10 +28,9 @@ def untwisted_action(S: InverseSemigroup, maps) -> TwistedAction:
     the union of the idempotent domains.  omega is exponent zero (the value
     one) on every carrier.
     """
-    theta = {s: PartialBijection(maps[s]) for s in S.elements()}
-    U = {s: theta[s].range for s in S.elements()}
+    U = {s: frozenset(maps[s].values()) for s in S.elements()}
     X = sorted(set().union(*(U[e] for e in S.idem)) | set().union(*(U[s] for s in S.elements())))
-    F = Frame(S, X, U, theta)
+    F = Frame(S, X, U, maps)
     return TwistedAction.from_exponents(F, 1, np.where(F.fib_of_product, 0, OUTSIDE))
 
 
@@ -77,7 +75,7 @@ def busby_smith_z2() -> TwistedAction:
     S = verify_inverse_semigroup([[0, 1], [1, 0]], labels=["1", "g"])
     X = [0]
     U = {0: frozenset(X), 1: frozenset(X)}
-    theta = {0: PartialBijection.identity(X), 1: PartialBijection.identity(X)}
+    theta = {0: {0: 0}, 1: {0: 0}}
     W = np.array([[[0], [0]], [[0], [1]]])  # omega(g, g) = -1: exponent 1 mod 2
     return TwistedAction.from_exponents(Frame(S, X, U, theta), 2, W)
 

@@ -23,9 +23,8 @@ import numpy as np
 
 from fellsem.action import (CHUNK, OUTSIDE, Frame, TwistedAction, _exponent_dtype, exponents,
                             germ_groupoid, germ_map_check, mod)
-from fellsem.angles import Angle, as_frac
+from fellsem.angles import as_frac
 from fellsem.isg import first_true, verify_inverse_semigroup
-from fellsem.partial_maps import PartialBijection
 
 
 class GroupoidError(ValueError):
@@ -364,11 +363,12 @@ class TwoCocycle:
     """A normalized circle 2-cocycle: exponents K mod N over G's composable
     pairs, numbered as G.pair_index numbers them.
 
-    The constructor encodes a mapping (a, b) -> Angle, fraction or 'p/q'
-    text; a composable pair it leaves out is OUTSIDE in K, and a pair that
-    is not composable is kept in `extra` (as a fraction) for verify_cocycle
-    to report.  N is a common denominator of the values, not always the
-    least; exponents() reads them over the least.  K is read-only.
+    The constructor encodes a mapping (a, b) -> turn (a Fraction, an int
+    or 'p/q' text); a composable pair it leaves out is OUTSIDE in K, and a
+    pair that is not composable is kept in `extra` (as a Fraction) for
+    verify_cocycle to report.  tau(a, b) is the turn at (a, b).  N is a
+    common denominator of the values, not always the least; exponents()
+    reads them over the least.  K is read-only.
     """
 
     def __init__(self, G: FiniteGroupoid, tau):
@@ -394,13 +394,13 @@ class TwoCocycle:
         self.G, self.N, self.K, self.extra = G, N, K, extra
         K.flags.writeable = False
 
-    def __call__(self, a: int, b: int) -> Angle:
+    def __call__(self, a: int, b: int) -> Fraction:
         G = self.G
         p = G.pair_index[a, b] if 0 <= a < G.m and 0 <= b < G.m else -1
         if p >= 0 and self.K[p] >= 0:
-            return Angle(Fraction(int(self.K[p]), self.N))
+            return Fraction(int(self.K[p]), self.N)
         if (a, b) in self.extra:
-            return Angle(self.extra[(a, b)])
+            return self.extra[(a, b)]
         raise GroupoidError(f"cocycle missing on pair ({a}, {b})")
 
     def exponents(self, pairs=slice(None)):
@@ -420,7 +420,8 @@ class TwoCocycle:
 
     @classmethod
     def coboundary(cls, G: FiniteGroupoid, c) -> "TwoCocycle":
-        """tau(a,b) = c(a) c(b) conj(c(ab)) for unit-modulus c with c(unit)=1."""
+        """tau(a,b) = c(a) c(b) conj(c(ab)) for unit-modulus c with c(unit)=1,
+        c given as turns."""
         N, E = exponents([as_frac(c.get(a, 0)) for a in G.arrows()])
         return cls.from_exponents(G, N, mod(E[G.pair_a] + E[G.pair_b] - E[G.pair_ab], N))
 
@@ -514,7 +515,7 @@ def _bisection_frame(G: FiniteGroupoid, S, bisections):
     key = (S, tuple(frozenset(bisections[s]) for s in S.elements()))
     if G._frame is None or G._frame[0] != key:
         U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
-        theta = {s: PartialBijection({G.src[a]: G.rng[a] for a in bisections[s]}) for s in S.elements()}
+        theta = {s: {G.src[a]: G.rng[a] for a in bisections[s]} for s in S.elements()}
         F = Frame(S, list(G.objects), U, theta)
         s, t, p = held_pairs(G, membership(G, [bisections[s] for s in S.elements()]))
         column = np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[G.pair_a[p]]

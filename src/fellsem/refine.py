@@ -159,7 +159,7 @@ def verify_morphism(m: BundleMorphism, tol: float = 1e-9):
     """Multiplicativity, *-preservation and the inclusion square, on point
     masses of every fiber of B.  The carrier maps are the identity on
     points, so each condition compares B's row with A's (a point of B
-    outside its image fiber reads A's zero), Angles exactly; a table that
+    outside its image fiber reads A's zero), angles exactly; a table that
     leaves its fibers is reported as Bundle.verify reports it, instead."""
     bad, _ = _morphism(m, tol)
     return not bad, bad

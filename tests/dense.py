@@ -1,26 +1,150 @@
-"""Dense operations on CFunctions and partial bijections for the tests.
+"""Circle scalars, functions on carriers and dense operations for the tests.
 
-The checker compares scaled point masses and batched arrays; these
-pointwise operations serve the reference implementations and the unit
-tests of the scalar and function types; gauge_functions and
-multiplier_functions read a gauge or a multiplier family, held as exponent
-arrays, as the dict of CFunctions the references take.  Tables is a
-bundle's structure tables as dicts of Angle or complex scalars, the shape
-the builders filled before a Bundle became its rows: tables(B) reads a
-Bundle's rows into it, Tables.bundle() turns it back into rows, and its mul
-and star extend the tables linearly to CFunctions.  The point-mass
-operations at the end read the dict tables one scaled point mass at a
-time, as the former Bundle.verify did.
+The reference implementations compute with the types the library used
+before it held every exact scalar as a turn and theta and omega as dicts:
+Angle, a circle scalar that multiplies by adding turns, and CFunction, a
+function on a finite carrier with Angle or complex values (scalar,
+cfunctions and omega_dicts convert).  The pointwise operations serve the
+references and the unit tests of these types; gauge_functions and
+multiplier_functions read exponent arrays as dicts of CFunctions.  Tables
+is a bundle's structure tables as dicts of Angle or complex scalars:
+tables(B) reads a Bundle's rows into it, Tables.bundle() turns it back
+into rows, and its mul and star extend the tables linearly to CFunctions.
+The point-mass operations at the end read the dict tables one scaled
+point mass at a time, as the former Bundle.verify did.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from fellsem.action import NOT_ANGLE, OUTSIDE, ActionError, exponents
-from fellsem.angles import ONE, Angle, as_complex
+from fellsem.action import NOT_ANGLE, OUTSIDE, ActionError, CarrierMismatch, exponents
+from fellsem.angles import as_frac, turn
 from fellsem.bundle import Bundle
-from fellsem.partial_maps import CarrierMismatch, CFunction, PartialBijection
+
+
+class Angle:
+    """A unit-modulus scalar exp(2*pi*i * frac) with frac a rational mod 1."""
+
+    __slots__ = ("frac",)
+
+    def __init__(self, frac=0):
+        self.frac = frac.frac if isinstance(frac, Angle) else as_frac(frac)
+
+    def __mul__(self, other):
+        if isinstance(other, Angle):
+            # a factor one costs no Fraction work
+            if not other.frac:
+                return self
+            return Angle(self.frac + other.frac) if self.frac else other
+        return self.value * other
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return Angle(-self.frac) if self.frac else self
+
+    @property
+    def value(self) -> complex:
+        return turn(self.frac.numerator, self.frac.denominator)
+
+    def __complex__(self):
+        return self.value
+
+    def __eq__(self, other):
+        if isinstance(other, Angle):
+            return self.frac == other.frac
+        if other == 1:
+            return self.frac == 0
+        if other == -1:
+            return 2 * self.frac == 1
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(("Angle", self.frac))
+
+    def __repr__(self):
+        return f"Angle({self.frac})"
+
+    @property
+    def is_one(self) -> bool:
+        return self.frac == 0
+
+
+ONE = Angle(0)
+as_angle = Angle  # x as an Angle; x may be an Angle, a Fraction/int, or 'p/q' text
+
+
+def as_complex(x) -> complex:
+    return x.value if isinstance(x, Angle) else complex(x)
+
+
+def scalar(v):
+    """A library value, a turn or a complex number, as an Angle or complex."""
+    return v if isinstance(v, complex) else Angle(v)
+
+
+class CFunction:
+    """A function on a finite carrier; values may be Angles or complex.
+
+    The carrier is a bookkeeping set, not the exact support: stored values
+    may be zero.  Points outside the carrier are implicitly zero.
+    """
+
+    __slots__ = ("carrier", "values")
+
+    def __init__(self, carrier, values=None):
+        self.carrier = frozenset(carrier)
+        vals = dict(values or {})
+        for x in vals:
+            if x not in self.carrier:
+                raise CarrierMismatch(f"value at {x} outside carrier")
+        self.values = vals
+
+    @classmethod
+    def one(cls, carrier) -> "CFunction":
+        return cls(carrier, dict.fromkeys(carrier, ONE))
+
+    def __call__(self, x):
+        if x in self.values:
+            return self.values[x]
+        return 0
+
+    def at(self, x) -> complex:
+        return as_complex(self(x))
+
+    def support(self):
+        return frozenset(x for x, v in self.values.items() if as_complex(v) != 0)
+
+    def equals(self, other: "CFunction", tol=0.0) -> bool:
+        if self.carrier != other.carrier:
+            return False
+        for x in self.carrier:
+            a, b = self(x), other(x)
+            if isinstance(a, Angle) and isinstance(b, Angle):
+                if a != b:
+                    return False
+            elif abs(self.at(x) - other.at(x)) > tol:
+                return False
+        return True
+
+
+def cfunctions(omega) -> dict:
+    """An omega mapping of the library, {(s, t): {x: turn or complex}}, as
+    CFunctions of Angles on the keys, as the former omega view read it."""
+    return {key: CFunction(w, {x: scalar(v) for x, v in w.items()}) for key, w in omega.items()}
+
+
+def omega_dicts(omega) -> dict:
+    """An omega mapping of CFunctions as the library's constructor takes it:
+    a missing value is the complex zero."""
+    return {key: {x: w(x).frac if isinstance(w(x), Angle) else complex(w(x)) for x in w.carrier}
+            for key, w in omega.items()}
+
+
+def carrier(A, s: int) -> frozenset:
+    """The carrier of the fiber over s of the action A: U(ss*)."""
+    return A.U[A.S.mul(s, A.S.inv[s])]
 
 
 def scalar_mul(a, b):
@@ -38,9 +162,10 @@ def scalar_conj(a):
 
 
 def ref_omega_at(A, s: int, t: int, y):
-    """omega(s, t)(y) read through the omega view, as the former
-    TwistedAction.omega_at did: an ActionError where it is zero."""
-    v = A.omega[(s, t)](y)
+    """omega(s, t)(y) read through the omega view as an Angle or complex,
+    as the former TwistedAction.omega_at did: an ActionError where it is
+    zero."""
+    v = scalar(A.omega[(s, t)].get(y, 0j))
     if v == 0:
         raise ActionError(f"omega({A.S.label(s)},{A.S.label(t)}) undefined at {y}")
     return v
@@ -60,7 +185,7 @@ def functions(family, points, carriers) -> dict:
 
 def gauge_functions(A, chi) -> dict:
     """A gauge (N, C) over A's frame as CFunctions on the fiber carriers."""
-    return functions(chi, [A.frame.points] * A.S.n, [A.carrier(s) for s in A.S.elements()])
+    return functions(chi, [A.frame.points] * A.S.n, [carrier(A, s) for s in A.S.elements()])
 
 
 def multiplier_functions(B, u) -> dict:
@@ -69,13 +194,17 @@ def multiplier_functions(B, u) -> dict:
     return functions(u, B.points, [B.carrier(s) for s in B.S.elements()])
 
 
-def compose(f: PartialBijection, g: PartialBijection) -> PartialBijection:
-    """f after g, on the maximal domain."""
-    return PartialBijection({x: f.map[y] for x, y in g.map.items() if y in f.map})
+def compose(f: dict, g: dict) -> dict:
+    """The partial bijection f after g, on the maximal domain."""
+    return {x: f[y] for x, y in g.items() if y in f}
 
 
-def restrict(f: PartialBijection, subset) -> PartialBijection:
-    return PartialBijection({x: y for x, y in f.map.items() if x in subset})
+def restrict(f: dict, subset) -> dict:
+    return {x: y for x, y in f.items() if x in subset}
+
+
+def invert(f: dict) -> dict:
+    return {y: x for x, y in f.items()}
 
 
 def point_mass(carrier, x, value=None) -> CFunction:
@@ -105,11 +234,10 @@ def extend(f: CFunction, carrier) -> CFunction:
     return CFunction(c, dict(f.values))
 
 
-def pullback(f: CFunction, theta: PartialBijection) -> CFunction:
+def pullback(f: CFunction, theta: dict) -> CFunction:
     """The function x -> f(theta(x)) on theta^{-1}(carrier)."""
-    carrier = {x for x, y in theta.map.items() if y in f.carrier}
-    vals = {x: f.values[theta(x)] for x in carrier if theta(x) in f.values}
-    return CFunction(carrier, vals)
+    back = {x for x, y in theta.items() if y in f.carrier}
+    return CFunction(back, {x: f.values[theta[x]] for x in back if theta[x] in f.values})
 
 
 def scale(f: CFunction, scalar) -> CFunction:

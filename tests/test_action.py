@@ -1,23 +1,25 @@
 """Twisted actions: axioms, derived identities, gauges, germs, Sieben."""
 
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fellsem
-from fellsem.action import (OUTSIDE, ActionError, GaugeNotUnitAtIdempotent, TwistedAction,
-                            check_sieben, gauge_transform, germ_groupoid, siebenize,
+from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, GaugeNotUnitAtIdempotent,
+                            TwistedAction, check_sieben, gauge_transform, germ_groupoid, siebenize,
                             verify_consequences, verify_twisted_action)
-from fellsem.angles import Angle
-from fellsem.generators import (busby_smith_z2, cocycle_action, five_element_action,
+from fellsem.generators import (busby_smith_z2, cocycle_action, corpus, five_element_action,
                                 full_monoid_action, mutate_omega, random_gauge,
                                 random_valid_action)
 from fellsem.groupoid import TwoCocycle, cyclic_group
-from fellsem.partial_maps import CFunction
+
+from dense import carrier
 
 
 def test_busby_smith_action_verifies(busby):
@@ -73,7 +75,7 @@ def test_frame_arrays_are_read_only(name):
 def test_gauge_undefined_at_a_needed_point(five, rng):
     N, C = random_gauge(five, rng)
     S, F = five.S, five.frame
-    s = next(a for a in S.elements() if not S.is_idempotent(a) and five.carrier(a))
+    s = next(a for a in S.elements() if not S.is_idempotent(a) and carrier(five, a))
     x = int(np.flatnonzero(F.fib[s])[0])
     C[s, x] = OUTSIDE
     with pytest.raises(ActionError, match=re.escape(f"gauge for {S.label(s)} undefined at {F.points[x]}")):
@@ -107,7 +109,7 @@ def test_gauge_can_break_coherence_and_siebenize_restores_it(full_i2):
     # picks up chi_s conj(chi_{se}) which is no longer 1 for e < s*s
     S = full_i2.S
     s = next(a for a in S.elements() if not S.is_idempotent(a)
-             and len(full_i2.carrier(a)) == 2)
+             and len(carrier(full_i2, a)) == 2)
     C = np.zeros((S.n, full_i2.frame.m), dtype=np.int64)
     C[s] = 1  # chi_s = 1/3 of a turn
     gauged = gauge_transform(full_i2, (3, C))
@@ -130,7 +132,7 @@ def test_siebenize_random_corpus(rng):
 
 def test_cocycle_action_with_nontrivial_twist():
     G = cyclic_group(3)
-    tau = TwoCocycle.coboundary(G, {a: Angle("1/4") for a in G.arrows()
+    tau = TwoCocycle.coboundary(G, {a: Fraction(1, 4) for a in G.arrows()
                                     if not G.is_unit(a)})
     A, _ = cocycle_action(G, tau)
     assert verify_twisted_action(A)[0]
@@ -185,8 +187,7 @@ def test_corrupted_inclusion_scalar_is_a_transition_conflict():
     one = next(e for e in S.idem if len(A.U[e]) == 3)
     e0 = next(e for e in S.idem if A.U[e] == {0})
     assert germ_groupoid(A).verify()[0]
-    w = A.omega[(one, e0)]
-    omega = {**A.omega, (one, e0): CFunction(w.carrier, {**w.values, 0: Angle("1/3")})}
+    omega = {**A.omega, (one, e0): {**A.omega[(one, e0)], 0: Fraction(1, 3)}}
     bad_action = TwistedAction(S, A.X, A.U, A.theta, omega)
     ok, bad = germ_groupoid(bad_action).verify()
     assert not ok and {tag for tag, _ in bad} == {"transition"}, bad
@@ -202,7 +203,7 @@ def test_a_unit_violation_is_no_transition_conflict():
     s = next(a for a in S.elements() if not S.is_idempotent(a))
     e = S.mul(S.inv[s], s)
     w = A.omega[(s, e)]
-    omega = {**A.omega, (s, e): CFunction(w.carrier, {**w.values, min(w.carrier): Angle("1/3")})}
+    omega = {**A.omega, (s, e): {**w, min(w): Fraction(1, 3)}}
     bad_action = TwistedAction(S, A.X, A.U, A.theta, omega)
     assert not verify_twisted_action(bad_action)[0]
     G, H = germ_groupoid(A), germ_groupoid(bad_action)
@@ -235,3 +236,51 @@ def test_json_omega_key_must_split_once(busby):
     data["omega"]["1,g,1"] = data["omega"].pop("1,g")
     with pytest.raises(ValueError, match="exactly one way"):
         TwistedAction.from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# the scalar convention: a turn, or a complex number where a value is not an angle
+
+@pytest.mark.parametrize("value, turn", [
+    (0, Fraction(0)), (3, Fraction(0)), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(-1, 4), Fraction(3, 4)), ("1/2", Fraction(1, 2)), ("5/3", Fraction(2, 3)),
+])
+def test_an_int_a_fraction_and_text_are_turns(busby, value, turn):
+    A = TwistedAction(busby.S, busby.X, busby.U, busby.theta, {**busby.omega, (1, 1): {0: value}})
+    assert A.V is None and A.omega[(1, 1)] == {0: turn} and A.omega[(1, 1)](0) == turn
+    assert type(A.omega[(1, 1)](0)) is Fraction
+    assert A.W[1, 1, 0] * turn.denominator == turn.numerator * A.N
+
+
+@pytest.mark.parametrize("value", [-1 + 0j, 1j, 0j])
+def test_a_complex_value_is_a_value_and_0j_is_zero(busby, value):
+    A = TwistedAction(busby.S, busby.X, busby.U, busby.theta, {**busby.omega, (1, 1): {0: value}})
+    assert A.W[1, 1, 0] == NOT_ANGLE and A.V[1, 1, 0] == value
+    assert A.omega[(1, 1)] == {0: value} and type(A.omega[(1, 1)](0)) is complex
+    assert verify_twisted_action(A) == (False, [("structure", ("omega-not-unit", ("g", "g", 0)))])
+
+
+def test_a_point_the_json_leaves_out_is_zero(busby):
+    data = busby.to_json()
+    data["omega"]["g,g"] = {}
+    loaded, full = TwistedAction.from_json(data), TwistedAction.from_json(busby.to_json())
+    zero = TwistedAction(full.S, full.X, full.U, full.theta, {**full.omega, (1, 1): {"0": 0j}})
+    assert loaded.N == zero.N and np.array_equal(loaded.W, zero.W) and np.array_equal(loaded.V, zero.V)
+
+
+def test_the_constructor_and_from_json_give_the_same_arrays():
+    for A in corpus(random.Random(0), 200):
+        data = A.to_json()
+        made = TwistedAction(A.S, A.X, A.U, A.theta, A.omega)
+        loaded = TwistedAction.from_json(data)
+        assert made.N == loaded.N and made.V is loaded.V is None
+        assert np.array_equal(made.W, loaded.W) and np.array_equal(made.frame.th, loaded.frame.th)
+        assert made.equals(A) and made.to_json() == loaded.to_json() == data
+
+
+def test_a_theta_that_is_not_injective_is_rejected(five):
+    S = five.S
+    s = next(a for a in S.elements() if not S.is_idempotent(a) and carrier(five, a))
+    x, y = five.X
+    with pytest.raises(ValueError, match="^mapping is not injective$"):
+        TwistedAction(S, five.X, five.U, {**five.theta, s: {x: y, y: y}}, five.omega)

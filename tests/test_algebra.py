@@ -9,7 +9,6 @@ import pytest
 
 from fellsem.algebra import (NotSemisimpleDetected, block_decompose, convolution_algebra,
                              germ_algebra, left_regular, star_vector)
-from fellsem.angles import Angle, as_complex
 from fellsem.action import (TwistedAction, gauge_transform, germ_groupoid, siebenize,
                             verify_consequences, verify_twisted_action, widen)
 from fellsem.bundle import SectionBundle, canonical_multipliers, extract_action
@@ -19,10 +18,9 @@ from fellsem.groupoid import (TwoCocycle, bisection_semigroup, coboundary_cocycl
                               cyclic_group, enumerate_cocycles, pair_groupoid,
                               transitive_z2_groupoid, z2_nontrivial_cocycle)
 from fellsem.isg import verify_inverse_semigroup
-from fellsem.partial_maps import CFunction
 from fellsem.refine import saturated_refinement
 
-from dense import gauge_functions, ref_omega_at, scalar_conj, tables
+from dense import Angle, CFunction, as_complex, carrier, gauge_functions, ref_omega_at, scalar_conj, tables
 
 
 def test_z2_group_algebra_blocks():
@@ -212,10 +210,10 @@ class ReferenceStarAlgebra:
 
 
 def reference_convolution(G, tau):
-    mul = {(a, b): [(G.mul(a, b), as_complex(tau(a, b)))] if G.composable(a, b) else []
+    mul = {(a, b): [(G.mul(a, b), Angle(tau(a, b)).value)] if G.composable(a, b) else []
            for a in G.arrows() for b in G.arrows()}
     return ReferenceStarAlgebra(G.m, mul, [G.inv[c] for c in G.arrows()],
-                                [as_complex(scalar_conj(tau(G.inv[c], c))) for c in G.arrows()])
+                                [Angle(tau(G.inv[c], c)).conj().value for c in G.arrows()])
 
 
 class ReferenceGermGroupoid:
@@ -251,7 +249,7 @@ class ReferenceGermGroupoid:
         self.germs, self.of_pair = [], {}
         for members in classes.values():
             rep = min(members, key=lambda p: (not S.is_idempotent(p[0]), p[0]))
-            self.germs.append({"rep": rep, "src": rep[1], "rng": A.theta[rep[0]](rep[1]),
+            self.germs.append({"rep": rep, "src": rep[1], "rng": A.theta[rep[0]][rep[1]],
                                "members": sorted(members)})
             for p in members:
                 self.of_pair[p] = len(self.germs) - 1
@@ -276,7 +274,7 @@ class ReferenceGermGroupoid:
         if t == t2:
             return Angle(0)
         e = self.admissible(t, t2, x)[0]
-        y = self.A.theta[t](x)
+        y = self.A.theta[t][x]
         return ref_omega_at(self.A, t, e, y) * ref_omega_at(self.A, t2, e, y).conj()
 
     def coord(self, t, x):
@@ -294,8 +292,8 @@ def reference_germ_tables(A, R):
             if R.rng(h) == R.src(g):
                 st = S.mul(sg, th)
                 rows[(g, h)] = (R.germ(st, xh),
-                                ref_omega_at(A, sg, th, A.theta[st](xh)) * R.coord(st, xh))
-        y = A.theta[sg](x)
+                                ref_omega_at(A, sg, th, A.theta[st][xh]) * R.coord(st, xh))
+        y = A.theta[sg][x]
         sgs = S.inv[sg]
         stars[g] = (R.germ(sgs, y), scalar_conj(ref_omega_at(A, sgs, sg, x)) * R.coord(sgs, y))
     return rows, stars
@@ -333,7 +331,7 @@ def assert_same_germs(G, R):
         [(R.rep(g), R.src(g), R.rng(g)) for g in range(len(R.germs))]
     for (t, x) in R.of_pair:
         assert G.germ(t, x) == R.germ(t, x), (t, x)
-        assert G.coord(t, x) == R.coord(t, x), (t, x)
+        assert Angle(G.coord(t, x)) == R.coord(t, x), (t, x)
     assert int((G.of >= 0).sum()) == len(R.of_pair)
 
 
@@ -347,7 +345,7 @@ def test_germ_quotient_matches_the_reference_germs():
         chi, fixed = siebenize(A)
         S, functions = A.S, gauge_functions(A, chi)
         for s in S.elements():
-            ref = CFunction(A.carrier(s), {A.theta[s](x): R.coord(s, x).conj()
+            ref = CFunction(carrier(A, s), {A.theta[s][x]: R.coord(s, x).conj()
                                           for x in A.U[S.mul(S.inv[s], s)]})
             assert functions[s].equals(ref)
         assert fixed.equals(gauge_transform(A, chi))
@@ -386,7 +384,7 @@ def reference_transition_conflicts(A):
         for t in S.elements():
             if t != s and S.leq(s, t):
                 out += [(s, t, x) for x in A.U[e] if R.transition(s, t, x) != scalar_conj(
-                    ref_omega_at(A, t, e, A.theta[s](x)))]
+                    ref_omega_at(A, t, e, A.theta[s][x]))]
     return out
 
 

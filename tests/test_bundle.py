@@ -6,9 +6,9 @@ from math import lcm
 import numpy as np
 import pytest
 
+from fellsem import bundle
 from fellsem.action import NOT_ANGLE, OUTSIDE, widen
 from fellsem.algebra import convolution_algebra, germ_algebra
-from fellsem.angles import Angle, as_complex
 from fellsem.bundle import (BadMultiplierFamily, Bundle, NotSaturated, SectionBundle,
                             build_bundle, canonical_multipliers, check_multiplier_family,
                             classify_bundle, extract_action, roundtrip_check,
@@ -19,7 +19,7 @@ from fellsem.generators import (busby_smith_z2, cocycle_action, five_element_act
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group,
                               pair_groupoid, z2_nontrivial_cocycle)
 
-from dense import origin, point_mass, tables
+from dense import ONE, Angle, as_complex, origin, point_mass, tables
 
 
 def test_busby_bundle_axioms(busby, rng):
@@ -61,6 +61,23 @@ def test_roundtrip_exact_on_gauged_actions(rng):
         A = random_valid_action(rng)
         ok, diff = roundtrip_check(A)
         assert ok, diff
+
+
+def test_roundtrip_rejects_two_points_conjugated_to_one(full_i2, monkeypatch):
+    # the swap s of I_2 with its star rows sending both points of fiber s
+    # to 0, and the products (s, s) sending both to 0 against u_s*: the
+    # bundle stays saturated and semi-abelian, and conjugation by u_s takes
+    # both points of fiber s*s to 0.  roundtrip_check builds no Frame, so
+    # the extraction itself must reject the map
+    s = full_i2.S.index_of("{0>1,1>0}")
+    T = tables(build_bundle(full_i2))
+    T.stars[s] = {1: (0, ONE), 0: (0, ONE)}
+    T.products[(s, s)] = {(0, 0): (0, ONE), (1, 0): (0, ONE), (0, 1): (1, ONE)}
+    B = T.bundle()
+    assert classify_bundle(B)["saturated"] and classify_bundle(B)["semi_abelian"]
+    monkeypatch.setattr(bundle, "build_bundle", lambda A: B)
+    with pytest.raises(ValueError, match="^mapping is not injective$"):
+        roundtrip_check(full_i2)
 
 
 def test_extracting_with_gauged_family_gives_gauged_action(five, rng):

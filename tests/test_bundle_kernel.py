@@ -18,7 +18,6 @@ from itertools import groupby
 
 import numpy as np
 
-from fellsem.angles import ONE, as_complex
 from fellsem.algebra import convolution_algebra, left_regular
 from fellsem.bundle import SectionBundle, build_bundle, verify_fell_bundle
 from fellsem.generators import (corpus, full_monoid_action, mutate_omega, mutation_corpus,
@@ -27,8 +26,8 @@ from fellsem.action import gauge_transform
 from fellsem.groupoid import TwoCocycle, bisection_semigroup, cyclic_group, z2_nontrivial_cocycle
 from fellsem.refine import saturated_refinement
 
-from dense import (add, far, include_point, mul_point, ordered, random_element, scale, star_point,
-                   sup_norm, tables)
+from dense import (ONE, Angle, add, as_complex, far, include_point, mul_point, ordered, random_element,
+                   scale, star_point, sup_norm, tables)
 from test_algebra import parity_cases
 from test_bundle import _corrupt_one_entry
 
@@ -299,7 +298,7 @@ def test_products_sum_the_terms_that_meet_at_one_point():
     for a in G.arrows():
         for b in G.arrows():
             if G.composable(a, b):
-                want[G.mul(a, b)] += f.at(a) * g.at(b) * as_complex(tau(a, b))
+                want[G.mul(a, b)] += f.at(a) * g.at(b) * Angle(tau(a, b)).value
     fg = tables(alg).mul(0, 0, f, g)
     assert all(abs(fg.at(c) - v) < 1e-12 for c, v in want.items())
     pts = alg.points[0]
@@ -316,7 +315,7 @@ def test_complex_scalars_match_the_reference(five):
     # the same unit scalar as a complex number: still a Fell bundle
     T.stars[s][x] = (z, as_complex(c))
     assert _same_fell(T.bundle(), 0)
-    # a complex phase that no Angle cancels
+    # a complex phase that no angle cancels
     T.stars[s][x] = (z, cmath.exp(0.3j) * as_complex(c))
     assert not _same_fell(T.bundle(), 1)
     # a complex zero, which acts as a missing entry

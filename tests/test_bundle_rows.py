@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from fellsem.action import NOT_ANGLE, TwistedAction, verify_twisted_action
-from fellsem.angles import ONE, Angle, as_complex
 from fellsem.bundle import (BadMultiplierFamily, BundleError, NotSaturated, NotSemiAbelian,
                             SectionBundle, build_bundle, canonical_multipliers, classify_bundle,
                             extract_action, roundtrip_check, verify_fell_bundle)
@@ -26,12 +25,12 @@ from fellsem.algebra import convolution_algebra
 from fellsem.groupoid import (TwoCocycle, bisection_semigroup, cyclic_group, pair_groupoid,
                               z2_nontrivial_cocycle)
 from fellsem.isg import verify_inverse_semigroup
-from fellsem.partial_maps import CFunction, PartialBijection
 from fellsem.refine import (BundleMorphism, RefinedBundle, refinement_morphism, verify_morphism,
                             verify_refinement)
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
-from dense import Tables, multiplier_functions, scalar_conj, tables
+from dense import (ONE, Angle, CFunction, Tables, as_complex, carrier, cfunctions, invert,
+                   multiplier_functions, omega_dicts, scalar_conj, tables)
 from test_acceptance import _non_saturated_examples
 
 
@@ -39,20 +38,20 @@ from test_acceptance import _non_saturated_examples
 # the former dict builders
 
 def ref_build_bundle(A) -> Tables:
-    S = A.S
-    carriers = {s: A.carrier(s) for s in S.elements()}
+    S, om = A.S, cfunctions(A.omega)
+    carriers = {s: carrier(A, s) for s in S.elements()}
     products, stars, inclusions = {}, {}, {}
     for s in S.elements():
         ss = S.inv[s]
-        inv_s = A.theta[s].invert()
+        inv_s = invert(A.theta[s])
         for t in S.elements():
-            w = A.omega[(s, t)]
-            products[(s, t)] = {(y, inv_s(y)): (y, w(y)) for y in carriers[S.mul(s, t)]}
+            w = om[(s, t)]
+            products[(s, t)] = {(y, inv_s[y]): (y, w(y)) for y in carriers[S.mul(s, t)]}
             if S.leq(s, t):  # conj(omega(t, s*s)) on the fiber over s
-                w = A.omega[(t, S.mul(ss, s))]
+                w = om[(t, S.mul(ss, s))]
                 inclusions[(s, t)] = {y: scalar_conj(w(y)) for y in carriers[s]}
-        w = A.omega[(ss, s)]
-        stars[s] = {A.theta[s](x): (x, scalar_conj(w(x))) for x in carriers[ss]}
+        w = om[(ss, s)]
+        stars[s] = {A.theta[s][x]: (x, scalar_conj(w(x))) for x in carriers[ss]}
     return Tables(S, carriers, products, stars, inclusions, "action", A=A)
 
 
@@ -65,12 +64,12 @@ def ref_section_bundle(G, tau, S, bisections, carriers=None) -> Tables:
     for s in S.elements():
         for t in S.elements():
             target = fibers[S.mul(s, t)]
-            products[(s, t)] = {(a, b): (G.mul(a, b), tau(a, b))
+            products[(s, t)] = {(a, b): (G.mul(a, b), Angle(tau(a, b)))
                                 for a in fibers[s] for b in fibers[t]
                                 if G.composable(a, b) and G.mul(a, b) in target}
             if S.leq(s, t):
                 inclusions[(s, t)] = {a: ONE for a in fibers[s]}
-        stars[s] = {G.inv[c]: (c, scalar_conj(tau(G.inv[c], c)))
+        stars[s] = {G.inv[c]: (c, Angle(tau(G.inv[c], c)).conj())
                     for c in fibers[S.inv[s]] if G.inv[c] in fibers[s]}
     return Tables(S, fibers, products, stars, inclusions, "section", G=G, tau=tau)
 
@@ -184,7 +183,9 @@ def ref_extract_action(B, u) -> TwistedAction:
             if len(supp) != 1:
                 raise BundleError("conjugation by the multiplier is not point-to-point")
             mapping[x] = next(iter(supp))
-        theta[s] = PartialBijection(mapping)
+        if len(set(mapping.values())) < len(mapping):
+            raise ValueError("mapping is not injective")
+        theta[s] = mapping
     omega = {}
     for s in S.elements():
         for t in S.elements():
@@ -198,7 +199,7 @@ def ref_extract_action(B, u) -> TwistedAction:
                     raise BundleError("multiplier coordinate vanishes")
                 vals[y] = v
             omega[(s, t)] = CFunction(w.carrier, vals)
-    return TwistedAction(S, X, U, theta, omega)
+    return TwistedAction(S, X, U, theta, omega_dicts(omega))
 
 
 def ref_roundtrip_check(A):
@@ -211,8 +212,9 @@ def ref_roundtrip_check(A):
         for s in A.S.elements():
             if A.theta[s] != A2.theta[s]:
                 diff.append(("theta", A.S.label(s)))
-        for key, w in A.omega.items():
-            if not w.equals(A2.omega[key]):
+        omega, omega2 = cfunctions(A.omega), cfunctions(A2.omega)
+        for key, w in omega.items():
+            if not w.equals(omega2[key]):
                 diff.append(("omega", (A.S.label(key[0]), A.S.label(key[1]))))
     return ok, diff
 
@@ -223,8 +225,9 @@ def ref_roundtrip_check(A):
 def _same_action(A, ref) -> bool:
     """Equal actions, Angles exactly and complex values within 1e-12: the
     rows multiply complex values with numpy, which may round differently."""
+    omega = cfunctions(ref.omega)
     return (A.X == ref.X and A.U == ref.U and A.theta == ref.theta
-            and all(w.equals(ref.omega[key], tol=1e-12) for key, w in A.omega.items()))
+            and all(w.equals(omega[key], tol=1e-12) for key, w in cfunctions(A.omega).items()))
 
 
 def _same_tables(B, ref: Tables):
@@ -374,14 +377,13 @@ def test_non_angle_scalars_survive_the_kernel_builder(five):
     B = build_bundle(five)
     N, K, _ = canonical_multipliers(B)
     S = five.S
-    s = next(a for a in S.elements() if not S.is_idempotent(a) and five.carrier(a))
+    s = next(a for a in S.elements() if not S.is_idempotent(a) and carrier(five, a))
     K, V = K.copy(), np.zeros(K.shape, dtype=complex)
     K[s, :B.cs[s]], V[s] = NOT_ANGLE, cmath.exp(0.3j)
     u = (N, K, V)
     A = extract_action(B, u)
     assert _same_action(A, ref_extract_action(ref_build_bundle(five), multiplier_functions(B, u)))
-    odd = [(key, x) for key, w in A.omega.items() for x, v in w.values.items()
-           if not hasattr(v, "frac")]
+    odd = [(key, x) for key, w in A.omega.items() for x, v in w.items() if isinstance(v, complex)]
     assert len(odd) == 4
     B2 = build_bundle(A)
     _same_tables(B2, ref_build_bundle(A))
@@ -391,7 +393,7 @@ def test_non_angle_scalars_survive_the_kernel_builder(five):
     assert verify_fell_bundle(B2) == (True, [])
     info = classify_bundle(B2)
     assert info["saturated"] and info["semi_abelian"]
-    assert not verify_twisted_action(A)[0]  # a complex omega value is no Angle
+    assert not verify_twisted_action(A)[0]  # a complex omega value is no angle
 
 
 def test_checks_do_not_change_a_bundle():

@@ -28,8 +28,8 @@ def files(tmp_path_factory):
     dump("pair.json", pair_groupoid([0, 1]).to_json())
     G, tau = z2_nontrivial_cocycle()
     twisted = G.to_json()
-    twisted["tau"] = {f"{G.labels[a]},{G.labels[b]}": str(tau(a, b).frac)
-                      for (a, b) in G.composable_pairs() if not tau(a, b).is_one}
+    twisted["tau"] = {f"{G.labels[a]},{G.labels[b]}": str(tau(a, b))
+                      for (a, b) in G.composable_pairs() if tau(a, b)}
     dump("z2tw.json", twisted)
     z2 = cyclic_group(2).to_json()
     dump("z2cut.json", {**z2, "carriers": {"g1": []}})
@@ -261,12 +261,13 @@ def test_trials_below_one_are_an_input_error(files, capsys, trials):
         assert code == 0 and report["status"] == "pass", (op, report)
 
 
-def _edited_five(tmp_path, edit):
-    """data/five_element_s.json with its omega edited by edit(omega)."""
+def _edited_five(tmp_path, edit, part="omega"):
+    """data/five_element_s.json with its omega (or another part) edited by
+    edit(omega)."""
     import pathlib
     path = pathlib.Path(__file__).resolve().parent.parent / "data" / "five_element_s.json"
     data = json.loads(path.read_text())
-    edit(data["omega"])
+    edit(data[part])
     out = tmp_path / "edited.json"
     out.write_text(json.dumps(data))
     return str(out)
@@ -282,6 +283,14 @@ def test_malformed_omega_values_are_input_errors(tmp_path, capsys, edit, error):
     code, report = run(capsys, "action", "verify", _edited_five(tmp_path, edit))
     assert code == 2 and report["status"] == "input-error", report
     assert report["error"].startswith(error), report
+
+
+def test_a_theta_that_is_not_injective_is_an_input_error(tmp_path, capsys):
+    # theta_{0>1} sends both points to 1
+    edited = _edited_five(tmp_path, lambda theta: theta["{0>1}"].update({"1": "1"}), "theta")
+    code, report = run(capsys, "action", "verify", edited)
+    assert code == 2 and report["status"] == "input-error", report
+    assert report["error"] == "ValueError: mapping is not injective", report
 
 
 def test_empty_omega_over_a_carrier_is_not_unit(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Finite groupoids, bisections and circle 2-cocycles."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 
 from fellsem.angles import Angle
+from fellsem.generators import standard_groupoids
 from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
                               all_bisections, bisection_semigroup, coboundary_cocycles,
                               cyclic_group, enumerate_cocycles, germ_recovers_groupoid,
@@ -169,3 +173,17 @@ def test_groupoid_json_round_trip():
     back = FiniteGroupoid.from_json(G.to_json())
     verify_groupoid(back)
     assert back.m == G.m and len(back.objects) == len(G.objects)
+
+
+def test_coboundary_reads_angles_as_turns():
+    # angles.Angle is the turn of its argument, so a coboundary of Angle
+    # values is the coboundary of their Fractions
+    rng = random.Random(4)
+    for G in standard_groupoids().values():
+        for roots in (2, 4, 6):
+            k = {a: rng.randrange(roots) for a in G.arrows() if not G.is_unit(a)}
+            one = TwoCocycle.coboundary(G, {a: Angle(Fraction(v, roots)) for a, v in k.items()})
+            two = TwoCocycle.coboundary(G, {a: Fraction(v, roots) for a, v in k.items()})
+            assert one.N == two.N and np.array_equal(one.K, two.K) and verify_cocycle(G, one)[0]
+            assert all(type(one(a, b)) is Fraction and one(a, b) == two(a, b)
+                       for a, b in G.composable_pairs())

@@ -21,7 +21,6 @@ import pytest
 
 from fellsem import algebra
 from fellsem.algebra import block_decompose, convolution_algebra, left_regular
-from fellsem.angles import Angle, as_angle, as_complex
 from fellsem.generators import standard_groupoids
 from fellsem.groupoid import (GroupoidError, NotComposable, TwoCocycle, action_from_cocycle,
                               bisection_semigroup, coboundary_cocycles, enumerate_cocycles,
@@ -29,6 +28,8 @@ from fellsem.groupoid import (GroupoidError, NotComposable, TwoCocycle, action_f
                               z2_nontrivial_cocycle)
 from fellsem.isg import verify_inverse_semigroup
 from fellsem.reps import CovariantRep, regular_covariant_rep, verify_covariant
+
+from dense import Angle, as_angle, as_complex, carrier, scalar
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def ref_regular_covariant_rep(G, tau, S, bisections):
         for a in bisections[s]:
             for c in G.arrows():
                 if G.composable(a, c):
-                    m[G.mul(a, c), c] = as_complex(tau(a, c))
+                    m[G.mul(a, c), c] = Angle(tau(a, c)).value
         v[s] = m
     return rho, v
 
@@ -162,21 +163,20 @@ def ref_verify_covariant(R, A, tol=1e-9):
     for s in S.elements():
         vs = R.v[s]
         for x in A.U[S.mul(S.inv[s], s)]:
-            if not close(vs @ R.rho[x] @ vs.conj().T, R.rho[A.theta[s](x)]):
+            if not close(vs @ R.rho[x] @ vs.conj().T, R.rho[A.theta[s][x]]):
                 bad.append(("conjugation", (S.label(s), x)))
     for s in S.elements():
         for t in S.elements():
-            w = A.omega[(s, t)]
             lhs = np.zeros((R.d, R.d), dtype=complex)
-            for x in w.carrier:
-                lhs += w.at(x) * R.rho[x]
+            for x, v in A.omega[(s, t)].items():
+                lhs += as_complex(scalar(v)) * R.rho[x]
             if not close(R.v[s] @ R.v[t] @ R.v[S.mul(s, t)].conj().T, lhs):
                 bad.append(("cocycle", (S.label(s), S.label(t))))
     for s in S.elements():
         vs = R.v[s]
         if not close(vs.conj().T @ vs, rho_of(A.U[S.mul(S.inv[s], s)])):
             bad.append(("domain-projection", S.label(s)))
-        if not close(vs @ vs.conj().T, rho_of(A.carrier(s))):
+        if not close(vs @ vs.conj().T, rho_of(carrier(A, s))):
             bad.append(("range-projection", S.label(s)))
     return not bad, bad
 
@@ -197,7 +197,12 @@ def ref_center_basis(L, tol=1e-9):
 # the cases
 
 def values(G, tau) -> dict:
-    return {pair: tau(*pair) for pair in G.composable_pairs()}
+    return {pair: Angle(tau(*pair)) for pair in G.composable_pairs()}
+
+
+def turns(tau: dict) -> dict:
+    """A dict of Angles as the turns TwoCocycle takes."""
+    return {pair: v.frac for pair, v in tau.items()}
 
 
 def sign_twist(G):
@@ -221,7 +226,7 @@ def cocycle_families():
                     enumerate_cocycles(G, roots=roots)))
     G = groupoids["trans_z2"]
     out.append(("trans_z2", G, 2, ref_coboundary_cocycles(G, roots=2) + [sign_twist(G)],
-                coboundary_cocycles(G, roots=2) + [TwoCocycle(G, sign_twist(G))]))
+                coboundary_cocycles(G, roots=2) + [TwoCocycle(G, turns(sign_twist(G)))]))
     return out
 
 
@@ -258,19 +263,19 @@ def test_cocycle_checks_and_readers_match_the_reference():
         for ref, tau in zip(refs, taus):
             assert verify_cocycle(G, tau) == ref_verify_cocycle(G, ref)
             for kind, mapping in variants(G, ref, roots, rng).items():
-                got = verify_cocycle(G, TwoCocycle(G, mapping))
+                got = verify_cocycle(G, TwoCocycle(G, turns(mapping)))
                 assert got == ref_verify_cocycle(G, mapping), (name, kind)
                 seen.add((kind, got[0]))
                 if kind == "missing":
                     with pytest.raises(GroupoidError):
-                        action_from_cocycle(G, TwoCocycle(G, mapping), S, biss, wide)
+                        action_from_cocycle(G, TwoCocycle(G, turns(mapping)), S, biss, wide)
                     continue
-                twisted = TwoCocycle(G, mapping)
+                twisted = TwoCocycle(G, turns(mapping))
                 A = action_from_cocycle(G, twisted, S, biss, wide)
                 assert A.N == lcm(*(mapping[p].frac.denominator for p in G.composable_pairs()))
                 for a, b in G.composable_pairs():
                     s, t = index[frozenset({a})], index[frozenset({b})]
-                    assert A.omega[(s, t)](G.rng[G.mul(a, b)]) == mapping[(a, b)]
+                    assert Angle(A.omega[(s, t)](G.rng[G.mul(a, b)])) == mapping[(a, b)]
     assert seen == {("clean", True), ("shifted", False), ("missing", False), ("extraneous", False)}
 
 
@@ -278,7 +283,7 @@ def test_coboundaries_match_the_reference():
     rng = random.Random(5)
     for G in standard_groupoids().values():
         for _ in range(5):
-            c = {a: rng.choice([Angle(Fraction(rng.randrange(q), q)), f"{rng.randrange(q)}/{q}"])
+            c = {a: rng.choice([Fraction(rng.randrange(q), q), f"{rng.randrange(q)}/{q}"])
                  for a in G.arrows() if rng.random() < 0.8 for q in (rng.choice([2, 3, 4, 6]),)}
             assert values(G, TwoCocycle.coboundary(G, c)) == ref_coboundary(G, c)
         taus = coboundary_cocycles(G, roots=2)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from fellsem.angles import Angle
 from fellsem.algebra import block_decompose, germ_algebra
 from fellsem.action import germ_groupoid
 from fellsem.bundle import (NotSaturated, SectionBundle, build_bundle,
@@ -15,7 +14,7 @@ from fellsem.refine import (BundleMorphism, algebra_preservation_check,
                             germ_preservation_check, refinement_morphism,
                             saturated_refinement, verify_refinement)
 
-from dense import tables
+from dense import Angle, tables
 
 
 def cut_z2_bundle():

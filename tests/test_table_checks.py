@@ -15,15 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from fellsem.angles import ONE, Angle, as_complex
 from fellsem.bundle import BundleError, SectionBundle, build_bundle
 from fellsem.generators import mutation_corpus, standard_groupoids
 from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
-from fellsem.partial_maps import CFunction
 from fellsem.refine import BundleMorphism, saturated_refinement, verify_morphism, verify_refinement
 from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
 
-from dense import _smul, extend, ordered, point_mass, sup_norm, tables
+from dense import ONE, Angle, CFunction, _smul, as_complex, extend, ordered, point_mass, sup_norm, tables
 from test_bundle import _corrupt_one_entry
 
 

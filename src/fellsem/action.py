@@ -14,12 +14,25 @@ integer exponents mod N.  A TwistedAction is its arrays, built once when
 it is made: a Frame (the Cayley table, the carriers as a mask, theta as
 index arrays) and the omega exponents W[s, t, x], with a complex array V
 only where a value is not an angle, as a Bundle's rows hold scalars.  The
-checks are gathers and comparisons on these arrays, with zero tolerance;
-exponents are int64 while every sum of four of them fits, and Python
-integers beyond.  The omega mapping is a read-only view.  A gauge chi is
-exponents too: (N, C), C[s, x] the exponent of chi_s at the frame's
-point x, OUTSIDE off the fiber carriers, as random_gauge and siebenize
-make it and gauge_transform reads it.
+checks are gathers and comparisons on these arrays, with zero tolerance.
+The omega mapping is a read-only view.  A gauge chi is exponents too: (N,
+C), C[s, x] the exponent of chi_s at the frame's point x, OUTSIDE off the
+fiber carriers, as random_gauge and siebenize make it and gauge_transform
+reads it.
+
+Every identity checked is a sum of at most four exponents, so every
+exponent array is held, where it is made, in the narrowest signed width
+that holds such a sum and mod's floor of it times N, 4 N <= 2**(bits - 1):
+
+    N <= 2**5    int8        N <= 2**29   int32
+    N <= 2**13   int16       N <= 2**61   int64
+
+and Python integers (object arrays) beyond.  Under NumPy 2 (NEP 50) a sum
+of narrow arrays, or of one and a Python integer, wraps silently, so a
+path that could exceed four terms must widen first.  None does: the
+widest sums have three positive terms (gauge_transform, Lookup.scaled and
+bundle._extract), and the widest difference, in Lookup's star laws, four
+negative ones.  Positions into the arrays stay intp.
 
 A Frame builds one slot table, once: the flat positions of the live omega
 slots (s, t, y), y in U(st (st)*), in row-major order, and for each slot
@@ -60,8 +73,13 @@ from fellsem.isg import InverseSemigroup, first_true, index_pairs
 
 # array entries a chunked family gathers at once
 CHUNK = 1 << 18
-# int64 holds every sum of four exponents mod N while N <= 2**61
-INT64_MODULUS = 2 ** 61
+# exponent widths: int8 while N <= 2**5, int16 while N <= 2**13, int32
+# while N <= 2**29 and int64 while N <= 2**61 = INT64_MODULUS, each the
+# widest modulus whose width holds every sum of four exponents mod N, and
+# mod's floor times N of one, as 4 N <= 2**(bits - 1); past INT64_MODULUS
+# exponents are Python integers in object arrays
+WIDTHS = ((2 ** 5, np.int8), (2 ** 13, np.int16), (2 ** 29, np.int32), (2 ** 61, np.int64))
+INT64_MODULUS = WIDTHS[-1][0]
 # exponent codes: outside the carrier of omega(s, t), or no angle there
 OUTSIDE, NOT_ANGLE = -1, -2
 
@@ -212,7 +230,22 @@ def _freeze(*arrays):
 
 
 def _exponent_dtype(N: int):
-    return np.int64 if N <= INT64_MODULUS else object
+    """The narrowest signed dtype of WIDTHS that holds exponents mod N, or
+    object past INT64_MODULUS."""
+    return next((dtype for bound, dtype in WIDTHS if N <= bound), object)
+
+
+def held(K, N: int) -> np.ndarray:
+    """Exponents mod N and codes in _exponent_dtype(N): K itself when it is
+    held so already.  A cast that would change an entry, which no builder
+    makes, raises ValueError instead of wrapping."""
+    K, dtype = np.asarray(K), _exponent_dtype(N)
+    if K.dtype == dtype:
+        return K
+    out = K.astype(dtype)
+    if dtype is not object and (out != K).any():
+        raise ValueError(f"an exponent mod {N} is out of range")
+    return out
 
 
 def mod(K, N: int):
@@ -308,18 +341,25 @@ class TwistedAction:
         n = S.n
         entries = [(s * n + t, x, v) for s in range(n) for t in range(n) for x, v in omega[(s, t)].items()]
         keys, points, vals = zip(*entries) if entries else ((),) * 3
-        fracs = [None if isinstance(v, complex) else as_frac(v) for v in vals]
-        frame = Frame(S, X, U, theta, points)
-        N, K = exponents(fracs)
-        at = np.array(keys, dtype=np.intp) * frame.m + np.array([frame.index[x] for x in points],
-                                                                dtype=np.intp)
-        W, V = np.full(n * n * frame.m, OUTSIDE, dtype=K.dtype), None
+        self._encode(Frame(S, X, U, theta, points), keys, points,
+                     [v if isinstance(v, complex) else as_frac(v) for v in vals], range(len(vals)))
+
+    def _encode(self, frame, keys, points, values, codes):
+        """Hold omega from its entries: entry i is omega(s, t) at points[i],
+        keys[i] = s n + t, with the value values[codes[i]], a turn or, where
+        it is not an angle, a complex number.  Each value is encoded once."""
+        n, m = frame.n, frame.m
+        N, E = exponents([None if isinstance(v, complex) else v for v in values])
+        codes = np.asarray(codes, dtype=np.intp)
+        K = E.take(codes)
+        at = np.array(keys, dtype=np.intp) * m + np.array([frame.index[x] for x in points], dtype=np.intp)
+        W, V = np.full(n * n * m, OUTSIDE, dtype=K.dtype), None
         W[at] = K
         if (K == NOT_ANGLE).any():
             V = np.zeros(len(W), dtype=complex)
-            V[at[K == NOT_ANGLE]] = [v for f, v in zip(fracs, vals) if f is None]
-            V = V.reshape(n, n, frame.m)
-        self._hold(frame, N, W.reshape(n, n, frame.m), V)
+            V[at] = np.array([v if isinstance(v, complex) else 0j for v in values], dtype=complex).take(codes)
+            V = V.reshape(n, n, m)
+        self._hold(frame, N, W.reshape(n, n, m), V)
 
     @classmethod
     def from_exponents(cls, frame: Frame, N: int, W, V=None) -> "TwistedAction":
@@ -329,6 +369,7 @@ class TwistedAction:
         return A
 
     def _hold(self, frame, N, W, V):
+        W = held(W, N)
         self.S, self.X, self.U, self.theta = frame.S, list(frame.X), dict(frame.sets), dict(frame.maps)
         self.frame, self.N, self.W, self.V = frame, N, W, V
         for a in (W,) if V is None else (W, V):
@@ -408,19 +449,40 @@ class TwistedAction:
         X = data["points"]
         U = {S.index_of(lab): frozenset(pts) for lab, pts in data["U"].items()}
         theta = {S.index_of(lab): m for lab, m in data["theta"].items()}
-        index = {lab: i for i, lab in enumerate(S.labels)}
-        omega, parsed = {}, {}  # each text is parsed once
+        n, labels = S.n, S.labels
+        index = {lab: i for i, lab in enumerate(labels)}
+        # the key of each (s, t); split_labels cuts the keys instead when two
+        # pairs join to one key
+        joined = {f"{a},{b}": (s, t) for s, a in enumerate(labels) for t, b in enumerate(labels)}
+        if len(joined) < n * n or not all(isinstance(a, str) for a in labels):
+            joined = {}
+        turns_of, code = [], {}  # each text is parsed once, to its code
+
+        def parse(v):
+            code[v] = len(turns_of)
+            turns_of.append(as_frac(v))
+            return code[v]
+
+        keys, points, codes, given = [], [], [], set()
         for key, vals in data["omega"].items():
-            s, t = split_labels(key, index, 2)
-            fracs = {x: parsed[v] if v in parsed else parsed.setdefault(v, as_frac(v))
-                     for x, v in vals.items()}
+            s, t = joined.get(key) or split_labels(key, index, 2)
+            got = [code[v] if v in code else parse(v) for v in vals.values()]
             st = S.mul(s, t)
             carrier = U[S.mul(st, S.inv[st])]
-            if outside := [x for x in fracs if x not in carrier]:
-                raise CarrierMismatch(f"value at {outside[0]} outside carrier")
-            # omega(s, t) is carried by U(st (st)*); a point it leaves out is zero
-            omega[(s, t)] = {x: fracs.get(x, 0j) for x in carrier}
-        return cls(S, X, U, theta, omega)
+            if not vals.keys() <= carrier:
+                raise CarrierMismatch(f"value at {next(x for x in vals if x not in carrier)} outside carrier")
+            # omega(s, t) is carried by U(st (st)*); a point it leaves out is
+            # zero, the last code
+            missing = carrier.difference(vals)
+            keys += [s * n + t] * len(carrier)
+            points += [*vals, *missing]
+            codes += got + [-1] * len(missing)
+            given.add(s * n + t)
+        if len(given) < n * n:
+            raise KeyError(divmod(min(set(range(n * n)) - given), n))
+        A = cls.__new__(cls)
+        A._encode(Frame(S, X, U, theta, points), keys, points, turns_of + [0j], codes)
+        return A
 
 
 def split_labels(key: str, index, parts: int | None = None) -> tuple:
@@ -715,7 +777,7 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
         s, t, x = first_true(A.W == NOT_ANGLE)
         raise A._bad_value(s, t, F.points[x], "is not an angle")
     N = lcm(A.N, Nc)
-    C = widen(C, Nc, N).reshape(-1)
+    C = held(widen(C, Nc, N), N).reshape(-1)
     inside = W >= 0
     live = np.array_equal(inside, F.fib_of_product.reshape(-1))
     at, *reads = F.slots if live else F.slot_table(np.flatnonzero(inside))
@@ -795,12 +857,6 @@ class GermGroupoid:
         if (g := int(self.of[t, self.A.frame.index[x]])) < 0:
             raise KeyError((t, x))
         return g
-
-    def coord(self, t: int, x) -> Fraction:
-        """The turn of the scalar turning t-coordinates at x into those of
-        the canonical representative of the germ [t, x]."""
-        self.germ(t, x)
-        return Fraction(int(self.K[t, self.A.frame.index[x]]), self.N)
 
     def src(self, g: int):
         return self.A.frame.points[self.src_i[g]]

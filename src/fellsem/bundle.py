@@ -27,8 +27,8 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype, mod,
-                            omega_differs, turns, widen)
+from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype, held,
+                            mod, omega_differs, turns, widen)
 from fellsem.angles import turn
 from fellsem.groupoid import held_pairs, membership
 from fellsem.isg import InverseSemigroup, first_true, generating_set, index_pairs
@@ -193,10 +193,11 @@ class Bundle:
 
 
 def _table(rows, N: int):
-    """A table's rows sorted by their first column, read-only."""
+    """A table's rows sorted by their first column, read-only: the point
+    columns intp, the exponents held as fellsem.action.held holds them."""
     *cols, K, V = rows
     cols = [np.asarray(c, dtype=np.intp) for c in cols]
-    K = np.asarray(K, dtype=_exponent_dtype(N))
+    K = held(K, N)
     V = None if V is None or not (K == NOT_ANGLE).any() else np.asarray(V, dtype=complex)
     if (cols[0][1:] < cols[0][:-1]).any():
         order = np.argsort(cols[0], kind="stable")
@@ -271,9 +272,13 @@ class Lookup:
 
     def scaled(self, z, *factors):
         """The point masses at z scaled by the product of the factors, each
-        a (K, V) pair.  Exponents are reduced mod N only when compared; the
-        sums here have at most three terms, which int64 holds while
-        N <= 2**61."""
+        a (K, V) pair.  Exponents are reduced mod N only when compared, so
+        a sum here has at most three terms, and a comparison (far) of two
+        of them at most five: one positive and four negative in the star
+        laws, where conj negates.  The exponents' width holds each (see the
+        width table in fellsem.action): int8 while N <= 2**5, int16 while
+        N <= 2**13, int32 while N <= 2**29, int64 while N <= 2**61, and
+        Python integers beyond."""
         K, V = factors[0]
         for k, v in factors[1:]:
             if V is None:
@@ -662,7 +667,7 @@ def classify_bundle(B, tol: float = 1e-9):
 
 def canonical_multipliers(B) -> tuple:
     """The constant-one multiplier family: exponent zero on every slot."""
-    return 1, np.where(np.arange(B.W) < B.cs[:, None], 0, OUTSIDE), None
+    return 1, held(np.where(np.arange(B.W) < B.cs[:, None], 0, OUTSIDE), 1), None
 
 
 def check_multiplier_family(B, u) -> None:
@@ -708,7 +713,7 @@ def _extract(B, u):
     check_multiplier_family(B, u)
     Nu, uK, uV = u
     N, ar, T, inv, pts = lcm(B.N, Nu), np.arange(n), B.T, B.inv, B.points
-    us = widen(uK, Nu, N), turns(uK, Nu, uV).reshape(n, W)
+    us = held(widen(uK, Nu, N), N), turns(uK, Nu, uV).reshape(n, W)
     (_, px, py, pz, pK, _), (_, sx, sz, sK, _) = B.products, B.stars
     pK, sK, (pV, sV, _) = widen(pK, B.N, N), widen(sK, B.N, N), B.values
 
@@ -721,8 +726,8 @@ def _extract(B, u):
         value = np.bincount(at, V[live].real, size * W) + 1j * np.bincount(at, V[live].imag, size * W)
         one = np.full(size * W, OUTSIDE, dtype=K.dtype)
         one[at] = K[live]
-        K = np.where(count == 1, one, np.where(count == 0, OUTSIDE, NOT_ANGLE))
-        return K.reshape(size, W), value.reshape(size, W)
+        one[count > 1] = NOT_ANGLE
+        return one.reshape(size, W), value.reshape(size, W)
 
     def mul(pair, f, g):
         """f[b] in fiber s times g[b] in fiber t, (s, t) = divmod(pair[b], n),
@@ -745,7 +750,7 @@ def _extract(B, u):
     delta = np.arange(W) == x[:, None]
     pair, st = np.arange(n * n), T.ravel()
     left, star = np.concatenate([s, pair // n]), np.concatenate([s, st])
-    g = (np.concatenate([np.where(delta, 0, OUTSIDE), us[0][pair % n]]),
+    g = (np.concatenate([np.where(delta, 0, OUTSIDE).astype(us[0].dtype), us[0][pair % n]]),
          np.concatenate([delta + 0j, us[1][pair % n]]))
     m = mul(np.concatenate([s * n + T[inv[s], s], pair]), (us[0][left], us[1][left]), g)
     K, V = mul(star * n + inv[star], m, (ustar[0][star], ustar[1][star]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from fellsem.angles import turn
 from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
-from fellsem.action import OUTSIDE, Frame, TwistedAction, gauge_transform, mod, widen
+from fellsem.action import OUTSIDE, Frame, TwistedAction, _exponent_dtype, gauge_transform, mod, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
                               z2_nontrivial_cocycle)
@@ -31,7 +31,7 @@ def untwisted_action(S: InverseSemigroup, maps) -> TwistedAction:
     U = {s: frozenset(maps[s].values()) for s in S.elements()}
     X = sorted(set().union(*(U[e] for e in S.idem)) | set().union(*(U[s] for s in S.elements())))
     F = Frame(S, X, U, maps)
-    return TwistedAction.from_exponents(F, 1, np.where(F.fib_of_product, 0, OUTSIDE))
+    return TwistedAction.from_exponents(F, 1, np.where(F.fib_of_product, 0, OUTSIDE).astype(_exponent_dtype(1)))
 
 
 def full_monoid_action(k: int) -> TwistedAction:
@@ -76,7 +76,7 @@ def busby_smith_z2() -> TwistedAction:
     X = [0]
     U = {0: frozenset(X), 1: frozenset(X)}
     theta = {0: {0: 0}, 1: {0: 0}}
-    W = np.array([[[0], [0]], [[0], [1]]])  # omega(g, g) = -1: exponent 1 mod 2
+    W = np.array([[[0], [0]], [[0], [1]]], dtype=_exponent_dtype(2))  # omega(g, g) = -1: exponent 1 mod 2
     return TwistedAction.from_exponents(Frame(S, X, U, theta), 2, W)
 
 
@@ -107,7 +107,7 @@ def random_gauge(A: TwistedAction, rng) -> tuple:
         else:
             denom = rng.choice([2, 3, 4, 6])
             vals += [rng.randrange(denom) * (N // denom) for _ in range(count)]
-    C = np.full((F.n, F.m), OUTSIDE, dtype=np.int64)
+    C = np.full((F.n, F.m), OUTSIDE, dtype=_exponent_dtype(N))
     C[F.fib] = vals
     return N, C
 

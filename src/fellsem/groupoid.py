@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from fellsem.action import (CHUNK, OUTSIDE, Frame, TwistedAction, _exponent_dtype, exponents,
-                            germ_groupoid, germ_map_check, mod)
+                            germ_groupoid, germ_map_check, held, mod)
 from fellsem.angles import as_frac
 from fellsem.isg import first_true, verify_inverse_semigroup
 
@@ -387,7 +387,7 @@ class TwoCocycle:
     @classmethod
     def from_exponents(cls, G: FiniteGroupoid, N: int, K) -> "TwoCocycle":
         tau = cls.__new__(cls)
-        tau._hold(G, N, np.asarray(K, dtype=_exponent_dtype(N)), {})
+        tau._hold(G, N, held(K, N), {})
         return tau
 
     def _hold(self, G, N, K, extra):
@@ -412,11 +412,11 @@ class TwoCocycle:
             p = np.arange(len(self.K))[pairs][first_true(K < 0)[0]]
             raise GroupoidError(f"cocycle missing on pair ({self.G.pair_a[p]}, {self.G.pair_b[p]})")
         d = gcd(self.N, *K.tolist())
-        return self.N // d, K // d if d > 1 else K
+        return (self.N // d, held(K // d, self.N // d)) if d > 1 else (self.N, K)
 
     @classmethod
     def trivial(cls, G: FiniteGroupoid) -> "TwoCocycle":
-        return cls.from_exponents(G, 1, np.zeros(len(G.pair_a), dtype=np.int64))
+        return cls.from_exponents(G, 1, np.zeros(len(G.pair_a), dtype=_exponent_dtype(1)))
 
     @classmethod
     def coboundary(cls, G: FiniteGroupoid, c) -> "TwoCocycle":
@@ -472,7 +472,7 @@ def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4, max_slots: int = 12):
     ab, abc, bc, a_bc = G.triples
     out = []
     for D in _digits(roots, width, max(1, CHUNK // max(1, len(ab)))):
-        K = np.zeros((len(D), len(free)), dtype=np.int64)
+        K = np.zeros((len(D), len(free)), dtype=_exponent_dtype(roots))
         K[:, free] = D
         ok = (mod(K[:, ab] + K[:, abc] - K[:, bc] - K[:, a_bc], roots) == 0).all(axis=1)
         out += [TwoCocycle.from_exponents(G, roots, k) for k in K[ok]]
@@ -484,7 +484,7 @@ def coboundary_cocycles(G: FiniteGroupoid, roots: int = 4):
     values, in the order the values of c first give them."""
     seen, out = set(), []
     for D in _digits(roots, G.m - int(G.units.sum()), max(1, CHUNK // max(1, len(G.pair_a)))):
-        c = np.zeros((len(D), G.m), dtype=np.int64)
+        c = np.zeros((len(D), G.m), dtype=_exponent_dtype(roots))
         c[:, ~G.units] = D
         K = mod(c[:, G.pair_a] + c[:, G.pair_b] - c[:, G.pair_ab], roots)
         _, first = np.unique(K, axis=0, return_index=True)
@@ -498,7 +498,7 @@ def coboundary_cocycles(G: FiniteGroupoid, roots: int = 4):
 def z2_nontrivial_cocycle() -> tuple[FiniteGroupoid, TwoCocycle]:
     """The order-two group with tau(g, g) = -1."""
     G = cyclic_group(2)
-    K = np.zeros(len(G.pair_a), dtype=np.int64)
+    K = np.zeros(len(G.pair_a), dtype=_exponent_dtype(2))
     K[G.pair_index[1, 1]] = 1
     return G, TwoCocycle.from_exponents(G, 2, K)
 

@@ -147,6 +147,13 @@ def carrier(A, s: int) -> frozenset:
     return A.U[A.S.mul(s, A.S.inv[s])]
 
 
+def coord(G, t: int, x) -> Fraction:
+    """The turn of the germ coordinate G.K at the pair (t, x) of the germ
+    groupoid G; KeyError if (t, x) is no pair."""
+    G.germ(t, x)
+    return Fraction(int(G.K[t, G.A.frame.index[x]]), G.N)
+
+
 def scalar_mul(a, b):
     """Product of two circle scalars, exact when both are Angles."""
     if isinstance(a, Angle) and isinstance(b, Angle):

@@ -20,7 +20,8 @@ from fellsem.groupoid import (TwoCocycle, bisection_semigroup, coboundary_cocycl
 from fellsem.isg import verify_inverse_semigroup
 from fellsem.refine import saturated_refinement
 
-from dense import Angle, CFunction, as_complex, carrier, gauge_functions, ref_omega_at, scalar_conj, tables
+from dense import (Angle, CFunction, as_complex, carrier, coord, gauge_functions, ref_omega_at, scalar_conj,
+                   tables)
 
 
 def test_z2_group_algebra_blocks():
@@ -331,7 +332,7 @@ def assert_same_germs(G, R):
         [(R.rep(g), R.src(g), R.rng(g)) for g in range(len(R.germs))]
     for (t, x) in R.of_pair:
         assert G.germ(t, x) == R.germ(t, x), (t, x)
-        assert Angle(G.coord(t, x)) == R.coord(t, x), (t, x)
+        assert Angle(coord(G, t, x)) == R.coord(t, x), (t, x)
     assert int((G.of >= 0).sum()) == len(R.of_pair)
 
 

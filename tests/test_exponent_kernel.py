@@ -19,7 +19,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, Frame, GaugeNotUnitAtIdempotent,
+from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, Frame, GaugeNotUnitAtIdempotent, _exponent_dtype,
                             GermGroupoid, TwistedAction, check_sieben, gauge_transform, siebenize,
                             verify_consequences, verify_twisted_action, widen)
 from fellsem.bundle import SectionBundle, build_bundle, canonical_multipliers, extract_action
@@ -31,8 +31,8 @@ from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError, NoI
                          NonAssociative, symmetric_inverse_monoid, verify_inverse_semigroup)
 from fellsem.refine import saturated_refinement
 
-from dense import (Angle, CFunction, as_angle, carrier, cfunctions, compose, gauge_functions, invert,
-                   omega_dicts, ref_omega_at, restrict)
+from dense import (Angle, CFunction, as_angle, carrier, cfunctions, compose, coord, gauge_functions,
+                   invert, omega_dicts, ref_omega_at, restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def ref_siebenize(A):
     S = A.S
     chi = {}
     for s in S.elements():
-        vals = {A.theta[s][x]: Angle(G.coord(s, x)).conj() for x in A.U[S.mul(S.inv[s], s)]}
+        vals = {A.theta[s][x]: Angle(coord(G, s, x)).conj() for x in A.U[S.mul(S.inv[s], s)]}
         chi[s] = CFunction(carrier(A, s), vals)
     return chi, ref_gauge_transform(A, chi)
 
@@ -502,13 +502,14 @@ def _one_value_negated(A, s, t, x):
 
 def test_wide_exponents_report_the_same_cocycle_violations():
     # a gauge changes no axiom's verdict at any point, so one value
-    # negated gives the same violations at int64 and with Python integers
+    # negated gives the same violations in a fixed width and with Python
+    # integers
     A = full_monoid_action(3)
     wide = gauge_transform(A, _wide_gauge(A))
     S = A.S
     s, t = S.index_of("{0>1,1>2,2>0}"), S.index_of("{0>2,1>0,2>1}")
     narrow, broad = _one_value_negated(A, s, t, 0), _one_value_negated(wide, s, t, 0)
-    assert narrow.W.dtype == np.int64 and broad.N > 2 ** 62 and broad.W.dtype == object
+    assert narrow.W.dtype == _exponent_dtype(narrow.N) and broad.N > 2 ** 62 and broad.W.dtype == object
     ok, bad = verify_twisted_action(narrow)
     assert not ok and sum(tag == "cocycle" for tag, _ in bad) > 10
     assert verify_twisted_action(broad) == (ok, bad)

@@ -7,10 +7,19 @@ span(MM*)·M ⊆ M.  Association of a matrix u to M, regularity, ideals and
 local regularity use the same rank and residual tests at a relative tolerance.
 
 A MatrixTRO is frozen and holds its basis as a tuple of read-only copies, so
-what is derived from the basis cannot go stale: the orthonormal bases of M,
-MM* and M*M and the support projections of MM* and M*M are built once per
-tolerance, on first use, and every later query reads them.  A rank alone is
-taken from the singular values, without the singular vectors.
+what is derived from the basis cannot go stale: the closure verdict, the
+orthonormal bases of M, MM* and M*M, the support projections of MM* and M*M
+and the coordinates of the regularity trials are built once per tolerance,
+on first use, and every later query reads them.  A rank alone is taken from
+the singular values, without the singular vectors.
+
+Regularity is decided in M's own coordinates.  In a TRO, m y lies in M
+for m in M and y in M*M, and so does y m for y in MM*.  So the stack of
+m R_j, over an orthonormal basis R_j of M*M, has the singular values of its
+coordinates in an orthonormal basis of M, and the rank of m M*M is taken
+from a dim(M*M)-by-dim(M) matrix, linear in the coefficients of m, in place
+of dim(M*M) n-by-n matrices; the same holds for MM* m.  A span closed only
+to within the tolerance keeps the n^2-wide stacks.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = 1e-9
+ROUNDING = 1e-12  # a relative residual read as rounding error, far below EPS
 
 
 class TroError(ValueError):
@@ -130,8 +140,14 @@ class MatrixTRO:
 
     def _get(self, what: str, tol: float):
         """A read-only stack, built on first use at each tol: the orthonormal
-        basis of M ("basis"), of MM* ("left") or of M*M ("right"), or the
-        support projection of MM* ("p_left") or of M*M ("p_right")."""
+        basis of M ("basis"), of MM* ("left") or of M*M ("right"), the
+        support projection of MM* ("p_left") or of M*M ("p_right"), or the
+        trial coordinates ("coords"): for the basis B of M, the orthonormal
+        bases R of M*M and L of MM*, and the orthonormal basis Q of M at EPS,
+        G[c, 0, j] is the coordinates in Q of B_c R_j and G[c, 1, j] those
+        of L_j B_c, zero past dim M*M or dim MM*; where one of these products
+        leaves span(Q) by more than rounding, G holds the products
+        themselves, n^2 entries wide."""
         key = (what, tol)
         value = self._memo.get(key)
         if value is None:
@@ -142,6 +158,18 @@ class MatrixTRO:
                 value = _orthonormal(_products(B, _adjoints(B), n), tol)
             elif what == "right":
                 value = _orthonormal(_products(_adjoints(B), B, n), tol)
+            elif what == "coords":
+                k, R, L = len(B), self._get("right", tol), self._get("left", tol)
+                prods = np.concatenate([np.tensordot(B, R, (2, 1)).transpose(0, 2, 1, 3),  # B_c R_j
+                                        np.tensordot(L, B, (2, 1)).transpose(2, 0, 1, 3)],  # L_j B_c
+                                       axis=1).reshape(k, -1, n * n)
+                # coordinates in M's orthonormal basis at EPS, unless a
+                # product leaves it, as where M is closed only to within tol
+                q = self._get("basis", EPS)
+                if _inside(q, prods.reshape(-1, n * n), ROUNDING):
+                    prods = prods @ q.reshape(len(q), -1).conj().T
+                value = np.zeros((k, 2, max(len(R), len(L)), prods.shape[2]), dtype=complex)
+                value[:, 0, :len(R)], value[:, 1, :len(L)] = prods[:, :len(R)], prods[:, len(R):]
             else:
                 value = support_projection(self._get(what[2:], tol), n, tol)
             value.flags.writeable = False
@@ -150,9 +178,13 @@ class MatrixTRO:
 
     def is_tro(self, tol: float = EPS) -> bool:
         """span{x y* z} = span(MM*)·M, so closure is decided on the products
-        a z of orthonormal bases of MM* and M."""
-        sp = self._get("basis", tol)
-        return _inside(sp, _products(self._get("left", tol), sp, self.dim), tol)
+        a z of orthonormal bases of MM* and M, once per tol."""
+        key = ("closed", tol)
+        closed = self._memo.get(key)
+        if closed is None:
+            sp = self._get("basis", tol)
+            closed = self._memo[key] = _inside(sp, _products(self._get("left", tol), sp, self.dim), tol)
+        return closed
 
     @classmethod
     def from_matrices(cls, mats) -> "MatrixTRO":
@@ -231,6 +263,18 @@ def is_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EPS):
     dim(MM* m), a rank obstruction that generic elements meet whenever any
     element does.  Returns (True, witness partial isometry) or
     (False, trial log).
+
+    Both ranks are read in M's coordinates.  In a TRO, m y lies in M for y
+    in M*M, and y m for y in MM*.  So for orthonormal bases R_j of M*M and
+    L_j of MM*, the stacks m R_j and L_j m have the singular values of
+    their coordinates in an orthonormal basis of M, and these are c·G for
+    the coefficients c of m (G = M._get("coords", tol)): dim(M*M)-by-dim M
+    and dim(MM*)-by-dim M matrices in place of n^2-wide stacks.  Where M is
+    closed only to within tol, G keeps the products n^2 wide, so the ranks
+    are the same either way.  Trial 0 runs alone, and a regular M passes
+    it; otherwise the other trials are ranked in one stacked SVD, and the
+    rng is wound back and drawn again up to the first that passes, so it
+    ends where a loop over the trials would stop.
     """
     import random as _random
     rng = rng or _random.Random(0)
@@ -239,17 +283,34 @@ def is_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EPS):
     k = len(M.basis)
     if k == 0:
         return True, np.zeros((M.dim, M.dim), dtype=complex)
-    mstar_m, mm = M._get("right", tol), M._get("left", tol)
-    log = []
-    for trial in range(trials):
-        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
-        m = sum(c * b for c, b in zip(coeffs, M.basis))
-        d1 = span_dim(m @ mstar_m, tol)
-        d2 = span_dim(mm @ m, tol)
-        if d1 == k and d2 == k:
-            return True, strict_correction(polar_isometry(m, tol), M, tol)
-        log.append({"trial": trial, "dim_mMM": d1, "dim_MMm": d2, "dim_M": k})
-    return False, log
+    G = M._get("coords", tol)
+
+    def draw(count):
+        return [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
+                for _ in range(count)]
+
+    def dims(coeffs):
+        """dim(m M*M) and dim(MM* m) for each coefficient list of m."""
+        C = np.array(coeffs, dtype=complex).reshape(-1, k) @ G.reshape(k, -1)
+        s = np.linalg.svd(C.reshape(-1, *G.shape[1:]), compute_uv=False)
+        return np.sum(s > tol * s[..., :1], axis=-1)
+
+    coeffs = draw(min(trials, 1))
+    found = dims(coeffs)
+    if trials > 1 and not (found == k).all():
+        state = rng.getstate()
+        coeffs += draw(trials - 1)
+        found = np.concatenate([found, dims(coeffs[1:])])
+    passed = np.flatnonzero((found == k).all(axis=1))
+    if passed.size:
+        t = int(passed[0])
+        if t:
+            rng.setstate(state)
+            draw(t)
+        m = sum(c * b for c, b in zip(coeffs[t], M.basis))
+        return True, strict_correction(polar_isometry(m, tol), M, tol)
+    return False, [{"trial": t, "dim_mMM": int(d1), "dim_MMm": int(d2), "dim_M": k}
+                   for t, (d1, d2) in enumerate(found)]
 
 
 def is_ideal(N: MatrixTRO, M: MatrixTRO, tol: float = EPS) -> bool:

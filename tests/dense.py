@@ -408,9 +408,11 @@ def scaled(z, *factors):
 
 
 def far(p, q, tol: float) -> bool:
-    """Whether two scaled point masses differ by more than tol at some
-    point."""
+    """Whether two scaled point masses differ at some point: two Angles by
+    any turn, and otherwise by more than tol."""
     if p and q and p[0] == q[0]:
+        if isinstance(p[1], Angle) and isinstance(q[1], Angle):
+            return p[1] != q[1]
         return p[1] != q[1] and abs(as_complex(p[1]) - as_complex(q[1])) > tol
     return any(m is not None and abs(as_complex(m[1])) > tol for m in (p, q))
 

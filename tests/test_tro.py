@@ -452,3 +452,47 @@ def test_a_second_tolerance_is_not_served_from_the_first():
         assert _agree(at_1e3, _answers(MatrixTRO.from_matrices(mats), 1e-3))
         differ += not _agree(at_1e9, at_1e3)
     assert differ > 0  # the two tolerances give different answers on some span
+
+
+class _ZeroFirst(random.Random):
+    """A Random whose first `zeros` gauss draws are 0.0, so that a
+    regularity trial drawn from them has m = 0."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros = zeros
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        if self.zeros:
+            self.zeros -= 1
+            return 0.0
+        return super().gauss(mu, sigma)
+
+
+def test_a_later_trial_replays_the_rng():
+    # trial 0 draws m = 0 and fails; trial 1 passes, so the batched trials
+    # are ranked together and the rng is drawn again up to trial 1
+    M = corner_tro(4, [0, 2], [1, 3])
+    k = len(M.basis)
+    rng_new, rng_ref = _ZeroFirst(7, 2 * k), _ZeroFirst(7, 2 * k)
+    ok, witness = is_regular(M, rng=rng_new)
+    ref_ok, ref_witness = ref_is_regular(M, rng=rng_ref)
+    assert ok and ref_ok
+    assert np.linalg.norm(witness - ref_witness) <= 1e-12
+    assert rng_new.random() == rng_ref.random()
+    assert not is_regular(M, trials=1, rng=_ZeroFirst(7, 2 * k))[0]
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+def test_coarse_tolerances_match_the_reference(tol):
+    # half the spans are perturbed, so some are closed only to within tol
+    # and their products leave M: there the trials are ranked n^2 wide
+    npr = np.random.default_rng(40)
+    mismatches, widths = [], set()
+    for i, (kind, mats) in enumerate(list(_corner_spans(npr, 40))):
+        M = MatrixTRO.from_matrices(mats)
+        mismatches += [(i, kind, b) for b in _mismatches(M, npr, seed=i, tol=tol, local=False)]
+        if M.is_tro(tol):
+            widths.add(M._get("coords", tol).shape[-1] == M.dim ** 2)
+    assert mismatches == []
+    assert widths == {True, False}

@@ -4,8 +4,14 @@ The regular covariant representation of a cocycle action lives on the
 arrow space of the groupoid: functions on the unit space act diagonally
 through the range map, and each bisection acts by twisted left translation,
 its entries the values of the cocycle's exponents.  The checks stack the
-matrices and run each axiom family as batched matmuls and norms, in chunks
-of ENTRIES matrix entries.
+matrices and run each axiom family as a few BLAS-shaped calls.  The pair
+products are one gemm per chunk: v_s v_t for a chunk of s against every t
+is one (s·d)-by-d times d-by-(n·d) product, and pi(delta_x) pi(delta_y)
+for a chunk of left slots against every slot is one such product over the
+slot grid.  ENTRIES bounds the matrix entries of one chunk's products, a
+chunk being at least one s or one left slot.  A check compares matrices by
+the rule |a - b| <= tol max(1, |b|) in the Frobenius norm, each norm one
+einsum over the float view of the complex entries.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 from fellsem.action import TwistedAction, _require_theta, turns
 from fellsem.groupoid import membership
 
-# matrix entries a chunk of verify_covariant or of verify_representation's pair family holds
+# matrix entries a chunk of verify_covariant's or of verify_representation's products holds
 ENTRIES = 1 << 15
 
 
@@ -56,10 +62,17 @@ def regular_covariant_rep(G, tau, S, bisections) -> CovariantRep:
     return CovariantRep(G.m, rho, dict(enumerate(v)))
 
 
+def _norm(x):
+    """The Frobenius norm of each complex matrix of a stack, read off the
+    float view: the square root of the sum of squares of the real and
+    imaginary parts, one einsum."""
+    f = np.ascontiguousarray(x).view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", f, f))
+
+
 def _far(a, b, tol):
     """Whether stacked matrices a and b differ by more than tol relative to b."""
-    norm = np.linalg.norm(b, axis=(-2, -1))
-    return ~(np.linalg.norm(a - b, axis=(-2, -1)) <= tol * np.maximum(1.0, norm))
+    return ~(_norm(a - b) <= tol * np.maximum(1.0, _norm(b)))
 
 
 def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
@@ -69,12 +82,14 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
     represents omega(s, t), (iii) v_s* v_s and v_s v_s* are the images of
     the domain and range indicator functions.  Each family is batched
     matmuls and norms over the stacked v_s and rho, in chunks of s holding
-    ENTRIES matrix entries; violations come s by s.
+    ENTRIES matrix entries; in (ii), v_s v_t for the chunk's s and every t
+    is one gemm.  Violations come s by s.
     """
     S, F, d = A.S, A.frame, R.d
     n, ar = F.n, np.arange(F.n)
     v = np.stack([R.v[s] for s in S.elements()]).reshape(n, d, d)
-    vh = v.conj().transpose(0, 2, 1)
+    vh = np.ascontiguousarray(v.conj().transpose(0, 2, 1))
+    vt = v.transpose(1, 0, 2).reshape(d, n * d)  # every v_t side by side, for one gemm
     rho = np.stack([R.rho[x] for x in F.points]).reshape(F.m, d, d)
     dom = F.U[F.T[F.inv, ar]]  # [s, x]: x in U(s*s)
     _require_theta(F, dom, F.th, np.arange(F.m)[None, :])  # KeyError where theta_s misses U(s*s)
@@ -85,7 +100,8 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
     for lo in range(0, n, step):
         s = ar[lo:lo + step]
         conj[s] = dom[s] & _far(v[s, None] @ rho @ vh[s, None], rho[F.th[s]], tol)
-        cocycle[s] = _far(v[s, None] @ v @ vh[F.T[s]], np.tensordot(omega[s], rho, 1), tol)
+        vv = (v[s].reshape(len(s) * d, d) @ vt).reshape(len(s), d, n, d).transpose(0, 2, 1, 3)
+        cocycle[s] = _far(vv @ vh[F.T[s]], np.tensordot(omega[s], rho, 1), tol)
     domain = _far(vh @ v, np.tensordot(dom, rho, 1), tol)
     range_ = _far(v @ vh, np.tensordot(F.fib, rho, 1), tol)
     bad = []
@@ -132,40 +148,46 @@ def to_covariant(pi: BundleRep, B, A: TwistedAction) -> CovariantRep:
 def verify_representation(pi: BundleRep, B, tol: float = 1e-9):
     """Multiplicativity, *-compatibility and inclusion-compatibility on
     point masses, gathered through B's lookups; pi of a scaled point mass
-    (z, c) in fiber s is c pi.mats[(s, z)], in chunks of ENTRIES matrix
-    entries.  A table that leaves its fibers is reported as Bundle.verify
+    (z, c) in fiber s is c pi.mats[(s, z)].  The products come one gemm
+    per chunk of left slots, each chunk holding ENTRIES matrix entries or
+    one slot's row.  A table that leaves its fibers is reported as Bundle.verify
     reports it, instead."""
     bad = B.fiber_violations()
     if bad:
         return False, bad
     L = B.lookup(exact=False)  # the images need every scalar's complex value
-    lab, pts, off, d = B.S.label, B.points, B.off, pi.d
+    lab, pts, off, d, M = B.S.label, B.points, B.off, pi.d, B.M
     mats = np.stack([pi.mats[(s, x)] for s, p in enumerate(pts) for x in p]
                     + [np.zeros((d, d), dtype=complex)])
 
     def image(s, p):
         z, _, V = p
-        return V[:, None, None] * mats.take(off[s] + z, axis=0, mode="clip")
+        return V[..., None, None] * mats.take(off[s] + z, axis=0, mode="clip")
 
-    def far(a, b):
-        norm = np.linalg.norm(b, axis=(1, 2))
-        return ~(np.linalg.norm(a - b, axis=(1, 2)) <= tol * np.maximum(1.0, norm))
-
+    # pi(delta_x) pi(delta_y) over the slot grid: one gemm per chunk of left
+    # slots against every slot; grid holds the pair of each cell, as B.pairs
+    # lists them, and the hits go back to pair order
     s, t, x, y = B.pairs
-    step = max(1, ENTRIES // max(1, d * d))
+    grid = np.empty(len(s), dtype=np.intp)
+    grid[(off[s] + x) * M + off[t] + y] = np.arange(len(s))
+    right = mats[:-1].transpose(1, 0, 2).reshape(d, M * d)  # every pi(delta_y) side by side
+    step = max(1, ENTRIES // max(1, M * d * d))
     hit = [np.empty(0, dtype=np.intp)]
-    for a in range(0, len(s), step):
-        i, j, u, v = (w[a:a + step] for w in (s, t, x, y))
-        rhs = image(B.T[i, j], L.product(i, j, u, v))
-        hit.append(a + np.flatnonzero(far(mats[off[i] + u] @ mats[off[j] + v], rhs)))
-    k = np.concatenate(hit)
+    for lo in range(0, M, step):
+        rows = min(step, M - lo)
+        k = grid[lo * M:(lo + rows) * M]
+        lhs = (mats[lo:lo + rows].reshape(rows * d, d) @ right).reshape(rows, d, M, d)
+        i, j = s[k], t[k]
+        rhs = image(B.T[i, j], L.product(i, j, x[k], y[k])).reshape(rows, M, d, d)
+        hit.append(k[_far(lhs.transpose(0, 2, 1, 3), rhs, tol).ravel()])
+    k = np.sort(np.concatenate(hit))
     bad = [("multiplicative", (lab(s), lab(t), pts[s][x], pts[t][y]))
            for s, t, x, y in zip(s[k], t[k], x[k], y[k])]
     s, x = B.slot_s, B.slot_x
-    k = far(mats[:-1].conj().transpose(0, 2, 1), image(B.inv[s], L.star(s, x)))
+    k = _far(mats[:-1].conj().transpose(0, 2, 1), image(B.inv[s], L.star(s, x)), tol)
     bad += [("star", (lab(s), pts[s][x])) for s, x in zip(s[k], x[k])]
     s, t, x = B.below
-    k = far(image(t, L.include(s, t, x)), mats[off[s] + x])
+    k = _far(image(t, L.include(s, t, x)), mats[off[s] + x], tol)
     bad += [("inclusion", (lab(s), lab(t), pts[s][x])) for s, t, x in zip(s[k], t[k], x[k])]
     return not bad, bad
 

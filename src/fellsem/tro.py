@@ -4,7 +4,9 @@ A TRO is a subspace M of n-by-n matrices closed under (x, y, z) -> x y* z.
 Spans are kept as orthonormal bases from an SVD rank cut, and membership in
 a span is one batched projection residual; closure is decided as
 span(MM*)·M ⊆ M.  Association of a matrix u to M, regularity, ideals and
-local regularity use the same rank and residual tests at a relative tolerance.
+local regularity use the same rank and residual tests at a relative tolerance;
+association's four span equalities are one stacked SVD and one batched
+residual product.
 
 A MatrixTRO is frozen and holds its basis as a tuple of read-only copies, so
 what is derived from the basis cannot go stale: the closure verdict, the
@@ -106,6 +108,22 @@ def _spans_onto(mats, Q, tol: float) -> bool:
     """span(mats) = span(Q), for a stack mats and an orthonormal basis Q."""
     ba = _orthonormal(mats, tol)
     return len(ba) == len(Q) and _inside(Q, ba, tol)
+
+
+def _spans_onto_each(stacks, bases, tol: float) -> list:
+    """span(stacks[i]) = span(bases[i]) for each i, for stacks of k matrices
+    each (k at most n^2) and orthonormal bases: one SVD of all the stacks,
+    and the residuals of their orthonormal bases against the bases,
+    zero-padded to one height, in one batched product."""
+    a = stacks.reshape(len(stacks), stacks.shape[1], -1)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    ranks = np.sum(s > tol * s[:, :1], axis=1)
+    q = np.zeros((len(bases), max(map(len, bases)), a.shape[2]), dtype=complex)
+    for i, Q in enumerate(bases):
+        q[i, :len(Q)] = Q.reshape(len(Q), -1)
+    resid = np.linalg.norm(vh - (vh @ _adjoints(q)) @ q, axis=2)
+    fits = resid <= tol * np.maximum(1.0, np.linalg.norm(vh, axis=2))
+    return [int(r) == len(Q) and bool(f[:r].all()) for r, Q, f in zip(ranks, bases, fits)]
 
 
 def spans_equal(A, B, tol: float = EPS) -> bool:
@@ -232,10 +250,8 @@ def check_association(u, M: MatrixTRO, tol: float = EPS) -> AssociationReport:
         raise DimensionMismatch("u has wrong shape")
     B, sp = M._stack, M._get("basis", tol)
     Bh, uh = _adjoints(B), u.conj().T
-    a = _spans_onto(Bh @ u, M._get("right", tol), tol)
-    b = _spans_onto(u @ Bh, M._get("left", tol), tol)
-    c = _spans_onto(u @ uh @ B, sp, tol)
-    d = _spans_onto(B @ uh @ u, sp, tol)
+    a, b, c, d = _spans_onto_each(np.stack([Bh @ u, u @ Bh, u @ uh @ B, B @ uh @ u]),
+                                  [M._get("right", tol), M._get("left", tol), sp, sp], tol)
     p_right, p_left = M._get("p_right", tol), M._get("p_left", tol)
     strict_right = bool(np.linalg.norm(uh @ u - p_right) <= tol * max(1.0, np.linalg.norm(p_right)))
     strict_left = bool(np.linalg.norm(u @ uh - p_left) <= tol * max(1.0, np.linalg.norm(p_left)))
@@ -348,6 +364,7 @@ def is_locally_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EP
     for m in M.basis:
         ideal = principal_ideal(m, M, tol)
         sub = MatrixTRO(M.dim, ideal)
+        sub._memo[("basis", tol)] = sub._stack  # principal_ideal made it orthonormal at tol
         ok, _ = is_regular(sub, trials, rng, tol)
         if ok:
             regular_parts.extend(ideal)

@@ -19,7 +19,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from fellsem import algebra
+from fellsem import algebra, reps
 from fellsem.algebra import block_decompose, convolution_algebra, left_regular
 from fellsem.generators import standard_groupoids
 from fellsem.groupoid import (GroupoidError, NotComposable, TwoCocycle, action_from_cocycle,
@@ -356,6 +356,47 @@ def test_covariant_reps_and_checks_match_the_reference():
             assert got == ref_verify_covariant(rep, A, 1e-9), kind
             verdicts.add((kind, got[0]))
     assert verdicts == {("clean", True), ("phase", False), ("rho", False)}
+
+
+def uneven_entries(rows, per_row):
+    """An ENTRIES that cuts `rows` rows of per_row entries into chunks of
+    more than one row whose last is shorter, where rows allow it."""
+    return next((k for k in range(2, rows) if rows % k), 1) * per_row
+
+
+def perturbed(mats: dict, npr, tol):
+    """The matrices of a representation with a dense random, non-monomial
+    one at every key, and with one nonzero matrix scaled by 1 +- tol/2 and
+    by 1 +- 2 tol, each with its kind."""
+    d = len(next(iter(mats.values())))
+    yield "dense", {key: npr.standard_normal((d, d)) + 1j * npr.standard_normal((d, d))
+                    for key in mats}
+    keys = sorted((key for key, m in mats.items() if m.any()), key=str)
+    key = keys[npr.integers(len(keys))]
+    for c in (1 + tol / 2, 1 - tol / 2, 1 + 2 * tol, 1 - 2 * tol):
+        yield c, {**mats, key: c * mats[key]}
+
+
+@pytest.mark.parametrize("chunks", ["one row", "uneven"])
+def test_covariant_kernels_match_the_reference_in_order(monkeypatch, chunks):
+    # the cocycle family's products come one gemm per chunk of s: with one
+    # s per chunk, and with chunks that do not divide the elements evenly
+    npr, tol = np.random.default_rng(17), 1e-9
+    verdicts, failures = set(), 0
+    for G, tau, S, biss in covariant_cases():
+        A = action_from_cocycle(G, tau, S, biss)
+        R = regular_covariant_rep(G, tau, S, biss)
+        n, m = A.frame.n, A.frame.m
+        monkeypatch.setattr(reps, "ENTRIES", 1 if chunks == "one row"
+                            else uneven_entries(n, max(n, m) * R.d ** 2))
+        for kind, v in perturbed(R.v, npr, tol):
+            rep = CovariantRep(R.d, R.rho, v)
+            got = verify_covariant(rep, A, tol)
+            assert got == ref_verify_covariant(rep, A, tol), kind
+            verdicts.add((kind, got[0]))
+            failures += len(got[1])
+    assert {("dense", False), (1 + 2 * tol, False), (1 - 2 * tol, False)} <= verdicts
+    assert failures > 1000
 
 
 def test_center_basis_and_block_profiles_match_the_reference(monkeypatch):

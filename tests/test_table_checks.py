@@ -14,15 +14,19 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from fellsem import reps
 from fellsem.bundle import BundleError, SectionBundle, build_bundle
 from fellsem.generators import mutation_corpus, standard_groupoids
-from fellsem.groupoid import TwoCocycle, bisection_semigroup, z2_nontrivial_cocycle
+from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
+                              z2_nontrivial_cocycle)
 from fellsem.refine import BundleMorphism, saturated_refinement, verify_morphism, verify_refinement
-from fellsem.reps import regular_covariant_rep, to_bundle_rep, verify_representation
+from fellsem.reps import BundleRep, regular_covariant_rep, to_bundle_rep, verify_representation
 
 from dense import ONE, Angle, CFunction, _smul, as_complex, extend, ordered, point_mass, sup_norm, tables
 from test_bundle import _corrupt_one_entry
+from test_groupoid_arrays import perturbed, uneven_entries
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,31 @@ def test_representation_check_matches_the_reference():
                 undo()
     assert not mismatches, mismatches
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("chunks", ["one row", "uneven"])
+def test_representation_kernels_match_the_reference_in_order(monkeypatch, chunks):
+    # the products come one gemm per chunk of left slots over the slot grid,
+    # and the hits go back to B.pairs order: with one slot per chunk, and
+    # with chunks that do not divide the slots evenly
+    npr, tol = np.random.default_rng(19), 1e-9
+    cases = list(_regular_reps())
+    G, tau = z2_nontrivial_cocycle()
+    S, biss, wide = bisection_semigroup(G)
+    B = build_bundle(action_from_cocycle(G, tau, S, biss, wide))
+    cases.append((B, to_bundle_rep(regular_covariant_rep(G, tau, S, biss), B)))
+    verdicts, failures = set(), 0
+    for B, pi in cases:
+        monkeypatch.setattr(reps, "ENTRIES", 1 if chunks == "one row"
+                            else uneven_entries(B.M, B.M * pi.d ** 2))
+        for kind, mats in perturbed(pi.mats, npr, tol):
+            rep = BundleRep(pi.d, mats)
+            got = verify_representation(rep, B, tol)
+            assert got == ref_verify_representation(rep, B, tol), kind
+            verdicts.add((kind, got[0]))
+            failures += len(got[1])
+    assert {("dense", False), (1 + 2 * tol, False), (1 - 2 * tol, False)} <= verdicts
+    assert failures > 100
 
 
 def _section_rep(G, tau):

@@ -870,14 +870,6 @@ class GermGroupoid:
     def is_unit(self, g: int) -> bool:
         return self.A.S.is_idempotent(int(self.reps[g]))
 
-    def compose(self, g: int, h: int) -> int:
-        if self.rng_i[h] != self.src_i[g]:
-            raise ActionError("germs not composable")
-        return int(self.table[g, h])
-
-    def inverse(self, g: int) -> int:
-        return int(self.of[self.A.frame.inv[self.reps[g]], self.rng_i[g]])
-
     @cached_property
     def table(self) -> np.ndarray:
         """[g, h]: the germ gh, -1 where rng(h) is not src(g)."""

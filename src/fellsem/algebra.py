@@ -19,6 +19,7 @@ from fellsem.isg import first_true, verify_inverse_semigroup
 
 
 POINT = verify_inverse_semigroup([[0]], labels=["1"])
+ATTEMPTS = 8  # random central elements block_decompose tries
 
 
 class AlgebraError(ValueError):
@@ -111,7 +112,7 @@ def _center_basis(L, tol: float = 1e-9):
     return null
 
 
-def block_decompose(alg: Bundle, tol: float = 1e-6, rng=None, attempts: int = 8):
+def block_decompose(alg: Bundle, tol: float = 1e-6, rng=None):
     """Block dimensions of the algebra as a sorted list.
 
     A random self-adjoint central element is diagonalized in the left
@@ -125,7 +126,7 @@ def block_decompose(alg: Bundle, tol: float = 1e-6, rng=None, attempts: int = 8)
     center = _center_basis(L)
     if not center:
         raise NotSemisimpleDetected("algebra has trivial center and nonzero dimension")
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         coeffs = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * c for c in center)
         coeffs = coeffs + star_vector(alg, coeffs)
         Z = sum(c * pi for c, pi in zip(coeffs, pis))

@@ -26,6 +26,8 @@ from fellsem.action import (CHUNK, OUTSIDE, Frame, TwistedAction, _exponent_dtyp
 from fellsem.angles import as_frac
 from fellsem.isg import first_true, verify_inverse_semigroup
 
+MAX_SLOTS = 12  # free composable pairs enumerate_cocycles will enumerate over
+
 
 class GroupoidError(ValueError):
     pass
@@ -457,18 +459,18 @@ def _digits(roots: int, width: int, step: int):
         yield mod(np.arange(lo, min(lo + step, total), dtype=np.int64)[:, None] // place, roots)
 
 
-def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4, max_slots: int = 12):
+def enumerate_cocycles(G: FiniteGroupoid, roots: int = 4):
     """All normalized cocycles with values in the given roots of unity.
 
     Brute force over the composable pairs not forced by normalization:
     the candidates, in itertools.product order, are rows of exponents mod
     roots, checked against the cocycle identity in chunks of CHUNK
-    entries.  Guarded by max_slots.
+    entries.  Guarded by MAX_SLOTS.
     """
     free = ~(G.units[G.pair_a] | G.units[G.pair_b])
     width = int(free.sum())
-    if width > max_slots:
-        raise TooManyArrows(f"{width} free cocycle slots exceed cap {max_slots}")
+    if width > MAX_SLOTS:
+        raise TooManyArrows(f"{width} free cocycle slots exceed cap {MAX_SLOTS}")
     ab, abc, bc, a_bc = G.triples
     out = []
     for D in _digits(roots, width, max(1, CHUNK // max(1, len(ab)))):

@@ -341,7 +341,10 @@ def is_ideal(N: MatrixTRO, M: MatrixTRO, tol: float = EPS) -> bool:
 
 
 def principal_ideal(m, M: MatrixTRO, tol: float = EPS):
-    """The smallest TRO ideal of M containing m."""
+    """The smallest TRO ideal of M containing m.  M must be a TRO at tol:
+    the products of a span that is not closed leave it."""
+    if not M.is_tro(tol):
+        raise NotATRO("span is not closed under x y* z")
     n = M.dim
     mm, mstar_m = M._get("left", tol), M._get("right", tol)
     current = _orthonormal(np.asarray(m, dtype=complex).reshape(1, n, n), tol)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fellsem.action import verify_twisted_action
-from fellsem.cli import main
+from fellsem.cli import COMMANDS, main
 from fellsem.generators import busby_smith_z2, five_element_action, mutate_omega, mutation_corpus
 from fellsem.groupoid import cyclic_group, pair_groupoid, z2_nontrivial_cocycle
 from fellsem.tro import column_tro
@@ -298,3 +298,23 @@ def test_empty_omega_over_a_carrier_is_not_unit(tmp_path, capsys):
                        _edited_five(tmp_path, lambda w: w.update({"{0>1},{1>0}": {}})))
     assert code == 1 and report["status"] == "fail", report
     assert report["violations"] == ["('structure', ('omega-not-unit', ('{0>1}', '{1>0}', '1')))"]
+
+
+def test_every_command_rejects_an_unknown_operation(files, capsys):
+    # a payload each command reads, so the lookup and not the reader fails
+    payloads = {"isg": "isg.json", "tro": "col.json", "action": "busby.json", "bundle": "busby.json",
+                "groupoid": "z2tw.json", "algebra": "z2tw.json", "rep": "z2tw.json", "refine": "busby.json"}
+    for command in COMMANDS:
+        code, report = run(capsys, command, "nope", files[payloads[command]])
+        assert code == 2 and report["status"] == "input-error", (command, report)
+        assert report["error"] == f"unknown {command} operation nope", (command, report)
+
+
+def test_readme_lists_the_command_table():
+    import pathlib
+    import re
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("\nSubcommands"):].split("\n\n")[0]
+    listed = [(command, op) for command, ops in re.findall(r"`([a-z]+) ([a-z|-]+)`", paragraph)
+              for op in ops.split("|")]
+    assert sorted(listed) == sorted((command, op) for command, (_, ops) in COMMANDS.items() for op in ops)

@@ -105,6 +105,19 @@ def test_principal_ideal_growth():
     assert is_ideal(N, M)
 
 
+def test_principal_ideal_needs_a_tro():
+    # E02 perturbed by 1e-4: the span is closed at 1e-3 but not at 1e-5,
+    # where its products would grow the "ideal" to all of M_4
+    noise = np.random.default_rng(5).standard_normal((4, 4))
+    M = MatrixTRO.from_matrices([np.eye(4)[:, [0]] @ np.eye(4)[[j]] + (j == 2) * 1e-4 * noise
+                                 for j in (1, 2)])
+    assert len(M.basis) == 2 and not M.is_tro(1e-5)
+    with pytest.raises(NotATRO):
+        principal_ideal(M.basis[0], M, 1e-5)
+    assert M.is_tro(1e-3)
+    assert 1 <= len(principal_ideal(M.basis[0], M, 1e-3)) <= 2
+
+
 def test_ideal_membership_requires_containment():
     M = corner_tro(2, [0], [0])
     N = corner_tro(2, [1], [1])
@@ -312,6 +325,8 @@ def ref_is_ideal(N, M, tol=1e-9):
 
 
 def ref_principal_ideal(m, M, tol=1e-9):
+    if not ref_is_tro(M, tol):
+        raise NotATRO("span is not closed under x y* z")
     mm, mstar_m = ref_left(M, tol), ref_right(M, tol)
     current = ref_span_basis([np.asarray(m, dtype=complex)], tol)
     while True:
@@ -393,9 +408,12 @@ def _mismatches(M, npr, seed, tol=1e-9, local=True):
     else:
         same("is_regular raises", new, ref)
     same("is_regular rng", rng_new.random(), rng_ref.random())
-    ideal, ref_ideal = principal_ideal(m, M, tol), ref_principal_ideal(m, M, tol)
-    same("principal_ideal dim", len(ideal), len(ref_ideal))
-    if len(ideal) == len(ref_ideal):
+    ideal, ref_ideal = outcome(principal_ideal, m, M, tol), outcome(ref_principal_ideal, m, M, tol)
+    if not (isinstance(ideal, list) and isinstance(ref_ideal, list)):
+        same("principal_ideal raises", ideal, ref_ideal)
+    elif len(ideal) != len(ref_ideal):
+        bad.append("principal_ideal dim")
+    else:
         same("principal_ideal span", _projector(ideal, n), _projector(ref_ideal, n))
         if ideal:
             N = MatrixTRO(n, ideal)
@@ -433,8 +451,12 @@ def _answers(M, tol):
         ok, detail = is_regular(M, rng=random.Random(3), tol=tol)
     except NotATRO:
         ok, detail = None, None
+    try:
+        ideal = _projector(principal_ideal(m, M, tol), n)
+    except NotATRO:
+        ideal = None
     return [M.is_tro(tol), check_association(u, M, tol), strict_correction(u, M, tol),
-            ok, detail, _projector(principal_ideal(m, M, tol), n)]
+            ok, detail, ideal]
 
 
 def _agree(xs, ys):

@@ -29,7 +29,6 @@ import numpy as np
 
 from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype, held,
                             mod, omega_differs, turns, widen)
-from fellsem.angles import turn
 from fellsem.groupoid import held_pairs, membership
 from fellsem.isg import InverseSemigroup, first_true, generating_set, index_pairs
 
@@ -643,16 +642,14 @@ def classify_bundle(B, tol: float = 1e-9):
     unsat = [(S.label(p // n), S.label(p % n)) for p in np.flatnonzero(~reached)]
 
     # in the fiber of an idempotent, delta_y delta_x must be delta_x delta_y
-    pair, x, y, z, K, V = B.products
+    pair, x, y, z, K = B.products[:5]
     idem = np.zeros(n * n, dtype=bool)
     idem[np.array(S.idem, dtype=np.intp) * (n + 1)] = True
     r = np.flatnonzero(idem[pair])
     row = {key: i for i, key in zip(r.tolist(), zip(pair[r].tolist(), x[r].tolist(), y[r].tolist()))}
-
-    def value(i):
-        return turn(int(K[i]), B.N) if K[i] >= 0 else complex(V[i])
     semi_abelian = all(
-        j is not None and z[i] == z[j] and (K[i] == K[j] >= 0 or abs(value(i) - value(j)) <= tol)
+        j is not None and z[i] == z[j]
+        and (K[i] == K[j] >= 0 or abs(B.values[0][i] - B.values[0][j]) <= tol)
         for (p, a, c), i in row.items() for j in [row.get((p, c, a))])
 
     # the constant-one multiplier times a point mass is that point mass's

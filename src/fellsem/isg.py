@@ -21,6 +21,7 @@ names its first witness in row-major order.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -69,32 +70,23 @@ class InverseSemigroup:
         self.inv = inv
         self.idem = idem
         self.labels = labels if labels is not None else [str(i) for i in range(self.n)]
-        self._cayley = None
-        self._order = None
-        self._generators = None
 
-    @property
+    @cached_property
     def cayley(self) -> np.ndarray:
         """The table as an n x n integer array, built once."""
-        if self._cayley is None:
-            self._cayley = np.asarray(self.table, dtype=np.intp).reshape(self.n, self.n)
-        return self._cayley
+        return np.asarray(self.table, dtype=np.intp).reshape(self.n, self.n)
 
-    @property
+    @cached_property
     def order(self) -> np.ndarray:
         """[a, b]: a <= b in the natural order, a = b a* a; built once."""
-        if self._order is None:
-            T, ar = self.cayley, np.arange(self.n)
-            inv = np.array(self.inv, dtype=np.intp).reshape(self.n)
-            self._order = T[T[ar[None, :], inv[:, None]], ar[:, None]] == ar[:, None]
-        return self._order
+        T, ar = self.cayley, np.arange(self.n)
+        inv = np.array(self.inv, dtype=np.intp).reshape(self.n)
+        return T[T[ar[None, :], inv[:, None]], ar[:, None]] == ar[:, None]
 
-    @property
+    @cached_property
     def generators(self) -> np.ndarray:
         """A generating set for Light's test (see table_generators), built once."""
-        if self._generators is None:
-            self._generators = table_generators(self.cayley)
-        return self._generators
+        return table_generators(self.cayley)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -107,7 +99,7 @@ class InverseSemigroup:
 
     def leq(self, a: int, b: int) -> bool:
         """Natural partial order: a <= b iff a = b a* a."""
-        return a == self.table[self.table[b][self.inv[a]]][a]
+        return bool(self.order[a, b])
 
     def elements(self):
         return range(self.n)
@@ -180,9 +172,9 @@ def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
         raise IdempotentsDontCommute(int(idem[i]), int(idem[j]))
 
     S = InverseSemigroup(table, inv.tolist(), idem.tolist(), labels)
-    S._cayley = T
+    S.cayley = T
     if len(middle) < n:
-        S._generators = middle
+        S.generators = middle
     return S
 
 
@@ -263,12 +255,10 @@ class IsgHomomorphism:
         self.source = source
         self.target = target
         self.map = list(map_)
-        for a in source.elements():
-            for b in source.elements():
-                lhs = self.map[source.mul(a, b)]
-                rhs = target.mul(self.map[a], self.map[b])
-                if lhs != rhs:
-                    raise IsgError(f"not a homomorphism at ({a}, {b})")
+        phi = np.array(self.map, dtype=np.intp).reshape(source.n)
+        bad = phi[source.cayley] != target.cayley[phi[:, None], phi]
+        if bad.any():
+            raise IsgError("not a homomorphism at (%d, %d)" % first_true(bad))
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -279,11 +269,11 @@ class IsgHomomorphism:
 
 
 def is_essentially_injective(phi: IsgHomomorphism) -> bool:
-    """True iff phi(t) idempotent implies t idempotent."""
-    for t in phi.source.elements():
-        if phi.target.is_idempotent(phi(t)) and not phi.source.is_idempotent(t):
-            return False
-    return True
+    """True iff phi(t) idempotent implies t idempotent: no non-idempotent
+    of the source's diagonal maps to an idempotent of the target's."""
+    S, image = phi.source, np.array(phi.map, dtype=np.intp).reshape(phi.source.n)
+    to_idempotent = np.diagonal(phi.target.cayley)[image] == image
+    return not to_idempotent[np.diagonal(S.cayley) != np.arange(S.n)].any()
 
 
 def partial_injections(k: int):
@@ -321,29 +311,23 @@ def symmetric_inverse_monoid(k: int) -> InverseSemigroup:
 
 
 def sub_semigroup(S: InverseSemigroup, generators) -> tuple[InverseSemigroup, list[int]]:
-    """Closure of generator indices under product and involution.
+    """Closure of generator indices under product and involution: a mask
+    that takes in the inverses and the products of what it holds until it
+    stops growing.
 
     Returns the closed subsemigroup (re-indexed) and the list of original
     indices in the new order.
     """
-    closed = set(generators)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            b = S.inv[a]
-            if b not in closed:
-                closed.add(b)
-                nxt.append(b)
-        for a in list(closed):
-            for b in list(closed):
-                c = S.table[a][b]
-                if c not in closed:
-                    closed.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    order = sorted(closed)
-    pos = {a: i for i, a in enumerate(order)}
-    table = [[pos[S.table[a][b]] for b in order] for a in order]
-    labels = [S.labels[a] for a in order]
-    return verify_inverse_semigroup(table, labels=labels), order
+    T, inv = S.cayley, np.array(S.inv, dtype=np.intp).reshape(S.n)
+    held = np.zeros(S.n, dtype=bool)
+    held[list(generators)] = True
+    while True:
+        order = np.flatnonzero(held)
+        products = T[order[:, None], order]
+        held[inv[order]] = True
+        held[products] = True
+        if held.sum() == len(order):
+            break
+    table = (np.cumsum(held) - 1)[products]  # renumbered in the order of the held indices
+    labels = [S.labels[a] for a in order.tolist()]
+    return verify_inverse_semigroup(table.tolist(), labels=labels), order.tolist()

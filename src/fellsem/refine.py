@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fellsem.action import germ_groupoid, germ_map_check, turns
+from fellsem.action import germ_groupoid, germ_map_check, mod, widen
 from fellsem.isg import IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
-from fellsem.bundle import (NOWHERE, Bundle, NotSaturated, _expand, canonical_multipliers,
-                            classify_bundle, extract_action)
+from fellsem.bundle import NOWHERE, Bundle, _expand, canonical_multipliers, extract_action
 
 # the number of a point of B outside its image fiber of A: past every table
 # of A, so a lookup made from it reads A's zero entry, yet, unlike NOWHERE,
@@ -179,7 +178,7 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
         bad.append(("not-essentially-injective", None))
     image = {i: B.carrier(i) & A.carrier(phi(i)) for i in T.elements()}
     bad += [("fiber-not-injective", (T.label(i), x))
-            for i in T.elements() for x in B.carrier(i) - image[i]]
+            for i in T.elements() for x in B.points[i] if x not in image[i]]
     covered = {s: set() for s in S.elements()}
     for i in T.elements():
         covered[phi(i)] |= image[i]
@@ -188,13 +187,13 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
     # images of idempotent fibers are ideals of the target idempotent fiber:
     # delta_x delta_y, for x in fiber e and y in the image, is zero or in it
     for i in T.idem if Al is not None else ():
-        e, im = phi(i), list(image[i])
-        y = np.array([A.points[e].index(y) for y in im], dtype=np.intp)
+        e = phi(i)
+        y = np.array([k for k, p in enumerate(A.points[e]) if p in image[i]], dtype=np.intp)
         z = Al.product(e, e, np.arange(A.cs[e])[:, None], y)[0]
         inside = np.zeros(A.cs[e] + 1, dtype=bool)  # the last entry for zero
         inside[y] = True
         for x, k in zip(*np.nonzero((z != NOWHERE) & ~inside.take(z, mode="clip"))):
-            bad.append(("not-an-ideal", (T.label(i), A.points[e][x], im[k])))
+            bad.append(("not-an-ideal", (T.label(i), A.points[e][x], A.points[e][y[k]])))
     return not bad, bad
 
 
@@ -204,11 +203,9 @@ def verify_refinement(m: BundleMorphism, tol: float = 1e-9):
 def germ_preservation_check(m: BundleMorphism):
     """The germ map [t, x] -> [phi(t), x] between the germ groupoids of the
     refined and base bundles: well-defined, bijective, structure-preserving.
-    Both bundles must be saturated."""
+    Both bundles must be saturated: extract_action raises NotSaturated for
+    the first that is not, the refined bundle first."""
     B, A = m.B, m.A
-    for bundle, name in ((B, "refined"), (A, "base")):
-        if not classify_bundle(bundle)["saturated"]:
-            raise NotSaturated(f"{name} bundle is not saturated")
     GB, GA = (germ_groupoid(extract_action(b, canonical_multipliers(b))) for b in (B, A))
     # both actions have A's points, as every full fiber of A is one of B
     if GB.A.frame.points != GA.A.frame.points:
@@ -219,7 +216,9 @@ def germ_preservation_check(m: BundleMorphism):
 
 def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
     """Dimension, block profile, and structure-constant transport between
-    the germ algebras of the refined and base bundles."""
+    the germ algebras of the refined and base bundles.  Every factor of the
+    transport is an angle, so the constants are compared exactly, as
+    exponents; tol is not read."""
     from fellsem.algebra import block_decompose, germ_algebra
 
     ok, mapping, (GB, GA) = germ_preservation_check(m)
@@ -236,17 +235,19 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
         report["ok"] = False
         return report
 
-    # transport: the refined basis element g corresponds to d_g times the
-    # base basis element, d_g the base-side coordinate at the germ
-    d = turns(GA.K[np.asarray(m.phi.map)[GB.reps], GB.src_i], GA.N)
+    # transport: the refined basis element g corresponds to e(c_g) times the
+    # base basis element, c_g the base-side coordinate at the germ; the
+    # structure constants are compared as exponents mod one N
+    N = lcm(algA.N, algB.N)
+    c = widen(GA.K[np.asarray(m.phi.map)[GB.reps], GB.src_i], GA.N, N)
     to_a = np.array([mapping[g] for g in range(GB.arrow_count)], dtype=np.intp).reshape(-1)
-    LA = algA.lookup(exact=False)
-    (_, g, h, k, _, _), (_, x, z, _, _) = algB.products, algB.stars
-    zA, _, cA = LA.product(0, 0, to_a[g], to_a[h])
-    bad = (zA != to_a[k]) | (np.abs(d[g] * d[h] * cA - algB.values[0] * d[k]) > tol)
+    LA = algA.lookup(N)
+    (_, g, h, k, K, _), (_, x, z, sK, _) = algB.products, algB.stars
+    zA, KA, _ = LA.product(0, 0, to_a[g], to_a[h])
+    bad = (zA != to_a[k]) | (mod(KA + c[g] + c[h], N) != mod(widen(K, algB.N, N) + c[k], N))
     mismatches = [("product", (int(a), int(b))) for a, b in zip(g[bad], h[bad])]
-    zA, _, cA = LA.star(0, to_a[x])
-    off = np.abs(np.conj(d[x]) * cA - algB.values[1] * d[z]) > tol
+    zA, KA, _ = LA.star(0, to_a[x])
+    off = mod(KA - c[x], N) != mod(widen(sK, algB.N, N) + c[z], N)
     mismatches += [("star-index" if zA[i] != to_a[z[i]] else "star-coeff", int(x[i]))
                    for i in np.flatnonzero((zA != to_a[z]) | off)]
     if mismatches:

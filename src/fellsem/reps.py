@@ -83,7 +83,8 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
     the domain and range indicator functions.  Each family is batched
     matmuls and norms over the stacked v_s and rho, in chunks of s holding
     ENTRIES matrix entries; in (ii), v_s v_t for the chunk's s and every t
-    is one gemm.  Violations come s by s.
+    is one gemm.  Violations come s by s, and a conjugation violation's
+    points in the frame's point order.
     """
     S, F, d = A.S, A.frame, R.d
     n, ar = F.n, np.arange(F.n)
@@ -104,9 +105,7 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
         cocycle[s] = _far(vv @ vh[F.T[s]], np.tensordot(omega[s], rho, 1), tol)
     domain = _far(vh @ v, np.tensordot(dom, rho, 1), tol)
     range_ = _far(v @ vh, np.tensordot(F.fib, rho, 1), tol)
-    bad = []
-    for s in np.flatnonzero(conj.any(axis=1)):
-        bad += [("conjugation", (S.label(s), x)) for x in A.U[S.mul(S.inv[s], s)] if conj[s, F.index[x]]]
+    bad = [("conjugation", (S.label(s), F.points[x])) for s, x in zip(*np.nonzero(conj))]
     bad += [("cocycle", (S.label(s), S.label(t))) for s, t in zip(*np.nonzero(cocycle))]
     for s in np.flatnonzero(domain | range_):
         bad += [(tag, S.label(s)) for tag, hit in (("domain-projection", domain[s]),

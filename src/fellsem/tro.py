@@ -104,17 +104,11 @@ def _inside(basis, mats, tol: float = EPS) -> bool:
     return bool(np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=1))))
 
 
-def _spans_onto(mats, Q, tol: float) -> bool:
-    """span(mats) = span(Q), for a stack mats and an orthonormal basis Q."""
-    ba = _orthonormal(mats, tol)
-    return len(ba) == len(Q) and _inside(Q, ba, tol)
-
-
 def _spans_onto_each(stacks, bases, tol: float) -> list:
     """span(stacks[i]) = span(bases[i]) for each i, for stacks of k matrices
-    each (k at most n^2) and orthonormal bases: one SVD of all the stacks,
-    and the residuals of their orthonormal bases against the bases,
-    zero-padded to one height, in one batched product."""
+    each and orthonormal bases: one SVD of all the stacks, and the
+    residuals of their orthonormal bases against the bases, zero-padded to
+    one height, in one batched product."""
     a = stacks.reshape(len(stacks), stacks.shape[1], -1)
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     ranks = np.sum(s > tol * s[:, :1], axis=1)
@@ -373,7 +367,7 @@ def is_locally_regular(M: MatrixTRO, trials: int = 16, rng=None, tol: float = EP
             regular_parts.extend(ideal)
     if not regular_parts:
         return len(M.basis) == 0
-    return _spans_onto(np.array(regular_parts), M._get("basis", tol), tol)
+    return _spans_onto_each(np.array(regular_parts)[None], [M._get("basis", tol)], tol)[0]
 
 
 def column_tro(n: int = 2) -> MatrixTRO:

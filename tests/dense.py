@@ -10,8 +10,11 @@ multiplier_functions read exponent arrays as dicts of CFunctions.  Tables
 is a bundle's structure tables as dicts of Angle or complex scalars:
 tables(B) reads a Bundle's rows into it, Tables.bundle() turns it back
 into rows, and its mul and star extend the tables linearly to CFunctions.
-The point-mass operations at the end read the dict tables one scaled
-point mass at a time, as the former Bundle.verify did.
+The point-mass operations read the dict tables one scaled point mass at a
+time, as the former Bundle.verify did.  The semigroup references at the
+end are the former loops of fellsem.isg over the table as lists: the
+frontier closure of sub_semigroup, and IsgHomomorphism's law with
+is_essentially_injective, beside the outcome the library gives.
 """
 
 from fractions import Fraction
@@ -21,6 +24,7 @@ import numpy as np
 from fellsem.action import NOT_ANGLE, OUTSIDE, ActionError, CarrierMismatch, exponents
 from fellsem.angles import as_frac, turn
 from fellsem.bundle import Bundle
+from fellsem.isg import IsgError, IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
 
 
 class Angle:
@@ -431,3 +435,52 @@ def include_point(B, t: int, s: int, p):
     """j(t, s) of a scaled point mass in fiber s, for s <= t."""
     scalars = B.inclusions[(s, t)]
     return scaled(p[0], p[1], scalars[p[0]]) if p and p[0] in scalars else None
+
+
+# ---------------------------------------------------------------------------
+# the semigroup layer as loops over the table
+
+def ref_sub_semigroup(S, generators):
+    """Closure of generator indices under product and involution, a
+    frontier walked pair by pair; the subsemigroup and its indices in S."""
+    closed = set(generators)
+    frontier = list(closed)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            b = S.inv[a]
+            if b not in closed:
+                closed.add(b)
+                nxt.append(b)
+        for a in list(closed):
+            for b in list(closed):
+                c = S.table[a][b]
+                if c not in closed:
+                    closed.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    order = sorted(closed)
+    pos = {a: i for i, a in enumerate(order)}
+    table = [[pos[S.table[a][b]] for b in order] for a in order]
+    labels = [S.labels[a] for a in order]
+    return verify_inverse_semigroup(table, labels=labels), order
+
+
+def ref_homomorphism_outcome(source, target, map_):
+    """What IsgHomomorphism and is_essentially_injective make of map_:
+    (message, None) for the row-major first (a, b) with map(ab) != map(a)
+    map(b), else (None, whether map(t) idempotent implies t idempotent)."""
+    for a in source.elements():
+        for b in source.elements():
+            if map_[source.mul(a, b)] != target.mul(map_[a], map_[b]):
+                return f"not a homomorphism at ({a}, {b})", None
+    return None, all(source.is_idempotent(t) or not target.is_idempotent(map_[t])
+                     for t in source.elements())
+
+
+def homomorphism_outcome(source, target, map_):
+    """The same outcome from fellsem.isg."""
+    try:
+        return None, is_essentially_injective(IsgHomomorphism(source, target, map_))
+    except IsgError as e:
+        return str(e), None

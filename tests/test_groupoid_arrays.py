@@ -162,8 +162,9 @@ def ref_verify_covariant(R, A, tol=1e-9):
 
     for s in S.elements():
         vs = R.v[s]
-        for x in A.U[S.mul(S.inv[s], s)]:
-            if not close(vs @ R.rho[x] @ vs.conj().T, R.rho[A.theta[s][x]]):
+        for x in A.frame.points:  # in the frame's order, as verify_covariant lists them
+            if x in A.U[S.mul(S.inv[s], s)] and \
+                    not close(vs @ R.rho[x] @ vs.conj().T, R.rho[A.theta[s][x]]):
                 bad.append(("conjugation", (S.label(s), x)))
     for s in S.elements():
         for t in S.elements():

@@ -1,11 +1,16 @@
 """Inverse semigroups as Cayley tables."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError,
                          IsgHomomorphism, NonAssociative, TooLarge, is_essentially_injective,
                          partial_injections, sub_semigroup, symmetric_inverse_monoid,
                          verify_inverse_semigroup)
+
+from dense import homomorphism_outcome, ref_homomorphism_outcome, ref_sub_semigroup
 
 
 def ref_symmetric_inverse_monoid(k: int) -> InverseSemigroup:
@@ -110,3 +115,48 @@ def test_json_round_trip():
     S = symmetric_inverse_monoid(2)
     S2 = InverseSemigroup.from_json(S.to_json())
     assert S2.table == S.table and S2.labels == S.labels
+
+
+def _generated(k):
+    """I_k, and the generators of every subsemigroup of it generated by one
+    or two elements, the identity adjoined."""
+    S, ident = symmetric_inverse_monoid(k), partial_injections(k).index({i: i for i in range(k)})
+    for gens in [*combinations(S.elements(), 1), *combinations(S.elements(), 2)]:
+        yield S, sorted(set(gens) | {ident})
+
+
+def test_subsemigroups_match_the_reference():
+    count = 0
+    for k in (2, 3):
+        for S, gens in _generated(k):
+            (sub, order), (ref, ref_order) = sub_semigroup(S, gens), ref_sub_semigroup(S, gens)
+            assert (sub.table, sub.labels, order) == (ref.table, ref.labels, ref_order), gens
+            assert (sub.inv, sub.idem) == (ref.inv, ref.idem)
+            count += 1
+    assert count == 623
+
+
+def test_natural_order_is_the_formula():
+    S = symmetric_inverse_monoid(3)
+    for a in S.elements():
+        for b in S.elements():
+            assert S.leq(a, b) is (a == S.table[S.table[b][S.inv[a]]][a]), (a, b)
+
+
+def test_homomorphisms_match_the_reference_on_seeded_maps():
+    """Inclusions of subsemigroups (homomorphisms), the same with one entry
+    moved, identities, constants and uniform random maps."""
+    rng = random.Random(11)
+    I2 = symmetric_inverse_monoid(2)
+    subs = [(S, *sub_semigroup(S, gens)) for k in (2, 3) for S, gens in _generated(k)]
+    cases = []
+    for S, sub, order in rng.sample(subs, 60):
+        moved = list(order)
+        moved[rng.randrange(len(moved))] = rng.randrange(S.n)
+        cases += [(sub, S, order), (sub, S, moved), (sub, sub, list(sub.elements())),
+                  (sub, S, [rng.choice(S.idem)] * sub.n),
+                  (sub, I2, [rng.randrange(I2.n) for _ in sub.elements()])]
+    outcomes = [(homomorphism_outcome(*c), ref_homomorphism_outcome(*c)) for c in cases]
+    assert [o for o, r in outcomes] == [r for o, r in outcomes]
+    kinds = {(error is None, injective) for (error, injective), _ in outcomes}
+    assert kinds == {(True, True), (True, False), (False, None)}

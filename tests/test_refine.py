@@ -1,10 +1,17 @@
 """Saturated refinements and preservation of germ data and algebras."""
 
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+import fellsem
 from fellsem.algebra import block_decompose, germ_algebra
 from fellsem.action import germ_groupoid
-from fellsem.bundle import (NotSaturated, SectionBundle, build_bundle,
+from fellsem.bundle import (Bundle, NotSaturated, SectionBundle, build_bundle,
                             canonical_multipliers, classify_bundle, extract_action,
                             verify_fell_bundle)
 from fellsem.generators import busby_smith_z2, five_element_action
@@ -14,7 +21,7 @@ from fellsem.refine import (BundleMorphism, algebra_preservation_check,
                             germ_preservation_check, refinement_morphism,
                             saturated_refinement, verify_refinement)
 
-from dense import Angle, tables
+from dense import Angle, homomorphism_outcome, ref_homomorphism_outcome, tables
 
 
 def cut_z2_bundle():
@@ -141,3 +148,91 @@ def test_refined_fiber_gaining_a_point_is_reported(five):
     ok, bad = verify_refinement(BundleMorphism(T.bundle(), m.A, m.phi))
     assert not ok
     assert bad == [("fiber-not-injective", (R.S.label(i), x))]
+
+
+def pair2_bundle():
+    G = pair_groupoid([0, 1])
+    S, biss, wide = bisection_semigroup(G)
+    return SectionBundle(G, TwoCocycle.trivial(G), S, biss)
+
+
+def test_refinement_morphisms_match_the_reference():
+    """IsgHomomorphism and is_essentially_injective against the former loops
+    on the refinement morphisms of the two cut bundles and of pair2, and on
+    the same maps with one entry moved to each other element."""
+    outcomes = []
+    for B in (cut_z2_bundle(), cut_pair3_bundle(), pair2_bundle()):
+        R, m = saturated_refinement(B)
+        maps = [m.phi.map] + [m.phi.map[:i] + [v] + m.phi.map[i + 1:]
+                              for i in R.S.elements() for v in B.S.elements() if v != m.phi(i)]
+        outcomes += [(homomorphism_outcome(R.S, B.S, phi), ref_homomorphism_outcome(R.S, B.S, phi))
+                     for phi in maps]
+    assert [got for got, want in outcomes] == [want for got, want in outcomes]
+    assert {got[0] is None for got, want in outcomes} == {True, False}
+
+
+def test_algebra_transport_is_exact():
+    """A product exponent of the refined pair2 bundle moved by one at N =
+    2^40 changes its constant by a turn of 2^-40, far inside tol; the germ
+    algebras then differ in three of their eight product constants."""
+    B = pair2_bundle()
+    R, m = saturated_refinement(B)
+    assert R.N == 1  # the trivial cocycle: every exponent is 0, at any N
+    pair, x, y, z, K, V = R.products
+    S, N = R.S, 2 ** 40
+    row = next(i for i, p in enumerate(pair.tolist())
+               if not S.is_idempotent(p // S.n) and not S.is_idempotent(p % S.n))
+    moved = np.zeros(len(pair), dtype=np.int64)
+    moved[row] = 1
+    R2 = Bundle(S, R.points, N, (pair, x, y, z, moved, V), R.stars, R.inclusions,
+                "refined", base=R.base, phi=R.phi)
+    m2 = BundleMorphism(R2, B, m.phi)
+    assert not verify_refinement(m2)[0]
+    report = algebra_preservation_check(m2)
+    assert not report["ok"]
+    assert report["dim_refined"] == report["dim_base"] == 4
+    assert len([t for t, _ in report["mismatches"] if t == "product"]) == 3
+
+
+ORDERS = """
+import json
+from fellsem.action import TwistedAction
+from fellsem.bundle import Bundle, build_bundle
+from fellsem.groupoid import FiniteGroupoid, TwoCocycle, action_from_cocycle, bisection_semigroup
+from fellsem.refine import BundleMorphism, saturated_refinement, verify_refinement
+from fellsem.reps import regular_covariant_rep, verify_covariant
+# the str-labelled pair groupoid on three objects, with rho_x scaled by 1 + x
+G = FiniteGroupoid.from_json(json.load(open("data/pair_groupoid.json")))
+tau = TwoCocycle.trivial(G)
+S, biss, wide = bisection_semigroup(G)
+R = regular_covariant_rep(G, tau, S, biss)
+R.rho = {x: m * (1 + int(x)) for x, m in R.rho.items()}
+conjugation = [v for v in verify_covariant(R, action_from_cocycle(G, tau, S, biss, wide))[1]
+               if v[0] == "conjugation"]
+# the refinement of the str-pointed five-element bundle, every fiber
+# gaining the points it lacks
+R5, m = saturated_refinement(build_bundle(
+    TwistedAction.from_json(json.load(open("data/five_element_s.json")))))
+points = [p + tuple(x for x in ("0", "1") if x not in p) for p in R5.points]
+B = Bundle(R5.S, points, R5.N, R5.products, R5.stars, R5.inclusions, "refined",
+           base=R5.base, phi=R5.phi)
+print(json.dumps([conjugation, verify_refinement(BundleMorphism(B, m.A, m.phi))[1]]))
+"""
+
+
+def test_violation_order_does_not_depend_on_the_hash_seed():
+    # the conjugation violations of a covariant pair and the fiber
+    # violations of a refinement list points in the frame's or the fiber's
+    # order, not in the iteration order of a set of str points
+    root = os.path.dirname(os.path.dirname(os.path.dirname(fellsem.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    out = [subprocess.run([sys.executable, "-c", ORDERS], env={**env, "PYTHONHASHSEED": seed},
+                          capture_output=True, text=True, check=True, timeout=120, cwd=root).stdout
+           for seed in ("1", "2", "3")]
+    conjugation, refinement = json.loads(out[0])
+    assert out[1] == out[0] and out[2] == out[0]
+    at = conjugation.index(["conjugation", ["{0<1,1<0}", "0"]])
+    assert conjugation[at + 1] == ["conjugation", ["{0<1,1<0}", "1"]]
+    assert refinement[:2] == [["fiber-not-injective", ["({}|)", "0"]],
+                              ["fiber-not-injective", ["({}|)", "1"]]]

@@ -447,10 +447,13 @@ class TwistedAction:
         sg = data["semigroup"]
         S = verify_inverse_semigroup(sg["table"], labels=sg.get("elements"))
         X = data["points"]
-        U = {S.index_of(lab): frozenset(pts) for lab, pts in data["U"].items()}
-        theta = {S.index_of(lab): m for lab, m in data["theta"].items()}
         n, labels = S.n, S.labels
         index = {lab: i for i, lab in enumerate(labels)}
+        try:
+            U = {index[lab]: frozenset(pts) for lab, pts in data["U"].items()}
+            theta = {index[lab]: m for lab, m in data["theta"].items()}
+        except KeyError as exc:  # the ValueError labels.index raises
+            raise ValueError(f"{exc.args[0]!r} is not in list") from None
         # the key of each (s, t); split_labels cuts the keys instead when two
         # pairs join to one key
         joined = {f"{a},{b}": (s, t) for s, a in enumerate(labels) for t, b in enumerate(labels)}

@@ -197,7 +197,7 @@ def _rep_convert(tau, args):
 
 
 def _refine_algebra(m, args):
-    report = refine.algebra_preservation_check(m, args.tolerance)
+    report = refine.algebra_preservation_check(m)
     ok = report.pop("ok")
     return _unless(ok, "algebra mismatch",
                    **{k: v if isinstance(v, (int, list)) else repr(v) for k, v in report.items()})
@@ -252,7 +252,9 @@ COMMANDS = {
 
 def build_parser():
     p = argparse.ArgumentParser(prog="fellsem")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=float,
+                   help="tolerance of the numeric checks (default 1e-9, or FELLSEM_TOLERANCE); "
+                        "refine algebra-check compares its constants exactly and does not read it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=16)
     fmt = p.add_mutually_exclusive_group()

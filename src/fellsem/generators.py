@@ -14,7 +14,8 @@ from math import lcm
 import numpy as np
 
 from fellsem.angles import turn
-from fellsem.isg import InverseSemigroup, sub_semigroup, symmetric_inverse_monoid, verify_inverse_semigroup
+from fellsem.isg import (InverseSemigroup, partial_injections, sub_semigroup, symmetric_inverse_monoid,
+                         verify_inverse_semigroup)
 from fellsem.action import OUTSIDE, Frame, TwistedAction, _exponent_dtype, gauge_transform, mod, widen
 from fellsem.groupoid import (TwoCocycle, action_from_cocycle, bisection_semigroup,
                               cyclic_group, pair_groupoid, transitive_z2_groupoid,
@@ -36,28 +37,30 @@ def untwisted_action(S: InverseSemigroup, maps) -> TwistedAction:
 
 def full_monoid_action(k: int) -> TwistedAction:
     """All partial injections on k points acting tautologically."""
-    from fellsem.isg import partial_injections
-    S = symmetric_inverse_monoid(k)
-    maps = partial_injections(k)
-    return untwisted_action(S, maps)
+    return untwisted_action(symmetric_inverse_monoid(k), partial_injections(k))
 
 
 def sub_monoid_action(k: int, generator_indices) -> tuple[TwistedAction, InverseSemigroup]:
     """Untwisted action of the subsemigroup of I_k generated by the given
     element indices (the identity is always adjoined so the idempotent
     carriers cover the point set)."""
-    from fellsem.isg import partial_injections
-    Sfull = symmetric_inverse_monoid(k)
-    maps = partial_injections(k)
+    S, maps = _sub_monoid(symmetric_inverse_monoid(k), partial_injections(k), generator_indices)
+    return untwisted_action(S, maps), S
+
+
+def _sub_monoid(Ik: InverseSemigroup, maps, generator_indices) -> tuple[InverseSemigroup, list[dict]]:
+    """The subsemigroup of I_k generated by the given element indices and
+    the identity, and the partial injection realizing each element; maps
+    lists I_k's elements (partial_injections(k))."""
+    k = len(maps[-1])  # the last map is defined everywhere
     ident = maps.index({i: i for i in range(k)})
-    S, order = sub_semigroup(Sfull, sorted(set(generator_indices) | {ident}))
-    return untwisted_action(S, [maps[a] for a in order]), S
+    S, order = sub_semigroup(Ik, sorted(set(generator_indices) | {ident}))
+    return S, [maps[a] for a in order]
 
 
 def five_element_semigroup() -> tuple[InverseSemigroup, list[dict]]:
     """S = {s, s*, s*s, ss*, 0} with s^2 = 0, realized inside I_2 by the
     partial map 0 -> 1."""
-    from fellsem.isg import partial_injections
     Sfull = symmetric_inverse_monoid(2)
     maps = partial_injections(2)
     gen = maps.index({0: 1})
@@ -127,15 +130,16 @@ def random_valid_action(rng, max_size: int = 10) -> TwistedAction:
     kind = rng.randrange(3)
     if kind == 0:
         k = rng.choice([2, 2, 3])
-        n = len(symmetric_inverse_monoid(k).table)
+        Ik, maps = symmetric_inverse_monoid(k), partial_injections(k)
         for _ in range(8):
-            gens = [rng.randrange(n) for _ in range(rng.randrange(1, 3))]
-            A, S = sub_monoid_action(k, gens)
+            gens = [rng.randrange(Ik.n) for _ in range(rng.randrange(1, 3))]
+            S, sub_maps = _sub_monoid(Ik, maps, gens)
             if S.n <= max_size:
-                return A
+                return untwisted_action(S, sub_maps)
         return full_monoid_action(2)
     if kind == 1:
-        G = rng.choice([cyclic_group(2), cyclic_group(3), pair_groupoid([0, 1])])
+        build, arg = rng.choice([(cyclic_group, 2), (cyclic_group, 3), (pair_groupoid, [0, 1])])
+        G = build(arg)
         tau = TwoCocycle.trivial(G) if rng.random() < 0.5 else random_coboundary(G, rng)
         A, _ = cocycle_action(G, tau)
         return A

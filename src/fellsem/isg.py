@@ -60,7 +60,8 @@ class TooLarge(IsgError):
 class InverseSemigroup:
     """A finite inverse semigroup on indices 0..n-1.
 
-    Construct through verify_inverse_semigroup; the constructor trusts its
+    Construct through verify_inverse_semigroup, or sub_semigroup, which
+    inherits its parent's verified structure; the constructor trusts its
     arguments.
     """
 
@@ -311,23 +312,37 @@ def symmetric_inverse_monoid(k: int) -> InverseSemigroup:
 
 
 def sub_semigroup(S: InverseSemigroup, generators) -> tuple[InverseSemigroup, list[int]]:
-    """Closure of generator indices under product and involution: a mask
-    that takes in the inverses and the products of what it holds until it
-    stops growing.
+    """Closure of generator indices under product and involution.
+
+    The generators' inverses are added once, and a mask then takes in the
+    products of what it holds until it stops growing.  That suffices: the
+    product closure of a *-closed set is *-closed, since (g1 ... gr)* =
+    gr* ... g1*.  A subset of an inverse semigroup closed under products
+    and inverses is an inverse subsemigroup (Clifford and Preston, The
+    Algebraic Theory of Semigroups I): associativity restricts, each
+    element's unique inverse lies in the subset, and the idempotents are
+    the parent's and commute.  So nothing is verified again: the inverses,
+    idempotents and natural order (a = b a* a, with the same a*) are the
+    parent's, restricted and renumbered, and the last products are the table.
 
     Returns the closed subsemigroup (re-indexed) and the list of original
     indices in the new order.
     """
-    T, inv = S.cayley, np.array(S.inv, dtype=np.intp).reshape(S.n)
-    held = np.zeros(S.n, dtype=bool)
-    held[list(generators)] = True
+    gens = list(generators)
+    for g in gens:
+        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or not 0 <= g < S.n:
+            raise IsgError(f"generator {g!r} is not an element index in 0..{S.n - 1}")
+    T, held = S.cayley, np.zeros(S.n, dtype=bool)
+    held[gens + [S.inv[g] for g in gens]] = True
     while True:
-        order = np.flatnonzero(held)
-        products = T[order[:, None], order]
-        held[inv[order]] = True
+        order = held.nonzero()[0]
+        products = T.take(order, 0).take(order, 1)
         held[products] = True
-        if held.sum() == len(order):
+        if np.count_nonzero(held) == len(order):
             break
-    table = (np.cumsum(held) - 1)[products]  # renumbered in the order of the held indices
-    labels = [S.labels[a] for a in order.tolist()]
-    return verify_inverse_semigroup(table.tolist(), labels=labels), order.tolist()
+    kept, rank = order.tolist(), held.cumsum() - 1  # renumbered in the order of the held indices
+    table = rank[products]
+    sub = InverseSemigroup(table.tolist(), rank[[S.inv[a] for a in kept]].tolist(),
+                           (products.diagonal() == order).nonzero()[0].tolist(), [S.labels[a] for a in kept])
+    sub.cayley, sub.order = table, S.order.take(order, 0).take(order, 1)
+    return sub, kept

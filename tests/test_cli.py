@@ -293,6 +293,14 @@ def test_a_theta_that_is_not_injective_is_an_input_error(tmp_path, capsys):
     assert report["error"] == "ValueError: mapping is not injective", report
 
 
+@pytest.mark.parametrize("part", ["U", "theta"])
+def test_an_unknown_element_label_is_an_input_error(tmp_path, capsys, part):
+    edited = _edited_five(tmp_path, lambda values: values.update({"zz": values.pop("{0>1}")}), part)
+    code, report = run(capsys, "action", "verify", edited)
+    assert code == 2 and report["status"] == "input-error", report
+    assert report["error"] == "ValueError: 'zz' is not in list", report
+
+
 def test_empty_omega_over_a_carrier_is_not_unit(tmp_path, capsys):
     code, report = run(capsys, "action", "verify",
                        _edited_five(tmp_path, lambda w: w.update({"{0>1},{1>0}": {}})))

@@ -1,8 +1,10 @@
 """Inverse semigroups as Cayley tables."""
 
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fellsem.isg import (IdempotentsDontCommute, InverseSemigroup, IsgError,
@@ -125,15 +127,70 @@ def _generated(k):
         yield S, sorted(set(gens) | {ident})
 
 
+def _assert_same_subsemigroup(got, ref):
+    """sub_semigroup's result against ref_sub_semigroup's: every list, with
+    Python ints, and the three arrays."""
+    (sub, order), (ref, ref_order) = got, ref
+    assert (sub.table, sub.labels, order) == (ref.table, ref.labels, ref_order)
+    assert (sub.inv, sub.idem) == (ref.inv, ref.idem)
+    lists = [order, sub.inv, sub.idem, *sub.table]
+    assert all(type(v) is int for values in lists for v in values)
+    for name in ("cayley", "order", "generators"):
+        mine, theirs = getattr(sub, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+
+
 def test_subsemigroups_match_the_reference():
     count = 0
     for k in (2, 3):
         for S, gens in _generated(k):
-            (sub, order), (ref, ref_order) = sub_semigroup(S, gens), ref_sub_semigroup(S, gens)
-            assert (sub.table, sub.labels, order) == (ref.table, ref.labels, ref_order), gens
-            assert (sub.inv, sub.idem) == (ref.inv, ref.idem)
+            _assert_same_subsemigroup(sub_semigroup(S, gens), ref_sub_semigroup(S, gens))
             count += 1
     assert count == 623
+
+
+def test_subsemigroups_of_i4_match_the_reference():
+    """A seeded sample of one- and two-generator subsemigroups of I_4, the
+    identity not adjoined."""
+    S, rng = symmetric_inverse_monoid(4), random.Random(4)
+    samples = [rng.sample(range(S.n), rng.randrange(1, 3)) for _ in range(40)]
+    sizes = set()
+    for gens in samples:
+        got = sub_semigroup(S, gens)
+        _assert_same_subsemigroup(got, ref_sub_semigroup(S, gens))
+        sizes.add(got[0].n)
+    assert min(sizes) <= 2 and max(sizes) >= 90
+
+
+@pytest.fixture(scope="module")
+def census():
+    """The number of distinct element sets sub_semigroup returns from one or
+    two generators of I_k, by (k, whether the identity is adjoined)."""
+    counts = {}
+    for k in (2, 3):
+        S, ident = symmetric_inverse_monoid(k), partial_injections(k).index({i: i for i in range(k)})
+        pairs = [*combinations(S.elements(), 1), *combinations(S.elements(), 2)]
+        for adjoined in (False, True):
+            extra = {ident} if adjoined else set()
+            counts[k, adjoined] = len({tuple(sub_semigroup(S, sorted(set(g) | extra))[1])
+                                       for g in pairs})
+    return counts
+
+
+def test_subsemigroup_census(census):
+    assert census == {(2, False): 15, (3, False): 155, (2, True): 11, (3, True): 136}
+
+
+@pytest.mark.parametrize("bad", [[-1], [7], [True], [np.True_], [1.5], ["0"], [None], [0, -1]])
+def test_sub_semigroup_rejects_what_is_not_an_element(bad):
+    S = symmetric_inverse_monoid(2)
+    with pytest.raises(IsgError, match=re.escape(f"generator {bad[-1]!r} is not an element index in 0..6")):
+        sub_semigroup(S, bad)
+
+
+def test_sub_semigroup_of_no_generators_is_empty():
+    sub, order = sub_semigroup(symmetric_inverse_monoid(2), [])
+    assert (sub.n, sub.table, sub.inv, sub.idem, order) == (0, [], [], [], [])
 
 
 def test_natural_order_is_the_formula():

@@ -4,18 +4,18 @@ An algebra is a bundle.Bundle over the one-element inverse semigroup POINT:
 its one fiber is the basis range(n), its product rows are the structure
 constants and its star entries the basis-permuting involution, so
 Bundle.verify checks its *-algebra axioms.  Covers twisted convolution
-algebras of finite groupoids, the algebra of a twisted action in germ
-coordinates, and a numerical block decomposition probe based on the
-spectrum of a random self-adjoint central element.
+algebras of finite groupoids (a twisted action's germ algebra is the one
+of its germ groupoid and twist) and a numerical block decomposition probe
+based on the spectrum of a random self-adjoint central element.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fellsem.action import GermGroupoid, TwistedAction, mod
+from fellsem.action import GermGroupoid, TwistedAction
 from fellsem.bundle import Bundle, SectionBundle
-from fellsem.isg import first_true, verify_inverse_semigroup
+from fellsem.isg import verify_inverse_semigroup
 
 
 POINT = verify_inverse_semigroup([[0]], labels=["1"])
@@ -55,33 +55,10 @@ def convolution_algebra(G, tau) -> Bundle:
 
 
 def germ_algebra(A: TwistedAction, germs: GermGroupoid | None = None) -> Bundle:
-    """The algebra spanned by germ point masses in canonical coordinates.
-
-    Basis element g is the point mass at the range of the germ's canonical
-    representative (t0, x), living in the fiber over t0; products and
-    adjoints re-enter canonical coordinates through the germ groupoid's
-    coordinates.  The scalars are sums of the action's omega exponents and
-    the coordinates' exponents, both mod A.N; a needed omega value that is
-    not an angle raises ActionError.
-    """
-    G, F, N = germs or GermGroupoid(A), A.frame, A.N
-    r, src, rng = G.reps, G.src_i, G.rng_i
-    g, h = np.nonzero(G.table >= 0)
-    k, st = G.table[g, h], F.T[r[g], r[h]]
-    ri = F.inv[r]
-    # each scalar's omega and coordinate: the rows', then the stars' (conjugated)
-    s, t = np.concatenate([r[g], ri]), np.concatenate([r[h], r])
-    y = np.concatenate([F.th[st, src[h]], src])
-    c = np.concatenate([G.K[st, src[h]], G.K[ri, rng]])
-    w = A.W[s, t, y]
-    if (w < 0).any():
-        i = first_true(w < 0)[0]
-        raise A._bad_value(s[i], t[i], F.points[y[i]], "is not an angle")
-    m, n = len(g), G.arrow_count
-    E = mod(np.where(np.arange(len(s)) < m, w, -w) + c, N)
-    zero, ar = np.zeros(n, dtype=np.intp), np.arange(n)
-    return Bundle(POINT, [range(n)], N, (zero[g], g, h, k, E[:m], None), (zero, ar, G.of[ri, rng], E[m:], None),
-                  (zero, ar, ar, zero, None), "germ", A=A, germs=G)
+    """The convolution algebra of the action's germ groupoid and twist
+    (GermGroupoid.pair): basis element g is the point mass at germ g in
+    canonical coordinates."""
+    return convolution_algebra(*(germs or GermGroupoid(A)).pair)
 
 
 def _gns_rep(alg: Bundle, L):

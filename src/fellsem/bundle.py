@@ -78,7 +78,7 @@ class Bundle:
     Tables are sorted by their first column; a point number outside its
     fiber (-1) is reported by the fiber scans.  The arrays are read-only.
     `realization` names the builder and the keyword arguments keep what the
-    rows were built from (A; G and tau; base and phi; A and germs).
+    rows were built from (A; G and tau; base and phi).
     """
 
     def __init__(self, S: InverseSemigroup, points, N: int, products, stars, inclusions,

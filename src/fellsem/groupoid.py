@@ -17,12 +17,12 @@ index arithmetic on bisections held as the arrow at each source.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from fellsem.action import (CHUNK, OUTSIDE, Frame, TwistedAction, _exponent_dtype, exponents,
-                            germ_groupoid, germ_map_check, held, mod)
+                            germ_groupoid, germ_map_check, held, mod, widen)
 from fellsem.angles import as_frac
 from fellsem.isg import first_true, verify_inverse_semigroup
 
@@ -545,12 +545,23 @@ def action_from_cocycle(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=
 
 
 def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wide=True):
-    """Compare the germ groupoid of the induced action with G itself.
-
-    The canonical map sends the germ of (s, x) to the unique arrow of the
-    bisection s with source x.  Returns (ok, mapping or counterexample).
+    """Whether the germ groupoid of the induced action, with its twist, is G
+    with tau along the canonical map, which sends the germ of (s, x) to the
+    unique arrow of the bisection s with source x.  Along it, the germ twist
+    at germs with representatives (r, y) and (t, x) is tau(a, b), a and b
+    their arrows, plus the coordinate K[rt, x]: a difference of values
+    omega(u, e), e idempotent, each a tau(c, unit), so zero when tau is
+    normalized.  So the twists are compared exactly, over the lcm of their
+    moduli.  Returns (ok, mapping or counterexample), the first differing
+    pair of germs as ("twist", (g, h)).
     """
-    A = action_from_cocycle(G, tau, S, bisections, wide)
+    germs = germ_groupoid(action_from_cocycle(G, tau, S, bisections, wide))
     # the action's points are G's objects, numbered as G numbers them
-    return germ_map_check(germ_groupoid(A), _by_source(G, [bisections[s] for s in S.elements()]),
-                          G.src_i, G.rng_i, G.mul_table)
+    ok, mapping = germ_map_check(germs, _by_source(G, [bisections[s] for s in S.elements()]), G)
+    if not ok:
+        return ok, mapping
+    (g, h, E), N = germs.twist, lcm(germs.N, tau.N)
+    to = np.fromiter(mapping.values(), np.intp, len(mapping))
+    if (differ := widen(E, germs.N, N) != widen(tau.K[G.pair_index[to[g], to[h]]], tau.N, N)).any():
+        return False, ("twist", tuple(int(v[first_true(differ)[0]]) for v in (g, h)))
+    return True, mapping

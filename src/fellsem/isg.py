@@ -127,12 +127,17 @@ def verify_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     """Validate a Cayley table and return the inverse semigroup.
 
     Raises NonAssociative, NoInverse or IdempotentsDontCommute naming the
-    first violated law and its first witness in row-major order.
+    first violated law and its first witness in row-major order, and
+    IsgError for labels that are not one distinct label per element.
     """
     n = len(table)
     for a, row in enumerate(table):
         if len(row) != n:
             raise IsgError(f"row {a} has length {len(row)}, expected {n}")
+    if labels is not None and len(labels) != n:
+        raise IsgError(f"{len(labels)} labels for {n} elements")
+    if labels is not None and len(set(labels)) < n:
+        raise IsgError(f"label {next(x for i, x in enumerate(labels) if x in labels[:i])!r} repeats")
     if n == 0:
         return InverseSemigroup(table, [], [], labels)
     T = np.array(table).reshape(n, n)

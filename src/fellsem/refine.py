@@ -210,7 +210,7 @@ def germ_preservation_check(m: BundleMorphism):
     # both actions have A's points, as every full fiber of A is one of B
     if GB.A.frame.points != GA.A.frame.points:
         raise ValueError("the refined and base actions have different points")
-    ok, mapping = germ_map_check(GB, GA.of[m.phi.map], GA.src_i, GA.rng_i, GA.table)
+    ok, mapping = germ_map_check(GB, GA.of[m.phi.map], GA.pair[0])
     return ok, mapping, (GB, GA)
 
 
@@ -224,8 +224,7 @@ def algebra_preservation_check(m: BundleMorphism, tol: float = 1e-9):
     ok, mapping, (GB, GA) = germ_preservation_check(m)
     if not ok:
         return {"ok": False, "reason": ("germ", mapping)}
-    algB = germ_algebra(GB.A, GB)
-    algA = germ_algebra(GA.A, GA)
+    algB, algA = (germ_algebra(G.A, G) for G in (GB, GA))
     dimB, dimA = len(algB.carrier(0)), len(algA.carrier(0))
     report = {"ok": True,
               "dim_refined": dimB, "dim_base": dimA,

@@ -399,7 +399,7 @@ def tables(B) -> Tables:
 
 def origin(B) -> dict:
     """The data a Bundle's rows were built from, as its builder passed them."""
-    return {k: v for k, v in vars(B).items() if k in ("A", "G", "tau", "base", "phi", "germs")}
+    return {k: v for k, v in vars(B).items() if k in ("A", "G", "tau", "base", "phi")}
 
 
 # ---------------------------------------------------------------------------

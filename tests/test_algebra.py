@@ -328,7 +328,8 @@ def assert_same_germs(G, R):
     """Every pair's germ number and coordinate, and every germ's
     representative and endpoints, as the reference has them."""
     assert G.arrow_count == len(R.germs)
-    assert [(G.rep(g), G.src(g), G.rng(g)) for g in range(G.arrow_count)] == \
+    H, _ = G.pair
+    assert [((G.reps[g], H.src[g]), H.src[g], H.rng[g]) for g in H.arrows()] == \
         [(R.rep(g), R.src(g), R.rng(g)) for g in range(len(R.germs))]
     for (t, x) in R.of_pair:
         assert G.germ(t, x) == R.germ(t, x), (t, x)
@@ -373,7 +374,7 @@ def test_germs_of_a_non_faithful_action_match_the_reference():
         assert block_decompose(alg) == blocks
         T = tables(alg)
         assert (T.products[(0, 0)], T.stars[0]) == reference_germ_tables(A, R)
-    assert G.rep(0) == (1, 0)
+    assert (G.reps[0], G.pair[0].src[0]) == (1, 0)
 
 
 def reference_transition_conflicts(A):

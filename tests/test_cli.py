@@ -74,6 +74,25 @@ def test_isg_verify_pass_and_fail(files, capsys):
     assert report["violations"]
 
 
+def test_repeated_or_missing_labels(files, capsys, tmp_path):
+    # the five-element semigroup with a repeated label, and with one label
+    # short: a failed isg verify, and an input error in an action payload
+    with open(files["five.json"]) as fh:
+        five = json.load(fh)
+    S = five["semigroup"]
+    for elements, message in ((S["elements"][:1] + S["elements"][:1] + S["elements"][2:], "repeats"),
+                              (S["elements"][:-1], "4 labels for 5 elements")):
+        isg_path, action_path = tmp_path / "isg.json", tmp_path / "action.json"
+        isg_path.write_text(json.dumps({**S, "elements": elements}))
+        action_path.write_text(json.dumps({**five, "semigroup": {**S, "elements": elements}}))
+        code, report = run(capsys, "isg", "verify", str(isg_path))
+        assert code == 1 and report["status"] == "fail", report
+        assert message in report["violations"][0]
+        code, report = run(capsys, "action", "verify", str(action_path))
+        assert code == 2 and report["status"] == "input-error", report
+        assert message in report["error"]
+
+
 def test_input_errors_exit_2(files, capsys):
     code, report = run(capsys, "isg", "verify", files["broken.json"])
     assert code == 2 and report["status"] == "input-error"

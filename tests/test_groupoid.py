@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
+from fellsem import groupoid
 from fellsem.angles import Angle
 from fellsem.generators import standard_groupoids
 from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
@@ -12,8 +14,8 @@ from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
                               cyclic_group, enumerate_cocycles, germ_recovers_groupoid,
                               pair_groupoid, transitive_z2_groupoid, verify_cocycle,
                               verify_groupoid, z2_nontrivial_cocycle)
-from fellsem.action import (germ_groupoid, germ_map_check, verify_consequences,
-                            verify_twisted_action)
+from fellsem.action import (TwistedAction, germ_groupoid, germ_map_check, verify_consequences,
+                            verify_twisted_action, widen)
 
 
 def test_standard_groupoid_shapes():
@@ -132,7 +134,7 @@ def test_germ_map_check_rejects_a_map_joining_two_germs():
     GG, image, G, mapping = _pair2_germ_map()
     # send the germs 0 and 1 to the arrow of germ 0
     joined = np.where(GG.of == 1, mapping[0], image)
-    ok, detail = germ_map_check(GG, joined, G.src_i, G.rng_i, G.mul_table)
+    ok, detail = germ_map_check(GG, joined, G)
     assert ok is False and detail == ("arrow-count", GG.arrow_count, G.m)
 
 
@@ -145,14 +147,15 @@ def test_germ_map_check_rejects_a_map_splitting_a_germ():
     other = next(a for a in G.arrows() if a != mapping[g])
     split = image.copy()
     split[t, x] = other
-    ok, detail = germ_map_check(GG, split, G.src_i, G.rng_i, G.mul_table)
+    ok, detail = germ_map_check(GG, split, G)
     assert ok is False and detail == ("not-well-defined", g, sorted({mapping[g], other}))
 
 
 def test_germ_map_check_rejects_moved_endpoints():
     GG, image, G, _ = _pair2_germ_map()
-    shifted = (G.src_i + 1) % len(G.objects)
-    ok, detail = germ_map_check(GG, image, shifted, G.rng_i, G.mul_table)
+    # an unverified target whose every source is moved to the next object
+    src = [G.objects[(i + 1) % len(G.objects)] for i in G.src_i.tolist()]
+    ok, detail = germ_map_check(GG, image, FiniteGroupoid(G.objects, src, G.rng, G.comp))
     assert ok is False and detail == ("endpoints", 0)
 
 
@@ -160,12 +163,37 @@ def test_germ_map_check_rejects_a_wrong_product():
     GG, image, G, mapping = _pair2_germ_map()
     # swap two non-unit arrows in every product that yields either
     a, b = (a for a in G.arrows() if not G.is_unit(a))
-    mul = G.mul_table.copy()
-    mul[G.mul_table == a], mul[G.mul_table == b] = b, a
-    ok, detail = germ_map_check(GG, image, G.src_i, G.rng_i, mul)
+    swap = {a: b, b: a}
+    tampered = FiniteGroupoid(G.objects, G.src, G.rng, {p: swap.get(c, c) for p, c in G.comp.items()})
+    ok, detail = germ_map_check(GG, image, tampered)
+    H, _ = GG.pair
     g, h = next((g, h) for g in range(GG.arrow_count) for h in range(GG.arrow_count)
-                if GG.rng(h) == GG.src(g) and G.mul_table[mapping[g], mapping[h]] in (a, b))
+                if H.rng[h] == H.src[g] and G.mul_table[mapping[g], mapping[h]] in (a, b))
     assert ok is False and detail == ("composition", (g, h))
+
+
+def test_recovery_compares_the_twist(monkeypatch):
+    # the induced action of the trivially twisted pair groupoid on three
+    # points with omega({a}, {b}) shifted by a quarter turn: the germ
+    # groupoid is still G, but its twist is not tau
+    G = pair_groupoid([0, 1, 2])
+    S, biss, wide = bisection_semigroup(G)
+    a, b = G.labels.index("0<1"), G.labels.index("1<2")
+    s, t = biss.index(frozenset({a})), biss.index(frozenset({b}))
+    induced = groupoid.action_from_cocycle
+
+    def shifted(*args):
+        A = induced(*args)
+        N = lcm(A.N, 4)
+        W = widen(A.W, A.N, N).copy()
+        x = A.frame.index[G.rng[a]]
+        W[s, t, x] = (W[s, t, x] + N // 4) % N
+        return TwistedAction.from_exponents(A.frame, N, W)
+
+    monkeypatch.setattr(groupoid, "action_from_cocycle", shifted)
+    GG = germ_groupoid(shifted(G, TwoCocycle.trivial(G), S, biss, wide))
+    ok, detail = germ_recovers_groupoid(G, TwoCocycle.trivial(G), S, biss, wide)
+    assert ok is False and detail == ("twist", (GG.germ(s, 1), GG.germ(t, 2)))
 
 
 def test_groupoid_json_round_trip():

@@ -107,6 +107,16 @@ def test_homomorphism_validation():
         IsgHomomorphism(T, S, [1])  # unit must go to an idempotent
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["1", "1"], "label '1' repeats"),
+    (["1"], "1 labels for 2 elements"),
+    (["1", "g", "h"], "3 labels for 2 elements"),
+])
+def test_labels_are_one_distinct_label_per_element(labels, message):
+    with pytest.raises(IsgError, match=re.escape(message)):
+        verify_inverse_semigroup([[0, 1], [1, 0]], labels=labels)
+
+
 def test_essential_injectivity_of_identity():
     S = symmetric_inverse_monoid(2)
     phi = IsgHomomorphism(S, S, list(S.elements()))

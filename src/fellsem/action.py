@@ -34,23 +34,24 @@ widest sums have three positive terms (gauge_transform, Lookup.scaled and
 bundle._extract), and the widest difference, in Lookup's star laws, four
 negative ones.  Positions into the arrays stay intp.
 
-A Frame builds one slot table, once: the flat positions of the live omega
-slots (s, t, y), y in U(st (st)*), in row-major order, and for each slot
-the flat positions in an n x m gauge of chi_s(y), chi_t(theta_s^-1 y) and
-chi_st(y).  gauge_transform, and so siebenize, is three takes from the
-gauge, a sum mod N and a scatter over these slots; build_bundle's product
-rows are these slots.  A Frame also builds a cocycle table: for each live
-instance (r, s, t, x) of the cocycle identity, x in U(r*r) & U(st (st)*),
-the flat positions in W of its four factors.  verify_twisted_action's
-cocycle family is four takes from W, a sum and a reduction mod N over it.
-The table is kept only when the scan over the pairs (r, x) fits in one
-CHUNK, so a kept table is at most 4 CHUNK intp; a larger scan builds a
-table per chunk.  verify_consequences reads W as n^2 rows of m, checks
-monotonicity over the order pairs only, and compares carriers packed
-eight points to a byte.  A Frame's arrays and tables are read-only, so no
-cached table goes stale.  Every exponent identity reduces mod N with mod,
-a floor division and a product, which numpy runs faster than its
-remainder by a scalar.
+A Frame compiles, once, all that the checks read of it alone.  Its slot
+table holds the flat positions of the live omega slots (s, t, y), y in
+U(st (st)*), row-major, and of chi_s(y), chi_t(theta_s^-1 y) and
+chi_st(y) in an n x m gauge: gauge_transform, and so siebenize, is three
+takes, a sum mod N and a scatter, and build_bundle's product rows are
+these slots.  Its cocycle table holds, for each live instance (r, s, t,
+x), x in U(r*r) & U(st (st)*), the flat positions in W of the four
+factors; it is kept when the scan fits in one CHUNK (at most 4 CHUNK
+intp), else built a chunk at a time.  Frame.structure, Frame.axioms and
+Frame.consequences hold the theta-only verdicts (composition, inverse
+map, image, monotonicity, intersection, restriction) and, for the unit,
+idempotent-splitting, flip, dominating-unit, star-restriction and chain
+identities, the pairs of W that each factor reads: checking an omega is
+one gather, a sum and mod per identity, and only violations are decoded
+to labels.  All are read-only, so no cached table goes stale.  Every
+exponent identity reduces mod N with mod: a floor division and a
+product, which numpy runs faster than its remainder by a scalar, or, on
+at most 256 entries, the remainder's one call.
 
 The germ groupoid is index arithmetic in closed form (GermGroupoid), and
 with its twist a groupoid.FiniteGroupoid and TwoCocycle.
@@ -93,6 +94,20 @@ class CarrierMismatch(ValueError):
     pass
 
 
+def _kept(build):
+    """A Frame property: build(frame), violations, an error and identity
+    tables (see _broken) with read-only arrays, kept when the tables scan
+    at most CHUNK entries a factor together, else built on every read."""
+    def get(frame):
+        if (got := frame.__dict__.get(build.__name__)) is None:
+            out, error, *tables = build(frame)
+            got = out, error, *(tuple(a if a is None else _freeze(np.asarray(a)) for a in t) for t in tables)
+            if sum(len(at[0]) for at, *_ in tables) * frame.m <= CHUNK:
+                frame.__dict__[build.__name__] = got
+        return got
+    return property(get, doc=build.__doc__)
+
+
 class Frame:
     """The semigroup, points, carriers and theta of an action as given (S, X,
     sets, maps) and as arrays; an action and its gauge transforms share one.
@@ -101,10 +116,10 @@ class Frame:
     theta[s] is a dict {x: theta_s(x)}, which must be injective.
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
-    The tables (thi, fib_of_product, slots, pairs, cocycle) are built once,
-    when first read, and every array is read-only.  cocycle is None when
-    its scan is more than CHUNK entries, so a kept cocycle table holds at
-    most 4 CHUNK intp.
+    The tables (thi, fib_of_product, slots, pairs, cocycle, structure,
+    axioms, consequences) are built once, when first read, read-only.
+    cocycle is None when its scan is more than CHUNK entries, so a kept
+    one holds at most 4 CHUNK intp; axioms and consequences under a like bound.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
@@ -218,6 +233,111 @@ class Frame:
         d += y
         return _freeze(out)
 
+    def bad_value(self, s, t, y, what="undefined") -> ActionError:
+        return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) {what} at {y}")
+
+    @cached_property
+    def structure(self) -> tuple:
+        """The frame half of the structure family, in its order:
+        carrier-cover, carrier-mismatch and theta-endpoints element by
+        element, theta-not-identity."""
+        label, ar, out = self.S.label, np.arange(self.n), []
+        covered = self.U[self.idem].any(axis=0)
+        if (covered != self.in_X).any():
+            out.append(("carrier-cover", sorted(set(self.X).difference(
+                self.points[i] for i in np.flatnonzero(covered)))))
+        mismatch = (self.U != self.fib).any(axis=1)
+        rng = np.zeros((self.n, self.m + 1), dtype=bool)
+        rng[ar[:, None], self.th] = True
+        endpoints = ((self.th >= 0) != self.U[self.T[self.inv, ar]]) | (rng[:, :self.m] != self.fib)
+        endpoints = endpoints.any(axis=1)
+        for s in np.flatnonzero(mismatch | endpoints):
+            if mismatch[s]:
+                out.append(("carrier-mismatch", label(s)))
+            if endpoints[s]:
+                out.append(("theta-endpoints", label(s)))
+        identity = np.where(self.U[self.idem], np.arange(self.m), -1)
+        return tuple(out + [("theta-not-identity", label(self.idem[i]))
+                            for i in np.flatnonzero((self.th[self.idem] != identity).any(axis=1))])
+
+    @_kept
+    def axioms(self) -> tuple:
+        """The composition violations, the error idempotent-splitting raises
+        (or None) and the unit and idempotent-splitting tables, read once
+        the structure family passes: omega is an exponent on fib_of_product."""
+        n, m, T, E, inv, ar = self.n, self.m, self.T, self.idem, self.inv, np.arange(self.n)
+        # (i) theta_r . theta_s = theta_rs, with equal (maximal) domains; an
+        # undefined index -1 reads the padding column, which is undefined too
+        th = np.concatenate([self.th, np.full((n, 1), -1, dtype=np.intp)], axis=1)
+        composed = th[ar[:, None, None], th[None, :, :]]
+        composition = tuple(("composition", (self.S.label(r), self.S.label(s)))
+                            for r, s in zip(*np.nonzero((composed != th[T]).any(axis=2))))
+        # (iii) omega(e,f) = 1 and omega(r, r*r) = omega(rr*, r) = 1
+        rr = np.array([ar * n + T[inv, ar], T[ar, inv] * n + ar]).T.ravel()  # (r, r*r), (rr*, r)
+        st = np.concatenate([(E[:, None] * n + E).ravel(), rr])
+        unit = [st], None, [st // n, st % n], None
+        # (iv) omega(s*,e)(x) omega(s*e,s)(x) = omega(s*,s)(x) on U(s*es)
+        s, e = np.repeat(ar, len(E)), np.tile(E, n)
+        ss, se = inv[s], T[inv[s], e]
+        at, need = np.array([ss * n + e, se * n + s, ss * n + s]), self.fib[T[se, s]]
+        error = _lost(self, at, ~self.fib_of_product.reshape(n * n, m).take(at, axis=0) & need)
+        return composition, error, unit, (at, need, [s, e], (1, 1, -1))
+
+    @_kept
+    def consequences(self) -> tuple:
+        """The theta-only violations, the KeyError of the first undefined
+        theta_s that an identity reads (or None), and the flip,
+        dominating-unit, star-restriction and chain tables (see _broken)."""
+        n, m, T, E, inv, ar = self.n, self.m, self.T, self.idem, self.inv, np.arange(self.n)
+        label, y = self.S.label, np.arange(m)[None, :]
+        lo, hi = index_pairs(self.leq)  # the order pairs lo <= hi
+        # theta_{s*} is the inverse partial bijection
+        out = [("inverse-map", label(s)) for s in np.flatnonzero((self.th[inv] != self.thi).any(axis=1))]
+        # image identity: theta_r(U(r*r) & U(s)) = U(rs), read at y as U(s) at
+        # x = theta_r^-1(y) when x is in U(r*r), with the points as the outer
+        # axis; the padding row m stands for an undefined or excluded x
+        dom, error = self.U[T[inv, ar]], None
+        if (dom & (self.th < 0)).any():
+            error = _theta_error(self, dom[:, None, :] & self.U[None], self.th[:, None, :], y)
+        x = np.where(dom[ar[:, None], self.thi] & (self.thi >= 0), self.thi, m)
+        held = np.concatenate([self.U.T, np.zeros((1, n), dtype=bool)]).take(x.T, axis=0)  # [y, r, s]
+        image = (held != np.ascontiguousarray(self.fib.T).take(T, axis=1)).any(axis=0)
+        out += [("image", (label(r), label(s))) for r, s in zip(*index_pairs(image))]
+        # carrier monotonicity, over the order pairs, and intersection, with
+        # the carriers packed eight points to a byte, the bytes outermost
+        U8 = np.packbits(self.U, axis=1).T
+        monotone = np.zeros((n, n), dtype=bool)
+        monotone[lo, hi] = (U8[:, lo] & ~U8[:, hi]).any(axis=0)
+        P = T[ar, inv]
+        meet = U8.take(T.take(P, axis=0).take(P, axis=1), axis=1)
+        intersection = ((U8[:, :, None] & U8[:, None, :]) != meet).any(axis=0)
+        for r, s in zip(*index_pairs(monotone | intersection)):
+            if monotone[r, s]:
+                out.append(("monotone", (label(r), label(s))))
+            if intersection[r, s]:
+                out.append(("intersection", (label(r), label(s))))
+        # restriction: theta_t agrees with theta_s on U(s*s) when s <= t
+        kept = np.where(dom[lo], self.th[hi], -1)
+        out += [("restriction", (label(lo[i]), label(hi[i])))
+                for i in np.flatnonzero((kept != self.th[lo]).any(axis=1))]
+        # omega(s*,s) pulled through theta_s equals omega(s,s*)
+        need = self.fib[T[ar, inv]]
+        error = error or _theta_error(self, need, self.thi, y)
+        flip = np.array([((inv * n + ar) * m)[:, None] + np.maximum(self.thi, 0),  # at theta_s^-1 y
+                         ((ar * n + inv) * m)[:, None] + np.arange(m)]), need, [ar], (1, -1)
+        # omega(r,e) = 1 whenever e >= r*r, at every point
+        r, e = index_pairs(self.leq[T[inv, ar]][:, E])
+        dominating = [r * n + E[e]], None, [r, E[e]], None
+        # omega(t*,s) = omega(t*,ss*) omega(s*,s) pointwise, for s <= t
+        ts, si = inv[hi], inv[lo]
+        star = [ts * n + lo, ts * n + T[lo, si], si * n + lo], self.fib[T[ts, lo]], [lo, hi], (1, -1, -1)
+        # transition chain: omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
+        j, t = index_pairs(self.leq.take(hi, axis=0))
+        r, s = lo[j], hi[j]
+        rr = T[inv[r], r]
+        chain = [t * n + rr, t * n + T[inv[s], s], s * n + rr], self.fib[T[t, rr]], [r, s, t], (1, -1, -1)
+        return tuple(out), error, flip, dominating, star, chain
+
 
 def _freeze(*arrays):
     """Make the arrays read-only; the last one."""
@@ -248,8 +368,11 @@ def held(K, N: int) -> np.ndarray:
 def mod(K, N: int):
     """K mod N, in [0, N), as K - K // N N: numpy runs a floor division by a
     scalar in a strength-reduced loop and its remainder in a far slower
-    one.  An array result is written over the quotient, so it allocates as
-    K % N does.  Exact for object arrays and Python integers."""
+    one, but on at most 256 entries one call of the remainder is faster.
+    An array result is written over the quotient, so it allocates as K % N
+    does.  Exact for object arrays and Python integers."""
+    if isinstance(K, np.ndarray) and K.size <= 256:
+        return K % N
     q = K // N
     if not isinstance(q, np.ndarray):
         return K - q * N
@@ -376,36 +499,20 @@ class TwistedAction:
     def omega(self) -> OmegaView:
         return OmegaView(self)
 
-    def _bad_value(self, s, t, y, what="undefined") -> ActionError:
-        return ActionError(f"omega({self.S.label(s)},{self.S.label(t)}) {what} at {y}")
-
     def structural_violations(self):
-        S, F, W = self.S, self.frame, self.W
-        out = []
-        covered = F.U[F.idem].any(axis=0)
-        if (covered != F.in_X).any():
-            out.append(("carrier-cover", sorted(set(self.X).difference(
-                F.points[i] for i in np.flatnonzero(covered)))))
-        mismatch = (F.U != F.fib).any(axis=1)
-        dom = F.th >= 0
-        rng = np.zeros((F.n, F.m + 1), dtype=bool)
-        rng[np.arange(F.n)[:, None], F.th] = True
-        endpoints = ((dom != F.U[F.T[F.inv, np.arange(F.n)]]) | (rng[:, :F.m] != F.fib)).any(axis=1)
-        for s in np.flatnonzero(mismatch | endpoints):
-            if mismatch[s]:
-                out.append(("carrier-mismatch", S.label(s)))
-            if endpoints[s]:
-                out.append(("theta-endpoints", S.label(s)))
-        identity = np.where(F.U[F.idem], np.arange(F.m), -1)
-        for i in np.flatnonzero((F.th[F.idem] != identity).any(axis=1)):
-            out.append(("theta-not-identity", S.label(F.idem[i])))
+        """The structure family: Frame.structure, then omega's carriers and
+        values, which hold when W is an exponent exactly on fib_of_product."""
+        F, W, label = self.frame, self.W, self.S.label
+        out = list(F.structure)
+        if (np.minimum(W, 0) + 1 == F.fib_of_product).all():
+            return out
         carrier = (W != OUTSIDE) != F.fib_of_product
         not_unit = W == NOT_ANGLE
         wrong = carrier.any(axis=2)
         for s, t in zip(*np.nonzero(wrong | not_unit.any(axis=2))):
             if wrong[s, t]:
-                out.append(("omega-carrier", (S.label(s), S.label(t))))
-            out += [("omega-not-unit", (S.label(s), S.label(t), F.points[x]))
+                out.append(("omega-carrier", (label(s), label(t))))
+            out += [("omega-not-unit", (label(s), label(t), F.points[x]))
                     for x in np.flatnonzero(not_unit[s, t])]
         return out
 
@@ -524,40 +631,49 @@ def omega_differs(one, two) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # axiom verification
 
-def _missing(need, vals, *where):
-    """At the first needed position where vals is negative, the indices
-    read from the broadcastable arrays `where`; None if there is none."""
-    lost = need & (vals < 0)
-    if lost.any():
-        i = first_true(lost)
-        return tuple(int(np.broadcast_to(a, lost.shape)[i]) for a in where)
-    return None
+def _lost(F: Frame, at, lost) -> ActionError | None:
+    """The error omega_at raises where lost is first True, factor by
+    factor; None if it is nowhere.  at holds the flat positions in W of
+    lost's entries, or, one axis shorter, their pairs (see _broken)."""
+    if not lost.any():
+        return None
+    i = first_true(lost)
+    u, x = divmod(int(at[i]), F.m) if at.ndim == lost.ndim else (int(at[i[:-1]]), i[-1])
+    return F.bad_value(*divmod(u, F.n), F.points[x])
 
 
-def _require(A: TwistedAction, need, *factors):
-    """Raise as omega_at would at the first needed point where a factor,
-    (values, s, t, x) of broadcastable arrays, holds no angle."""
-    for vals, *where in factors:
-        if at := _missing(need, vals, *where):
-            s, t, x = at
-            raise A._bad_value(s, t, A.frame.points[x])
+def _theta_error(F: Frame, need, image, x) -> KeyError | None:
+    """The KeyError a partial bijection raises at the first needed point
+    x (broadcast) whose image index is undefined, or None."""
+    if (lost := need & (image < 0)).any():
+        return KeyError(F.points[int(np.broadcast_to(x, lost.shape)[first_true(lost)])])
 
 
-def _require_at(A: TwistedAction, factors):
-    """Raise as omega_at would at the first point where a factor, (flat
-    positions in W, the values there), holds no angle, factor by factor."""
-    n, m = A.S.n, A.frame.m
-    for at, vals in factors:
-        if (lost := vals < 0).any():
-            u, x = divmod(int(at[first_true(lost)[0]]), m)
-            raise A._bad_value(*divmod(u, n), A.frame.points[x])
-
-
-def _require_theta(F: Frame, need, image, x):
-    """Raise KeyError, as a partial bijection does, at the first needed
-    point x whose image index is undefined."""
-    if at := _missing(need, image, x):
-        raise KeyError(F.points[at[0]])
+def _broken(A: TwistedAction, tag, table, check=False) -> list:
+    """The violations of an identity table (at, need, labels, signs) of a
+    Frame: factor i of instance j reads omega(s, t), at[i, j] = s n + t, at
+    every point x, or, where at has a point axis, W at at[i, j, x]; need[j,
+    x] says whether the instance holds at x; labels[:, j] are the elements
+    its violations name.  With signs, (j, x) is broken where need holds and
+    the factors' exponents times signs (+1 first, at most four, as W's
+    width holds) do not sum to 0 mod N; without, where the one factor is
+    neither one nor OUTSIDE.  With check, a needed factor that holds no
+    angle raises first.  Only the broken instances are decoded."""
+    (at, need, labels, signs), F, label = table, A.frame, A.S.label
+    vals = A.W.reshape(-1).take(at) if at.ndim == 3 else A.W.reshape(F.n * F.n, F.m).take(at, axis=0)
+    if check and (error := _lost(F, at, (vals < 0) & need)):
+        raise error
+    if signs is None:
+        bad = np.flatnonzero((vals > 0) | (vals == NOT_ANGLE))
+    else:
+        total = vals[0]
+        for sign, v in zip(signs[1:], vals[1:]):
+            total = total + v if sign > 0 else total - v
+        bad = np.flatnonzero(mod(total, A.N) * need)
+    if not bad.size:
+        return []
+    j, x = np.divmod(bad, F.m)
+    return [(tag, (*map(label, els), F.points[y])) for *els, y in zip(*labels[:, j].tolist(), x.tolist())]
 
 
 def verify_twisted_action(A: TwistedAction):
@@ -566,6 +682,15 @@ def verify_twisted_action(A: TwistedAction):
 
     Returns (ok, violations).  Axiom tags: "structure", "composition",
     "cocycle", "unit", "idempotent-splitting".
+
+    What depends on the frame alone is compiled once per Frame
+    (Frame.structure, Frame.axioms, Frame.cocycle): the theta-only
+    verdicts and, for each omega identity, the positions in W of its
+    factors.  Once the structure family passes, W is an exponent exactly
+    on F.fib_of_product, so whether a needed factor is undefined is a
+    frame fact, and so is every such raise.  Checking an omega is the W
+    half of the structure family, one gather, sum and mod per identity
+    table, and a decode of the violating instances.
 
     The cocycle family is associativity of the bundle: once the structure
     and composition families hold, in build_bundle(A) delta_y in fiber r
@@ -581,27 +706,16 @@ def verify_twisted_action(A: TwistedAction):
     decides the family, and only a failure runs the direct scan, which
     lists the violations.
 
-    The direct scan reads the frame's cocycle table (Frame.cocycle_table):
-    the positions in W of the four factors of every live instance.  It is
-    four takes, a sum and mod N; violations are decoded from the positions.
-    A scan of at most CHUNK entries reads the table the frame keeps
-    (Frame.cocycle, at most 4 CHUNK intp); a longer one builds a table per
-    chunk of pairs (r, x), with the same first failure.
+    The direct scan reads the frame's cocycle table (Frame.cocycle_table)
+    when its scan is at most CHUNK entries (Frame.cocycle); a longer one
+    builds a table per chunk of pairs (r, x), with the same first failure.
     """
     violations = [("structure", v) for v in A.structural_violations()]
     if violations:
         return False, violations
-    S, F, W, N = A.S, A.frame, A.W, A.N
-    T, n, ar = F.T, F.n, np.arange(F.n)
-    label, points = S.label, F.points
-
-    # (i) theta_r . theta_s = theta_rs, with equal (maximal) domains; an
-    # undefined index -1 reads the padding column, which is undefined too
-    th = np.concatenate([F.th, np.full((n, 1), -1, dtype=np.intp)], axis=1)
-    composed = th[ar[:, None, None], th[None, :, :]]
-    for r, s in zip(*np.nonzero((composed != th[T]).any(axis=2))):
-        violations.append(("composition", (label(r), label(s))))
-    composes = not violations
+    F, N, label = A.frame, A.N, A.S.label
+    composition, error, unit, splitting = F.axioms
+    violations, composes, n, points = list(composition), not composition, F.n, F.points
 
     # (ii) omega(s,t)(x) omega(r,st)(y) = omega(r,s)(y) omega(rs,t)(y)
     # where x runs over U(r*r) & U(st) and y = theta_r(x): the first factor
@@ -621,37 +735,22 @@ def verify_twisted_action(A: TwistedAction):
     if tables is None:
         pairs, step = F.pairs, max(1, CHUNK // (n * n))
         tables = (F.cocycle_table(pairs[c:c + step]) for c in range(0, len(pairs), step))
-    Wf, found = W.reshape(-1), [np.empty((2, 0), dtype=np.intp)]
+    Wf, found = A.W.reshape(-1), [np.empty((2, 0), dtype=np.intp)]
     for table in tables:
-        first, *rest = (Wf.take(at) for at in table)
-        if not composes:
-            _require_at(A, zip(table[1:], rest))
-        bad = np.flatnonzero(mod(first + rest[0] - rest[1] - rest[2], N))
-        found.append(table[:2, bad])
+        vals = Wf.take(table)
+        if not composes and (lost := _lost(F, table[1:], vals[1:] < 0)):
+            raise lost
+        found.append(table[:2, np.flatnonzero(mod(vals[0] + vals[1] - vals[2] - vals[3], N))])
     st_x, r_st_y = np.concatenate(found, axis=1)
     nm = n * F.m
     for key in np.sort(r_st_y // nm * (n * nm) + st_x).tolist():  # (r, s, t, x) in order
         r, (s, t), x = key // (n * nm), divmod(key // F.m % n ** 2, n), key % F.m
         violations.append(("cocycle", (label(r), label(s), label(t), points[x])))
 
-    # (iii) omega(e,f) = 1 and omega(r, r*r) = omega(rr*, r) = 1
-    E = F.idem
-    for e, f, x in zip(*np.nonzero(W[E[:, None], E[None, :]] > 0)):
-        violations.append(("unit", (label(E[e]), label(E[f]), points[x])))
-    first = np.stack([ar, T[ar, F.inv]], axis=1).ravel()
-    second = np.stack([T[F.inv, ar], ar], axis=1).ravel()
-    for i, x in zip(*np.nonzero(W[first, second] > 0)):
-        violations.append(("unit", (label(first[i]), label(second[i]), points[x])))
-
-    # (iv) omega(s*,e)(x) omega(s*e,s)(x) = omega(s*,s)(x) on U(s*es)
-    s, ss, e, x = ar[:, None, None], F.inv[:, None, None], E[None, :, None], np.arange(F.m)
-    se = T[ss, e]
-    need = F.fib[T[se, s], x]
-    a, b, c = W[ss, e, x], W[se, s, x], W[ss, s, x]
-    _require(A, need, (a, ss, e, x), (b, se, s, x), (c, ss, s, x))
-    for s, e, x in zip(*np.nonzero(need & (mod(a + b - c, N) != 0))):
-        violations.append(("idempotent-splitting", (label(s), label(E[e]), points[x])))
-
+    # (iii) unit and (iv) idempotent-splitting, from the frame's tables
+    if error:
+        raise error
+    violations += _broken(A, "unit", unit) + _broken(A, "idempotent-splitting", splitting)
     return not violations, violations
 
 
@@ -660,86 +759,16 @@ def verify_consequences(A: TwistedAction):
 
     A violation here, on data passing verify_twisted_action, indicates an
     implementation bug rather than bad input.  Returns (ok, violations).
+    The theta-only families and the omega identities' tables are the
+    frame's (Frame.consequences).  The structure family is not run: a
+    needed value that holds no angle raises ActionError, and a needed
+    theta_s that is undefined KeyError.
     """
-    S, F, W, N = A.S, A.frame, A.W, A.N
-    T, n, m, ar, y = F.T, F.n, F.m, np.arange(F.n), np.arange(F.m)[None, :]
-    W2 = W.reshape(n * n, m)  # row s n + t: omega(s, t)
-    label, points = S.label, F.points
-    lo, hi = index_pairs(F.leq)  # the order pairs lo <= hi
-    out = []
-
-    # theta_{s*} is the inverse partial bijection
-    for s in np.flatnonzero((F.th[F.inv] != F.thi).any(axis=1)):
-        out.append(("inverse-map", label(s)))
-
-    # image identity: theta_r(U(r*r) & U(s)) = U(rs), read at y as U(s) at
-    # x = theta_r^-1(y) when x is in U(r*r), with the points as the outer
-    # axis; the padding row m stands for an undefined or excluded x
-    dom = F.U[T[F.inv, ar]]
-    if (dom & (F.th < 0)).any():
-        _require_theta(F, dom[:, None, :] & F.U[None], F.th[:, None, :], y)
-    x = np.where(dom[ar[:, None], F.thi] & (F.thi >= 0), F.thi, m)
-    held = np.concatenate([F.U.T, np.zeros((1, n), dtype=bool)]).take(x.T, axis=0)  # [y, r, s]
-    image = (held != np.ascontiguousarray(F.fib.T).take(T, axis=1)).any(axis=0)
-    for r, s in zip(*index_pairs(image)):
-        out.append(("image", (label(r), label(s))))
-
-    # carrier monotonicity, over the order pairs, and intersection, with
-    # the carriers packed eight points to a byte, the bytes outermost
-    U8 = np.packbits(F.U, axis=1).T
-    monotone = np.zeros((n, n), dtype=bool)
-    monotone[lo, hi] = (U8[:, lo] & ~U8[:, hi]).any(axis=0)
-    P = T[ar, F.inv]
-    meet = U8.take(T.take(P, axis=0).take(P, axis=1), axis=1)
-    intersection = ((U8[:, :, None] & U8[:, None, :]) != meet).any(axis=0)
-    for r, s in zip(*index_pairs(monotone | intersection)):
-        if monotone[r, s]:
-            out.append(("monotone", (label(r), label(s))))
-        if intersection[r, s]:
-            out.append(("intersection", (label(r), label(s))))
-
-    # restriction: theta_t agrees with theta_s on U(s*s) when s <= t
-    kept = np.where(dom[lo], F.th[hi], -1)
-    for i in np.flatnonzero((kept != F.th[lo]).any(axis=1)):
-        out.append(("restriction", (label(lo[i]), label(hi[i]))))
-
-    # omega(s*,s) pulled through theta_s equals omega(s,s*)
-    s, ss = ar[:, None], F.inv[:, None]
-    need = F.fib[T[ar, F.inv]]
-    _require_theta(F, need, F.thi, y)
-    x = np.maximum(F.thi, 0)
-    a, b = W[ss, s, x], W2[ar * n + F.inv]
-    _require(A, need, (a, ss, s, x), (b, s, ss, y))
-    for s, x in zip(*np.nonzero(need & (mod(a - b, N) != 0))):
-        out.append(("flip", (label(s), points[x])))
-
-    # omega(r,e) = 1 whenever e >= r*r
-    E = F.idem
-    r, e = np.nonzero(F.leq[T[F.inv, ar]][:, E])
-    vals = W2[r * n + E[e]]
-    for i, x in zip(*np.nonzero((vals > 0) | (vals == NOT_ANGLE))):
-        out.append(("dominating-unit", (label(r[i]), label(E[e[i]]), points[x])))
-
-    # omega(t*,s) = omega(t*,ss*) omega(s*,s) pointwise, for s <= t
-    ts, e, si = F.inv[hi], T[lo, F.inv[lo]], F.inv[lo]
-    need = F.fib[T[ts, lo]]
-    a, b, c = W2[ts * n + lo], W2[ts * n + e], W2[si * n + lo]
-    s, ts, e, si = (v[:, None] for v in (lo, ts, e, si))
-    _require(A, need, (a, ts, s, y), (b, ts, e, y), (c, si, s, y))
-    for i, x in zip(*np.nonzero(need & (mod(a - b - c, N) != 0))):
-        out.append(("star-restriction", (label(lo[i]), label(hi[i]), points[x])))
-
-    # transition chain: omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
-    i, t = index_pairs(F.leq.take(hi, axis=0))
-    r, s = lo[i], hi[i]
-    rr, sn = T[F.inv[r], r], T[F.inv[s], s]
-    need = F.fib[T[t, rr]]
-    a, b, c = W2[t * n + rr], W2[t * n + sn], W2[s * n + rr]
-    r, s, t, rr, sn = (v[:, None] for v in (r, s, t, rr, sn))
-    _require(A, need, (a, t, rr, y), (b, t, sn, y), (c, s, rr, y))
-    for i, x in zip(*np.nonzero(need & (mod(a - b - c, N) != 0))):
-        out.append(("chain", (label(r[i, 0]), label(s[i, 0]), label(t[i, 0]), points[x])))
-
+    out, error, flip, dominating, star, chain = A.frame.consequences
+    if error:
+        raise error
+    out = [*out, *_broken(A, "flip", flip, True), *_broken(A, "dominating-unit", dominating),
+           *_broken(A, "star-restriction", star, True), *_broken(A, "chain", chain, True)]
     return not out, out
 
 
@@ -775,7 +804,7 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
         raise GaugeNotUnitAtIdempotent(S.label(F.idem[first_true(bad)[0]]))
     if (W == NOT_ANGLE).any():
         s, t, x = first_true(A.W == NOT_ANGLE)
-        raise A._bad_value(s, t, F.points[x], "is not an angle")
+        raise F.bad_value(s, t, F.points[x], "is not an angle")
     N = lcm(A.N, Nc)
     C = held(widen(C, Nc, N), N).reshape(-1)
     inside = W >= 0
@@ -841,7 +870,7 @@ class GermGroupoid:
         k = W[u, e, y]
         if (k < 0).any():
             j = first_true(k < 0)[0]
-            raise A._bad_value(u[j], e[j], F.points[y[j]], "is not an angle")
+            raise F.bad_value(u[j], e[j], F.points[y[j]], "is not an angle")
         mm, y, r = T[F.inv[m], m], F.th[m, x], self.reps[g]  # (m, m) is no edge: its factor is one
         self.K = np.zeros((F.n, F.m), dtype=W.dtype)
         self.K[t, x] = mod(np.where(t == m, 0, W[t, mm, y]) - np.where(r == m, 0, W[r, mm, y]), N)
@@ -876,7 +905,7 @@ class GermGroupoid:
         y = A.frame.th[rt, x[h]]
         if ((w := A.W[r[g], r[h], y]) < 0).any():
             i = first_true(w < 0)[0]
-            raise A._bad_value(r[g[i]], r[h[i]], A.frame.points[y[i]], "is not an angle")
+            raise A.frame.bad_value(r[g[i]], r[h[i]], A.frame.points[y[i]], "is not an angle")
         return g, h, mod(w + self.K[rt, x[h]], self.N)
 
     @cached_property

@@ -127,10 +127,18 @@ def random_valid_action(rng, max_size: int = 10) -> TwistedAction:
     Semigroups are kept at or below max_size elements so corpus-wide axiom
     sweeps stay fast.
     """
+    return _random_valid_action(rng, {}, max_size)
+
+
+def _random_valid_action(rng, monoids: dict, max_size: int = 10) -> TwistedAction:
+    """random_valid_action, with I_k and partial_injections(k) taken from,
+    or built once into, monoids[k]."""
     kind = rng.randrange(3)
     if kind == 0:
         k = rng.choice([2, 2, 3])
-        Ik, maps = symmetric_inverse_monoid(k), partial_injections(k)
+        if k not in monoids:
+            monoids[k] = symmetric_inverse_monoid(k), partial_injections(k)
+        Ik, maps = monoids[k]
         for _ in range(8):
             gens = [rng.randrange(Ik.n) for _ in range(rng.randrange(1, 3))]
             S, sub_maps = _sub_monoid(Ik, maps, gens)
@@ -143,7 +151,7 @@ def random_valid_action(rng, max_size: int = 10) -> TwistedAction:
         tau = TwoCocycle.trivial(G) if rng.random() < 0.5 else random_coboundary(G, rng)
         A, _ = cocycle_action(G, tau)
         return A
-    base = random_valid_action(rng, max_size)
+    base = _random_valid_action(rng, monoids, max_size)
     return gauge_transform(base, random_gauge(base, rng))
 
 
@@ -197,9 +205,9 @@ def mutation_corpus(rng) -> list:
 
 def corpus(rng, count: int):
     """A reproducible corpus of valid actions for the acceptance sweeps."""
-    out = [full_monoid_action(2), five_element_action(), busby_smith_z2()]
+    out, monoids = [full_monoid_action(2), five_element_action(), busby_smith_z2()], {}
     G, tau = z2_nontrivial_cocycle()
     out.append(cocycle_action(G, tau)[0])
-    while len(out) < count:
-        out.append(random_valid_action(rng))
+    while len(out) < count:  # I_k is built once a corpus, not once a draw
+        out.append(_random_valid_action(rng, monoids))
     return out[:count]

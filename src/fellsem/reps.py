@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fellsem.action import TwistedAction, _require_theta, turns
+from fellsem.action import TwistedAction, _theta_error, turns
 from fellsem.groupoid import membership
 
 # matrix entries a chunk of verify_covariant's or of verify_representation's products holds
@@ -93,7 +93,8 @@ def verify_covariant(R: CovariantRep, A: TwistedAction, tol: float = 1e-9):
     vt = v.transpose(1, 0, 2).reshape(d, n * d)  # every v_t side by side, for one gemm
     rho = np.stack([R.rho[x] for x in F.points]).reshape(F.m, d, d)
     dom = F.U[F.T[F.inv, ar]]  # [s, x]: x in U(s*s)
-    _require_theta(F, dom, F.th, np.arange(F.m)[None, :])  # KeyError where theta_s misses U(s*s)
+    if error := _theta_error(F, dom, F.th, np.arange(F.m)[None, :]):  # where theta_s misses U(s*s)
+        raise error
     # omega's values from the action's arrays, zero off the carriers
     omega = turns(A.W, A.N, A.V).reshape(A.W.shape)
     conj, cocycle = np.zeros((n, F.m), dtype=bool), np.zeros((n, n), dtype=bool)

@@ -124,6 +124,26 @@ def test_germs_and_siebenize_fail_on_a_non_action(tmp_path, capsys):
         assert code == 1 and report["status"] == "fail" and report["violations"], (op, report)
 
 
+@pytest.mark.parametrize("name, part, key, point", [
+    ("five.json", "theta", "{0>0}", "0"),  # theta_{0>0} undefined on U({0>0})
+    ("busby.json", "omega", "g,g", "0"),  # omega(g, g) given nowhere on its carrier
+])
+def test_consequences_of_a_broken_structure_fail_as_verify_does(files, tmp_path, capsys, name, part, key, point):
+    # one theta or omega entry dropped: the structure family fails, and the
+    # consequences report that failure, as action verify does, instead of
+    # the KeyError or ActionError of a value they read off its carrier
+    with open(files[name]) as fh:
+        data = json.load(fh)
+    del data[part][key][point]
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    code, verify = run(capsys, "action", "verify", str(path))
+    assert code == 1 and verify["violations"] and all("'structure'" in v for v in verify["violations"])
+    code, report = run(capsys, "action", "consequences", str(path))
+    assert code == 1 and report["status"] == "fail", report
+    assert report["violations"] == verify["violations"]
+
+
 def test_bundle_commands(files, capsys):
     for op in ["verify", "classify", "extract", "roundtrip"]:
         code, report = run(capsys, "bundle", op, files["five.json"])

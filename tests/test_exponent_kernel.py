@@ -19,6 +19,7 @@ from math import prod
 import numpy as np
 import pytest
 
+import fellsem.action as action_module
 from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, Frame, GaugeNotUnitAtIdempotent, _exponent_dtype,
                             GermGroupoid, TwistedAction, check_sieben, gauge_transform, siebenize,
                             verify_consequences, verify_twisted_action, widen)
@@ -614,6 +615,118 @@ def test_cold_and_warm_frames_give_the_same_cocycle_violations():
         assert verify_twisted_action(B) == one
     assert one[1] and all(tag == "cocycle" for tag, _ in one[1])
     assert sum(tag == "cocycle" for tag, _ in verify_twisted_action(mutant)[1]) > 100
+
+
+# ---------------------------------------------------------------------------
+# the frame's compiled axioms and consequences: built once per Frame, read
+# by every omega over it
+
+CHECKS = ((verify_twisted_action, ref_verify_twisted_action), (verify_consequences, ref_verify_consequences))
+
+
+def _checked(check, A):
+    """check(A), or the type and arguments of the error it raises."""
+    try:
+        return check(A)
+    except (ActionError, KeyError) as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_many_omegas_over_one_frame_match_the_reference(seed):
+    # mutation_corpus's bases and 60 mutants of them: each mutant shares its
+    # base's frame, compiled by the first check; a fresh Frame per action
+    # compiles again and reads the same, in the same order
+    rng = random.Random(seed)
+    bases = mutation_corpus(rng)
+    for A in bases + [mutate_omega(bases[i % len(bases)], rng) for i in range(60)]:
+        for new, ref in CHECKS:
+            (ok, bad), (ref_ok, ref_bad) = new(A), ref(A)
+            assert ok == ref_ok and Counter(bad) == Counter(ref_bad), (new.__name__, bad, ref_bad)
+            assert new(_fresh(A)) == (ok, bad) == new(A)
+    assert "axioms" in vars(bases[0].frame) and "consequences" in vars(bases[0].frame)
+
+
+def test_the_mutation_sweep_reads_the_same_on_fresh_frames():
+    # test_03's 1000 mutants, which test_kernel_matches_the_reference_on_the_
+    # mutation_sweep checks against the reference over their bases' frames
+    rng = random.Random(2)
+    bases = mutation_corpus(rng)
+    for i in range(1000):
+        M = mutate_omega(bases[i % len(bases)], rng)
+        for new, _ in CHECKS:
+            assert _checked(new, _fresh(M)) == _checked(new, M)
+
+
+def _splitting_undefined():
+    """I_2 acting on one point through its zero alone: the structure holds,
+    the maps do not compose, and omega({0>0},{0>0}) is read by the
+    idempotent-splitting family off its empty carrier."""
+    S = full_monoid_action(2).S
+    return _untwisted(S, {"{}": [0], "{0>0}": [], "{1>1}": [], "{0>0,1>1}": []},
+                      {"{0>1}": {}, "{1>0}": {}, "{0>1,1>0}": {}})
+
+
+@pytest.mark.parametrize("make, check, error, args", [
+    (lambda: _i2_with(theta={"{0>0,1>1}": {0: 0}, "{0>1,1>0}": {1: 0}}), verify_consequences, KeyError, (1,)),
+    (lambda: _i2_with(theta={"{0>1}": {0: "z"}, "{0>1,1>0}": {0: 1, 1: "z"}}), verify_consequences, KeyError, (1,)),
+    (_splitting_undefined, verify_twisted_action, ActionError, ("omega({0>0},{0>0}) undefined at 0",)),
+])
+def test_a_frame_level_raise_is_raised_again(make, check, error, args):
+    # the error is a frame fact, compiled with the frame's tables: a second
+    # call over the same frame, and a call over a fresh one, raise it again
+    A = make()
+    for B in (A, A, _fresh(A)):
+        assert _checked(check, B) == (error, args)
+        assert _checked(check, B) == _checked(ref_verify_twisted_action if check is verify_twisted_action
+                                              else ref_verify_consequences, B)
+
+
+def test_compiled_tables_are_read_only():
+    A = gauge_transform(full_monoid_action(2), random_gauge(full_monoid_action(2), random.Random(0)))
+    verify_twisted_action(A), verify_consequences(A)
+    F = A.frame
+    assert isinstance(F.structure, tuple)
+    for out, error, *tables in (F.axioms, F.consequences):
+        assert isinstance(out, tuple) and error is None
+        for table in tables:
+            arrays = [a for a in table if a is not None]
+            assert len(arrays) >= 2 and all(not a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                arrays[0][0] = 0
+
+
+def _instances(F, table):
+    """The instances an identity table reads: the needed (j, x), or, for
+    a table of single values, those in the carrier of the value's omega."""
+    at, need = table[:2]
+    return int(need.sum() if need is not None else F.fib_of_product.reshape(F.n ** 2, F.m)[at[0]].sum())
+
+
+def test_every_compiled_family_has_an_instance():
+    # no family passes vacuously on the corpus: each has an instance at an
+    # idempotent whose carrier holds a point (e.g. (e, e, e, x) for chain)
+    seen = 0
+    for A in corpus(random.Random(0), 200):
+        F = A.frame
+        if not F.U.any():
+            continue
+        seen += 1
+        assert F.cocycle.shape[1] > 0
+        for table in F.axioms[2:] + F.consequences[2:]:
+            assert _instances(F, table) > 0
+
+
+def test_large_frames_compile_on_every_read(monkeypatch):
+    # past CHUNK entries a factor the axioms' and consequences' tables are
+    # built on every read and not kept, with the same verdicts
+    rng = random.Random(2)
+    A = mutate_omega(mutation_corpus(rng)[0], rng)
+    kept = [_checked(check, A) for check, _ in CHECKS]
+    monkeypatch.setattr(action_module, "CHUNK", 4)
+    B = _fresh(A)
+    assert [_checked(check, B) for check, _ in CHECKS] == kept
+    assert "axioms" not in vars(B.frame) and "consequences" not in vars(B.frame)
 
 
 # ---------------------------------------------------------------------------

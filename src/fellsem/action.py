@@ -39,19 +39,14 @@ table holds the flat positions of the live omega slots (s, t, y), y in
 U(st (st)*), row-major, and of chi_s(y), chi_t(theta_s^-1 y) and
 chi_st(y) in an n x m gauge: gauge_transform, and so siebenize, is three
 takes, a sum mod N and a scatter, and build_bundle's product rows are
-these slots.  Its cocycle table holds, for each live instance (r, s, t,
-x), x in U(r*r) & U(st (st)*), the flat positions in W of the four
-factors; it is kept when the scan fits in one CHUNK (at most 4 CHUNK
-intp), else built a chunk at a time.  Frame.structure, Frame.axioms and
-Frame.consequences hold the theta-only verdicts (composition, inverse
-map, image, monotonicity, intersection, restriction) and, for the unit,
-idempotent-splitting, flip, dominating-unit, star-restriction and chain
-identities, the pairs of W that each factor reads: checking an omega is
-one gather, a sum and mod per identity, and only violations are decoded
-to labels.  All are read-only, so no cached table goes stale.  Every
-exponent identity reduces mod N with mod: a floor division and a
-product, which numpy runs faster than its remainder by a scalar, or, on
-at most 256 entries, the remainder's one call.
+these slots.  Its cocycle table holds the flat positions in W of the four
+factors of each live instance (r, s, t, x), x in U(r*r) & U(st (st)*).
+Frame.structure, Frame.axioms and Frame.consequences hold the theta-only
+verdicts and, for the other omega identities, the pairs of W each factor
+reads: checking an omega is a gather, a sum and mod per table, and only
+violations are decoded to labels.  Tables are kept when their scan fits
+in one CHUNK, and are read-only, so none goes stale.  mod is a floor
+division and a product, which numpy runs faster than its remainder.
 
 The germ groupoid is index arithmetic in closed form (GermGroupoid), and
 with its twist a groupoid.FiniteGroupoid and TwoCocycle.
@@ -95,14 +90,14 @@ class CarrierMismatch(ValueError):
 
 
 def _kept(build):
-    """A Frame property: build(frame), violations, an error and identity
-    tables (see _broken) with read-only arrays, kept when the tables scan
-    at most CHUNK entries a factor together, else built on every read."""
+    """A Frame property: build(frame), made read-only, and kept when its
+    identity tables (see _broken) scan at most CHUNK entries a factor."""
     def get(frame):
         if (got := frame.__dict__.get(build.__name__)) is None:
-            out, error, *tables = build(frame)
-            got = out, error, *(tuple(a if a is None else _freeze(np.asarray(a)) for a in t) for t in tables)
-            if sum(len(at[0]) for at, *_ in tables) * frame.m <= CHUNK:
+            got = build(frame)
+            for at, need, _, parts in got[2:]:
+                _freeze(at, *(a for _, labels in parts for a in labels), *(() if need is None else (need,)))
+            if sum(at.shape[1] for at, *_ in got[2:]) * frame.m <= CHUNK:
                 frame.__dict__[build.__name__] = got
         return got
     return property(get, doc=build.__doc__)
@@ -119,7 +114,7 @@ class Frame:
     The tables (thi, fib_of_product, slots, pairs, cocycle, structure,
     axioms, consequences) are built once, when first read, read-only.
     cocycle is None when its scan is more than CHUNK entries, so a kept
-    one holds at most 4 CHUNK intp; axioms and consequences under a like bound.
+    one holds at most 4 CHUNK intp.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
@@ -188,7 +183,7 @@ class Frame:
         """The pairs (r, x), x in U(r*r), as flat positions r m + x of an n x
         m grid, in row-major order."""
         ar = np.arange(self.n)
-        return _freeze(np.flatnonzero(self.U[self.T[self.inv, ar]]))
+        return _freeze(self.U[self.T[self.inv, ar]].ravel().nonzero()[0])
 
     @cached_property
     def cocycle(self) -> np.ndarray | None:
@@ -212,7 +207,7 @@ class Frame:
         nn = n * n
         # the live (s, t, x), point by point, and each row's part that does
         # not depend on r: (s n + t) m + x, T[s, t] m, s and t m
-        q = np.flatnonzero(self.fib_of_product.reshape(nn, m).T)  # x n^2 + s n + t
+        q = self.fib_of_product.reshape(nn, m).T.ravel().nonzero()[0]  # x n^2 + s n + t
         point = q // nn
         st = q - point * nn
         s = st // n
@@ -238,61 +233,62 @@ class Frame:
 
     @cached_property
     def structure(self) -> tuple:
-        """The frame half of the structure family, in its order:
-        carrier-cover, carrier-mismatch and theta-endpoints element by
-        element, theta-not-identity."""
-        label, ar, out = self.S.label, np.arange(self.n), []
+        """The frame half of the structure family, in order: carrier-cover,
+        carrier-mismatch and theta-endpoints by element, theta-not-identity."""
+        label, ar, m, out = self.S.label, np.arange(self.n), self.m, []
         covered = self.U[self.idem].any(axis=0)
         if (covered != self.in_X).any():
             out.append(("carrier-cover", sorted(set(self.X).difference(
-                self.points[i] for i in np.flatnonzero(covered)))))
+                self.points[i] for i in covered.nonzero()[0]))))
         mismatch = (self.U != self.fib).any(axis=1)
-        rng = np.zeros((self.n, self.m + 1), dtype=bool)
+        rng = np.zeros((self.n, m + 1), dtype=bool)
         rng[ar[:, None], self.th] = True
-        endpoints = ((self.th >= 0) != self.U[self.T[self.inv, ar]]) | (rng[:, :self.m] != self.fib)
-        endpoints = endpoints.any(axis=1)
-        for s in np.flatnonzero(mismatch | endpoints):
+        endpoints = (((self.th >= 0) != self.U[self.T[self.inv, ar]]) | (rng[:, :m] != self.fib)).any(axis=1)
+        for s in (mismatch | endpoints).nonzero()[0]:
             if mismatch[s]:
                 out.append(("carrier-mismatch", label(s)))
             if endpoints[s]:
                 out.append(("theta-endpoints", label(s)))
-        identity = np.where(self.U[self.idem], np.arange(self.m), -1)
+        identity = np.where(self.U[self.idem], np.arange(m), -1)
         return tuple(out + [("theta-not-identity", label(self.idem[i]))
-                            for i in np.flatnonzero((self.th[self.idem] != identity).any(axis=1))])
+                            for i in (self.th[self.idem] != identity).any(axis=1).nonzero()[0]])
 
     @_kept
     def axioms(self) -> tuple:
         """The composition violations, the error idempotent-splitting raises
-        (or None) and the unit and idempotent-splitting tables, read once
-        the structure family passes: omega is an exponent on fib_of_product."""
+        (or None) and one table of the unit and idempotent-splitting
+        families, read once W is an exponent exactly on fib_of_product: a
+        unit omega(s, t) = 1 is then omega + omega - omega = 0 there."""
         n, m, T, E, inv, ar = self.n, self.m, self.T, self.idem, self.inv, np.arange(self.n)
         # (i) theta_r . theta_s = theta_rs, with equal (maximal) domains; an
         # undefined index -1 reads the padding column, which is undefined too
         th = np.concatenate([self.th, np.full((n, 1), -1, dtype=np.intp)], axis=1)
         composed = th[ar[:, None, None], th[None, :, :]]
         composition = tuple(("composition", (self.S.label(r), self.S.label(s)))
-                            for r, s in zip(*np.nonzero((composed != th[T]).any(axis=2))))
+                            for r, s in zip(*(composed != th[T]).any(axis=2).nonzero()))
         # (iii) omega(e,f) = 1 and omega(r, r*r) = omega(rr*, r) = 1
         rr = np.array([ar * n + T[inv, ar], T[ar, inv] * n + ar]).T.ravel()  # (r, r*r), (rr*, r)
         st = np.concatenate([(E[:, None] * n + E).ravel(), rr])
-        unit = [st], None, [st // n, st % n], None
         # (iv) omega(s*,e)(x) omega(s*e,s)(x) = omega(s*,s)(x) on U(s*es)
-        s, e = np.repeat(ar, len(E)), np.tile(E, n)
-        ss, se = inv[s], T[inv[s], e]
-        at, need = np.array([ss * n + e, se * n + s, ss * n + s]), self.fib[T[se, s]]
+        s, e = np.divmod(np.arange(n * len(E)), len(E))
+        e, ss = E.take(e), inv.take(s)
+        se = T[ss, e]
+        at = np.concatenate([np.broadcast_to(st, (3, len(st))), [ss * n + e, se * n + s, ss * n + s]], axis=1)
+        need = self.fib.take(T.take(at[1]), axis=0)
+        parts = ("unit", np.divmod(st, n)), ("idempotent-splitting", (s, e))
         error = _lost(self, at, ~self.fib_of_product.reshape(n * n, m).take(at, axis=0) & need)
-        return composition, error, unit, (at, need, [s, e], (1, 1, -1))
+        return composition, error, (at, need, (1, 1, -1), parts)
 
     @_kept
     def consequences(self) -> tuple:
         """The theta-only violations, the KeyError of the first undefined
-        theta_s that an identity reads (or None), and the flip,
-        dominating-unit, star-restriction and chain tables (see _broken)."""
+        theta_s that an identity reads (or None), and the tables of the
+        flip, dominating-unit, and star-restriction and chain families."""
         n, m, T, E, inv, ar = self.n, self.m, self.T, self.idem, self.inv, np.arange(self.n)
         label, y = self.S.label, np.arange(m)[None, :]
         lo, hi = index_pairs(self.leq)  # the order pairs lo <= hi
         # theta_{s*} is the inverse partial bijection
-        out = [("inverse-map", label(s)) for s in np.flatnonzero((self.th[inv] != self.thi).any(axis=1))]
+        out = [("inverse-map", label(s)) for s in (self.th[inv] != self.thi).any(axis=1).nonzero()[0]]
         # image identity: theta_r(U(r*r) & U(s)) = U(rs), read at y as U(s) at
         # x = theta_r^-1(y) when x is in U(r*r), with the points as the outer
         # axis; the padding row m stands for an undefined or excluded x
@@ -319,24 +315,27 @@ class Frame:
         # restriction: theta_t agrees with theta_s on U(s*s) when s <= t
         kept = np.where(dom[lo], self.th[hi], -1)
         out += [("restriction", (label(lo[i]), label(hi[i])))
-                for i in np.flatnonzero((kept != self.th[lo]).any(axis=1))]
+                for i in (kept != self.th[lo]).any(axis=1).nonzero()[0]]
         # omega(s*,s) pulled through theta_s equals omega(s,s*)
         need = self.fib[T[ar, inv]]
         error = error or _theta_error(self, need, self.thi, y)
         flip = np.array([((inv * n + ar) * m)[:, None] + np.maximum(self.thi, 0),  # at theta_s^-1 y
-                         ((ar * n + inv) * m)[:, None] + np.arange(m)]), need, [ar], (1, -1)
+                         ((ar * n + inv) * m)[:, None] + np.arange(m)]), need, (1, -1), [("flip", (ar,))]
         # omega(r,e) = 1 whenever e >= r*r, at every point
         r, e = index_pairs(self.leq[T[inv, ar]][:, E])
-        dominating = [r * n + E[e]], None, [r, E[e]], None
-        # omega(t*,s) = omega(t*,ss*) omega(s*,s) pointwise, for s <= t
+        st = r * n + E.take(e)
+        dominating = st[None], None, None, [("dominating-unit", np.divmod(st, n))]
+        # omega(t*,s) = omega(t*,ss*) omega(s*,s) pointwise for s <= t, and the
+        # transition chain omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
         ts, si = inv[hi], inv[lo]
-        star = [ts * n + lo, ts * n + T[lo, si], si * n + lo], self.fib[T[ts, lo]], [lo, hi], (1, -1, -1)
-        # transition chain: omega(t,r*r) = omega(t,s*s) omega(s,r*r) on U(r), r<=s<=t
         j, t = index_pairs(self.leq.take(hi, axis=0))
         r, s = lo[j], hi[j]
         rr = T[inv[r], r]
-        chain = [t * n + rr, t * n + T[inv[s], s], s * n + rr], self.fib[T[t, rr]], [r, s, t], (1, -1, -1)
-        return tuple(out), error, flip, dominating, star, chain
+        at = np.concatenate([[ts * n + lo, ts * n + T[lo, si], si * n + lo],
+                             [t * n + rr, t * n + T[inv[s], s], s * n + rr]], axis=1)
+        parts = [("star-restriction", (lo, hi)), ("chain", (r, s, t))]
+        star_chain = at, self.fib.take(T.take(at[0]), axis=0), (1, -1, -1), parts
+        return tuple(out), error, flip, dominating, star_chain
 
 
 def _freeze(*arrays):
@@ -368,11 +367,8 @@ def held(K, N: int) -> np.ndarray:
 def mod(K, N: int):
     """K mod N, in [0, N), as K - K // N N: numpy runs a floor division by a
     scalar in a strength-reduced loop and its remainder in a far slower
-    one, but on at most 256 entries one call of the remainder is faster.
-    An array result is written over the quotient, so it allocates as K % N
-    does.  Exact for object arrays and Python integers."""
-    if isinstance(K, np.ndarray) and K.size <= 256:
-        return K % N
+    one.  An array result is written over the quotient, so it allocates as
+    K % N does.  Exact for object arrays and Python integers."""
     q = K // N
     if not isinstance(q, np.ndarray):
         return K - q * N
@@ -631,13 +627,17 @@ def omega_differs(one, two) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # axiom verification
 
-def _lost(F: Frame, at, lost) -> ActionError | None:
-    """The error omega_at raises where lost is first True, factor by
-    factor; None if it is nowhere.  at holds the flat positions in W of
-    lost's entries, or, one axis shorter, their pairs (see _broken)."""
+def _lost(F: Frame, at, lost, parts=()) -> ActionError | None:
+    """The error omega_at raises where lost[i, j, ...] is first True, family
+    by family (parts), then factor by factor; at holds the flat positions
+    in W of lost's entries or, one axis shorter, their pairs (see _broken).
+    None if it is nowhere."""
     if not lost.any():
         return None
-    i = first_true(lost)
+    where = lost.nonzero()
+    ends = np.cumsum([len(labels[0]) for _, labels in parts], dtype=np.intp)  # of each family's instances
+    k = np.lexsort((*where[::-1], np.searchsorted(ends, where[1], side="right")))[0]
+    i = tuple(int(v[k]) for v in where)
     u, x = divmod(int(at[i]), F.m) if at.ndim == lost.ndim else (int(at[i[:-1]]), i[-1])
     return F.bad_value(*divmod(u, F.n), F.points[x])
 
@@ -649,31 +649,34 @@ def _theta_error(F: Frame, need, image, x) -> KeyError | None:
         return KeyError(F.points[int(np.broadcast_to(x, lost.shape)[first_true(lost)])])
 
 
-def _broken(A: TwistedAction, tag, table, check=False) -> list:
-    """The violations of an identity table (at, need, labels, signs) of a
-    Frame: factor i of instance j reads omega(s, t), at[i, j] = s n + t, at
-    every point x, or, where at has a point axis, W at at[i, j, x]; need[j,
-    x] says whether the instance holds at x; labels[:, j] are the elements
-    its violations name.  With signs, (j, x) is broken where need holds and
-    the factors' exponents times signs (+1 first, at most four, as W's
-    width holds) do not sum to 0 mod N; without, where the one factor is
-    neither one nor OUTSIDE.  With check, a needed factor that holds no
-    angle raises first.  Only the broken instances are decoded."""
-    (at, need, labels, signs), F, label = table, A.frame, A.S.label
-    vals = A.W.reshape(-1).take(at) if at.ndim == 3 else A.W.reshape(F.n * F.n, F.m).take(at, axis=0)
-    if check and (error := _lost(F, at, (vals < 0) & need)):
-        raise error
+def _broken(A: TwistedAction, table, check=False) -> list:
+    """The violations of an identity table (at, need, signs, parts): factor
+    i of instance j reads omega(s, t), at[i, j] = s n + t, at every point x,
+    or W at at[i, j, x]; need[j, x] says whether the instance holds at x;
+    parts are the families (tag, labels) whose instances follow each other,
+    labels the elements they name.  With signs, (j, x) is broken where need
+    holds and the exponents times signs (+1 first, at most four) do not sum
+    to 0 mod N; without, where the one factor is neither one nor OUTSIDE.
+    With check, a needed factor that holds no angle raises first."""
+    (at, need, signs, parts), F, label = table, A.frame, A.S.label
+    vals = A.W.reshape(-1)[at] if at.ndim == 3 else A.W.reshape(F.n * F.n, F.m).take(at, axis=0)
+    if check and (lost := (vals < 0) & need).any():
+        raise _lost(F, at, lost, parts)
     if signs is None:
-        bad = np.flatnonzero((vals > 0) | (vals == NOT_ANGLE))
+        bad = ((vals > 0) | (vals == NOT_ANGLE)).ravel().nonzero()[0]
     else:
         total = vals[0]
         for sign, v in zip(signs[1:], vals[1:]):
             total = total + v if sign > 0 else total - v
-        bad = np.flatnonzero(mod(total, A.N) * need)
-    if not bad.size:
-        return []
-    j, x = np.divmod(bad, F.m)
-    return [(tag, (*map(label, els), F.points[y])) for *els, y in zip(*labels[:, j].tolist(), x.tolist())]
+        bad = (mod(total, A.N) * need).ravel().nonzero()[0]
+    out, start, (j, x) = [], 0, np.divmod(bad, F.m)
+    for tag, labels in parts if bad.size else ():
+        end = start + len(labels[0])
+        cut = slice(*np.searchsorted(j, (start, end)))
+        out += [(tag, (*map(label, els), F.points[y]))
+                for *els, y in zip(*(a.take(j[cut] - start).tolist() for a in labels), x[cut].tolist())]
+        start = end
+    return out
 
 
 def verify_twisted_action(A: TwistedAction):
@@ -683,14 +686,9 @@ def verify_twisted_action(A: TwistedAction):
     Returns (ok, violations).  Axiom tags: "structure", "composition",
     "cocycle", "unit", "idempotent-splitting".
 
-    What depends on the frame alone is compiled once per Frame
-    (Frame.structure, Frame.axioms, Frame.cocycle): the theta-only
-    verdicts and, for each omega identity, the positions in W of its
-    factors.  Once the structure family passes, W is an exponent exactly
-    on F.fib_of_product, so whether a needed factor is undefined is a
-    frame fact, and so is every such raise.  Checking an omega is the W
-    half of the structure family, one gather, sum and mod per identity
-    table, and a decode of the violating instances.
+    Once the structure family passes, W is an exponent exactly on
+    F.fib_of_product, so whether a needed factor is undefined, and every
+    such raise, is a frame fact, compiled with Frame.axioms.
 
     The cocycle family is associativity of the bundle: once the structure
     and composition families hold, in build_bundle(A) delta_y in fiber r
@@ -710,11 +708,11 @@ def verify_twisted_action(A: TwistedAction):
     when its scan is at most CHUNK entries (Frame.cocycle); a longer one
     builds a table per chunk of pairs (r, x), with the same first failure.
     """
-    violations = [("structure", v) for v in A.structural_violations()]
-    if violations:
-        return False, violations
+    ok, violations = verify_structure(A)
+    if not ok:
+        return ok, violations
     F, N, label = A.frame, A.N, A.S.label
-    composition, error, unit, splitting = F.axioms
+    composition, error, units = F.axioms
     violations, composes, n, points = list(composition), not composition, F.n, F.points
 
     # (ii) omega(s,t)(x) omega(r,st)(y) = omega(r,s)(y) omega(rs,t)(y)
@@ -723,9 +721,6 @@ def verify_twisted_action(A: TwistedAction):
     # With the structure checked, omega(s, t) is carried by U(st), so the
     # live instances of the frame's cocycle table are those needed; when
     # the maps compose, every other factor is defined where it is needed.
-    # The table is chunked over the pairs (r, x), x in U(r*r), n^2 entries
-    # a pair; a scan of more than one chunk first runs Light's test on the
-    # bundle.
     tables = None if F.cocycle is None else (F.cocycle,)
     if tables is None and composes:
         from fellsem.bundle import build_bundle
@@ -735,22 +730,24 @@ def verify_twisted_action(A: TwistedAction):
     if tables is None:
         pairs, step = F.pairs, max(1, CHUNK // (n * n))
         tables = (F.cocycle_table(pairs[c:c + step]) for c in range(0, len(pairs), step))
-    Wf, found = A.W.reshape(-1), [np.empty((2, 0), dtype=np.intp)]
+    Wf, found = A.W.reshape(-1), []
     for table in tables:
-        vals = Wf.take(table)
+        vals = Wf[table]  # take would copy the read-only table first
         if not composes and (lost := _lost(F, table[1:], vals[1:] < 0)):
             raise lost
-        found.append(table[:2, np.flatnonzero(mod(vals[0] + vals[1] - vals[2] - vals[3], N))])
-    st_x, r_st_y = np.concatenate(found, axis=1)
-    nm = n * F.m
-    for key in np.sort(r_st_y // nm * (n * nm) + st_x).tolist():  # (r, s, t, x) in order
-        r, (s, t), x = key // (n * nm), divmod(key // F.m % n ** 2, n), key % F.m
-        violations.append(("cocycle", (label(r), label(s), label(t), points[x])))
+        if (bad := mod(vals[0] + vals[1] - vals[2] - vals[3], N).nonzero()[0]).size:
+            found.append(table[:2, bad])
+    if found:
+        st_x, r_st_y = np.concatenate(found, axis=1)
+        nm = n * F.m
+        for key in np.sort(r_st_y // nm * (n * nm) + st_x).tolist():  # (r, s, t, x) in order
+            r, (s, t), x = key // (n * nm), divmod(key // F.m % n ** 2, n), key % F.m
+            violations.append(("cocycle", (label(r), label(s), label(t), points[x])))
 
-    # (iii) unit and (iv) idempotent-splitting, from the frame's tables
+    # (iii) unit and (iv) idempotent-splitting; a frame's error, raised anew
     if error:
-        raise error
-    violations += _broken(A, "unit", unit) + _broken(A, "idempotent-splitting", splitting)
+        raise type(error)(*error.args)
+    violations += _broken(A, units)
     return not violations, violations
 
 
@@ -758,18 +755,22 @@ def verify_consequences(A: TwistedAction):
     """Derived identities that every valid action must satisfy.
 
     A violation here, on data passing verify_twisted_action, indicates an
-    implementation bug rather than bad input.  Returns (ok, violations).
-    The theta-only families and the omega identities' tables are the
-    frame's (Frame.consequences).  The structure family is not run: a
-    needed value that holds no angle raises ActionError, and a needed
-    theta_s that is undefined KeyError.
+    implementation bug rather than bad input.  Returns (ok, violations),
+    from the frame's tables (Frame.consequences).  The structure family is
+    not run: a needed value that holds no angle raises ActionError, and a
+    needed theta_s that is undefined KeyError.
     """
-    out, error, flip, dominating, star, chain = A.frame.consequences
+    out, error, flip, dominating, star_chain = A.frame.consequences
     if error:
-        raise error
-    out = [*out, *_broken(A, "flip", flip, True), *_broken(A, "dominating-unit", dominating),
-           *_broken(A, "star-restriction", star, True), *_broken(A, "chain", chain, True)]
+        raise type(error)(*error.args)
+    out = [*out, *_broken(A, flip, True), *_broken(A, dominating), *_broken(A, star_chain, True)]
     return not out, out
+
+
+def verify_structure(A: TwistedAction):
+    """(ok, violations) of the structure family, as verify_twisted_action reports it."""
+    violations = [("structure", v) for v in A.structural_violations()]
+    return not violations, violations
 
 
 # ---------------------------------------------------------------------------
@@ -812,12 +813,12 @@ def gauge_transform(A: TwistedAction, chi) -> TwistedAction:
     at, *reads = F.slots if live else F.slot_table(np.flatnonzero(inside))
     if (undefined := reads[1] < 0).any():  # theta_s^-1 undefined at y, as a partial bijection raises
         raise KeyError(F.points[at[first_true(undefined)[0]] % F.m])
-    cs, ct, cst = gauge = [C.take(i) for i in reads]
+    cs, ct, cst = gauge = [C[i] for i in reads]  # take would copy the read-only slots first
     for i, vals in zip(reads, gauge):
         if (lost := vals < 0).any():
             u, x = divmod(int(i[first_true(lost)[0]]), F.m)
             raise ActionError(f"gauge for {S.label(u)} undefined at {F.points[x]}")
-    moved = mod(cs + ct - cst + widen(W.take(at), A.N, N), N)
+    moved = mod(cs + ct - cst + widen(W[at], A.N, N), N)
     out = np.full(W.size, OUTSIDE, dtype=moved.dtype)
     out[at] = moved
     return TwistedAction.from_exponents(F, N, out.reshape(A.W.shape))

@@ -128,12 +128,6 @@ def _tro_regular(M, args):
     return False, ["no regular element found"], {"dim": len(M.basis), "trial_log": witness}
 
 
-def _structure(A):
-    """The structure family, as verify_twisted_action reports it."""
-    bad = [("structure", v) for v in A.structural_violations()]
-    return not bad, bad
-
-
 def _if_action(then, check=act.verify_twisted_action):
     """then(A) once check(A) holds, else check's failure: siebenize and germs
     mean nothing for a non-action, and the consequences read omega where
@@ -221,7 +215,7 @@ COMMANDS = {
     }),
     "action": (act.TwistedAction.from_json, {
         "verify": lambda A, args: _checked(act.verify_twisted_action(A)),
-        "consequences": _if_action(lambda A: _checked(act.verify_consequences(A)), _structure),
+        "consequences": _if_action(lambda A: _checked(act.verify_consequences(A)), act.verify_structure),
         "sieben": lambda A, args: _checked(act.check_sieben(A)),
         "siebenize": _if_action(lambda A: _with_action(act.check_sieben, act.siebenize(A)[1])),
         "germs": _if_action(_germs),

@@ -248,8 +248,10 @@ def first_true(mask: np.ndarray) -> tuple:
 
 def index_pairs(mask: np.ndarray) -> tuple:
     """The row and column indices of a 2-D mask's True entries, row-major,
-    as np.nonzero lists them: one flatnonzero and a divmod by the width."""
-    q = np.flatnonzero(mask)
+    as np.nonzero lists them: one nonzero of the raveled mask and a divmod
+    by the width (the array methods: np.flatnonzero's dispatch costs more
+    than the small masks it scans)."""
+    q = mask.ravel().nonzero()[0]
     i = q // max(mask.shape[1], 1)
     return i, q - i * mask.shape[1]
 

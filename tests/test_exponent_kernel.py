@@ -11,6 +11,7 @@ and exactly equal gauged, siebenized and mutated actions.
 
 import cmath
 import random
+import traceback
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -682,6 +683,21 @@ def test_a_frame_level_raise_is_raised_again(make, check, error, args):
                                               else ref_verify_consequences, B)
 
 
+def test_a_frame_level_raise_is_a_new_exception_on_every_call():
+    # the frame keeps the error's type and arguments, not one instance: a
+    # raised instance would carry every earlier call's traceback
+    for make, check in ((_splitting_undefined, verify_twisted_action),
+                        (lambda: _i2_with(theta={"{0>0,1>1}": {0: 0}, "{0>1,1>0}": {1: 0}}), verify_consequences)):
+        A, raised = make(), []
+        for _ in range(3):
+            with pytest.raises((ActionError, KeyError)) as info:
+                check(A)
+            raised.append(info.value)
+        assert len({id(exc) for exc in raised}) == 3
+        assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
+        assert len({(type(exc), exc.args) for exc in raised}) == 1
+
+
 def test_compiled_tables_are_read_only():
     A = gauge_transform(full_monoid_action(2), random_gauge(full_monoid_action(2), random.Random(0)))
     verify_twisted_action(A), verify_consequences(A)
@@ -689,23 +705,31 @@ def test_compiled_tables_are_read_only():
     assert isinstance(F.structure, tuple)
     for out, error, *tables in (F.axioms, F.consequences):
         assert isinstance(out, tuple) and error is None
-        for table in tables:
-            arrays = [a for a in table if a is not None]
-            assert len(arrays) >= 2 and all(not a.flags.writeable for a in arrays)
+        for at, need, signs, parts in tables:
+            arrays = [at] + [need] * (need is not None) + [a for _, labels in parts for a in labels]
+            assert all(not a.flags.writeable for a in arrays)
             with pytest.raises(ValueError):
-                arrays[0][0] = 0
+                at[0] = 0
 
 
 def _instances(F, table):
-    """The instances an identity table reads: the needed (j, x), or, for
-    a table of single values, those in the carrier of the value's omega."""
-    at, need = table[:2]
-    return int(need.sum() if need is not None else F.fib_of_product.reshape(F.n ** 2, F.m)[at[0]].sum())
+    """{tag: the instances of the family that an identity table reads}:
+    the needed (j, x), or, for a table of single values, those in the
+    carrier of the value's omega."""
+    (at, need, _, parts), out, start = table, {}, 0
+    if need is None:
+        need = F.fib_of_product.reshape(F.n ** 2, F.m)[at[0]]
+    for tag, labels in parts:
+        end = start + len(labels[0])
+        out[tag], start = int(need[start:end].sum()), end
+    assert start == at.shape[1]
+    return out
 
 
 def test_every_compiled_family_has_an_instance():
     # no family passes vacuously on the corpus: each has an instance at an
     # idempotent whose carrier holds a point (e.g. (e, e, e, x) for chain)
+    families = {"unit", "idempotent-splitting", "flip", "dominating-unit", "star-restriction", "chain"}
     seen = 0
     for A in corpus(random.Random(0), 200):
         F = A.frame
@@ -713,8 +737,11 @@ def test_every_compiled_family_has_an_instance():
             continue
         seen += 1
         assert F.cocycle.shape[1] > 0
+        counts = {}
         for table in F.axioms[2:] + F.consequences[2:]:
-            assert _instances(F, table) > 0
+            counts.update(_instances(F, table))
+        assert counts.keys() == families and min(counts.values()) > 0, counts
+    assert seen > 150
 
 
 def test_large_frames_compile_on_every_read(monkeypatch):

@@ -48,8 +48,8 @@ violations are decoded to labels.  Tables are kept when their scan fits
 in one CHUNK, and are read-only, so none goes stale.  mod is a floor
 division and a product, which numpy runs faster than its remainder.
 
-The germ groupoid is index arithmetic in closed form (GermGroupoid), and
-with its twist a groupoid.FiniteGroupoid and TwoCocycle.
+The germ groupoid, compiled with the frame (Frame.germs), is index arithmetic
+in closed form, and with its twist a groupoid.FiniteGroupoid and TwoCocycle.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ class Frame:
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
     The tables (thi, fib_of_product, slots, pairs, cocycle, structure,
-    axioms, consequences) are built once, when first read, read-only.
-    cocycle is None when its scan is more than CHUNK entries, so a kept
-    one holds at most 4 CHUNK intp.
+    axioms, consequences, germs, germ_pair) are built once, when first
+    read, read-only; cocycle is None when its scan is more than CHUNK
+    entries, so a kept one holds at most 4 CHUNK intp.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
@@ -336,6 +336,67 @@ class Frame:
         parts = [("star-restriction", (lo, hi)), ("chain", (r, s, t))]
         star_chain = at, self.fib.take(T.take(at[0]), axis=0), (1, -1, -1), parts
         return tuple(out), error, flip, dominating, star_chain
+
+    @cached_property
+    def germs(self) -> tuple:
+        """The theta half of every GermGroupoid over the frame: of, reps,
+        src_i, rng_i and table, then flat positions (an undefined theta the
+        last point, as index -1 reads it) of each pair (t, x) and (t,
+        theta_t(x)) in an n x m grid, of its coordinate's omega(t, m*m) and
+        omega(r, m*m) at theta_m(x) in W, and whether each is read; of each
+        edge's omega(u, s*s) at theta_s(x) in W and (s, x), (u, x) in K; and
+        g, h and the twist's omega(r, t) in W and (rt, x) in K."""
+        n, m, T, E, inv, ar = self.n, self.m, self.T, self.idem, self.inv, np.arange(self.n)
+        th = self.th % max(m, 1)
+        # e_x, the meet of the holders of x: the lower bound with most below it
+        below = self.leq[E[:, None], E]  # [e, f]: e <= f
+        lower = ~(~below[:, :, None] & self.U[E][None]).any(axis=1)  # [e, x]
+        ex = E[np.where(lower, below.sum(axis=0)[:, None], -1).argmax(axis=0)]
+        dom = self.U[T[inv, ar]]
+        tx = dom.ravel().nonzero()[0]
+        t, x = np.divmod(tx, max(m, 1))
+        least = T[t, ex[x]]
+        _, first, cls = np.unique(least * m + x, return_index=True, return_inverse=True)
+        g = np.argsort(np.argsort(first))[cls.reshape(-1)]  # classes ranked by first pair
+        by_germ = np.lexsort((T[t, t] != t, g))  # idempotents first, then pair order
+        rep = by_germ[np.unique(g[by_germ], return_index=True)[1]]
+        reps, src_i = t[rep], x[rep]
+        rng_i = self.th[reps, src_i]
+        of = np.full((n, m), -1, dtype=np.intp)
+        of.reshape(-1)[tx] = g
+        table = np.where(rng_i == src_i[:, None], of[T[reps[:, None], reps], src_i], -1)
+        tr = np.array([t, reps[g]])  # each pair's t and its germ's r
+        coords, live = (tr * n + T[inv[least], least]) * m + th[least, x], tr != least
+        lo, hi = index_pairs(self.leq & (ar[:, None] != ar))
+        i, xe = index_pairs(dom[lo] & dom[hi])  # the edges lo[i] < hi[i] at xe
+        s, u = lo[i], hi[i]
+        edges = (u * n + T[inv[s], s]) * m + th[s, xe], s * m + xe, u * m + xe
+        g, h = index_pairs(table >= 0)
+        r, rt = reps[g], T[reps[g], reps[h]]
+        twist = g, h, (r * n + reps[h]) * m + th[rt, src_i[h]], rt * m + src_i[h]
+        pairs = tx, t * m + th[t, x]
+        _freeze(of, reps, src_i, rng_i, table, coords, live, *pairs, *edges, *twist)
+        return (of, reps, src_i, rng_i, table), pairs, coords, live, edges, twist
+
+    @cached_property
+    def germ_pair(self) -> tuple:
+        """The germ groupoid as a groupoid.FiniteGroupoid over the points,
+        numbered as the frame numbers them, and the number of each pair of
+        germs with a product (Frame.germs) among its composable pairs."""
+        from fellsem.groupoid import FiniteGroupoid
+        (_, _, src, rng, table), *_, (g, h, _, _) = self.germs
+        G = FiniteGroupoid(self.points, *([self.points[i] for i in e.tolist()] for e in (src, rng)),
+                           zip(zip(g.tolist(), h.tolist()), table[g, h].tolist()))
+        return G, _freeze(G.pair_index[g, h])
+
+    @cached_property
+    def germ_laws(self) -> str | None:
+        """verify_groupoid's message on germ_pair's groupoid, or None."""
+        from fellsem.groupoid import GroupoidError, verify_groupoid
+        try:
+            verify_groupoid(self.germ_pair[0])
+        except GroupoidError as exc:
+            return str(exc)
 
 
 def _freeze(*arrays):
@@ -843,41 +904,23 @@ class GermGroupoid:
     whose scalar disagrees with K is a "transition" violation; a needed
     scalar that is not an angle raises ActionError.  [s, y][t, x] = [st, x]
     when y = theta_t(x); `table` holds every product and `twist` its scalar.
+
+    All that reads theta alone is the frame's, compiled once (Frame.germs);
+    an omega's part is a gather and mod of W each for K, conflicts and twist.
     """
 
     def __init__(self, A: TwistedAction):
-        F, W, N = A.frame, A.W, A.N
-        T, ar, E = F.T, np.arange(F.n), F.idem
-        # e_x, the meet of the holders of x: the lower bound with most below it
-        below = F.leq[E[:, None], E]  # [e, f]: e <= f
-        lower = ~(~below[:, :, None] & F.U[E][None]).any(axis=1)  # [e, x]
-        ex = E[np.where(lower, below.sum(axis=0)[:, None], -1).argmax(axis=0)]
-        dom = F.U[T[F.inv, ar]]
-        t, x = index_pairs(dom)
-        m = T[t, ex[x]]
-        _, first, cls = np.unique(m * F.m + x, return_index=True, return_inverse=True)
-        g = np.argsort(np.argsort(first))[cls.reshape(-1)]  # classes ranked by first pair
-        by_germ = np.lexsort((T[t, t] != t, g))  # idempotents first, then pair order
-        rep = by_germ[np.unique(g[by_germ], return_index=True)[1]]
-        self.A, self.N, self.reps, self.src_i = A, N, t[rep], x[rep]
-        self.rng_i = F.th[self.reps, self.src_i]
-        self.of = np.full((F.n, F.m), -1, dtype=np.intp)
-        self.of[t, x] = g
-
-        lo, hi = index_pairs(F.leq & (ar[:, None] != ar))
-        i, xe = index_pairs(dom[lo] & dom[hi])  # the edges lo[i] < hi[i] at xe
-        s, u = lo[i], hi[i]
-        e, y = T[F.inv[s], s], F.th[s, xe]
-        k = W[u, e, y]
-        if (k < 0).any():
-            j = first_true(k < 0)[0]
-            raise F.bad_value(u[j], e[j], F.points[y[j]], "is not an angle")
-        mm, y, r = T[F.inv[m], m], F.th[m, x], self.reps[g]  # (m, m) is no edge: its factor is one
-        self.K = np.zeros((F.n, F.m), dtype=W.dtype)
-        self.K[t, x] = mod(np.where(t == m, 0, W[t, mm, y]) - np.where(r == m, 0, W[r, mm, y]), N)
-        bad = mod(self.K[s, xe] + k - self.K[u, xe], N) != 0
-        self.conflicts = [("transition", (s, t, F.points[x])) for s, t, x in
-                          zip(s[bad].tolist(), u[bad].tolist(), xe[bad].tolist())]
+        self.A, self.N, F, W = A, A.N, A.frame, A.W.reshape(-1)
+        (self.of, self.reps, self.src_i, self.rng_i, self.table), (tx, _), coords, live, edges, _ = F.germs
+        k = _angles(F, W, edges[0])
+        v = W[coords] * live  # (m, m) is no edge: its factor is one
+        K = np.zeros(F.n * F.m, dtype=W.dtype)
+        K[tx] = mod(v[0] - v[1], self.N)
+        self.K = K.reshape(F.n, F.m)
+        bad = (mod(K[edges[1]] + k - K[edges[2]], self.N) != 0).nonzero()[0]
+        (s, x), t = np.divmod(edges[1][bad], F.m), edges[2][bad] // F.m
+        self.conflicts = [("transition", (s, t, F.points[x]))
+                          for s, t, x in zip(s.tolist(), t.tolist(), x.tolist())]
 
     @property
     def arrow_count(self) -> int:
@@ -890,51 +933,43 @@ class GermGroupoid:
         return g
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """[g, h]: the germ gh, -1 where rng(h) is not src(g)."""
-        r, F = self.reps, self.A.frame
-        return np.where(self.rng_i == self.src_i[:, None], self.of[F.T[r[:, None], r], self.src_i], -1)
-
-    @cached_property
     def twist(self):
         """g, h and the twist's exponent mod N at each pair of germs with a
         product, row-major: omega(r, t) at theta_rt(x) in canonical
         coordinates, (r, y) and (t, x) the representatives of g and h."""
-        A, r, x = self.A, self.reps, self.src_i
-        g, h = np.nonzero(self.table >= 0)
-        rt = A.frame.T[r[g], r[h]]
-        y = A.frame.th[rt, x[h]]
-        if ((w := A.W[r[g], r[h], y]) < 0).any():
-            i = first_true(w < 0)[0]
-            raise A.frame.bad_value(r[g[i]], r[h[i]], A.frame.points[y[i]], "is not an angle")
-        return g, h, mod(w + self.K[rt, x[h]], self.N)
+        g, h, at, k = self.A.frame.germs[-1]
+        return g, h, mod(_angles(self.A.frame, self.A.W.reshape(-1), at) + self.K.reshape(-1)[k], self.N)
 
     @cached_property
     def pair(self):
-        """The germs as a groupoid.FiniteGroupoid over the frame's points,
-        numbered as the frame numbers them, and the twist as its TwoCocycle."""
-        from fellsem.groupoid import FiniteGroupoid, TwoCocycle
-        points, (g, h, E) = self.A.frame.points, self.twist
-        G = FiniteGroupoid(points, *([points[i] for i in e.tolist()] for e in (self.src_i, self.rng_i)),
-                           zip(zip(g.tolist(), h.tolist()), self.table[g, h].tolist()))
+        """The frame's germ groupoid (Frame.germ_pair) and the twist as its TwoCocycle."""
+        from fellsem.groupoid import TwoCocycle
+        E, (G, at) = self.twist[2], self.A.frame.germ_pair
         K = np.full(len(G.pair_a), OUTSIDE, dtype=E.dtype)  # a composable pair with no product stays OUTSIDE
-        K[G.pair_index[g, h]] = E
+        K[at] = E
         return G, TwoCocycle.from_exponents(G, self.N, K)
 
     def verify(self):
-        """verify_groupoid and verify_cocycle on the pair, a GroupoidError as
-        one ("groupoid", message) violation, and the transition conflicts.
-        It reads the twist, not every axiom: of the acceptance sweep's 1000
-        one-value omega mutants, which the axioms all reject, it fails 624.
-        Run verify_twisted_action first, as the CLI's action germs does."""
-        from fellsem.groupoid import GroupoidError, verify_cocycle, verify_groupoid
+        """verify_groupoid (Frame.germ_laws) and verify_cocycle on the pair,
+        a GroupoidError as one ("groupoid", message) violation, and the
+        transition conflicts.  It reads the twist, not every axiom: of the
+        acceptance sweep's 1000 one-value omega mutants, which the axioms all
+        reject, it fails 624.  Run verify_twisted_action first, as the CLI's
+        action germs does."""
+        from fellsem.groupoid import verify_cocycle
         G, tau = self.pair
-        try:
-            bad = verify_cocycle(verify_groupoid(G), tau)[1]
-        except GroupoidError as exc:
-            bad = [("groupoid", str(exc))]
+        error = self.A.frame.germ_laws
+        bad = verify_cocycle(G, tau)[1] if error is None else [("groupoid", error)]
         bad += self.conflicts
         return not bad, bad
+
+
+def _angles(F: Frame, W, at) -> np.ndarray:
+    """The flat W at the positions at; ActionError at the first that is no angle."""
+    if ((w := W[at]) < 0).any():
+        u, y = divmod(int(at[(w < 0).argmax()]), F.m)
+        raise F.bad_value(*divmod(u, F.n), F.points[y], "is not an angle")
+    return w
 
 
 germ_groupoid = GermGroupoid
@@ -966,8 +1001,8 @@ def siebenize(A: TwistedAction):
     coordinate and convert every other to it: C[t, theta_t(x)] is the
     inverse of the germ coordinate G.K[t, x]."""
     G, F = GermGroupoid(A), A.frame
-    t, x = index_pairs(G.of >= 0)
-    C = np.full((F.n, F.m), OUTSIDE, dtype=G.K.dtype)
-    C[t, F.th[t, x]] = mod(-G.K[t, x], A.N)
-    chi = (A.N, C)
+    tx, ty = F.germs[1]
+    C = np.full(F.n * F.m, OUTSIDE, dtype=G.K.dtype)
+    C[ty] = mod(-G.K.reshape(-1)[tx], A.N)
+    chi = (A.N, C.reshape(F.n, F.m))
     return chi, gauge_transform(A, chi)

@@ -513,7 +513,7 @@ def _bisection_frame(G: FiniteGroupoid, S, bisections):
     p of the held composable pairs (held_pairs) and the column of the range
     of each ab, where tau(p) goes in W.  They depend on G, S and the
     bisections only, so G keeps the last ones built, for the next cocycle
-    over the same S and bisection list."""
+    over the same S and bisection list, and a slot germ recovery fills."""
     key = (S, tuple(frozenset(bisections[s]) for s in S.elements()))
     if G._frame is None or G._frame[0] != key:
         U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
@@ -521,7 +521,7 @@ def _bisection_frame(G: FiniteGroupoid, S, bisections):
         F = Frame(S, list(G.objects), U, theta)
         s, t, p = held_pairs(G, membership(G, [bisections[s] for s in S.elements()]))
         column = np.array([F.index[y] for y in G.rng], dtype=np.intp).reshape(-1)[G.pair_a[p]]
-        G._frame = key, (F, s, t, p, column)
+        G._frame = [key, (F, s, t, p, column), None]
     return G._frame[1]
 
 
@@ -556,12 +556,16 @@ def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wi
     pair of germs as ("twist", (g, h)).
     """
     germs = germ_groupoid(action_from_cocycle(G, tau, S, bisections, wide))
-    # the action's points are G's objects, numbered as G numbers them
-    ok, mapping = germ_map_check(germs, _by_source(G, [bisections[s] for s in S.elements()]), G)
-    if not ok:
-        return ok, mapping
-    (g, h, E), N = germs.twist, lcm(germs.N, tau.N)
-    to = np.fromiter(mapping.values(), np.intp, len(mapping))
-    if (differ := widen(E, germs.N, N) != widen(tau.K[G.pair_index[to[g], to[h]]], tau.N, N)).any():
+    # the action's points are G's objects, numbered as G numbers them; a map
+    # that passes is kept: the arrow of each germ, G's pair at each germ pair
+    if (known := G._frame[2]) is None:
+        ok, mapping = germ_map_check(germs, _by_source(G, [bisections[s] for s in S.elements()]), G)
+        if not ok:
+            return ok, mapping
+        to = np.fromiter(mapping.values(), np.intp, len(mapping))
+        g, h = germs.A.frame.germs[-1][:2]
+        known = G._frame[2] = to, G.pair_index[to[g], to[h]]
+    (g, h, E), N, (to, pairs) = germs.twist, lcm(germs.N, tau.N), known
+    if (differ := widen(E, germs.N, N) != widen(tau.K[pairs], tau.N, N)).any():
         return False, ("twist", tuple(int(v[first_true(differ)[0]]) for v in (g, h)))
-    return True, mapping
+    return True, dict(enumerate(to.tolist()))

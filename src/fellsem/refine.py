@@ -210,7 +210,7 @@ def germ_preservation_check(m: BundleMorphism):
     # both actions have A's points, as every full fiber of A is one of B
     if GB.A.frame.points != GA.A.frame.points:
         raise ValueError("the refined and base actions have different points")
-    ok, mapping = germ_map_check(GB, GA.of[m.phi.map], GA.pair[0])
+    ok, mapping = germ_map_check(GB, GA.of[m.phi.map], GA.A.frame.germ_pair[0])
     return ok, mapping, (GB, GA)
 
 

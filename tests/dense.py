@@ -11,20 +11,27 @@ is a bundle's structure tables as dicts of Angle or complex scalars:
 tables(B) reads a Bundle's rows into it, Tables.bundle() turns it back
 into rows, and its mul and star extend the tables linearly to CFunctions.
 The point-mass operations read the dict tables one scaled point mass at a
-time, as the former Bundle.verify did.  The semigroup references at the
-end are the former loops of fellsem.isg over the table as lists: the
-frontier closure of sub_semigroup, and IsgHomomorphism's law with
-is_essentially_injective, beside the outcome the library gives.
+time, as the former Bundle.verify did.  The semigroup references are
+the former loops of fellsem.isg over the table as lists: the frontier
+closure of sub_semigroup, and IsgHomomorphism's law with
+is_essentially_injective, beside the outcome the library gives.  RefGerms
+is the germ groupoid as GermGroupoid built it before its theta half was
+compiled with the frame: every array from theta and the n x n x m W anew
+for each action.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from fellsem.action import NOT_ANGLE, OUTSIDE, ActionError, CarrierMismatch, exponents
+from fellsem.action import NOT_ANGLE, OUTSIDE, ActionError, CarrierMismatch, exponents, gauge_transform, mod
 from fellsem.angles import as_frac, turn
 from fellsem.bundle import Bundle
-from fellsem.isg import IsgError, IsgHomomorphism, is_essentially_injective, verify_inverse_semigroup
+from fellsem.groupoid import (FiniteGroupoid, GroupoidError, TwoCocycle, verify_cocycle,
+                              verify_groupoid)
+from fellsem.isg import (IsgError, IsgHomomorphism, first_true, index_pairs, is_essentially_injective,
+                         verify_inverse_semigroup)
 
 
 class Angle:
@@ -484,3 +491,87 @@ def homomorphism_outcome(source, target, map_):
         return None, is_essentially_injective(IsgHomomorphism(source, target, map_))
     except IsgError as e:
         return str(e), None
+
+
+# ---------------------------------------------------------------------------
+# the germ groupoid built anew for each action
+
+class RefGerms:
+    """of, K, reps, src_i, rng_i and conflicts when made, table, twist and
+    pair when first read, and verify, as GermGroupoid has them."""
+
+    def __init__(self, A):
+        F, W, N = A.frame, A.W, A.N
+        T, ar, E = F.T, np.arange(F.n), F.idem
+        below = F.leq[E[:, None], E]
+        lower = ~(~below[:, :, None] & F.U[E][None]).any(axis=1)
+        ex = E[np.where(lower, below.sum(axis=0)[:, None], -1).argmax(axis=0)]
+        dom = F.U[T[F.inv, ar]]
+        t, x = index_pairs(dom)
+        m = T[t, ex[x]]
+        _, first, cls = np.unique(m * F.m + x, return_index=True, return_inverse=True)
+        g = np.argsort(np.argsort(first))[cls.reshape(-1)]
+        by_germ = np.lexsort((T[t, t] != t, g))
+        rep = by_germ[np.unique(g[by_germ], return_index=True)[1]]
+        self.A, self.N, self.reps, self.src_i = A, N, t[rep], x[rep]
+        self.rng_i = F.th[self.reps, self.src_i]
+        self.arrow_count = len(self.reps)
+        self.of = np.full((F.n, F.m), -1, dtype=np.intp)
+        self.of[t, x] = g
+        lo, hi = index_pairs(F.leq & (ar[:, None] != ar))
+        i, xe = index_pairs(dom[lo] & dom[hi])
+        s, u = lo[i], hi[i]
+        e, y = T[F.inv[s], s], F.th[s, xe]
+        k = W[u, e, y]
+        if (k < 0).any():
+            j = first_true(k < 0)[0]
+            raise F.bad_value(u[j], e[j], F.points[y[j]], "is not an angle")
+        mm, y, r = T[F.inv[m], m], F.th[m, x], self.reps[g]
+        self.K = np.zeros((F.n, F.m), dtype=W.dtype)
+        self.K[t, x] = mod(np.where(t == m, 0, W[t, mm, y]) - np.where(r == m, 0, W[r, mm, y]), N)
+        bad = mod(self.K[s, xe] + k - self.K[u, xe], N) != 0
+        self.conflicts = [("transition", (s, t, F.points[x])) for s, t, x in
+                          zip(s[bad].tolist(), u[bad].tolist(), xe[bad].tolist())]
+
+    @cached_property
+    def table(self):
+        r, F = self.reps, self.A.frame
+        return np.where(self.rng_i == self.src_i[:, None], self.of[F.T[r[:, None], r], self.src_i], -1)
+
+    @cached_property
+    def twist(self):
+        A, r, x = self.A, self.reps, self.src_i
+        g, h = np.nonzero(self.table >= 0)
+        rt = A.frame.T[r[g], r[h]]
+        y = A.frame.th[rt, x[h]]
+        if ((w := A.W[r[g], r[h], y]) < 0).any():
+            i = first_true(w < 0)[0]
+            raise A.frame.bad_value(r[g[i]], r[h[i]], A.frame.points[y[i]], "is not an angle")
+        return g, h, mod(w + self.K[rt, x[h]], self.N)
+
+    @cached_property
+    def pair(self):
+        points, (g, h, E) = self.A.frame.points, self.twist
+        G = FiniteGroupoid(points, *([points[i] for i in e.tolist()] for e in (self.src_i, self.rng_i)),
+                           zip(zip(g.tolist(), h.tolist()), self.table[g, h].tolist()))
+        K = np.full(len(G.pair_a), OUTSIDE, dtype=E.dtype)
+        K[G.pair_index[g, h]] = E
+        return G, TwoCocycle.from_exponents(G, self.N, K)
+
+    def verify(self):
+        G, tau = self.pair
+        try:
+            bad = verify_cocycle(verify_groupoid(G), tau)[1]
+        except GroupoidError as exc:
+            bad = [("groupoid", str(exc))]
+        bad += self.conflicts
+        return not bad, bad
+
+
+def ref_siebenize(A):
+    """siebenize's gauge from RefGerms' coordinates, and its transform."""
+    G, F = RefGerms(A), A.frame
+    t, x = index_pairs(G.of >= 0)
+    C = np.full((F.n, F.m), OUTSIDE, dtype=G.K.dtype)
+    C[t, F.th[t, x]] = mod(-G.K[t, x], A.N)
+    return (A.N, C), gauge_transform(A, (A.N, C))

@@ -5,13 +5,16 @@ import random
 import re
 import subprocess
 import sys
+import traceback
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fellsem
-from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, GaugeNotUnitAtIdempotent,
+import fellsem.action as action_module
+from fellsem.action import (NOT_ANGLE, OUTSIDE, ActionError, Frame, GaugeNotUnitAtIdempotent,
                             TwistedAction, check_sieben, gauge_transform, germ_groupoid, siebenize,
                             verify_consequences, verify_twisted_action)
 from fellsem.generators import (busby_smith_z2, cocycle_action, corpus, five_element_action,
@@ -19,7 +22,7 @@ from fellsem.generators import (busby_smith_z2, cocycle_action, corpus, five_ele
                                 random_valid_action)
 from fellsem.groupoid import TwoCocycle, cyclic_group
 
-from dense import carrier, coord
+from dense import RefGerms, carrier, coord, ref_siebenize
 
 
 def test_busby_smith_action_verifies(busby):
@@ -226,6 +229,110 @@ def test_the_germ_check_reads_the_twist():
     failed = sum(not germ_groupoid(mutate_omega(bases[i % len(bases)], rng)).verify()[0]
                  for i in range(1000))
     assert failed == 624
+
+
+# ---------------------------------------------------------------------------
+# the germ groupoid's theta half, compiled once per frame
+
+def _fresh(A):
+    """A over a Frame of its own, with none of its tables built yet."""
+    F = A.frame
+    return TwistedAction.from_exponents(Frame(F.S, F.X, F.sets, F.maps, F.points), A.N, A.W, A.V)
+
+
+def _held(v):
+    """An array as its dtype, shape and entries, in a tuple too."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tolist()
+    return tuple(map(_held, v)) if isinstance(v, tuple) else v
+
+
+def _germ_record(germs, sieben, A):
+    """of, K, reps, src_i, rng_i, table, twist, conflicts and verify() of
+    germs(A), and the gauge and transform sieben(A) makes: arrays by dtype
+    and entries, a raise by its type and message."""
+    def run(f):
+        try:
+            return _held(f())
+        except (ActionError, KeyError) as exc:
+            return type(exc), str(exc)
+
+    def read():
+        G = germs(A)
+        return G.of, G.K, G.reps, G.src_i, G.rng_i, G.table, run(lambda: G.twist), G.conflicts, run(G.verify)
+
+    def gauge():
+        (N, C), fixed = sieben(A)
+        return N, C, fixed.N, fixed.W
+    return run(read), run(gauge)
+
+
+def _broken_thetas(rng, count):
+    """Frames of mutation_corpus's actions and of I_3 with one theta_s or
+    U(s) changed, under omega of random exponents mod 4 on the fiber carriers,
+    some of them with a few values left out: no actions, so the germs read
+    undefined theta_s(x), which wraps to the last point, and raise."""
+    bases, out = mutation_corpus(random.Random(2)) + [full_monoid_action(3)] * 4, []
+    while len(out) < count:
+        F = rng.choice(bases).frame
+        sets, maps, s = dict(F.sets), {s: dict(F.maps[s]) for s in F.maps}, rng.randrange(F.n)
+        x, y = rng.choice(F.points), rng.choice(F.points)
+        if rng.random() < 0.3:
+            sets[s] = frozenset(rng.sample(F.points, rng.randrange(F.m + 1)))
+        elif maps[s].pop(x, None) is None and y not in maps[s].values():
+            maps[s][x] = y
+        G = Frame(F.S, F.X, sets, maps, F.points)
+        W = np.array([rng.randrange(4) for _ in range(G.fib_of_product.size)]).reshape(G.fib_of_product.shape)
+        gone = np.array([rng.random() < 0.03 * (len(out) % 2) for _ in range(W.size)]).reshape(W.shape)
+        out.append(TwistedAction.from_exponents(G, 4, np.where(G.fib_of_product & ~gone, W, OUTSIDE)))
+    return out
+
+
+def test_germs_on_warm_and_new_frames_match_the_reference():
+    # corpus(Random(0), 200), test_03's 1000 mutants, which share their
+    # bases' frames, the gauged I_3 and I_4, and 300 frames that are no
+    # action's: the germ groupoid over a frame as it compiles, over the
+    # compiled frame and over a new Frame reads as the former code, which
+    # built every array anew
+    rng = random.Random(2)
+    bases = mutation_corpus(rng)
+    mutants = [mutate_omega(bases[i % len(bases)], rng) for i in range(1000)]
+    gauged = [gauge_transform(A, random_gauge(A, random.Random(1))) for A in map(full_monoid_action, (3, 4))]
+    broken = _broken_thetas(random.Random(5), 300)
+    seen = Counter()
+    for A in corpus(random.Random(0), 200) + mutants + gauged + broken:
+        ref = _germ_record(RefGerms, ref_siebenize, A)
+        for B in (A, A, _fresh(A)):
+            assert _germ_record(germ_groupoid, siebenize, B) == ref
+        if ref[0][0] is ActionError or ref[0][6][0] is ActionError:
+            seen[A in broken, "raise"] += 1
+        else:
+            seen[A in broken, ref[0][-1][0], bool(ref[0][7])] += 1
+    assert seen[False, False, False] == 624  # test_the_germ_check_reads_the_twist's mutants
+    assert min(seen[True, "raise"], seen[True, False, True]) > 10, seen
+    assert "germs" in vars(bases[0].frame)
+
+
+def test_a_germ_compile_error_is_a_new_exception_on_every_call(monkeypatch, five):
+    # no input found makes the compile raise (a read of an undefined theta
+    # wraps to the last point, as the former code's did), so one is made:
+    # nothing raised while compiling is kept, and each call compiles again
+    A = _fresh(five)
+
+    def broken(mask):
+        raise KeyError("theta")
+    monkeypatch.setattr(action_module, "index_pairs", broken)
+    raised = []
+    for make in (germ_groupoid, germ_groupoid, siebenize):
+        with pytest.raises(KeyError) as info:
+            make(A)
+        raised.append(info.value)
+    assert len({id(exc) for exc in raised}) == 3 and "germs" not in vars(A.frame)
+    assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised[:2]}) == 1
+    monkeypatch.undo()
+    assert germ_groupoid(A).verify() == RefGerms(five).verify()
+    tables, pairs, coords, live, edges, twist = A.frame.germs
+    assert all(not a.flags.writeable for a in (*tables, *pairs, coords, live, *edges, *twist, A.frame.germ_pair[1]))
 
 
 def test_json_round_trip(busby):

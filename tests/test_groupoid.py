@@ -17,6 +17,8 @@ from fellsem.groupoid import (FiniteGroupoid, TwoCocycle, action_from_cocycle,
 from fellsem.action import (TwistedAction, germ_groupoid, germ_map_check, verify_consequences,
                             verify_twisted_action, widen)
 
+from dense import RefGerms
+
 
 def test_standard_groupoid_shapes():
     assert cyclic_group(2).m == 2
@@ -194,6 +196,53 @@ def test_recovery_compares_the_twist(monkeypatch):
     GG = germ_groupoid(shifted(G, TwoCocycle.trivial(G), S, biss, wide))
     ok, detail = germ_recovers_groupoid(G, TwoCocycle.trivial(G), S, biss, wide)
     assert ok is False and detail == ("twist", (GG.germ(s, 1), GG.germ(t, 2)))
+
+
+def _ref_recovers(G, tau, S, biss, wide):
+    """germ_recovers_groupoid as it was: RefGerms, and the map checked for
+    every cocycle."""
+    germs = RefGerms(action_from_cocycle(G, tau, S, biss, wide))
+    ok, mapping = germ_map_check(germs, groupoid._by_source(G, [biss[s] for s in S.elements()]), G)
+    if not ok:
+        return ok, mapping
+    (g, h, E), N = germs.twist, lcm(germs.N, tau.N)
+    to = np.array(list(mapping.values()), dtype=np.intp)
+    if (differ := widen(E, germs.N, N) != widen(tau.K[G.pair_index[to[g], to[h]]], tau.N, N)).any():
+        return False, ("twist", (int(g[differ.argmax()]), int(h[differ.argmax()])))
+    return True, mapping
+
+
+def test_germ_recovery_on_one_frame_and_on_new_frames_matches_the_reference():
+    # test_04's 57 twisted groupoids: the cocycles over one groupoid, one
+    # after another, share its bisections' frame and the germ map checked
+    # with it; a new bisection semigroup per cocycle gets a new frame
+    from test_acceptance import cocycle_families
+    checked = 0
+    for G, taus in cocycle_families():
+        S, biss, wide = bisection_semigroup(G)
+        shared = [germ_recovers_groupoid(G, tau, S, biss, wide) for tau in taus]
+        F = G._frame[1][0]
+        # recovery reads the twist, not the germs' FiniteGroupoid
+        assert G._frame[2] is not None and "germs" in vars(F) and "germ_pair" not in vars(F)
+        for tau, got in zip(taus, shared):
+            S, biss, wide = bisection_semigroup(G)
+            assert got[0] and got == germ_recovers_groupoid(G, tau, S, biss, wide) == _ref_recovers(
+                G, tau, S, biss, wide)
+            checked += 1
+    assert checked == 57
+
+
+def test_changing_a_returned_mapping_changes_no_later_recovery():
+    G = pair_groupoid([0, 1, 2])
+    S, biss, wide = bisection_semigroup(G)
+    one, two = coboundary_cocycles(G, roots=2)[:2]
+    ok, mapping = germ_recovers_groupoid(G, one, S, biss, wide)
+    kept = dict(mapping)
+    mapping.clear()
+    mapping[0] = -1
+    for tau in (one, two, one):
+        ok, again = germ_recovers_groupoid(G, tau, S, biss, wide)
+        assert ok and again == kept and again is not mapping
 
 
 def test_groupoid_json_round_trip():

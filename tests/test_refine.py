@@ -63,6 +63,8 @@ def test_germ_and_algebra_preserved_for_pair_groupoid(rng):
     ok, mapping, (GR, GB) = germ_preservation_check(m)
     assert ok, mapping
     assert GR.arrow_count == GB.arrow_count
+    # the check reads the base frame's germ groupoid and builds no twist
+    assert "germ_pair" in vars(GB.A.frame) and not {"twist", "pair"} & vars(GB).keys()
     report = algebra_preservation_check(m)
     assert report["ok"], report
     assert report["blocks_refined"] == [2]

@@ -112,9 +112,9 @@ class Frame:
     U and fib are n x m masks of U(s) and of the fiber carrier U(ss*);
     th and thi index arrays of theta_s and its inverse, -1 where undefined.
     The tables (thi, fib_of_product, slots, pairs, cocycle, structure,
-    axioms, consequences, germs, germ_pair) are built once, when first
-    read, read-only; cocycle is None when its scan is more than CHUNK
-    entries, so a kept one holds at most 4 CHUNK intp.
+    axioms, consequences, germs, germ_table, germ_pair, bundle) are built
+    once, when first read, read-only; cocycle is None when its scan is more
+    than CHUNK entries, so a kept one holds at most 4 CHUNK intp.
     """
 
     def __init__(self, S: InverseSemigroup, X, U, theta, more_points=()):
@@ -339,13 +339,13 @@ class Frame:
 
     @cached_property
     def germs(self) -> tuple:
-        """The theta half of every GermGroupoid over the frame: of, reps,
-        src_i, rng_i and table, then flat positions (an undefined theta the
-        last point, as index -1 reads it) of each pair (t, x) and (t,
-        theta_t(x)) in an n x m grid, of its coordinate's omega(t, m*m) and
-        omega(r, m*m) at theta_m(x) in W, and whether each is read; of each
-        edge's omega(u, s*s) at theta_s(x) in W and (s, x), (u, x) in K; and
-        g, h and the twist's omega(r, t) in W and (rt, x) in K."""
+        """The theta half of every GermGroupoid over the frame that the
+        coordinates and siebenize read: of, reps, src_i and rng_i, then flat
+        positions (an undefined theta the last point, as index -1 reads it)
+        of each pair (t, x) and (t, theta_t(x)) in an n x m grid, of its
+        coordinate's omega(t, m*m) and omega(r, m*m) at theta_m(x) in W, and
+        whether each is read; of each edge's omega(u, s*s) at theta_s(x) in
+        W and (s, x), (u, x) in K."""
         n, m, T, E, inv, ar = self.n, self.m, self.T, self.idem, self.inv, np.arange(self.n)
         th = self.th % max(m, 1)
         # e_x, the meet of the holders of x: the lower bound with most below it
@@ -361,30 +361,45 @@ class Frame:
         by_germ = np.lexsort((T[t, t] != t, g))  # idempotents first, then pair order
         rep = by_germ[np.unique(g[by_germ], return_index=True)[1]]
         reps, src_i = t[rep], x[rep]
-        rng_i = self.th[reps, src_i]
         of = np.full((n, m), -1, dtype=np.intp)
         of.reshape(-1)[tx] = g
-        table = np.where(rng_i == src_i[:, None], of[T[reps[:, None], reps], src_i], -1)
         tr = np.array([t, reps[g]])  # each pair's t and its germ's r
         coords, live = (tr * n + T[inv[least], least]) * m + th[least, x], tr != least
         lo, hi = index_pairs(self.leq & (ar[:, None] != ar))
         i, xe = index_pairs(dom[lo] & dom[hi])  # the edges lo[i] < hi[i] at xe
         s, u = lo[i], hi[i]
         edges = (u * n + T[inv[s], s]) * m + th[s, xe], s * m + xe, u * m + xe
+        pairs, rng_i = (tx, t * m + th[t, x]), self.th[reps, src_i]
+        _freeze(of, reps, src_i, rng_i, coords, live, *pairs, *edges)
+        return (of, reps, src_i, rng_i), pairs, coords, live, edges
+
+    @cached_property
+    def germ_table(self) -> tuple:
+        """The germs' product table, built when a GermGroupoid reads it, and
+        g, h and the twist's omega(r, t) in W and (rt, x) in K at each
+        pair of germs with a product."""
+        (of, reps, src_i, rng_i), *_ = self.germs
+        n, m, T = self.n, self.m, self.T
+        table = np.where(rng_i == src_i[:, None], of[T[reps[:, None], reps], src_i], -1)
         g, h = index_pairs(table >= 0)
         r, rt = reps[g], T[reps[g], reps[h]]
-        twist = g, h, (r * n + reps[h]) * m + th[rt, src_i[h]], rt * m + src_i[h]
-        pairs = tx, t * m + th[t, x]
-        _freeze(of, reps, src_i, rng_i, table, coords, live, *pairs, *edges, *twist)
-        return (of, reps, src_i, rng_i, table), pairs, coords, live, edges, twist
+        twist = g, h, (r * n + reps[h]) * m + (self.th % max(m, 1))[rt, src_i[h]], rt * m + src_i[h]
+        _freeze(table, *twist)
+        return table, twist
+
+    @cached_property
+    def bundle(self) -> tuple:
+        """build_bundle's rows of the frame alone (bundle.frame_rows)."""
+        from fellsem.bundle import frame_rows
+        return frame_rows(self)
 
     @cached_property
     def germ_pair(self) -> tuple:
         """The germ groupoid as a groupoid.FiniteGroupoid over the points,
         numbered as the frame numbers them, and the number of each pair of
-        germs with a product (Frame.germs) among its composable pairs."""
+        germs with a product (Frame.germ_table) among its composable pairs."""
         from fellsem.groupoid import FiniteGroupoid
-        (_, _, src, rng, table), *_, (g, h, _, _) = self.germs
+        ((_, _, src, rng), *_), (table, (g, h, _, _)) = self.germs, self.germ_table
         G = FiniteGroupoid(self.points, *([self.points[i] for i in e.tolist()] for e in (src, rng)),
                            zip(zip(g.tolist(), h.tolist()), table[g, h].tolist()))
         return G, _freeze(G.pair_index[g, h])
@@ -400,10 +415,10 @@ class Frame:
 
 
 def _freeze(*arrays):
-    """Make the arrays read-only; the last one."""
+    """Make the arrays read-only (by setflags, the faster); the array, or the tuple of them."""
     for a in arrays:
-        a.flags.writeable = False
-    return arrays[-1]
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def _exponent_dtype(N: int):
@@ -905,13 +920,13 @@ class GermGroupoid:
     scalar that is not an angle raises ActionError.  [s, y][t, x] = [st, x]
     when y = theta_t(x); `table` holds every product and `twist` its scalar.
 
-    All that reads theta alone is the frame's, compiled once (Frame.germs);
-    an omega's part is a gather and mod of W each for K, conflicts and twist.
+    All that reads theta alone is the frame's, compiled once (Frame.germs,
+    Frame.germ_table); an omega's part is a gather and mod of W each.
     """
 
     def __init__(self, A: TwistedAction):
         self.A, self.N, F, W = A, A.N, A.frame, A.W.reshape(-1)
-        (self.of, self.reps, self.src_i, self.rng_i, self.table), (tx, _), coords, live, edges, _ = F.germs
+        (self.of, self.reps, self.src_i, self.rng_i), (tx, _), coords, live, edges = F.germs
         k = _angles(F, W, edges[0])
         v = W[coords] * live  # (m, m) is no edge: its factor is one
         K = np.zeros(F.n * F.m, dtype=W.dtype)
@@ -921,6 +936,8 @@ class GermGroupoid:
         (s, x), t = np.divmod(edges[1][bad], F.m), edges[2][bad] // F.m
         self.conflicts = [("transition", (s, t, F.points[x]))
                           for s, t, x in zip(s.tolist(), t.tolist(), x.tolist())]
+
+    table = property(lambda self: self.A.frame.germ_table[0])
 
     @property
     def arrow_count(self) -> int:
@@ -937,7 +954,7 @@ class GermGroupoid:
         """g, h and the twist's exponent mod N at each pair of germs with a
         product, row-major: omega(r, t) at theta_rt(x) in canonical
         coordinates, (r, y) and (t, x) the representatives of g and h."""
-        g, h, at, k = self.A.frame.germs[-1]
+        g, h, at, k = self.A.frame.germ_table[1]
         return g, h, mod(_angles(self.A.frame, self.A.W.reshape(-1), at) + self.K.reshape(-1)[k], self.N)
 
     @cached_property

@@ -11,10 +11,13 @@ kernel, SectionBundle from a twisted groupoid's bisections, and
 refine.RefinedBundle from a base bundle's rows.  An algebra is a Bundle
 with one fiber (see fellsem.algebra).
 
-Every check reads the rows.  Bundle.verify gathers the exact axioms on
-point masses through lookups made from them, comparing angles as exponents,
-and associativity by Light's test, with middle factors only the point
-masses of the fibers of S's generators and the slots their products miss;
+Every check reads the rows.  All that it reads of their point columns alone
+is compiled once per Geometry: build_bundle's is its frame's, so the actions
+of one frame share it.  Bundle.verify gathers the exact axioms on point
+masses through its lookups, each family's compiled keys and masks, and
+compares angles as exponents (a gather, a signed sum and a mod), and
+associativity by Light's test, with middle factors only the point masses of
+the fibers of S's generators and the slots their products miss;
 verify_fell_bundle adds the norm axioms, by an exact lemma on the rows.  A
 unitary multiplier family, which extract_action reads the action back
 through, is held as the rows hold scalars: (N, K, V) over the slots, n x W.
@@ -27,8 +30,8 @@ from math import lcm
 
 import numpy as np
 
-from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype, held,
-                            mod, omega_differs, turns, widen)
+from fellsem.action import (CHUNK, NOT_ANGLE, OUTSIDE, Frame, TwistedAction, _exponent_dtype, _freeze,
+                            held, mod, omega_differs, turns, widen)
 from fellsem.groupoid import held_pairs, membership
 from fellsem.isg import InverseSemigroup, first_true, generating_set, index_pairs
 
@@ -77,70 +80,38 @@ class Bundle:
     NOT_ANGLE and V holds its value (V is None in a table with none).
     Tables are sorted by their first column; a point number outside its
     fiber (-1) is reported by the fiber scans.  The arrays are read-only.
-    `realization` names the builder and the keyword arguments keep what the
-    rows were built from (A; G and tau; base and phi).
+    The point columns and all that is read of them alone are a Geometry,
+    whose attributes (cs, off, M, W, slot_s, ...) the bundle reads as its
+    own.  `realization` names the builder and the keyword arguments keep
+    what the rows were built from (A; G and tau; base and phi).
     """
 
     def __init__(self, S: InverseSemigroup, points, N: int, products, stars, inclusions,
                  realization: str, **origin):
-        self.S, self.N, self.realization = S, N, realization
-        self.points = tuple(tuple(p) for p in points)
-        self.products, self.stars, self.inclusions = (
-            _table(rows, N) for rows in (products, stars, inclusions))
-        self.angles = all(t[-1] is None for t in (self.products, self.stars, self.inclusions))
-        self.T, self.leq = S.cayley, S.order
-        self._lookups = {}
+        tables = [_table(rows, N) for rows in (products, stars, inclusions)]
+        self._hold(Geometry(S, points, *(t[:-2] for t in tables), tables), N, tables, realization, origin)
+
+    def _hold(self, geometry, N, tables, realization, origin):
+        self.geometry, self.S, self.N, self.realization = geometry, geometry.S, N, realization
+        self.points, (self.products, self.stars, self.inclusions) = geometry.points, tables
+        self.angles = all(t[-1] is None for t in tables)
+        self.T, self.leq, self._lookups = self.S.cayley, self.S.order, {}
         vars(self).update(origin)
+
+    def __getattr__(self, name):  # a geometry attribute, kept as the bundle's own once read
+        if name == "geometry":
+            raise AttributeError(name)
+        value = vars(self)[name] = getattr(self.geometry, name)
+        return value
 
     def carrier(self, s: int) -> frozenset:
         return frozenset(self.points[s])
-
-    # -- the geometry, computed on first use
-
-    @cached_property
-    def cs(self) -> np.ndarray:
-        """The number of points of each fiber."""
-        return np.array([len(p) for p in self.points], dtype=np.intp).reshape(self.S.n)
-
-    off = cached_property(lambda self: _starts(self.cs))
-    M = cached_property(lambda self: sum(map(len, self.points)))
-    W = cached_property(lambda self: max([1, *map(len, self.points)]))  # the widest fiber
-    slot_s = cached_property(lambda self: np.repeat(np.arange(self.S.n), self.cs))
-    slot_x = cached_property(lambda self: np.arange(self.M) - self.off[self.slot_s])
-    inv = cached_property(lambda self: np.array(self.S.inv, dtype=np.intp).reshape(self.S.n))
-
-    @cached_property
-    def spans(self) -> tuple:
-        """Per table, each key's first row and count of rows."""
-        n = self.S.n
-        return tuple((_starts(c), c) for c in (
-            np.bincount(rows[0], minlength=k) for rows, k in
-            zip((self.products, self.stars, self.inclusions), (n * n, n, n * n))))
 
     @cached_property
     def values(self) -> tuple:
         """The complex value of every product, star and inclusion row."""
         return tuple(turns(rows[-2], self.N, rows[-1])
                      for rows in (self.products, self.stars, self.inclusions))
-
-    @cached_property
-    def pairs(self):
-        """Every pair of points x of fiber s and y of fiber t, as flat
-        arrays s, t, x, y in that order; pair k is product lookup k."""
-        n, cs = self.S.n, self.cs
-        sizes = np.outer(cs, cs).ravel()
-        key = np.repeat(np.arange(n * n), sizes)
-        k = np.arange(len(key)) - _starts(sizes)[key]
-        s, t = key // n, key % n
-        return s, t, k // cs[t], k % cs[t]
-
-    @cached_property
-    def below(self):
-        """Every s <= t with a point x of fiber s, as flat arrays s, t, x
-        in that order."""
-        lo, hi = np.nonzero(self.leq)
-        e = np.repeat(np.arange(len(lo)), self.cs[lo])
-        return lo[e], hi[e], np.arange(len(e)) - _starts(self.cs[lo])[e]
 
     def lookup(self, N: int | None = None, exact: bool | None = None) -> "Lookup":
         """The rows as lookups with exponents mod N (a multiple of self.N,
@@ -163,32 +134,8 @@ class Bundle:
         bad = self.fiber_violations() or self.lookup().exact_violations(tol)
         return not bad, bad
 
-    # -- the fiber scans
-
     def fiber_violations(self) -> list:
-        """Rows that leave their fibers or repeat another row's key (s, t,
-        x, y), (s, x) or (s, t, x): product rows of (s, t) and star rows of
-        s, row by row of the semigroup, then inclusion rows."""
-        n, lab, cs, T, W = self.S.n, self.S.label, self.cs, self.T.ravel(), self.W
-
-        def bad(first, rest, width, *points):
-            """First columns of rows with a point (x, fiber) outside or a repeated key."""
-            out = np.any([(x < 0) | (x >= cs[fiber]) for x, fiber in points], axis=0)
-            key = np.sort((first * width + rest)[~out])
-            return np.concatenate([first[out], key[1:][key[1:] == key[:-1]] // width])
-
-        pair, x, y, z = self.products[:4]
-        p = bad(pair, x * W + y, W * W, (x, pair // n), (y, pair % n), (z, T[pair]))
-        grid = np.zeros(n * (n + 1), dtype=bool)  # (s, t) at s (n + 1) + t, then s's stars
-        grid[p + p // n] = True
-        fiber, x, z = self.stars[:3]
-        grid[bad(fiber, x, W, (x, fiber), (z, self.inv[fiber])) * (n + 1) + n] = True
-        out = [("star-fiber", lab(s)) if t == n else ("product-fiber", (lab(s), lab(t)))
-               for s, t in (divmod(k, n + 1) for k in np.flatnonzero(grid))]
-        pair, x, z = self.inclusions[:3]
-        for p in np.unique(bad(pair, x, W, (x, pair // n), (z, pair % n))):
-            out.append(("inclusion-fiber", (lab(p // n), lab(p % n))))
-        return out
+        return list(self.geometry.fibers)
 
 
 def _table(rows, N: int):
@@ -201,8 +148,7 @@ def _table(rows, N: int):
     if (cols[0][1:] < cols[0][:-1]).any():
         order = np.argsort(cols[0], kind="stable")
         cols, K, V = [c[order] for c in cols], K[order], None if V is None else V[order]
-    for a in (*cols, K) if V is None else (*cols, K, V):
-        a.flags.writeable = False
+    _freeze(*cols, K, *(() if V is None else (V,)))
     return (*cols, K, V)
 
 
@@ -214,70 +160,196 @@ def _expand(start, count, keys):
     return b, np.repeat(start[keys] - _starts(n), n) + np.arange(len(b))
 
 
-class Lookup:
-    """A bundle's rows as lookups from keys to scaled point masses (z, K, V),
-    exponents mod N, with one last entry for zero: products by (s, t, x, y)
-    at poff[s, t] + x c_t + y, stars by slot, and j(t, s) by ioff[s, t] + x.
-    z is a point's number in its fiber or NOWHERE for zero; V is None if
-    `exact`.  The exact families gather through the lookups over B.pairs and
-    B.below; the rows must lie in their fibers.
-    """
+class Geometry:
+    """A bundle's rows without their scalars: the point columns of its
+    products (pair, x, y, z), stars (s, x, z) and inclusions (pair, x, z).
+    All that the checks read of these alone is built here when first read,
+    read-only, and in `kept` each family as Lookup.compare compiles it.
+    build_bundle's geometry is its frame's (Frame.bundle).  `tables` are
+    the rows with their scalars, read for `live` alone (None: none zero)."""
 
-    def __init__(self, B: Bundle, N: int, exact: bool):
-        self.B, self.N, self.exact = B, N, exact
-        n, cs, M = B.S.n, B.cs, B.M
+    def __init__(self, S: InverseSemigroup, points, products, stars, inclusions, tables=None):
+        self.S, self.T, self.leq, self.points = S, S.cayley, S.order, tuple(tuple(p) for p in points)
+        self.products, self.stars, self.inclusions, self.tables = products, stars, inclusions, tables
+        self.rows, self.kept = sum(len(t[0]) for t in (products, stars, inclusions)), {}
+
+    @cached_property
+    def live(self):
+        """Per table, the rows whose scalar is not zero; None if no row's is."""
+        live = [K >= 0 if V is None else (K >= 0) | (K == NOT_ANGLE) & (V != 0)
+                for *_, K, V in self.tables or ()]
+        return None if all(a.all() for a in live) else live
+
+    cs = cached_property(lambda self: _freeze(np.array([len(p) for p in self.points], dtype=np.intp)))
+    off = cached_property(lambda self: _freeze(_starts(self.cs)))
+    M = cached_property(lambda self: sum(map(len, self.points)))
+    W = cached_property(lambda self: max([1, *map(len, self.points)]))  # the widest fiber
+    slot_s = cached_property(lambda self: _freeze(np.repeat(np.arange(self.S.n), self.cs)))
+    slot_x = cached_property(lambda self: _freeze(np.arange(self.M) - self.off[self.slot_s]))
+    inv = cached_property(lambda self: _freeze(np.array(self.S.inv, dtype=np.intp).reshape(self.S.n)))
+    canonical = cached_property(lambda self: _freeze(  # canonical_multipliers' exponents, mod 1
+        np.where(np.arange(self.W) < self.cs[:, None], 0, OUTSIDE).astype(_exponent_dtype(1))))
+
+    @cached_property
+    def spans(self) -> tuple:
+        """Per table, each key's first row and count of rows."""
+        n = self.S.n
+        return tuple(_freeze(_starts(c), c) for c in (
+            np.bincount(rows[0], minlength=k) for rows, k in
+            zip((self.products, self.stars, self.inclusions), (n * n, n, n * n))))
+
+    @cached_property
+    def pairs(self):
+        """Every pair of points x of fiber s and y of fiber t, as flat
+        arrays s, t, x, y in that order; pair k is product lookup k."""
+        n, cs = self.S.n, self.cs
         sizes = np.outer(cs, cs).ravel()
-        self.poff = _starts(sizes).reshape(n, n)
-        self.ioff = _starts(np.repeat(cs, n)).reshape(n, n)
-        (pair, x, y, z, K, _), (fiber, sx, sz, sK, _) = B.products, B.stars
-        (ipair, ix, iz, iK, _), (V, sV, iV) = B.inclusions, B.values
-        self.P = self._lookup(int(sizes.sum()), self.poff.ravel()[pair] + x * cs[pair % n] + y,
-                              z, K, V)
-        self.St = self._lookup(M, B.off[fiber] + sx, sz, sK, sV)
-        self.J = self._lookup(n * M, self.ioff.ravel()[ipair] + ix, iz, iK, iV)
+        key = np.repeat(np.arange(n * n), sizes)
+        k = np.arange(len(key)) - _starts(sizes)[key]
+        s, t = key // n, key % n
+        return _freeze(s, t, k // cs[t], k % cs[t])
 
-    def _lookup(self, size, at, z, K, V):
-        Z = np.full(size + 1, NOWHERE, dtype=np.intp)
-        Z[at] = np.where(V != 0, z, NOWHERE)
-        KK = np.full(size + 1, NOT_ANGLE, dtype=_exponent_dtype(self.N))
-        KK[at] = widen(K, self.B.N, self.N)
-        if self.exact:
-            return Z, KK, None
-        VV = np.zeros(size + 1, dtype=complex)
-        VV[at] = V
-        return Z, KK, VV
+    @cached_property
+    def below(self):
+        """Every s <= t with a point x of fiber s, as flat arrays s, t, x
+        in that order."""
+        lo, hi = np.nonzero(self.leq)
+        e = np.repeat(np.arange(len(lo)), self.cs[lo])
+        return _freeze(lo[e], hi[e], np.arange(len(e)) - _starts(self.cs[lo])[e])
 
-    @staticmethod
-    def _take(table, at):
-        """The entries at the keys `at`; a key past the table (a key made
-        from NOWHERE) reads the zero entry."""
-        return tuple(a if a is None else a.take(at, mode="clip") for a in table)
+    @cached_property
+    def fibers(self) -> tuple:
+        """The rows that leave their fibers or repeat another row's key (s,
+        t, x, y), (s, x) or (s, t, x): product rows of (s, t) and star rows
+        of s, row by row of the semigroup, then inclusion rows."""
+        n, lab, cs, T, W = self.S.n, self.S.label, self.cs, self.T.ravel(), self.W
+
+        def bad(first, rest, width, *points):
+            """First columns of rows with a point (x, fiber) outside or a repeated key."""
+            out = np.any([(x < 0) | (x >= cs[fiber]) for x, fiber in points], axis=0)
+            key = np.sort((first * width + rest)[~out])
+            return np.concatenate([first[out], key[1:][key[1:] == key[:-1]] // width])
+
+        pair, x, y, z = self.products
+        p = bad(pair, x * W + y, W * W, (x, pair // n), (y, pair % n), (z, T[pair]))
+        grid = np.zeros(n * (n + 1), dtype=bool)  # (s, t) at s (n + 1) + t, then s's stars
+        grid[p + p // n] = True
+        fiber, x, z = self.stars
+        grid[bad(fiber, x, W, (x, fiber), (z, self.inv[fiber])) * (n + 1) + n] = True
+        out = [("star-fiber", lab(s)) if t == n else ("product-fiber", (lab(s), lab(t)))
+               for s, t in (divmod(k, n + 1) for k in np.flatnonzero(grid))]
+        pair, x, z = self.inclusions
+        for p in np.unique(bad(pair, x, W, (x, pair // n), (z, pair % n))):
+            out.append(("inclusion-fiber", (lab(p // n), lab(p % n))))
+        return tuple(out)
+
+    @cached_property
+    def lookups(self) -> tuple:
+        """poff, ioff and the start of each lookup in one run of keys: the
+        products by (s, t, x, y) at poff[s, t] + x c_t + y, the stars by
+        slot, j(t, s) by ioff[s, t] + x, each with a last key for zero; then
+        each key's point z (NOWHERE for zero) and flat row: the products',
+        stars' and inclusions' rows in turn, then `rows` for zero."""
+        n, cs, M = self.S.n, self.cs, self.M
+        sizes = np.outer(cs, cs).ravel()
+        poff, ioff = _starts(sizes).reshape(n, n), _starts(np.repeat(cs, n)).reshape(n, n)
+        (pair, x, y, z), (fiber, sx, sz), (ipair, ix, iz) = self.products, self.stars, self.inclusions
+        start = np.cumsum([0, sizes.sum() + 1, M + 1, n * M + 1])
+        at = np.concatenate([poff.ravel()[pair] + x * cs[pair % n] + y, start[1] + self.off[fiber] + sx,
+                             start[2] + ioff.ravel()[ipair] + ix])
+        Z, R = np.full(start[3], NOWHERE, dtype=np.intp), np.full(start[3], self.rows, dtype=np.intp)
+        Z[at] = np.concatenate([z, sz, iz] if self.live is None else
+                               [np.where(live, c, NOWHERE) for live, c in zip(self.live, (z, sz, iz))])
+        R[at] = np.arange(self.rows)
+        return _freeze(poff, ioff, start, Z, R)
 
     def product(self, s, t, x, y):
-        """delta_x in fiber s times delta_y in fiber t."""
-        return self._take(self.P, self.poff[s, t] + x * self.B.cs[t] + y)
+        """delta_x in fiber s times delta_y in fiber t, as (z, key); a key
+        past the lookups (one made from NOWHERE) reads zero."""
+        key = self.lookups[0][s, t] + x * self.cs[t] + y
+        return self.lookups[3].take(key, mode="clip"), key
 
     def star(self, s, x):
         """The adjoint of delta_x in fiber s."""
-        return self._take(self.St, self.B.off[s] + x)
+        key = self.lookups[2][1] + self.off[s] + x
+        return self.lookups[3].take(key, mode="clip"), key
 
     def include(self, s, t, x):
         """j(t, s) of delta_x in fiber s."""
-        return self._take(self.J, self.ioff[s, t] + x)
+        key = self.lookups[2][2] + self.lookups[1][s, t] + x
+        return self.lookups[3].take(key, mode="clip"), key
 
-    def unit(self, x):
-        """The point masses delta_x, unscaled."""
-        return x, 0, None if self.exact else 1.0
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """generating_set over the slots (see Lookup.middle), walking the
+        slots of the fibers of S's generators and then every slot, a
+        product reaching a slot unless it is zero."""
+        T, ps, px, off = self.T, self.slot_s, self.slot_x, self.off
+
+        def product(a, g):
+            s, t = ps[a][:, None], ps[g][None, :]
+            z, _ = self.product(s, t, px[a][:, None], px[g][None, :])
+            return np.where(z != NOWHERE, off[T[s, t]] + z, -1)
+
+        order = np.concatenate([np.flatnonzero(np.isin(ps, self.S.generators)), np.arange(self.M)])
+        return _freeze(generating_set(product, order, self.M))
+
+    @cached_property
+    def classes(self) -> tuple:
+        """classify_bundle's reads of the rows alone: the pairs (s, t) whose
+        product rows do not reach exactly the points of fiber st, whether
+        each fiber is regular, and the rows of delta_x delta_y and delta_y
+        delta_x in the fibers of idempotents, as a 2 x count array, or None
+        if one is missing or the two land on different points."""
+        S, n, T = self.S, self.S.n, self.T.ravel()
+        pair, x, y, z = self.products
+        inside = (z >= 0) & (z < self.cs[T[pair]])
+        hit = np.zeros((n * n, self.W), dtype=bool)
+        hit[pair[inside], z[inside]] = True
+        reached = (hit.sum(axis=1) == self.cs[T]) & (np.bincount(pair[~inside], minlength=n * n) == 0)
+        unsat = tuple((S.label(p // n), S.label(p % n)) for p in np.flatnonzero(~reached))
+        idem = np.zeros(n * n, dtype=bool)
+        idem[np.array(S.idem, dtype=np.intp) * (n + 1)] = True
+        r = np.flatnonzero(idem[pair])
+        row = dict(zip(zip(pair[r].tolist(), x[r].tolist(), y[r].tolist()), range(len(r))))  # a key's last
+        i, j, at = list(row.values()), [row.get((p, c, a), -1) for p, a, c in row], z[r].tolist()
+        swap = _freeze(r[[i, j]]) if all(b >= 0 and at[a] == at[b] for a, b in zip(i, j)) else None
+        # the constant-one multiplier times a point mass is that point mass's
+        # row, so it generates fiber s from either side iff the rows cover it
+        ar = np.arange(n)
+        regular = reached[ar * n + T[self.inv * n + ar]] & reached[T[ar * n + self.inv] * n + ar]
+        return unsat, dict(zip(map(S.label, ar.tolist()), regular.tolist())), swap
+
+
+def _with_scalars(name):
+    """A Lookup method: the geometry's lookup `name`, with the scalars."""
+    return lambda self, *args: self._scalars(*getattr(self.G, name)(*args))
+
+
+class Lookup:
+    """A bundle's scalars at the keys of its geometry's lookups: exponents
+    mod N in K, complex values in V (None if `exact`), zero's at a key with
+    no row.  product, star and include are the geometry's lookups, with
+    scalars (z, K, V).  The families need the rows in their fibers."""
+
+    def __init__(self, B: Bundle, N: int, exact: bool):
+        self.G, self.N, self.exact, self.products = B.geometry, N, exact, B.products  # not B: no cycle
+        R = self.G.lookups[4]
+        K = [widen(t[-2], B.N, N) for t in (B.products, B.stars, B.inclusions)]
+        self.K = np.concatenate([*K, [NOT_ANGLE]], dtype=_exponent_dtype(N)).take(R)
+        self.V = None if exact else np.concatenate([*B.values, [0j]]).take(R)
+
+    def _scalars(self, z, key):
+        return z, self.K.take(key, mode="clip"), None if self.exact else self.V.take(key, mode="clip")
+
+    product, star, include = (_with_scalars(name) for name in ("product", "star", "include"))
 
     def scaled(self, z, *factors):
         """The point masses at z scaled by the product of the factors, each
-        a (K, V) pair.  Exponents are reduced mod N only when compared, so
-        a sum here has at most three terms, and a comparison (far) of two
-        of them at most five: one positive and four negative in the star
-        laws, where conj negates.  The exponents' width holds each (see the
-        width table in fellsem.action): int8 while N <= 2**5, int16 while
-        N <= 2**13, int32 while N <= 2**29, int64 while N <= 2**61, and
-        Python integers beyond."""
+        a (K, V) pair.  Exponents are reduced mod N only when compared: a
+        comparison (far) of two sums has at most five terms, one positive
+        and four negative in the star laws, which the exponents' width holds
+        (see the width table in fellsem.action)."""
         K, V = factors[0]
         for k, v in factors[1:]:
             if V is None:
@@ -308,6 +380,40 @@ class Lookup:
                               np.abs(Vp - Vq) > tol)
         return np.where(zp == zq, at_p & differ, big_p | big_q)
 
+    def compare(self, key, sides, tol) -> np.ndarray:
+        """far of the two sides of each instance of a family.  sides() makes
+        each from the geometry, (z, factors): the point masses at z scaled
+        by each factor (keys, sign), conjugated where sign is -1.  Exact, a
+        family compiles to where the points agree and are not zero, where
+        they differ and one is not zero, and the signed keys whose exponents
+        must sum to 0 mod N (at most two positive and four negative: each
+        partial sum fits the width); the geometry keeps it under `key`
+        (None: never) when it is read again and scans at most CHUNK entries."""
+        G = self.G
+        if not self.exact or (got := G.kept.get(key)) is None:
+            (zp, fp), (zq, fq) = sides()
+            if not self.exact:
+                return self.far(self._side(zp, fp), self._side(zq, fq), tol)
+            at_p, at_q = zp != NOWHERE, zq != NOWHERE
+            got = (zp == zq) & at_p, (zp != zq) & (at_p | at_q), (*fp, *[(keys, -sign) for keys, sign in fq])
+            if key is not None and zp.size <= CHUNK and key in G.kept:  # read before: keep it
+                G.kept[key] = got
+                _freeze(*got[:2], *(keys for keys, _ in got[2]))
+            elif key is not None and zp.size <= CHUNK:
+                G.kept[key] = None
+        same, apart, terms = got
+        total = 0
+        for keys, sign in terms:
+            k = self.K.take(keys, mode="clip")
+            total = total + k if sign > 0 else total - k
+        bad = same & (mod(total, self.N) != 0)
+        return bad | apart if 1.0 > tol else bad
+
+    def _side(self, z, factors):  # a side of a non-exact compare as a scaled point mass (z, K, V)
+        scalars = [self._scalars(z, keys)[1:] for keys, _ in factors]
+        scalars = [self.conj(*k) if sign < 0 else k for k, (_, sign) in zip(scalars, factors)]
+        return self.scaled(z, *scalars) if scalars else (z, 0, 1.0)
+
     # -- the exact families, on point masses
 
     def exact_violations(self, tol) -> list:
@@ -315,27 +421,17 @@ class Lookup:
         star, then the inclusion families."""
         return self._associativity(tol) + self._star_laws(tol) + self._inclusion_laws(tol)
 
-    @cached_property
+    @property
     def middle(self) -> np.ndarray:
         """The slots whose point masses are the middle factors of Light's
         test (see _associativity): every slot when the full scan is one
         chunk, or when a product scalar is not an angle and so is compared
-        within tol; else generating_set over the slots, walking the slots
-        of the fibers of S's generators and then every slot, a product
-        reaching a slot only with an angle scalar."""
-        B = self.B
-        Z, K, _ = self.P
-        if B.M ** 3 <= CHUNK or not self.exact and (K[Z != NOWHERE] < 0).any():
-            return np.arange(B.M)
-        T, ps, px, cs, off = B.T, B.slot_s, B.slot_x, B.cs, B.off
-
-        def product(a, g):
-            s, t = ps[a][:, None], ps[g][None, :]
-            at = self.poff[s, t] + px[a][:, None] * cs[t] + px[g][None, :]
-            return np.where((Z[at] != NOWHERE) & (K[at] >= 0), off[T[s, t]] + Z[at], -1)
-
-        order = np.concatenate([np.flatnonzero(np.isin(ps, B.S.generators)), np.arange(B.M)])
-        return generating_set(product, order, B.M)
+        within tol; else the geometry's generators."""
+        G = self.G
+        live = G.lookups[3][:G.lookups[2][1]] != NOWHERE  # the product keys' points
+        if G.M ** 3 <= CHUNK or not self.exact and (self.K[:len(live)][live] < 0).any():
+            return np.arange(G.M)
+        return G.generators
 
     def _associativity(self, tol) -> list:
         """(delta_x delta_y) delta_z = delta_x (delta_y delta_z) for every
@@ -354,13 +450,13 @@ class Lookup:
         e(K), compared by exponents, which holds when every product scalar
         is an angle (a tolerance is not transitive).  When the middle
         factors fail, the full scan lists every failure."""
-        B = self.B
-        q = self.nonassociative(tol, self.middle)
-        if q.size and len(self.middle) < B.M:
-            q = self.nonassociative(tol, np.arange(B.M))
-        ps, px = B.slot_s, B.slot_x
+        G, middle = self.G, self.middle
+        q = self.nonassociative(tol, middle)
+        if q.size and len(middle) < G.M:
+            q = self.nonassociative(tol, np.arange(G.M))
+        ps, px = G.slot_s, G.slot_x
         q = q[:, np.lexsort((px[q[2]], px[q[1]], px[q[0]], ps[q[2]], ps[q[1]], ps[q[0]]))]
-        lab, pts = B.S.label, B.points
+        lab, pts = G.S.label, G.points
         return [("associativity", (lab(r), lab(s), lab(t), pts[r][x], pts[s][y], pts[t][z]))
                 for r, s, t, x, y, z in zip(*ps[q], *px[q])]
 
@@ -368,43 +464,48 @@ class Lookup:
         """The slots (a, b, c), b in `middle`, of the point masses x, y and
         z for which (delta_x delta_y) delta_z and delta_x (delta_y delta_z)
         differ, as a 3 x count array; chunked over the slots a."""
-        B = self.B
-        M, T, ps, px = B.M, B.T, B.slot_s, B.slot_x
+        G = self.G
+        M, T, ps, px = G.M, G.T, G.slot_s, G.slot_x
         s, y = ps[middle, None], px[middle, None]
         t, z = ps[None, :], px[None, :]
-        st = T[s, t]
-        yz = self.product(s, t, y, z)
         found = [np.empty((3, 0), dtype=np.intp)]
         step = max(1, CHUNK // max(1, len(middle) * M))
         for a in range(0, M, step):
-            r, x = ps[a:a + step, None, None], px[a:a + step, None, None]
-            xy = self.product(r, s, x, y)
-            left = self.product(T[r, s], t, xy[0], z)
-            right = self.product(r, st, x, yz[0])
-            bad = self.far(self.scaled(left[0], xy[1:], left[1:]),
-                           self.scaled(right[0], yz[1:], right[1:]), tol)
-            i, j, k = np.nonzero(bad)
+            def sides(a=a):
+                r, x = ps[a:a + step, None, None], px[a:a + step, None, None]
+                xy, yz = G.product(r, s, x, y), G.product(s, t, y, z)
+                left = G.product(T[r, s], t, xy[0], z)
+                right = G.product(r, T[s, t], x, yz[0])
+                return (left[0], ((xy[1], 1), (left[1], 1))), (right[0], ((yz[1], 1), (right[1], 1)))
+            key = ("associativity", middle.tobytes()) if step >= M else None
+            i, j, k = np.nonzero(self.compare(key, sides, tol))
             found.append(np.stack([a + i, middle[j], k]))
         return np.concatenate(found, axis=1)
 
     def _star_laws(self, tol) -> list:
         """x** = x on every slot, then (xy)* = y* x* on every pair of slots
         in the order (s, t, x, y)."""
-        B = self.B
-        T, inv, ps, px = B.T, B.inv, B.slot_s, B.slot_x
-        lab, pts = B.S.label, B.points
-        sx = self.star(ps, px)
-        back = self.star(inv[ps], sx[0])
-        bad = self.far(self.scaled(back[0], self.conj(*sx[1:]), back[1:]), self.unit(px), tol)
-        out = [("involutive", (lab(s), pts[s][x])) for s, x in zip(ps[bad], px[bad])]
+        G = self.G
+        T, inv, ps, px = G.T, G.inv, G.slot_s, G.slot_x
+        lab, pts = G.S.label, G.points
 
-        s, t, x, y = B.pairs
-        xy = self.product(s, t, x, y)
-        lhs = self.star(T[s, t], xy[0])
-        sy, sx = self.star(t, y), self.star(s, x)
-        rhs = self.product(inv[t], inv[s], sy[0], sx[0])
-        bad = self.far(self.scaled(lhs[0], self.conj(*xy[1:]), lhs[1:]),
-                       self.scaled(rhs[0], sy[1:], sx[1:], rhs[1:]), tol)
+        def involutive():
+            sx = G.star(ps, px)
+            back = G.star(inv[ps], sx[0])
+            return (back[0], ((sx[1], -1), (back[1], 1))), (px, ())
+
+        bad = self.compare("involutive", involutive, tol)
+        out = [("involutive", (lab(s), pts[s][x])) for s, x in zip(ps[bad], px[bad])]
+        s, t, x, y = G.pairs
+
+        def anti():
+            xy = G.product(s, t, x, y)
+            lhs = G.star(T[s, t], xy[0])
+            sy, sx = G.star(t, y), G.star(s, x)
+            rhs = G.product(inv[t], inv[s], sy[0], sx[0])
+            return (lhs[0], ((xy[1], -1), (lhs[1], 1))), (rhs[0], ((sy[1], 1), (sx[1], 1), (rhs[1], 1)))
+
+        bad = self.compare("anti-multiplicative", anti, tol)
         out += [("anti-multiplicative", (lab(s), lab(t), pts[s][x], pts[t][y]))
                 for s, t, x, y in zip(s[bad], t[bad], x[bad], y[bad])]
         return out
@@ -414,52 +515,54 @@ class Lookup:
         isometric, identity, functorial over the r between, star, then
         products with every point y of every fiber u on the left and on the
         right."""
-        B = self.B
-        T, inv, ps, px, leq = B.T, B.inv, B.slot_s, B.slot_x, B.leq
-        s, t, x = B.below
-        jp = self.include(s, t, x)
-        lab, pts = B.S.label, B.points
+        G = self.G
+        T, inv, ps, px = G.T, G.inv, G.slot_s, G.slot_x
+        s, t, x = G.below
+        jz, jr = G.include(s, t, x)
+        lab, pts = G.S.label, G.points
 
         def at(i):
             return lab(s[i]), lab(t[i]), pts[s[i]][x[i]]
 
         found = []  # (sort key, violation)
-        iso = (jp[0] == NOWHERE) & (1.0 > tol)
+        iso = (jz == NOWHERE) & (1.0 > tol)
         if not self.exact:
-            iso |= (jp[1] < 0) & (np.abs(np.abs(jp[2]) - 1) > tol)
+            _, K, V = self._scalars(jz, jr)
+            iso |= (K < 0) & (np.abs(np.abs(V) - 1) > tol)
         found += [((i, 0), ("inclusion-isometric", at(i))) for i in np.flatnonzero(iso)]
-        ident = (s == t) & self.far(jp, self.unit(x), tol)
+        ident = (s == t) & self.compare("inclusion-identity", lambda: ((jz, ((jr, 1),)), (x, ())), tol)
         found += [((i, 1), ("inclusion-identity", at(i)[::2])) for i in np.flatnonzero(ident)]
+        i, r = np.nonzero(G.leq[s] & G.leq.T[t])
 
-        i, r = np.nonzero(leq[s] & leq.T[t])
-        inner = self.include(s[i], r, x[i])
-        outer = self.include(r, t[i], inner[0])
-        bad = self.far(self.scaled(outer[0], inner[1:], outer[1:]),
-                       tuple(a if a is None else a[i] for a in jp), tol)
+        def functorial():
+            inner = G.include(s[i], r, x[i])
+            outer = G.include(r, t[i], inner[0])
+            return (outer[0], ((inner[1], 1), (outer[1], 1))), (jz[i], ((jr[i], 1),))
+
+        bad = self.compare("inclusion-functorial", functorial, tol)
         found += [((i, 2, r), ("inclusion-functorial", (at(i)[0], lab(r), *at(i)[1:])))
                   for i, r in zip(i[bad], r[bad])]
 
-        lhs = self.star(t, jp[0])
-        sx = self.star(s, x)
-        rhs = self.include(inv[s], inv[t], sx[0])
-        bad = self.far(self.scaled(lhs[0], self.conj(*jp[1:]), lhs[1:]),
-                       self.scaled(rhs[0], sx[1:], rhs[1:]), tol)
+        def star():
+            lhs, sx = G.star(t, jz), G.star(s, x)
+            rhs = G.include(inv[s], inv[t], sx[0])
+            return (lhs[0], ((jr, -1), (lhs[1], 1))), (rhs[0], ((sx[1], 1), (rhs[1], 1)))
+
+        bad = self.compare("inclusion-star", star, tol)
         found += [((i, 3), ("inclusion-star", at(i))) for i in np.flatnonzero(bad)]
 
         u, y = ps[None, :], px[None, :]
-        step = max(1, CHUNK // max(1, B.M))
+        step = max(1, CHUNK // max(1, G.M))
+        orders = (("inclusion-product-left", lambda a, b: (a, b)),  # delta_y of fiber u on the right
+                  ("inclusion-product-right", lambda a, b: (b, a)))
         for a in range(0, len(s), step):
-            s_, t_, x_ = (v[a:a + step, None] for v in (s, t, x))
-            j_ = tuple(v if v is None else v[a:a + step, None] for v in jp)
-            for side, tag in enumerate(("inclusion-product-left", "inclusion-product-right")):
-                if side == 0:
-                    lhs, m = self.product(t_, u, j_[0], y), self.product(s_, u, x_, y)
-                    rhs = self.include(T[s_, u], T[t_, u], m[0])
-                else:
-                    lhs, m = self.product(u, t_, y, j_[0]), self.product(u, s_, y, x_)
-                    rhs = self.include(T[u, s_], T[u, t_], m[0])
-                bad = self.far(self.scaled(lhs[0], j_[1:], lhs[1:]),
-                               self.scaled(rhs[0], m[1:], rhs[1:]), tol)
+            s_, t_, x_, jz_, jr_ = (v[a:a + step, None] for v in (s, t, x, jz, jr))
+            for side, (tag, o) in enumerate(orders):
+                def sides(o=o):
+                    lhs, m = G.product(*o(t_, u), *o(jz_, y)), G.product(*o(s_, u), *o(x_, y))
+                    rhs = G.include(T[o(s_, u)], T[o(t_, u)], m[0])
+                    return (lhs[0], ((jr_, 1), (lhs[1], 1))), (rhs[0], ((m[1], 1), (rhs[1], 1)))
+                bad = self.compare(tag if step >= len(s) else None, sides, tol)
                 found += [((a + i, 4, q, side),
                            (tag, (*at(a + i)[:2], lab(ps[q]), at(a + i)[2], pts[ps[q]][px[q]])))
                           for i, q in zip(*np.nonzero(bad))]
@@ -494,8 +597,8 @@ class Lookup:
         positivity at x = y where delta_z* delta_z = b delta_z, b > 0: then
         p = delta_z / b = p*p is a projection, and c b p >= 0 forces c > 0.
         """
-        B, N, exact = self.B, self.N, self.exact
-        n, inv, W, lab = B.S.n, B.inv, B.W, B.S.label
+        G, N, exact = self.G, self.N, self.exact
+        n, inv, W, lab = G.S.n, G.inv, G.W, G.S.label
 
         def unit(K, V):
             return True if exact else (K >= 0) | (np.abs(np.abs(V) - 1) <= tol)
@@ -504,34 +607,64 @@ class Lookup:
             return mod(K, N) == 0 if exact else np.where(
                 K >= 0, mod(K, N) == 0, (np.abs(V.imag) <= tol) & (V.real >= -tol))
 
-        pair, x, _, z, K, _ = B.products
-        live = B.values[0] != 0
+        pair, x, _, z, K, V = self.products
+        live = np.ones(len(pair), dtype=bool) if G.live is None else G.live[0]
         pointwise = not any((np.diff(np.sort((pair * W + k)[live])) == 0).any() for k in (x, z))
-        big = pointwise & (K == NOT_ANGLE) & (np.abs(B.values[0]) > 1 + tol)
+        if (big := pointwise & (K == NOT_ANGLE)).any():  # where V holds the values
+            big &= np.abs(V) > 1 + tol
         out = [("submultiplicative", (lab(p // n), lab(p % n))) for p in np.unique(pair[big])]
-        i, y = np.nonzero(np.arange(W) < B.cs[B.slot_s][:, None])  # each x, y of one fiber s
-        s, x, diag = B.slot_s[i], B.slot_x[i], B.slot_x[i] == y
-        u, *a = self.star(s, x)
+        if (got := G.kept.get("norms")) is None:  # each x, y of one fiber s, x at slot i
+            i, y = np.nonzero(np.arange(W) < G.cs[G.slot_s][:, None])
+            s, x = G.slot_s[i], G.slot_x[i]
+            u = G.star(s, x)
+            got = _freeze(i, y, s, x, x == y, *u, *G.product(inv[s], s, u[0], y))
+            if len(i) <= CHUNK:
+                G.kept["norms"] = got
+        i, y, s, x, diag, *keys = got
+        u, *a = self._scalars(*keys[:2])
         hit = np.unique((s * W + u)[diag & (u != NOWHERE) & unit(*a)])
-        iso = (np.bincount(hit // W, minlength=n) == B.cs) & (B.cs == B.cs[inv])
+        iso = (np.bincount(hit // W, minlength=n) == G.cs) & (G.cs == G.cs[inv])
         out += [("star-isometric", lab(t)) for t in np.flatnonzero(~iso)]
-        m = self.product(inv[s], s, u, y)
+        m = self._scalars(*keys[2:])
         z, *c = self.scaled(m[0], a, m[1:])
         live, pos = z != NOWHERE, positive(*c)
         if pointwise:
             out += [("cstar-identity", lab(t)) for t in np.unique(s[diag & ~(live & unit(*c))])]
             bad = live & ~(diag & pos)
         else:
-            proj = np.zeros(B.M + 1, dtype=bool)  # delta_z* delta_z = b delta_z, b > 0
+            proj = np.zeros(G.M + 1, dtype=bool)  # delta_z* delta_z = b delta_z, b > 0
             proj[i[diag]] = ((z == x) & pos)[diag]
-            bad = diag & live & ~pos & proj[np.where(live, B.off[B.T[inv[s], s]] + z, B.M)]
-        out += [("positivity", (lab(k // W), B.points[B.T[inv[k // W], k // W]][k % W]))
+            bad = diag & live & ~pos & proj[np.where(live, G.off[G.T[inv[s], s]] + z, G.M)]
+        out += [("positivity", (lab(k // W), G.points[G.T[inv[k // W], k // W]][k % W]))
                 for k in np.unique((s * W + z)[bad])]
         return out
 
 
 # ---------------------------------------------------------------------------
 # the builders
+
+def frame_rows(F: Frame) -> tuple:
+    """build_bundle's rows of a frame alone (Frame.bundle): their Geometry,
+    no scalar zero, and the flat positions in W of each row's omega;
+    KeyError where a row needs an undefined theta."""
+    n, m, T, inv, fib = F.n, F.m, F.T, F.inv, F.fib
+    num = np.where(fib, np.cumsum(fib, axis=1) - 1, -1)  # [s, i]: point i in fiber s
+    points = [[x for x, inside in zip(F.points, row) if inside] for row in fib.tolist()]
+    at, cs, ct, cst = F.slots
+    if (ct < 0).any():  # theta_s^-1 undefined at y
+        raise KeyError(F.points[at[np.argmax(ct < 0)] % m])
+    s, x = index_pairs(fib[inv])
+    if ((image := F.th[s, x]) < 0).any():
+        raise KeyError(F.points[x[np.argmax(image < 0)]])
+    lo, hi = index_pairs(F.leq)
+    i, y = index_pairs(fib[lo])
+    r, t = lo[i], hi[i]
+    rows = ((at // m, num.take(cs), num.take(ct), num.take(cst)), (s, num[s, image], num[inv[s], x]),
+            (r * n + t, num[r, y], num[t, y]))
+    places = at, (inv[s] * n + s) * m + x, (t * n + T[inv[r], r]) * m + y
+    _freeze(*(c for cols in rows for c in cols), *places)
+    return Geometry(F.S, points, *rows), places
+
 
 def build_bundle(A: TwistedAction) -> Bundle:
     """The bundle of a twisted action: the fiber over s is functions on U(ss*).
@@ -540,40 +673,29 @@ def build_bundle(A: TwistedAction) -> Bundle:
     Involution: f*(x)    = conj(f(theta_s x)) conj(omega(s*,s)(x))
     Inclusion:  j(t,s)(f)(y) = f(y) conj(omega(t, s*s)(y)), zero-extended.
 
-    The rows come from the action's exponent arrays; the products are the
-    frame's live omega slots, read through its slot table.
+    The rows' points are the frame's (Frame.bundle), and so is their
+    geometry unless a scalar is zero; the products are its live omega
+    slots.  The scalars are three takes of the action's exponents.
     """
-    F, W, N = A.frame, A.W.reshape(-1), A.N
-    n, m, T, inv, fib = F.n, F.m, F.T, F.inv, F.fib
-    num = np.where(fib, np.cumsum(fib, axis=1) - 1, -1)  # [s, i]: point i in fiber s
-    points = [[x for x, inside in zip(F.points, row) if inside] for row in fib.tolist()]
+    W, N = A.W.reshape(-1), A.N
+    G, places = A.frame.bundle
 
-    def through(theta, s, x):
-        image = theta[s, x]
-        if (image < 0).any():  # as a partial bijection raises
-            raise KeyError(F.points[x[np.argmax(image < 0)]])
-        return image
-
-    def scalars(at, conj):
-        """omega at the flat slots `at` of W, conjugated if `conj`; a value
-        that is no angle from A.V, zero outside the carrier."""
+    def scalars(at, conj):  # omega at `at`, conjugated if conj; zero off the carrier
         k = W.take(at)
         if not (k < 0).any():
             return mod(-k, N) if conj else k, None
         V = np.zeros(len(at), dtype=complex) if A.V is None else np.where(k == NOT_ANGLE, A.V.take(at), 0)
         return np.where(k >= 0, mod(-k if conj else k, N), NOT_ANGLE), np.conj(V) if conj else V
 
-    at, cs, ct, cst = F.slots
-    if (ct < 0).any():  # theta_s^-1 undefined at y, as a partial bijection raises
-        raise KeyError(F.points[at[np.argmax(ct < 0)] % m])
-    products = (at // m, num.take(cs), num.take(ct), num.take(cst), *scalars(at, False))
-    s, x = index_pairs(fib[inv])
-    stars = (s, num[s, through(F.th, s, x)], num[inv[s], x], *scalars((inv[s] * n + s) * m + x, True))
-    lo, hi = index_pairs(F.leq)
-    i, y = index_pairs(fib[lo])
-    s, t = lo[i], hi[i]
-    inclusions = (s * n + t, num[s, y], num[t, y], *scalars((t * n + T[inv[s], s]) * m + y, True))
-    return Bundle(A.S, points, N, products, stars, inclusions, "action", A=A)
+    tables = [(*cols, *scalars(at, conj)) for cols, at, conj in
+              zip((G.products, G.stars, G.inclusions), places, (False, True, True))]
+    _freeze(*(a for *_, K, V in tables for a in (K, V) if a is not None))
+    if any(t[-1] is not None for t in tables):  # a zero scalar needs a geometry of the bundle's own
+        own = Geometry(A.S, G.points, G.products, G.stars, G.inclusions, tables)
+        G = G if own.live is None else own
+    B = Bundle.__new__(Bundle)
+    B._hold(G, N, tables, "action", {"A": A})
+    return B
 
 
 def SectionBundle(G, tau, S: InverseSemigroup, bisections, carriers=None) -> Bundle:
@@ -632,39 +754,19 @@ def classify_bundle(B, tol: float = 1e-9):
     function is a two-sided generating multiplier; the witness family is
     returned when every fiber is regular.
     """
-    S, n, T = B.S, B.S.n, B.T.ravel()
-    # whether the product rows of (s, t) reach exactly the points of fiber st
-    pair, _, _, z = B.products[:4]
-    inside = (z >= 0) & (z < B.cs[T[pair]])
-    hit = np.zeros((n * n, B.W), dtype=bool)
-    hit[pair[inside], z[inside]] = True
-    reached = (hit.sum(axis=1) == B.cs[T]) & (np.bincount(pair[~inside], minlength=n * n) == 0)
-    unsat = [(S.label(p // n), S.label(p % n)) for p in np.flatnonzero(~reached)]
-
-    # in the fiber of an idempotent, delta_y delta_x must be delta_x delta_y
-    pair, x, y, z, K = B.products[:5]
-    idem = np.zeros(n * n, dtype=bool)
-    idem[np.array(S.idem, dtype=np.intp) * (n + 1)] = True
-    r = np.flatnonzero(idem[pair])
-    row = {key: i for i, key in zip(r.tolist(), zip(pair[r].tolist(), x[r].tolist(), y[r].tolist()))}
-    semi_abelian = all(
-        j is not None and z[i] == z[j]
-        and (K[i] == K[j] >= 0 or abs(B.values[0][i] - B.values[0][j]) <= tol)
-        for (p, a, c), i in row.items() for j in [row.get((p, c, a))])
-
-    # the constant-one multiplier times a point mass is that point mass's
-    # row, so it generates fiber s from either side iff the rows cover it
-    ar = np.arange(n)
-    regular = reached[ar * n + B.T[B.inv, ar]] & reached[B.T[ar, B.inv] * n + ar]
-    regular = {S.label(s): bool(regular[s]) for s in S.elements()}
-    return {"saturated": not unsat, "unsaturated_pairs": unsat, "semi_abelian": semi_abelian,
-            "regular": regular,
+    unsat, regular, swap = B.geometry.classes
+    semi_abelian = swap is not None
+    if semi_abelian:  # the rows of delta_x delta_y and delta_y delta_x: one scalar
+        same = [a == b >= 0 for a, b in zip(*B.products[4][swap].tolist())]
+        semi_abelian = all(same) or bool((same | (np.abs(np.subtract(*B.values[0][swap])) <= tol)).all())
+    return {"saturated": not unsat, "unsaturated_pairs": list(unsat), "semi_abelian": semi_abelian,
+            "regular": dict(regular),
             "witness": canonical_multipliers(B) if all(regular.values()) else None}
 
 
 def canonical_multipliers(B) -> tuple:
     """The constant-one multiplier family: exponent zero on every slot."""
-    return 1, held(np.where(np.arange(B.W) < B.cs[:, None], 0, OUTSIDE), 1), None
+    return 1, B.canonical, None
 
 
 def check_multiplier_family(B, u) -> None:
@@ -701,7 +803,7 @@ def _extract(B, u):
     """X, U, theta and omega of the action of B and u: omega(s, t) as
     exponents mod N, K[s n + t, c], and values V, over the points c of
     fiber e[s n + t] = st (st)*."""
-    S, n, W = B.S, B.S.n, B.W
+    S, n, W, cs = B.S, B.S.n, B.W, B.cs
     info = classify_bundle(B)
     if not info["saturated"]:
         raise NotSaturated(str(info["unsaturated_pairs"]))
@@ -742,8 +844,8 @@ def _extract(B, u):
     # theta_s(x), x in fiber s*s, is the one point of (u_s delta_x) u_s*,
     # and omega(s, t) is u_s u_t u_st* on the fiber of st (st)*: one batch
     # of (u_left g) u_star*, theta's entries first
-    s = np.repeat(ar, B.cs[T[inv, ar]])
-    x = np.arange(len(s)) - _starts(B.cs[T[inv, ar]])[s]
+    s = np.repeat(ar, cs[T[inv, ar]])
+    x = np.arange(len(s)) - _starts(cs[T[inv, ar]])[s]
     delta = np.arange(W) == x[:, None]
     pair, st = np.arange(n * n), T.ravel()
     left, star = np.concatenate([s, pair // n]), np.concatenate([s, st])
@@ -761,7 +863,7 @@ def _extract(B, u):
     for t, y, z in zip(s.tolist(), x.tolist(), z.tolist()):
         theta[t][pts[S.mul(S.inv[t], t)][y]] = pts[S.mul(t, S.inv[t])][z]
     e = T[st, inv[st]]
-    live = np.arange(W) < B.cs[e][:, None]
+    live = np.arange(W) < cs[e][:, None]
     if (live & (V == 0)).any():
         raise BundleError("multiplier coordinate vanishes")
     X = sorted(set().union(*(B.carrier(e) for e in S.idem)), key=str)

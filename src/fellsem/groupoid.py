@@ -513,9 +513,11 @@ def _bisection_frame(G: FiniteGroupoid, S, bisections):
     p of the held composable pairs (held_pairs) and the column of the range
     of each ab, where tau(p) goes in W.  They depend on G, S and the
     bisections only, so G keeps the last ones built, for the next cocycle
-    over the same S and bisection list, and a slot germ recovery fills."""
-    key = (S, tuple(frozenset(bisections[s]) for s in S.elements()))
-    if G._frame is None or G._frame[0] != key:
+    over the same S and equal bisections, and a slot germ recovery fills;
+    the kept sets are compared with the given ones as they are."""
+    given, kept = tuple(bisections[s] for s in S.elements()), G._frame and G._frame[0]
+    if not kept or kept[0] != S or kept[1] != given and kept[1] != tuple(map(frozenset, given)):
+        key = (S, tuple(map(frozenset, given)))
         U = {s: frozenset(G.rng[a] for a in bisections[s]) for s in S.elements()}
         theta = {s: {G.src[a]: G.rng[a] for a in bisections[s]} for s in S.elements()}
         F = Frame(S, list(G.objects), U, theta)
@@ -563,7 +565,7 @@ def germ_recovers_groupoid(G: FiniteGroupoid, tau: TwoCocycle, S, bisections, wi
         if not ok:
             return ok, mapping
         to = np.fromiter(mapping.values(), np.intp, len(mapping))
-        g, h = germs.A.frame.germs[-1][:2]
+        g, h = germs.A.frame.germ_table[1][:2]
         known = G._frame[2] = to, G.pair_index[to[g], to[h]]
     (g, h, E), N, (to, pairs) = germs.twist, lcm(germs.N, tau.N), known
     if (differ := widen(E, germs.N, N) != widen(tau.K[pairs], tau.N, N)).any():

@@ -331,8 +331,9 @@ def test_a_germ_compile_error_is_a_new_exception_on_every_call(monkeypatch, five
     assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised[:2]}) == 1
     monkeypatch.undo()
     assert germ_groupoid(A).verify() == RefGerms(five).verify()
-    tables, pairs, coords, live, edges, twist = A.frame.germs
-    assert all(not a.flags.writeable for a in (*tables, *pairs, coords, live, *edges, *twist, A.frame.germ_pair[1]))
+    (tables, pairs, coords, live, edges), (table, twist) = A.frame.germs, A.frame.germ_table
+    assert all(not a.flags.writeable for a in (*tables, *pairs, coords, live, *edges, table, *twist,
+                                                A.frame.germ_pair[1]))
 
 
 def test_json_round_trip(busby):

@@ -110,6 +110,25 @@ def test_cocycles_over_one_bisection_family_share_a_frame():
     assert (B.W == A.W).all() and B.N == A.N
 
 
+def test_equal_bisection_lists_share_the_frame_and_changed_ones_do_not():
+    # the kept bisections are compared with the given ones as they are: an
+    # equal family given as new frozensets, lists or sets reads the kept
+    # frame, and a family with two bisections swapped gets a frame of its own
+    G = pair_groupoid([0, 1, 2])
+    S, biss, wide = bisection_semigroup(G)
+    tau = enumerate_cocycles(G, roots=2)[-1]
+    A = action_from_cocycle(G, tau, S, biss, wide)
+    for same in ([frozenset(b) for b in biss], [sorted(b) for b in biss], [set(b) for b in biss]):
+        B = action_from_cocycle(G, tau, S, same, wide)
+        assert B.frame is A.frame and B.equals(A)
+        assert germ_recovers_groupoid(G, tau, S, same, wide)[0]
+    s, t = [i for i, b in enumerate(biss) if len(b) == 1 and not S.is_idempotent(i)][:2]
+    swapped = list(biss)
+    swapped[s], swapped[t] = biss[t], biss[s]
+    F = groupoid._bisection_frame(G, S, swapped)[0]
+    assert F is not A.frame and F.maps[s] == A.frame.maps[t]
+
+
 def test_germ_recovery_on_groups_and_pairs():
     for G in [cyclic_group(2), cyclic_group(3), pair_groupoid([0, 1])]:
         tau = TwoCocycle.trivial(G)

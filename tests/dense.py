@@ -17,7 +17,10 @@ closure of sub_semigroup, and IsgHomomorphism's law with
 is_essentially_injective, beside the outcome the library gives.  RefGerms
 is the germ groupoid as GermGroupoid built it before its theta half was
 compiled with the frame: every array from theta and the n x n x m W anew
-for each action.
+for each action.  RefRows, RefLookup and the ref_ bundle readers are the
+bundle checks as they read the rows before the rows' geometry was
+compiled: every geometry array, lookup and family gathered anew for each
+bundle.
 """
 
 from fractions import Fraction
